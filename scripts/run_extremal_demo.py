@@ -12,10 +12,10 @@ import argparse
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from mflab import cli
 from mflab.dirichlet import TruncationPlan
 from mflab.extremal import build_spec, extremal_function, save_spec, verify_logF_lower, verify_psum
 from mflab.halasz import HalaszDirection, pole_sum
-from mflab.multfun import summatory_trace, write_trace_csv
 from mflab.primes import sieve_primes
 
 
@@ -37,7 +37,8 @@ def run(cfg: DemoConfig) -> None:
     for kspec in cfg.kappas:
         tag = kspec.replace(":", "_").replace(".", "p")
         spec = build_spec(kspec, x1=cfg.x1, J=cfg.J)
-        save_spec(spec, str(cfg.outdir / f"spec_{tag}.json"))
+        spec_path = cfg.outdir / f"spec_{tag}.json"
+        save_spec(spec, str(spec_path))
         print(f"== kappa = {kspec}: a_j = {[round(b.a, 4) for b in spec.blocks]}")
         rep = verify_psum(spec, cfg.cutoff, table)
         print(f"   psum {rep.observed:.5f} <= majorant {rep.majorant:.5f} "
@@ -50,9 +51,10 @@ def run(cfg: DemoConfig) -> None:
         f = extremal_function(spec)
         zero_sum = pole_sum(f, HalaszDirection(1, 0.0), cfg.cutoff, table).final()
         print(f"   zero-direction alignment sum at P={cfg.cutoff}: {zero_sum:.6f}")
-        trace = summatory_trace(f, cfg.trace_limit)
-        write_trace_csv(trace, str(cfg.outdir / f"trace_{tag}.csv"),
-                        provenance=f"run_extremal_demo kappa={kspec} x1={cfg.x1} J={cfg.J}")
+        rc = cli.main(["sum", "--function", f"extremal:{spec_path}",
+                       "--limit", str(cfg.trace_limit), "--out", str(cfg.outdir / f"trace_{tag}.csv")])
+        if rc:
+            raise SystemExit(rc)
     print(f"wrote specs and traces to {cfg.outdir}/")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from math import log
 
@@ -34,6 +35,16 @@ def _provenance(sub: str, args: argparse.Namespace, keys: list[str]) -> str:
     return f"mflab {sub} " + " ".join(parts)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        v = 0
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return v
+
+
 def _sigma_grid(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) not in (3, 4):
@@ -48,31 +59,32 @@ def _sigma_grid(spec: str) -> list[float]:
     if count == 1:
         return [start]
     if spacing == "linear":
-        return [start + (end - start) * i / (count - 1) for i in range(count)]
-    if spacing == "geometric":
+        head = [start + (end - start) * i / (count - 1) for i in range(count - 1)]
+    elif spacing == "geometric":
         # geometric in sigma - 1, the natural scale for approach to the pole
         r = ((end - 1.0) / (start - 1.0)) ** (1.0 / (count - 1))
-        return [1.0 + (start - 1.0) * r**i for i in range(count)]
-    raise FunctionSpecError(f"unknown sigma spacing {spacing!r}")
+        head = [1.0 + (start - 1.0) * r**i for i in range(count - 1)]
+    else:
+        raise FunctionSpecError(f"unknown sigma spacing {spacing!r}")
+    return head + [end]  # exactly the requested end, not a rounded power
 
 
-def _open_out(path: str | None):
+def _write(path: str | None, provenance: str, body: str) -> None:
+    """The provenance comment then ``body``, to ``path`` (stdout for None or '-')."""
+    text = f"# {provenance}\n{body}"
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        sys.stdout.write(text)
+        return
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def _write_rows(path: str | None, provenance: str, header: list[str], rows) -> None:
-    fh, close = _open_out(path)
-    try:
-        fh.write(f"# {provenance}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
-    finally:
-        if close:
-            fh.close()
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    _write(path, provenance, buf.getvalue())
 
 
 def _fmt(v: float) -> str:
@@ -83,8 +95,10 @@ def _cmd_sum(args) -> int:
     f = multfun.parse_function_spec(args.function)
     trace = multfun.summatory_trace(
         f, args.limit, grid=args.grid, segment_size=args.segment_size)
+    rows = [[int(x), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
+            for x, v in zip(trace.xs, map(complex, trace.values))]
     prov = _provenance("sum", args, ["function", "limit", "grid", "segment_size"])
-    multfun.write_trace_csv(trace, args.out, provenance=prov)
+    _write_rows(args.out, prov, ["x", "re_S", "im_S", "abs_S"], rows)
     return 0
 
 
@@ -128,14 +142,7 @@ def _cmd_criterion(args) -> int:
     table = primes.sieve_primes(args.prime_cutoff)
     rep = halasz.criterion_report(f, args.t, args.prime_cutoff, table, K=args.kmax)
     prov = _provenance("criterion", args, ["function", "t", "prime_cutoff", "kmax"])
-    fh, close = _open_out(args.out)
-    try:
-        fh.write(f"# {prov}\n")
-        fh.write(rep.text())
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    _write(args.out, prov, rep.text() + "\n")
     return 0
 
 
@@ -143,9 +150,10 @@ def _cmd_lemma(args) -> int:
     f = multfun.parse_function_spec(args.function)
     plan = _plan(args)
     direction = halasz.HalaszDirection(args.epsilon, args.t0)
+    grid = _sigma_grid(args.sigma)
     base = primes.sieve_primes(plan.prime_cutoff)
     rows = []
-    for sg in _sigma_grid(args.sigma):
+    for sg in grid:
         s = dirichlet.ComplexPoint(sg, args.t)
         r = halasz.lemma_defect(f, direction, s, plan, base)
         rows.append([_fmt(sg), _fmt(args.t), _fmt(abs(r.value)), _fmt(r.ratio),
@@ -161,8 +169,9 @@ def _cmd_thm1(args) -> int:
     f = multfun.parse_function_spec(args.function)
     plan = _plan(args)
     direction = halasz.HalaszDirection(args.epsilon, args.t0)
+    grid = _sigma_grid(args.sigma)
     base = primes.sieve_primes(plan.prime_cutoff)
-    pts = halasz.theorem1_ratio(f, direction, _sigma_grid(args.sigma), plan, base=base)
+    pts = halasz.theorem1_ratio(f, direction, grid, plan, base=base)
     rows = []
     for p in pts:
         ratio = float("nan") if p.ratio is None else p.ratio
@@ -197,26 +206,14 @@ def _cmd_extremal_verify(args) -> int:
     spec = extremal.load_spec(args.specfile)
     table = primes.sieve_primes(args.cutoff)
     prov = _provenance("extremal-verify", args, ["specfile", "cutoff", "block"])
-    fh, close = _open_out(args.out)
-    try:
-        fh.write(f"# {prov}\n")
-        rep = extremal.verify_psum(spec, args.cutoff, table)
-        fh.write(rep.text())
-        fh.write("\n")
-        blocks = [args.block] if args.block else [
-            j for j, b in enumerate(spec.blocks, start=1)
-            if b.log_upper <= log(args.cutoff)]
-        for j in blocks:
-            fh.write("\n")
-            plan = dirichlet.TruncationPlan(
-                prime_cutoff=args.cutoff,
-                exact_factor_cutoff=min(10_000, args.cutoff))
-            wrep = extremal.verify_logF_lower(spec, j, plan, table)
-            fh.write(wrep.text())
-            fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    texts = [extremal.verify_psum(spec, args.cutoff, table).text()]
+    blocks = [args.block] if args.block else [
+        j for j, b in enumerate(spec.blocks, start=1) if b.log_upper <= log(args.cutoff)]
+    plan = dirichlet.TruncationPlan(
+        prime_cutoff=args.cutoff, exact_factor_cutoff=min(10_000, args.cutoff))
+    for j in blocks:
+        texts.append(extremal.verify_logF_lower(spec, j, plan, table).text())
+    _write(args.out, prov, "\n\n".join(texts) + "\n")
     return 0
 
 
@@ -233,7 +230,7 @@ def build_parser() -> _Parser:
     p.add_argument("--function", required=True)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--grid", default=None)
-    p.add_argument("--segment-size", type=int, default=1 << 18)
+    p.add_argument("--segment-size", type=_positive_int, default=1 << 18)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_sum)
 

@@ -35,6 +35,8 @@ _B6_6F = 1.0 / 30240.0
 # |z| <= p^{-sigma}/(1-p^{-sigma}) <= 1/2, so |log(1+z)-z| <= |z|^2 <= 2.25
 # p^{-2 sigma}, and the k >= 2 terms add at most 1.5 p^{-2 sigma}.
 _DEFECT_COEFF = 3.75
+# Local-factor series terms are summed while their tail may exceed this.
+_FACTOR_TAIL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -253,34 +255,53 @@ def F_partial_summation(trace: SummatoryTrace, s, X: float) -> EvalResult:
     return EvalResult(value, recon + tail, "partial-summation")
 
 
-def euler_factor_log(
-    f: MultiplicativeFunction, p: int, s, kmax: int | None = None,
-    tail_tol: float = 1e-14,
-) -> complex:
+def _factor_logs(
+    f: MultiplicativeFunction, ps: np.ndarray, pt: ComplexPoint,
+) -> tuple[np.ndarray, np.ndarray]:
+    """z = f(p) p^{-s} and log(factor_p) - z for every prime in ``ps``.
+
+    factor_p = sum_k f(p^k) p^{-ks}.  A completely multiplicative f has the
+    closed form 1/(1 - z); otherwise term k is summed while p^{-k sigma}
+    / (1 - p^{-sigma}) > 1e-14.  Raises SingularFactorError where a factor
+    vanishes.
+    """
+    psf = ps.astype(np.float64)
+    x = np.exp(-pt.s * np.log(psf))
+    z = f.prime_values(ps) * x
+    if f.completely_multiplicative:
+        w = 1.0 - z  # 1 / factor_p
+    else:
+        w = 1.0 + z
+        xk = x
+        n, k = ps.size, 2
+        while True:
+            # primes ascend, so the primes that still need term k are a prefix
+            n = int(np.count_nonzero(
+                psf[:n] ** (-k * pt.sigma) / (1.0 - psf[:n] ** (-pt.sigma)) > _FACTOR_TAIL_TOL))
+            if n == 0:
+                break
+            xk = xk[:n] * x[:n]
+            w[:n] += f.powers(ps[:n], k) * xk
+            k += 1
+    bad = np.abs(w) < 1e-12
+    if bad.any():
+        raise SingularFactorError(f"Euler factor at p={int(ps[np.argmax(bad)])} vanishes")
+    if not f.completely_multiplicative:
+        return z, np.log(w) - z
+    # -log(1 - z) - z cancels for small z: use its Taylor series there
+    small = np.abs(z) < 1e-3
+    series = z * z * (0.5 + z * (1.0 / 3.0 + z * (0.25 + z * 0.2)))
+    return z, np.where(small, series, -np.log(w) - z)
+
+
+def euler_factor_log(f: MultiplicativeFunction, p: int, s) -> complex:
     """Principal log of the local Euler factor sum_k f(p^k) p^{-ks}.
 
     For p >= 3 in class M the inner sum has modulus <= 1/2, so the factor
     stays in the right half-plane and the principal branch is safe.
     """
-    pt = as_point(s)
-    x = np.exp(-pt.s * log(p))
-    if f.completely_multiplicative:
-        w = 1.0 - f.prime_power(p, 1) * x
-        if abs(w) < 1e-12:
-            raise SingularFactorError(f"Euler factor at p={p} vanishes")
-        return complex(-np.log(w))
-    if kmax is None:
-        kmax = 1
-        while p ** (-(kmax + 1) * pt.sigma) / (1 - p ** (-pt.sigma)) > tail_tol:
-            kmax += 1
-    w = 1.0 + 0.0j
-    xk = 1.0 + 0.0j
-    for k in range(1, kmax + 1):
-        xk *= x
-        w += f.prime_power(p, k) * xk
-    if abs(w) < 1e-12:
-        raise SingularFactorError(f"Euler factor at p={p} vanishes")
-    return complex(np.log(w))
+    z, defect = _factor_logs(f, np.array([p], dtype=np.int64), as_point(s))
+    return complex(z[0] + defect[0])
 
 
 def _defect_sum(
@@ -288,23 +309,19 @@ def _defect_sum(
     base: PrimeTable,
 ) -> tuple[complex, float]:
     """sum_{p<=cutoff} [log factor_p - f(p) p^{-s}] plus tail bound."""
-    sc, sigma = pt.s, pt.sigma
-    ps = base.primes_le(cutoff).astype(np.float64)
-    if f.completely_multiplicative:
-        fp = f.prime_values(ps.astype(np.int64))
-        z = fp * np.exp(-sc * np.log(ps))
-        small = np.abs(z) < 1e-3
-        exact = -np.log(1.0 - np.where(small, 0.5, z)) - np.where(small, 0.5, z)
-        series = z * z * (0.5 + z * (1.0 / 3.0 + z * (0.25 + z * 0.2)))
-        delta = complex(np.cumsum(np.where(small, series, exact))[-1])
-    else:
-        acc = 0.0 + 0.0j
-        for p in ps:
-            p = int(p)
-            acc += euler_factor_log(f, p, pt) - f.prime_power(p, 1) * np.exp(-sc * log(p))
-        delta = acc
-    tail = _DEFECT_COEFF * float(cutoff) ** (1.0 - 2.0 * sigma) / (2.0 * sigma - 1.0)
-    return delta, tail
+    _, defect = _factor_logs(f, base.primes_le(cutoff), pt)
+    tail = _DEFECT_COEFF * float(cutoff) ** (1.0 - 2.0 * pt.sigma) / (2.0 * pt.sigma - 1.0)
+    return complex(np.cumsum(defect)[-1]), tail
+
+
+def alignment_residual(
+    f: MultiplicativeFunction, ps: np.ndarray, epsilon0: int, t0: float, w: complex,
+) -> complex:
+    """sum_{p in ps} (1 + e0 f(p) p^{-it0}) p^{-w}: the part of the prime sum
+    that the direction (e0, t0) does not cancel against log zeta."""
+    lp = np.log(ps.astype(np.float64))
+    g = 1.0 + epsilon0 * f.prime_values(ps) * np.exp(-1j * t0 * lp)
+    return complex(np.cumsum(g * np.exp(-w * lp))[-1])
 
 
 @dataclass(frozen=True)
@@ -382,11 +399,7 @@ def F_euler(
     wpt = ComplexPoint(w.real, w.imag)
     if base is None:
         base = sieve_primes(plan.prime_cutoff)
-    ps = base.primes_le(plan.prime_cutoff)
-    psf = ps.astype(np.float64)
-    fp = f.prime_values(ps)
-    g = 1.0 + epsilon0 * fp * np.exp(-1j * t0 * np.log(psf))
-    residual = complex(np.cumsum(g * np.exp(-w * np.log(psf)))[-1])
+    residual = alignment_residual(f, base.primes_le(plan.prime_cutoff), epsilon0, t0, w)
     pz = prime_zeta(wpt)
     delta, dtail = _defect_sum(f, pt, plan.exact_factor_cutoff, base)
     log_F = epsilon0 * (residual - pz.value) + delta

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dirichlet import ComplexPoint, TruncationPlan, log_F_prime_sum
 from .errors import CapacityError, CoverageError, DomainError, FunctionSpecError
-from .multfun import MultiplicativeFunction
+from .multfun import MultiplicativeFunction, completely_multiplicative
 from .primes import PrimeTable, mertens_estimate, sum_reciprocal_primes
 
 LOGLOG_16 = log(log(16.0))      # smallest admissible loglog coordinate
@@ -272,23 +272,15 @@ def load_spec(path: str) -> ExtremalSpec:
 # the function itself
 
 
-def theta_at(spec: ExtremalSpec, p: int) -> float:
-    """theta_p: a_j/sqrt(loglog p) on the sine-selected window of block j,
-    0 outside all blocks (including all p < x_1)."""
-    if p < 2:
-        raise DomainError(f"theta_at needs a prime >= 2, got {p}")
-    lp = log(p)
-    for b in spec.blocks:
-        if b.log_x <= lp < b.log_upper and -np.sin(lp) >= 0.5:
-            return b.a / sqrt(log(lp))
-    return 0.0
-
-
 def theta_values(spec: ExtremalSpec, ps: np.ndarray) -> np.ndarray:
+    """theta_p for an array of primes: a_j/sqrt(loglog p) on the
+    sine-selected window of block j, 0 outside all blocks (including all
+    p < x_1)."""
     lp = np.log(ps.astype(np.float64))
     th = np.zeros(lp.size, dtype=np.float64)
+    window = -np.sin(lp) >= 0.5
     for b in spec.blocks:
-        m = (lp >= b.log_x) & (lp < b.log_upper) & (-np.sin(lp) >= 0.5)
+        m = (lp >= b.log_x) & (lp < b.log_upper) & window
         if m.any():
             th[m] = b.a / np.sqrt(np.log(lp[m]))
     return th
@@ -296,20 +288,10 @@ def theta_values(spec: ExtremalSpec, ps: np.ndarray) -> np.ndarray:
 
 def extremal_function(spec: ExtremalSpec) -> MultiplicativeFunction:
     """Completely multiplicative f with f(p) = -e^{i theta_p}; class M."""
-
-    def rule(p: int, k: int) -> complex:
-        return (-np.exp(1j * theta_at(spec, p))) ** k
-
-    def vec(ps: np.ndarray) -> np.ndarray:
-        return -np.exp(1j * theta_values(spec, ps))
-
-    return MultiplicativeFunction(
-        label=f"extremal:{spec.content_hash()}",
-        rule=rule,
-        completely_multiplicative=True,
-        claims_M=True,
-        prime_vec=vec,
-    )
+    return completely_multiplicative(
+        f"extremal:{spec.content_hash()}",
+        lambda ps: -np.exp(1j * theta_values(spec, ps)),
+        claims_M=True)
 
 
 # ---------------------------------------------------------------------------

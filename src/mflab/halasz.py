@@ -22,11 +22,12 @@ from .dirichlet import (
     EvalResult,
     F_euler,
     TruncationPlan,
+    alignment_residual,
     as_point,
     log_zeta_minus_prime_zeta,
 )
 from .errors import DomainError
-from .multfun import MultiplicativeFunction, SummatoryTrace
+from .multfun import MultiplicativeFunction, SummatoryTrace, two_adic_failures
 from .primes import PrimeTable
 
 
@@ -51,14 +52,11 @@ class PartialSumSeries:
         return float(self.partials[-1])
 
 
-def write_series_csv(series: PartialSumSeries, path: str, provenance: str | None = None) -> None:
-    """CSV export: header ``P,partial_sum`` plus a provenance comment."""
-    with open(path, "w", newline="") as fh:
-        if provenance:
-            fh.write(f"# {provenance}\n")
-        fh.write("P,partial_sum\n")
-        for c, v in zip(series.cutoffs, series.partials):
-            fh.write(f"{int(c)},{float(v)!r}\n")
+def _partials_at(ps: np.ndarray, terms: np.ndarray, cuts: list[int]) -> np.ndarray:
+    """Partial sums of ``terms`` (one per prime of ``ps``) at each cutoff."""
+    partial = np.cumsum(terms)
+    idx = np.searchsorted(ps, cuts, side="right") - 1
+    return np.where(idx >= 0, partial[np.maximum(idx, 0)], 0.0)
 
 
 def _geometric_cutoffs(P: int) -> list[int]:
@@ -90,10 +88,8 @@ def pole_sum(
     if worst < -1e-12:
         p_bad = int(ps[int(np.argmin(terms))])
         raise DomainError(f"negative alignment term at p={p_bad}: |f(p)| > 1")
-    partial = np.cumsum(np.maximum(terms, 0.0))
     cuts = _geometric_cutoffs(P)
-    idx = np.searchsorted(ps, cuts, side="right") - 1
-    vals = np.where(idx >= 0, partial[np.maximum(idx, 0)], 0.0)
+    vals = _partials_at(ps, np.maximum(terms, 0.0), cuts)
     return PartialSumSeries(np.asarray(cuts, dtype=np.int64), vals.astype(np.float64))
 
 
@@ -175,11 +171,8 @@ def lemma_defect(
         raise DomainError("lemma defect needs sigma - 1 <= 1/e")
     w = pt.s - 1j * direction.t0
     bracket = log_zeta_minus_prime_zeta(ComplexPoint(w.real, w.imag))
-    ps = base.primes_le(plan.prime_cutoff)
-    psf = ps.astype(np.float64)
-    fp = f.prime_values(ps)
-    g = 1.0 + direction.epsilon0 * fp * np.exp(-1j * direction.t0 * np.log(psf))
-    resid = complex(np.cumsum(g * np.exp(-w * np.log(psf)))[-1])
+    resid = alignment_residual(
+        f, base.primes_le(plan.prime_cutoff), direction.epsilon0, direction.t0, w)
     D = bracket.value + resid
     err = bracket.error_bound + 2.0 * float(plan.prime_cutoff) ** (1.0 - pt.sigma) / (
         pt.sigma - 1.0)
@@ -308,15 +301,13 @@ def criterion_report(
     psf = ps.astype(np.float64)
     fp = f.prime_values(ps)
     terms = (1.0 - np.real(fp * np.exp(-1j * t * np.log(psf)))) / psf
-    partial = np.cumsum(terms)
     cutoffs = []
     c = 10
     while c < P:
         cutoffs.append(c)
         c *= 10
     cutoffs.append(P)
-    idx = np.searchsorted(ps, cutoffs, side="right") - 1
-    partials = np.where(idx >= 0, partial[np.maximum(idx, 0)], 0.0)
+    partials = _partials_at(ps, terms, cutoffs)
     lo, hi = cutoffs[-2], cutoffs[-1]
     growth = float(partials[-1] - partials[-2])
     dll = log(log(hi)) - log(log(lo))
@@ -326,11 +317,8 @@ def criterion_report(
         sum_side = "converged"
     else:
         sum_side = "unclear"
-    two_adic_fail = None
-    for k in range(1, K + 1):
-        if abs(f.prime_power(2, k) - (-np.exp(1j * k * t * log(2.0)))) > 1e-9:
-            two_adic_fail = k
-            break
+    fails = two_adic_failures(f, t, K)
+    two_adic_fail = fails[0] if fails else None
     if two_adic_fail is None:
         verdict = "criterion satisfied (2-adic side)"
     elif sum_side == "diverging":

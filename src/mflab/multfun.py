@@ -1,9 +1,9 @@
 """Multiplicative functions with |f(n)| <= 1 and their summatory traces.
 
-A function is described by its prime-power rule (p, k) -> f(p^k) plus class
-flags.  Bulk evaluation over a range of n runs as a segmented sieve driven
-by base primes up to sqrt(range), so traces up to 10^8 stay feasible;
-single values go through a smallest-prime-factor table.
+A function is described by its vectorized prime-power rule (ps, k) -> f(p^k)
+plus class flags.  Bulk evaluation over a range of n runs as a segmented
+sieve driven by base primes up to sqrt(range), so traces up to 10^8 stay
+feasible; single values go through a smallest-prime-factor table.
 
 Summation is order-deterministic: values are grouped into blocks aligned to
 absolute positions (multiples of 4096) and cut at checkpoints, each block is
@@ -13,7 +13,6 @@ order.  Checkpoint values are therefore bit-identical for any segment size.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from math import isqrt, log
 from typing import Callable, Sequence
@@ -33,33 +32,45 @@ _SUM_BLOCK = 4096
 class MultiplicativeFunction:
     """Prime-power rule plus class flags.
 
-    ``rule(p, k)`` must be total for every prime p and k >= 1; f(1) = 1 by
-    convention.  ``prime_vec`` is an optional vectorized f(p) for prime
-    arrays (the hot path of segmented evaluation).
+    ``powers(ps, k)`` returns f(p^k) for an int64 array of primes and one
+    k >= 1; f(1) = 1 by convention.  It is the function's only definition:
+    segmented evaluation, single values and every prime sum read it.
+    ``completely_multiplicative`` builds one from f(p) alone.
     """
 
     label: str
-    rule: Callable[[int, int], complex]
+    powers: Callable[[np.ndarray, int], np.ndarray]
     completely_multiplicative: bool = False
     claims_M: bool = False
     claims_M2: bool = False
-    prime_vec: Callable[[np.ndarray], np.ndarray] | None = None
     _memo: dict = field(default_factory=dict, repr=False)
 
     def prime_power(self, p: int, k: int) -> complex:
-        """f(p^k), memoized."""
+        """f(p^k) for one prime, memoized."""
         key = (p, k)
         v = self._memo.get(key)
         if v is None:
-            v = complex(self.rule(p, k))
+            v = complex(self.powers(np.array([p], dtype=np.int64), k)[0])
             self._memo[key] = v
         return v
 
     def prime_values(self, ps: np.ndarray) -> np.ndarray:
         """f(p) for an array of primes."""
-        if self.prime_vec is not None:
-            return np.asarray(self.prime_vec(ps), dtype=np.complex128)
-        return np.array([self.rule(int(p), 1) for p in ps], dtype=np.complex128)
+        return np.asarray(self.powers(ps, 1), dtype=np.complex128)
+
+
+def completely_multiplicative(
+    label: str, fp: Callable[[np.ndarray], np.ndarray],
+    claims_M: bool = False, claims_M2: bool = False,
+) -> MultiplicativeFunction:
+    """The function with f(p) = fp(ps) and f(p^k) = f(p)^k.
+
+    np.power rather than ``**``: ``array ** 2`` takes numpy's squaring fast
+    path, which rounds differently from the power of a single value.
+    """
+    return MultiplicativeFunction(
+        label, lambda ps, k: np.power(fp(ps), k), completely_multiplicative=True,
+        claims_M=claims_M, claims_M2=claims_M2)
 
 
 @dataclass(frozen=True)
@@ -82,27 +93,19 @@ class SummatoryTrace:
 # builtins and the function-spec mini-language
 
 
-def _vec_const(c: complex) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda ps: np.full(ps.shape, c, dtype=np.complex128)
-
-
 def twist(base: MultiplicativeFunction, t: float) -> MultiplicativeFunction:
     """f(p^k) = base(p^k) * p^{-ikt}; preserves |f| and all class flags."""
     t = float(t)
 
-    def rule(p: int, k: int) -> complex:
-        return base.prime_power(p, k) * np.exp(-1j * k * t * log(p))
-
-    def vec(ps: np.ndarray) -> np.ndarray:
-        return base.prime_values(ps) * np.exp(-1j * t * np.log(ps.astype(np.float64)))
+    def powers(ps: np.ndarray, k: int) -> np.ndarray:
+        return base.powers(ps, k) * np.exp(-1j * k * t * np.log(ps.astype(np.float64)))
 
     return MultiplicativeFunction(
         label=f"twist:{t!r}:{base.label}",
-        rule=rule,
+        powers=powers,
         completely_multiplicative=base.completely_multiplicative,
         claims_M=base.claims_M,
         claims_M2=base.claims_M2,
-        prime_vec=vec,
     )
 
 
@@ -114,23 +117,18 @@ def builtin(name: str, params: Sequence[float] = ()) -> MultiplicativeFunction:
     extremal construction).
     """
     if name == "one":
-        return MultiplicativeFunction(
-            "one", lambda p, k: 1.0, completely_multiplicative=True,
-            claims_M=True, prime_vec=_vec_const(1.0))
+        return completely_multiplicative("one", lambda ps: np.ones(ps.shape), claims_M=True)
     if name == "moebius":
         return MultiplicativeFunction(
-            "moebius", lambda p, k: -1.0 if k == 1 else 0.0,
-            claims_M=True, prime_vec=_vec_const(-1.0))
+            "moebius", lambda ps, k: np.full(ps.shape, -1.0 if k == 1 else 0.0),
+            claims_M=True)
     if name == "liouville":
-        return MultiplicativeFunction(
-            "liouville", lambda p, k: float((-1) ** k),
-            completely_multiplicative=True, claims_M=True,
-            prime_vec=_vec_const(-1.0))
+        return completely_multiplicative(
+            "liouville", lambda ps: np.full(ps.shape, -1.0), claims_M=True)
     if name == "odd_one":
-        return MultiplicativeFunction(
-            "odd_one", lambda p, k: 0.0 if p == 2 else 1.0,
-            completely_multiplicative=True, claims_M=True, claims_M2=True,
-            prime_vec=lambda ps: np.where(ps == 2, 0.0, 1.0).astype(np.complex128))
+        return completely_multiplicative(
+            "odd_one", lambda ps: np.where(ps == 2, 0.0, 1.0),
+            claims_M=True, claims_M2=True)
     if name == "twist":
         if len(params) != 1:
             raise FunctionSpecError("twist builtin takes exactly one parameter t")
@@ -177,10 +175,7 @@ def value_at(f: MultiplicativeFunction, n: int, spf: SpfTable) -> complex:
         return 1.0 + 0.0j
     out = 1.0 + 0.0j
     for p, k in spf.factorize(n):
-        if f.completely_multiplicative:
-            out *= f.prime_power(p, 1) ** k
-        else:
-            out *= f.prime_power(p, k)
+        out *= f.prime_power(p, k)
     return out
 
 
@@ -443,6 +438,13 @@ class ClassCheckReport:
         return "\n".join(lines)
 
 
+def two_adic_failures(f: MultiplicativeFunction, t: float, kmax: int) -> list[int]:
+    """The k <= kmax where the trivial 2-adic alternative f(2^k) = -2^{ikt}
+    fails (tolerance 1e-9)."""
+    return [k for k in range(1, kmax + 1)
+            if abs(f.prime_power(2, k) + np.exp(1j * k * t * log(2.0))) > 1e-9]
+
+
 def class_check(
     f: MultiplicativeFunction, sample_limit: int, t: float = 0.0
 ) -> ClassCheckReport:
@@ -453,46 +455,31 @@ def class_check(
     """
     if sample_limit < 2:
         raise CoverageError("sample_limit must be >= 2")
-    table = sieve_primes(sample_limit)
+    ps = sieve_primes(sample_limit).primes
+    fp = f.prime_values(ps)
+    q = ps  # p^k
     m_bad: list[tuple[int, int]] = []
     m2_bad: list[int] = []
     cm_bad: list[tuple[int, int]] = []
-    two_adic_bad: list[int] = []
-    for p in table.primes:
-        p = int(p)
-        fp = f.prime_power(p, 1)
-        q = p
-        k = 1
-        while q <= sample_limit:
-            v = f.prime_power(p, k)
-            if f.claims_M and abs(v) > 1.0 + 1e-12:
-                m_bad.append((p, k))
-            if f.claims_M2 and p == 2 and v != 0:
-                m2_bad.append(k)
-            if f.completely_multiplicative and abs(v - fp**k) > 1e-12:
-                cm_bad.append((p, k))
-            if p == 2 and abs(v - (-np.exp(1j * k * t * log(2.0)))) > 1e-9:
-                two_adic_bad.append(k)
-            q *= p
-            k += 1
+    k = 1
+    while ps.size:
+        v = np.asarray(f.powers(ps, k), dtype=np.complex128)
+        if f.claims_M:
+            m_bad += [(int(p), k) for p in ps[np.abs(v) > 1.0 + 1e-12]]
+        if f.claims_M2 and v[0] != 0:  # ps[0] = 2 while any prime is left
+            m2_bad.append(k)
+        if f.completely_multiplicative:
+            cm_bad += [(int(p), k) for p in ps[np.abs(v - np.power(fp[: ps.size], k)) > 1e-12]]
+        q = q * ps
+        keep = q <= sample_limit
+        ps, q = ps[keep], q[keep]
+        k += 1
     return ClassCheckReport(
         function_label=f.label,
         t=t,
         sample_limit=sample_limit,
-        m_violations=m_bad,
+        m_violations=sorted(m_bad),
         m2_violations=m2_bad,
-        cm_violations=cm_bad,
-        two_adic_failures=two_adic_bad,
+        cm_violations=sorted(cm_bad),
+        two_adic_failures=two_adic_failures(f, t, sample_limit.bit_length() - 1),
     )
-
-
-def write_trace_csv(trace: SummatoryTrace, path: str, provenance: str | None = None) -> None:
-    """CSV export: header ``x,re_S,im_S,abs_S`` plus a provenance comment."""
-    with open(path, "w", newline="") as fh:
-        if provenance:
-            fh.write(f"# {provenance}\n")
-        w = csv.writer(fh)
-        w.writerow(["x", "re_S", "im_S", "abs_S"])
-        for x, v in zip(trace.xs, trace.values):
-            v = complex(v)
-            w.writerow([int(x), repr(v.real), repr(v.imag), repr(abs(v))])

@@ -27,12 +27,12 @@ def trial_factorize(n: int) -> list[tuple[int, int]]:
 
 
 def trial_value(f, n: int) -> complex:
-    """f(n) through trial-division factorization (uses only the rule)."""
+    """f(n) through trial-division factorization (reads only f(p^k))."""
     if n == 1:
         return 1.0 + 0.0j
     v = 1.0 + 0.0j
     for p, k in trial_factorize(n):
-        v *= complex(f.rule(p, k))
+        v *= f.prime_power(p, k)
     return v
 
 

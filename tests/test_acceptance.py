@@ -64,7 +64,7 @@ def test_criterion_01_oracle_equivalence():
             for pk in facts[n]:
                 w = table.get(pk)
                 if w is None:
-                    w = complex(f.rule(*pk))
+                    w = f.prime_power(*pk)
                     table[pk] = w
                 v *= w
             oracle[n - 1] = v

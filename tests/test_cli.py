@@ -53,6 +53,16 @@ def test_thm1_command(tmp_path):
         assert 0.2 <= float(r[-1]) <= 5.0
 
 
+def test_thm1_grid_ends_at_requested_end(tmp_path):
+    # (start - 1) r^39 rounds to 1.5000000000000007, outside (1, 3/2]
+    out = tmp_path / "thm1.csv"
+    assert run(["thm1", "--function", "moebius", "--epsilon", "1",
+                "--sigma", "1.000001:1.5:40", "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert len(rows) == 40
+    assert rows[-1][0] == "1.5"
+
+
 def test_thm2_command(tmp_path):
     out = tmp_path / "thm2.csv"
     assert run(["thm2", "--function", "liouville", "--limit", "100000",
@@ -151,3 +161,15 @@ def test_bad_flags_exit_2(capsys):
         main(["sum", "--nope"])
     assert ei.value.code == 2
     assert capsys.readouterr().err.startswith("error:usage:")
+
+
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_sum_segment_size_must_be_positive(tmp_path, capsys, size):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as ei:
+        main(["sum", "--function", "moebius", "--limit", "100",
+              "--segment-size", size, "--out", str(out)])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:usage:") and err.count("\n") == 1
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -126,7 +127,7 @@ def test_F_partial_summation_empty_and_coverage():
 
 def test_euler_factor_log_closed_form_vs_series():
     lam = builtin("liouville")
-    series_fn = MultiplicativeFunction("lam-series", lam.rule)  # cm flag off: series path
+    series_fn = MultiplicativeFunction("lam-series", lam.powers)  # cm flag off: series path
     for p in (2, 3, 11):
         for s in (2.0, complex(1.3, 0.8)):
             a = euler_factor_log(lam, p, s)
@@ -144,9 +145,28 @@ def test_euler_factor_log_examples():
 
 def test_euler_factor_singular():
     # f(2^k) = -1 for every k makes the p=2 factor vanish as sigma -> 1
-    f = MultiplicativeFunction("half-pole", lambda p, k: -1.0 if p == 2 else 0.0)
+    f = MultiplicativeFunction("half-pole", lambda ps, k: np.where(ps == 2, -1.0, 0.0))
     with pytest.raises(SingularFactorError):
         euler_factor_log(f, 2, 1.0 + 1e-13)
+
+
+def test_defect_series_matches_closed_form():
+    # the k-series of local factors, summed over the 1229 primes <= 1e4; each
+    # series stops once its tail is below 1e-14
+    lam = builtin("liouville")
+    series_fn = MultiplicativeFunction("lam-series", lam.powers)
+    for s in (ComplexPoint(1.0 + 1e-6), ComplexPoint(1.3, 14.13)):
+        a = log_F_prime_sum(lam, s, PLAN, base=BASE)
+        b = log_F_prime_sum(series_fn, s, PLAN, base=BASE)
+        assert abs(a.defect - b.defect) < 1229 * 1e-14
+
+
+def test_moebius_defect_against_local_factors():
+    mu = builtin("moebius")
+    s = complex(1.2, 3.0)
+    r = log_F_prime_sum(mu, s, PLAN, base=BASE)
+    ref = sum(cmath.log(1 - p ** -s) + p ** -s for p in BASE.primes_le(10**4).tolist())
+    assert abs(r.defect - ref) < 1e-12
 
 
 def test_log_F_prime_sum_values():
@@ -198,7 +218,7 @@ def test_identity_suite_euler_route():
 
 
 def test_F_euler_requires_class_M():
-    f = MultiplicativeFunction("big", lambda p, k: 2.0)
+    f = MultiplicativeFunction("big", lambda ps, k: np.full(ps.shape, 2.0))
     with pytest.raises(DomainError):
         F_euler(f, 1.5, PLAN)
 

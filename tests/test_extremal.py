@@ -18,7 +18,6 @@ from mflab.extremal import (
     reference_spec,
     regularize_kappa,
     save_spec,
-    theta_at,
     theta_values,
     verify_logF_lower,
     verify_psum,
@@ -28,6 +27,10 @@ from mflab.multfun import class_check, parse_function_spec
 from mflab.primes import sieve_primes
 
 BASE = sieve_primes(10**5)
+
+
+def theta_of(spec, p):
+    return float(theta_values(spec, np.array([p]))[0])
 
 
 # --- kappa regularization -------------------------------------------------
@@ -162,19 +165,20 @@ def test_sum_a_sq_budget():
 # --- theta and the function --------------------------------------------------
 
 
-def test_theta_at_examples():
+def test_theta_values_examples():
     spec = reference_spec()
     assert -math.sin(math.log(41)) >= 0.5
-    assert theta_at(spec, 41) == pytest.approx(spec.blocks[0].a / math.sqrt(math.log(math.log(41))))
+    assert theta_of(spec, 41) == pytest.approx(spec.blocks[0].a / math.sqrt(math.log(math.log(41))))
     assert -math.sin(math.log(37)) < 0.5
-    assert theta_at(spec, 37) == 0.0
-    assert theta_at(spec, 2) == 0.0
-    assert theta_at(spec, 19) == 0.0  # below x_1
+    assert theta_of(spec, 37) == 0.0
+    assert theta_of(spec, 2) == 0.0
+    assert theta_of(spec, 19) == 0.0  # below x_1
 
 
 def test_theta_window_exact_set():
     spec = reference_spec()
-    selected = [int(p) for p in BASE.primes_le(10**4) if theta_at(spec, int(p)) > 0]
+    ps = BASE.primes_le(10**4)
+    selected = [int(p) for p in ps[theta_values(spec, ps) > 0]]
     oracle = [
         int(p) for p in BASE.primes_le(10**4)
         if math.log(20.0) <= math.log(p) < math.log(20.0) ** 2
@@ -202,7 +206,7 @@ def test_extremal_function_class_and_values():
     rep = class_check(f, 2000)
     assert rep.m_ok and rep.cm_ok
     assert f.prime_power(37, 1) == pytest.approx(-1.0)  # theta = 0
-    th = theta_at(spec, 41)
+    th = theta_of(spec, 41)
     assert f.prime_power(41, 1) == pytest.approx(-np.exp(1j * th))
     assert abs(f.prime_power(41, 1)) == pytest.approx(1.0)
 
@@ -210,9 +214,8 @@ def test_extremal_function_class_and_values():
 def test_taylor_remainder():
     spec = reference_spec()
     f = extremal_function(spec)
-    for p in BASE.primes_le(10**5):
-        p = int(p)
-        th = theta_at(spec, p)
+    ps = BASE.primes_le(10**5)
+    for p, th in zip(ps.tolist(), theta_values(spec, ps).tolist()):
         if th == 0.0:
             continue
         assert abs(f.prime_power(p, 1) - (-1.0 - 1j * th)) <= th * th / 2 + 1e-15

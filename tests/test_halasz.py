@@ -16,9 +16,8 @@ from mflab.halasz import (
     theorem2_ratio,
     theta_decomposition,
     theta_from_value,
-    write_series_csv,
 )
-from mflab.multfun import MultiplicativeFunction, builtin, summatory_trace
+from mflab.multfun import MultiplicativeFunction, builtin, completely_multiplicative, summatory_trace
 from mflab.primes import MERTENS_CONSTANT, sieve_primes
 
 BASE = sieve_primes(10**5)
@@ -56,7 +55,7 @@ def test_pole_sum_partials_monotone():
 
 
 def test_pole_sum_rejects_out_of_class():
-    bad = MultiplicativeFunction("bad", lambda p, k: -1.5, prime_vec=lambda ps: np.full(ps.shape, -1.5, dtype=np.complex128))
+    bad = MultiplicativeFunction("bad", lambda ps, k: np.full(ps.shape, -1.5))
     with pytest.raises(DomainError):
         pole_sum(bad, EPLUS, 1000, BASE)
 
@@ -109,12 +108,9 @@ def test_finiteness_transfer():
     rng = np.random.default_rng(3)
     thetas = {int(p): float(th) for p, th in zip(BASE.primes, rng.normal(0, 0.2, BASE.primes.size))}
 
-    def rule(p, k):
-        return (-np.exp(1j * thetas.get(p, 0.0))) ** k
-
-    f = MultiplicativeFunction(
-        "perturbed", rule, completely_multiplicative=True, claims_M=True,
-        prime_vec=lambda ps: -np.exp(1j * np.array([thetas.get(int(p), 0.0) for p in ps])))
+    f = completely_multiplicative(
+        "perturbed", lambda ps: -np.exp(1j * np.array([thetas.get(int(p), 0.0) for p in ps])),
+        claims_M=True)
     P = 10**4
     B = pole_sum(f, EPLUS, P, BASE).final()
     theta_sq = sum(
@@ -211,18 +207,6 @@ def test_theorem2_ratio():
             assert p.ratio == 0.0
 
 
-def test_series_csv(tmp_path):
-    s = pole_sum(builtin("moebius"), EPLUS, 1000, BASE)
-    p = tmp_path / "series.csv"
-    write_series_csv(s, str(p), provenance="prov")
-    lines = p.read_text().splitlines()
-    assert lines[0] == "# prov"
-    assert lines[1] == "P,partial_sum"
-    assert lines[-1].startswith("1000,")
-    write_series_csv(s, str(tmp_path / "b.csv"), provenance="prov")
-    assert (tmp_path / "b.csv").read_text() == p.read_text()
-
-
 def test_criterion_reports():
     one = builtin("one")
     rep = criterion_report(one, 0.0, 10**6, BASE6)
@@ -235,9 +219,7 @@ def test_criterion_reports():
     assert rep.sum_side == "diverging"
 
     tilted = MultiplicativeFunction(
-        "tilted", lambda p, k: -np.exp(1j * k * math.log(2.0)) if p == 2 else 1.0,
-        prime_vec=lambda ps: np.where(
-            ps == 2, -np.exp(1j * math.log(2.0)), 1.0).astype(np.complex128))
+        "tilted", lambda ps, k: np.where(ps == 2, -np.exp(1j * k * math.log(2.0)), 1.0))
     rep = criterion_report(tilted, 1.0, 10**5, BASE)
     assert rep.verdict == "criterion satisfied (2-adic side)"
     assert "verdict" in rep.text()

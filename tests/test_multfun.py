@@ -15,7 +15,6 @@ from mflab.multfun import (
     summatory_trace,
     twist,
     value_at,
-    write_trace_csv,
 )
 from mflab.primes import sieve_primes, spf_table
 
@@ -23,6 +22,7 @@ from _oracles import brute_summatory, trial_value
 
 SPF = spf_table(10**5)
 BASE = sieve_primes(1000)
+PRIMES6 = sieve_primes(10**6)
 
 
 def test_builtin_rules():
@@ -135,14 +135,14 @@ def test_class_check_odd_one_and_violation():
     rep = class_check(builtin("odd_one"), 100)
     assert rep.m_ok and rep.m2_ok
     bad = MultiplicativeFunction(
-        "bad", lambda p, k: 1.5 if (p, k) == (3, 1) else 1.0, claims_M=True)
+        "bad", lambda ps, k: np.where((ps == 3) & (k == 1), 1.5, 1.0), claims_M=True)
     rep = class_check(bad, 50)
     assert not rep.m_ok and rep.m_violations[0] == (3, 1)
 
 
 def test_class_check_two_adic_match():
     f = MultiplicativeFunction(
-        "tilted", lambda p, k: -np.exp(1j * k * np.log(2.0)) if p == 2 else 1.0)
+        "tilted", lambda ps, k: np.where(ps == 2, -np.exp(1j * k * np.log(2.0)), 1.0))
     rep = class_check(f, 1000, t=1.0)
     assert rep.two_adic_ok
 
@@ -168,13 +168,24 @@ def test_parse_function_spec():
         parse_function_spec("wat")
 
 
-def test_trace_csv(tmp_path):
-    tr = summatory_trace(builtin("moebius"), 100, grid="explicit:10,100")
-    p = tmp_path / "t.csv"
-    write_trace_csv(tr, str(p), provenance="test run")
-    lines = p.read_text().splitlines()
-    assert lines[0] == "# test run"
-    assert lines[1] == "x,re_S,im_S,abs_S"
-    assert lines[2].startswith("10,-1.0,")
-    write_trace_csv(tr, str(tmp_path / "t2.csv"), provenance="test run")
-    assert (tmp_path / "t2.csv").read_text() == p.read_text()
+def test_segment_values_independent_of_segment_end():
+    # 88651 is the leftover prime of n = 88651 * 88647 in [n, n] but a base
+    # prime of [n, 88651^2]; both paths read the same rule
+    f = builtin("extremal-ref")
+    n = 88651 * 88647
+    base = sieve_primes(88651)
+    alone = segment_values(f, n, n, base)
+    wide = segment_values(f, n, 88651**2, base)
+    assert alone.view(np.uint64).tolist() == wide[:1].view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("spec", [
+    "one", "moebius", "liouville", "odd_one", "twist:0.7:one", "extremal-ref",
+    "twist:0.7:moebius"])
+def test_prime_power_matches_prime_values(spec):
+    # one-prime reads (base primes, value_at) equal array reads (leftover
+    # primes, prime sums) bit for bit, including p = 88651, 125683, 285343
+    f = parse_function_spec(spec)
+    ps = PRIMES6.primes
+    one = np.array([f.prime_power(p, 1) for p in ps.tolist()])
+    assert np.array_equal(one.view(np.uint64), f.prime_values(ps).view(np.uint64))
