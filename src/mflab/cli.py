@@ -12,7 +12,7 @@ import argparse
 import csv
 import io
 import sys
-from math import log
+from math import isfinite, log
 
 import numpy as np
 
@@ -35,14 +35,21 @@ def _provenance(sub: str, args: argparse.Namespace, keys: list[str]) -> str:
     return f"mflab {sub} " + " ".join(parts)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        v = 0
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return v
+def _checked(convert, ok, what):
+    """An argparse type: ``convert`` the text, then require ``ok``."""
+    def parse(text: str):
+        try:
+            v = convert(text)
+        except ValueError:
+            v = None
+        if v is None or not ok(v):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return v
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_finite_float = _checked(float, isfinite, "a finite number")
 
 
 def _sigma_grid(spec: str) -> list[float]:
@@ -54,8 +61,8 @@ def _sigma_grid(spec: str) -> list[float]:
     except ValueError:
         raise FunctionSpecError(f"bad sigma grid {spec!r}") from None
     spacing = parts[3] if len(parts) == 4 else "geometric"
-    if count < 1 or start <= 1.0 or end < start:
-        raise FunctionSpecError(f"sigma grid needs 1 < start <= end and count >= 1: {spec!r}")
+    if count < 1 or not 1.0 < start <= end < float("inf"):
+        raise FunctionSpecError(f"sigma grid needs finite 1 < start <= end, count >= 1: {spec!r}")
     if count == 1:
         return [start]
     if spacing == "linear":
@@ -237,18 +244,18 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval-f", help="F(s) grid CSV")
     p.add_argument("--function", required=True)
     p.add_argument("--sigma", required=True, help="start:end:count[:spacing]")
-    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--t", type=_finite_float, default=0.0)
     p.add_argument("--method", choices=["truncated", "euler", "prime-sum"],
                    default="truncated")
     p.add_argument("--epsilon", type=int, choices=[-1, 1], default=1)
-    p.add_argument("--t0", type=float, default=0.0)
+    p.add_argument("--t0", type=_finite_float, default=0.0)
     add_plan_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_eval_f)
 
     p = sub.add_parser("criterion", help="mean-value criterion report")
     p.add_argument("--function", required=True)
-    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--t", type=_finite_float, default=0.0)
     p.add_argument("--prime-cutoff", type=int, default=1_000_000)
     p.add_argument("--kmax", type=int, default=20)
     p.add_argument("--out", default=None)
@@ -257,9 +264,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lemma", help="defect grid CSV")
     p.add_argument("--function", required=True)
     p.add_argument("--epsilon", type=int, choices=[-1, 1], required=True)
-    p.add_argument("--t0", type=float, default=0.0)
+    p.add_argument("--t0", type=_finite_float, default=0.0)
     p.add_argument("--sigma", required=True)
-    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--t", type=_finite_float, default=0.0)
     add_plan_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_lemma)
@@ -267,7 +274,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("thm1", help="pole/zero ratio grid CSV")
     p.add_argument("--function", required=True)
     p.add_argument("--epsilon", type=int, choices=[-1, 1], required=True)
-    p.add_argument("--t0", type=float, default=0.0)
+    p.add_argument("--t0", type=_finite_float, default=0.0)
     p.add_argument("--sigma", required=True)
     add_plan_flags(p)
     p.add_argument("--out", required=True)
@@ -276,7 +283,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("thm2", help="summatory decay ratio CSV")
     p.add_argument("--function", required=True)
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--c", type=_finite_float, default=1.0)
     p.add_argument("--grid", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_thm2)
@@ -284,9 +291,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("extremal-build", help="construct an extremal spec JSON")
     p.add_argument("--kappa", required=True,
                    help="const:<c> | power:<e> | loglog-fraction:<c>")
-    p.add_argument("--x1", type=float, default=20.0)
+    p.add_argument("--x1", type=_finite_float, default=20.0)
     p.add_argument("--J", type=int, default=3)
-    p.add_argument("--C0", type=float, default=1.0)
+    p.add_argument("--C0", type=_finite_float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_extremal_build)
 
@@ -305,9 +312,10 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except MFLabError as e:
-        sys.stderr.write(f"error:{e.kind}:{e}\n")
-        return _EXIT_BY_KIND.get(e.kind, _RESOURCE_EXIT)
+    except (MFLabError, OSError) as e:  # OSError: an output path that cannot be written
+        kind = getattr(e, "kind", "usage")
+        sys.stderr.write(f"error:{kind}:{e}\n")
+        return _EXIT_BY_KIND.get(kind, _RESOURCE_EXIT)
 
 
 if __name__ == "__main__":

@@ -250,22 +250,27 @@ def save_spec(spec: ExtremalSpec, path: str) -> None:
 
 
 def load_spec(path: str) -> ExtremalSpec:
-    with open(path) as fh:
-        doc = json.load(fh)
-    blocks = tuple(
-        ExtremalBlock(float(b["log_x"]), float(b["log_upper"]), float(b["a"]))
-        for b in doc["blocks"])
-    alpha = None
+    """Read a ``save_spec`` file; FunctionSpecError if missing or malformed."""
     try:
-        raw = parse_kappa_spec(doc["kappa_desc"])
-        kappa = regularize_kappa(raw, desc=doc["kappa_desc"])
-        alpha = alpha_from_kappa(kappa, float(doc["C0"]))
-    except FunctionSpecError:
-        pass  # custom kappa: blocks alone still define the function
-    return ExtremalSpec(
-        x1=float(doc["x1"]), J=int(doc["J"]), C0=float(doc["C0"]),
-        blocks=blocks, kappa_desc=doc["kappa_desc"],
-        alpha_desc=doc["alpha_desc"], alpha=alpha)
+        with open(path) as fh:
+            doc = json.load(fh)
+        blocks = tuple(
+            ExtremalBlock(float(b["log_x"]), float(b["log_upper"]), float(b["a"]))
+            for b in doc["blocks"])
+        alpha = None
+        try:
+            raw = parse_kappa_spec(doc["kappa_desc"])
+            kappa = regularize_kappa(raw, desc=doc["kappa_desc"])
+            alpha = alpha_from_kappa(kappa, float(doc["C0"]))
+        except FunctionSpecError:
+            pass  # custom kappa: blocks alone still define the function
+        return ExtremalSpec(
+            x1=float(doc["x1"]), J=int(doc["J"]), C0=float(doc["C0"]),
+            blocks=blocks, kappa_desc=doc["kappa_desc"],
+            alpha_desc=doc["alpha_desc"], alpha=alpha)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as e:
+        raise FunctionSpecError(
+            f"cannot load extremal spec {path!r}: {type(e).__name__}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

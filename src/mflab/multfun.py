@@ -2,8 +2,9 @@
 
 A function is described by its vectorized prime-power rule (ps, k) -> f(p^k)
 plus class flags.  Bulk evaluation over a range of n runs as a segmented
-sieve driven by base primes up to sqrt(range), so traces up to 10^8 stay
-feasible; single values go through a smallest-prime-factor table.
+sieve driven by base primes up to sqrt(range): strided passes per prime power
+and one integer division per n, so traces up to 10^9 stay feasible; single
+values go through a smallest-prime-factor table.
 
 Summation is order-deterministic: values are grouped into blocks aligned to
 absolute positions (multiples of 4096) and cut at checkpoints, each block is
@@ -14,7 +15,7 @@ order.  Checkpoint values are therefore bit-identical for any segment size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt, log
+from math import isfinite, isqrt, log
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,6 +97,8 @@ class SummatoryTrace:
 def twist(base: MultiplicativeFunction, t: float) -> MultiplicativeFunction:
     """f(p^k) = base(p^k) * p^{-ikt}; preserves |f| and all class flags."""
     t = float(t)
+    if not isfinite(t):
+        raise FunctionSpecError(f"twist parameter must be finite, got {t!r}")
 
     def powers(ps: np.ndarray, k: int) -> np.ndarray:
         return base.powers(ps, k) * np.exp(-1j * k * t * np.log(ps.astype(np.float64)))
@@ -184,8 +187,14 @@ def segment_values(
 ) -> np.ndarray:
     """f(n) for every n in [lo, hi] as a complex array.
 
-    ``base`` must cover primes up to sqrt(hi).  Per-element factor order is
-    ascending prime then leftover prime, independent of segmentation.
+    ``base`` must cover primes up to sqrt(hi).  For each base prime p the
+    multiples of p form the strided view [start::p]; the exponent k of p is
+    counted there by one strided increment per power p^j with a multiple in
+    the segment, and the view is multiplied by f(p^k) (by f(p) alone when
+    no p^2 divides any n here) while ``prod`` collects p^k.  The prime
+    factor above sqrt(hi) that n may have left is n // prod, one integer
+    division per n.  Per-element factor order is ascending prime then
+    leftover prime, independent of segmentation.
     """
     if lo < 1 or hi < lo:
         raise CoverageError(f"bad segment [{lo}, {hi}]")
@@ -194,31 +203,24 @@ def segment_values(
         raise CoverageError(f"base primes cover {base.limit} < sqrt({hi})")
     size = hi - lo + 1
     vals = np.ones(size, dtype=np.complex128)
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
-    for p in base.primes[base.primes <= root]:
-        p = int(p)
-        first = ((lo + p - 1) // p) * p
-        if first > hi:
+    prod = np.ones(size, dtype=np.int64)  # p^k part of each n over the base primes
+    for p in base.primes[base.primes <= root].tolist():
+        start = -lo % p  # offset of the first multiple of p
+        prod[start::p] *= p
+        q = p * p
+        if -lo % q >= size:  # no n here has p^2 | n, so every exponent is 1
+            vals[start::p] *= f.prime_power(p, 1)
             continue
-        offs = np.arange(first - lo, size, p)
-        rem[offs] //= p
-        k = np.ones(offs.size, dtype=np.int64)
-        live = offs
-        slot = np.arange(offs.size)
-        while live.size:
-            m = rem[live] % p == 0
-            live = live[m]
-            slot = slot[m]
-            if live.size == 0:
-                break
-            rem[live] //= p
-            k[slot] += 1
-        kmax = int(k.max())
-        table = np.empty(kmax + 1, dtype=np.complex128)
-        table[0] = 1.0
-        for j in range(1, kmax + 1):
-            table[j] = f.prime_power(p, j)
-        vals[offs] *= table[k]
+        k = np.ones(len(range(start, size, p)), dtype=np.intp)  # exponent of p along [start::p]
+        kmax = 1
+        while (s := -lo % q) < size:  # false once q > hi
+            k[(s - start) // p :: q // p] += 1  # multiples of q: every (q/p)-th slot
+            prod[s::q] *= p
+            kmax += 1
+            q *= p
+        vals[start::p] *= np.array(
+            [1.0] + [f.prime_power(p, j) for j in range(1, kmax + 1)])[k]
+    rem = np.floor_divide(np.arange(lo, hi + 1, dtype=np.int64), prod, out=prod)
     big = rem > 1
     if big.any():
         vals[big] *= f.prime_values(rem[big])

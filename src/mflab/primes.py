@@ -64,57 +64,42 @@ class SpfTable:
         return out
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """Non-segmented odds-only sieve; used for base primes."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    half = (limit - 1) // 2 + 1  # flags for 1,3,5,...,<=limit
-    flags = np.ones(half, dtype=bool)
-    flags[0] = False
-    for i in range(1, (isqrt(limit) - 1) // 2 + 1):
-        if flags[i]:
-            p = 2 * i + 1
-            flags[(p * p) // 2 :: p] = False
-    odds = 2 * np.nonzero(flags)[0] + 1
-    return np.concatenate(([2], odds)).astype(np.int64)
-
-
 def sieve_primes(limit: int, ceiling: int = PRIME_LIMIT_CEILING) -> PrimeTable:
     """Segmented sieve of Eratosthenes up to ``limit`` inclusive.
 
-    Segment size is ~sqrt(limit) (clamped to a cache-friendly range) so peak
-    memory is O(sqrt(limit) + segment) beyond the output itself.
+    A segment spans sqrt(limit) numbers clamped to [2^20, 2^22], with one
+    flag byte per odd number: 0.5-2 MB, cache-sized as in Oliveira e Silva,
+    Herzog & Pardi (Math. Comp. 83, 2014).  The floor amortizes the Python
+    loop over base primes that every segment runs.  Peak memory is
+    O(sqrt(limit) + segment) beyond the output itself.
     """
     if limit < 2:
         raise EmptyRangeError(f"sieve limit must be >= 2, got {limit}")
     if limit > ceiling:
         raise CapacityError(f"sieve limit {limit} exceeds ceiling {ceiling}")
-    root = max(isqrt(limit), 2)
-    base = _simple_sieve(root)
-    if root >= limit:
-        chunks = [base[base <= limit]]
-    else:
-        chunks = [base]
-        seg = min(max(root, 1 << 15), 1 << 22)
-        odd_base = base[1:]  # skip 2; segments track odd numbers only
-        lo = root + 1
-        while lo <= limit:
-            hi = min(lo + seg - 1, limit)
-            first_odd = lo | 1
-            n_odds = (hi - first_odd) // 2 + 1
-            flags = np.ones(n_odds, dtype=bool)
-            for p in odd_base:
-                p = int(p)
-                start = max(p * p, ((first_odd + p - 1) // p) * p)
-                if start % 2 == 0:
-                    start += p
-                if start > hi:
-                    continue
-                flags[(start - first_odd) // 2 :: p] = False
-            chunks.append(first_odd + 2 * np.nonzero(flags)[0])
-            lo = hi + 1
-    primes = np.concatenate(chunks).astype(np.int64)
-    return PrimeTable(limit=limit, primes=primes)
+    return PrimeTable(limit=limit, primes=_sieve(limit))
+
+
+def _sieve(limit: int) -> np.ndarray:
+    """Primes <= limit; the odd base primes <= sqrt(limit) come from the
+    same routine, segments track odd numbers only."""
+    root = isqrt(limit)
+    odd_base = _sieve(root)[1:].tolist() if root >= 3 else []
+    chunks = [np.array([2])]
+    seg = min(max(root, 1 << 20), 1 << 22)
+    lo = 3
+    while lo <= limit:
+        hi = min(lo + seg - 1, limit)
+        first_odd = lo | 1
+        flags = np.ones((hi - first_odd) // 2 + 1, dtype=bool)
+        for p in odd_base:
+            start = max(p * p, ((first_odd + p - 1) // p) * p)
+            if start % 2 == 0:
+                start += p
+            flags[(start - first_odd) // 2 :: p] = False  # empty once start > hi
+        chunks.append(first_odd + 2 * np.nonzero(flags)[0])
+        lo = hi + 1
+    return np.concatenate(chunks).astype(np.int64)
 
 
 def spf_table(limit: int, ceiling: int = SPF_LIMIT_CEILING) -> SpfTable:

@@ -173,3 +173,57 @@ def test_sum_segment_size_must_be_positive(tmp_path, capsys, size):
     err = capsys.readouterr().err
     assert err.startswith("error:usage:") and err.count("\n") == 1
     assert not out.exists()
+
+
+def usage_failure(argv, capsys):
+    """Exit code of a run that must fail with exactly one error:usage: line."""
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejected a flag value
+        code = e.code
+    err = capsys.readouterr().err
+    assert err.startswith("error:usage:") and err.count("\n") == 1, err
+    return code
+
+
+@pytest.mark.parametrize("content", [None, "{not json", '{"x1": 20}', "[1, 2]"])
+def test_missing_or_malformed_extremal_spec(tmp_path, capsys, content):
+    spec = tmp_path / "spec.json"
+    if content is not None:
+        spec.write_text(content)
+    out = tmp_path / "x.csv"
+    assert usage_failure(["sum", "--function", f"extremal:{spec}", "--limit", "100",
+                          "--out", str(out)], capsys) == 2
+    assert usage_failure(["extremal-verify", str(spec)], capsys) == 2
+    assert not out.exists()
+
+
+def test_unwritable_out(tmp_path, capsys):
+    out = str(tmp_path / "no-such-dir" / "x.csv")
+    assert usage_failure(["sum", "--function", "moebius", "--limit", "100",
+                          "--out", out], capsys) == 2
+    assert usage_failure(["extremal-build", "--kappa", "power:0.25", "--out", out],
+                         capsys) == 2
+
+
+def test_sum_rejects_nan_twist(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert usage_failure(["sum", "--function", "twist:nan:one", "--limit", "100",
+                          "--out", str(out)], capsys) == 2
+    assert not out.exists()
+
+
+def test_eval_f_rejects_infinite_twist(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert usage_failure(["eval-f", "--function", "twist:inf:one", "--sigma", "1.5:1.5:1",
+                          "--out", str(out)], capsys) == 2
+    assert usage_failure(["eval-f", "--function", "one", "--sigma", "1.5:1.5:1",
+                          "--t0", "nan", "--out", str(out)], capsys) == 2
+    assert usage_failure(["eval-f", "--function", "one", "--sigma", "1.5:inf:2",
+                          "--out", str(out)], capsys) == 2
+    assert not out.exists()
+
+
+def test_criterion_rejects_infinite_t(capsys):
+    assert usage_failure(["criterion", "--function", "moebius", "--t", "inf",
+                          "--prime-cutoff", "1000"], capsys) == 2

@@ -1,3 +1,6 @@
+from functools import lru_cache
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ from mflab.multfun import (
 )
 from mflab.primes import sieve_primes, spf_table
 
-from _oracles import brute_summatory, trial_value
+from _oracles import brute_summatory, trial_factorize, trial_value
 
 SPF = spf_table(10**5)
 BASE = sieve_primes(1000)
@@ -189,3 +192,36 @@ def test_prime_power_matches_prime_values(spec):
     ps = PRIMES6.primes
     one = np.array([f.prime_power(p, 1) for p in ps.tolist()])
     assert np.array_equal(one.view(np.uint64), f.prime_values(ps).view(np.uint64))
+
+
+# short windows at several scales; 2^30 and 3^19 (exponents 30 and 19) lie
+# inside the last two, and most starts are not multiples of the base primes
+KERNEL_WINDOWS = [2, 10**7, 10**9 - 3, 2**33 - 5000, 2**30 - 20, 3**19 - 20]
+
+
+@pytest.mark.parametrize("spec,tol", [
+    ("one", 0.0), ("moebius", 0.0), ("liouville", 0.0), ("odd_one", 0.0),
+    ("twist:0.7:moebius", 1e-12), ("extremal-ref", 1e-12)])
+def test_segment_values_against_trial_division(spec, tol):
+    f = parse_function_spec(spec)
+    for lo in KERNEL_WINDOWS:
+        hi = lo + 40
+        vals = segment_values(f, lo, hi, sieve_primes(isqrt(hi)))
+        for n, facs in zip(range(lo, hi + 1), _window_factors(lo, hi)):
+            want = 1.0 + 0.0j  # trial_value's product, each window factored once
+            for p, k in facs:
+                want *= f.prime_power(p, k)
+            assert abs(vals[n - lo] - want) <= tol, (n, facs)
+
+
+@lru_cache(maxsize=None)
+def _window_factors(lo, hi):
+    return [trial_factorize(n) for n in range(lo, hi + 1)]
+
+
+@pytest.mark.slow
+def test_mertens_published_values_to_1e9():
+    # M(10^6..10^9) = 212, 1037, 1928, -222 (Deléglise & Rivat, Experimental
+    # Math. 5, 1996; OEIS A084237); about 2.5 minutes on 2 CPUs
+    trace = summatory_trace(builtin("moebius"), 10**9, grid=[10**6, 10**7, 10**8])
+    assert trace.values.tolist() == [212, 1037, 1928, -222]

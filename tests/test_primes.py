@@ -30,9 +30,15 @@ def test_sieve_million_against_bitset_oracle():
 
 
 def test_sieve_crosses_segment_boundaries():
-    # segment size is ~sqrt(limit); check counts at several scales
-    for limit in (10**4, 10**5, 3 * 10**5):
-        assert sieve_primes(limit).count() == bitset_prime_count(limit)
+    # segments hold 2^20 numbers from 3 on, so this limit spans three of
+    # them; the primes next to each cut come from trial division
+    limit = 2 * 2**20 + 2**19 + 7
+    table = sieve_primes(limit)
+    assert table.count() == bitset_prime_count(limit)
+    for cut in (3 + 2**20, 3 + 2 * 2**20):
+        got = table.primes[(table.primes >= cut - 300) & (table.primes < cut + 300)]
+        want = [n for n in range(cut - 300, cut + 300) if trial_factorize(n) == [(n, 1)]]
+        assert got.tolist() == want
 
 
 def test_sieve_invariants():
