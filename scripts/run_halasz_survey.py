@@ -1,77 +1,51 @@
 #!/usr/bin/env python3
-"""Survey the builtin corpus: pole/zero ratios, defect grids, criterion verdicts.
+"""Survey the builtin corpus through the mflab CLI: pole/zero ratios, defect
+grids and criterion verdicts.
 
-Writes one CSV per diagnostic into --outdir and prints a short summary table.
-Every output is deterministic; rerunning overwrites byte-identical files.
+Writes thm1_<function>_<epsilon0>.csv and lemma_<function>_<epsilon0>.csv per
+direction and criterion_<function>.txt per function into --outdir, then prints
+each report's verdict.  Every output is deterministic; rerunning overwrites
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-from dataclasses import dataclass, field
+import sys
 from pathlib import Path
 
-from mflab.dirichlet import ComplexPoint, TruncationPlan
-from mflab.halasz import HalaszDirection, criterion_report, lemma_defect, theorem1_ratio
-from mflab.multfun import builtin
-from mflab.primes import sieve_primes
+from mflab import cli
+
+# (function, epsilon0) pairs worth probing at t0 = 0
+DIRECTIONS = [("moebius", 1), ("liouville", 1), ("one", -1), ("odd_one", -1),
+              ("extremal-ref", 1)]
+THM1_SIGMA = "1.001:1.5:12"   # Theorem 1 is stated for sigma in (1, 3/2]
+LEMMA_SIGMA = "1.001:1.3:11"  # the lemma needs sigma - 1 <= 1/e
+CRITERION_CUTOFF = 1_000_000
 
 
-@dataclass
-class SurveyConfig:
-    outdir: Path = Path("survey_out")
-    prime_cutoff: int = 100_000
-    criterion_cutoff: int = 1_000_000
-    sigma_grid: list[float] = field(default_factory=lambda: [
-        1.0 + (0.5) * (0.002) ** (i / 11) for i in range(12)])
-    # (function, epsilon0) pairs worth probing at t0 = 0
-    directions: list[tuple[str, int]] = field(default_factory=lambda: [
-        ("moebius", 1), ("liouville", 1), ("one", -1), ("odd_one", -1),
-        ("extremal-ref", 1)])
+def mflab(*argv: str) -> None:
+    code = cli.main(list(argv))
+    if code:
+        sys.exit(code)
 
 
-def run(cfg: SurveyConfig) -> None:
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    base = sieve_primes(cfg.prime_cutoff)
-    base_big = sieve_primes(cfg.criterion_cutoff)
-    plan = TruncationPlan(prime_cutoff=cfg.prime_cutoff)
-    grid = sorted(cfg.sigma_grid)
-
-    with open(cfg.outdir / "theorem1_ratios.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["function", "epsilon0", "sigma", "abs_F", "err_F", "ratio"])
-        for name, eps in cfg.directions:
-            f = builtin(name)
-            d = HalaszDirection(eps, 0.0)
-            for pt in theorem1_ratio(f, d, grid, plan, base=base):
-                ratio = "" if pt.ratio is None else repr(pt.ratio)
-                w.writerow([name, eps, repr(pt.sigma), repr(abs(pt.F.value)),
-                            repr(pt.F.error_bound), ratio])
-
-    with open(cfg.outdir / "lemma_defect.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["function", "epsilon0", "sigma", "abs_D", "ratio", "err"])
-        for name, eps in cfg.directions:
-            f = builtin(name)
-            d = HalaszDirection(eps, 0.0)
-            for sg in grid:
-                if sg - 1.0 > 1.0 / 2.718281828459045:
-                    continue
-                r = lemma_defect(f, d, ComplexPoint(sg), plan, base)
-                w.writerow([name, eps, repr(sg), repr(abs(r.value)),
-                            repr(r.ratio), repr(r.error_bound)])
-
-    print(f"{'function':14} {'verdict'}")
-    with open(cfg.outdir / "criterion_verdicts.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["function", "t", "sum_side", "two_adic_ok", "verdict"])
-        for name in ("one", "moebius", "liouville", "odd_one", "extremal-ref"):
-            f = builtin(name)
-            rep = criterion_report(f, 0.0, cfg.criterion_cutoff, base_big)
-            w.writerow([name, "0.0", rep.sum_side, rep.two_adic_ok, rep.verdict])
-            print(f"{name:14} {rep.verdict}")
-    print(f"wrote 3 CSVs to {cfg.outdir}/")
+def run(outdir: Path, prime_cutoff: int) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, eps in DIRECTIONS:
+        for cmd, sigma in (("thm1", THM1_SIGMA), ("lemma", LEMMA_SIGMA)):
+            mflab(cmd, "--function", name, "--epsilon", str(eps), "--sigma", sigma,
+                  "--prime-cutoff", str(prime_cutoff),
+                  "--out", str(outdir / f"{cmd}_{name}_{eps}.csv"))
+    print(f"{'function':14} verdict")
+    for name, _ in DIRECTIONS:
+        report = outdir / f"criterion_{name}.txt"
+        mflab("criterion", "--function", name, "--prime-cutoff", str(CRITERION_CUTOFF),
+              "--out", str(report))
+        verdict = next(line for line in report.read_text().splitlines()
+                       if line.startswith("verdict: "))
+        print(f"{name:14} {verdict.removeprefix('verdict: ')}")
+    print(f"wrote {3 * len(DIRECTIONS)} files to {outdir}/")
 
 
 def main() -> None:
@@ -79,7 +53,7 @@ def main() -> None:
     ap.add_argument("--outdir", type=Path, default=Path("survey_out"))
     ap.add_argument("--prime-cutoff", type=int, default=100_000)
     args = ap.parse_args()
-    run(SurveyConfig(outdir=args.outdir, prime_cutoff=args.prime_cutoff))
+    run(args.outdir, args.prime_cutoff)
 
 
 if __name__ == "__main__":

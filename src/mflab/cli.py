@@ -30,9 +30,11 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(_USAGE_EXIT)
 
 
-def _provenance(sub: str, args: argparse.Namespace, keys: list[str]) -> str:
-    parts = [f"--{k.replace('_', '-')}={getattr(args, k)!r}" for k in sorted(keys)]
-    return f"mflab {sub} " + " ".join(parts)
+def _provenance(args: argparse.Namespace) -> str:
+    """``mflab <command>`` then every parsed flag except --out, sorted."""
+    keys = sorted(k for k in vars(args) if k not in ("command", "fn", "out"))
+    parts = [f"--{k.replace('_', '-')}={getattr(args, k)!r}" for k in keys]
+    return f"mflab {args.command} " + " ".join(parts)
 
 
 def _checked(convert, ok, what):
@@ -104,8 +106,7 @@ def _cmd_sum(args) -> int:
         f, args.limit, grid=args.grid, segment_size=args.segment_size)
     rows = [[int(x), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
             for x, v in zip(trace.xs, map(complex, trace.values))]
-    prov = _provenance("sum", args, ["function", "limit", "grid", "segment_size"])
-    _write_rows(args.out, prov, ["x", "re_S", "im_S", "abs_S"], rows)
+    _write_rows(args.out, _provenance(args), ["x", "re_S", "im_S", "abs_S"], rows)
     return 0
 
 
@@ -121,26 +122,20 @@ def _cmd_eval_f(args) -> int:
     f = multfun.parse_function_spec(args.function)
     plan = _plan(args)
     grid = _sigma_grid(args.sigma)
-    base = primes.sieve_primes(max(plan.prime_cutoff, 1000))
-    rows = []
-    for sg in grid:
-        s = dirichlet.ComplexPoint(sg, args.t)
-        if args.method == "truncated":
-            r = dirichlet.F_truncated(f, s, plan)
-        elif args.method == "euler":
-            r = dirichlet.F_euler(f, s, plan, epsilon0=args.epsilon, t0=args.t0, base=base)
-        elif args.method == "prime-sum":
-            ps = dirichlet.log_F_prime_sum(f, s, plan, base=base)
-            r = dirichlet.EvalResult(np.exp(ps.log_F), ps.error_bound, ps.method)
-        else:
-            raise FunctionSpecError(f"unknown method {args.method!r}")
-        v = complex(r.value)
-        rows.append([_fmt(sg), _fmt(args.t), _fmt(v.real), _fmt(v.imag),
-                     _fmt(abs(v)), _fmt(r.error_bound), r.method])
-    prov = _provenance("eval-f", args, [
-        "function", "sigma", "t", "method", "epsilon", "t0",
-        "series_cutoff", "prime_cutoff", "exact_cutoff"])
-    _write_rows(args.out, prov, ["sigma", "t", "re", "im", "abs", "err", "method"], rows)
+    pts = [dirichlet.ComplexPoint(sg, args.t) for sg in grid]
+    if args.method == "truncated":
+        results = dirichlet.F_truncated(f, pts, plan)
+    elif args.method == "euler":
+        results = dirichlet.F_euler(f, pts, plan, primes.sieve_primes(plan.prime_cutoff),
+                                    epsilon0=args.epsilon, t0=args.t0)
+    else:  # prime-sum
+        results = [dirichlet.EvalResult(complex(np.exp(r.log_F)), r.error_bound, r.method)
+                   for r in dirichlet.log_F_prime_sum(
+                       f, pts, plan, primes.sieve_primes(plan.prime_cutoff))]
+    rows = [[_fmt(sg), _fmt(args.t), _fmt(r.value.real), _fmt(r.value.imag),
+             _fmt(abs(r.value)), _fmt(r.error_bound), r.method] for sg, r in zip(grid, results)]
+    _write_rows(args.out, _provenance(args),
+                ["sigma", "t", "re", "im", "abs", "err", "method"], rows)
     return 0
 
 
@@ -148,8 +143,7 @@ def _cmd_criterion(args) -> int:
     f = multfun.parse_function_spec(args.function)
     table = primes.sieve_primes(args.prime_cutoff)
     rep = halasz.criterion_report(f, args.t, args.prime_cutoff, table, K=args.kmax)
-    prov = _provenance("criterion", args, ["function", "t", "prime_cutoff", "kmax"])
-    _write(args.out, prov, rep.text() + "\n")
+    _write(args.out, _provenance(args), rep.text() + "\n")
     return 0
 
 
@@ -159,16 +153,11 @@ def _cmd_lemma(args) -> int:
     direction = halasz.HalaszDirection(args.epsilon, args.t0)
     grid = _sigma_grid(args.sigma)
     base = primes.sieve_primes(plan.prime_cutoff)
-    rows = []
-    for sg in grid:
-        s = dirichlet.ComplexPoint(sg, args.t)
-        r = halasz.lemma_defect(f, direction, s, plan, base)
-        rows.append([_fmt(sg), _fmt(args.t), _fmt(abs(r.value)), _fmt(r.ratio),
-                     _fmt(r.error_bound)])
-    prov = _provenance("lemma", args, [
-        "function", "epsilon", "t0", "sigma", "t",
-        "series_cutoff", "prime_cutoff", "exact_cutoff"])
-    _write_rows(args.out, prov, ["sigma", "t", "abs_D", "ratio", "err"], rows)
+    results = halasz.lemma_defect(
+        f, direction, [dirichlet.ComplexPoint(sg, args.t) for sg in grid], plan, base)
+    rows = [[_fmt(sg), _fmt(args.t), _fmt(abs(r.value)), _fmt(r.ratio), _fmt(r.error_bound)]
+            for sg, r in zip(grid, results)]
+    _write_rows(args.out, _provenance(args), ["sigma", "t", "abs_D", "ratio", "err"], rows)
     return 0
 
 
@@ -178,16 +167,10 @@ def _cmd_thm1(args) -> int:
     direction = halasz.HalaszDirection(args.epsilon, args.t0)
     grid = _sigma_grid(args.sigma)
     base = primes.sieve_primes(plan.prime_cutoff)
-    pts = halasz.theorem1_ratio(f, direction, grid, plan, base=base)
-    rows = []
-    for p in pts:
-        ratio = float("nan") if p.ratio is None else p.ratio
-        rows.append([_fmt(p.sigma), _fmt(args.t0), _fmt(abs(p.F.value)),
-                     _fmt(p.F.error_bound), _fmt(ratio)])
-    prov = _provenance("thm1", args, [
-        "function", "epsilon", "t0", "sigma",
-        "series_cutoff", "prime_cutoff", "exact_cutoff"])
-    _write_rows(args.out, prov, ["sigma", "t0", "abs_F", "err_F", "ratio"], rows)
+    rows = [[_fmt(p.sigma), _fmt(args.t0), _fmt(abs(p.F.value)), _fmt(p.F.error_bound),
+             _fmt(float("nan") if p.ratio is None else p.ratio)]
+            for p in halasz.theorem1_ratio(f, direction, grid, plan, base)]
+    _write_rows(args.out, _provenance(args), ["sigma", "t0", "abs_F", "err_F", "ratio"], rows)
     return 0
 
 
@@ -198,8 +181,7 @@ def _cmd_thm2(args) -> int:
     trace = multfun.summatory_trace(f, args.limit, grid=args.grid)
     pts = halasz.theorem2_ratio(trace, args.c)
     rows = [[int(p.x), _fmt(p.abs_S), _fmt(p.ratio)] for p in pts]
-    prov = _provenance("thm2", args, ["function", "limit", "c", "grid"])
-    _write_rows(args.out, prov, ["x", "abs_S", "ratio"], rows)
+    _write_rows(args.out, _provenance(args), ["x", "abs_S", "ratio"], rows)
     return 0
 
 
@@ -212,7 +194,6 @@ def _cmd_extremal_build(args) -> int:
 def _cmd_extremal_verify(args) -> int:
     spec = extremal.load_spec(args.specfile)
     table = primes.sieve_primes(args.cutoff)
-    prov = _provenance("extremal-verify", args, ["specfile", "cutoff", "block"])
     texts = [extremal.verify_psum(spec, args.cutoff, table).text()]
     blocks = [args.block] if args.block else [
         j for j, b in enumerate(spec.blocks, start=1) if b.log_upper <= log(args.cutoff)]
@@ -220,7 +201,7 @@ def _cmd_extremal_verify(args) -> int:
         prime_cutoff=args.cutoff, exact_factor_cutoff=min(10_000, args.cutoff))
     for j in blocks:
         texts.append(extremal.verify_logF_lower(spec, j, plan, table).text())
-    _write(args.out, prov, "\n\n".join(texts) + "\n")
+    _write(args.out, _provenance(args), "\n\n".join(texts) + "\n")
     return 0
 
 

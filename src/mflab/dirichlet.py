@@ -13,18 +13,23 @@ Four routes to F are provided, each tagged in its EvalResult:
 All tail bounds are integral comparisons using |f(n)| <= 1: rigorous but
 crude, so near sigma = 1 the unconditional routes report honest, large
 bounds instead of refusing.
+
+The series, prime-sum and euler-product routes take a sequence of points and
+return one result per point, in order; work that does not depend on s is
+done once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import expm1, isqrt, log
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CoverageError, DomainError, SingularFactorError
 from .multfun import MultiplicativeFunction, StreamSummer, SummatoryTrace, segment_values
-from .primes import PrimeTable, sieve_primes
+from .primes import PrimeTable, ordered_sum, sieve_primes
 
 # Bernoulli quotients B_2/2!, B_4/4!, B_6/6! for the Euler-Maclaurin tail.
 _B2_2F = 1.0 / 12.0
@@ -91,6 +96,13 @@ class TruncationPlan:
             raise DomainError("need 2 <= exact_factor_cutoff <= prime_cutoff")
 
 
+def inverse_power(log_n: np.ndarray, s: complex) -> np.ndarray:
+    """n^{-s} = exp(-s log n), exponentiated in place.  Returned as a
+    temporary, so numpy computes ``c * inverse_power(...)`` in its buffer."""
+    z = -s * log_n
+    return np.exp(z, out=z)
+
+
 # ---------------------------------------------------------------------------
 # zeta
 
@@ -115,7 +127,7 @@ def zeta(s, tol: float = 1e-10) -> EvalResult:
     while rem_bound(N) > tol and N < (1 << 22):
         N *= 2
     ns = np.arange(1, N, dtype=np.float64)
-    head = complex(np.cumsum(np.exp(-sc * np.log(ns)))[-1])
+    head = complex(ordered_sum(inverse_power(np.log(ns), sc)))
     lnN = log(N)
     value = (
         head
@@ -194,30 +206,26 @@ def prime_zeta(w, tol: float = 1e-12) -> EvalResult:
 
 def F_truncated(
     f: MultiplicativeFunction,
-    s,
+    points: Sequence,
     plan: TruncationPlan,
-    base: PrimeTable | None = None,
-    segment_size: int = 1 << 18,
-) -> EvalResult:
-    """sum_{n<=N} f(n) n^{-s} with the integral-comparison tail bound
-    N^{1-sigma}/(sigma-1)."""
-    pt = as_point(s)
-    sc = pt.s
+) -> list[EvalResult]:
+    """sum_{n<=N} f(n) n^{-s} at each point, with the integral-comparison
+    tail bound N^{1-sigma}/(sigma-1).  f(n) and log n are computed once per
+    segment of 2^18 numbers; each point has its own order-deterministic summer."""
+    pts = [as_point(s) for s in points]
     N = plan.series_cutoff
-    if base is None:
-        base = sieve_primes(max(2, isqrt(N)))
-    summer = StreamSummer()
-    summer.feed(1, np.ones(1, dtype=np.complex128))
-    lo = 2
+    base = sieve_primes(max(2, isqrt(N)))
+    summers = [StreamSummer() for _ in pts]
+    lo = 1
     while lo <= N:
-        hi = min(lo + segment_size - 1, N)
+        hi = min(lo + (1 << 18) - 1, N)
         vals = segment_values(f, lo, hi, base)
-        ns = np.arange(lo, hi + 1, dtype=np.float64)
-        summer.feed(lo, vals * np.exp(-sc * np.log(ns)))
+        log_n = np.log(np.arange(lo, hi + 1, dtype=np.float64))
+        for pt, summer in zip(pts, summers):
+            summer.feed(lo, vals * inverse_power(log_n, pt.s))
         lo = hi + 1
-    value = summer.close()
-    bound = float(N) ** (1.0 - pt.sigma) / (pt.sigma - 1.0)
-    return EvalResult(value, bound, "truncated-series")
+    return [EvalResult(summer.close(), float(N) ** (1.0 - pt.sigma) / (pt.sigma - 1.0),
+                       "truncated-series") for pt, summer in zip(pts, summers)]
 
 
 def F_partial_summation(trace: SummatoryTrace, s, X: float) -> EvalResult:
@@ -256,42 +264,47 @@ def F_partial_summation(trace: SummatoryTrace, s, X: float) -> EvalResult:
 
 
 def _factor_logs(
-    f: MultiplicativeFunction, ps: np.ndarray, pt: ComplexPoint,
-) -> tuple[np.ndarray, np.ndarray]:
-    """z = f(p) p^{-s} and log(factor_p) - z for every prime in ``ps``.
+    f: MultiplicativeFunction, ps: np.ndarray, pts: Sequence[ComplexPoint],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each point: z = f(p) p^{-s} and log(factor_p) - z for every prime
+    in ``ps``.
 
     factor_p = sum_k f(p^k) p^{-ks}.  A completely multiplicative f has the
     closed form 1/(1 - z); otherwise term k is summed while p^{-k sigma}
     / (1 - p^{-sigma}) > 1e-14.  Raises SingularFactorError where a factor
-    vanishes.
+    vanishes.  log p and f(p) are computed once for all points.
     """
     psf = ps.astype(np.float64)
-    x = np.exp(-pt.s * np.log(psf))
-    z = f.prime_values(ps) * x
-    if f.completely_multiplicative:
-        w = 1.0 - z  # 1 / factor_p
-    else:
-        w = 1.0 + z
-        xk = x
-        n, k = ps.size, 2
-        while True:
-            # primes ascend, so the primes that still need term k are a prefix
-            n = int(np.count_nonzero(
-                psf[:n] ** (-k * pt.sigma) / (1.0 - psf[:n] ** (-pt.sigma)) > _FACTOR_TAIL_TOL))
-            if n == 0:
-                break
-            xk = xk[:n] * x[:n]
-            w[:n] += f.powers(ps[:n], k) * xk
-            k += 1
-    bad = np.abs(w) < 1e-12
-    if bad.any():
-        raise SingularFactorError(f"Euler factor at p={int(ps[np.argmax(bad)])} vanishes")
-    if not f.completely_multiplicative:
-        return z, np.log(w) - z
-    # -log(1 - z) - z cancels for small z: use its Taylor series there
-    small = np.abs(z) < 1e-3
-    series = z * z * (0.5 + z * (1.0 / 3.0 + z * (0.25 + z * 0.2)))
-    return z, np.where(small, series, -np.log(w) - z)
+    lp = np.log(psf)
+    fp = f.prime_values(ps)
+    for pt in pts:
+        x = inverse_power(lp, pt.s)
+        z = fp * x
+        if f.completely_multiplicative:
+            w = 1.0 - z  # 1 / factor_p
+        else:
+            w = 1.0 + z
+            xk = x
+            n, k = ps.size, 2
+            while True:
+                # primes ascend, so the primes that still need term k are a prefix
+                n = int(np.count_nonzero(
+                    psf[:n] ** (-k * pt.sigma) / (1.0 - psf[:n] ** (-pt.sigma)) > _FACTOR_TAIL_TOL))
+                if n == 0:
+                    break
+                xk = xk[:n] * x[:n]
+                w[:n] += f.powers(ps[:n], k) * xk
+                k += 1
+        bad = np.abs(w) < 1e-12
+        if bad.any():
+            raise SingularFactorError(f"Euler factor at p={int(ps[np.argmax(bad)])} vanishes")
+        if not f.completely_multiplicative:
+            yield z, np.log(w) - z
+            continue
+        # -log(1 - z) - z cancels for small z: use its Taylor series there
+        small = np.abs(z) < 1e-3
+        series = z * z * (0.5 + z * (1.0 / 3.0 + z * (0.25 + z * 0.2)))
+        yield z, np.where(small, series, -np.log(w) - z)
 
 
 def euler_factor_log(f: MultiplicativeFunction, p: int, s) -> complex:
@@ -300,28 +313,29 @@ def euler_factor_log(f: MultiplicativeFunction, p: int, s) -> complex:
     For p >= 3 in class M the inner sum has modulus <= 1/2, so the factor
     stays in the right half-plane and the principal branch is safe.
     """
-    z, defect = _factor_logs(f, np.array([p], dtype=np.int64), as_point(s))
+    ((z, defect),) = _factor_logs(f, np.array([p], dtype=np.int64), [as_point(s)])
     return complex(z[0] + defect[0])
 
 
-def _defect_sum(
-    f: MultiplicativeFunction, pt: ComplexPoint, cutoff: int,
+def _defect_sums(
+    f: MultiplicativeFunction, pts: Sequence[ComplexPoint], cutoff: int,
     base: PrimeTable,
-) -> tuple[complex, float]:
-    """sum_{p<=cutoff} [log factor_p - f(p) p^{-s}] plus tail bound."""
-    _, defect = _factor_logs(f, base.primes_le(cutoff), pt)
-    tail = _DEFECT_COEFF * float(cutoff) ** (1.0 - 2.0 * pt.sigma) / (2.0 * pt.sigma - 1.0)
-    return complex(np.cumsum(defect)[-1]), tail
+) -> list[tuple[complex, float]]:
+    """sum_{p<=cutoff} [log factor_p - f(p) p^{-s}] plus tail bound, per point."""
+    return [
+        (complex(ordered_sum(defect)),
+         _DEFECT_COEFF * float(cutoff) ** (1.0 - 2.0 * pt.sigma) / (2.0 * pt.sigma - 1.0))
+        for pt, (_, defect) in zip(pts, _factor_logs(f, base.primes_le(cutoff), pts))]
 
 
-def alignment_residual(
-    f: MultiplicativeFunction, ps: np.ndarray, epsilon0: int, t0: float, w: complex,
-) -> complex:
-    """sum_{p in ps} (1 + e0 f(p) p^{-it0}) p^{-w}: the part of the prime sum
-    that the direction (e0, t0) does not cancel against log zeta."""
+def alignment_terms(
+    f: MultiplicativeFunction, ps: np.ndarray, epsilon0: int, t0: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """log p and g(p) = 1 + e0 f(p) p^{-it0} for every prime in ``ps``: the
+    part of f(p) that the direction (e0, t0) does not cancel against log zeta.
+    F_euler and the lemma defect sum g(p) p^{-w}; the Halász sums Re g(p)/p."""
     lp = np.log(ps.astype(np.float64))
-    g = 1.0 + epsilon0 * f.prime_values(ps) * np.exp(-1j * t0 * lp)
-    return complex(np.cumsum(g * np.exp(-w * lp))[-1])
+    return lp, 1.0 + epsilon0 * f.prime_values(ps) * np.exp(-1j * t0 * lp)
 
 
 @dataclass(frozen=True)
@@ -347,66 +361,66 @@ class PrimeSumResult:
 
 
 def log_F_prime_sum(
-    f: MultiplicativeFunction, s, plan: TruncationPlan,
-    base: PrimeTable | None = None,
-) -> PrimeSumResult:
-    """sum_{p<=P} f(p) p^{-s} plus the defect sum_{p<=C} [log factor - f(p)p^{-s}].
+    f: MultiplicativeFunction, points: Sequence, plan: TruncationPlan, base: PrimeTable,
+) -> list[PrimeSumResult]:
+    """sum_{p<=P} f(p) p^{-s} plus the defect sum_{p<=C} [log factor - f(p)p^{-s}]
+    at each point.
 
     Unconditional bounds: prime tail P^{1-sigma}/(sigma-1) and defect tail
     3.75 C^{1-2 sigma}/(2 sigma - 1).  The p = 2 factor is always inside the
     exact range, so class M2 is not required (a vanishing factor at p = 2
     raises SingularFactorError).
     """
-    pt = as_point(s)
-    if base is None:
-        base = sieve_primes(plan.prime_cutoff)
+    pts = [as_point(s) for s in points]
     ps = base.primes_le(plan.prime_cutoff)
-    fp = f.prime_values(ps)
-    terms = fp * np.exp(-pt.s * np.log(ps.astype(np.float64)))
-    value = complex(np.cumsum(terms)[-1])
-    prime_tail = float(plan.prime_cutoff) ** (1.0 - pt.sigma) / (pt.sigma - 1.0)
-    delta, dtail = _defect_sum(f, pt, plan.exact_factor_cutoff, base)
-    return PrimeSumResult(value, delta, prime_tail, dtail)
+    fp = f.prime_values(ps)  # before log p exists: f's own temporaries set the peak
+    lp = np.log(ps.astype(np.float64))
+    P = float(plan.prime_cutoff)
+    return [
+        PrimeSumResult(complex(ordered_sum(fp * inverse_power(lp, pt.s))), delta,
+                       P ** (1.0 - pt.sigma) / (pt.sigma - 1.0), dtail)
+        for pt, (delta, dtail) in zip(
+            pts, _defect_sums(f, pts, plan.exact_factor_cutoff, base))]
 
 
 def F_euler(
     f: MultiplicativeFunction,
-    s,
+    points: Sequence,
     plan: TruncationPlan,
+    base: PrimeTable,
     epsilon0: int = 1,
     t0: float = 0.0,
-    base: PrimeTable | None = None,
-) -> EvalResult:
-    """F(s) through the Euler product, written around the direction (e0, t0):
+) -> list[EvalResult]:
+    """F(s) at each point through the Euler product, written around the
+    direction (e0, t0):
 
-        log F = e0 [ sum_{p<=P} (1 + e0 f(p) p^{-it0}) p^{-w} - P(w) ] + defect,
-        w = s - i t0,
+        log F = e0 [ sum_{p<=P} g(p) p^{-w} - P(w) ] + defect,
+        g(p) = 1 + e0 f(p) p^{-it0},  w = s - i t0,
 
     with P(w) from the Moebius/log-zeta identity.  This stays accurate for
     sigma arbitrarily close to 1.
 
-    Stated assumption for the error bound: the alignment residual
-    1 + e0 f(p) p^{-it0} vanishes for p > P (true for the aligned corpus:
-    moebius/liouville/one at t0 = 0 and the extremal construction).  The
-    residual's observed partial sums diagnose how credible that is.
+    Stated assumption for the error bound: the alignment residual g(p)
+    vanishes for p > P (true for the aligned corpus: moebius/liouville/one
+    at t0 = 0 and the extremal construction).  The residual's observed
+    partial sums diagnose how credible that is.
     """
     if epsilon0 not in (-1, 1):
         raise DomainError("epsilon0 must be +1 or -1")
     if not f.claims_M:
         raise DomainError("F_euler requires a class-M function")
-    pt = as_point(s)
-    w = pt.s - 1j * t0
-    wpt = ComplexPoint(w.real, w.imag)
-    if base is None:
-        base = sieve_primes(plan.prime_cutoff)
-    residual = alignment_residual(f, base.primes_le(plan.prime_cutoff), epsilon0, t0, w)
-    pz = prime_zeta(wpt)
-    delta, dtail = _defect_sum(f, pt, plan.exact_factor_cutoff, base)
-    log_F = epsilon0 * (residual - pz.value) + delta
-    log_err = pz.error_bound + dtail
-    value = np.exp(log_F)
-    bound = abs(value) * expm1(min(log_err, 500.0))
-    return EvalResult(complex(value), bound, "euler-product")
+    pts = [as_point(s) for s in points]
+    lp, g = alignment_terms(f, base.primes_le(plan.prime_cutoff), epsilon0, t0)
+    out = []
+    for pt, (delta, dtail) in zip(pts, _defect_sums(f, pts, plan.exact_factor_cutoff, base)):
+        w = pt.s - 1j * t0
+        residual = complex(ordered_sum(g * inverse_power(lp, w)))
+        pz = prime_zeta(ComplexPoint(w.real, w.imag))
+        log_F = epsilon0 * (residual - pz.value) + delta
+        value = np.exp(log_F)
+        bound = abs(value) * expm1(min(pz.error_bound + dtail, 500.0))
+        out.append(EvalResult(complex(value), bound, "euler-product"))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from .dirichlet import ComplexPoint, TruncationPlan, log_F_prime_sum
 from .errors import CapacityError, CoverageError, DomainError, FunctionSpecError
 from .multfun import MultiplicativeFunction, completely_multiplicative
-from .primes import PrimeTable, mertens_estimate, sum_reciprocal_primes
+from .primes import PrimeTable, mertens_estimate, ordered_sum, sum_reciprocal_primes
 
 LOGLOG_16 = log(log(16.0))      # smallest admissible loglog coordinate
 DEFAULT_LOGLOG_MAX = 40.0       # sup truncation: x_max = e^(e^40)
@@ -354,7 +354,7 @@ def verify_psum(spec: ExtremalSpec, P: int, table: PrimeTable) -> PsumReport:
     """
     ps = table.primes_le(P)
     th = theta_values(spec, ps)
-    obs = float(np.cumsum(th * th / ps.astype(np.float64))[-1]) if ps.size else 0.0
+    obs = float(ordered_sum(th * th / ps.astype(np.float64)))
     log_P = log(P)
     majorant = 0.0
     rows = []
@@ -429,7 +429,7 @@ def verify_logF_lower(
     W = float(np.sum(th * (-np.sin(lps)) * pw))
     half = 0.5 * float(np.sum(th * pw))
     fext = extremal_function(spec)
-    psr = log_F_prime_sum(fext, ComplexPoint(sigma, 1.0), plan, base=table)
+    (psr,) = log_F_prime_sum(fext, [ComplexPoint(sigma, 1.0)], plan, table)
     sel_ps = ps[sel]
     return WindowReport(
         j=j,
@@ -439,6 +439,6 @@ def verify_logF_lower(
         selected_max=int(sel_ps[-1]) if sel_ps.size else 0,
         window_sum=W,
         half_theta_sum=half,
-        re_log_F_prime_sum=float((psr.value + psr.defect).real),
+        re_log_F_prime_sum=float(psr.log_F.real),
         target=b.a * sqrt(log(b.log_x)),
     )

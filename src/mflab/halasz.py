@@ -4,9 +4,12 @@ A direction is a pair (epsilon0, t0): epsilon0 = -1 probes a pole-like
 point (|F| ~ 1/(sigma-1)), epsilon0 = +1 a zero-like point.  The central
 object is the alignment sum
 
-    sum_p (1 + epsilon0 Re(f(p) p^{-it0})) / p,
+    sum_p Re g(p) / p,   g(p) = 1 + epsilon0 f(p) p^{-it0},
 
 whose convergence or divergence separates the two regimes.
+
+The lemma defect and the Theorem 1 ratio take a whole sigma grid in one
+call, so f(p), log p and g(p) are computed once per grid.
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ from .dirichlet import (
     EvalResult,
     F_euler,
     TruncationPlan,
-    alignment_residual,
+    alignment_terms,
     as_point,
+    inverse_power,
     log_zeta_minus_prime_zeta,
 )
 from .errors import DomainError
 from .multfun import MultiplicativeFunction, SummatoryTrace, two_adic_failures
-from .primes import PrimeTable
+from .primes import PrimeTable, ordered_sum
 
 
 @dataclass(frozen=True)
@@ -59,12 +63,12 @@ def _partials_at(ps: np.ndarray, terms: np.ndarray, cuts: list[int]) -> np.ndarr
     return np.where(idx >= 0, partial[np.maximum(idx, 0)], 0.0)
 
 
-def _geometric_cutoffs(P: int) -> list[int]:
+def _geometric_cutoffs(P: int, start: int, ratio: int) -> list[int]:
     cuts = []
-    c = 4
+    c = start
     while c < P:
         cuts.append(c)
-        c *= 2
+        c *= ratio
     cuts.append(P)
     return cuts
 
@@ -75,20 +79,19 @@ def pole_sum(
     P: int,
     table: PrimeTable,
 ) -> PartialSumSeries:
-    """Partial sums of (1 + e0 Re(f(p) p^{-it0}))/p for p <= P.
+    """Partial sums of Re g(p)/p = (1 + e0 Re(f(p) p^{-it0}))/p for p <= P.
 
     Every term is >= 0 when |f(p)| <= 1; a term below -1e-12 means the
     function is outside class M and raises.
     """
     ps = table.primes_le(P)
-    psf = ps.astype(np.float64)
-    fp = f.prime_values(ps)
-    terms = (1.0 + direction.epsilon0 * np.real(fp * np.exp(-1j * direction.t0 * np.log(psf)))) / psf
+    _, g = alignment_terms(f, ps, direction.epsilon0, direction.t0)
+    terms = g.real / ps
     worst = float(terms.min()) if terms.size else 0.0
     if worst < -1e-12:
         p_bad = int(ps[int(np.argmin(terms))])
         raise DomainError(f"negative alignment term at p={p_bad}: |f(p)| > 1")
-    cuts = _geometric_cutoffs(P)
+    cuts = _geometric_cutoffs(P, 4, 2)
     vals = _partials_at(ps, np.maximum(terms, 0.0), cuts)
     return PartialSumSeries(np.asarray(cuts, dtype=np.int64), vals.astype(np.float64))
 
@@ -150,34 +153,37 @@ class LemmaDefectResult:
 def lemma_defect(
     f: MultiplicativeFunction,
     direction: HalaszDirection,
-    s,
+    points: Sequence,
     plan: TruncationPlan,
     base: PrimeTable,
-) -> LemmaDefectResult:
-    """Evaluate the defect D and |D| / sqrt(log 1/(sigma-1)).
+) -> list[LemmaDefectResult]:
+    """Evaluate the defect D and |D| / sqrt(log 1/(sigma-1)) at each point.
 
     Rearranged so the pole cancels exactly:
 
-        D = [log zeta(w) - P(w)] + sum_{p<=P} (1 + e0 f(p) p^{-it0}) p^{-w},
-        w = s - i t0,
+        D = [log zeta(w) - P(w)] + sum_{p<=P} g(p) p^{-w},
+        g(p) = 1 + e0 f(p) p^{-it0},  w = s - i t0,
 
     where the bracket comes from the Moebius/log-zeta identity.  The value
     is then accurate near sigma = 1 whenever f is aligned with the
     direction; the bound still carries the unconditional residual tail
     2 P^{1-sigma}/(sigma-1).
     """
-    pt = as_point(s)
-    if pt.sigma - 1.0 > 1.0 / np.e + 1e-12:
+    pts = [as_point(s) for s in points]
+    if any(pt.sigma - 1.0 > 1.0 / np.e + 1e-12 for pt in pts):
         raise DomainError("lemma defect needs sigma - 1 <= 1/e")
-    w = pt.s - 1j * direction.t0
-    bracket = log_zeta_minus_prime_zeta(ComplexPoint(w.real, w.imag))
-    resid = alignment_residual(
-        f, base.primes_le(plan.prime_cutoff), direction.epsilon0, direction.t0, w)
-    D = bracket.value + resid
-    err = bracket.error_bound + 2.0 * float(plan.prime_cutoff) ** (1.0 - pt.sigma) / (
-        pt.sigma - 1.0)
-    normalizer = sqrt(max(log(1.0 / (pt.sigma - 1.0)), 1.0))
-    return LemmaDefectResult(D, err, normalizer, abs(D) / normalizer)
+    lp, g = alignment_terms(
+        f, base.primes_le(plan.prime_cutoff), direction.epsilon0, direction.t0)
+    out = []
+    for pt in pts:
+        w = pt.s - 1j * direction.t0
+        bracket = log_zeta_minus_prime_zeta(ComplexPoint(w.real, w.imag))
+        D = bracket.value + complex(ordered_sum(g * inverse_power(lp, w)))
+        err = bracket.error_bound + 2.0 * float(plan.prime_cutoff) ** (1.0 - pt.sigma) / (
+            pt.sigma - 1.0)
+        normalizer = sqrt(max(log(1.0 / (pt.sigma - 1.0)), 1.0))
+        out.append(LemmaDefectResult(D, err, normalizer, abs(D) / normalizer))
+    return out
 
 
 @dataclass(frozen=True)
@@ -193,20 +199,21 @@ def theorem1_ratio(
     direction: HalaszDirection,
     sigma_grid: Sequence[float],
     plan: TruncationPlan,
-    base: PrimeTable | None = None,
+    base: PrimeTable,
 ) -> list[Theorem1Point]:
     """|F(sigma + i t0)|^e0 / (sigma - 1) along a grid of sigma in (1, 3/2].
 
     F comes from the euler-product route, the only one usable near the
     one-line; see F_euler for its stated alignment assumption.
     """
-    out = []
-    for sg in sigma_grid:
-        sg = float(sg)
+    grid = [float(sg) for sg in sigma_grid]
+    for sg in grid:
         if not 1.0 < sg <= 1.5:
             raise DomainError(f"theorem-1 grid needs sigma in (1, 3/2], got {sg}")
-        fe = F_euler(f, ComplexPoint(sg, direction.t0), plan,
-                     epsilon0=direction.epsilon0, t0=direction.t0, base=base)
+    fes = F_euler(f, [ComplexPoint(sg, direction.t0) for sg in grid], plan, base,
+                  epsilon0=direction.epsilon0, t0=direction.t0)
+    out = []
+    for sg, fe in zip(grid, fes):
         aF = abs(fe.value)
         if aF <= fe.error_bound:
             out.append(Theorem1Point(sg, fe, None, float("inf")))
@@ -298,15 +305,9 @@ def criterion_report(
     if P < 100:
         raise DomainError("criterion needs P >= 100")
     ps = table.primes_le(P)
-    psf = ps.astype(np.float64)
-    fp = f.prime_values(ps)
-    terms = (1.0 - np.real(fp * np.exp(-1j * t * np.log(psf)))) / psf
-    cutoffs = []
-    c = 10
-    while c < P:
-        cutoffs.append(c)
-        c *= 10
-    cutoffs.append(P)
+    _, g = alignment_terms(f, ps, -1, t)
+    terms = g.real / ps
+    cutoffs = _geometric_cutoffs(P, 10, 10)
     partials = _partials_at(ps, terms, cutoffs)
     lo, hi = cutoffs[-2], cutoffs[-1]
     growth = float(partials[-1] - partials[-2])

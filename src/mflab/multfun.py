@@ -254,6 +254,7 @@ class StreamSummer:
     Values arrive as contiguous arrays indexed from absolute position 1.
     Internal block cuts sit at absolute multiples of 4096 and at the
     requested checkpoints, so totals do not depend on feed chunking.
+    Between feeds only the unflushed tail (under one block) is kept.
     """
 
     def __init__(self, checkpoints: Sequence[int] = ()) -> None:
@@ -261,8 +262,8 @@ class StreamSummer:
         self._ci = 0
         self._re = _Neumaier()
         self._im = _Neumaier()
-        self._buf: list[np.ndarray] = []
-        self._buf_start = 1
+        self._tail = np.zeros(0, dtype=np.complex128)  # fed, not yet summed
+        self._buf_start = 1  # absolute position of _tail[0]
         self._n_next = 1
         self.checkpoint_values: list[complex] = []
 
@@ -272,49 +273,37 @@ class StreamSummer:
             cut = min(cut, self._cps[self._ci])
         return cut
 
-    def _take(self, need: int) -> np.ndarray:
-        parts = []
-        while need:
-            head = self._buf[0]
-            if head.size <= need:
-                parts.append(head)
-                need -= head.size
-                self._buf.pop(0)
-            else:
-                parts.append(head[:need])
-                self._buf[0] = head[need:]
-                need = 0
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def _flush_to(self, cut: int) -> None:
-        chunk = self._take(cut - self._buf_start + 1)
+    def _flush(self, head: np.ndarray) -> None:
+        """Sum the tail followed by ``head`` as one block."""
+        chunk = np.concatenate((self._tail, head)) if self._tail.size else head
         s = complex(chunk.sum())
         self._re.add(s.real)
         self._im.add(s.imag)
-        self._buf_start = cut + 1
+        self._buf_start += chunk.size
+        self._tail = self._tail[:0]
 
     def feed(self, start: int, vals: np.ndarray) -> None:
         if start != self._n_next:
             raise ValueError(f"stream discontinuity: expected {self._n_next}, got {start}")
-        if vals.size:
-            self._buf.append(np.asarray(vals, dtype=np.complex128))
-            self._n_next += vals.size
-        while True:
-            cut = self._next_cut()
-            if cut > self._n_next - 1:
-                break
-            self._flush_to(cut)
+        vals = np.asarray(vals, dtype=np.complex128)
+        self._n_next += vals.size
+        i = 0  # vals[:i] is summed
+        while (cut := self._next_cut()) < self._n_next:
+            j = i + cut - self._buf_start + 1 - self._tail.size
+            self._flush(vals[i:j])
+            i = j
             if self._ci < len(self._cps) and cut == self._cps[self._ci]:
                 self.checkpoint_values.append(self.total())
                 self._ci += 1
+        self._tail = np.concatenate((self._tail, vals[i:]))  # a copy: never pin ``vals``
 
     def total(self) -> complex:
         return complex(self._re.total(), self._im.total())
 
     def close(self) -> complex:
         """Flush any partial trailing block and return the grand total."""
-        if self._buf_start <= self._n_next - 1:
-            self._flush_to(self._n_next - 1)
+        if self._tail.size:
+            self._flush(self._tail[:0])  # the tail alone
         return self.total()
 
 

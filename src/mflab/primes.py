@@ -23,6 +23,7 @@ MERTENS_CONSTANT = 0.2614972128476428
 # dense 4-byte array, hence the tighter cap.
 PRIME_LIMIT_CEILING = 2**32
 SPF_LIMIT_CEILING = 2**27
+_SUM_CHUNK = 1 << 16  # values per cumsum in ordered_sum
 
 
 @dataclass(frozen=True)
@@ -122,16 +123,25 @@ def spf_table(limit: int, ceiling: int = SPF_LIMIT_CEILING) -> SpfTable:
     return SpfTable(limit=limit, spf=spf)
 
 
-def sum_reciprocal_primes(x: float, table: PrimeTable) -> float:
-    """Mertens sum sum_{p<=x} 1/p, accumulated in ascending prime order.
+def ordered_sum(x: np.ndarray):
+    """The sum of ``x`` accumulated in ascending index order; 0 when empty.
 
-    cumsum keeps the accumulation strictly sequential, so results are
-    reproducible bit-for-bit regardless of chunking or thread count.
+    cumsum keeps the accumulation strictly sequential (np.sum is pairwise),
+    so results are reproducible bit-for-bit regardless of thread count.
+    Each chunk's cumsum starts from the running total: the bits of
+    np.cumsum(x)[-1] without a second array the size of ``x``.
     """
-    ps = table.primes_le(x)
-    if ps.size == 0:
+    if not x.size:
         return 0.0
-    return float(np.cumsum(1.0 / ps)[-1])
+    total = np.cumsum(x[:_SUM_CHUNK])[-1]
+    for i in range(_SUM_CHUNK, x.size, _SUM_CHUNK):
+        total = np.cumsum(np.concatenate(([total], x[i : i + _SUM_CHUNK])))[-1]
+    return total
+
+
+def sum_reciprocal_primes(x: float, table: PrimeTable) -> float:
+    """Mertens sum sum_{p<=x} 1/p, accumulated in ascending prime order."""
+    return float(ordered_sum(1.0 / table.primes_le(x)))
 
 
 def mertens_estimate(log_x: float) -> float:

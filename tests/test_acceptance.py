@@ -86,19 +86,23 @@ def _rel(err: float, mag: float) -> float:
 def test_criterion_02_dirichlet_identities():
     t0 = time.perf_counter()
     mu, lam, odd = builtin("moebius"), builtin("liouville"), builtin("odd_one")
-    for s in (ComplexPoint(1.5), ComplexPoint(1.2, 0.5), ComplexPoint(1.1, 1.0)):
+    pts = [ComplexPoint(1.5), ComplexPoint(1.2, 0.5), ComplexPoint(1.1, 1.0)]
+    columns = zip(
+        pts,
+        F_euler(mu, pts, PLAN, BASE5, epsilon0=1),
+        F_euler(lam, pts, PLAN, BASE5, epsilon0=1),
+        F_euler(odd, pts, PLAN, BASE5, epsilon0=-1))
+    for s, fmu, flam, fodd in columns:
         sc = s.s
         z = zeta(s)
         z2 = zeta(2 * sc)
 
-        fmu = F_euler(mu, s, PLAN, epsilon0=1, base=BASE5)
         diff = abs(fmu.value * z.value - 1.0)
         comb = abs(z.value) * fmu.error_bound + abs(fmu.value) * z.error_bound \
             + fmu.error_bound * z.error_bound
         assert diff <= comb + 1e-15
         assert diff <= 1e-4
 
-        flam = F_euler(lam, s, PLAN, epsilon0=1, base=BASE5)
         est = flam.value * z.value / z2.value
         rel = _rel(flam.error_bound, abs(flam.value)) + _rel(z.error_bound, abs(z.value)) \
             + _rel(z2.error_bound, abs(z2.value))
@@ -106,7 +110,6 @@ def test_criterion_02_dirichlet_identities():
         assert diff <= 1.5 * abs(est) * rel + 1e-15 or diff <= 1e-6
         assert diff <= 1e-4
 
-        fodd = F_euler(odd, s, PLAN, epsilon0=-1, base=BASE5)
         denom = z.value * (1 - 2**-sc)
         est = fodd.value / denom
         rel = _rel(fodd.error_bound, abs(fodd.value)) + _rel(z.error_bound, abs(z.value))
@@ -122,30 +125,24 @@ def test_criterion_03_cross_method_consistency():
     t0 = time.perf_counter()
     for f in (builtin("liouville"), builtin("odd_one")):
         trace = summatory_trace(f, 10**5, base=BASE5)
-        for sg in (1.1, 1.5):
-            for tt in (0.0, 0.7, -1.0):
-                s = ComplexPoint(sg, tt)
-                ft = F_truncated(f, s, PLAN, base=BASE5)
-                fp = F_partial_summation(trace, s, 10**5)
-                pr = log_F_prime_sum(f, s, PLAN, base=BASE5)
-                fe_val = np.exp(pr.log_F)
-                fe_err = abs(fe_val) * math.expm1(min(pr.error_bound, 500.0))
-                assert abs(ft.value - fp.value) <= ft.error_bound + fp.error_bound
-                assert abs(ft.value - fe_val) <= ft.error_bound + fe_err
-                assert abs(fp.value - fe_val) <= fp.error_bound + fe_err
+        pts = [ComplexPoint(sg, tt) for sg in (1.1, 1.5) for tt in (0.0, 0.7, -1.0)]
+        for s, ft, pr in zip(pts, F_truncated(f, pts, PLAN), log_F_prime_sum(f, pts, PLAN, BASE5)):
+            fp = F_partial_summation(trace, s, 10**5)
+            fe_val = np.exp(pr.log_F)
+            fe_err = abs(fe_val) * math.expm1(min(pr.error_bound, 500.0))
+            assert abs(ft.value - fp.value) <= ft.error_bound + fp.error_bound
+            assert abs(ft.value - fe_val) <= ft.error_bound + fe_err
+            assert abs(fp.value - fe_val) <= fp.error_bound + fe_err
     _report(3, "truncated vs partial-summation vs exp(prime sum + defect) overlap", t0)
 
 
 def test_criterion_04_pole_case():
     t0 = time.perf_counter()
     odd = builtin("odd_one")
-    v101 = (1.01 - 1.0) * abs(F_euler(odd, ComplexPoint(1.01), PLAN, epsilon0=-1, base=BASE5).value)
+    sigmas = [1.01] + [1.0 + 2.0**-k for k in range(4, 11)]
+    fes = F_euler(odd, sigmas, PLAN, BASE5, epsilon0=-1)
+    v101, *seq = [(sg - 1.0) * abs(fe.value) for sg, fe in zip(sigmas, fes)]
     assert 0.45 <= v101 <= 0.55
-    seq = []
-    for k in range(4, 11):
-        sg = 1.0 + 2.0**-k
-        fe = F_euler(odd, ComplexPoint(sg), PLAN, epsilon0=-1, base=BASE5)
-        seq.append((sg - 1.0) * abs(fe.value))
     assert all(b < a for a, b in zip(seq, seq[1:]))  # monotone approach from above
     assert all(v > 0.5 for v in seq)
     assert abs(seq[-1] - 0.5) <= 0.005  # within 1% at k = 10
@@ -155,7 +152,7 @@ def test_criterion_04_pole_case():
 def test_criterion_05_zero_case():
     t0 = time.perf_counter()
     mu = builtin("moebius")
-    fe = F_euler(mu, ComplexPoint(1.001), PLAN, epsilon0=1, base=BASE5)
+    (fe,) = F_euler(mu, [ComplexPoint(1.001)], PLAN, BASE5, epsilon0=1)
     ratio = abs(fe.value) / 0.001
     assert 0.9 <= ratio <= 1.1
     _report(5, f"F_mu(1.001)/(sigma-1) = {ratio:.5f}", t0)
@@ -165,8 +162,7 @@ def test_criterion_06_lemma_defect():
     t0 = time.perf_counter()
     lam = builtin("liouville")
     ratios = []
-    for sg in (1.1, 1.01, 1.001):
-        r = lemma_defect(lam, EPLUS, ComplexPoint(sg), PLAN, BASE5)
+    for r in lemma_defect(lam, EPLUS, [1.1, 1.01, 1.001], PLAN, BASE5):
         assert abs(r.value) <= 1.0
         ratios.append(float(r.ratio))
     assert ratios[0] > ratios[1] > ratios[2]

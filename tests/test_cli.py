@@ -1,9 +1,11 @@
+import argparse
 import csv
 import json
+import re
 
 import pytest
 
-from mflab.cli import main
+from mflab.cli import build_parser, main
 
 from _oracles import brute_summatory
 from mflab.multfun import builtin
@@ -227,3 +229,30 @@ def test_eval_f_rejects_infinite_twist(tmp_path, capsys):
 def test_criterion_rejects_infinite_t(capsys):
     assert usage_failure(["criterion", "--function", "moebius", "--t", "inf",
                           "--prime-cutoff", "1000"], capsys) == 2
+
+
+def test_provenance_names_every_flag(tmp_path):
+    spec = str(tmp_path / "spec.json")
+    assert run(["extremal-build", "--kappa", "power:0.25", "--out", spec]) == 0
+    argvs = {
+        "sum": ["--function", "moebius", "--limit", "100"],
+        "eval-f": ["--function", "moebius", "--sigma", "1.5:2:2", "--series-cutoff", "100"],
+        "criterion": ["--function", "moebius", "--prime-cutoff", "1000"],
+        "lemma": ["--function", "liouville", "--epsilon", "1", "--sigma", "1.1:1.2:2",
+                  "--prime-cutoff", "1000"],
+        "thm1": ["--function", "moebius", "--epsilon", "1", "--sigma", "1.1:1.5:2",
+                 "--prime-cutoff", "1000"],
+        "thm2": ["--function", "one", "--limit", "100"],
+        "extremal-verify": [spec, "--cutoff", "1000"],
+    }
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(argvs) | {"extremal-build"}  # which writes JSON only
+    for name, argv in argvs.items():
+        out = tmp_path / f"{name}.out"
+        assert run([name, *argv, "--out", str(out)]) == 0
+        first = out.read_text().splitlines()[0]
+        assert first.startswith(f"# mflab {name} ")
+        flags = {a.option_strings[0] if a.option_strings else f"--{a.dest}"
+                 for a in sub.choices[name]._actions} - {"-h", "--out"}
+        named = re.findall(r" (--[a-z0-9-]+)=", first)
+        assert named == sorted(named) and set(named) == flags, name

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from mflab.dirichlet import (
     zeta_floor_probe,
 )
 from mflab.errors import CoverageError, DomainError, SingularFactorError
-from mflab.multfun import MultiplicativeFunction, builtin, summatory_trace
+from mflab.multfun import MultiplicativeFunction, builtin, parse_function_spec, summatory_trace
 from mflab.primes import sieve_primes
 
 from _oracles import prime_sum_power_oracle, zeta_series_oracle
@@ -76,20 +77,20 @@ def test_log_zeta_minus_prime_zeta_small_near_one():
 
 
 def test_F_truncated_one():
-    r = F_truncated(builtin("one"), 2.0, TruncationPlan(series_cutoff=100))
+    (r,) = F_truncated(builtin("one"), [2.0], TruncationPlan(series_cutoff=100))
     assert r.error_bound == pytest.approx(0.01)
     assert abs(r.value - 1.6449340668482264) <= 0.01
 
 
 def test_F_truncated_moebius():
-    r = F_truncated(builtin("moebius"), 2.0, TruncationPlan(series_cutoff=10**4))
+    (r,) = F_truncated(builtin("moebius"), [2.0], TruncationPlan(series_cutoff=10**4))
     assert abs(r.value - 1 / 1.6449340668482264) <= 1e-4
 
 
 def test_F_truncated_liouville():
     # lambda: F = zeta(2s)/zeta(s)
     s = 1.5
-    r = F_truncated(builtin("liouville"), s, TruncationPlan(series_cutoff=10**5))
+    (r,) = F_truncated(builtin("liouville"), [s], TruncationPlan(series_cutoff=10**5))
     target = zeta(3.0).value / zeta(1.5).value
     assert abs(r.value - target) <= r.error_bound + 1e-8
 
@@ -99,7 +100,7 @@ def test_F_partial_summation_unit_steps_exact():
     tr = summatory_trace(one, 1000, grid=list(range(1, 1001)))
     s = ComplexPoint(2.0)
     fp = F_partial_summation(tr, s, 1000.0)
-    ft = F_truncated(one, s, TruncationPlan(series_cutoff=1000))
+    (ft,) = F_truncated(one, [s], TruncationPlan(series_cutoff=1000))
     assert abs(fp.value - ft.value) <= fp.error_bound + ft.error_bound
     # integer-step reconstruction leaves only the X tail
     assert fp.error_bound == pytest.approx(abs(s.s) * 1000.0 ** (-1.0) / 1.0, rel=1e-12)
@@ -110,7 +111,7 @@ def test_F_partial_summation_sparse_grid():
     tr = summatory_trace(lam, 10**5)
     s = ComplexPoint(1.5, 0.7)
     fp = F_partial_summation(tr, s, 10**5)
-    ft = F_truncated(lam, s, TruncationPlan(series_cutoff=10**5))
+    (ft,) = F_truncated(lam, [s], TruncationPlan(series_cutoff=10**5))
     assert abs(fp.value - ft.value) <= fp.error_bound + ft.error_bound
 
 
@@ -155,29 +156,29 @@ def test_defect_series_matches_closed_form():
     # series stops once its tail is below 1e-14
     lam = builtin("liouville")
     series_fn = MultiplicativeFunction("lam-series", lam.powers)
-    for s in (ComplexPoint(1.0 + 1e-6), ComplexPoint(1.3, 14.13)):
-        a = log_F_prime_sum(lam, s, PLAN, base=BASE)
-        b = log_F_prime_sum(series_fn, s, PLAN, base=BASE)
+    pts = [ComplexPoint(1.0 + 1e-6), ComplexPoint(1.3, 14.13)]
+    for a, b in zip(log_F_prime_sum(lam, pts, PLAN, BASE),
+                    log_F_prime_sum(series_fn, pts, PLAN, BASE)):
         assert abs(a.defect - b.defect) < 1229 * 1e-14
 
 
 def test_moebius_defect_against_local_factors():
     mu = builtin("moebius")
     s = complex(1.2, 3.0)
-    r = log_F_prime_sum(mu, s, PLAN, base=BASE)
+    (r,) = log_F_prime_sum(mu, [s], PLAN, BASE)
     ref = sum(cmath.log(1 - p ** -s) + p ** -s for p in BASE.primes_le(10**4).tolist())
     assert abs(r.defect - ref) < 1e-12
 
 
 def test_log_F_prime_sum_values():
     lam = builtin("liouville")
-    r = log_F_prime_sum(lam, 2.0, PLAN, base=BASE)
+    (r,) = log_F_prime_sum(lam, [2.0], PLAN, BASE)
     direct = -prime_sum_power_oracle(BASE.primes.tolist(), -2.0)
     assert r.value == pytest.approx(direct, abs=1e-12)
     assert abs(r.value - (-0.4522474200410655)) < 1e-5
 
     odd = builtin("odd_one")
-    r2 = log_F_prime_sum(odd, 2.0, PLAN, base=BASE)
+    (r2,) = log_F_prime_sum(odd, [2.0], PLAN, BASE)
     assert r2.value == pytest.approx(-direct - 0.25, abs=1e-12)
 
 
@@ -185,51 +186,54 @@ def test_defect_bound_contains_value():
     # enlarging the exact range moves the defect by less than the tail bound
     lam = builtin("liouville")
     s = 2.0
-    small = log_F_prime_sum(lam, s, TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=1000), base=BASE)
-    big = log_F_prime_sum(lam, s, TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=10**4), base=BASE)
+    (small,) = log_F_prime_sum(lam, [s], TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=1000), BASE)
+    (big,) = log_F_prime_sum(lam, [s], TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=10**4), BASE)
     assert abs(big.defect - small.defect) <= small.defect_tail_bound
     assert abs(small.defect) > 0  # nonzero correction for lambda
 
 
 def test_prime_sum_route_consistent_with_truncated_for_M2():
     odd = builtin("odd_one")
-    for s in (ComplexPoint(1.5), ComplexPoint(1.2, 0.5), ComplexPoint(1.1, 1.0)):
-        psr = log_F_prime_sum(odd, s, PLAN, base=BASE)
+    pts = [ComplexPoint(1.5), ComplexPoint(1.2, 0.5), ComplexPoint(1.1, 1.0)]
+    for psr, ft in zip(log_F_prime_sum(odd, pts, PLAN, BASE),
+                       F_truncated(odd, pts, TruncationPlan(series_cutoff=10**5))):
         fe = np.exp(psr.log_F)
         fe_err = abs(fe) * np.expm1(min(psr.error_bound, 500.0))
-        ft = F_truncated(odd, s, TruncationPlan(series_cutoff=10**5))
         assert abs(fe - ft.value) <= fe_err + ft.error_bound
 
 
 def test_identity_suite_euler_route():
     mu, lam, odd, one = (builtin(n) for n in ("moebius", "liouville", "odd_one", "one"))
     plan = TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=10**4)
-    for s in (ComplexPoint(1.5), ComplexPoint(1.2, 0.5), ComplexPoint(1.1, 1.0)):
+    pts = [ComplexPoint(1.5), ComplexPoint(1.2, 0.5), ComplexPoint(1.1, 1.0)]
+    columns = zip(
+        pts,
+        F_euler(mu, pts, plan, BASE, epsilon0=1),
+        F_euler(lam, pts, plan, BASE, epsilon0=1),
+        F_euler(odd, pts, plan, BASE, epsilon0=-1),
+        F_euler(one, pts, plan, BASE, epsilon0=-1))
+    for s, fmu, flam, fodd, fone in columns:
         z = zeta(s).value
         sc = s.s
-        fmu = F_euler(mu, s, plan, epsilon0=1, base=BASE).value
-        assert abs(fmu * z - 1) < 1e-4
-        flam = F_euler(lam, s, plan, epsilon0=1, base=BASE).value
-        assert abs(flam * z / zeta(2 * sc).value - 1) < 1e-4
-        fodd = F_euler(odd, s, plan, epsilon0=-1, base=BASE).value
-        assert abs(fodd / (z * (1 - 2**-sc)) - 1) < 1e-4
-        fone = F_euler(one, s, plan, epsilon0=-1, base=BASE).value
-        assert abs(fone / z - 1) < 1e-4
+        assert abs(fmu.value * z - 1) < 1e-4
+        assert abs(flam.value * z / zeta(2 * sc).value - 1) < 1e-4
+        assert abs(fodd.value / (z * (1 - 2**-sc)) - 1) < 1e-4
+        assert abs(fone.value / z - 1) < 1e-4
 
 
 def test_F_euler_requires_class_M():
     f = MultiplicativeFunction("big", lambda ps, k: np.full(ps.shape, 2.0))
     with pytest.raises(DomainError):
-        F_euler(f, 1.5, PLAN)
+        F_euler(f, [1.5], PLAN, BASE)
 
 
 def test_results_overlap_across_methods():
     lam = builtin("liouville")
     s = ComplexPoint(1.5)
-    ft = F_truncated(lam, s, TruncationPlan(series_cutoff=10**5))
+    (ft,) = F_truncated(lam, [s], TruncationPlan(series_cutoff=10**5))
     tr = summatory_trace(lam, 10**5)
     fp = F_partial_summation(tr, s, 10**5)
-    fe = F_euler(lam, s, PLAN, epsilon0=1, base=BASE)
+    (fe,) = F_euler(lam, [s], PLAN, BASE, epsilon0=1)
     for a, b in ((ft, fp), (ft, fe), (fp, fe)):
         assert a.consistent_with(b)
 
@@ -244,3 +248,42 @@ def test_truncation_plan_validation():
         TruncationPlan(series_cutoff=1)
     with pytest.raises(DomainError):
         TruncationPlan(exact_factor_cutoff=10**6)
+
+
+# moebius is not completely multiplicative; the twist has t != 0 and complex f(p)
+GRID_FUNCTIONS = ["moebius", "twist:0.7:moebius", "extremal-ref"]
+GRID = [ComplexPoint(1.0 + 1e-7, 2.5), ComplexPoint(1.001, 2.5), ComplexPoint(1.3, 2.5),
+        ComplexPoint(2.0, -1.0)]
+
+
+@pytest.mark.parametrize("spec", GRID_FUNCTIONS)
+def test_grid_routes_equal_one_point_calls(spec):
+    # a grid call shares the prime and segment work; every result is bitwise
+    # the one-point result
+    f = parse_function_spec(spec)
+    routes = [
+        lambda pts: F_truncated(f, pts, TruncationPlan(series_cutoff=2**18 + 3000)),  # 2 segments
+        lambda pts: log_F_prime_sum(f, pts, PLAN, BASE),
+        lambda pts: F_euler(f, pts, PLAN, BASE, epsilon0=-1, t0=0.7),
+    ]
+    for route in routes:
+        grid = route(GRID)
+        assert len(grid) == len(GRID)
+        for i, pt in enumerate(GRID):
+            assert grid[i] == route([pt])[0]
+
+
+def test_F_truncated_grid_memory():
+    # each point's summer keeps a tail under one block, not a view of a segment
+    f = builtin("moebius")
+    plan = TruncationPlan(series_cutoff=3 * 2**18)
+
+    def peak(n_points):
+        tracemalloc.start()
+        try:
+            F_truncated(f, [ComplexPoint(1.5 + 0.01 * i) for i in range(n_points)], plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) - peak(1) <= 16 * 2**20

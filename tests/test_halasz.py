@@ -17,7 +17,13 @@ from mflab.halasz import (
     theta_decomposition,
     theta_from_value,
 )
-from mflab.multfun import MultiplicativeFunction, builtin, completely_multiplicative, summatory_trace
+from mflab.multfun import (
+    MultiplicativeFunction,
+    builtin,
+    completely_multiplicative,
+    parse_function_spec,
+    summatory_trace,
+)
 from mflab.primes import MERTENS_CONSTANT, sieve_primes
 
 BASE = sieve_primes(10**5)
@@ -122,8 +128,7 @@ def test_finiteness_transfer():
 def test_lemma_defect_liouville_grid():
     lam = builtin("liouville")
     vals = []
-    for sg in (1.1, 1.01, 1.001):
-        r = lemma_defect(lam, EPLUS, ComplexPoint(sg), PLAN, BASE)
+    for r in lemma_defect(lam, EPLUS, [1.1, 1.01, 1.001], PLAN, BASE):
         assert abs(r.value) <= 1.0
         vals.append(r.ratio)
     assert vals[0] > vals[1] > vals[2]
@@ -134,7 +139,7 @@ def test_lemma_defect_oracle_value():
     # independent oracle: direct double sum over sieve primes plus tiny tail
     lam = builtin("liouville")
     sg = 1.01
-    r = lemma_defect(lam, EPLUS, ComplexPoint(sg), PLAN, BASE)
+    (r,) = lemma_defect(lam, EPLUS, [sg], PLAN, BASE)
     oracle = 0.0
     for p in BASE.primes[:2000]:
         p = float(p)
@@ -150,17 +155,28 @@ def test_lemma_defect_oracle_value():
 def test_lemma_defect_one_equals_liouville():
     # identical series: the defect only sees the alignment residual, which
     # vanishes for both (one, -1) and (liouville, +1)
-    a = lemma_defect(builtin("one"), EMINUS, ComplexPoint(1.05), PLAN, BASE)
-    b = lemma_defect(builtin("liouville"), EPLUS, ComplexPoint(1.05), PLAN, BASE)
+    (a,) = lemma_defect(builtin("one"), EMINUS, [1.05], PLAN, BASE)
+    (b,) = lemma_defect(builtin("liouville"), EPLUS, [1.05], PLAN, BASE)
     assert a.value == b.value
 
 
 def test_lemma_defect_degenerate_normalizer():
-    r = lemma_defect(builtin("liouville"), EPLUS, ComplexPoint(1.0 + 1.0 / math.e), PLAN, BASE)
+    (r,) = lemma_defect(builtin("liouville"), EPLUS, [1.0 + 1.0 / math.e], PLAN, BASE)
     assert r.normalizer == 1.0
     assert r.ratio == abs(r.value)
     with pytest.raises(DomainError):
-        lemma_defect(builtin("liouville"), EPLUS, ComplexPoint(1.4), PLAN, BASE)
+        lemma_defect(builtin("liouville"), EPLUS, [1.1, 1.4], PLAN, BASE)
+
+
+@pytest.mark.parametrize("spec", ["moebius", "twist:0.7:moebius", "extremal-ref"])
+def test_lemma_defect_grid_equals_one_point_calls(spec):
+    f = parse_function_spec(spec)
+    d = HalaszDirection(1, -0.7)
+    pts = [ComplexPoint(1.0 + 1e-7, 2.5), ComplexPoint(1.001, 2.5), ComplexPoint(1.3, -1.0)]
+    grid = lemma_defect(f, d, pts, PLAN, BASE)
+    assert len(grid) == len(pts)
+    for i, pt in enumerate(pts):
+        assert grid[i] == lemma_defect(f, d, [pt], PLAN, BASE)[0]
 
 
 def test_theorem1_ratio_examples():
@@ -188,8 +204,8 @@ def test_theorem1_ratio_envelope():
 
 
 def test_theorem1_ratio_domain():
-    with pytest.raises(DomainError):
-        theorem1_ratio(builtin("moebius"), EPLUS, [1.7], PLAN, base=BASE)
+    with pytest.raises(DomainError, match="got 1.7"):
+        theorem1_ratio(builtin("moebius"), EPLUS, [1.1, 1.7, 0.9], PLAN, base=BASE)
 
 
 def test_theorem2_ratio():

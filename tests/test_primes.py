@@ -9,6 +9,7 @@ from mflab.errors import CapacityError, CoverageError, EmptyRangeError
 from mflab.primes import (
     MERTENS_CONSTANT,
     mertens_estimate,
+    ordered_sum,
     sieve_primes,
     spf_table,
     sum_reciprocal_primes,
@@ -130,3 +131,13 @@ def test_mertens_estimate_matches_sieve():
     t = sieve_primes(10**6)
     est = mertens_estimate(math.log(10**6))
     assert abs(est - sum_reciprocal_primes(10**6, t)) < 0.01
+
+
+def test_ordered_sum_is_one_cumsum():
+    # chunked, but bitwise the last running sum of one cumsum over the array
+    rng = np.random.default_rng(7)
+    for n in (1, 5, 2**16, 2**16 + 1, 3 * 2**16 + 5):
+        x = rng.standard_normal(n) * np.exp(1j * rng.uniform(0, 6.3, n))
+        assert ordered_sum(x) == np.cumsum(x)[-1]
+        assert ordered_sum(x.real) == np.cumsum(x.real)[-1]
+    assert ordered_sum(np.zeros(0)) == 0.0
