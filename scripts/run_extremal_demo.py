@@ -16,7 +16,6 @@ from mflab import cli
 from mflab.dirichlet import TruncationPlan
 from mflab.extremal import build_spec, extremal_function, save_spec, verify_logF_lower, verify_psum
 from mflab.halasz import HalaszDirection, pole_sum
-from mflab.primes import sieve_primes
 
 
 @dataclass
@@ -32,7 +31,6 @@ class DemoConfig:
 
 def run(cfg: DemoConfig) -> None:
     cfg.outdir.mkdir(parents=True, exist_ok=True)
-    table = sieve_primes(cfg.cutoff)
     plan = TruncationPlan(prime_cutoff=cfg.cutoff, exact_factor_cutoff=10_000)
     for kspec in cfg.kappas:
         tag = kspec.replace(":", "_").replace(".", "p")
@@ -40,16 +38,16 @@ def run(cfg: DemoConfig) -> None:
         spec_path = cfg.outdir / f"spec_{tag}.json"
         save_spec(spec, str(spec_path))
         print(f"== kappa = {kspec}: a_j = {[round(b.a, 4) for b in spec.blocks]}")
-        rep = verify_psum(spec, cfg.cutoff, table)
+        rep = verify_psum(spec, cfg.cutoff)
         print(f"   psum {rep.observed:.5f} <= majorant {rep.majorant:.5f} "
               f"<= 4*sum a^2 {rep.budget_bound:.5f}: "
               f"{'PASS' if rep.ok else 'FAIL'}")
-        wrep = verify_logF_lower(spec, 1, plan, table)
+        wrep = verify_logF_lower(spec, 1, plan)
         print(f"   block-1 window [{wrep.selected_min}, {wrep.selected_max}] "
               f"({wrep.selected_count} primes), W = {wrep.window_sum:.5f} "
               f">= {wrep.half_theta_sum:.5f}: {'PASS' if wrep.ok else 'FAIL'}")
         f = extremal_function(spec)
-        zero_sum = pole_sum(f, HalaszDirection(1, 0.0), cfg.cutoff, table).final()
+        zero_sum = pole_sum(f, HalaszDirection(1, 0.0), cfg.cutoff).final()
         print(f"   zero-direction alignment sum at P={cfg.cutoff}: {zero_sum:.6f}")
         rc = cli.main(["sum", "--function", f"extremal:{spec_path}",
                        "--limit", str(cfg.trace_limit), "--out", str(cfg.outdir / f"trace_{tag}.csv")])

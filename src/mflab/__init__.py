@@ -8,7 +8,7 @@ constructive extremal counterexample builder.
 from .dirichlet import ComplexPoint, EvalResult, TruncationPlan
 from .halasz import HalaszDirection
 from .multfun import MultiplicativeFunction, SummatoryTrace, builtin, parse_function_spec
-from .primes import PrimeTable, SpfTable, sieve_primes, spf_table, sum_reciprocal_primes
+from .primes import PrimeTable, SpfTable, prime_chunks, sieve_primes, spf_table
 
 __all__ = [
     "ComplexPoint",
@@ -21,9 +21,9 @@ __all__ = [
     "parse_function_spec",
     "PrimeTable",
     "SpfTable",
+    "prime_chunks",
     "sieve_primes",
     "spf_table",
-    "sum_reciprocal_primes",
 ]
 
 __version__ = "0.1.0"

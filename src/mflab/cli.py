@@ -16,7 +16,7 @@ from math import isfinite, log
 
 import numpy as np
 
-from . import dirichlet, extremal, halasz, multfun, primes
+from . import dirichlet, extremal, halasz, multfun
 from .errors import FunctionSpecError, MFLabError
 
 _USAGE_EXIT = 2
@@ -126,12 +126,10 @@ def _cmd_eval_f(args) -> int:
     if args.method == "truncated":
         results = dirichlet.F_truncated(f, pts, plan)
     elif args.method == "euler":
-        results = dirichlet.F_euler(f, pts, plan, primes.sieve_primes(plan.prime_cutoff),
-                                    epsilon0=args.epsilon, t0=args.t0)
+        results = dirichlet.F_euler(f, pts, plan, epsilon0=args.epsilon, t0=args.t0)
     else:  # prime-sum
         results = [dirichlet.EvalResult(complex(np.exp(r.log_F)), r.error_bound, r.method)
-                   for r in dirichlet.log_F_prime_sum(
-                       f, pts, plan, primes.sieve_primes(plan.prime_cutoff))]
+                   for r in dirichlet.log_F_prime_sum(f, pts, plan)]
     rows = [[_fmt(sg), _fmt(args.t), _fmt(r.value.real), _fmt(r.value.imag),
              _fmt(abs(r.value)), _fmt(r.error_bound), r.method] for sg, r in zip(grid, results)]
     _write_rows(args.out, _provenance(args),
@@ -141,8 +139,7 @@ def _cmd_eval_f(args) -> int:
 
 def _cmd_criterion(args) -> int:
     f = multfun.parse_function_spec(args.function)
-    table = primes.sieve_primes(args.prime_cutoff)
-    rep = halasz.criterion_report(f, args.t, args.prime_cutoff, table, K=args.kmax)
+    rep = halasz.criterion_report(f, args.t, args.prime_cutoff, K=args.kmax)
     _write(args.out, _provenance(args), rep.text() + "\n")
     return 0
 
@@ -152,9 +149,8 @@ def _cmd_lemma(args) -> int:
     plan = _plan(args)
     direction = halasz.HalaszDirection(args.epsilon, args.t0)
     grid = _sigma_grid(args.sigma)
-    base = primes.sieve_primes(plan.prime_cutoff)
     results = halasz.lemma_defect(
-        f, direction, [dirichlet.ComplexPoint(sg, args.t) for sg in grid], plan, base)
+        f, direction, [dirichlet.ComplexPoint(sg, args.t) for sg in grid], plan)
     rows = [[_fmt(sg), _fmt(args.t), _fmt(abs(r.value)), _fmt(r.ratio), _fmt(r.error_bound)]
             for sg, r in zip(grid, results)]
     _write_rows(args.out, _provenance(args), ["sigma", "t", "abs_D", "ratio", "err"], rows)
@@ -166,10 +162,9 @@ def _cmd_thm1(args) -> int:
     plan = _plan(args)
     direction = halasz.HalaszDirection(args.epsilon, args.t0)
     grid = _sigma_grid(args.sigma)
-    base = primes.sieve_primes(plan.prime_cutoff)
     rows = [[_fmt(p.sigma), _fmt(args.t0), _fmt(abs(p.F.value)), _fmt(p.F.error_bound),
              _fmt(float("nan") if p.ratio is None else p.ratio)]
-            for p in halasz.theorem1_ratio(f, direction, grid, plan, base)]
+            for p in halasz.theorem1_ratio(f, direction, grid, plan)]
     _write_rows(args.out, _provenance(args), ["sigma", "t0", "abs_F", "err_F", "ratio"], rows)
     return 0
 
@@ -193,14 +188,13 @@ def _cmd_extremal_build(args) -> int:
 
 def _cmd_extremal_verify(args) -> int:
     spec = extremal.load_spec(args.specfile)
-    table = primes.sieve_primes(args.cutoff)
-    texts = [extremal.verify_psum(spec, args.cutoff, table).text()]
-    blocks = [args.block] if args.block else [
+    texts = [extremal.verify_psum(spec, args.cutoff).text()]
+    blocks = [args.block] if args.block is not None else [
         j for j, b in enumerate(spec.blocks, start=1) if b.log_upper <= log(args.cutoff)]
     plan = dirichlet.TruncationPlan(
         prime_cutoff=args.cutoff, exact_factor_cutoff=min(10_000, args.cutoff))
     for j in blocks:
-        texts.append(extremal.verify_logF_lower(spec, j, plan, table).text())
+        texts.append(extremal.verify_logF_lower(spec, j, plan).text())
     _write(args.out, _provenance(args), "\n\n".join(texts) + "\n")
     return 0
 
@@ -238,7 +232,7 @@ def build_parser() -> _Parser:
     p.add_argument("--function", required=True)
     p.add_argument("--t", type=_finite_float, default=0.0)
     p.add_argument("--prime-cutoff", type=int, default=1_000_000)
-    p.add_argument("--kmax", type=int, default=20)
+    p.add_argument("--kmax", type=_positive_int, default=20)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_criterion)
 
@@ -281,7 +275,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("extremal-verify", help="verify an extremal spec")
     p.add_argument("specfile")
     p.add_argument("--cutoff", type=int, default=100_000)
-    p.add_argument("--block", type=int, default=None)
+    p.add_argument("--block", type=_positive_int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_extremal_verify)
 

@@ -16,7 +16,9 @@ bounds instead of refusing.
 
 The series, prime-sum and euler-product routes take a sequence of points and
 return one result per point, in order; work that does not depend on s is
-done once per call.
+done once per call.  The prime routes make one pass over ``prime_chunks``
+and keep one running ordered sum per point, so their memory does not grow
+with the prime cutoff.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, SingularFactorError
+from .errors import CapacityError, CoverageError, DomainError, SingularFactorError
 from .multfun import MultiplicativeFunction, StreamSummer, SummatoryTrace, segment_values
-from .primes import PrimeTable, ordered_sum, sieve_primes
+from .primes import ordered_sum, prime_chunks, sieve_primes
 
 # Bernoulli quotients B_2/2!, B_4/4!, B_6/6! for the Euler-Maclaurin tail.
 _B2_2F = 1.0 / 12.0
@@ -42,6 +44,12 @@ _B6_6F = 1.0 / 30240.0
 _DEFECT_COEFF = 3.75
 # Local-factor series terms are summed while their tail may exceed this.
 _FACTOR_TAIL_TOL = 1e-14
+# zeta's head sum is taken in chunks of this many terms.  A seeded
+# ordered_sum has the same bits at any split, so this only bounds the
+# size of the arange/log temporaries.
+_ZETA_CHUNK = 1 << 16
+# Largest |t| that zeta accepts; see zeta.
+ZETA_HEIGHT_CEILING = 1e8
 
 
 @dataclass(frozen=True)
@@ -113,10 +121,19 @@ def zeta(s, tol: float = 1e-10) -> EvalResult:
     Direct sum to N plus N^{1-s}/(s-1), the boundary term and the Bernoulli
     corrections through B_4; N grows until the standard remainder bound
     (first omitted term times |s+5|/(sigma+5)) is below tol.
+
+    N starts at about 2|t| and the head is summed in chunks of 2^16 terms.
+    A term costs 84 ns at |t| = 1e6 and 149 ns at 1e7 (measured on 2 CPUs,
+    Python 3.11, numpy 2.4), so one call near ZETA_HEIGHT_CEILING = 1e8
+    takes 30 s or more; a larger |t| raises CapacityError before anything
+    is allocated.
     """
     pt = as_point(s)
     sc = pt.s
     sigma = pt.sigma
+    if abs(pt.t) > ZETA_HEIGHT_CEILING:
+        raise CapacityError(
+            f"zeta height |t| = {abs(pt.t)!r} exceeds ceiling {ZETA_HEIGHT_CEILING!r}")
 
     def rem_bound(n: int) -> float:
         w = sc * (sc + 1) * (sc + 2) * (sc + 3) * (sc + 4)
@@ -126,8 +143,11 @@ def zeta(s, tol: float = 1e-10) -> EvalResult:
     N = max(16, int(2 * abs(pt.t)) + 10)
     while rem_bound(N) > tol and N < (1 << 22):
         N *= 2
-    ns = np.arange(1, N, dtype=np.float64)
-    head = complex(ordered_sum(inverse_power(np.log(ns), sc)))
+    head = None
+    for lo in range(1, N, _ZETA_CHUNK):
+        ns = np.arange(lo, min(lo + _ZETA_CHUNK, N), dtype=np.float64)
+        head = ordered_sum(inverse_power(np.log(ns), sc), head)
+    head = complex(head)
     lnN = log(N)
     value = (
         head
@@ -301,9 +321,15 @@ def _factor_logs(
         if not f.completely_multiplicative:
             yield z, np.log(w) - z
             continue
-        # -log(1 - z) - z cancels for small z: use its Taylor series there
+        # -log(1 - z) - z cancels for small z: use its Taylor series there.
+        # Each product has two named operands, so numpy never swaps them
+        # (see prime_chunks) and a term's bits do not depend on len(ps).
         small = np.abs(z) < 1e-3
-        series = z * z * (0.5 + z * (1.0 / 3.0 + z * (0.25 + z * 0.2)))
+        u = 0.25 + z * 0.2
+        u = 1.0 / 3.0 + z * u
+        u = 0.5 + z * u
+        zz = z * z
+        series = zz * u
         yield z, np.where(small, series, -np.log(w) - z)
 
 
@@ -317,15 +343,24 @@ def euler_factor_log(f: MultiplicativeFunction, p: int, s) -> complex:
     return complex(z[0] + defect[0])
 
 
-def _defect_sums(
-    f: MultiplicativeFunction, pts: Sequence[ComplexPoint], cutoff: int,
-    base: PrimeTable,
-) -> list[tuple[complex, float]]:
-    """sum_{p<=cutoff} [log factor_p - f(p) p^{-s}] plus tail bound, per point."""
-    return [
-        (complex(ordered_sum(defect)),
-         _DEFECT_COEFF * float(cutoff) ** (1.0 - 2.0 * pt.sigma) / (2.0 * pt.sigma - 1.0))
-        for pt, (_, defect) in zip(pts, _factor_logs(f, base.primes_le(cutoff), pts))]
+def _add_defects(
+    f: MultiplicativeFunction, ps: np.ndarray, pts: Sequence[ComplexPoint], cutoff: int,
+    totals: list,
+) -> list:
+    """Each point's running sum of log factor_p - f(p) p^{-s}, continued
+    over the primes of the chunk ``ps`` that are <= cutoff.  The cut can
+    leave a short slice; _factor_logs gives each prime the same bits at
+    any array length, so the sum does not depend on where segments fall."""
+    head = ps[: int(np.searchsorted(ps, cutoff, side="right"))]
+    if not head.size:
+        return totals
+    return [ordered_sum(defect, total)
+            for total, (_, defect) in zip(totals, _factor_logs(f, head, pts))]
+
+
+def _defect_tail(pt: ComplexPoint, cutoff: int) -> float:
+    """Bound on the defect terms of the primes above cutoff."""
+    return _DEFECT_COEFF * float(cutoff) ** (1.0 - 2.0 * pt.sigma) / (2.0 * pt.sigma - 1.0)
 
 
 def alignment_terms(
@@ -361,7 +396,7 @@ class PrimeSumResult:
 
 
 def log_F_prime_sum(
-    f: MultiplicativeFunction, points: Sequence, plan: TruncationPlan, base: PrimeTable,
+    f: MultiplicativeFunction, points: Sequence, plan: TruncationPlan,
 ) -> list[PrimeSumResult]:
     """sum_{p<=P} f(p) p^{-s} plus the defect sum_{p<=C} [log factor - f(p)p^{-s}]
     at each point.
@@ -372,22 +407,40 @@ def log_F_prime_sum(
     raises SingularFactorError).
     """
     pts = [as_point(s) for s in points]
-    ps = base.primes_le(plan.prime_cutoff)
-    fp = f.prime_values(ps)  # before log p exists: f's own temporaries set the peak
-    lp = np.log(ps.astype(np.float64))
+    sums = [None] * len(pts)
+    deltas = [None] * len(pts)
+    for ps in prime_chunks(plan.prime_cutoff):
+        deltas = _add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
+        fp = f.prime_values(ps)
+        lp = np.log(ps.astype(np.float64))
+        sums = [ordered_sum(fp * inverse_power(lp, pt.s), total) for pt, total in zip(pts, sums)]
     P = float(plan.prime_cutoff)
     return [
-        PrimeSumResult(complex(ordered_sum(fp * inverse_power(lp, pt.s))), delta,
-                       P ** (1.0 - pt.sigma) / (pt.sigma - 1.0), dtail)
-        for pt, (delta, dtail) in zip(
-            pts, _defect_sums(f, pts, plan.exact_factor_cutoff, base))]
+        PrimeSumResult(complex(total), complex(delta), P ** (1.0 - pt.sigma) / (pt.sigma - 1.0),
+                       _defect_tail(pt, plan.exact_factor_cutoff))
+        for pt, total, delta in zip(pts, sums, deltas)]
+
+
+def add_alignment_sums(
+    f: MultiplicativeFunction, ps: np.ndarray, ws: Sequence[complex], epsilon0: int,
+    t0: float, totals: list,
+) -> list:
+    """Each running sum of g(p) p^{-w}, one per w, continued over the chunk
+    ``ps``.  A chunk where g vanishes at every prime (every chunk, for an
+    aligned direction) is skipped: adding exact zeros leaves an ordered sum
+    unchanged.  Other chunks are multiplied whole, not just at g != 0: a
+    shorter array can fall below the size at which numpy swaps the
+    operands of the complex product (see prime_chunks)."""
+    lp, g = alignment_terms(f, ps, epsilon0, t0)
+    if not g.any():
+        return totals
+    return [ordered_sum(g * inverse_power(lp, w), total) for w, total in zip(ws, totals)]
 
 
 def F_euler(
     f: MultiplicativeFunction,
     points: Sequence,
     plan: TruncationPlan,
-    base: PrimeTable,
     epsilon0: int = 1,
     t0: float = 0.0,
 ) -> list[EvalResult]:
@@ -410,14 +463,20 @@ def F_euler(
     if not f.claims_M:
         raise DomainError("F_euler requires a class-M function")
     pts = [as_point(s) for s in points]
-    lp, g = alignment_terms(f, base.primes_le(plan.prime_cutoff), epsilon0, t0)
+    chunks = prime_chunks(plan.prime_cutoff)  # checks the cutoff before the zeta work
+    ws = [pt.s - 1j * t0 for pt in pts]
+    pzs = [prime_zeta(ComplexPoint(w.real, w.imag)) for w in ws]
+    residuals = [None] * len(pts)
+    deltas = [None] * len(pts)
+    for ps in chunks:
+        deltas = _add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
+        residuals = add_alignment_sums(f, ps, ws, epsilon0, t0, residuals)
     out = []
-    for pt, (delta, dtail) in zip(pts, _defect_sums(f, pts, plan.exact_factor_cutoff, base)):
-        w = pt.s - 1j * t0
-        residual = complex(ordered_sum(g * inverse_power(lp, w)))
-        pz = prime_zeta(ComplexPoint(w.real, w.imag))
-        log_F = epsilon0 * (residual - pz.value) + delta
+    for pt, pz, residual, delta in zip(pts, pzs, residuals, deltas):
+        residual = 0j if residual is None else complex(residual)
+        log_F = epsilon0 * (residual - pz.value) + complex(delta)
         value = np.exp(log_F)
+        dtail = _defect_tail(pt, plan.exact_factor_cutoff)
         bound = abs(value) * expm1(min(pz.error_bound + dtail, 500.0))
         out.append(EvalResult(complex(value), bound, "euler-product"))
     return out

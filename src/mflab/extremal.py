@@ -20,7 +20,7 @@ import numpy as np
 from .dirichlet import ComplexPoint, TruncationPlan, log_F_prime_sum
 from .errors import CapacityError, CoverageError, DomainError, FunctionSpecError
 from .multfun import MultiplicativeFunction, completely_multiplicative
-from .primes import PrimeTable, mertens_estimate, ordered_sum, sum_reciprocal_primes
+from .primes import mertens_estimate, ordered_partials, ordered_sum, prime_chunks, sieve_primes
 
 LOGLOG_16 = log(log(16.0))      # smallest admissible loglog coordinate
 DEFAULT_LOGLOG_MAX = 40.0       # sup truncation: x_max = e^(e^40)
@@ -345,31 +345,35 @@ class PsumReport:
         return "\n".join(lines)
 
 
-def verify_psum(spec: ExtremalSpec, P: int, table: PrimeTable) -> PsumReport:
+def verify_psum(spec: ExtremalSpec, P: int) -> PsumReport:
     """Check sum_p theta_p^2/p <= per-block Mertens majorant <= 4 sum a_j^2.
 
     The majorant for block j is a_j^2 (sum_{p <= min(upper_j, P)} 1/p)
     / loglog x_j; blocks entirely above P contribute nothing observed and
-    are reported with their analytic (log-form) majorant only.
+    are reported with their analytic (log-form) majorant only.  One pass
+    over the primes <= P gives the theta sum and every block's 1/p sum.
     """
-    ps = table.primes_le(P)
-    th = theta_values(spec, ps)
-    obs = float(ordered_sum(th * th / ps.astype(np.float64)))
     log_P = log(P)
+    H = np.zeros(len(spec.blocks))  # sum_{p <= min(upper_j, P)} 1/p
+    cuts = [min(float(P), exp(min(b.log_upper, log_P))) for b in spec.blocks]
+    obs = recip = None
+    for ps in prime_chunks(P):
+        psf = ps.astype(np.float64)
+        th = theta_values(spec, ps)
+        obs = ordered_sum(th * th / psf, obs)
+        recip = ordered_partials(ps, 1.0 / psf, cuts, H, recip)
     majorant = 0.0
     rows = []
-    for j, b in enumerate(spec.blocks, start=1):
+    for j, (b, h) in enumerate(zip(spec.blocks, H.tolist()), start=1):
         llx = log(b.log_x)
         analytic = b.a * b.a * (mertens_estimate(b.log_upper) + MERTENS_SLACK) / llx
         if b.log_x > log_P:
             rows.append(BlockPsum(j, False, 0.0, 0.0, analytic))
             continue
-        cut = min(b.log_upper, log_P)
-        H = sum_reciprocal_primes(min(float(P), exp(cut)), table)
-        mj = b.a * b.a * H / llx
+        mj = b.a * b.a * h / llx
         majorant += mj
-        rows.append(BlockPsum(j, True, H, mj, analytic))
-    return PsumReport(cutoff=P, observed=obs, majorant=majorant,
+        rows.append(BlockPsum(j, True, h, mj, analytic))
+    return PsumReport(cutoff=P, observed=float(obs), majorant=majorant,
                       sum_a_sq=spec.sum_a_sq(), blocks=tuple(rows))
 
 
@@ -406,20 +410,23 @@ def verify_logF_lower(
     spec: ExtremalSpec,
     j: int,
     plan: TruncationPlan,
-    table: PrimeTable,
 ) -> WindowReport:
     """At s = 1 + 1/(log x_j)^2 + i: the sine-window selection guarantees
     W_j >= (1/2) sum_{selected} theta_p p^{-sigma} (asserted); the full
-    prime-sum Re log F and the a_j sqrt(loglog x_j) target are reported
-    without asserting the asymptotic lower bound."""
+    prime-sum Re log F to plan.prime_cutoff and the a_j sqrt(loglog x_j)
+    target are reported without asserting the asymptotic lower bound.
+
+    The window sums use the pairwise np.sum over a table of the primes
+    <= upper_j; the prime sum streams."""
     if not 1 <= j <= spec.J:
         raise DomainError(f"block index {j} outside 1..{spec.J}")
     b = spec.blocks[j - 1]
-    if b.log_upper > log(table.limit):
+    P = plan.prime_cutoff
+    if b.log_upper > log(P):
         raise CoverageError(
-            f"block {j} extends to exp({b.log_upper!r}), beyond table limit {table.limit}")
+            f"block {j} extends to exp({b.log_upper!r}), beyond prime cutoff {P}")
     sigma = 1.0 + 1.0 / (b.log_x * b.log_x)
-    ps = table.primes_le(min(exp(b.log_upper), float(table.limit)))
+    ps = sieve_primes(int(min(exp(b.log_upper), float(P)))).primes
     lp = np.log(ps.astype(np.float64))
     inside = (lp >= b.log_x) & (lp < b.log_upper)
     sel = inside & (-np.sin(lp) >= 0.5)
@@ -429,7 +436,7 @@ def verify_logF_lower(
     W = float(np.sum(th * (-np.sin(lps)) * pw))
     half = 0.5 * float(np.sum(th * pw))
     fext = extremal_function(spec)
-    (psr,) = log_F_prime_sum(fext, [ComplexPoint(sigma, 1.0)], plan, table)
+    (psr,) = log_F_prime_sum(fext, [ComplexPoint(sigma, 1.0)], plan)
     sel_ps = ps[sel]
     return WindowReport(
         j=j,

@@ -9,7 +9,9 @@ object is the alignment sum
 whose convergence or divergence separates the two regimes.
 
 The lemma defect and the Theorem 1 ratio take a whole sigma grid in one
-call, so f(p), log p and g(p) are computed once per grid.
+call, so f(p), log p and g(p) are computed once per grid.  Every prime sum
+here streams ``prime_chunks`` and keeps only running totals and the
+partial sums at its cutoffs.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from .dirichlet import (
     EvalResult,
     F_euler,
     TruncationPlan,
+    add_alignment_sums,
     alignment_terms,
     as_point,
-    inverse_power,
     log_zeta_minus_prime_zeta,
 )
 from .errors import DomainError
 from .multfun import MultiplicativeFunction, SummatoryTrace, two_adic_failures
-from .primes import PrimeTable, ordered_sum
+from .primes import ordered_partials, prime_chunks
 
 
 @dataclass(frozen=True)
@@ -56,13 +58,6 @@ class PartialSumSeries:
         return float(self.partials[-1])
 
 
-def _partials_at(ps: np.ndarray, terms: np.ndarray, cuts: list[int]) -> np.ndarray:
-    """Partial sums of ``terms`` (one per prime of ``ps``) at each cutoff."""
-    partial = np.cumsum(terms)
-    idx = np.searchsorted(ps, cuts, side="right") - 1
-    return np.where(idx >= 0, partial[np.maximum(idx, 0)], 0.0)
-
-
 def _geometric_cutoffs(P: int, start: int, ratio: int) -> list[int]:
     cuts = []
     c = start
@@ -77,23 +72,27 @@ def pole_sum(
     f: MultiplicativeFunction,
     direction: HalaszDirection,
     P: int,
-    table: PrimeTable,
 ) -> PartialSumSeries:
     """Partial sums of Re g(p)/p = (1 + e0 Re(f(p) p^{-it0}))/p for p <= P.
 
     Every term is >= 0 when |f(p)| <= 1; a term below -1e-12 means the
-    function is outside class M and raises.
+    function is outside class M and raises, naming the prime of the most
+    negative term.
     """
-    ps = table.primes_le(P)
-    _, g = alignment_terms(f, ps, direction.epsilon0, direction.t0)
-    terms = g.real / ps
-    worst = float(terms.min()) if terms.size else 0.0
-    if worst < -1e-12:
-        p_bad = int(ps[int(np.argmin(terms))])
-        raise DomainError(f"negative alignment term at p={p_bad}: |f(p)| > 1")
     cuts = _geometric_cutoffs(P, 4, 2)
-    vals = _partials_at(ps, np.maximum(terms, 0.0), cuts)
-    return PartialSumSeries(np.asarray(cuts, dtype=np.int64), vals.astype(np.float64))
+    vals = np.zeros(len(cuts))
+    total = None
+    worst, p_bad = 0.0, 0
+    for ps in prime_chunks(P):
+        _, g = alignment_terms(f, ps, direction.epsilon0, direction.t0)
+        terms = g.real / ps
+        i = int(np.argmin(terms))
+        if terms[i] < worst:
+            worst, p_bad = float(terms[i]), int(ps[i])
+        total = ordered_partials(ps, np.maximum(terms, 0.0), cuts, vals, total)
+    if worst < -1e-12:
+        raise DomainError(f"negative alignment term at p={p_bad}: |f(p)| > 1")
+    return PartialSumSeries(np.asarray(cuts, dtype=np.int64), vals)
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,6 @@ def lemma_defect(
     direction: HalaszDirection,
     points: Sequence,
     plan: TruncationPlan,
-    base: PrimeTable,
 ) -> list[LemmaDefectResult]:
     """Evaluate the defect D and |D| / sqrt(log 1/(sigma-1)) at each point.
 
@@ -172,13 +170,16 @@ def lemma_defect(
     pts = [as_point(s) for s in points]
     if any(pt.sigma - 1.0 > 1.0 / np.e + 1e-12 for pt in pts):
         raise DomainError("lemma defect needs sigma - 1 <= 1/e")
-    lp, g = alignment_terms(
-        f, base.primes_le(plan.prime_cutoff), direction.epsilon0, direction.t0)
+    chunks = prime_chunks(plan.prime_cutoff)  # checks the cutoff before the zeta work
+    ws = [pt.s - 1j * direction.t0 for pt in pts]
+    brackets = [log_zeta_minus_prime_zeta(ComplexPoint(w.real, w.imag)) for w in ws]
+    residuals = [None] * len(pts)
+    for ps in chunks:
+        residuals = add_alignment_sums(
+            f, ps, ws, direction.epsilon0, direction.t0, residuals)
     out = []
-    for pt in pts:
-        w = pt.s - 1j * direction.t0
-        bracket = log_zeta_minus_prime_zeta(ComplexPoint(w.real, w.imag))
-        D = bracket.value + complex(ordered_sum(g * inverse_power(lp, w)))
+    for pt, bracket, residual in zip(pts, brackets, residuals):
+        D = bracket.value + (0j if residual is None else complex(residual))
         err = bracket.error_bound + 2.0 * float(plan.prime_cutoff) ** (1.0 - pt.sigma) / (
             pt.sigma - 1.0)
         normalizer = sqrt(max(log(1.0 / (pt.sigma - 1.0)), 1.0))
@@ -199,7 +200,6 @@ def theorem1_ratio(
     direction: HalaszDirection,
     sigma_grid: Sequence[float],
     plan: TruncationPlan,
-    base: PrimeTable,
 ) -> list[Theorem1Point]:
     """|F(sigma + i t0)|^e0 / (sigma - 1) along a grid of sigma in (1, 3/2].
 
@@ -210,7 +210,7 @@ def theorem1_ratio(
     for sg in grid:
         if not 1.0 < sg <= 1.5:
             raise DomainError(f"theorem-1 grid needs sigma in (1, 3/2], got {sg}")
-    fes = F_euler(f, [ComplexPoint(sg, direction.t0) for sg in grid], plan, base,
+    fes = F_euler(f, [ComplexPoint(sg, direction.t0) for sg in grid], plan,
                   epsilon0=direction.epsilon0, t0=direction.t0)
     out = []
     for sg, fe in zip(grid, fes):
@@ -292,7 +292,6 @@ def criterion_report(
     f: MultiplicativeFunction,
     t: float,
     P: int,
-    table: PrimeTable,
     K: int = 20,
 ) -> CriterionReport:
     """Probe the mean-value criterion at a finite cutoff.
@@ -304,11 +303,12 @@ def criterion_report(
     """
     if P < 100:
         raise DomainError("criterion needs P >= 100")
-    ps = table.primes_le(P)
-    _, g = alignment_terms(f, ps, -1, t)
-    terms = g.real / ps
     cutoffs = _geometric_cutoffs(P, 10, 10)
-    partials = _partials_at(ps, terms, cutoffs)
+    partials = np.zeros(len(cutoffs))
+    total = None
+    for ps in prime_chunks(P):
+        _, g = alignment_terms(f, ps, -1, t)
+        total = ordered_partials(ps, g.real / ps, cutoffs, partials, total)
     lo, hi = cutoffs[-2], cutoffs[-1]
     growth = float(partials[-1] - partials[-2])
     dll = log(log(hi)) - log(log(lo))
@@ -332,7 +332,7 @@ def criterion_report(
         function_label=f.label,
         t=t,
         cutoffs=np.asarray(cutoffs, dtype=np.int64),
-        partials=partials.astype(np.float64),
+        partials=partials,
         last_decade_growth=growth,
         loglog_increment=dll,
         sum_side=sum_side,

@@ -89,9 +89,9 @@ def test_criterion_02_dirichlet_identities():
     pts = [ComplexPoint(1.5), ComplexPoint(1.2, 0.5), ComplexPoint(1.1, 1.0)]
     columns = zip(
         pts,
-        F_euler(mu, pts, PLAN, BASE5, epsilon0=1),
-        F_euler(lam, pts, PLAN, BASE5, epsilon0=1),
-        F_euler(odd, pts, PLAN, BASE5, epsilon0=-1))
+        F_euler(mu, pts, PLAN, epsilon0=1),
+        F_euler(lam, pts, PLAN, epsilon0=1),
+        F_euler(odd, pts, PLAN, epsilon0=-1))
     for s, fmu, flam, fodd in columns:
         sc = s.s
         z = zeta(s)
@@ -126,7 +126,7 @@ def test_criterion_03_cross_method_consistency():
     for f in (builtin("liouville"), builtin("odd_one")):
         trace = summatory_trace(f, 10**5, base=BASE5)
         pts = [ComplexPoint(sg, tt) for sg in (1.1, 1.5) for tt in (0.0, 0.7, -1.0)]
-        for s, ft, pr in zip(pts, F_truncated(f, pts, PLAN), log_F_prime_sum(f, pts, PLAN, BASE5)):
+        for s, ft, pr in zip(pts, F_truncated(f, pts, PLAN), log_F_prime_sum(f, pts, PLAN)):
             fp = F_partial_summation(trace, s, 10**5)
             fe_val = np.exp(pr.log_F)
             fe_err = abs(fe_val) * math.expm1(min(pr.error_bound, 500.0))
@@ -140,7 +140,7 @@ def test_criterion_04_pole_case():
     t0 = time.perf_counter()
     odd = builtin("odd_one")
     sigmas = [1.01] + [1.0 + 2.0**-k for k in range(4, 11)]
-    fes = F_euler(odd, sigmas, PLAN, BASE5, epsilon0=-1)
+    fes = F_euler(odd, sigmas, PLAN, epsilon0=-1)
     v101, *seq = [(sg - 1.0) * abs(fe.value) for sg, fe in zip(sigmas, fes)]
     assert 0.45 <= v101 <= 0.55
     assert all(b < a for a, b in zip(seq, seq[1:]))  # monotone approach from above
@@ -152,7 +152,7 @@ def test_criterion_04_pole_case():
 def test_criterion_05_zero_case():
     t0 = time.perf_counter()
     mu = builtin("moebius")
-    (fe,) = F_euler(mu, [ComplexPoint(1.001)], PLAN, BASE5, epsilon0=1)
+    (fe,) = F_euler(mu, [ComplexPoint(1.001)], PLAN, epsilon0=1)
     ratio = abs(fe.value) / 0.001
     assert 0.9 <= ratio <= 1.1
     _report(5, f"F_mu(1.001)/(sigma-1) = {ratio:.5f}", t0)
@@ -162,7 +162,7 @@ def test_criterion_06_lemma_defect():
     t0 = time.perf_counter()
     lam = builtin("liouville")
     ratios = []
-    for r in lemma_defect(lam, EPLUS, [1.1, 1.01, 1.001], PLAN, BASE5):
+    for r in lemma_defect(lam, EPLUS, [1.1, 1.01, 1.001], PLAN):
         assert abs(r.value) <= 1.0
         ratios.append(float(r.ratio))
     assert ratios[0] > ratios[1] > ratios[2]
@@ -203,19 +203,19 @@ def test_criterion_08_extremal_mechanics():
     assert selected[0] == 41 and selected[-1] == 317
 
     # (b) theta-square sum against the per-block Mertens majorant and budget
-    rep = verify_psum(spec, 10**5, BASE5)
+    rep = verify_psum(spec, 10**5)
     assert rep.observed <= rep.majorant + 1e-12
     assert rep.majorant <= 4.0 * rep.sum_a_sq + 1e-12
 
     # (c) window lower bound at sigma = 1 + 1/(log 20)^2
-    wrep = verify_logF_lower(spec, 1, PLAN, BASE5)
+    wrep = verify_logF_lower(spec, 1, PLAN)
     assert wrep.window_sum >= wrep.half_theta_sum - 1e-15
     assert wrep.ok
 
     # (d) alignment sum bounded by sum theta^2/(2p): the zero-direction
     # condition holds by construction at (epsilon0, t0) = (+1, 0)
     f = extremal_function(spec)
-    psum = pole_sum(f, EPLUS, 10**5, BASE5)
+    psum = pole_sum(f, EPLUS, 10**5)
     th = theta_values(spec, BASE5.primes_le(10**5))
     half_sq = float(np.sum(th * th / (2.0 * BASE5.primes_le(10**5).astype(np.float64))))
     assert psum.final() <= half_sq + 1e-12

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from mflab import primes
 from mflab.cli import build_parser, main
 
 from _oracles import brute_summatory
@@ -229,6 +230,57 @@ def test_eval_f_rejects_infinite_twist(tmp_path, capsys):
 def test_criterion_rejects_infinite_t(capsys):
     assert usage_failure(["criterion", "--function", "moebius", "--t", "inf",
                           "--prime-cutoff", "1000"], capsys) == 2
+
+
+def test_criterion_kmax_must_be_positive(capsys):
+    # --kmax 0 used to sample no k and report the 2-adic side as passing
+    assert usage_failure(["criterion", "--function", "moebius", "--prime-cutoff", "1000",
+                          "--kmax", "0"], capsys) == 2
+
+
+def test_extremal_verify_block_must_be_positive(tmp_path, capsys):
+    # --block 0 used to verify every block
+    spec = str(tmp_path / "spec.json")
+    assert run(["extremal-build", "--kappa", "power:0.25", "--out", spec]) == 0
+    assert usage_failure(["extremal-verify", spec, "--cutoff", "1000", "--block", "0"],
+                         capsys) == 2
+
+
+ABOVE_PRIME_CEILING = str(2**32 + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-f", "--function", "moebius", "--sigma", "1.5:1.5:1", "--method", "euler",
+     "--prime-cutoff", ABOVE_PRIME_CEILING],
+    ["eval-f", "--function", "moebius", "--sigma", "1.5:1.5:1", "--method", "prime-sum",
+     "--prime-cutoff", ABOVE_PRIME_CEILING],
+    ["criterion", "--function", "moebius", "--prime-cutoff", ABOVE_PRIME_CEILING],
+    ["lemma", "--function", "liouville", "--epsilon", "1", "--sigma", "1.1:1.2:2",
+     "--prime-cutoff", ABOVE_PRIME_CEILING],
+    ["thm1", "--function", "moebius", "--epsilon", "1", "--sigma", "1.1:1.5:2",
+     "--prime-cutoff", ABOVE_PRIME_CEILING],
+    ["extremal-verify", "spec.json", "--cutoff", ABOVE_PRIME_CEILING],
+])
+def test_prime_cutoff_above_ceiling_is_refused_before_sieving(argv, tmp_path, capsys,
+                                                             monkeypatch):
+    def no_sieving(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(primes, "_segments", no_sieving)
+    assert run(["extremal-build", "--kappa", "power:0.25", "--out", "spec.json"]) == 0
+    assert main([*argv, "--out", "x.out"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:capacity:") and err.count("\n") == 1, err
+    assert not (tmp_path / "x.out").exists()
+
+
+def test_euler_route_refuses_zeta_above_height_ceiling(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["eval-f", "--function", "moebius", "--sigma", "1.5:1.5:1",
+                 "--method", "euler", "--t0", "1e12", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:capacity:") and err.count("\n") == 1, err
 
 
 def test_provenance_names_every_flag(tmp_path):

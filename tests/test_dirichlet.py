@@ -7,6 +7,7 @@ import pytest
 
 from mflab.dirichlet import (
     ComplexPoint,
+    _factor_logs,
     TruncationPlan,
     F_euler,
     F_partial_summation,
@@ -18,9 +19,9 @@ from mflab.dirichlet import (
     zeta,
     zeta_floor_probe,
 )
-from mflab.errors import CoverageError, DomainError, SingularFactorError
+from mflab.errors import CapacityError, CoverageError, DomainError, SingularFactorError
 from mflab.multfun import MultiplicativeFunction, builtin, parse_function_spec, summatory_trace
-from mflab.primes import sieve_primes
+from mflab.primes import ordered_sum, sieve_primes
 
 from _oracles import prime_sum_power_oracle, zeta_series_oracle
 
@@ -59,6 +60,13 @@ def test_zeta_domain_error():
         zeta(1.0)
     with pytest.raises(DomainError):
         zeta(complex(0.5, 14.0))
+
+
+def test_zeta_height_ceiling():
+    # refused before the ~2|t| head terms are allocated
+    for t in (1e12, -1.5e8):
+        with pytest.raises(CapacityError):
+            zeta(ComplexPoint(1.5, t))
 
 
 def test_prime_zeta_against_direct_sum():
@@ -157,28 +165,53 @@ def test_defect_series_matches_closed_form():
     lam = builtin("liouville")
     series_fn = MultiplicativeFunction("lam-series", lam.powers)
     pts = [ComplexPoint(1.0 + 1e-6), ComplexPoint(1.3, 14.13)]
-    for a, b in zip(log_F_prime_sum(lam, pts, PLAN, BASE),
-                    log_F_prime_sum(series_fn, pts, PLAN, BASE)):
+    for a, b in zip(log_F_prime_sum(lam, pts, PLAN),
+                    log_F_prime_sum(series_fn, pts, PLAN)):
         assert abs(a.defect - b.defect) < 1229 * 1e-14
+
+
+@pytest.mark.parametrize("spec", ["liouville", "extremal-ref"])
+def test_defect_terms_do_not_depend_on_array_length(spec):
+    # a prime's defect term has the same bits in a short slice as in an
+    # array of more than 16384 primes, where numpy may reuse a temporary
+    f = parse_function_spec(spec)
+    ps = sieve_primes(4 * 10**5).primes
+    pts = [ComplexPoint(1.001, 0.3), ComplexPoint(1.2, 5.0)]
+    for (zw, dw), (zs, ds) in zip(_factor_logs(f, ps, pts), _factor_logs(f, ps[:3000], pts)):
+        assert np.array_equal(zw[:3000], zs)
+        assert np.array_equal(dw[:3000], ds)
+
+
+def test_defect_cut_past_a_segment_edge_is_one_table_sum():
+    # C falls just past the first segment (3..2^20+2), so the second
+    # segment's defect slice is short; the streamed defect still has the
+    # bits of one ordered sum over a table of the primes <= C
+    lam = builtin("liouville")
+    C = 1_100_000
+    plan = TruncationPlan(prime_cutoff=2_200_000, exact_factor_cutoff=C)
+    pts = [ComplexPoint(1.001, 0.3), ComplexPoint(1.2, 5.0)]
+    table = sieve_primes(C).primes
+    for r, (_, d) in zip(log_F_prime_sum(lam, pts, plan), _factor_logs(lam, table, pts)):
+        assert r.defect == complex(ordered_sum(d))
 
 
 def test_moebius_defect_against_local_factors():
     mu = builtin("moebius")
     s = complex(1.2, 3.0)
-    (r,) = log_F_prime_sum(mu, [s], PLAN, BASE)
+    (r,) = log_F_prime_sum(mu, [s], PLAN)
     ref = sum(cmath.log(1 - p ** -s) + p ** -s for p in BASE.primes_le(10**4).tolist())
     assert abs(r.defect - ref) < 1e-12
 
 
 def test_log_F_prime_sum_values():
     lam = builtin("liouville")
-    (r,) = log_F_prime_sum(lam, [2.0], PLAN, BASE)
+    (r,) = log_F_prime_sum(lam, [2.0], PLAN)
     direct = -prime_sum_power_oracle(BASE.primes.tolist(), -2.0)
     assert r.value == pytest.approx(direct, abs=1e-12)
     assert abs(r.value - (-0.4522474200410655)) < 1e-5
 
     odd = builtin("odd_one")
-    (r2,) = log_F_prime_sum(odd, [2.0], PLAN, BASE)
+    (r2,) = log_F_prime_sum(odd, [2.0], PLAN)
     assert r2.value == pytest.approx(-direct - 0.25, abs=1e-12)
 
 
@@ -186,8 +219,8 @@ def test_defect_bound_contains_value():
     # enlarging the exact range moves the defect by less than the tail bound
     lam = builtin("liouville")
     s = 2.0
-    (small,) = log_F_prime_sum(lam, [s], TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=1000), BASE)
-    (big,) = log_F_prime_sum(lam, [s], TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=10**4), BASE)
+    (small,) = log_F_prime_sum(lam, [s], TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=1000))
+    (big,) = log_F_prime_sum(lam, [s], TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=10**4))
     assert abs(big.defect - small.defect) <= small.defect_tail_bound
     assert abs(small.defect) > 0  # nonzero correction for lambda
 
@@ -195,7 +228,7 @@ def test_defect_bound_contains_value():
 def test_prime_sum_route_consistent_with_truncated_for_M2():
     odd = builtin("odd_one")
     pts = [ComplexPoint(1.5), ComplexPoint(1.2, 0.5), ComplexPoint(1.1, 1.0)]
-    for psr, ft in zip(log_F_prime_sum(odd, pts, PLAN, BASE),
+    for psr, ft in zip(log_F_prime_sum(odd, pts, PLAN),
                        F_truncated(odd, pts, TruncationPlan(series_cutoff=10**5))):
         fe = np.exp(psr.log_F)
         fe_err = abs(fe) * np.expm1(min(psr.error_bound, 500.0))
@@ -208,10 +241,10 @@ def test_identity_suite_euler_route():
     pts = [ComplexPoint(1.5), ComplexPoint(1.2, 0.5), ComplexPoint(1.1, 1.0)]
     columns = zip(
         pts,
-        F_euler(mu, pts, plan, BASE, epsilon0=1),
-        F_euler(lam, pts, plan, BASE, epsilon0=1),
-        F_euler(odd, pts, plan, BASE, epsilon0=-1),
-        F_euler(one, pts, plan, BASE, epsilon0=-1))
+        F_euler(mu, pts, plan, epsilon0=1),
+        F_euler(lam, pts, plan, epsilon0=1),
+        F_euler(odd, pts, plan, epsilon0=-1),
+        F_euler(one, pts, plan, epsilon0=-1))
     for s, fmu, flam, fodd, fone in columns:
         z = zeta(s).value
         sc = s.s
@@ -224,7 +257,7 @@ def test_identity_suite_euler_route():
 def test_F_euler_requires_class_M():
     f = MultiplicativeFunction("big", lambda ps, k: np.full(ps.shape, 2.0))
     with pytest.raises(DomainError):
-        F_euler(f, [1.5], PLAN, BASE)
+        F_euler(f, [1.5], PLAN)
 
 
 def test_results_overlap_across_methods():
@@ -233,7 +266,7 @@ def test_results_overlap_across_methods():
     (ft,) = F_truncated(lam, [s], TruncationPlan(series_cutoff=10**5))
     tr = summatory_trace(lam, 10**5)
     fp = F_partial_summation(tr, s, 10**5)
-    (fe,) = F_euler(lam, [s], PLAN, BASE, epsilon0=1)
+    (fe,) = F_euler(lam, [s], PLAN, epsilon0=1)
     for a, b in ((ft, fp), (ft, fe), (fp, fe)):
         assert a.consistent_with(b)
 
@@ -263,8 +296,8 @@ def test_grid_routes_equal_one_point_calls(spec):
     f = parse_function_spec(spec)
     routes = [
         lambda pts: F_truncated(f, pts, TruncationPlan(series_cutoff=2**18 + 3000)),  # 2 segments
-        lambda pts: log_F_prime_sum(f, pts, PLAN, BASE),
-        lambda pts: F_euler(f, pts, PLAN, BASE, epsilon0=-1, t0=0.7),
+        lambda pts: log_F_prime_sum(f, pts, PLAN),
+        lambda pts: F_euler(f, pts, PLAN, epsilon0=-1, t0=0.7),
     ]
     for route in routes:
         grid = route(GRID)

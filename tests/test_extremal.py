@@ -224,7 +224,7 @@ def test_taylor_remainder():
 def test_pole_sum_cosine_bound():
     spec = reference_spec()
     f = extremal_function(spec)
-    ps = pole_sum(f, HalaszDirection(1, 0.0), 10**5, BASE)
+    ps = pole_sum(f, HalaszDirection(1, 0.0), 10**5)
     th = theta_values(spec, BASE.primes_le(10**5))
     bound = float(np.sum(th**2 / (2.0 * BASE.primes_le(10**5).astype(float))))
     assert ps.final() <= bound + 1e-12
@@ -235,7 +235,7 @@ def test_pole_sum_cosine_bound():
 
 def test_verify_psum_reference():
     spec = reference_spec()
-    rep = verify_psum(spec, 10**5, BASE)
+    rep = verify_psum(spec, 10**5)
     assert rep.observed <= rep.majorant + 1e-12
     assert rep.majorant <= rep.budget_bound + 1e-12
     assert rep.ok
@@ -245,13 +245,13 @@ def test_verify_psum_reference():
 def test_verify_psum_zero_amplitude():
     blocks = (ExtremalBlock(math.log(20.0), math.log(20.0) ** 2, 0.0),)
     spec = ExtremalSpec(20.0, 1, 1.0, blocks, "manual", "manual")
-    rep = verify_psum(spec, 10**4, BASE)
+    rep = verify_psum(spec, 10**4)
     assert rep.observed == 0.0
 
 
 def test_verify_psum_monotone_in_cutoff():
     spec = reference_spec()
-    obs = [verify_psum(spec, P, BASE).observed for P in (10**3, 10**4, 10**5)]
+    obs = [verify_psum(spec, P).observed for P in (10**3, 10**4, 10**5)]
     assert obs[0] <= obs[1] <= obs[2]
 
 
@@ -259,30 +259,30 @@ def test_verify_psum_monotone_in_cutoff():
 @pytest.mark.parametrize("J", [1, 2, 3])
 def test_verify_psum_majorant_family(x1, J):
     spec = build_spec("power:0.25", x1=x1, J=J)
-    rep = verify_psum(spec, 10**5, BASE)
+    rep = verify_psum(spec, 10**5)
     assert rep.ok
 
 
 def test_verify_logF_lower_reference():
     spec = reference_spec()
     plan = TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=10**4)
-    rep = verify_logF_lower(spec, 1, plan, BASE)
+    rep = verify_logF_lower(spec, 1, plan)
     assert rep.selected_min == 41 and rep.selected_max == 317
     assert rep.window_sum >= rep.half_theta_sum
     assert rep.ok
     assert rep.sigma == pytest.approx(1.0 + 1.0 / math.log(20.0) ** 2)
     assert rep.target == pytest.approx(spec.blocks[0].a * math.sqrt(math.log(math.log(20.0))))
     with pytest.raises(CoverageError):
-        verify_logF_lower(spec, 2, plan, BASE)  # upper_2 = e^99.5 not sieveable
+        verify_logF_lower(spec, 2, plan)  # upper_2 = e^99.5 not sieveable
     with pytest.raises(DomainError):
-        verify_logF_lower(spec, 9, plan, BASE)
+        verify_logF_lower(spec, 9, plan)
 
 
 def test_verify_logF_lower_zero_amplitude():
     blocks = (ExtremalBlock(math.log(20.0), math.log(20.0) ** 2, 0.0),)
     spec = ExtremalSpec(20.0, 1, 1.0, blocks, "manual", "manual")
     plan = TruncationPlan(prime_cutoff=10**4, exact_factor_cutoff=10**3)
-    rep = verify_logF_lower(spec, 1, plan, BASE)
+    rep = verify_logF_lower(spec, 1, plan)
     assert rep.window_sum == 0.0 and rep.half_theta_sum == 0.0
 
 

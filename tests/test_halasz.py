@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mflab.dirichlet import ComplexPoint, TruncationPlan, zeta
+from mflab.dirichlet import ComplexPoint, F_euler, TruncationPlan, zeta
 from mflab.errors import DomainError
 from mflab.halasz import (
     HalaszDirection,
@@ -27,7 +28,6 @@ from mflab.multfun import (
 from mflab.primes import MERTENS_CONSTANT, sieve_primes
 
 BASE = sieve_primes(10**5)
-BASE6 = sieve_primes(10**6)
 PLAN = TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=10**4)
 EPLUS = HalaszDirection(1, 0.0)
 EMINUS = HalaszDirection(-1, 0.0)
@@ -40,22 +40,22 @@ def test_direction_validation():
 
 def test_pole_sum_perfect_cases():
     # f(p) = -1 aligned with epsilon0 = +1: every term vanishes
-    s = pole_sum(builtin("liouville"), EPLUS, 10**5, BASE)
+    s = pole_sum(builtin("liouville"), EPLUS, 10**5)
     assert s.final() == 0.0
-    s = pole_sum(builtin("one"), EMINUS, 10**5, BASE)
+    s = pole_sum(builtin("one"), EMINUS, 10**5)
     assert s.final() == 0.0
 
 
 def test_pole_sum_tracks_double_mertens():
     one = builtin("one")
     for P in (10**3, 10**4, 10**5, 10**6):
-        s = pole_sum(one, EPLUS, P, BASE6)
+        s = pole_sum(one, EPLUS, P)
         expected = 2.0 * (math.log(math.log(P)) + MERTENS_CONSTANT)
         assert abs(s.final() - expected) < 0.1
 
 
 def test_pole_sum_partials_monotone():
-    s = pole_sum(builtin("moebius"), EPLUS, 10**5, BASE)
+    s = pole_sum(builtin("moebius"), EPLUS, 10**5)
     assert np.all(np.diff(s.partials) >= 0)
     assert s.cutoffs[-1] == 10**5
 
@@ -63,7 +63,7 @@ def test_pole_sum_partials_monotone():
 def test_pole_sum_rejects_out_of_class():
     bad = MultiplicativeFunction("bad", lambda ps, k: np.full(ps.shape, -1.5))
     with pytest.raises(DomainError):
-        pole_sum(bad, EPLUS, 1000, BASE)
+        pole_sum(bad, EPLUS, 1000)
 
 
 def test_theta_examples():
@@ -118,7 +118,7 @@ def test_finiteness_transfer():
         "perturbed", lambda ps: -np.exp(1j * np.array([thetas.get(int(p), 0.0) for p in ps])),
         claims_M=True)
     P = 10**4
-    B = pole_sum(f, EPLUS, P, BASE).final()
+    B = pole_sum(f, EPLUS, P).final()
     theta_sq = sum(
         abs(f.prime_power(int(p), 1)) * thetas.get(int(p), 0.0) ** 2 / int(p)
         for p in BASE.primes_le(P))
@@ -128,7 +128,7 @@ def test_finiteness_transfer():
 def test_lemma_defect_liouville_grid():
     lam = builtin("liouville")
     vals = []
-    for r in lemma_defect(lam, EPLUS, [1.1, 1.01, 1.001], PLAN, BASE):
+    for r in lemma_defect(lam, EPLUS, [1.1, 1.01, 1.001], PLAN):
         assert abs(r.value) <= 1.0
         vals.append(r.ratio)
     assert vals[0] > vals[1] > vals[2]
@@ -139,7 +139,7 @@ def test_lemma_defect_oracle_value():
     # independent oracle: direct double sum over sieve primes plus tiny tail
     lam = builtin("liouville")
     sg = 1.01
-    (r,) = lemma_defect(lam, EPLUS, [sg], PLAN, BASE)
+    (r,) = lemma_defect(lam, EPLUS, [sg], PLAN)
     oracle = 0.0
     for p in BASE.primes[:2000]:
         p = float(p)
@@ -155,17 +155,17 @@ def test_lemma_defect_oracle_value():
 def test_lemma_defect_one_equals_liouville():
     # identical series: the defect only sees the alignment residual, which
     # vanishes for both (one, -1) and (liouville, +1)
-    (a,) = lemma_defect(builtin("one"), EMINUS, [1.05], PLAN, BASE)
-    (b,) = lemma_defect(builtin("liouville"), EPLUS, [1.05], PLAN, BASE)
+    (a,) = lemma_defect(builtin("one"), EMINUS, [1.05], PLAN)
+    (b,) = lemma_defect(builtin("liouville"), EPLUS, [1.05], PLAN)
     assert a.value == b.value
 
 
 def test_lemma_defect_degenerate_normalizer():
-    (r,) = lemma_defect(builtin("liouville"), EPLUS, [1.0 + 1.0 / math.e], PLAN, BASE)
+    (r,) = lemma_defect(builtin("liouville"), EPLUS, [1.0 + 1.0 / math.e], PLAN)
     assert r.normalizer == 1.0
     assert r.ratio == abs(r.value)
     with pytest.raises(DomainError):
-        lemma_defect(builtin("liouville"), EPLUS, [1.1, 1.4], PLAN, BASE)
+        lemma_defect(builtin("liouville"), EPLUS, [1.1, 1.4], PLAN)
 
 
 @pytest.mark.parametrize("spec", ["moebius", "twist:0.7:moebius", "extremal-ref"])
@@ -173,39 +173,39 @@ def test_lemma_defect_grid_equals_one_point_calls(spec):
     f = parse_function_spec(spec)
     d = HalaszDirection(1, -0.7)
     pts = [ComplexPoint(1.0 + 1e-7, 2.5), ComplexPoint(1.001, 2.5), ComplexPoint(1.3, -1.0)]
-    grid = lemma_defect(f, d, pts, PLAN, BASE)
+    grid = lemma_defect(f, d, pts, PLAN)
     assert len(grid) == len(pts)
     for i, pt in enumerate(pts):
-        assert grid[i] == lemma_defect(f, d, [pt], PLAN, BASE)[0]
+        assert grid[i] == lemma_defect(f, d, [pt], PLAN)[0]
 
 
 def test_theorem1_ratio_examples():
     odd = builtin("odd_one")
-    pts = theorem1_ratio(odd, EMINUS, [1.01], PLAN, base=BASE)
+    pts = theorem1_ratio(odd, EMINUS, [1.01], PLAN)
     # ratio = 1/(|F|(sigma-1)); the pole-side product is its reciprocal
     assert abs(1.0 / pts[0].ratio - 0.5) < 0.05
 
     lam = builtin("liouville")
-    pts = theorem1_ratio(lam, EPLUS, [1.01], PLAN, base=BASE)
+    pts = theorem1_ratio(lam, EPLUS, [1.01], PLAN)
     oracle = abs(zeta(2.02).value / zeta(1.01).value) / 0.01
     assert pts[0].ratio == pytest.approx(oracle, rel=1e-3)
 
     mu = builtin("moebius")
-    pts = theorem1_ratio(mu, EPLUS, [1.001], PLAN, base=BASE)
+    pts = theorem1_ratio(mu, EPLUS, [1.001], PLAN)
     assert abs(pts[0].ratio - 1.0) < 0.05
 
 
 def test_theorem1_ratio_envelope():
     grid = [1.001, 1.003, 1.01, 1.03, 1.1, 1.3, 1.5]
     for f, d in ((builtin("moebius"), EPLUS), (builtin("odd_one"), EMINUS)):
-        for p in theorem1_ratio(f, d, grid, PLAN, base=BASE):
+        for p in theorem1_ratio(f, d, grid, PLAN):
             assert p.ratio is not None
             assert 0.2 <= p.ratio <= 5.0
 
 
 def test_theorem1_ratio_domain():
     with pytest.raises(DomainError, match="got 1.7"):
-        theorem1_ratio(builtin("moebius"), EPLUS, [1.1, 1.7, 0.9], PLAN, base=BASE)
+        theorem1_ratio(builtin("moebius"), EPLUS, [1.1, 1.7, 0.9], PLAN)
 
 
 def test_theorem2_ratio():
@@ -225,17 +225,37 @@ def test_theorem2_ratio():
 
 def test_criterion_reports():
     one = builtin("one")
-    rep = criterion_report(one, 0.0, 10**6, BASE6)
+    rep = criterion_report(one, 0.0, 10**6)
     assert rep.verdict == "criterion fails"
     assert rep.partials[-1] == 0.0
 
     mu = builtin("moebius")
-    rep = criterion_report(mu, 0.0, 10**6, BASE6)
+    rep = criterion_report(mu, 0.0, 10**6)
     assert rep.verdict == "criterion satisfied (sum side)"
     assert rep.sum_side == "diverging"
 
     tilted = MultiplicativeFunction(
         "tilted", lambda ps, k: np.where(ps == 2, -np.exp(1j * k * math.log(2.0)), 1.0))
-    rep = criterion_report(tilted, 1.0, 10**5, BASE)
+    rep = criterion_report(tilted, 1.0, 10**5)
     assert rep.verdict == "criterion satisfied (2-adic side)"
     assert "verdict" in rep.text()
+
+
+def test_prime_sums_stream_in_constant_memory():
+    # the primes to 4e6 span four sieve segments; a whole-range table of p,
+    # log p and g(p) there would add about 14 MB to the traced peak
+    ext = builtin("extremal-ref")
+    twist = parse_function_spec("twist:0.7:one")  # misaligned: every g(p) != 0
+
+    def peak(run, P):
+        tracemalloc.start()
+        try:
+            run(P)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for run in (lambda P: criterion_report(ext, 0.0, P),
+                lambda P: F_euler(twist, [1.001, 1.01, 1.1, 1.5], TruncationPlan(prime_cutoff=P),
+                                  epsilon0=-1, t0=0.7)):
+        assert peak(run, 4 * 10**6) - peak(run, 5 * 10**5) <= 5 * 2**20
