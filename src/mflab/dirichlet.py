@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, CoverageError, DomainError, SingularFactorError
-from .multfun import MultiplicativeFunction, StreamSummer, SummatoryTrace, segment_values
+from .multfun import MultiplicativeFunction, StreamSummer, SummatoryTrace, _value_segments
 from .primes import ordered_sum, prime_chunks, sieve_primes
 
 # Bernoulli quotients B_2/2!, B_4/4!, B_6/6! for the Euler-Maclaurin tail.
@@ -236,14 +236,10 @@ def F_truncated(
     N = plan.series_cutoff
     base = sieve_primes(max(2, isqrt(N)))
     summers = [StreamSummer() for _ in pts]
-    lo = 1
-    while lo <= N:
-        hi = min(lo + (1 << 18) - 1, N)
-        vals = segment_values(f, lo, hi, base)
-        log_n = np.log(np.arange(lo, hi + 1, dtype=np.float64))
+    for lo, vals in _value_segments(f, 1, N, base, 1 << 18):
+        log_n = np.log(np.arange(lo, lo + vals.size, dtype=np.float64))
         for pt, summer in zip(pts, summers):
             summer.feed(lo, vals * inverse_power(log_n, pt.s))
-        lo = hi + 1
     return [EvalResult(summer.close(), float(N) ** (1.0 - pt.sigma) / (pt.sigma - 1.0),
                        "truncated-series") for pt, summer in zip(pts, summers)]
 

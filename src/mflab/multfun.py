@@ -9,14 +9,18 @@ values go through a smallest-prime-factor table.
 Summation is order-deterministic: values are grouped into blocks aligned to
 absolute positions (multiples of 4096) and cut at checkpoints, each block is
 np.sum'ed, and block sums enter a compensated accumulator in ascending
-order.  Checkpoint values are therefore bit-identical for any segment size.
+order.  So reruns at a fixed segment size are byte-identical, and a
+real-valued rule gives bit-identical checkpoints at every segment size.  A
+complex rule does not yet: the kernel multiplies one value by f(p) as a
+scalar or by a gathered table entry depending on the segment, and the two
+can round differently in the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite, isqrt, log
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from .errors import CapacityError, CoverageError, FunctionSpecError
 from .primes import PrimeTable, SpfTable, sieve_primes
 
 SUMMATORY_LIMIT_CEILING = 2**34
+SEGMENT_SIZE_CEILING = 2**22  # 64 MiB of complex values per segment buffer
 DEFAULT_GRID_RATIO = 2.0 ** 0.25
 DEFAULT_GRID_START = 10
 _SUM_BLOCK = 4096
@@ -45,14 +50,23 @@ class MultiplicativeFunction:
     claims_M: bool = False
     claims_M2: bool = False
     _memo: dict = field(default_factory=dict, repr=False)
+    _raw_memo: dict = field(default_factory=dict, repr=False)
 
     def prime_power(self, p: int, k: int) -> complex:
         """f(p^k) for one prime, memoized."""
         key = (p, k)
         v = self._memo.get(key)
         if v is None:
-            v = complex(self.powers(np.array([p], dtype=np.int64), k)[0])
-            self._memo[key] = v
+            v = self._memo[key] = complex(self._power(p, k))
+        return v
+
+    def _power(self, p: int, k: int) -> np.generic:
+        """f(p^k) as a numpy scalar of the rule's own dtype, memoized."""
+        key = (p, k)
+        v = self._raw_memo.get(key)
+        if v is None:
+            v = self._raw_memo[key] = np.asarray(
+                self.powers(np.array([p], dtype=np.int64), k))[0]
         return v
 
     def prime_values(self, ps: np.ndarray) -> np.ndarray:
@@ -182,10 +196,23 @@ def value_at(f: MultiplicativeFunction, n: int, spf: SpfTable) -> complex:
     return out
 
 
+def _start_dtype(f: MultiplicativeFunction) -> type:
+    """complex128 if the rule returns f(2) as complex, float64 otherwise."""
+    return np.complex128 if f._power(2, 1).dtype.kind == "c" else np.float64
+
+
+def _widen(vals: np.ndarray, factor: np.ndarray | np.generic) -> np.ndarray:
+    """``vals``, copied to complex128 if ``factor`` is complex and it is not."""
+    if factor.dtype.kind == "c" and vals.dtype.kind != "c":
+        return vals.astype(np.complex128)
+    return vals
+
+
 def segment_values(
-    f: MultiplicativeFunction, lo: int, hi: int, base: PrimeTable
+    f: MultiplicativeFunction, lo: int, hi: int, base: PrimeTable,
+    vals: np.ndarray | None = None, prod: np.ndarray | None = None,
 ) -> np.ndarray:
-    """f(n) for every n in [lo, hi] as a complex array.
+    """f(n) for every n in [lo, hi].
 
     ``base`` must cover primes up to sqrt(hi).  For each base prime p the
     multiples of p form the strided view [start::p]; the exponent k of p is
@@ -193,8 +220,16 @@ def segment_values(
     the segment, and the view is multiplied by f(p^k) (by f(p) alone when
     no p^2 divides any n here) while ``prod`` collects p^k.  The prime
     factor above sqrt(hi) that n may have left is n // prod, one integer
-    division per n.  Per-element factor order is ascending prime then
-    leftover prime, independent of segmentation.
+    division per n, and multiplies in through its indices.  Per-element
+    factor order is ascending prime then leftover prime, independent of
+    segmentation.
+
+    ``vals`` (float64 or complex128) and ``prod`` (int64) are optional work
+    buffers of length hi - lo + 1; by default ``vals`` is complex128 when
+    f(2) is complex.  Float64 values switch to complex128 at the first
+    complex f(p^k), so no imaginary part is lost; the result is then a new
+    array rather than ``vals``.  While every factor is real, the values are
+    the real parts a complex128 pass would give, up to the sign of zeros.
     """
     if lo < 1 or hi < lo:
         raise CoverageError(f"bad segment [{lo}, {hi}]")
@@ -202,14 +237,20 @@ def segment_values(
     if base.limit < root:
         raise CoverageError(f"base primes cover {base.limit} < sqrt({hi})")
     size = hi - lo + 1
-    vals = np.ones(size, dtype=np.complex128)
-    prod = np.ones(size, dtype=np.int64)  # p^k part of each n over the base primes
+    if vals is None:
+        vals = np.empty(size, dtype=_start_dtype(f))
+    if prod is None:
+        prod = np.empty(size, dtype=np.int64)
+    vals.fill(1.0)
+    prod.fill(1)  # p^k part of each n over the base primes
     for p in base.primes[base.primes <= root].tolist():
         start = -lo % p  # offset of the first multiple of p
         prod[start::p] *= p
         q = p * p
         if -lo % q >= size:  # no n here has p^2 | n, so every exponent is 1
-            vals[start::p] *= f.prime_power(p, 1)
+            fp = f._power(p, 1)
+            vals = _widen(vals, fp)
+            vals[start::p] *= fp
             continue
         k = np.ones(len(range(start, size, p)), dtype=np.intp)  # exponent of p along [start::p]
         kmax = 1
@@ -218,13 +259,37 @@ def segment_values(
             prod[s::q] *= p
             kmax += 1
             q *= p
-        vals[start::p] *= np.array(
-            [1.0] + [f.prime_power(p, j) for j in range(1, kmax + 1)])[k]
+        table = np.array([1.0] + [f._power(p, j) for j in range(1, kmax + 1)])
+        vals = _widen(vals, table)
+        vals[start::p] *= table[k]
     rem = np.floor_divide(np.arange(lo, hi + 1, dtype=np.int64), prod, out=prod)
-    big = rem > 1
-    if big.any():
-        vals[big] *= f.prime_values(rem[big])
+    big = np.flatnonzero(rem > 1)
+    if big.size:
+        fp = np.asarray(f.powers(rem[big], 1))
+        vals = _widen(vals, fp)
+        vals[big] *= fp
     return vals
+
+
+def _value_segments(
+    f: MultiplicativeFunction, lo: int, hi: int, base: PrimeTable, segment_size: int,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, f(start..end)) for consecutive segments of [lo, hi].
+
+    One pair of work buffers serves every segment, so each array is valid
+    only until the next one is yielded.  A float64 value buffer is replaced
+    by a complex128 one once the rule has returned a complex value.
+    """
+    size = min(segment_size, hi - lo + 1)
+    vals = np.empty(size, dtype=_start_dtype(f))
+    prod = np.empty(size, dtype=np.int64)
+    while lo <= hi:
+        n = min(size, hi - lo + 1)
+        out = segment_values(f, lo, lo + n - 1, base, vals[:n], prod[:n])
+        if out.dtype != vals.dtype:
+            vals = np.empty(size, dtype=out.dtype)
+        yield lo, out
+        lo += n
 
 
 class _Neumaier:
@@ -364,16 +429,16 @@ def summatory_trace(
         raise CoverageError(f"limit must be >= 1, got {limit}")
     if limit > ceiling:
         raise CapacityError(f"limit {limit} exceeds ceiling {ceiling}")
+    if segment_size > SEGMENT_SIZE_CEILING:
+        raise CapacityError(
+            f"segment size {segment_size} exceeds ceiling {SEGMENT_SIZE_CEILING}")
     cps = resolve_checkpoints(grid, limit)
     if base is None:
         base = sieve_primes(max(2, isqrt(limit)))
     summer = StreamSummer(cps)
     summer.feed(1, np.ones(1, dtype=np.complex128))  # n = 1
-    lo = 2
-    while lo <= limit:
-        hi = min(lo + segment_size - 1, limit)
-        summer.feed(lo, segment_values(f, lo, hi, base))
-        lo = hi + 1
+    for lo, seg in _value_segments(f, 2, limit, base, segment_size):
+        summer.feed(lo, seg)
     vals = summer.checkpoint_values
     return SummatoryTrace(
         function_label=f.label,

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+import numpy as np
+
 
 def trial_factorize(n: int) -> list[tuple[int, int]]:
     """(prime, exponent) pairs by naive trial division."""
@@ -78,3 +80,48 @@ def prime_sum_power_oracle(primes, exponent: float) -> float:
     for p in primes:
         total += float(p) ** exponent
     return total
+
+
+class Mertens:
+    """M(x) = sum_{n<=x} mu(n) for x up to ``top``, sublinearly.
+
+    mu is sieved up to u ~ top^(2/3) and summed into a table.  Above u,
+    sum_{n<=x} M(x // n) = 1 gives M(x) = 1 - sum_{n>=2} M(x // n); the
+    quotients x // n take O(sqrt x) distinct values, each M(x // n) above u
+    is memoized, so M(top) costs O(top^(2/3)) (Deléglise & Rivat, Exp.
+    Math. 5, 1996, give the refined version).
+    """
+
+    def __init__(self, top: int) -> None:
+        u = max(16, int(round(top ** (2 / 3))))
+        is_prime = np.ones(u + 1, dtype=bool)
+        is_prime[:2] = False
+        for p in range(2, isqrt(u) + 1):
+            if is_prime[p]:
+                is_prime[p * p :: p] = False
+        mu = np.ones(u + 1, dtype=np.int64)
+        mu[0] = 0
+        for p in np.flatnonzero(is_prime).tolist():
+            mu[p::p] *= -1
+            mu[p * p :: p * p] = 0
+        self.u = u
+        self.small = np.cumsum(mu).tolist()
+        self.memo: dict[int, int] = {}
+
+    def __call__(self, x: int) -> int:
+        if x <= self.u:
+            return self.small[x]
+        m = self.memo.get(x)
+        if m is None:
+            m, n = 1, 2
+            while n <= x:
+                q = x // n
+                n_end = x // q  # last n with x // n == q
+                m -= (n_end - n + 1) * self(q)
+                n = n_end + 1
+            self.memo[x] = m
+        return m
+
+    def liouville(self, x: int) -> int:
+        """L(x) = sum_{n<=x} lambda(n) = sum_{k<=sqrt x} M(x // k^2)."""
+        return sum(self(x // (k * k)) for k in range(1, isqrt(x) + 1))

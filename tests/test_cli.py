@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from mflab import primes
+from mflab import multfun, primes
 from mflab.cli import build_parser, main
 
 from _oracles import brute_summatory
@@ -157,6 +157,23 @@ def test_capacity_and_coverage_exit_code(tmp_path, capsys):
     cap = capsys.readouterr()
     assert code == 3
     assert cap.err.startswith("error:capacity:")
+
+
+def test_segment_size_above_ceiling_is_refused_before_sieving(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sieved or evaluated a segment")
+
+    monkeypatch.setattr(multfun, "sieve_primes", no_work)
+    monkeypatch.setattr(multfun, "segment_values", no_work)
+    out = tmp_path / "x.csv"
+    size = str(2**34)
+    assert main(["sum", "--function", "moebius", "--limit", size,
+                 "--segment-size", size, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:capacity:") and err.count("\n") == 1, err
+    assert str(multfun.SEGMENT_SIZE_CEILING) in err
+    assert not out.exists()
+    assert multfun.SEGMENT_SIZE_CEILING > 10**6  # test_segmentation_bit_identity uses 10^6
 
 
 def test_bad_flags_exit_2(capsys):

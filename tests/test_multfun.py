@@ -12,6 +12,7 @@ from mflab.multfun import (
     StreamSummer,
     builtin,
     class_check,
+    completely_multiplicative,
     parse_function_spec,
     resolve_checkpoints,
     segment_values,
@@ -21,7 +22,7 @@ from mflab.multfun import (
 )
 from mflab.primes import sieve_primes, spf_table
 
-from _oracles import brute_summatory, trial_factorize, trial_value
+from _oracles import Mertens, brute_summatory, trial_factorize, trial_value
 
 SPF = spf_table(10**5)
 BASE = sieve_primes(1000)
@@ -184,7 +185,7 @@ def test_segment_values_independent_of_segment_end():
 
 @pytest.mark.parametrize("spec", [
     "one", "moebius", "liouville", "odd_one", "twist:0.7:one", "extremal-ref",
-    "twist:0.7:moebius"])
+    "twist:0.7:moebius", "twist:0.7:extremal-ref"])
 def test_prime_power_matches_prime_values(spec):
     # one-prime reads (base primes, value_at) equal array reads (leftover
     # primes, prime sums) bit for bit, including p = 88651, 125683, 285343
@@ -217,6 +218,116 @@ def test_segment_values_against_trial_division(spec, tol):
 @lru_cache(maxsize=None)
 def _window_factors(lo, hi):
     return [trial_factorize(n) for n in range(lo, hi + 1)]
+
+
+REAL_BUILTINS = ["one", "moebius", "liouville", "odd_one"]
+
+
+@pytest.mark.parametrize("name", REAL_BUILTINS)
+def test_real_rules_give_float_values_equal_to_zero_twist(name):
+    # twist:0.0 returns a complex dtype with zero imaginary parts, so it runs
+    # the complex128 kernel on the same real values
+    f, ref = parse_function_spec(name), parse_function_spec(f"twist:0.0:{name}")
+    for lo in KERNEL_WINDOWS:
+        hi = lo + 40
+        base = sieve_primes(isqrt(hi))
+        vals, want = segment_values(f, lo, hi, base), segment_values(ref, lo, hi, base)
+        assert vals.dtype == np.float64 and want.dtype == np.complex128
+        # equal as numbers; a zero may carry the other sign
+        assert np.array_equal(vals, want.real)
+        nz = vals != 0
+        assert vals[nz].view(np.uint64).tolist() == want.real[nz].view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("segment_size,limit", [
+    (1, 1000), (7, 5000), (4095, 10**5), (1 << 18, 6 * 10**5)])
+def test_real_rule_traces_equal_zero_twist_bit_for_bit(segment_size, limit):
+    for name in REAL_BUILTINS:
+        got = summatory_trace(builtin(name), limit, segment_size=segment_size).values
+        want = summatory_trace(
+            parse_function_spec(f"twist:0.0:{name}"), limit, segment_size=segment_size).values
+        assert got.real.view(np.uint64).tolist() == want.real.view(np.uint64).tolist(), name
+        assert not got.imag.any()
+
+
+def _complex_beyond_1000(ps):
+    # float64 while every prime is below 1000, complex128 otherwise
+    if ps.max() < 1000:
+        return np.full(ps.shape, -1.0)
+    return _always_complex(ps)
+
+
+def _always_complex(ps):
+    return np.where(ps < 1000, -1.0 + 0j, -np.exp(1j * ps.astype(np.float64)))
+
+
+MIXED = completely_multiplicative("mixed", _complex_beyond_1000)
+COMPLEX_TWIN = completely_multiplicative("twin", _always_complex)
+
+
+def test_kernel_switches_to_complex_at_the_first_complex_value():
+    # the first complex value arrives as a leftover prime (2..3000), as a
+    # scalar base prime (1009 with no 1009^2 in range) or as a gathered
+    # table (1009^2 in range); below 1000 there is none
+    assert segment_values(MIXED, 2, 999, BASE).dtype == np.float64
+    for lo, hi in [(2, 3000), (1009 * 1013 - 20, 1009 * 1013 + 20),
+                   (1009**2 - 20, 1009**2 + 20)]:
+        base = sieve_primes(isqrt(hi))
+        vals = segment_values(MIXED, lo, hi, base)
+        assert vals.dtype == np.complex128
+        assert np.array_equal(vals, segment_values(COMPLEX_TWIN, lo, hi, base))
+        for n in range(lo, hi + 1, 7):
+            assert abs(vals[n - lo] - trial_value(MIXED, n)) <= 1e-12
+
+
+@pytest.mark.parametrize("segment_size,limit", [(7, 3000), (4095, 20000), (1 << 18, 20000)])
+def test_summatory_trace_never_drops_an_imaginary_part(segment_size, limit):
+    # segments below 1000 run in float64; the buffer must turn complex128
+    # at the first leftover prime above 1000 and stay so
+    got = summatory_trace(MIXED, limit, segment_size=segment_size).values
+    want = summatory_trace(COMPLEX_TWIN, limit, segment_size=segment_size).values
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert np.abs(got.imag).max() > 1.0
+
+
+@pytest.mark.xfail(strict=True, reason="the kernel's scalar and gathered-table "
+                   "products round differently for complex f (ROADMAP item 3)")
+def test_complex_checkpoints_do_not_depend_on_segment_size():
+    f = parse_function_spec("twist:0.7:moebius")
+    ims = {summatory_trace(f, 5000, grid="explicit:4095", segment_size=size).value_at(4095).imag
+           for size in (1, 7, 4095)}
+    assert len(ims) == 1, sorted(ims)
+
+
+@lru_cache(maxsize=None)
+def _mertens():
+    return Mertens(10**7)
+
+
+@pytest.mark.parametrize("name,limit,segment_size", [
+    ("moebius", 10**7, 1 << 18), ("liouville", 10**7, 100_003),
+    ("moebius", 10**6, 100_003), ("liouville", 10**6, 1 << 18)])
+def test_mertens_and_liouville_sums_against_sublinear_oracle(name, limit, segment_size):
+    # every checkpoint of a geometric grid, exactly; the oracle shares no
+    # code with mflab
+    trace = summatory_trace(builtin(name), limit, grid="geometric:1.2:2",
+                            segment_size=segment_size)
+    M = _mertens()
+    oracle = M if name == "moebius" else M.liouville
+    assert trace.values.tolist() == [oracle(int(x)) for x in trace.xs]
+
+
+def test_sublinear_oracle_examples():
+    M = _mertens()
+    # M(10^k), k = 1..7, and L(10^k), k = 1..6 (OEIS A084237, A090410)
+    assert [M(10**k) for k in range(1, 8)] == [-1, 1, 2, -23, -48, 212, 1037]
+    assert [M.liouville(10**k) for k in range(1, 7)] == [0, -2, -14, -94, -288, -530]
+
+
+@pytest.mark.slow
+def test_sublinear_oracle_mertens_1e10():
+    # M(10^10) = -33722 (OEIS A084237); about 10 s
+    assert Mertens(10**10)(10**10) == -33722
 
 
 @pytest.mark.slow
