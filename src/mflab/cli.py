@@ -4,6 +4,9 @@ Subcommands emit CSV (with a provenance comment carrying the normalized
 flag set) or plain-text reports.  Exit codes: 0 success, 2 usage/domain
 error, 3 capacity/coverage/singular error.  All errors print one line to
 stderr with the machine-parsable prefix ``error:<kind>:``.
+
+Each handler imports the modules it runs, so a process loads only what its
+subcommand needs: ``sum`` never imports dirichlet, halasz or extremal.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from math import isfinite, log
 
 import numpy as np
 
-from . import dirichlet, extremal, halasz, multfun
+from . import multfun
 from .errors import FunctionSpecError, MFLabError
 
 _USAGE_EXIT = 2
@@ -110,8 +113,10 @@ def _cmd_sum(args) -> int:
     return 0
 
 
-def _plan(args) -> dirichlet.TruncationPlan:
-    return dirichlet.TruncationPlan(
+def _plan(args):
+    from .dirichlet import TruncationPlan
+
+    return TruncationPlan(
         series_cutoff=args.series_cutoff,
         prime_cutoff=args.prime_cutoff,
         exact_factor_cutoff=min(args.exact_cutoff, args.prime_cutoff),
@@ -119,6 +124,8 @@ def _plan(args) -> dirichlet.TruncationPlan:
 
 
 def _cmd_eval_f(args) -> int:
+    from . import dirichlet
+
     f = multfun.parse_function_spec(args.function)
     plan = _plan(args)
     grid = _sigma_grid(args.sigma)
@@ -138,6 +145,8 @@ def _cmd_eval_f(args) -> int:
 
 
 def _cmd_criterion(args) -> int:
+    from . import halasz
+
     f = multfun.parse_function_spec(args.function)
     rep = halasz.criterion_report(f, args.t, args.prime_cutoff, K=args.kmax)
     _write(args.out, _provenance(args), rep.text() + "\n")
@@ -145,12 +154,15 @@ def _cmd_criterion(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
+    from . import halasz
+    from .dirichlet import ComplexPoint
+
     f = multfun.parse_function_spec(args.function)
     plan = _plan(args)
     direction = halasz.HalaszDirection(args.epsilon, args.t0)
     grid = _sigma_grid(args.sigma)
     results = halasz.lemma_defect(
-        f, direction, [dirichlet.ComplexPoint(sg, args.t) for sg in grid], plan)
+        f, direction, [ComplexPoint(sg, args.t) for sg in grid], plan)
     rows = [[_fmt(sg), _fmt(args.t), _fmt(abs(r.value)), _fmt(r.ratio), _fmt(r.error_bound)]
             for sg, r in zip(grid, results)]
     _write_rows(args.out, _provenance(args), ["sigma", "t", "abs_D", "ratio", "err"], rows)
@@ -158,6 +170,8 @@ def _cmd_lemma(args) -> int:
 
 
 def _cmd_thm1(args) -> int:
+    from . import halasz
+
     f = multfun.parse_function_spec(args.function)
     plan = _plan(args)
     direction = halasz.HalaszDirection(args.epsilon, args.t0)
@@ -170,6 +184,8 @@ def _cmd_thm1(args) -> int:
 
 
 def _cmd_thm2(args) -> int:
+    from . import halasz
+
     if args.limit < 16:
         raise FunctionSpecError("thm2 needs --limit >= 16 (log log x must stay positive)")
     f = multfun.parse_function_spec(args.function)
@@ -181,17 +197,22 @@ def _cmd_thm2(args) -> int:
 
 
 def _cmd_extremal_build(args) -> int:
+    from . import extremal
+
     spec = extremal.build_spec(args.kappa, x1=args.x1, J=args.J, C0=args.C0)
     extremal.save_spec(spec, args.out)
     return 0
 
 
 def _cmd_extremal_verify(args) -> int:
+    from . import extremal
+    from .dirichlet import TruncationPlan
+
     spec = extremal.load_spec(args.specfile)
     texts = [extremal.verify_psum(spec, args.cutoff).text()]
     blocks = [args.block] if args.block is not None else [
         j for j, b in enumerate(spec.blocks, start=1) if b.log_upper <= log(args.cutoff)]
-    plan = dirichlet.TruncationPlan(
+    plan = TruncationPlan(
         prime_cutoff=args.cutoff, exact_factor_cutoff=min(10_000, args.cutoff))
     for j in blocks:
         texts.append(extremal.verify_logF_lower(spec, j, plan).text())

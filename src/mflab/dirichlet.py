@@ -119,14 +119,18 @@ def zeta(s, tol: float = 1e-10) -> EvalResult:
     """Euler-Maclaurin evaluation of zeta(s), sigma > 1.
 
     Direct sum to N plus N^{1-s}/(s-1), the boundary term and the Bernoulli
-    corrections through B_4; N grows until the standard remainder bound
-    (first omitted term times |s+5|/(sigma+5)) is below tol.
+    corrections through B_4.  N doubles from 16 until the remainder bound
+    (first omitted term times |s+5|/(sigma+5)) is below tol, but never past
+    the N of the earlier rule (doubling from max(16, 2|t| + 10) to at most
+    2^22).  Near sigma = 1 that takes N of 6|t| to 8|t|; at sigma = 10, as
+    in most of prime_zeta's log-zeta ladder, N = 8192 does even at
+    |t| = 1e8.  Once 2|t| >= 2^22 the cap binds near sigma = 1, and the bound
+    there is about 1e-7 rather than tol.
 
-    N starts at about 2|t| and the head is summed in chunks of 2^16 terms.
-    A term costs 84 ns at |t| = 1e6 and 149 ns at 1e7 (measured on 2 CPUs,
-    Python 3.11, numpy 2.4), so one call near ZETA_HEIGHT_CEILING = 1e8
-    takes 30 s or more; a larger |t| raises CapacityError before anything
-    is allocated.
+    The head is summed in chunks of 2^16 terms at 84 ns a term at |t| = 1e6
+    and 149 ns at 1e7 (2 CPUs, Python 3.11, numpy 2.4), so a call near
+    sigma = 1 and ZETA_HEIGHT_CEILING = 1e8 takes 30 s or more; a larger |t|
+    raises CapacityError before anything is allocated.
     """
     pt = as_point(s)
     sc = pt.s
@@ -140,9 +144,15 @@ def zeta(s, tol: float = 1e-10) -> EvalResult:
         t3 = abs(_B6_6F) * abs(w) * n ** (-(sigma + 5.0))
         return t3 * abs(sc + 5) / (sigma + 5.0)
 
-    N = max(16, int(2 * abs(pt.t)) + 10)
-    while rem_bound(N) > tol and N < (1 << 22):
+    # The bound holds for every N >= 1 (Edwards, Riemann's Zeta Function,
+    # 1974, section 6.4), so a small N is as safe as a large one.
+    cap = max(16, int(2 * abs(pt.t)) + 10)
+    while rem_bound(cap) > tol and cap < (1 << 22):
+        cap *= 2
+    N = 16
+    while rem_bound(N) > tol and N < cap:
         N *= 2
+    N = min(N, cap)
     head = None
     for lo in range(1, N, _ZETA_CHUNK):
         ns = np.arange(lo, min(lo + _ZETA_CHUNK, N), dtype=np.float64)

@@ -13,14 +13,16 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from math import exp, log, sqrt
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .dirichlet import ComplexPoint, TruncationPlan, log_F_prime_sum
 from .errors import CapacityError, CoverageError, DomainError, FunctionSpecError
 from .multfun import MultiplicativeFunction, completely_multiplicative
 from .primes import mertens_estimate, ordered_partials, ordered_sum, prime_chunks, sieve_primes
+
+if TYPE_CHECKING:
+    from .dirichlet import TruncationPlan
 
 LOGLOG_16 = log(log(16.0))      # smallest admissible loglog coordinate
 DEFAULT_LOGLOG_MAX = 40.0       # sup truncation: x_max = e^(e^40)
@@ -353,11 +355,12 @@ def verify_psum(spec: ExtremalSpec, P: int) -> PsumReport:
     are reported with their analytic (log-form) majorant only.  One pass
     over the primes <= P gives the theta sum and every block's 1/p sum.
     """
+    chunks = prime_chunks(P)  # refuses P < 2 or above the ceiling before log(P)
     log_P = log(P)
     H = np.zeros(len(spec.blocks))  # sum_{p <= min(upper_j, P)} 1/p
     cuts = [min(float(P), exp(min(b.log_upper, log_P))) for b in spec.blocks]
     obs = recip = None
-    for ps in prime_chunks(P):
+    for ps in chunks:
         psf = ps.astype(np.float64)
         th = theta_values(spec, ps)
         obs = ordered_sum(th * th / psf, obs)
@@ -418,6 +421,8 @@ def verify_logF_lower(
 
     The window sums use the pairwise np.sum over a table of the primes
     <= upper_j; the prime sum streams."""
+    from .dirichlet import ComplexPoint, log_F_prime_sum  # only this check evaluates F
+
     if not 1 <= j <= spec.J:
         raise DomainError(f"block index {j} outside 1..{spec.J}")
     b = spec.blocks[j - 1]

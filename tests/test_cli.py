@@ -1,7 +1,11 @@
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +267,14 @@ def test_extremal_verify_block_must_be_positive(tmp_path, capsys):
                          capsys) == 2
 
 
+def test_extremal_verify_cutoff_below_2_is_a_usage_error(tmp_path, capsys):
+    # --cutoff 0 used to end in a math domain error traceback
+    spec = str(tmp_path / "spec.json")
+    assert run(["extremal-build", "--kappa", "power:0.25", "--out", spec]) == 0
+    for cutoff in ("1", "0", "-5"):
+        assert usage_failure(["extremal-verify", spec, f"--cutoff={cutoff}"], capsys) == 2
+
+
 ABOVE_PRIME_CEILING = str(2**32 + 1)
 
 
@@ -325,3 +337,46 @@ def test_provenance_names_every_flag(tmp_path):
                  for a in sub.choices[name]._actions} - {"-h", "--out"}
         named = re.findall(r" (--[a-z0-9-]+)=", first)
         assert named == sorted(named) and set(named) == flags, name
+
+
+_LOADED_AFTER_EACH = """
+import json, sys
+from mflab.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded.append(sorted(m[6:] for m in sys.modules if m.startswith("mflab.")))
+import mflab
+assert mflab.ComplexPoint.__module__ == "mflab.dirichlet"
+assert mflab.sieve_primes.__module__ == "mflab.primes"
+print(json.dumps(loaded))
+"""
+
+
+def _modules_loaded_after_each(commands, cwd):
+    """The mflab submodules loaded after each command of one fresh process."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_EACH, json.dumps(commands)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return [set(m) for m in json.loads(proc.stdout)]
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    core = {"cli", "errors", "multfun", "primes"}
+    after = _modules_loaded_after_each([
+        ["sum", "--function", "moebius", "--limit", "1000", "--out", "sum.csv"],
+        ["eval-f", "--function", "moebius", "--method", "euler", "--sigma", "1.5:2:2",
+         "--prime-cutoff", "1000", "--out", "eval.csv"],
+        ["thm1", "--function", "moebius", "--epsilon", "1", "--sigma", "1.1:1.5:2",
+         "--prime-cutoff", "1000", "--out", "thm1.csv"],
+    ], tmp_path)
+    assert after == [core, core | {"dirichlet"}, core | {"dirichlet", "halasz"}]
+    after = _modules_loaded_after_each([
+        ["extremal-build", "--kappa", "power:0.25", "--out", "spec.json"],
+        ["sum", "--function", "extremal:spec.json", "--limit", "1000", "--out", "sum.csv"],
+        ["extremal-verify", "spec.json", "--cutoff", "1000", "--out", "verify.txt"],
+    ], tmp_path)
+    assert after == [core | {"extremal"}] * 2 + [core | {"extremal", "dirichlet"}]

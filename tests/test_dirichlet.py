@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mflab import dirichlet
 from mflab.dirichlet import (
     ComplexPoint,
     _factor_logs,
@@ -63,10 +64,80 @@ def test_zeta_domain_error():
 
 
 def test_zeta_height_ceiling():
-    # refused before the ~2|t| head terms are allocated
+    # refused before any head term is summed
     for t in (1e12, -1.5e8):
         with pytest.raises(CapacityError):
             zeta(ComplexPoint(1.5, t))
+
+
+# The mpmath audit grid: the aligned corpus (t = 0), a low twist, the first
+# zero's height, and the heights of the near-line benchmark's twist rows.
+ORACLE_T = (0.0, 0.7, 14.13, 100.0, 1188.582, 1e4)
+ORACLE_SIGMA_MINUS_1 = (1e-8, 1e-3, 0.232, 1.0)
+
+
+def test_zeta_and_prime_zeta_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    tol = 1e-10
+    for t in ORACLE_T:
+        for d in ORACLE_SIGMA_MINUS_1:
+            pt = ComplexPoint(1.0 + d, t)
+            s = mp.mpc(pt.sigma, pt.t)
+            z = zeta(pt, tol)
+            assert abs(z.value - complex(mp.zeta(s))) <= z.error_bound, pt
+            # the remainder bound meets tol; the rest is zeta's rounding
+            # allowance of 1e-15 (1 + |zeta|) log N, with N <= 2^22
+            assert z.error_bound <= tol + 1e-15 * (1.0 + abs(z.value)) * 22 * math.log(2), pt
+            pz = prime_zeta(pt)
+            diff = pz.value - complex(mp.primezeta(s))
+            diff = complex(diff.real, math.remainder(diff.imag, 2 * math.pi))  # modulo 2 pi i
+            assert abs(diff) <= pz.error_bound, pt
+
+
+def _earlier_rule_terms(s: complex, tol: float) -> int:
+    """Head terms of zeta's earlier rule: N doubles from max(16, 2|t| + 10)
+    while the Euler-Maclaurin remainder bound exceeds tol and N < 2^22."""
+    sigma = s.real
+
+    def rem_bound(n):
+        w = s * (s + 1) * (s + 2) * (s + 3) * (s + 4)
+        return (1.0 / 30240.0) * abs(w) * n ** (-(sigma + 5.0)) * abs(s + 5) / (sigma + 5.0)
+
+    N = max(16, int(2 * abs(s.imag)) + 10)
+    while rem_bound(N) > tol and N < (1 << 22):
+        N *= 2
+    return N - 1
+
+
+def test_zeta_sums_no_more_terms_than_the_earlier_rule(monkeypatch):
+    fed, calls = [0], []
+    real_sum, real_zeta = dirichlet.ordered_sum, dirichlet.zeta
+
+    def counting_sum(x, start=None):
+        fed[0] += x.size
+        return real_sum(x, start)
+
+    def counting_zeta(s, tol=1e-10):
+        before = fed[0]
+        result = real_zeta(s, tol)
+        calls.append((s.s, tol, fed[0] - before))  # s: the ComplexPoint log_zeta passes
+        return result
+
+    monkeypatch.setattr(dirichlet, "ordered_sum", counting_sum)
+    monkeypatch.setattr(dirichlet, "zeta", counting_zeta)
+    # the two prime_zeta calls of a near-line height row (seed 1); the
+    # earlier rule summed 2,539,351 head terms for them
+    for sigma in (1.0000000423164495, 1.232):
+        prime_zeta(ComplexPoint(sigma, -1188.582))
+    assert sum(n for _, _, n in calls) <= 60_000
+    for t in ORACLE_T:
+        for d in ORACLE_SIGMA_MINUS_1:
+            prime_zeta(ComplexPoint(1.0 + d, t))
+    assert len(calls) > 100
+    for s, tol, n in calls:
+        assert n <= _earlier_rule_terms(s, tol), s
+        if abs(s.imag) <= 3.0:  # the earlier rule started at N = 16 here too
+            assert n == _earlier_rule_terms(s, tol), s
 
 
 def test_prime_zeta_against_direct_sum():
