@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from mflab import cli
-from mflab.dirichlet import TruncationPlan
-from mflab.extremal import build_spec, extremal_function, save_spec, verify_logF_lower, verify_psum
+from mflab.extremal import build_spec, extremal_function, save_spec, verify
 from mflab.halasz import HalaszDirection, pole_sum
 
 
@@ -31,18 +30,16 @@ class DemoConfig:
 
 def run(cfg: DemoConfig) -> None:
     cfg.outdir.mkdir(parents=True, exist_ok=True)
-    plan = TruncationPlan(prime_cutoff=cfg.cutoff, exact_factor_cutoff=10_000)
     for kspec in cfg.kappas:
         tag = kspec.replace(":", "_").replace(".", "p")
         spec = build_spec(kspec, x1=cfg.x1, J=cfg.J)
         spec_path = cfg.outdir / f"spec_{tag}.json"
         save_spec(spec, str(spec_path))
         print(f"== kappa = {kspec}: a_j = {[round(b.a, 4) for b in spec.blocks]}")
-        rep = verify_psum(spec, cfg.cutoff)
+        rep, (wrep,) = verify(spec, cfg.cutoff, [1])
         print(f"   psum {rep.observed:.5f} <= majorant {rep.majorant:.5f} "
               f"<= 4*sum a^2 {rep.budget_bound:.5f}: "
               f"{'PASS' if rep.ok else 'FAIL'}")
-        wrep = verify_logF_lower(spec, 1, plan)
         print(f"   block-1 window [{wrep.selected_min}, {wrep.selected_max}] "
               f"({wrep.selected_count} primes), W = {wrep.window_sum:.5f} "
               f">= {wrep.half_theta_sum:.5f}: {'PASS' if wrep.ok else 'FAIL'}")

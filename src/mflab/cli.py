@@ -15,7 +15,7 @@ import argparse
 import csv
 import io
 import sys
-from math import isfinite, log
+from math import isfinite
 
 import numpy as np
 
@@ -206,17 +206,10 @@ def _cmd_extremal_build(args) -> int:
 
 def _cmd_extremal_verify(args) -> int:
     from . import extremal
-    from .dirichlet import TruncationPlan
 
     spec = extremal.load_spec(args.specfile)
-    texts = [extremal.verify_psum(spec, args.cutoff).text()]
-    blocks = [args.block] if args.block is not None else [
-        j for j, b in enumerate(spec.blocks, start=1) if b.log_upper <= log(args.cutoff)]
-    plan = TruncationPlan(
-        prime_cutoff=args.cutoff, exact_factor_cutoff=min(10_000, args.cutoff))
-    for j in blocks:
-        texts.append(extremal.verify_logF_lower(spec, j, plan).text())
-    _write(args.out, _provenance(args), "\n\n".join(texts) + "\n")
+    psum, windows = extremal.verify(spec, args.cutoff, None if args.block is None else [args.block])
+    _write(args.out, _provenance(args), "\n\n".join(r.text() for r in (psum, *windows)) + "\n")
     return 0
 
 

@@ -30,7 +30,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, CoverageError, DomainError, SingularFactorError
-from .multfun import MultiplicativeFunction, StreamSummer, SummatoryTrace, _value_segments
+from .multfun import (SUMMATORY_LIMIT_CEILING, MultiplicativeFunction, StreamSummer,
+                      SummatoryTrace, _value_segments)
 from .primes import ordered_sum, prime_chunks, sieve_primes
 
 # Bernoulli quotients B_2/2!, B_4/4!, B_6/6! for the Euler-Maclaurin tail.
@@ -241,9 +242,13 @@ def F_truncated(
 ) -> list[EvalResult]:
     """sum_{n<=N} f(n) n^{-s} at each point, with the integral-comparison
     tail bound N^{1-sigma}/(sigma-1).  f(n) and log n are computed once per
-    segment of 2^18 numbers; each point has its own order-deterministic summer."""
+    segment of 2^18 numbers; each point has its own order-deterministic summer.
+    The series streams the segment kernel of summatory_trace, so N has the
+    same ceiling, checked before any sieving."""
     pts = [as_point(s) for s in points]
     N = plan.series_cutoff
+    if N > SUMMATORY_LIMIT_CEILING:
+        raise CapacityError(f"series cutoff {N} exceeds ceiling {SUMMATORY_LIMIT_CEILING}")
     base = sieve_primes(max(2, isqrt(N)))
     summers = [StreamSummer() for _ in pts]
     for lo, vals in _value_segments(f, 1, N, base, 1 << 18):
@@ -376,6 +381,10 @@ def alignment_terms(
     part of f(p) that the direction (e0, t0) does not cancel against log zeta.
     F_euler and the lemma defect sum g(p) p^{-w}; the Halász sums Re g(p)/p."""
     lp = np.log(ps.astype(np.float64))
+    if t0 == 0.0:
+        # p^{-i 0} is 1 - 0i: multiplying by it changes at most the sign of a
+        # zero, which adding 1.0 then clears, so g has the same bits without it
+        return lp, 1.0 + epsilon0 * f.prime_values(ps)
     return lp, 1.0 + epsilon0 * f.prime_values(ps) * np.exp(-1j * t0 * lp)
 
 
@@ -416,10 +425,31 @@ def log_F_prime_sum(
     sums = [None] * len(pts)
     deltas = [None] * len(pts)
     for ps in prime_chunks(plan.prime_cutoff):
-        deltas = _add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
-        fp = f.prime_values(ps)
-        lp = np.log(ps.astype(np.float64))
-        sums = [ordered_sum(fp * inverse_power(lp, pt.s), total) for pt, total in zip(pts, sums)]
+        sums, deltas = add_prime_sums(
+            f, ps, np.log(ps.astype(np.float64)), f.prime_values(ps), pts,
+            plan.exact_factor_cutoff, sums, deltas)
+    return prime_sum_results(pts, sums, deltas, plan)
+
+
+def add_prime_sums(
+    f: MultiplicativeFunction, ps: np.ndarray, lp: np.ndarray, fp: np.ndarray,
+    pts: Sequence[ComplexPoint], exact_cutoff: int, sums: list, deltas: list,
+) -> tuple[list, list]:
+    """One chunk of log_F_prime_sum: each point's running prime sum of
+    f(p) p^{-s} and running defect, continued over the chunk ``ps``.  The
+    caller passes log p and f(p) as ``lp`` and ``fp``, so a pass that uses
+    them for other sums too computes them once.  The products are formed
+    on the whole chunk, as prime_chunks requires."""
+    deltas = _add_defects(f, ps, pts, exact_cutoff, deltas)
+    return [ordered_sum(fp * inverse_power(lp, pt.s), total)
+            for pt, total in zip(pts, sums)], deltas
+
+
+def prime_sum_results(
+    pts: Sequence[ComplexPoint], sums: list, deltas: list, plan: TruncationPlan,
+) -> list[PrimeSumResult]:
+    """The results of log_F_prime_sum from its running sums over all primes
+    <= plan.prime_cutoff, with the tail bounds of plan's cutoffs."""
     P = float(plan.prime_cutoff)
     return [
         PrimeSumResult(complex(total), complex(delta), P ** (1.0 - pt.sigma) / (pt.sigma - 1.0),

@@ -13,16 +13,13 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from math import exp, log, sqrt
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, CoverageError, DomainError, FunctionSpecError
 from .multfun import MultiplicativeFunction, completely_multiplicative
-from .primes import mertens_estimate, ordered_partials, ordered_sum, prime_chunks, sieve_primes
-
-if TYPE_CHECKING:
-    from .dirichlet import TruncationPlan
+from .primes import check_limit, mertens_estimate, ordered_partials, ordered_sum, prime_chunks
 
 LOGLOG_16 = log(log(16.0))      # smallest admissible loglog coordinate
 DEFAULT_LOGLOG_MAX = 40.0       # sup truncation: x_max = e^(e^40)
@@ -279,11 +276,13 @@ def load_spec(path: str) -> ExtremalSpec:
 # the function itself
 
 
-def theta_values(spec: ExtremalSpec, ps: np.ndarray) -> np.ndarray:
+def theta_values(spec: ExtremalSpec, ps: np.ndarray, lp: np.ndarray | None = None) -> np.ndarray:
     """theta_p for an array of primes: a_j/sqrt(loglog p) on the
     sine-selected window of block j, 0 outside all blocks (including all
-    p < x_1)."""
-    lp = np.log(ps.astype(np.float64))
+    p < x_1).  ``lp`` is log p of ``ps`` as float64, when the caller has
+    it already."""
+    if lp is None:
+        lp = np.log(ps.astype(np.float64))
     th = np.zeros(lp.size, dtype=np.float64)
     window = -np.sin(lp) >= 0.5
     for b in spec.blocks:
@@ -297,8 +296,18 @@ def extremal_function(spec: ExtremalSpec) -> MultiplicativeFunction:
     """Completely multiplicative f with f(p) = -e^{i theta_p}; class M."""
     return completely_multiplicative(
         f"extremal:{spec.content_hash()}",
-        lambda ps: -np.exp(1j * theta_values(spec, ps)),
+        lambda ps: _unit_values(theta_values(spec, ps)),
         claims_M=True)
+
+
+def _unit_values(th: np.ndarray) -> np.ndarray:
+    """f(p) = -e^{i theta_p} from theta_p >= 0, built in place in one
+    complex array.  1j * theta is exactly 0 + i theta, so this has the bits
+    of -np.exp(1j * th) without its two complex temporaries."""
+    fp = np.zeros(th.shape, dtype=np.complex128)
+    fp.imag = th
+    np.exp(fp, out=fp)
+    return np.negative(fp, out=fp)
 
 
 # ---------------------------------------------------------------------------
@@ -347,39 +356,6 @@ class PsumReport:
         return "\n".join(lines)
 
 
-def verify_psum(spec: ExtremalSpec, P: int) -> PsumReport:
-    """Check sum_p theta_p^2/p <= per-block Mertens majorant <= 4 sum a_j^2.
-
-    The majorant for block j is a_j^2 (sum_{p <= min(upper_j, P)} 1/p)
-    / loglog x_j; blocks entirely above P contribute nothing observed and
-    are reported with their analytic (log-form) majorant only.  One pass
-    over the primes <= P gives the theta sum and every block's 1/p sum.
-    """
-    chunks = prime_chunks(P)  # refuses P < 2 or above the ceiling before log(P)
-    log_P = log(P)
-    H = np.zeros(len(spec.blocks))  # sum_{p <= min(upper_j, P)} 1/p
-    cuts = [min(float(P), exp(min(b.log_upper, log_P))) for b in spec.blocks]
-    obs = recip = None
-    for ps in chunks:
-        psf = ps.astype(np.float64)
-        th = theta_values(spec, ps)
-        obs = ordered_sum(th * th / psf, obs)
-        recip = ordered_partials(ps, 1.0 / psf, cuts, H, recip)
-    majorant = 0.0
-    rows = []
-    for j, (b, h) in enumerate(zip(spec.blocks, H.tolist()), start=1):
-        llx = log(b.log_x)
-        analytic = b.a * b.a * (mertens_estimate(b.log_upper) + MERTENS_SLACK) / llx
-        if b.log_x > log_P:
-            rows.append(BlockPsum(j, False, 0.0, 0.0, analytic))
-            continue
-        mj = b.a * b.a * h / llx
-        majorant += mj
-        rows.append(BlockPsum(j, True, h, mj, analytic))
-    return PsumReport(cutoff=P, observed=float(obs), majorant=majorant,
-                      sum_a_sq=spec.sum_a_sq(), blocks=tuple(rows))
-
-
 @dataclass(frozen=True)
 class WindowReport:
     j: int
@@ -409,48 +385,111 @@ class WindowReport:
         ])
 
 
-def verify_logF_lower(
+def verify(
     spec: ExtremalSpec,
-    j: int,
-    plan: TruncationPlan,
-) -> WindowReport:
-    """At s = 1 + 1/(log x_j)^2 + i: the sine-window selection guarantees
-    W_j >= (1/2) sum_{selected} theta_p p^{-sigma} (asserted); the full
-    prime-sum Re log F to plan.prime_cutoff and the a_j sqrt(loglog x_j)
-    target are reported without asserting the asymptotic lower bound.
+    P: int,
+    blocks: Sequence[int] | None = None,
+    exact_cutoff: int = 10_000,
+) -> tuple[PsumReport, tuple[WindowReport, ...]]:
+    """Check the construction's mechanics on the primes <= P: the theta-sum
+    report, and a window report for each checked block.
 
-    The window sums use the pairwise np.sum over a table of the primes
-    <= upper_j; the prime sum streams."""
-    from .dirichlet import ComplexPoint, log_F_prime_sum  # only this check evaluates F
+    The theta-sum check: sum_p theta_p^2/p <= per-block Mertens majorant
+    <= 4 sum a_j^2.  The majorant for block j is a_j^2 (sum_{p <= min(upper_j,
+    P)} 1/p) / loglog x_j; blocks entirely above P contribute nothing
+    observed and are reported with their analytic (log-form) majorant only.
 
-    if not 1 <= j <= spec.J:
-        raise DomainError(f"block index {j} outside 1..{spec.J}")
-    b = spec.blocks[j - 1]
-    P = plan.prime_cutoff
-    if b.log_upper > log(P):
-        raise CoverageError(
-            f"block {j} extends to exp({b.log_upper!r}), beyond prime cutoff {P}")
-    sigma = 1.0 + 1.0 / (b.log_x * b.log_x)
-    ps = sieve_primes(int(min(exp(b.log_upper), float(P)))).primes
-    lp = np.log(ps.astype(np.float64))
-    inside = (lp >= b.log_x) & (lp < b.log_upper)
-    sel = inside & (-np.sin(lp) >= 0.5)
-    lps = lp[sel]
+    The window check of each block j in ``blocks`` (default: every block
+    with upper_j <= P), at s = 1 + 1/(log x_j)^2 + i: the sine-window
+    selection guarantees W_j >= (1/2) sum_{selected} theta_p p^{-sigma}
+    (asserted); log_F_prime_sum's Re log F at s (exact Euler factors below
+    min(exact_cutoff, P)) and the a_j sqrt(loglog x_j) target are reported
+    without asserting the asymptotic lower bound.
+
+    P and the blocks are checked before any sieving.  Then one pass over
+    ``prime_chunks(P)`` takes log p and theta_p once per chunk for every
+    sum: the theta and 1/p sums, the windows' selected primes, and each
+    point's prime sum through dirichlet.add_prime_sums.
+    """
+    from .dirichlet import ComplexPoint, TruncationPlan, add_prime_sums, prime_sum_results
+
+    log_P = log(check_limit(P))
+    if blocks is None:
+        blocks = [j for j, b in enumerate(spec.blocks, start=1) if b.log_upper <= log_P]
+    for j in blocks:
+        if not 1 <= j <= spec.J:
+            raise DomainError(f"block index {j} outside 1..{spec.J}")
+        if spec.blocks[j - 1].log_upper > log_P:
+            raise CoverageError(f"block {j} extends to exp({spec.blocks[j - 1].log_upper!r}), "
+                                f"beyond prime cutoff {P}")
+    plan = TruncationPlan(prime_cutoff=P, exact_factor_cutoff=min(exact_cutoff, P))
+    checked = [spec.blocks[j - 1] for j in blocks]
+    pts = [ComplexPoint(1.0 + 1.0 / (b.log_x * b.log_x), 1.0) for b in checked]
+    window_cuts = [int(min(exp(b.log_upper), float(P))) for b in checked]
+    picked = [([], []) for _ in checked]  # each window's selected primes and their log p
+    fext = extremal_function(spec)
+    H = np.zeros(len(spec.blocks))  # sum_{p <= min(upper_j, P)} 1/p
+    cuts = [min(float(P), exp(min(b.log_upper, log_P))) for b in spec.blocks]
+    obs = recip = None
+    sums = [None] * len(pts)
+    deltas = [None] * len(pts)
+    for ps in prime_chunks(P):
+        psf = ps.astype(np.float64)
+        lp = np.log(psf)
+        th = theta_values(spec, ps, lp)
+        obs = ordered_sum(th * th / psf, obs)
+        recip = ordered_partials(ps, 1.0 / psf, cuts, H, recip)
+        del psf  # each chunk array is dropped once its last sum is taken
+        for b, cut, (sel_ps, sel_lp) in zip(checked, window_cuts, picked):
+            lpc = lp[: int(np.searchsorted(ps, cut, side="right"))]
+            sel = (lpc >= b.log_x) & (lpc < b.log_upper) & (-np.sin(lpc) >= 0.5)
+            sel_ps.append(ps[: lpc.size][sel])
+            sel_lp.append(lpc[sel])
+        if pts:
+            fp = _unit_values(th)
+            del th
+            sums, deltas = add_prime_sums(
+                fext, ps, lp, fp, pts, plan.exact_factor_cutoff, sums, deltas)
+    windows = tuple(
+        _window_report(j, b, pt.sigma, np.concatenate(sel_ps), np.concatenate(sel_lp),
+                       psr.log_F.real)
+        for j, b, pt, (sel_ps, sel_lp), psr in zip(
+            blocks, checked, pts, picked, prime_sum_results(pts, sums, deltas, plan)))
+    return _psum_report(spec, P, float(obs), H.tolist()), windows
+
+
+def _window_report(j: int, b: ExtremalBlock, sigma: float, ps: np.ndarray, lps: np.ndarray,
+                   re_log_F: float) -> WindowReport:
+    """Block j's window check from its selected primes ``ps`` (log p in
+    ``lps``), summed with the pairwise np.sum."""
     th = b.a / np.sqrt(np.log(lps))
     pw = np.exp(-sigma * lps)
-    W = float(np.sum(th * (-np.sin(lps)) * pw))
-    half = 0.5 * float(np.sum(th * pw))
-    fext = extremal_function(spec)
-    (psr,) = log_F_prime_sum(fext, [ComplexPoint(sigma, 1.0)], plan)
-    sel_ps = ps[sel]
     return WindowReport(
         j=j,
         sigma=sigma,
-        selected_count=int(sel_ps.size),
-        selected_min=int(sel_ps[0]) if sel_ps.size else 0,
-        selected_max=int(sel_ps[-1]) if sel_ps.size else 0,
-        window_sum=W,
-        half_theta_sum=half,
-        re_log_F_prime_sum=float(psr.log_F.real),
+        selected_count=int(ps.size),
+        selected_min=int(ps[0]) if ps.size else 0,
+        selected_max=int(ps[-1]) if ps.size else 0,
+        window_sum=float(np.sum(th * (-np.sin(lps)) * pw)),
+        half_theta_sum=0.5 * float(np.sum(th * pw)),
+        re_log_F_prime_sum=float(re_log_F),
         target=b.a * sqrt(log(b.log_x)),
     )
+
+
+def _psum_report(spec: ExtremalSpec, P: int, observed: float, H: list[float]) -> PsumReport:
+    """The theta-sum check from the observed sum and each block's 1/p sum H."""
+    log_P = log(P)
+    majorant = 0.0
+    rows = []
+    for j, (b, h) in enumerate(zip(spec.blocks, H), start=1):
+        llx = log(b.log_x)
+        analytic = b.a * b.a * (mertens_estimate(b.log_upper) + MERTENS_SLACK) / llx
+        if b.log_x > log_P:
+            rows.append(BlockPsum(j, False, 0.0, 0.0, analytic))
+            continue
+        mj = b.a * b.a * h / llx
+        majorant += mj
+        rows.append(BlockPsum(j, True, h, mj, analytic))
+    return PsumReport(cutoff=P, observed=observed, majorant=majorant,
+                      sum_a_sq=spec.sum_a_sq(), blocks=tuple(rows))

@@ -78,7 +78,7 @@ def sieve_primes(limit: int, ceiling: int = PRIME_LIMIT_CEILING) -> PrimeTable:
     """All primes <= ``limit`` as one table: the chunks of ``prime_chunks``
     concatenated.  For consumers that need random access; a prime sum
     should stream the chunks instead."""
-    return PrimeTable(limit=limit, primes=_sieve(_checked_limit(limit, ceiling)))
+    return PrimeTable(limit=limit, primes=_sieve(check_limit(limit, ceiling)))
 
 
 def prime_chunks(limit: int) -> Iterator[np.ndarray]:
@@ -100,10 +100,14 @@ def prime_chunks(limit: int) -> Iterator[np.ndarray]:
     streamed sum matches a whole-range one only if each chunk falls on the
     same side of that size as the whole range.
     """
-    return _segments(_checked_limit(limit, PRIME_LIMIT_CEILING))
+    return _segments(check_limit(limit))
 
 
-def _checked_limit(limit: int, ceiling: int) -> int:
+def check_limit(limit: int, ceiling: int = PRIME_LIMIT_CEILING) -> int:
+    """``limit``, if a sieve may run to it: EmptyRangeError below 2 and
+    CapacityError above ``ceiling``.  prime_chunks and sieve_primes call
+    this first; a caller with other arguments to check calls it before
+    them, so that every refusal comes before any sieving."""
     if limit < 2:
         raise EmptyRangeError(f"sieve limit must be >= 2, got {limit}")
     if limit > ceiling:

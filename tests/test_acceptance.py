@@ -22,7 +22,7 @@ from mflab.dirichlet import (
     zeta,
     zeta_floor_probe,
 )
-from mflab.extremal import reference_spec, extremal_function, theta_values, verify_logF_lower, verify_psum
+from mflab.extremal import reference_spec, extremal_function, theta_values, verify
 from mflab.halasz import HalaszDirection, lemma_defect, pole_sum, theorem2_ratio, theta_from_value
 from mflab.multfun import builtin, segment_values, summatory_trace, value_at
 from mflab.primes import sieve_primes, spf_table
@@ -203,12 +203,11 @@ def test_criterion_08_extremal_mechanics():
     assert selected[0] == 41 and selected[-1] == 317
 
     # (b) theta-square sum against the per-block Mertens majorant and budget
-    rep = verify_psum(spec, 10**5)
+    rep, (wrep,) = verify(spec, PLAN.prime_cutoff, [1], exact_cutoff=PLAN.exact_factor_cutoff)
     assert rep.observed <= rep.majorant + 1e-12
     assert rep.majorant <= 4.0 * rep.sum_a_sq + 1e-12
 
     # (c) window lower bound at sigma = 1 + 1/(log 20)^2
-    wrep = verify_logF_lower(spec, 1, PLAN)
     assert wrep.window_sum >= wrep.half_theta_sum - 1e-15
     assert wrep.ok
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mflab import multfun, primes
+from mflab import dirichlet, extremal, halasz, multfun, primes
 from mflab.cli import build_parser, main
 
 from _oracles import brute_summatory
@@ -302,6 +302,64 @@ def test_prime_cutoff_above_ceiling_is_refused_before_sieving(argv, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error:capacity:") and err.count("\n") == 1, err
     assert not (tmp_path / "x.out").exists()
+
+
+def test_series_cutoff_above_ceiling_is_refused_before_sieving(tmp_path, capsys, monkeypatch):
+    # the truncated series streams the segment kernel of sum, which has this ceiling;
+    # without it, --series-cutoff 10000000000000 ran until killed
+    def no_sieving(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(primes, "_segments", no_sieving)
+    out = tmp_path / "x.csv"
+    above = str(multfun.SUMMATORY_LIMIT_CEILING + 1)
+    assert main(["eval-f", "--function", "moebius", "--sigma", "1.5:1.5:1",
+                 "--method", "truncated", "--series-cutoff", above, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:capacity:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block, code, kind", [("2", 3, "coverage"), ("7", 2, "domain")])
+def test_extremal_verify_refuses_a_bad_block_before_sieving(block, code, kind, tmp_path,
+                                                             capsys, monkeypatch):
+    # both used to stream every prime to the cutoff before the error
+    def no_stream(limit):
+        raise AssertionError(f"streamed the primes to {limit}")
+
+    spec = str(tmp_path / "spec.json")
+    assert run(["extremal-build", "--kappa", "power:0.25", "--out", spec]) == 0
+    monkeypatch.setattr(extremal, "prime_chunks", no_stream)
+    monkeypatch.setattr(primes, "_segments", no_stream)
+    assert main(["extremal-verify", spec, "--cutoff", "20000000", "--block", block]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:{kind}:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["extremal-verify", "spec.json", "--cutoff", "100000"],
+    ["criterion", "--function", "extremal-ref", "--prime-cutoff", "100000"],
+])
+def test_one_prime_stream_per_command(argv, tmp_path, monkeypatch):
+    """One prime_chunks stream to the cutoff, and no other sieve to it: every
+    sieve, a stream or a sieve_primes table, runs _segments."""
+    calls = {"prime_chunks": [], "_segments": []}
+
+    def counted(name, fn):
+        def wrapper(limit):
+            calls[name].append(limit)
+            return fn(limit)
+        return wrapper
+
+    monkeypatch.chdir(tmp_path)
+    assert run(["extremal-build", "--kappa", "power:0.25", "--out", "spec.json"]) == 0
+    monkeypatch.setattr(primes, "_segments", counted("_segments", primes._segments))
+    stream = counted("prime_chunks", primes.prime_chunks)
+    for mod in (primes, dirichlet, extremal, halasz):
+        monkeypatch.setattr(mod, "prime_chunks", stream)
+    assert run([*argv, "--out", "x.out"]) == 0
+    assert calls["prime_chunks"].count(100_000) == 1, calls
+    assert calls["_segments"].count(100_000) == 1, calls
 
 
 def test_euler_route_refuses_zeta_above_height_ceiling(tmp_path, capsys):

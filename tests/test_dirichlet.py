@@ -10,6 +10,7 @@ from mflab.dirichlet import (
     ComplexPoint,
     _factor_logs,
     TruncationPlan,
+    alignment_terms,
     F_euler,
     F_partial_summation,
     F_truncated,
@@ -251,6 +252,18 @@ def test_defect_terms_do_not_depend_on_array_length(spec):
     for (zw, dw), (zs, ds) in zip(_factor_logs(f, ps, pts), _factor_logs(f, ps[:3000], pts)):
         assert np.array_equal(zw[:3000], zs)
         assert np.array_equal(dw[:3000], ds)
+
+
+@pytest.mark.parametrize("spec", ["moebius", "one", "liouville", "odd_one", "extremal-ref"])
+def test_alignment_terms_at_t0_zero_skip_the_unit_factor_bit_for_bit(spec):
+    # at t0 = 0, g(p) is formed without its factor p^{-i 0} = 1 - 0i; the
+    # bits, signs of zero included, are those of the product with it
+    f = parse_function_spec(spec)
+    ps = BASE.primes
+    for e0 in (1, -1):
+        lp, g = alignment_terms(f, ps, e0, 0.0)
+        want = 1.0 + e0 * f.prime_values(ps) * np.exp(-1j * 0.0 * lp)
+        assert np.array_equal(g.view(np.uint64), want.view(np.uint64)), e0
 
 
 def test_defect_cut_past_a_segment_edge_is_one_table_sum():

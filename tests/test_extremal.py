@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from mflab.dirichlet import TruncationPlan
 from mflab.errors import CapacityError, CoverageError, DomainError, FunctionSpecError
 from mflab.extremal import (
     DEFAULT_LOGLOG_MAX,
@@ -19,8 +18,7 @@ from mflab.extremal import (
     regularize_kappa,
     save_spec,
     theta_values,
-    verify_logF_lower,
-    verify_psum,
+    verify,
 )
 from mflab.halasz import HalaszDirection, pole_sum
 from mflab.multfun import class_check, parse_function_spec
@@ -211,6 +209,23 @@ def test_extremal_function_class_and_values():
     assert abs(f.prime_power(41, 1)) == pytest.approx(1.0)
 
 
+def test_prime_values_are_minus_exp_i_theta_bit_for_bit():
+    # f(p) is built in place from theta_p; its bits are those of -exp(1j theta)
+    spec = reference_spec()
+    ps = BASE.primes
+    got = extremal_function(spec).prime_values(ps)
+    want = -np.exp(1j * theta_values(spec, ps))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_theta_values_take_the_callers_log_p():
+    spec = reference_spec()
+    ps = BASE.primes
+    lp = np.log(ps.astype(np.float64))
+    assert np.array_equal(theta_values(spec, ps, lp), theta_values(spec, ps))
+    assert not theta_values(spec, ps, np.zeros(ps.size)).any()  # lp is used as given
+
+
 def test_taylor_remainder():
     spec = reference_spec()
     f = extremal_function(spec)
@@ -235,7 +250,7 @@ def test_pole_sum_cosine_bound():
 
 def test_verify_psum_reference():
     spec = reference_spec()
-    rep = verify_psum(spec, 10**5)
+    rep, _ = verify(spec, 10**5, [])
     assert rep.observed <= rep.majorant + 1e-12
     assert rep.majorant <= rep.budget_bound + 1e-12
     assert rep.ok
@@ -245,13 +260,13 @@ def test_verify_psum_reference():
 def test_verify_psum_zero_amplitude():
     blocks = (ExtremalBlock(math.log(20.0), math.log(20.0) ** 2, 0.0),)
     spec = ExtremalSpec(20.0, 1, 1.0, blocks, "manual", "manual")
-    rep = verify_psum(spec, 10**4)
+    rep, _ = verify(spec, 10**4, [])
     assert rep.observed == 0.0
 
 
 def test_verify_psum_monotone_in_cutoff():
     spec = reference_spec()
-    obs = [verify_psum(spec, P).observed for P in (10**3, 10**4, 10**5)]
+    obs = [verify(spec, P, [])[0].observed for P in (10**3, 10**4, 10**5)]
     assert obs[0] <= obs[1] <= obs[2]
 
 
@@ -259,31 +274,51 @@ def test_verify_psum_monotone_in_cutoff():
 @pytest.mark.parametrize("J", [1, 2, 3])
 def test_verify_psum_majorant_family(x1, J):
     spec = build_spec("power:0.25", x1=x1, J=J)
-    rep = verify_psum(spec, 10**5)
+    rep, _ = verify(spec, 10**5, [])
     assert rep.ok
 
 
 def test_verify_logF_lower_reference():
     spec = reference_spec()
-    plan = TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=10**4)
-    rep = verify_logF_lower(spec, 1, plan)
+    _, (rep,) = verify(spec, 10**5, [1], exact_cutoff=10**4)
     assert rep.selected_min == 41 and rep.selected_max == 317
     assert rep.window_sum >= rep.half_theta_sum
     assert rep.ok
     assert rep.sigma == pytest.approx(1.0 + 1.0 / math.log(20.0) ** 2)
     assert rep.target == pytest.approx(spec.blocks[0].a * math.sqrt(math.log(math.log(20.0))))
     with pytest.raises(CoverageError):
-        verify_logF_lower(spec, 2, plan)  # upper_2 = e^99.5 not sieveable
+        verify(spec, 10**5, [2])  # upper_2 = e^99.5 not sieveable
     with pytest.raises(DomainError):
-        verify_logF_lower(spec, 9, plan)
+        verify(spec, 10**5, [9])
 
 
 def test_verify_logF_lower_zero_amplitude():
     blocks = (ExtremalBlock(math.log(20.0), math.log(20.0) ** 2, 0.0),)
     spec = ExtremalSpec(20.0, 1, 1.0, blocks, "manual", "manual")
-    plan = TruncationPlan(prime_cutoff=10**4, exact_factor_cutoff=10**3)
-    rep = verify_logF_lower(spec, 1, plan)
+    _, (rep,) = verify(spec, 10**4, [1], exact_cutoff=10**3)
     assert rep.window_sum == 0.0 and rep.half_theta_sum == 0.0
+
+
+def test_window_gathered_over_many_chunks_is_the_table_sum():
+    # x1 = 60: block 1 ends at e^16.76 ~ 1.9e7, and its window from e^16.23
+    # on spans several sieve segments; the window sums over the primes
+    # gathered from the stream have the bits of the same pairwise sums over
+    # a table of the primes <= upper_1
+    spec = build_spec("power:0.25", x1=60.0, J=2)
+    b = spec.blocks[0]
+    _, (rep,) = verify(spec, 2 * 10**7, [1])
+    ps = sieve_primes(int(math.exp(b.log_upper))).primes
+    lp = np.log(ps.astype(np.float64))
+    sel = (lp >= b.log_x) & (lp < b.log_upper) & (-np.sin(lp) >= 0.5)
+    lps = lp[sel]
+    th = b.a / np.sqrt(np.log(lps))
+    pw = np.exp(-rep.sigma * lps)
+    assert rep.selected_count == int(sel.sum())
+    late = ps[sel][ps[sel] > 10**7]  # the window from e^16.23
+    assert late[-1] - late[0] > 4 * 2**20  # longer than four sieve segments
+    assert (rep.selected_min, rep.selected_max) == (int(ps[sel][0]), int(ps[sel][-1]))
+    assert rep.window_sum == float(np.sum(th * (-np.sin(lps)) * pw))
+    assert rep.half_theta_sum == 0.5 * float(np.sum(th * pw))
 
 
 # --- serialization -------------------------------------------------------------
