@@ -21,10 +21,8 @@ _EXPORTS = {
     "builtin": "multfun",
     "parse_function_spec": "multfun",
     "PrimeTable": "primes",
-    "SpfTable": "primes",
     "prime_chunks": "primes",
     "sieve_primes": "primes",
-    "spf_table": "primes",
 }
 
 __all__ = list(_EXPORTS)

@@ -1,14 +1,18 @@
 """Error-bounded evaluation of zeta(s), F(s) and log F(s) for sigma > 1.
 
-Four routes to F are provided, each tagged in its EvalResult:
+Three routes to F are offered by ``mflab eval-f``, each tagged in its
+EvalResult:
 
 * ``truncated-series``  -- direct sum to N, unconditional tail bound.
-* ``partial-summation`` -- Abel integral of a summatory trace, unconditional.
 * ``prime-sum``         -- sum f(p) p^{-s} plus Euler-factor defect,
                            unconditional (crude near sigma = 1).
 * ``euler-product``     -- prime-zeta route usable arbitrarily close to the
                            one-line; its bound is conditional on the stated
                            alignment assumption (see F_euler).
+
+A fourth, ``partial-summation`` (Abel integral of a summatory trace,
+unconditional), is library-only: the tests use it to cross-check the
+other routes.
 
 All tail bounds are integral comparisons using |f(n)| <= 1: rigorous but
 crude, so near sigma = 1 the unconditional routes report honest, large
@@ -84,9 +88,6 @@ class EvalResult:
     value: complex
     error_bound: float
     method: str
-
-    def consistent_with(self, other: "EvalResult") -> bool:
-        return abs(self.value - other.value) <= self.error_bound + other.error_bound
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from math import exp, log, sqrt
+from math import exp, isfinite, log, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +22,9 @@ from .multfun import MultiplicativeFunction, completely_multiplicative
 from .primes import check_limit, mertens_estimate, ordered_partials, ordered_sum, prime_chunks
 
 LOGLOG_16 = log(log(16.0))      # smallest admissible loglog coordinate
-DEFAULT_LOGLOG_MAX = 40.0       # sup truncation: x_max = e^(e^40)
+LOGLOG_MAX = 40.0               # sup truncation: x_max = e^(e^40)
+KAPPA_GRID_POINTS = 2000        # loglog grid of the kappa regularizations
+A_SQ_BUDGET = 64.0              # largest sum of a_j^2 that choose_blocks accepts
 MERTENS_SLACK = 0.05            # finite-range slack for analytic Mertens bounds
 ALPHA_FLOOR = 1e-6
 
@@ -37,14 +39,13 @@ class KappaFunction:
 
     kappa0 is the running max of raw (nondecreasing); kappa1 additionally
     makes kappa/sqrt(ll) nonincreasing while staying nondecreasing itself.
-    The sup defining kappa1 is truncated at loglog_max; beyond the grid both
-    extend as constants.
+    The grid runs from LOGLOG_16 to LOGLOG_MAX, where the sup defining
+    kappa1 is truncated; beyond the grid both extend as constants.
     """
 
     grid: np.ndarray = field(repr=False)
     kappa0_vals: np.ndarray = field(repr=False)
     kappa1_vals: np.ndarray = field(repr=False)
-    loglog_max: float
     desc: str = "custom"
 
     def kappa0(self, ll: float) -> float:
@@ -61,17 +62,9 @@ class KappaFunction:
         return float(np.interp(ll, self.grid, vals))
 
 
-def regularize_kappa(
-    raw: Callable[[float], float],
-    loglog_min: float = LOGLOG_16,
-    loglog_max: float = DEFAULT_LOGLOG_MAX,
-    points: int = 2000,
-    desc: str = "custom",
-) -> KappaFunction:
-    """Running-max and sup regularizations of ``raw`` on a loglog grid."""
-    if loglog_max < 8.0:
-        raise DomainError("loglog_max must be >= 8")
-    grid = np.linspace(loglog_min, loglog_max, points)
+def regularize_kappa(raw: Callable[[float], float], desc: str = "custom") -> KappaFunction:
+    """Running-max and sup regularizations of ``raw`` on the loglog grid."""
+    grid = np.linspace(LOGLOG_16, LOGLOG_MAX, KAPPA_GRID_POINTS)
     vals = np.array([float(raw(v)) for v in grid])
     if not np.all(vals > 0.0):
         bad = float(grid[int(np.argmin(vals))])
@@ -79,7 +72,7 @@ def regularize_kappa(
     kappa0 = np.maximum.accumulate(vals)
     ratio = kappa0 / np.sqrt(grid)
     kappa1 = np.sqrt(grid) * np.maximum.accumulate(ratio[::-1])[::-1]
-    return KappaFunction(grid, kappa0, kappa1, loglog_max, desc)
+    return KappaFunction(grid, kappa0, kappa1, desc)
 
 
 @dataclass(frozen=True)
@@ -171,7 +164,6 @@ class ExtremalSpec:
     blocks: tuple[ExtremalBlock, ...]
     kappa_desc: str
     alpha_desc: str
-    alpha: AlphaFunction | None = field(default=None, compare=False, repr=False)
 
     def sum_a_sq(self) -> float:
         return float(sum(b.a * b.a for b in self.blocks))
@@ -198,7 +190,7 @@ def choose_blocks(
     alpha: AlphaFunction,
     J: int,
     x1: float,
-    budget: float = 64.0,
+    budget: float = A_SQ_BUDGET,
     kappa_desc: str = "custom",
 ) -> ExtremalSpec:
     """Blocks with log x_{j+1} = (log x_j)^2 + 1, so upper_j < x_{j+1}
@@ -224,17 +216,14 @@ def choose_blocks(
         lx = lu + 1.0
     return ExtremalSpec(
         x1=float(x1), J=J, C0=alpha.C0, blocks=tuple(blocks),
-        kappa_desc=kappa_desc, alpha_desc=alpha.desc, alpha=alpha)
+        kappa_desc=kappa_desc, alpha_desc=alpha.desc)
 
 
-def build_spec(
-    kappa_spec: str, x1: float, J: int, C0: float = 1.0,
-    loglog_max: float = DEFAULT_LOGLOG_MAX, budget: float = 64.0,
-) -> ExtremalSpec:
+def build_spec(kappa_spec: str, x1: float, J: int, C0: float = 1.0) -> ExtremalSpec:
     raw = parse_kappa_spec(kappa_spec)
-    kappa = regularize_kappa(raw, loglog_max=loglog_max, desc=kappa_spec)
+    kappa = regularize_kappa(raw, desc=kappa_spec)
     alpha = alpha_from_kappa(kappa, C0)
-    return choose_blocks(alpha, J, x1, budget=budget, kappa_desc=kappa_spec)
+    return choose_blocks(alpha, J, x1, kappa_desc=kappa_spec)
 
 
 def reference_spec() -> ExtremalSpec:
@@ -249,27 +238,35 @@ def save_spec(spec: ExtremalSpec, path: str) -> None:
 
 
 def load_spec(path: str) -> ExtremalSpec:
-    """Read a ``save_spec`` file; FunctionSpecError if missing or malformed."""
+    """Read a ``save_spec`` file; FunctionSpecError if it is missing or
+    malformed, or holds a non-finite number, a J other than its number of
+    blocks, an x_j < 16 (as choose_blocks requires), an a_j < 0 or a C0 < 0."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
         blocks = tuple(
             ExtremalBlock(float(b["log_x"]), float(b["log_upper"]), float(b["a"]))
             for b in doc["blocks"])
-        alpha = None
-        try:
-            raw = parse_kappa_spec(doc["kappa_desc"])
-            kappa = regularize_kappa(raw, desc=doc["kappa_desc"])
-            alpha = alpha_from_kappa(kappa, float(doc["C0"]))
-        except FunctionSpecError:
-            pass  # custom kappa: blocks alone still define the function
-        return ExtremalSpec(
+        spec = ExtremalSpec(
             x1=float(doc["x1"]), J=int(doc["J"]), C0=float(doc["C0"]),
-            blocks=blocks, kappa_desc=doc["kappa_desc"],
-            alpha_desc=doc["alpha_desc"], alpha=alpha)
+            blocks=blocks, kappa_desc=doc["kappa_desc"], alpha_desc=doc["alpha_desc"])
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as e:
         raise FunctionSpecError(
             f"cannot load extremal spec {path!r}: {type(e).__name__}: {e}") from None
+    numbers = [spec.x1, spec.C0] + [v for b in blocks for v in (b.log_x, b.log_upper, b.a)]
+    if not all(map(isfinite, numbers)):
+        problem = "a number that is not finite"
+    elif spec.J != len(blocks):
+        problem = f"J = {spec.J} but {len(blocks)} blocks"
+    elif any(b.log_x < log(16.0) for b in blocks):
+        problem = "a block starting below x = 16"
+    elif any(b.a < 0 for b in blocks):
+        problem = "an amplitude a_j < 0"
+    elif spec.C0 < 0:
+        problem = f"C0 = {spec.C0!r} < 0"
+    else:
+        return spec
+    raise FunctionSpecError(f"bad extremal spec {path!r}: {problem}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 A function is described by its vectorized prime-power rule (ps, k) -> f(p^k)
 plus class flags.  Bulk evaluation over a range of n runs as a segmented
 sieve driven by base primes up to sqrt(range): strided passes per prime power
-and one integer division per n, so traces up to 10^9 stay feasible; single
-values go through a smallest-prime-factor table.
+and one integer division per n, so traces up to 10^9 stay feasible.  It is
+the one route to f(n); tests check it against trial division.
 
 Summation is order-deterministic: values are grouped into blocks aligned to
 absolute positions (multiples of 4096) and cut at checkpoints, each block is
@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, CoverageError, FunctionSpecError
-from .primes import PrimeTable, SpfTable, sieve_primes
+from .primes import PrimeTable, sieve_primes
 
 SUMMATORY_LIMIT_CEILING = 2**34
 SEGMENT_SIZE_CEILING = 2**22  # 64 MiB of complex values per segment buffer
@@ -48,24 +48,18 @@ class MultiplicativeFunction:
     powers: Callable[[np.ndarray, int], np.ndarray]
     completely_multiplicative: bool = False
     claims_M: bool = False
-    claims_M2: bool = False
     _memo: dict = field(default_factory=dict, repr=False)
-    _raw_memo: dict = field(default_factory=dict, repr=False)
 
     def prime_power(self, p: int, k: int) -> complex:
-        """f(p^k) for one prime, memoized."""
-        key = (p, k)
-        v = self._memo.get(key)
-        if v is None:
-            v = self._memo[key] = complex(self._power(p, k))
-        return v
+        """f(p^k) for one prime as a Python complex (``_power`` memoizes)."""
+        return complex(self._power(p, k))
 
     def _power(self, p: int, k: int) -> np.generic:
         """f(p^k) as a numpy scalar of the rule's own dtype, memoized."""
         key = (p, k)
-        v = self._raw_memo.get(key)
+        v = self._memo.get(key)
         if v is None:
-            v = self._raw_memo[key] = np.asarray(
+            v = self._memo[key] = np.asarray(
                 self.powers(np.array([p], dtype=np.int64), k))[0]
         return v
 
@@ -76,7 +70,7 @@ class MultiplicativeFunction:
 
 def completely_multiplicative(
     label: str, fp: Callable[[np.ndarray], np.ndarray],
-    claims_M: bool = False, claims_M2: bool = False,
+    claims_M: bool = False,
 ) -> MultiplicativeFunction:
     """The function with f(p) = fp(ps) and f(p^k) = f(p)^k.
 
@@ -85,7 +79,7 @@ def completely_multiplicative(
     """
     return MultiplicativeFunction(
         label, lambda ps, k: np.power(fp(ps), k), completely_multiplicative=True,
-        claims_M=claims_M, claims_M2=claims_M2)
+        claims_M=claims_M)
 
 
 @dataclass(frozen=True)
@@ -122,7 +116,6 @@ def twist(base: MultiplicativeFunction, t: float) -> MultiplicativeFunction:
         powers=powers,
         completely_multiplicative=base.completely_multiplicative,
         claims_M=base.claims_M,
-        claims_M2=base.claims_M2,
     )
 
 
@@ -144,8 +137,7 @@ def builtin(name: str, params: Sequence[float] = ()) -> MultiplicativeFunction:
             "liouville", lambda ps: np.full(ps.shape, -1.0), claims_M=True)
     if name == "odd_one":
         return completely_multiplicative(
-            "odd_one", lambda ps: np.where(ps == 2, 0.0, 1.0),
-            claims_M=True, claims_M2=True)
+            "odd_one", lambda ps: np.where(ps == 2, 0.0, 1.0), claims_M=True)
     if name == "twist":
         if len(params) != 1:
             raise FunctionSpecError("twist builtin takes exactly one parameter t")
@@ -184,16 +176,6 @@ def parse_function_spec(spec: str) -> MultiplicativeFunction:
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def value_at(f: MultiplicativeFunction, n: int, spf: SpfTable) -> complex:
-    """f(n) via smallest-prime-factor factorization."""
-    if n == 1:
-        return 1.0 + 0.0j
-    out = 1.0 + 0.0j
-    for p, k in spf.factorize(n):
-        out *= f.prime_power(p, k)
-    return out
 
 
 def _start_dtype(f: MultiplicativeFunction) -> type:
@@ -421,20 +403,17 @@ def summatory_trace(
     limit: int,
     grid=None,
     segment_size: int = 1 << 18,
-    base: PrimeTable | None = None,
-    ceiling: int = SUMMATORY_LIMIT_CEILING,
 ) -> SummatoryTrace:
     """Stream S_f(x) over n = 1..limit, snapshotting at grid checkpoints."""
     if limit < 1:
         raise CoverageError(f"limit must be >= 1, got {limit}")
-    if limit > ceiling:
-        raise CapacityError(f"limit {limit} exceeds ceiling {ceiling}")
+    if limit > SUMMATORY_LIMIT_CEILING:
+        raise CapacityError(f"limit {limit} exceeds ceiling {SUMMATORY_LIMIT_CEILING}")
     if segment_size > SEGMENT_SIZE_CEILING:
         raise CapacityError(
             f"segment size {segment_size} exceeds ceiling {SEGMENT_SIZE_CEILING}")
     cps = resolve_checkpoints(grid, limit)
-    if base is None:
-        base = sieve_primes(max(2, isqrt(limit)))
+    base = sieve_primes(max(2, isqrt(limit)))
     summer = StreamSummer(cps)
     summer.feed(1, np.ones(1, dtype=np.complex128))  # n = 1
     for lo, seg in _value_segments(f, 2, limit, base, segment_size):
@@ -449,49 +428,7 @@ def summatory_trace(
 
 
 # ---------------------------------------------------------------------------
-# class checking
-
-
-@dataclass(frozen=True)
-class ClassCheckReport:
-    function_label: str
-    t: float
-    sample_limit: int
-    m_violations: list[tuple[int, int]]
-    m2_violations: list[int]
-    cm_violations: list[tuple[int, int]]
-    two_adic_failures: list[int]
-
-    @property
-    def m_ok(self) -> bool:
-        return not self.m_violations
-
-    @property
-    def m2_ok(self) -> bool:
-        return not self.m2_violations
-
-    @property
-    def cm_ok(self) -> bool:
-        return not self.cm_violations
-
-    @property
-    def two_adic_ok(self) -> bool:
-        return not self.two_adic_failures
-
-    def summary(self) -> str:
-        lines = [f"function: {self.function_label}"]
-        lines.append(f"M (|f(p^k)| <= 1): {'pass' if self.m_ok else f'FAIL at {self.m_violations[0]}'}")
-        lines.append(f"M2 (f(2^k) = 0): {'pass' if self.m2_ok else f'FAIL at k={self.m2_violations[0]}'}")
-        lines.append(
-            "completely multiplicative: "
-            + ("pass" if self.cm_ok else f"FAIL at {self.cm_violations[0]}"))
-        if self.two_adic_ok:
-            lines.append(f"f(2^k) = -2^(ikt) at t={self.t}: pass for all sampled k")
-        else:
-            lines.append(
-                f"f(2^k) = -2^(ikt) at t={self.t}: fails at k={self.two_adic_failures[0]}"
-                " -> divergence alternative required")
-        return "\n".join(lines)
+# the 2-adic alternative
 
 
 def two_adic_failures(f: MultiplicativeFunction, t: float, kmax: int) -> list[int]:
@@ -499,43 +436,3 @@ def two_adic_failures(f: MultiplicativeFunction, t: float, kmax: int) -> list[in
     fails (tolerance 1e-9)."""
     return [k for k in range(1, kmax + 1)
             if abs(f.prime_power(2, k) + np.exp(1j * k * t * log(2.0))) > 1e-9]
-
-
-def class_check(
-    f: MultiplicativeFunction, sample_limit: int, t: float = 0.0
-) -> ClassCheckReport:
-    """Verify the class flags over all prime powers <= sample_limit.
-
-    Also tests the trivial 2-adic alternative f(2^k) = -2^{ikt} for every k
-    with 2^k <= sample_limit (tolerance 1e-9).
-    """
-    if sample_limit < 2:
-        raise CoverageError("sample_limit must be >= 2")
-    ps = sieve_primes(sample_limit).primes
-    fp = f.prime_values(ps)
-    q = ps  # p^k
-    m_bad: list[tuple[int, int]] = []
-    m2_bad: list[int] = []
-    cm_bad: list[tuple[int, int]] = []
-    k = 1
-    while ps.size:
-        v = np.asarray(f.powers(ps, k), dtype=np.complex128)
-        if f.claims_M:
-            m_bad += [(int(p), k) for p in ps[np.abs(v) > 1.0 + 1e-12]]
-        if f.claims_M2 and v[0] != 0:  # ps[0] = 2 while any prime is left
-            m2_bad.append(k)
-        if f.completely_multiplicative:
-            cm_bad += [(int(p), k) for p in ps[np.abs(v - np.power(fp[: ps.size], k)) > 1e-12]]
-        q = q * ps
-        keep = q <= sample_limit
-        ps, q = ps[keep], q[keep]
-        k += 1
-    return ClassCheckReport(
-        function_label=f.label,
-        t=t,
-        sample_limit=sample_limit,
-        m_violations=sorted(m_bad),
-        m2_violations=m2_bad,
-        cm_violations=sorted(cm_bad),
-        two_adic_failures=two_adic_failures(f, t, sample_limit.bit_length() - 1),
-    )

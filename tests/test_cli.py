@@ -210,7 +210,23 @@ def usage_failure(argv, capsys):
     return code
 
 
-@pytest.mark.parametrize("content", [None, "{not json", '{"x1": 20}', "[1, 2]"])
+def _spec_text(J=1, blocks=1, C0="1.0", log_x="3.0", log_upper="9.0", a="0.5"):
+    """Spec file text with ``blocks`` equal blocks; values are spelled as JSON."""
+    block = f'{{"log_x": {log_x}, "log_upper": {log_upper}, "a": {a}}}'
+    blocks = ", ".join([block] * blocks)
+    return (f'{{"x1": 20.0, "J": {J}, "C0": {C0}, "kappa_desc": "power:0.25", '
+            f'"alpha_desc": "manual", "blocks": [{blocks}]}}')
+
+
+@pytest.mark.parametrize("content", [
+    None, "{not json", '{"x1": 20}', "[1, 2]",
+    pytest.param(_spec_text(a="NaN"), id="nan-a"),
+    pytest.param(_spec_text(log_upper="Infinity"), id="inf-log-upper"),
+    pytest.param(_spec_text(J=5, blocks=3), id="J-5-with-3-blocks"),
+    pytest.param(_spec_text(log_x="1.0"), id="block-below-16"),
+    pytest.param(_spec_text(a="-0.5"), id="negative-a"),
+    pytest.param(_spec_text(C0="-1.0"), id="negative-C0"),
+])
 def test_missing_or_malformed_extremal_spec(tmp_path, capsys, content):
     spec = tmp_path / "spec.json"
     if content is not None:
@@ -405,8 +421,8 @@ for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
     loaded.append(sorted(m[6:] for m in sys.modules if m.startswith("mflab.")))
 import mflab
-assert mflab.ComplexPoint.__module__ == "mflab.dirichlet"
-assert mflab.sieve_primes.__module__ == "mflab.primes"
+for name in mflab.__all__:  # every export resolves to the module it names
+    assert getattr(mflab, name).__module__ == "mflab." + mflab._EXPORTS[name], name
 print(json.dumps(loaded))
 """
 

@@ -11,20 +11,19 @@ from mflab.multfun import (
     MultiplicativeFunction,
     StreamSummer,
     builtin,
-    class_check,
     completely_multiplicative,
     parse_function_spec,
     resolve_checkpoints,
     segment_values,
     summatory_trace,
     twist,
-    value_at,
+    two_adic_failures,
 )
-from mflab.primes import sieve_primes, spf_table
+from mflab.primes import sieve_primes
 
-from _oracles import Mertens, brute_summatory, trial_factorize, trial_value
+from _oracles import (Mertens, brute_summatory, class_m_violations, prime_powers,
+                      trial_factorize, trial_value)
 
-SPF = spf_table(10**5)
 BASE = sieve_primes(1000)
 PRIMES6 = sieve_primes(10**6)
 
@@ -40,19 +39,19 @@ def test_builtin_rules():
     odd = builtin("odd_one")
     assert odd.prime_power(2, 1) == 0
     assert odd.prime_power(3, 4) == 1
-    assert odd.claims_M2
     with pytest.raises(FunctionSpecError):
         builtin("nope")
 
 
 def test_value_at_examples():
+    # f(n) from the segment kernel, the one route to single values
     mu, lam, odd = builtin("moebius"), builtin("liouville"), builtin("odd_one")
-    assert value_at(mu, 12, SPF) == 0
-    assert value_at(lam, 12, SPF) == -1  # Omega(12) = 3
-    assert value_at(odd, 10, SPF) == 0
-    assert value_at(mu, 1, SPF) == 1
+    assert segment_values(mu, 12, 12, BASE)[0] == 0
+    assert segment_values(lam, 12, 12, BASE)[0] == -1  # Omega(12) = 3
+    assert segment_values(odd, 10, 10, BASE)[0] == 0
+    assert segment_values(mu, 1, 1, BASE)[0] == 1
     with pytest.raises(CoverageError):
-        value_at(mu, 10**5 + 1, SPF)
+        segment_values(mu, 1001**2, 1001**2, BASE)  # needs base primes to 1001
 
 
 @pytest.mark.parametrize(
@@ -62,8 +61,6 @@ def test_sieve_vs_trial_division(name):
     vals = segment_values(f, 1, 3000, BASE)
     for n in range(1, 3001):
         assert abs(vals[n - 1] - trial_value(f, n)) <= 1e-12
-    for n in (2, 30, 1024, 2310):
-        assert abs(value_at(f, n, SPF) - trial_value(f, n)) <= 1e-12
 
 
 def test_summatory_examples():
@@ -120,7 +117,7 @@ def test_twist_preserves_modulus(t, p, k):
 
 def test_twist_flags_and_vector_path():
     tw = twist(builtin("odd_one"), 1.5)
-    assert tw.claims_M and tw.claims_M2 and tw.completely_multiplicative
+    assert tw.claims_M and tw.completely_multiplicative
     ps = np.array([2, 3, 5, 101], dtype=np.int64)
     vec = tw.prime_values(ps)
     for i, p in enumerate(ps):
@@ -128,27 +125,34 @@ def test_twist_flags_and_vector_path():
 
 
 def test_class_check_liouville_two_adic():
-    rep = class_check(builtin("liouville"), 100, t=0.0)
-    assert rep.m_ok and rep.cm_ok
-    # f(4) = +1 but -2^{0} = -1: alternative fails at k = 2
-    assert not rep.two_adic_ok and rep.two_adic_failures[0] == 2
-    assert "divergence alternative required" in rep.summary()
+    # f(4) = +1 but -2^{0} = -1: the 2-adic alternative fails from k = 2 on
+    assert two_adic_failures(builtin("liouville"), 0.0, 6) == [2, 4, 6]
 
 
 def test_class_check_odd_one_and_violation():
-    rep = class_check(builtin("odd_one"), 100)
-    assert rep.m_ok and rep.m2_ok
+    odd = builtin("odd_one")
+    assert class_m_violations(odd) == []
+    assert all(odd.prime_power(2, k) == 0 for k in range(1, 11))  # class M2
     bad = MultiplicativeFunction(
         "bad", lambda ps, k: np.where((ps == 3) & (k == 1), 1.5, 1.0), claims_M=True)
-    rep = class_check(bad, 50)
-    assert not rep.m_ok and rep.m_violations[0] == (3, 1)
+    assert class_m_violations(bad, 50) == [(3, 1)]
 
 
 def test_class_check_two_adic_match():
     f = MultiplicativeFunction(
         "tilted", lambda ps, k: np.where(ps == 2, -np.exp(1j * k * np.log(2.0)), 1.0))
-    rep = class_check(f, 1000, t=1.0)
-    assert rep.two_adic_ok
+    assert two_adic_failures(f, 1.0, 9) == []
+
+
+@pytest.mark.parametrize("spec", [
+    "one", "moebius", "liouville", "odd_one", "twist:0.7:one", "twist:0.7:moebius",
+    "extremal-ref"])
+def test_corpus_is_in_class_M(spec):
+    f = parse_function_spec(spec)
+    assert f.claims_M and class_m_violations(f) == []
+    if f.completely_multiplicative:
+        for p, k in prime_powers(2000):
+            assert abs(f.prime_power(p, k) - f.prime_power(p, 1) ** k) <= 1e-12, (p, k)
 
 
 def test_resolve_checkpoints():
@@ -187,7 +191,7 @@ def test_segment_values_independent_of_segment_end():
     "one", "moebius", "liouville", "odd_one", "twist:0.7:one", "extremal-ref",
     "twist:0.7:moebius", "twist:0.7:extremal-ref"])
 def test_prime_power_matches_prime_values(spec):
-    # one-prime reads (base primes, value_at) equal array reads (leftover
+    # one-prime reads (base primes) equal array reads (leftover
     # primes, prime sums) bit for bit, including p = 88651, 125683, 285343
     f = parse_function_spec(spec)
     ps = PRIMES6.primes

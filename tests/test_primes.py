@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mflab.errors import CapacityError, CoverageError, EmptyRangeError
 from mflab.primes import (
@@ -14,7 +12,6 @@ from mflab.primes import (
     ordered_sum,
     prime_chunks,
     sieve_primes,
-    spf_table,
 )
 
 from _oracles import bitset_prime_count, trial_factorize
@@ -28,8 +25,8 @@ def test_sieve_small():
 
 def test_sieve_million_against_bitset_oracle():
     table = sieve_primes(10**6)
-    assert table.count() == bitset_prime_count(10**6)
-    assert table.count() == 78498
+    assert table.primes.size == bitset_prime_count(10**6)
+    assert table.primes.size == 78498
 
 
 def test_sieve_crosses_segment_boundaries():
@@ -37,7 +34,7 @@ def test_sieve_crosses_segment_boundaries():
     # them; the primes next to each cut come from trial division
     limit = 2 * 2**20 + 2**19 + 7
     table = sieve_primes(limit)
-    assert table.count() == bitset_prime_count(limit)
+    assert table.primes.size == bitset_prime_count(limit)
     for cut in (3 + 2**20, 3 + 2 * 2**20):
         got = table.primes[(table.primes >= cut - 300) & (table.primes < cut + 300)]
         want = [n for n in range(cut - 300, cut + 300) if trial_factorize(n) == [(n, 1)]]
@@ -87,51 +84,6 @@ def test_sieve_errors():
         sieve_primes(1)
     with pytest.raises(CapacityError):
         sieve_primes(10**7, ceiling=10**6)
-
-
-def test_spf_small():
-    t = spf_table(12)
-    assert int(t.spf[12]) == 2
-    assert int(t.spf[9]) == 3
-    assert int(t.spf[7]) == 7
-    assert spf_table(2).spf[2] == 2
-
-
-def test_spf_against_trial_division():
-    t = spf_table(10**5)
-    rng = np.random.default_rng(7)
-    for n in rng.integers(2, 10**5 + 1, size=1000):
-        n = int(n)
-        assert int(t.spf[n]) == trial_factorize(n)[0][0]
-
-
-def test_spf_factorization_reconstructs():
-    t = spf_table(10**5)
-    for n in range(2, 10**5 + 1):
-        m = 1
-        for p, k in t.factorize(n):
-            m *= p**k
-        if m != n:  # loop kept cheap; assert only on failure
-            assert m == n
-    assert t.factorize(360) == [(2, 3), (3, 2), (5, 1)]
-
-
-def test_spf_errors():
-    with pytest.raises(EmptyRangeError):
-        spf_table(1)
-    with pytest.raises(CapacityError):
-        spf_table(10**6, ceiling=10**5)
-    with pytest.raises(CoverageError):
-        spf_table(100).factorize(101)
-
-
-_SPF_10K = spf_table(10**4)
-
-
-@given(st.integers(min_value=2, max_value=10**4))
-@settings(max_examples=60, deadline=None)
-def test_spf_leads_trial_division(n):
-    assert int(_SPF_10K.spf[n]) == trial_factorize(n)[0][0]
 
 
 def reciprocal_sum(x: int) -> float:
