@@ -55,6 +55,7 @@ def _checked(convert, ok, what):
 
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _finite_float = _checked(float, isfinite, "a finite number")
+_nonnegative_float = _checked(float, lambda v: 0 <= v < float("inf"), "a finite number >= 0")
 
 
 def _sigma_grid(spec: str) -> list[float]:
@@ -282,7 +283,7 @@ def build_parser() -> _Parser:
                    help="const:<c> | power:<e> | loglog-fraction:<c>")
     p.add_argument("--x1", type=_finite_float, default=20.0)
     p.add_argument("--J", type=int, default=3)
-    p.add_argument("--C0", type=_finite_float, default=1.0)
+    p.add_argument("--C0", type=_nonnegative_float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_extremal_build)
 

@@ -190,7 +190,6 @@ def choose_blocks(
     alpha: AlphaFunction,
     J: int,
     x1: float,
-    budget: float = A_SQ_BUDGET,
     kappa_desc: str = "custom",
 ) -> ExtremalSpec:
     """Blocks with log x_{j+1} = (log x_j)^2 + 1, so upper_j < x_{j+1}
@@ -209,9 +208,9 @@ def choose_blocks(
                 f"log-form overflow at block {j}; maximal feasible J = {j - 1}")
         a = sqrt(alpha.at_loglog(log(lu)))
         total += a * a
-        if total > budget:
+        if total > A_SQ_BUDGET:
             raise CapacityError(
-                f"sum of a_j^2 exceeds budget {budget} at block {j}")
+                f"sum of a_j^2 exceeds budget {A_SQ_BUDGET} at block {j}")
         blocks.append(ExtremalBlock(lx, lu, a))
         lx = lu + 1.0
     return ExtremalSpec(

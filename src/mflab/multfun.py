@@ -3,23 +3,25 @@
 A function is described by its vectorized prime-power rule (ps, k) -> f(p^k)
 plus class flags.  Bulk evaluation over a range of n runs as a segmented
 sieve driven by base primes up to sqrt(range): strided passes per prime power
-and one integer division per n, so traces up to 10^9 stay feasible.  It is
-the one route to f(n); tests check it against trial division.
+into a float64 p-part product (exact below 2^53) and one float64 division
+per n, so traces up to 10^9 stay feasible.  Values take the narrowest exact
+rung of int8 (f in {-1, 0, 1}), float64 and complex128.  It is the one route
+to f(n); tests check it against trial division.
 
 Summation is order-deterministic: values are grouped into blocks aligned to
 absolute positions (multiples of 4096) and cut at checkpoints, each block is
-np.sum'ed, and block sums enter a compensated accumulator in ascending
-order.  So reruns at a fixed segment size are byte-identical, and a
-real-valued rule gives bit-identical checkpoints at every segment size.  A
-complex rule does not yet: the kernel multiplies one value by f(p) as a
-scalar or by a gathered table entry depending on the segment, and the two
-can round differently in the last bit.
+np.sum'ed (int8 blocks as exact integers), and block sums enter a
+compensated accumulator in ascending order.  So reruns at a fixed segment
+size are byte-identical, and a real-valued rule gives bit-identical
+checkpoints at every segment size.  A complex rule does not yet: the kernel
+multiplies one value by f(p) as a scalar or by a gathered table entry
+depending on the segment, and the two can round differently in the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite, isqrt, log
+from math import ceil, isfinite, isqrt, log
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -31,6 +33,7 @@ SUMMATORY_LIMIT_CEILING = 2**34
 SEGMENT_SIZE_CEILING = 2**22  # 64 MiB of complex values per segment buffer
 DEFAULT_GRID_RATIO = 2.0 ** 0.25
 DEFAULT_GRID_START = 10
+GRID_STEP_CEILING = 10**5  # geometric steps, each one checkpoint before duplicates go
 _SUM_BLOCK = 4096
 
 
@@ -75,11 +78,15 @@ def completely_multiplicative(
     """The function with f(p) = fp(ps) and f(p^k) = f(p)^k.
 
     np.power rather than ``**``: ``array ** 2`` takes numpy's squaring fast
-    path, which rounds differently from the power of a single value.
+    path, which rounds differently from the power of a single value.  For
+    k = 1 it runs only on complex zeros, which it turns into +0 + 0i.
     """
+    def powers(ps: np.ndarray, k: int) -> np.ndarray:
+        v = np.asarray(fp(ps))
+        return v if k == 1 and (v.dtype.kind != "c" or v.all()) else np.power(v, k)
+
     return MultiplicativeFunction(
-        label, lambda ps, k: np.power(fp(ps), k), completely_multiplicative=True,
-        claims_M=claims_M)
+        label, powers, completely_multiplicative=True, claims_M=claims_M)
 
 
 @dataclass(frozen=True)
@@ -178,16 +185,30 @@ def parse_function_spec(spec: str) -> MultiplicativeFunction:
 # evaluation
 
 
-def _start_dtype(f: MultiplicativeFunction) -> type:
-    """complex128 if the rule returns f(2) as complex, float64 otherwise."""
-    return np.complex128 if f._power(2, 1).dtype.kind == "c" else np.float64
+def _rung(v: np.ndarray | np.generic) -> type:
+    """The lowest rung, int8 -> float64 -> complex128, that holds ``v`` exactly."""
+    if v.dtype.kind == "c":
+        return np.complex128
+    return np.int8 if np.isin(v, (-1, 0, 1)).all() else np.float64
 
 
-def _widen(vals: np.ndarray, factor: np.ndarray | np.generic) -> np.ndarray:
-    """``vals``, copied to complex128 if ``factor`` is complex and it is not."""
-    if factor.dtype.kind == "c" and vals.dtype.kind != "c":
-        return vals.astype(np.complex128)
-    return vals
+def _widen(vals: np.ndarray, dtype) -> np.ndarray:
+    """``vals``, copied up the ladder if it cannot hold ``dtype``."""
+    wide = np.promote_types(vals.dtype, dtype)
+    return vals if wide == vals.dtype else vals.astype(wide)
+
+
+def _int8_steps(f: MultiplicativeFunction, p: int, levels: int) -> tuple | None:
+    """Per power p^j, j <= levels, the int8 rung's step from f(p^{j-1}) to
+    f(p^j): the sign of the change, or 0 to zero.  None (also memoized) if
+    a value is not a real -1, 0 or 1, or is nonzero after a 0."""
+    key = ("int8", p, levels)
+    if key not in f._memo:
+        fs = [1, *(f._power(p, j) for j in range(1, levels + 1))]
+        pairs = list(zip(fs, fs[1:]))  # (f(p^{j-1}), f(p^j))
+        exact = all(v.dtype.kind != "c" and v in (-1, 0, 1) and (a or not v) for a, v in pairs)
+        f._memo[key] = tuple(int(a * v) if a else 1 for a, v in pairs) if exact else None
+    return f._memo[key]
 
 
 def segment_values(
@@ -196,22 +217,25 @@ def segment_values(
 ) -> np.ndarray:
     """f(n) for every n in [lo, hi].
 
-    ``base`` must cover primes up to sqrt(hi).  For each base prime p the
-    multiples of p form the strided view [start::p]; the exponent k of p is
-    counted there by one strided increment per power p^j with a multiple in
-    the segment, and the view is multiplied by f(p^k) (by f(p) alone when
-    no p^2 divides any n here) while ``prod`` collects p^k.  The prime
-    factor above sqrt(hi) that n may have left is n // prod, one integer
-    division per n, and multiplies in through its indices.  Per-element
-    factor order is ascending prime then leftover prime, independent of
-    segmentation.
+    ``base`` must cover primes up to sqrt(hi).  Each power p^j of a base
+    prime with a multiple here gives a strided view [s::p^j], in which
+    ``prod`` collects the p-part of n.  The prime above sqrt(hi) that n may
+    have left is n / prod, an exact float64 division (both are integers
+    below 2^53), and multiplies in through its indices.
 
-    ``vals`` (float64 or complex128) and ``prod`` (int64) are optional work
-    buffers of length hi - lo + 1; by default ``vals`` is complex128 when
-    f(2) is complex.  Float64 values switch to complex128 at the first
-    complex f(p^k), so no imaginary part is lost; the result is then a new
-    array rather than ``vals``.  While every factor is real, the values are
-    the real parts a complex128 pass would give, up to the sign of zeros.
+    Values climb the rungs int8 -> float64 -> complex128.  In int8 (every
+    f(p^k) read is -1, 0 or 1) each p^j takes the step from f(p^{j-1}) to
+    f(p^j): it zeroes its multiples in ``vals`` or multiplies them by -p in
+    ``prod``, whose signs reach ``vals`` after the division.  A step int8
+    cannot take (a value outside {-1, 0, 1}, or f(p^{j-1}) = 0 != f(p^j))
+    widens the segment first.  Above int8 the view of p is multiplied by
+    f(p) when no p^2 divides any n here, else by the gathered f(p^k), in
+    ascending prime order, then by the leftover prime's value.  Every rung
+    gives the numbers of a complex128 pass, up to the sign of zeros.
+
+    ``vals`` (by default on the rung of f(2)) and ``prod`` (float64) are
+    optional work buffers of length hi - lo + 1; a widened result is a new
+    array rather than ``vals``.
     """
     if lo < 1 or hi < lo:
         raise CoverageError(f"bad segment [{lo}, {hi}]")
@@ -220,36 +244,49 @@ def segment_values(
         raise CoverageError(f"base primes cover {base.limit} < sqrt({hi})")
     size = hi - lo + 1
     if vals is None:
-        vals = np.empty(size, dtype=_start_dtype(f))
+        vals = np.empty(size, dtype=_rung(f._power(2, 1)))
     if prod is None:
-        prod = np.empty(size, dtype=np.int64)
-    vals.fill(1.0)
-    prod.fill(1)  # p^k part of each n over the base primes
+        prod = np.empty(size, dtype=np.float64)
+    signed = vals.dtype == np.int8  # int8 steps keep their signs in prod
+    vals.fill(1)
+    prod.fill(1.0)  # p-part of each n over the base primes
     for p in base.primes[base.primes <= root].tolist():
-        start = -lo % p  # offset of the first multiple of p
-        prod[start::p] *= p
-        q = p * p
-        if -lo % q >= size:  # no n here has p^2 | n, so every exponent is 1
-            fp = f._power(p, 1)
-            vals = _widen(vals, fp)
-            vals[start::p] *= fp
+        views = []  # (offset, p^j) of the multiples of each power of p here
+        q = p
+        while (s := -lo % q) < size:  # false once q > hi
+            views.append((s, q))
+            q *= p
+        if not views:
+            continue
+        steps = _int8_steps(f, p, len(views)) if vals.dtype == np.int8 else None
+        for (s, q), step in zip(views, steps or (1,) * len(views)):
+            prod[s::q] *= p * (step or 1)
+            if not step:
+                vals[s::q] = 0
+        if steps is not None:
+            continue
+        fs = [f._power(p, j) for j in range(1, len(views) + 1)]
+        if vals.dtype != np.complex128:
+            vals = _widen(vals, np.result_type(np.float64, *fs))
+        start = views[0][0]
+        if len(fs) == 1:
+            vals[start::p] *= fs[0]
             continue
         k = np.ones(len(range(start, size, p)), dtype=np.intp)  # exponent of p along [start::p]
-        kmax = 1
-        while (s := -lo % q) < size:  # false once q > hi
-            k[(s - start) // p :: q // p] += 1  # multiples of q: every (q/p)-th slot
-            prod[s::q] *= p
-            kmax += 1
-            q *= p
-        table = np.array([1.0] + [f._power(p, j) for j in range(1, kmax + 1)])
-        vals = _widen(vals, table)
-        vals[start::p] *= table[k]
-    rem = np.floor_divide(np.arange(lo, hi + 1, dtype=np.int64), prod, out=prod)
+        for s, q in views[1:]:  # multiples of q: every (q/p)-th slot
+            k[(s - start) // p :: q // p] += 1
+        vals[start::p] *= np.array([1.0, *fs])[k]
+    rem = np.divide(np.arange(lo, hi + 1, dtype=np.float64), prod, out=prod)
+    if signed:
+        vals *= 1 - 2 * (rem < 0).view(np.int8)
+        np.abs(rem, out=rem)
     big = np.flatnonzero(rem > 1)
     if big.size:
-        fp = np.asarray(f.powers(rem[big], 1))
-        vals = _widen(vals, fp)
-        vals[big] *= fp
+        ps = prod.view(np.int64)[:big.size]  # leftover primes over spent quotients
+        ps[:] = rem[big]
+        fp = np.asarray(f.powers(ps, 1))
+        vals = _widen(vals, _rung(fp))
+        vals[big] *= fp.astype(vals.dtype, copy=False)
     return vals
 
 
@@ -259,12 +296,12 @@ def _value_segments(
     """(start, f(start..end)) for consecutive segments of [lo, hi].
 
     One pair of work buffers serves every segment, so each array is valid
-    only until the next one is yielded.  A float64 value buffer is replaced
-    by a complex128 one once the rule has returned a complex value.
+    only until the next one is yielded.  Once a segment has widened, the
+    value buffer is replaced by one on the wider rung.
     """
     size = min(segment_size, hi - lo + 1)
-    vals = np.empty(size, dtype=_start_dtype(f))
-    prod = np.empty(size, dtype=np.int64)
+    vals = np.empty(size, dtype=_rung(f._power(2, 1)))
+    prod = np.empty(size, dtype=np.float64)
     while lo <= hi:
         n = min(size, hi - lo + 1)
         out = segment_values(f, lo, lo + n - 1, base, vals[:n], prod[:n])
@@ -323,16 +360,17 @@ class StreamSummer:
     def _flush(self, head: np.ndarray) -> None:
         """Sum the tail followed by ``head`` as one block."""
         chunk = np.concatenate((self._tail, head)) if self._tail.size else head
-        s = complex(chunk.sum())
-        self._re.add(s.real)
-        self._im.add(s.imag)
+        s = chunk.sum()
+        self._re.add(float(s.real))
+        self._im.add(float(s.imag))
         self._buf_start += chunk.size
         self._tail = self._tail[:0]
 
     def feed(self, start: int, vals: np.ndarray) -> None:
         if start != self._n_next:
             raise ValueError(f"stream discontinuity: expected {self._n_next}, got {start}")
-        vals = np.asarray(vals, dtype=np.complex128)
+        if vals.dtype != np.int8:  # int8 blocks sum as exact integers, uncopied
+            vals = np.asarray(vals, dtype=np.complex128)
         self._n_next += vals.size
         i = 0  # vals[:i] is summed
         while (cut := self._next_cut()) < self._n_next:
@@ -374,8 +412,10 @@ def resolve_checkpoints(grid, limit: int) -> list[int]:
                 start = float(parts[2]) if len(parts) == 3 else float(DEFAULT_GRID_START)
             except ValueError:
                 raise FunctionSpecError(f"bad grid spec {grid!r}") from None
-            if ratio <= 1.0:
-                raise FunctionSpecError("geometric grid needs ratio > 1")
+            if not (ratio > 1.0 and 0.0 < start < float("inf")):
+                raise FunctionSpecError("geometric grid needs ratio > 1 and a finite start > 0")
+            if (steps := ceil(log(limit / start) / log(ratio))) > GRID_STEP_CEILING:
+                raise CapacityError(f"geometric grid of {steps} steps exceeds {GRID_STEP_CEILING}")
             x = start
             while x <= limit:
                 pts.append(int(x))

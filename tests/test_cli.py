@@ -180,6 +180,22 @@ def test_segment_size_above_ceiling_is_refused_before_sieving(tmp_path, capsys, 
     assert multfun.SEGMENT_SIZE_CEILING > 10**6  # test_segmentation_bit_identity uses 10^6
 
 
+def test_dense_geometric_grid_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # about 1.2e9 steps: refused on the closed-form step count, never stepped
+    def no_work(*args, **kwargs):
+        raise AssertionError("sieved or evaluated a segment")
+
+    monkeypatch.setattr(multfun, "sieve_primes", no_work)
+    monkeypatch.setattr(multfun, "segment_values", no_work)
+    out = tmp_path / "x.csv"
+    assert main(["sum", "--function", "moebius", "--limit", "1000000",
+                 "--grid", "geometric:1.00000001", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:capacity:") and err.count("\n") == 1, err
+    assert "1151292560 steps" in err and str(multfun.GRID_STEP_CEILING) in err
+    assert not out.exists()
+
+
 def test_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["sum", "--nope"])
@@ -236,6 +252,16 @@ def test_missing_or_malformed_extremal_spec(tmp_path, capsys, content):
                           "--out", str(out)], capsys) == 2
     assert usage_failure(["extremal-verify", str(spec)], capsys) == 2
     assert not out.exists()
+
+
+def test_negative_C0_is_a_usage_error_from_the_flag_and_from_a_spec_file(tmp_path, capsys):
+    out = tmp_path / "built.json"
+    assert usage_failure(["extremal-build", "--kappa", "power:0.25", "--C0", "-1",
+                          "--out", str(out)], capsys) == 2
+    assert not out.exists()
+    spec = tmp_path / "spec.json"
+    spec.write_text(_spec_text(C0="-1.0"))
+    assert usage_failure(["extremal-verify", str(spec)], capsys) == 2
 
 
 def test_unwritable_out(tmp_path, capsys):

@@ -147,12 +147,14 @@ def test_choose_blocks_single_and_validation():
 
 
 def test_choose_blocks_capacity():
-    a = alpha_from_kappa(regularize_kappa(lambda ll: 1.0), 1.0)
+    # both ceilings at the fixed budget A_SQ_BUDGET, reached through J and C0
+    kappa = regularize_kappa(lambda ll: 1.0)
     with pytest.raises(CapacityError) as ei:
-        choose_blocks(a, 12, 20.0, budget=1e9)
-    assert "maximal feasible J" in str(ei.value)
-    with pytest.raises(CapacityError):
-        choose_blocks(a, 3, 20.0, budget=1.0)
+        choose_blocks(alpha_from_kappa(kappa, 1.0), 12, 20.0)
+    assert "maximal feasible J = 9" in str(ei.value)
+    with pytest.raises(CapacityError) as ei:
+        choose_blocks(alpha_from_kappa(kappa, 100.0), 3, 20.0)
+    assert "exceeds budget" in str(ei.value)
 
 
 def test_sum_a_sq_budget():

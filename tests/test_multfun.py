@@ -1,4 +1,4 @@
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt
 
 import numpy as np
@@ -155,6 +155,31 @@ def test_corpus_is_in_class_M(spec):
             assert abs(f.prime_power(p, k) - f.prime_power(p, 1) ** k) <= 1e-12, (p, k)
 
 
+def _signed_zeros(ps):
+    # zeros with every sign pattern, and nonzero values with a -0 part
+    return np.array([0j, complex(0, -0.0), complex(-0.0, 0), complex(-0.0, -0.0),
+                     complex(1, -0.0), complex(-0.0, 1), -1 + 0j])[ps % 7]
+
+
+@pytest.mark.parametrize("spec", [
+    "one", "moebius", "liouville", "odd_one", "twist:0.7:one", "twist:0.7:odd_one",
+    "extremal-ref", "signed-zeros"])
+def test_completely_multiplicative_first_power_has_the_bits_of_np_power(spec):
+    # f(p) as the rule returns it, with the bits np.power(., 1) gives it
+    if spec == "signed-zeros":
+        fp = _signed_zeros
+    else:
+        fp = partial(parse_function_spec(spec).powers, k=1)
+    ps = PRIMES6.primes
+    got = completely_multiplicative(spec, fp).powers(ps, 1)
+    want = np.power(fp(ps), 1)
+    assert got.dtype == want.dtype
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    # np.power turns every complex zero into +0 + 0i, and nothing else changes
+    same = fp(ps).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert same == (spec != "signed-zeros")
+
+
 def test_resolve_checkpoints():
     assert resolve_checkpoints("geometric:2", 100) == [10, 20, 40, 80, 100]
     assert resolve_checkpoints("geometric:2:3", 20) == [3, 6, 12, 20]
@@ -162,6 +187,9 @@ def test_resolve_checkpoints():
     assert resolve_checkpoints(None, 12)[-1] == 12
     with pytest.raises(FunctionSpecError):
         resolve_checkpoints("geometric:0.5", 100)
+    for start in ("0", "-3", "inf", "nan"):  # 0 and -3 used to step forever
+        with pytest.raises(FunctionSpecError):
+            resolve_checkpoints(f"geometric:2:{start}", 100)
     with pytest.raises(FunctionSpecError):
         resolve_checkpoints("huh:1", 100)
 
@@ -236,11 +264,13 @@ def test_real_rules_give_float_values_equal_to_zero_twist(name):
         hi = lo + 40
         base = sieve_primes(isqrt(hi))
         vals, want = segment_values(f, lo, hi, base), segment_values(ref, lo, hi, base)
-        assert vals.dtype == np.float64 and want.dtype == np.complex128
+        # every value of a real builtin is -1, 0 or 1: the exact int8 rung
+        assert vals.dtype == np.int8 and want.dtype == np.complex128
         # equal as numbers; a zero may carry the other sign
         assert np.array_equal(vals, want.real)
         nz = vals != 0
-        assert vals[nz].view(np.uint64).tolist() == want.real[nz].view(np.uint64).tolist()
+        assert (vals[nz].astype(np.float64).view(np.uint64).tolist()
+                == want.real[nz].view(np.uint64).tolist())
 
 
 @pytest.mark.parametrize("segment_size,limit", [
@@ -272,8 +302,9 @@ COMPLEX_TWIN = completely_multiplicative("twin", _always_complex)
 def test_kernel_switches_to_complex_at_the_first_complex_value():
     # the first complex value arrives as a leftover prime (2..3000), as a
     # scalar base prime (1009 with no 1009^2 in range) or as a gathered
-    # table (1009^2 in range); below 1000 there is none
-    assert segment_values(MIXED, 2, 999, BASE).dtype == np.float64
+    # table (1009^2 in range); below 1000 there is none, and every value
+    # there is -1, 0 or 1
+    assert segment_values(MIXED, 2, 999, BASE).dtype == np.int8
     for lo, hi in [(2, 3000), (1009 * 1013 - 20, 1009 * 1013 + 20),
                    (1009**2 - 20, 1009**2 + 20)]:
         base = sieve_primes(isqrt(hi))
@@ -292,6 +323,43 @@ def test_summatory_trace_never_drops_an_imaginary_part(segment_size, limit):
     want = summatory_trace(COMPLEX_TWIN, limit, segment_size=segment_size).values
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     assert np.abs(got.imag).max() > 1.0
+
+
+# exact (-1)^k below 1000 and 0.5 beyond; f(3) = 0 but f(9) = 1, so int8
+# cannot step from f(3) to f(9) and widens inside one prime
+HALF_BEYOND_1000 = MultiplicativeFunction(
+    "half", lambda ps, k: np.where(ps < 1000, (-1.0) ** k, 0.5))
+ZERO_THEN_ONE = MultiplicativeFunction(
+    "zero-then-one", lambda ps, k: np.where(ps == 3, float(k % 2 == 0), -1.0 if k == 1 else 0.0))
+
+
+@pytest.mark.parametrize("f,int8_windows,float_windows", [
+    # 0.5 arrives as a leftover prime, a scalar base prime or a gathered table
+    (HALF_BEYOND_1000, [(2, 999)],
+     [(2, 3000), (1009 * 1013 - 20, 1009 * 1013 + 20), (1009**2 - 20, 1009**2 + 20)]),
+    (ZERO_THEN_ONE, [(10, 12), (3**5 + 1, 3**5 + 8)], [(1, 3000), (3**10 - 20, 3**10 + 20)]),
+])
+def test_int8_rung_widens_to_float64_at_a_step_it_cannot_take(f, int8_windows, float_windows):
+    for windows, dtype in ((int8_windows, np.int8), (float_windows, np.float64)):
+        for lo, hi in windows:
+            vals = segment_values(f, lo, hi, sieve_primes(max(2, isqrt(hi))))
+            assert vals.dtype == dtype, (lo, hi)
+            for n in range(lo, hi + 1):
+                assert vals[n - lo] == trial_value(f, n), n  # products of 0.5 and 1 are exact
+
+
+@pytest.mark.parametrize("segment_size,limit", [
+    (1, 1000), (7, 5000), (4095, 10**5), (1 << 18, 6 * 10**5)])
+def test_stream_summer_sums_int8_segments_with_the_bits_of_complex128(segment_size, limit):
+    vals = segment_values(builtin("liouville"), 1, limit, sieve_primes(isqrt(limit)))
+    assert vals.dtype == np.int8
+    cps = resolve_checkpoints("geometric:1.2:2", limit)
+    exact, wide = StreamSummer(cps), StreamSummer(cps)
+    for lo in range(0, limit, segment_size):
+        exact.feed(lo + 1, vals[lo : lo + segment_size])
+        wide.feed(lo + 1, vals[lo : lo + segment_size].astype(np.complex128))
+    got, want = (np.array([*s.checkpoint_values, s.close()]) for s in (exact, wide))
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @pytest.mark.xfail(strict=True, reason="the kernel's scalar and gathered-table "
