@@ -34,8 +34,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, CoverageError, DomainError, SingularFactorError
-from .multfun import (SUMMATORY_LIMIT_CEILING, MultiplicativeFunction, StreamSummer,
-                      SummatoryTrace, _value_segments)
+from .multfun import (SUMMATORY_LIMIT_CEILING, MultiplicativeFunction, SummatoryTrace,
+                      _value_segments, unit_power)
 from .primes import ordered_sum, prime_chunks, sieve_primes
 
 # Bernoulli quotients B_2/2!, B_4/4!, B_6/6! for the Euler-Maclaurin tail.
@@ -49,10 +49,10 @@ _B6_6F = 1.0 / 30240.0
 _DEFECT_COEFF = 3.75
 # Local-factor series terms are summed while their tail may exceed this.
 _FACTOR_TAIL_TOL = 1e-14
-# zeta's head sum is taken in chunks of this many terms.  A seeded
-# ordered_sum has the same bits at any split, so this only bounds the
-# size of the arange/log temporaries.
-_ZETA_CHUNK = 1 << 16
+# zeta's head sum and add_power_sums work in blocks of this many terms.  A
+# seeded ordered_sum has the same bits at any split, so this only bounds
+# the size of their temporaries.
+_BLOCK = 1 << 14
 # Largest |t| that zeta accepts; see zeta.
 ZETA_HEIGHT_CEILING = 1e8
 
@@ -106,11 +106,34 @@ class TruncationPlan:
             raise DomainError("need 2 <= exact_factor_cutoff <= prime_cutoff")
 
 
-def inverse_power(log_n: np.ndarray, s: complex) -> np.ndarray:
-    """n^{-s} = exp(-s log n), exponentiated in place.  Returned as a
-    temporary, so numpy computes ``c * inverse_power(...)`` in its buffer."""
-    z = -s * log_n
-    return np.exp(z, out=z)
+def inverse_power(log_n: np.ndarray, sigma: float) -> np.ndarray:
+    """n^{-sigma}, one real exp; n^{-s} is this times unit_power(log_n, t)."""
+    x = np.multiply(log_n, -sigma)
+    return np.exp(x, out=x)
+
+
+def add_power_sums(
+    c: np.ndarray, log_n: np.ndarray, pts: Sequence[ComplexPoint], totals: list,
+) -> list:
+    """Each point's running ordered sum of c n^{-s}, continued over ``c``.
+    Per block of c, a run of points with one t multiplies the unit n^{-it}
+    into c once, so a point takes one real exp and one multiply.  numpy may
+    swap the operands of ``a * tmp`` for a temporary ``tmp``, which can change
+    a complex product's last bit; here every product has named operands in a
+    fixed order, so a term's bits depend neither on the other points nor on
+    len(c)."""
+    totals = list(totals)
+    for j in range(0, c.size, _BLOCK):
+        cb, lb = c[j : j + _BLOCK], log_n[j : j + _BLOCK]
+        t = None
+        for i, pt in enumerate(pts):
+            if pt.t != t:
+                t = pt.t
+                cu = cb if t == 0.0 else np.multiply(cb, unit_power(lb, t))
+            x = inverse_power(lb, pt.sigma)
+            term = np.multiply(cu, x, out=None if cu.dtype.kind == "c" else x)
+            totals[i] = ordered_sum(term, totals[i])
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +152,7 @@ def zeta(s, tol: float = 1e-10) -> EvalResult:
     |t| = 1e8.  Once 2|t| >= 2^22 the cap binds near sigma = 1, and the bound
     there is about 1e-7 rather than tol.
 
-    The head is summed in chunks of 2^16 terms at 84 ns a term at |t| = 1e6
+    The head is summed in blocks of 2^14 terms at 84 ns a term at |t| = 1e6
     and 149 ns at 1e7 (2 CPUs, Python 3.11, numpy 2.4), so a call near
     sigma = 1 and ZETA_HEIGHT_CEILING = 1e8 takes 30 s or more; a larger |t|
     raises CapacityError before anything is allocated.
@@ -156,9 +179,9 @@ def zeta(s, tol: float = 1e-10) -> EvalResult:
         N *= 2
     N = min(N, cap)
     head = None
-    for lo in range(1, N, _ZETA_CHUNK):
-        ns = np.arange(lo, min(lo + _ZETA_CHUNK, N), dtype=np.float64)
-        head = ordered_sum(inverse_power(np.log(ns), sc), head)
+    for lo in range(1, N, _BLOCK):
+        ns = np.arange(lo, min(lo + _BLOCK, N), dtype=np.float64)
+        head = ordered_sum(np.exp(-sc * np.log(ns)), head)
     head = complex(head)
     lnN = log(N)
     value = (
@@ -243,7 +266,7 @@ def F_truncated(
 ) -> list[EvalResult]:
     """sum_{n<=N} f(n) n^{-s} at each point, with the integral-comparison
     tail bound N^{1-sigma}/(sigma-1).  f(n) and log n are computed once per
-    segment of 2^18 numbers; each point has its own order-deterministic summer.
+    segment of 2^18 numbers, and each point keeps a running ordered sum.
     The series streams the segment kernel of summatory_trace, so N has the
     same ceiling, checked before any sieving."""
     pts = [as_point(s) for s in points]
@@ -251,13 +274,12 @@ def F_truncated(
     if N > SUMMATORY_LIMIT_CEILING:
         raise CapacityError(f"series cutoff {N} exceeds ceiling {SUMMATORY_LIMIT_CEILING}")
     base = sieve_primes(max(2, isqrt(N)))
-    summers = [StreamSummer() for _ in pts]
+    totals = [None] * len(pts)
     for lo, vals in _value_segments(f, 1, N, base, 1 << 18):
         log_n = np.log(np.arange(lo, lo + vals.size, dtype=np.float64))
-        for pt, summer in zip(pts, summers):
-            summer.feed(lo, vals * inverse_power(log_n, pt.s))
-    return [EvalResult(summer.close(), float(N) ** (1.0 - pt.sigma) / (pt.sigma - 1.0),
-                       "truncated-series") for pt, summer in zip(pts, summers)]
+        totals = add_power_sums(vals, log_n, pts, totals)
+    return [EvalResult(complex(total), float(N) ** (1.0 - pt.sigma) / (pt.sigma - 1.0),
+                       "truncated-series") for pt, total in zip(pts, totals)]
 
 
 def F_partial_summation(trace: SummatoryTrace, s, X: float) -> EvalResult:
@@ -304,13 +326,17 @@ def _factor_logs(
     factor_p = sum_k f(p^k) p^{-ks}.  A completely multiplicative f has the
     closed form 1/(1 - z); otherwise term k is summed while p^{-k sigma}
     / (1 - p^{-sigma}) > 1e-14.  Raises SingularFactorError where a factor
-    vanishes.  log p and f(p) are computed once for all points.
+    vanishes.  log p and f(p) are computed once, p^{-it} once per run of t.
     """
     psf = ps.astype(np.float64)
     lp = np.log(psf)
     fp = f.prime_values(ps)
+    t = None
     for pt in pts:
-        x = inverse_power(lp, pt.s)
+        x = inverse_power(lp, pt.sigma)
+        if pt.t != 0.0:
+            unit = unit if pt.t == t else unit_power(lp, pt.t)
+            t, x = pt.t, np.multiply(unit, x)
         z = fp * x
         if f.completely_multiplicative:
             w = 1.0 - z  # 1 / factor_p
@@ -334,8 +360,7 @@ def _factor_logs(
             yield z, np.log(w) - z
             continue
         # -log(1 - z) - z cancels for small z: use its Taylor series there.
-        # Each product has two named operands, so numpy never swaps them
-        # (see prime_chunks) and a term's bits do not depend on len(ps).
+        # Named operands: a term's bits do not depend on len(ps) (see add_power_sums).
         small = np.abs(z) < 1e-3
         u = 0.25 + z * 0.2
         u = 1.0 / 3.0 + z * u
@@ -380,13 +405,17 @@ def alignment_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """log p and g(p) = 1 + e0 f(p) p^{-it0} for every prime in ``ps``: the
     part of f(p) that the direction (e0, t0) does not cancel against log zeta.
-    F_euler and the lemma defect sum g(p) p^{-w}; the Halász sums Re g(p)/p."""
+    F_euler and the lemma defect sum g(p) p^{-w}; the Halász sums Re g(p)/p.
+    On twist(base, T) it is g of base along (e0, t0 + T): one exp per prime,
+    and g is exactly 0 where that direction aligns with base."""
+    if f.twisted:
+        return alignment_terms(f.twisted[0], ps, epsilon0, t0 + f.twisted[1])
     lp = np.log(ps.astype(np.float64))
-    if t0 == 0.0:
-        # p^{-i 0} is 1 - 0i: multiplying by it changes at most the sign of a
-        # zero, which adding 1.0 then clears, so g has the same bits without it
-        return lp, 1.0 + epsilon0 * f.prime_values(ps)
-    return lp, 1.0 + epsilon0 * f.prime_values(ps) * np.exp(-1j * t0 * lp)
+    g = epsilon0 * f.prime_values(ps)
+    # at t0 = 0 the unit 1 - 0i would change at most a zero's sign, which adding 1.0 clears
+    if t0 != 0.0:
+        g *= unit_power(lp, t0)
+    return lp, np.add(1.0, g, out=g)
 
 
 @dataclass(frozen=True)
@@ -439,11 +468,8 @@ def add_prime_sums(
     """One chunk of log_F_prime_sum: each point's running prime sum of
     f(p) p^{-s} and running defect, continued over the chunk ``ps``.  The
     caller passes log p and f(p) as ``lp`` and ``fp``, so a pass that uses
-    them for other sums too computes them once.  The products are formed
-    on the whole chunk, as prime_chunks requires."""
-    deltas = _add_defects(f, ps, pts, exact_cutoff, deltas)
-    return [ordered_sum(fp * inverse_power(lp, pt.s), total)
-            for pt, total in zip(pts, sums)], deltas
+    them for other sums too computes them once."""
+    return add_power_sums(fp, lp, pts, sums), _add_defects(f, ps, pts, exact_cutoff, deltas)
 
 
 def prime_sum_results(
@@ -459,19 +485,16 @@ def prime_sum_results(
 
 
 def add_alignment_sums(
-    f: MultiplicativeFunction, ps: np.ndarray, ws: Sequence[complex], epsilon0: int,
+    f: MultiplicativeFunction, ps: np.ndarray, ws: Sequence[ComplexPoint], epsilon0: int,
     t0: float, totals: list,
 ) -> list:
     """Each running sum of g(p) p^{-w}, one per w, continued over the chunk
-    ``ps``.  A chunk where g vanishes at every prime (every chunk, for an
-    aligned direction) is skipped: adding exact zeros leaves an ordered sum
-    unchanged.  Other chunks are multiplied whole, not just at g != 0: a
-    shorter array can fall below the size at which numpy swaps the
-    operands of the complex product (see prime_chunks)."""
+    ``ps``.  Only the primes with g(p) != 0 are summed, and a chunk where g
+    vanishes at every prime (every chunk, for an aligned direction) is
+    skipped: adding exact zeros leaves an ordered sum unchanged."""
     lp, g = alignment_terms(f, ps, epsilon0, t0)
-    if not g.any():
-        return totals
-    return [ordered_sum(g * inverse_power(lp, w), total) for w, total in zip(ws, totals)]
+    nz = np.flatnonzero(g)
+    return add_power_sums(g[nz], lp[nz], ws, totals)
 
 
 def F_euler(
@@ -501,8 +524,8 @@ def F_euler(
         raise DomainError("F_euler requires a class-M function")
     pts = [as_point(s) for s in points]
     chunks = prime_chunks(plan.prime_cutoff)  # checks the cutoff before the zeta work
-    ws = [pt.s - 1j * t0 for pt in pts]
-    pzs = [prime_zeta(ComplexPoint(w.real, w.imag)) for w in ws]
+    ws = [ComplexPoint(pt.sigma, pt.t - t0) for pt in pts]
+    pzs = [prime_zeta(w) for w in ws]
     residuals = [None] * len(pts)
     deltas = [None] * len(pts)
     for ps in chunks:

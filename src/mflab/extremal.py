@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapacityError, CoverageError, DomainError, FunctionSpecError
-from .multfun import MultiplicativeFunction, completely_multiplicative
+from .multfun import MultiplicativeFunction, completely_multiplicative, unit_power
 from .primes import check_limit, mertens_estimate, ordered_partials, ordered_sum, prime_chunks
 
 LOGLOG_16 = log(log(16.0))      # smallest admissible loglog coordinate
@@ -297,12 +297,9 @@ def extremal_function(spec: ExtremalSpec) -> MultiplicativeFunction:
 
 
 def _unit_values(th: np.ndarray) -> np.ndarray:
-    """f(p) = -e^{i theta_p} from theta_p >= 0, built in place in one
-    complex array.  1j * theta is exactly 0 + i theta, so this has the bits
-    of -np.exp(1j * th) without its two complex temporaries."""
-    fp = np.zeros(th.shape, dtype=np.complex128)
-    fp.imag = th
-    np.exp(fp, out=fp)
+    """f(p) = -e^{i theta_p} from theta_p >= 0 in one complex array, with
+    the bits of -np.exp(1j * th)."""
+    fp = unit_power(th, -1.0)
     return np.negative(fp, out=fp)
 
 

@@ -110,13 +110,6 @@ class ThetaValue:
     chain_mid: float
     chain_low: float
 
-    @property
-    def chain_ok(self) -> bool:
-        return (
-            self.chain_top >= self.chain_mid - 1e-12
-            and self.chain_mid >= self.chain_low - 1e-12
-        )
-
 
 def theta_from_value(fp: complex, direction: HalaszDirection, p: int) -> ThetaValue:
     w = direction.epsilon0 * fp * np.exp(-1j * direction.t0 * log(p))
@@ -171,8 +164,8 @@ def lemma_defect(
     if any(pt.sigma - 1.0 > 1.0 / np.e + 1e-12 for pt in pts):
         raise DomainError("lemma defect needs sigma - 1 <= 1/e")
     chunks = prime_chunks(plan.prime_cutoff)  # checks the cutoff before the zeta work
-    ws = [pt.s - 1j * direction.t0 for pt in pts]
-    brackets = [log_zeta_minus_prime_zeta(ComplexPoint(w.real, w.imag)) for w in ws]
+    ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
+    brackets = [log_zeta_minus_prime_zeta(w) for w in ws]
     residuals = [None] * len(pts)
     for ps in chunks:
         residuals = add_alignment_sums(

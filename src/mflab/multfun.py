@@ -52,6 +52,7 @@ class MultiplicativeFunction:
     completely_multiplicative: bool = False
     claims_M: bool = False
     _memo: dict = field(default_factory=dict, repr=False)
+    twisted: tuple | None = field(default=None, repr=False)  # (base, t) from twist()
 
     def prime_power(self, p: int, k: int) -> complex:
         """f(p^k) for one prime as a Python complex (``_power`` memoizes)."""
@@ -109,6 +110,17 @@ class SummatoryTrace:
 # builtins and the function-spec mini-language
 
 
+def unit_power(log_n: np.ndarray, t: float) -> np.ndarray:
+    """n^{-it}, built in place in one complex array as (cos phi, sin phi),
+    phi = -t log n: the bits of np.exp(-1j * t * log_n), whose argument is
+    0 + i phi, at about 2/3 of its cost."""
+    u = np.empty(log_n.shape, dtype=np.complex128)
+    np.multiply(log_n, -t, out=u.imag)
+    np.cos(u.imag, out=u.real)
+    np.sin(u.imag, out=u.imag)
+    return u
+
+
 def twist(base: MultiplicativeFunction, t: float) -> MultiplicativeFunction:
     """f(p^k) = base(p^k) * p^{-ikt}; preserves |f| and all class flags."""
     t = float(t)
@@ -116,13 +128,14 @@ def twist(base: MultiplicativeFunction, t: float) -> MultiplicativeFunction:
         raise FunctionSpecError(f"twist parameter must be finite, got {t!r}")
 
     def powers(ps: np.ndarray, k: int) -> np.ndarray:
-        return base.powers(ps, k) * np.exp(-1j * k * t * np.log(ps.astype(np.float64)))
+        return base.powers(ps, k) * unit_power(np.log(ps.astype(np.float64)), k * t)
 
     return MultiplicativeFunction(
         label=f"twist:{t!r}:{base.label}",
         powers=powers,
         completely_multiplicative=base.completely_multiplicative,
         claims_M=base.claims_M,
+        twisted=(base, t),
     )
 
 
@@ -359,27 +372,34 @@ class StreamSummer:
 
     def _flush(self, head: np.ndarray) -> None:
         """Sum the tail followed by ``head`` as one block."""
-        chunk = np.concatenate((self._tail, head)) if self._tail.size else head
-        s = chunk.sum()
+        s = (np.concatenate((self._tail, head)) if self._tail.size else head).sum()
         self._re.add(float(s.real))
         self._im.add(float(s.imag))
-        self._buf_start += chunk.size
         self._tail = self._tail[:0]
 
     def feed(self, start: int, vals: np.ndarray) -> None:
         if start != self._n_next:
             raise ValueError(f"stream discontinuity: expected {self._n_next}, got {start}")
-        if vals.dtype != np.int8:  # int8 blocks sum as exact integers, uncopied
+        exact = vals.dtype == np.int8  # int8 blocks sum as exact integers, uncopied
+        if not exact:
             vals = np.asarray(vals, dtype=np.complex128)
         self._n_next += vals.size
-        i = 0  # vals[:i] is summed
+        ends = []  # (end in vals, at a checkpoint?) of each block this feed closes
         while (cut := self._next_cut()) < self._n_next:
-            j = i + cut - self._buf_start + 1 - self._tail.size
-            self._flush(vals[i:j])
+            hit = self._ci < len(self._cps) and cut == self._cps[self._ci]
+            self._ci, self._buf_start = self._ci + hit, cut + 1
+            ends.append((cut + 1 - start, hit))
+        if exact and len(ends) > 1:  # the blocks after the first, in one call
+            sums = np.add.reduceat(vals[: ends[-1][0]], [j for j, _ in ends[:-1]], dtype=np.int64)
+        i = 0  # vals[:i] is summed
+        for k, (j, hit) in enumerate(ends):
+            if k and exact:  # an int8 block adds 0 to the imaginary sum
+                self._re.add(float(sums[k - 1]))
+            else:
+                self._flush(vals[i:j])
             i = j
-            if self._ci < len(self._cps) and cut == self._cps[self._ci]:
+            if hit:
                 self.checkpoint_values.append(self.total())
-                self._ci += 1
         self._tail = np.concatenate((self._tail, vals[i:]))  # a copy: never pin ``vals``
 
     def total(self) -> complex:

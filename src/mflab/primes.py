@@ -64,13 +64,9 @@ def prime_chunks(limit: int) -> Iterator[np.ndarray]:
     2014).  The floor amortizes the Python loop over base primes that every
     segment runs.  Peak memory is O(sqrt(limit) + segment).
 
-    2 leads the first chunk, and a remainder shorter than half a segment
-    joins the last one, so every chunk holds 16384 primes or more unless
-    the whole stream is one chunk.  Consumers rely on this: numpy forms a
-    complex product ``a * b`` of arrays of 256 KiB and more in a temporary's
-    buffer with the operands swapped, which can change its last bit, so a
-    streamed sum matches a whole-range one only if each chunk falls on the
-    same side of that size as the whole range.
+    2 leads the first chunk, and a segment without primes yields nothing.
+    Chunk lengths do not reach the bits of a streamed sum: its terms are
+    products of named operands in a fixed order (see dirichlet.add_power_sums).
     """
     return _segments(check_limit(limit))
 
@@ -101,7 +97,7 @@ def _segments(limit: int) -> Iterator[np.ndarray]:
         yield np.array([2], dtype=np.int64)
     lo = 3
     while lo <= limit:
-        hi = limit if limit - lo < seg + seg // 2 else lo + seg - 1
+        hi = min(limit, lo + seg - 1)
         first_odd = lo | 1
         flags = np.ones((hi - first_odd) // 2 + 1, dtype=bool)
         for p in odd_base:
@@ -110,7 +106,8 @@ def _segments(limit: int) -> Iterator[np.ndarray]:
                 start += p
             flags[(start - first_odd) // 2 :: p] = False  # empty once start > hi
         primes = first_odd + 2 * np.flatnonzero(flags)
-        yield np.concatenate(([2], primes)) if lo == 3 else primes
+        if lo == 3 or primes.size:
+            yield np.concatenate(([2], primes)) if lo == 3 else primes
         lo = hi + 1
 
 

@@ -10,11 +10,14 @@ from mflab.dirichlet import (
     ComplexPoint,
     _factor_logs,
     TruncationPlan,
+    add_alignment_sums,
+    add_prime_sums,
     alignment_terms,
     F_euler,
     F_partial_summation,
     F_truncated,
     euler_factor_log,
+    inverse_power,
     log_F_prime_sum,
     log_zeta_minus_prime_zeta,
     prime_zeta,
@@ -22,7 +25,8 @@ from mflab.dirichlet import (
     zeta_floor_probe,
 )
 from mflab.errors import CapacityError, CoverageError, DomainError, SingularFactorError
-from mflab.multfun import MultiplicativeFunction, builtin, parse_function_spec, summatory_trace
+from mflab.multfun import (MultiplicativeFunction, builtin, parse_function_spec, summatory_trace,
+                           unit_power)
 from mflab.primes import ordered_sum, sieve_primes
 
 from _oracles import prime_sum_power_oracle, zeta_series_oracle
@@ -264,6 +268,84 @@ def test_alignment_terms_at_t0_zero_skip_the_unit_factor_bit_for_bit(spec):
         lp, g = alignment_terms(f, ps, e0, 0.0)
         want = 1.0 + e0 * f.prime_values(ps) * np.exp(-1j * 0.0 * lp)
         assert np.array_equal(g.view(np.uint64), want.view(np.uint64)), e0
+
+
+@pytest.mark.parametrize("spec,base,T", [
+    ("twist:0.7:moebius", "moebius", 0.7),
+    ("twist:-2.5:extremal-ref", "extremal-ref", -2.5),
+    ("twist:1.3:twist:0.7:one", "twist:0.7:one", 1.3),  # nested: folds twice
+])
+def test_twist_folds_into_the_direction_bit_for_bit(spec, base, T):
+    # g of twist(base, T) along (e0, t0) is g of base along (e0, t0 + T), bit for
+    # bit, and it is 1 + e0 f(p) p^{-it0} up to rounding
+    f, b = parse_function_spec(spec), parse_function_spec(base)
+    ps = BASE.primes
+    for e0 in (1, -1):
+        for t0 in (0.0, 2.5, -0.7):
+            lp, g = alignment_terms(f, ps, e0, t0)
+            _, want = alignment_terms(b, ps, e0, t0 + T)
+            assert np.array_equal(g.view(np.uint64), want.view(np.uint64)), (e0, t0)
+            unfolded = 1.0 + e0 * f.prime_values(ps) * np.exp(-1j * t0 * lp)
+            assert np.max(np.abs(g - unfolded)) < 1e-12, (e0, t0)
+
+
+@pytest.mark.parametrize("spec,t0", [("twist:0.7:one", -0.7), ("twist:0.5:twist:0.25:one", -0.75)])
+def test_aligned_twist_direction_has_exactly_zero_alignment_terms(spec, t0):
+    # twist:T:one is aligned with (-1, -T): g = 1 - p^{-i0} is exactly 0, so
+    # the alignment sums skip every prime and keep their totals
+    f = parse_function_spec(spec)
+    _, g = alignment_terms(f, BASE.primes, -1, t0)
+    assert not g.any()
+    totals = [np.complex128(1.5 - 2.0j), None]
+    got = add_alignment_sums(f, BASE.primes, [ComplexPoint(1.001), ComplexPoint(1.3, 2.0)],
+                             -1, t0, totals)
+    assert len(got) == 2 and all(a is b for a, b in zip(got, totals))
+
+
+def test_factored_inverse_power_against_mpmath():
+    # p^{-s} = p^{-sigma} p^{-it} over the primes <= 1e5.  Rounding s log p in
+    # the exponent bounds the relative error by about (sigma + |t|) log p 2^-52;
+    # the oracle's own rounding to double adds at most 3 2^-53
+    mp = pytest.importorskip("mpmath")
+    ps = BASE.primes
+    lp = np.log(ps.astype(np.float64))
+    with mp.workdps(30):
+        logs = [mp.log(p) for p in ps.tolist()]
+        units = {t: np.array([complex(mp.expj(-t * L)) for L in logs]) for t in ORACLE_T if t}
+        mods = {d: np.array([float(mp.exp(-mp.mpf(1.0 + d) * L)) for L in logs])
+                for d in ORACLE_SIGMA_MINUS_1}
+    for d, mod in mods.items():
+        sigma = 1.0 + d
+        for t in ORACLE_T:
+            got = inverse_power(lp, sigma)
+            if t:
+                got = np.multiply(unit_power(lp, t), got)
+            err = np.abs(got - mod * units.get(t, 1.0)) / mod
+            assert np.all(err <= (1.0 + (sigma + abs(t)) * lp) * 2.0**-50), (sigma, t)
+
+
+@pytest.mark.parametrize("size", [1000, 999])
+def test_prime_sums_streamed_in_short_chunks_have_the_bits_of_one_pass(size):
+    # the 44,638 primes in (4e5, 1e6] give complex terms of more than 256 KiB,
+    # where numpy may swap the operands of a product with a temporary.  The
+    # terms are of like size and, at t = 1000, of fast-turning phase, so the
+    # sums stay small and a last-bit change in a term reaches them.  Every
+    # product has named operands, so chunks of any length give the bits of
+    # one pass
+    f = parse_function_spec("twist:0.7:liouville")
+    ps = sieve_primes(10**6).primes
+    ps = ps[ps > 4 * 10**5]
+    pts = [ComplexPoint(1.001), ComplexPoint(1.2, 1000.0)]
+
+    def streamed(chunks):
+        sums, deltas, residuals = [None] * 2, [None] * 2, [None] * 2
+        for c in chunks:
+            sums, deltas = add_prime_sums(f, c, np.log(c.astype(np.float64)),
+                                          f.prime_values(c), pts, 10**4, sums, deltas)
+            residuals = add_alignment_sums(f, c, pts, -1, 0.7, residuals)
+        return np.array(sums + residuals, dtype=np.complex128).view(np.uint64).tolist()
+
+    assert streamed([ps[i : i + size] for i in range(0, ps.size, size)]) == streamed([ps])
 
 
 def test_defect_cut_past_a_segment_edge_is_one_table_sum():

@@ -18,6 +18,7 @@ from mflab.multfun import (
     summatory_trace,
     twist,
     two_adic_failures,
+    unit_power,
 )
 from mflab.primes import sieve_primes
 
@@ -408,3 +409,14 @@ def test_mertens_published_values_to_1e9():
     # Math. 5, 1996; OEIS A084237); about 2.5 minutes on 2 CPUs
     trace = summatory_trace(builtin("moebius"), 10**9, grid=[10**6, 10**7, 10**8])
     assert trace.values.tolist() == [212, 1037, 1928, -222]
+
+
+def test_unit_power_has_the_bits_of_the_complex_exp():
+    # the unit is built from cos and sin of the phase; every prime sum, the
+    # twist rule and the extremal f(p) rely on it matching np.exp bit for bit
+    lp = np.log(sieve_primes(10**6).primes.astype(np.float64))
+    for t in (0.7, -3.3, 14.13, 1188.582, 1e4, 1e8):
+        want = np.exp(-1j * t * lp)
+        assert np.array_equal(unit_power(lp, t).view(np.uint64), want.view(np.uint64)), t
+    th = np.linspace(0.0, 3.0, 10**5)
+    assert np.array_equal(unit_power(th, -1.0).view(np.uint64), np.exp(1j * th).view(np.uint64))

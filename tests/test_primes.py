@@ -46,7 +46,7 @@ def test_sieve_crosses_segment_boundaries():
     2**20 + 3,  # one number past the first segment: 1048579, a composite
     1031**2,  # a perfect square just past the first segment
     2 * 2**20 + 2**19 + 7,  # three segments
-    2 * 2**20 + 2**18,  # a remainder under half a segment joins the last one
+    2 * 2**20 + 2**18,  # a short remainder is a chunk of its own
 ])
 def test_prime_chunks_concatenate_to_the_sieve(limit):
     chunks = list(prime_chunks(limit))
@@ -55,11 +55,9 @@ def test_prime_chunks_concatenate_to_the_sieve(limit):
     assert np.all(np.diff(joined) > 0)
     assert np.array_equal(joined, sieve_primes(limit).primes)
     assert joined.size == bitset_prime_count(limit)
-    # one chunk per 2^20 numbers from 3 on, and one for a remainder of at
-    # least 2^19; a shorter remainder joins the last chunk
-    assert len(chunks) == max(1, (limit - 2 - 2**19) // 2**20 + 1)
-    if len(chunks) > 1:
-        assert min(c.size for c in chunks) >= 16384
+    # one chunk per segment of 2^20 numbers from 3 on that holds a prime
+    segment = [np.unique((np.maximum(c, 3) - 3) // 2**20).tolist() for c in chunks]
+    assert segment == [[k] for k in np.unique((np.maximum(joined, 3) - 3) // 2**20).tolist()]
 
 
 def test_prime_chunks_check_the_limit_before_sieving():
