@@ -34,8 +34,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, CoverageError, DomainError, SingularFactorError
-from .multfun import (SUMMATORY_LIMIT_CEILING, MultiplicativeFunction, SummatoryTrace,
-                      _value_segments, unit_power)
+from .multfun import (SUMMATORY_LIMIT_CEILING, MultiplicativeFunction, StreamSummer,
+                      SummatoryTrace, _value_segments, unit_power)
 from .primes import ordered_sum, prime_chunks, sieve_primes
 
 # Bernoulli quotients B_2/2!, B_4/4!, B_6/6! for the Euler-Maclaurin tail.
@@ -49,7 +49,7 @@ _B6_6F = 1.0 / 30240.0
 _DEFECT_COEFF = 3.75
 # Local-factor series terms are summed while their tail may exceed this.
 _FACTOR_TAIL_TOL = 1e-14
-# zeta's head sum and add_power_sums work in blocks of this many terms.  A
+# zeta's head sum and _power_terms work in blocks of this many terms.  A
 # seeded ordered_sum has the same bits at any split, so this only bounds
 # the size of their temporaries.
 _BLOCK = 1 << 14
@@ -112,27 +112,32 @@ def inverse_power(log_n: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(x, out=x)
 
 
-def add_power_sums(
-    c: np.ndarray, log_n: np.ndarray, pts: Sequence[ComplexPoint], totals: list,
-) -> list:
-    """Each point's running ordered sum of c n^{-s}, continued over ``c``.
-    Per block of c, a run of points with one t multiplies the unit n^{-it}
-    into c once, so a point takes one real exp and one multiply.  numpy may
-    swap the operands of ``a * tmp`` for a temporary ``tmp``, which can change
-    a complex product's last bit; here every product has named operands in a
-    fixed order, so a term's bits depend neither on the other points nor on
-    len(c)."""
-    totals = list(totals)
+def _unit_runs(c: np.ndarray, log_n: np.ndarray, pts: Sequence[ComplexPoint]):
+    """(i, point, u, c u) per point, with the unit u = n^{-it} and c u formed
+    once per run of points with one t; at t = 0, u is None and c u is c."""
+    t = None
+    for i, pt in enumerate(pts):
+        if pt.t != t:
+            t, u = pt.t, None if pt.t == 0.0 else unit_power(log_n, pt.t)
+            cu = c if u is None else np.multiply(c, u)
+        yield i, pt, u, cu
+
+
+def _power_terms(c: np.ndarray, log_n: np.ndarray, pts: Sequence[ComplexPoint]):
+    """(j, i, c n^{-s}) per block j of 2^14 entries and point i: one real exp,
+    one multiply.  numpy may swap the operands of a product with a temporary;
+    named operands keep a term's bits free of the other points and of len(c)."""
     for j in range(0, c.size, _BLOCK):
-        cb, lb = c[j : j + _BLOCK], log_n[j : j + _BLOCK]
-        t = None
-        for i, pt in enumerate(pts):
-            if pt.t != t:
-                t = pt.t
-                cu = cb if t == 0.0 else np.multiply(cb, unit_power(lb, t))
-            x = inverse_power(lb, pt.sigma)
-            term = np.multiply(cu, x, out=None if cu.dtype.kind == "c" else x)
-            totals[i] = ordered_sum(term, totals[i])
+        for i, pt, _, cu in _unit_runs(c[j : j + _BLOCK], log_n[j : j + _BLOCK], pts):
+            x = inverse_power(log_n[j : j + _BLOCK], pt.sigma)
+            yield j, i, np.multiply(cu, x, out=None if cu.dtype.kind == "c" else x)
+
+
+def add_power_sums(c: np.ndarray, log_n: np.ndarray, pts: Sequence[ComplexPoint], totals):
+    """Each point's running ordered sum of c n^{-s}, continued over ``c``."""
+    totals = list(totals)
+    for _, i, term in _power_terms(c, log_n, pts):
+        totals[i] = ordered_sum(term, totals[i])
     return totals
 
 
@@ -266,7 +271,8 @@ def F_truncated(
 ) -> list[EvalResult]:
     """sum_{n<=N} f(n) n^{-s} at each point, with the integral-comparison
     tail bound N^{1-sigma}/(sigma-1).  f(n) and log n are computed once per
-    segment of 2^18 numbers, and each point keeps a running ordered sum.
+    segment of 2^18 numbers; each point has its own compensated summer, since
+    a plain running sum would round away terms below half an ulp of it.
     The series streams the segment kernel of summatory_trace, so N has the
     same ceiling, checked before any sieving."""
     pts = [as_point(s) for s in points]
@@ -274,12 +280,13 @@ def F_truncated(
     if N > SUMMATORY_LIMIT_CEILING:
         raise CapacityError(f"series cutoff {N} exceeds ceiling {SUMMATORY_LIMIT_CEILING}")
     base = sieve_primes(max(2, isqrt(N)))
-    totals = [None] * len(pts)
+    summers = [StreamSummer() for _ in pts]
     for lo, vals in _value_segments(f, 1, N, base, 1 << 18):
         log_n = np.log(np.arange(lo, lo + vals.size, dtype=np.float64))
-        totals = add_power_sums(vals, log_n, pts, totals)
-    return [EvalResult(complex(total), float(N) ** (1.0 - pt.sigma) / (pt.sigma - 1.0),
-                       "truncated-series") for pt, total in zip(pts, totals)]
+        for j, i, term in _power_terms(vals, log_n, pts):
+            summers[i].feed(lo + j, term)
+    return [EvalResult(summer.close(), float(N) ** (1.0 - pt.sigma) / (pt.sigma - 1.0),
+                       "truncated-series") for pt, summer in zip(pts, summers)]
 
 
 def F_partial_summation(trace: SummatoryTrace, s, X: float) -> EvalResult:
@@ -326,22 +333,18 @@ def _factor_logs(
     factor_p = sum_k f(p^k) p^{-ks}.  A completely multiplicative f has the
     closed form 1/(1 - z); otherwise term k is summed while p^{-k sigma}
     / (1 - p^{-sigma}) > 1e-14.  Raises SingularFactorError where a factor
-    vanishes.  log p and f(p) are computed once, p^{-it} once per run of t.
+    vanishes.  log p and f(p) are computed once, f(p) p^{-it} once per run of t.
     """
     psf = ps.astype(np.float64)
     lp = np.log(psf)
-    fp = f.prime_values(ps)
-    t = None
-    for pt in pts:
-        x = inverse_power(lp, pt.sigma)
-        if pt.t != 0.0:
-            unit = unit if pt.t == t else unit_power(lp, pt.t)
-            t, x = pt.t, np.multiply(unit, x)
-        z = fp * x
+    for _, pt, unit, fu in _unit_runs(f.prime_values(ps), lp, pts):
+        xs = inverse_power(lp, pt.sigma)
+        z = np.multiply(fu, xs)
         if f.completely_multiplicative:
             w = 1.0 - z  # 1 / factor_p
         else:
             w = 1.0 + z
+            x = xs if unit is None else np.multiply(unit, xs)
             xk = x
             n, k = ps.size, 2
             while True:
@@ -360,7 +363,7 @@ def _factor_logs(
             yield z, np.log(w) - z
             continue
         # -log(1 - z) - z cancels for small z: use its Taylor series there.
-        # Named operands: a term's bits do not depend on len(ps) (see add_power_sums).
+        # Named operands: a term's bits do not depend on len(ps) (see _power_terms).
         small = np.abs(z) < 1e-3
         u = 0.25 + z * 0.2
         u = 1.0 / 3.0 + z * u
@@ -412,8 +415,7 @@ def alignment_terms(
         return alignment_terms(f.twisted[0], ps, epsilon0, t0 + f.twisted[1])
     lp = np.log(ps.astype(np.float64))
     g = epsilon0 * f.prime_values(ps)
-    # at t0 = 0 the unit 1 - 0i would change at most a zero's sign, which adding 1.0 clears
-    if t0 != 0.0:
+    if t0 != 0.0:  # the unit 1 - 0i could only flip a zero's sign, which 1 + g clears
         g *= unit_power(lp, t0)
     return lp, np.add(1.0, g, out=g)
 
@@ -489,9 +491,8 @@ def add_alignment_sums(
     t0: float, totals: list,
 ) -> list:
     """Each running sum of g(p) p^{-w}, one per w, continued over the chunk
-    ``ps``.  Only the primes with g(p) != 0 are summed, and a chunk where g
-    vanishes at every prime (every chunk, for an aligned direction) is
-    skipped: adding exact zeros leaves an ordered sum unchanged."""
+    ``ps``, over the primes with g(p) != 0 alone: adding exact zeros leaves an
+    ordered sum unchanged, so an aligned direction adds nothing."""
     lp, g = alignment_terms(f, ps, epsilon0, t0)
     nz = np.flatnonzero(g)
     return add_power_sums(g[nz], lp[nz], ws, totals)

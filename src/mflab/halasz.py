@@ -110,6 +110,13 @@ class ThetaValue:
     chain_mid: float
     chain_low: float
 
+    @property
+    def chain_ok(self) -> bool:
+        return (
+            self.chain_top >= self.chain_mid - 1e-12
+            and self.chain_mid >= self.chain_low - 1e-12
+        )
+
 
 def theta_from_value(fp: complex, direction: HalaszDirection, p: int) -> ThetaValue:
     w = direction.epsilon0 * fp * np.exp(-1j * direction.t0 * log(p))

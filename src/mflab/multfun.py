@@ -111,9 +111,8 @@ class SummatoryTrace:
 
 
 def unit_power(log_n: np.ndarray, t: float) -> np.ndarray:
-    """n^{-it}, built in place in one complex array as (cos phi, sin phi),
-    phi = -t log n: the bits of np.exp(-1j * t * log_n), whose argument is
-    0 + i phi, at about 2/3 of its cost."""
+    """n^{-it} in one complex array, (cos phi, sin phi) with phi = -t log n:
+    the bits of np.exp(-1j * t * log_n) at about 2/3 of its cost."""
     u = np.empty(log_n.shape, dtype=np.complex128)
     np.multiply(log_n, -t, out=u.imag)
     np.cos(u.imag, out=u.real)
@@ -372,34 +371,27 @@ class StreamSummer:
 
     def _flush(self, head: np.ndarray) -> None:
         """Sum the tail followed by ``head`` as one block."""
-        s = (np.concatenate((self._tail, head)) if self._tail.size else head).sum()
+        chunk = np.concatenate((self._tail, head)) if self._tail.size else head
+        s = chunk.sum()
         self._re.add(float(s.real))
         self._im.add(float(s.imag))
+        self._buf_start += chunk.size
         self._tail = self._tail[:0]
 
     def feed(self, start: int, vals: np.ndarray) -> None:
         if start != self._n_next:
             raise ValueError(f"stream discontinuity: expected {self._n_next}, got {start}")
-        exact = vals.dtype == np.int8  # int8 blocks sum as exact integers, uncopied
-        if not exact:
+        if vals.dtype != np.int8:  # int8 blocks sum as exact integers, uncopied
             vals = np.asarray(vals, dtype=np.complex128)
         self._n_next += vals.size
-        ends = []  # (end in vals, at a checkpoint?) of each block this feed closes
-        while (cut := self._next_cut()) < self._n_next:
-            hit = self._ci < len(self._cps) and cut == self._cps[self._ci]
-            self._ci, self._buf_start = self._ci + hit, cut + 1
-            ends.append((cut + 1 - start, hit))
-        if exact and len(ends) > 1:  # the blocks after the first, in one call
-            sums = np.add.reduceat(vals[: ends[-1][0]], [j for j, _ in ends[:-1]], dtype=np.int64)
         i = 0  # vals[:i] is summed
-        for k, (j, hit) in enumerate(ends):
-            if k and exact:  # an int8 block adds 0 to the imaginary sum
-                self._re.add(float(sums[k - 1]))
-            else:
-                self._flush(vals[i:j])
+        while (cut := self._next_cut()) < self._n_next:
+            j = i + cut - self._buf_start + 1 - self._tail.size
+            self._flush(vals[i:j])
             i = j
-            if hit:
+            if self._ci < len(self._cps) and cut == self._cps[self._ci]:
                 self.checkpoint_values.append(self.total())
+                self._ci += 1
         self._tail = np.concatenate((self._tail, vals[i:]))  # a copy: never pin ``vals``
 
     def total(self) -> complex:

@@ -66,7 +66,7 @@ def prime_chunks(limit: int) -> Iterator[np.ndarray]:
 
     2 leads the first chunk, and a segment without primes yields nothing.
     Chunk lengths do not reach the bits of a streamed sum: its terms are
-    products of named operands in a fixed order (see dirichlet.add_power_sums).
+    products of named operands in a fixed order (see dirichlet._power_terms).
     """
     return _segments(check_limit(limit))
 

@@ -179,6 +179,16 @@ def test_F_truncated_liouville():
     assert abs(r.value - target) <= r.error_bound + 1e-8
 
 
+def test_F_truncated_keeps_terms_below_an_ulp_of_the_running_sum():
+    # past n ~ 2.1e5 the terms n^-3 are below half an ulp of zeta(3): a plain
+    # running sum drops them and misses by about 9e-12, against err 5e-13
+    N = 10**6
+    (r,) = F_truncated(builtin("one"), [3.0], TruncationPlan(series_cutoff=N))
+    tail = 1.0 / (2 * N**2) - 1.0 / (2 * N**3) + 1.0 / (4 * N**4)  # sum_{n>N} n^-3
+    assert r.error_bound == pytest.approx(5e-13)
+    assert abs(r.value - (1.2020569031595942854 - tail)) <= 1e-15
+
+
 def test_F_partial_summation_unit_steps_exact():
     one = builtin("one")
     tr = summatory_trace(one, 1000, grid=list(range(1, 1001)))
