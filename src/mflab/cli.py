@@ -20,7 +20,7 @@ from math import isfinite
 import numpy as np
 
 from . import multfun
-from .errors import FunctionSpecError, MFLabError
+from .errors import CapacityError, FunctionSpecError, MFLabError
 
 _USAGE_EXIT = 2
 _RESOURCE_EXIT = 3
@@ -69,6 +69,8 @@ def _sigma_grid(spec: str) -> list[float]:
     spacing = parts[3] if len(parts) == 4 else "geometric"
     if count < 1 or not 1.0 < start <= end < float("inf"):
         raise FunctionSpecError(f"sigma grid needs finite 1 < start <= end, count >= 1: {spec!r}")
+    if count > multfun.GRID_STEP_CEILING:
+        raise CapacityError(f"sigma grid of {count} points exceeds {multfun.GRID_STEP_CEILING}")
     if count == 1:
         return [start]
     if spacing == "linear":

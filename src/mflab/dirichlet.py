@@ -10,10 +10,6 @@ EvalResult:
                            one-line; its bound is conditional on the stated
                            alignment assumption (see F_euler).
 
-A fourth, ``partial-summation`` (Abel integral of a summatory trace,
-unconditional), is library-only: the tests use it to cross-check the
-other routes.
-
 All tail bounds are integral comparisons using |f(n)| <= 1: rigorous but
 crude, so near sigma = 1 the unconditional routes report honest, large
 bounds instead of refusing.
@@ -33,9 +29,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, CoverageError, DomainError, SingularFactorError
+from .errors import CapacityError, DomainError, SingularFactorError
 from .multfun import (SUMMATORY_LIMIT_CEILING, MultiplicativeFunction, StreamSummer,
-                      SummatoryTrace, _value_segments, unit_power)
+                      _value_segments, unit_power)
 from .primes import ordered_sum, prime_chunks, sieve_primes
 
 # Bernoulli quotients B_2/2!, B_4/4!, B_6/6! for the Euler-Maclaurin tail.
@@ -289,41 +285,6 @@ def F_truncated(
                        "truncated-series") for pt, summer in zip(pts, summers)]
 
 
-def F_partial_summation(trace: SummatoryTrace, s, X: float) -> EvalResult:
-    """s * int_1^X S_f(y) y^{-s-1} dy from trace checkpoints.
-
-    Exact between consecutive-integer checkpoints; wider gaps contribute a
-    reconstruction bound (|S(y) - S(a)| <= y - a), and the unseen range
-    beyond X contributes |s| X^{1-sigma}/(sigma-1).
-    """
-    pt = as_point(s)
-    sc, sigma = pt.s, pt.sigma
-    if X < 1:
-        raise DomainError(f"X must be >= 1, got {X}")
-    tail = abs(sc) * X ** (1.0 - sigma) / (sigma - 1.0)
-    if X == 1:
-        return EvalResult(0.0 + 0.0j, tail, "partial-summation")
-    if trace.xs.size == 0 or float(trace.xs[-1]) < X - 1:
-        raise CoverageError(
-            f"trace ends at {0 if trace.xs.size == 0 else int(trace.xs[-1])}, needs >= {X - 1}")
-    xs = [1] + [int(v) for v in trace.xs if v > 1]
-    ss = [1.0 + 0.0j] + [complex(v) for v, xv in zip(trace.values, trace.xs) if xv > 1]
-    value = 0.0 + 0.0j
-    recon = 0.0
-    for i, (a, Sa) in enumerate(zip(xs, ss)):
-        if a >= X:
-            break
-        b = xs[i + 1] if i + 1 < len(xs) else X
-        c = min(float(b), X)
-        value += Sa * (a ** (-sc) - c ** (-sc))
-        if c - a > 1.0:
-            # int_a^c (y-a) y^{-sigma-1} dy, closed form
-            e = (a ** (1 - sigma) - c ** (1 - sigma)) / (sigma - 1.0) - a * (
-                a ** (-sigma) - c ** (-sigma)) / sigma
-            recon += abs(sc) * e
-    return EvalResult(value, recon + tail, "partial-summation")
-
-
 def _factor_logs(
     f: MultiplicativeFunction, ps: np.ndarray, pts: Sequence[ComplexPoint],
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -373,17 +334,7 @@ def _factor_logs(
         yield z, np.where(small, series, -np.log(w) - z)
 
 
-def euler_factor_log(f: MultiplicativeFunction, p: int, s) -> complex:
-    """Principal log of the local Euler factor sum_k f(p^k) p^{-ks}.
-
-    For p >= 3 in class M the inner sum has modulus <= 1/2, so the factor
-    stays in the right half-plane and the principal branch is safe.
-    """
-    ((z, defect),) = _factor_logs(f, np.array([p], dtype=np.int64), [as_point(s)])
-    return complex(z[0] + defect[0])
-
-
-def _add_defects(
+def add_defects(
     f: MultiplicativeFunction, ps: np.ndarray, pts: Sequence[ComplexPoint], cutoff: int,
     totals: list,
 ) -> list:
@@ -457,21 +408,9 @@ def log_F_prime_sum(
     sums = [None] * len(pts)
     deltas = [None] * len(pts)
     for ps in prime_chunks(plan.prime_cutoff):
-        sums, deltas = add_prime_sums(
-            f, ps, np.log(ps.astype(np.float64)), f.prime_values(ps), pts,
-            plan.exact_factor_cutoff, sums, deltas)
+        sums = add_power_sums(f.prime_values(ps), np.log(ps.astype(np.float64)), pts, sums)
+        deltas = add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
     return prime_sum_results(pts, sums, deltas, plan)
-
-
-def add_prime_sums(
-    f: MultiplicativeFunction, ps: np.ndarray, lp: np.ndarray, fp: np.ndarray,
-    pts: Sequence[ComplexPoint], exact_cutoff: int, sums: list, deltas: list,
-) -> tuple[list, list]:
-    """One chunk of log_F_prime_sum: each point's running prime sum of
-    f(p) p^{-s} and running defect, continued over the chunk ``ps``.  The
-    caller passes log p and f(p) as ``lp`` and ``fp``, so a pass that uses
-    them for other sums too computes them once."""
-    return add_power_sums(fp, lp, pts, sums), _add_defects(f, ps, pts, exact_cutoff, deltas)
 
 
 def prime_sum_results(
@@ -530,7 +469,7 @@ def F_euler(
     residuals = [None] * len(pts)
     deltas = [None] * len(pts)
     for ps in chunks:
-        deltas = _add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
+        deltas = add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
         residuals = add_alignment_sums(f, ps, ws, epsilon0, t0, residuals)
     out = []
     for pt, pz, residual, delta in zip(pts, pzs, residuals, deltas):
@@ -541,21 +480,3 @@ def F_euler(
         bound = abs(value) * expm1(min(pz.error_bound + dtail, 500.0))
         out.append(EvalResult(complex(value), bound, "euler-product"))
     return out
-
-
-# ---------------------------------------------------------------------------
-# probes
-
-
-def zeta_floor_probe(sigmas, ts) -> float:
-    """min over the grid of |zeta(sigma+it)| * log(|t|+2).
-
-    Finite-range probe of the classical lower bound for 1/zeta on and near
-    the one-line.
-    """
-    best = float("inf")
-    for sg in sigmas:
-        for t in ts:
-            z = zeta(ComplexPoint(float(sg), float(t)))
-            best = min(best, abs(z.value) * log(abs(t) + 2.0))
-    return best

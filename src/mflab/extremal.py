@@ -402,9 +402,10 @@ def verify(
     P and the blocks are checked before any sieving.  Then one pass over
     ``prime_chunks(P)`` takes log p and theta_p once per chunk for every
     sum: the theta and 1/p sums, the windows' selected primes, and each
-    point's prime sum through dirichlet.add_prime_sums.
+    point's prime sum and defect (dirichlet.add_power_sums, add_defects).
     """
-    from .dirichlet import ComplexPoint, TruncationPlan, add_prime_sums, prime_sum_results
+    from .dirichlet import (ComplexPoint, TruncationPlan, add_defects, add_power_sums,
+                            prime_sum_results)
 
     log_P = log(check_limit(P))
     if blocks is None:
@@ -441,8 +442,8 @@ def verify(
         if pts:
             fp = _unit_values(th)
             del th
-            sums, deltas = add_prime_sums(
-                fext, ps, lp, fp, pts, plan.exact_factor_cutoff, sums, deltas)
+            sums = add_power_sums(fp, lp, pts, sums)
+            deltas = add_defects(fext, ps, pts, plan.exact_factor_cutoff, deltas)
     windows = tuple(
         _window_report(j, b, pt.sigma, np.concatenate(sel_ps), np.concatenate(sel_lp),
                        psr.log_F.real)

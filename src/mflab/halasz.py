@@ -17,7 +17,7 @@ partial sums at its cutoffs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, log, pi, sqrt
+from math import log, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +32,9 @@ from .dirichlet import (
     as_point,
     log_zeta_minus_prime_zeta,
 )
-from .errors import DomainError
-from .multfun import MultiplicativeFunction, SummatoryTrace, two_adic_failures
+from .errors import CapacityError, DomainError
+from .multfun import (GRID_STEP_CEILING, MultiplicativeFunction, SummatoryTrace,
+                      two_adic_failures)
 from .primes import ordered_partials, prime_chunks
 
 
@@ -49,7 +50,7 @@ class HalaszDirection:
 
 @dataclass(frozen=True)
 class PartialSumSeries:
-    """Partial sums of a nonnegative prime series at geometric cutoffs."""
+    """Partial sums of a nonnegative prime series at decade cutoffs."""
 
     cutoffs: np.ndarray
     partials: np.ndarray
@@ -58,85 +59,34 @@ class PartialSumSeries:
         return float(self.partials[-1])
 
 
-def _geometric_cutoffs(P: int, start: int, ratio: int) -> list[int]:
-    cuts = []
-    c = start
-    while c < P:
-        cuts.append(c)
-        c *= ratio
-    cuts.append(P)
-    return cuts
-
-
 def pole_sum(
     f: MultiplicativeFunction,
     direction: HalaszDirection,
     P: int,
 ) -> PartialSumSeries:
-    """Partial sums of Re g(p)/p = (1 + e0 Re(f(p) p^{-it0}))/p for p <= P.
+    """Partial sums of Re g(p)/p = (1 + e0 Re(f(p) p^{-it0}))/p over p <= P
+    at the decade cutoffs 10, 100, ..., P.
 
     Every term is >= 0 when |f(p)| <= 1; a term below -1e-12 means the
     function is outside class M and raises, naming the prime of the most
     negative term.
     """
-    cuts = _geometric_cutoffs(P, 4, 2)
+    cuts = [10]
+    while cuts[-1] < P:
+        cuts.append(cuts[-1] * 10)
+    cuts[-1] = P
     vals = np.zeros(len(cuts))
     total = None
     worst, p_bad = 0.0, 0
     for ps in prime_chunks(P):
-        _, g = alignment_terms(f, ps, direction.epsilon0, direction.t0)
-        terms = g.real / ps
+        terms = alignment_terms(f, ps, direction.epsilon0, direction.t0)[1].real / ps
         i = int(np.argmin(terms))
         if terms[i] < worst:
             worst, p_bad = float(terms[i]), int(ps[i])
-        total = ordered_partials(ps, np.maximum(terms, 0.0), cuts, vals, total)
+        total = ordered_partials(ps, terms, cuts, vals, total)
     if worst < -1e-12:
         raise DomainError(f"negative alignment term at p={p_bad}: |f(p)| > 1")
     return PartialSumSeries(np.asarray(cuts, dtype=np.int64), vals)
-
-
-@dataclass(frozen=True)
-class ThetaValue:
-    """Angle decomposition e0 f(p) p^{-it0} = -|f(p)| e^{i theta}, theta in (-pi, pi].
-
-    chain_* carry the proof inequality
-    1 + e0 Re(f(p) p^{-it0}) >= |f(p)|(1-cos theta) >= |f(p)| theta^2/(2 pi).
-    """
-
-    p: int
-    theta: float
-    modulus: float
-    chain_top: float
-    chain_mid: float
-    chain_low: float
-
-    @property
-    def chain_ok(self) -> bool:
-        return (
-            self.chain_top >= self.chain_mid - 1e-12
-            and self.chain_mid >= self.chain_low - 1e-12
-        )
-
-
-def theta_from_value(fp: complex, direction: HalaszDirection, p: int) -> ThetaValue:
-    w = direction.epsilon0 * fp * np.exp(-1j * direction.t0 * log(p))
-    r = abs(w)
-    if r == 0.0:
-        # degenerate decomposition: chain collapses to 1 >= 0 >= 0
-        return ThetaValue(p, 0.0, 0.0, 1.0, 0.0, 0.0)
-    theta = float(np.angle(-w))
-    if theta <= -pi:
-        theta = pi
-    top = 1.0 + float(w.real)
-    mid = r * (1.0 - cos(theta))
-    low = r * theta * theta / (2.0 * pi)
-    return ThetaValue(p, theta, r, top, mid, low)
-
-
-def theta_decomposition(
-    f: MultiplicativeFunction, direction: HalaszDirection, p: int
-) -> ThetaValue:
-    return theta_from_value(f.prime_power(p, 1), direction, p)
 
 
 @dataclass(frozen=True)
@@ -299,17 +249,17 @@ def criterion_report(
     Divergence of the prime sum is undecidable from finite data; the sum
     side is labeled by comparing last-decade growth against 0.5 * d(loglog),
     and anything between the flat and divergent thresholds stays
-    indeterminate.
+    indeterminate.  The partial sums are pole_sum's along (-1, t), so a
+    function outside class M raises; K above GRID_STEP_CEILING is refused
+    before any sieving.
     """
     if P < 100:
         raise DomainError("criterion needs P >= 100")
-    cutoffs = _geometric_cutoffs(P, 10, 10)
-    partials = np.zeros(len(cutoffs))
-    total = None
-    for ps in prime_chunks(P):
-        _, g = alignment_terms(f, ps, -1, t)
-        total = ordered_partials(ps, g.real / ps, cutoffs, partials, total)
-    lo, hi = cutoffs[-2], cutoffs[-1]
+    if K > GRID_STEP_CEILING:
+        raise CapacityError(f"kmax {K} exceeds ceiling {GRID_STEP_CEILING}")
+    series = pole_sum(f, HalaszDirection(-1, t), P)
+    cutoffs, partials = series.cutoffs, series.partials
+    lo, hi = int(cutoffs[-2]), int(cutoffs[-1])
     growth = float(partials[-1] - partials[-2])
     dll = log(log(hi)) - log(log(lo))
     if growth >= _DIVERGENT_SLOPE * dll:
@@ -331,7 +281,7 @@ def criterion_report(
     return CriterionReport(
         function_label=f.label,
         t=t,
-        cutoffs=np.asarray(cutoffs, dtype=np.int64),
+        cutoffs=cutoffs,
         partials=partials,
         last_decade_growth=growth,
         loglog_increment=dll,

@@ -97,13 +97,6 @@ class SummatoryTrace:
     function_label: str
     xs: np.ndarray
     values: np.ndarray
-    limit: int
-
-    def value_at(self, x: int) -> complex:
-        i = int(np.searchsorted(self.xs, x))
-        if i >= self.xs.size or self.xs[i] != x:
-            raise CoverageError(f"no checkpoint at x={x}")
-        return complex(self.values[i])
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +468,6 @@ def summatory_trace(
         function_label=f.label,
         xs=np.asarray(cps, dtype=np.int64),
         values=np.asarray(vals, dtype=np.complex128),
-        limit=limit,
     )
 
 

@@ -23,11 +23,11 @@ from .errors import CapacityError, CoverageError, EmptyRangeError
 # Meissel-Mertens constant, external reference value.
 MERTENS_CONSTANT = 0.2614972128476428
 
-# Ceiling; sieve_primes takes another as an argument, prime_chunks always
-# checks this one.  The prime sieve is segmented and every prime sum
-# streams it, so their memory stays O(sqrt(limit) + segment) and the
-# ceiling bounds run time, not memory; only sieve_primes, which returns a
-# table, would hold ~1.6 GB at the ceiling.
+# Ceiling of every sieve, checked before any sieving.  The prime sieve is
+# segmented and every prime sum streams it, so their memory stays
+# O(sqrt(limit) + segment) and the ceiling bounds run time, not memory;
+# only sieve_primes, which returns a table, would hold ~1.6 GB at the
+# ceiling.
 PRIME_LIMIT_CEILING = 2**32
 _SUM_CHUNK = 1 << 16  # values per cumsum in ordered_sum
 
@@ -39,18 +39,12 @@ class PrimeTable:
     limit: int
     primes: np.ndarray = field(repr=False)
 
-    def primes_le(self, x: float) -> np.ndarray:
-        """Primes p <= x as a view into the table."""
-        if x > self.limit:
-            raise CoverageError(f"table covers primes <= {self.limit}, asked for {x}")
-        return self.primes[: int(np.searchsorted(self.primes, x, side="right"))]
 
-
-def sieve_primes(limit: int, ceiling: int = PRIME_LIMIT_CEILING) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """All primes <= ``limit`` as one table: the chunks of ``prime_chunks``
     concatenated.  For consumers that need random access; a prime sum
     should stream the chunks instead."""
-    return PrimeTable(limit=limit, primes=_sieve(check_limit(limit, ceiling)))
+    return PrimeTable(limit=limit, primes=_sieve(check_limit(limit)))
 
 
 def prime_chunks(limit: int) -> Iterator[np.ndarray]:
@@ -71,15 +65,15 @@ def prime_chunks(limit: int) -> Iterator[np.ndarray]:
     return _segments(check_limit(limit))
 
 
-def check_limit(limit: int, ceiling: int = PRIME_LIMIT_CEILING) -> int:
+def check_limit(limit: int) -> int:
     """``limit``, if a sieve may run to it: EmptyRangeError below 2 and
-    CapacityError above ``ceiling``.  prime_chunks and sieve_primes call
-    this first; a caller with other arguments to check calls it before
-    them, so that every refusal comes before any sieving."""
+    CapacityError above PRIME_LIMIT_CEILING.  prime_chunks and
+    sieve_primes call this first; a caller with other arguments to check
+    calls it before them, so that every refusal comes before any sieving."""
     if limit < 2:
         raise EmptyRangeError(f"sieve limit must be >= 2, got {limit}")
-    if limit > ceiling:
-        raise CapacityError(f"sieve limit {limit} exceeds ceiling {ceiling}")
+    if limit > PRIME_LIMIT_CEILING:
+        raise CapacityError(f"sieve limit {limit} exceeds ceiling {PRIME_LIMIT_CEILING}")
     return limit
 
 

@@ -1,4 +1,5 @@
-"""Independent oracles: trial division, bit-set sieve, direct series sums.
+"""Independent oracles: trial division, bit-set sieve, direct series sums,
+partial summation of a summatory trace.
 
 These deliberately avoid the library's sieve/segmentation/Euler-Maclaurin
 code paths so that tests compare two genuinely different routes.
@@ -9,6 +10,9 @@ from __future__ import annotations
 from math import isqrt
 
 import numpy as np
+
+from mflab.dirichlet import EvalResult, as_point
+from mflab.errors import CoverageError, DomainError
 
 
 def trial_factorize(n: int) -> list[tuple[int, int]]:
@@ -136,3 +140,40 @@ class Mertens:
     def liouville(self, x: int) -> int:
         """L(x) = sum_{n<=x} lambda(n) = sum_{k<=sqrt x} M(x // k^2)."""
         return sum(self(x // (k * k)) for k in range(1, isqrt(x) + 1))
+
+
+def F_partial_summation(trace, s, X: float) -> EvalResult:
+    """s * int_1^X S_f(y) y^{-s-1} dy from the checkpoints of a summatory
+    trace: a route to F(s) that shares no code with the series, prime-sum
+    and Euler-product routes, so it cross-checks them.
+
+    Exact between consecutive-integer checkpoints; wider gaps contribute a
+    reconstruction bound (|S(y) - S(a)| <= y - a), and the unseen range
+    beyond X contributes |s| X^{1-sigma}/(sigma-1).
+    """
+    pt = as_point(s)
+    sc, sigma = pt.s, pt.sigma
+    if X < 1:
+        raise DomainError(f"X must be >= 1, got {X}")
+    tail = abs(sc) * X ** (1.0 - sigma) / (sigma - 1.0)
+    if X == 1:
+        return EvalResult(0.0 + 0.0j, tail, "partial-summation")
+    if trace.xs.size == 0 or float(trace.xs[-1]) < X - 1:
+        raise CoverageError(
+            f"trace ends at {0 if trace.xs.size == 0 else int(trace.xs[-1])}, needs >= {X - 1}")
+    xs = [1] + [int(v) for v in trace.xs if v > 1]
+    ss = [1.0 + 0.0j] + [complex(v) for v, xv in zip(trace.values, trace.xs) if xv > 1]
+    value = 0.0 + 0.0j
+    recon = 0.0
+    for i, (a, Sa) in enumerate(zip(xs, ss)):
+        if a >= X:
+            break
+        b = xs[i + 1] if i + 1 < len(xs) else X
+        c = min(float(b), X)
+        value += Sa * (a ** (-sc) - c ** (-sc))
+        if c - a > 1.0:
+            # int_a^c (y-a) y^{-sigma-1} dy, closed form
+            e = (a ** (1 - sigma) - c ** (1 - sigma)) / (sigma - 1.0) - a * (
+                a ** (-sigma) - c ** (-sigma)) / sigma
+            recon += abs(sc) * e
+    return EvalResult(value, recon + tail, "partial-summation")

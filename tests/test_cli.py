@@ -362,6 +362,39 @@ def test_series_cutoff_above_ceiling_is_refused_before_sieving(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_sigma_grid_above_ceiling_is_refused_before_sieving(tmp_path, capsys, monkeypatch):
+    # --sigma a:b:N used to build all N points, however large N was
+    def no_sieving(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(primes, "_segments", no_sieving)
+    out = tmp_path / "x.csv"
+    sigma = f"1.1:1.5:{multfun.GRID_STEP_CEILING + 1}"
+    for argv in (["eval-f", "--function", "moebius"],
+                 ["lemma", "--function", "liouville", "--epsilon", "1"],
+                 ["thm1", "--function", "moebius", "--epsilon", "1"]):
+        assert main([*argv, "--sigma", sigma, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:capacity:") and err.count("\n") == 1, err
+        assert str(multfun.GRID_STEP_CEILING) in err
+    assert not out.exists()
+
+
+def test_criterion_kmax_above_ceiling_is_refused_before_sieving(tmp_path, capsys, monkeypatch):
+    # --kmax K used to test, and memoize, f(2^k) for every k <= K
+    def no_sieving(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(primes, "_segments", no_sieving)
+    out = tmp_path / "x.txt"
+    assert main(["criterion", "--function", "moebius", "--prime-cutoff", "1000",
+                 "--kmax", str(multfun.GRID_STEP_CEILING + 1), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:capacity:") and err.count("\n") == 1, err
+    assert str(multfun.GRID_STEP_CEILING) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("block, code, kind", [("2", 3, "coverage"), ("7", 2, "domain")])
 def test_extremal_verify_refuses_a_bad_block_before_sieving(block, code, kind, tmp_path,
                                                              capsys, monkeypatch):

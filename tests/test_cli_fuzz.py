@@ -36,11 +36,12 @@ FUNCTION = (pick("one", "moebius", "liouville", "odd_one", "extremal-ref", "twis
                  "twist:-3:liouville", "extremal:spec.json"),
             pick("twist:nan:one", "twist:x:one", "twist:1", "bogus", "extremal:missing.json",
                  "extremal:bad.json"))
+# GRID_STEP_CEILING + 1 = 100001 points, like --kmax 100001, is refused before any sieving
 SIGMA = (st.builds(lambda a, b, n, spacing: f"{min(a, b)}:{max(a, b)}:{n}{spacing}",
                    pick(1.0000001, 1.001, 1.3, 1.5), pick(1.0000001, 1.001, 1.3, 1.5),
                    st.integers(1, 4), pick("", ":linear", ":geometric")),
          pick("1", "0.5:1.5:3", "nan:1.5:2", "1.5:inf:2", "1.5:1.2:2", "1.1:1.2:0",
-              "1.1:1.2:2:log", "1.5", "", "a:b:c"))
+              "1.1:1.2:2:log", "1.5", "", "a:b:c", "1.1:1.5:100001"))
 # heights past ZETA_HEIGHT_CEILING = 1e8 reach its check only
 HEIGHT = (pick(None, "0", "0.7", "-14.13", "3", "1188.582"), pick("nan", "inf", "x", "1e9", "-2e8"))
 EPSILON = (pick("1", "-1"), pick("0", "2", "x"))
@@ -81,7 +82,7 @@ COMMANDS = {
         exact_cutoff=CUTOFF),
     "criterion": command(
         "criterion", function=FUNCTION, t=HEIGHT, prime_cutoff=PRIME_CUTOFF,
-        kmax=(pick(None, "1", "5", "20"), pick("0", "x"))),
+        kmax=(pick(None, "1", "5", "20"), pick("0", "x", "100001"))),
     "lemma": command(
         "lemma", function=FUNCTION, epsilon=EPSILON, t0=HEIGHT, sigma=SIGMA, t=HEIGHT,
         series_cutoff=CUTOFF, prime_cutoff=PRIME_CUTOFF, exact_cutoff=CUTOFF),

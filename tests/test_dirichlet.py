@@ -11,25 +11,23 @@ from mflab.dirichlet import (
     _factor_logs,
     TruncationPlan,
     add_alignment_sums,
-    add_prime_sums,
+    add_defects,
+    add_power_sums,
     alignment_terms,
     F_euler,
-    F_partial_summation,
     F_truncated,
-    euler_factor_log,
     inverse_power,
     log_F_prime_sum,
     log_zeta_minus_prime_zeta,
     prime_zeta,
     zeta,
-    zeta_floor_probe,
 )
 from mflab.errors import CapacityError, CoverageError, DomainError, SingularFactorError
 from mflab.multfun import (MultiplicativeFunction, builtin, parse_function_spec, summatory_trace,
                            unit_power)
 from mflab.primes import ordered_sum, sieve_primes
 
-from _oracles import prime_sum_power_oracle, zeta_series_oracle
+from _oracles import F_partial_summation, prime_sum_power_oracle, zeta_series_oracle
 
 BASE = sieve_primes(10**5)
 PLAN = TruncationPlan(series_cutoff=10**4, prime_cutoff=10**5, exact_factor_cutoff=10**4)
@@ -220,29 +218,33 @@ def test_F_partial_summation_empty_and_coverage():
         F_partial_summation(tr, s, 5000.0)
 
 
+def _exact_factor_logs(f, P, points):
+    """log F(s) = sum_{p<=P} log factor_p at each point, every factor exact."""
+    return [r.log_F for r in log_F_prime_sum(
+        f, points, TruncationPlan(prime_cutoff=P, exact_factor_cutoff=P))]
+
+
 def test_euler_factor_log_closed_form_vs_series():
     lam = builtin("liouville")
     series_fn = MultiplicativeFunction("lam-series", lam.powers)  # cm flag off: series path
-    for p in (2, 3, 11):
-        for s in (2.0, complex(1.3, 0.8)):
-            a = euler_factor_log(lam, p, s)
-            b = euler_factor_log(series_fn, p, s)
-            assert abs(a - b) < 1e-12
+    pts = [2.0, complex(1.3, 0.8)]
+    for a, b in zip(_exact_factor_logs(lam, 50, pts), _exact_factor_logs(series_fn, 50, pts)):
+        assert abs(a - b) < 1e-12
 
 
 def test_euler_factor_log_examples():
     lam = builtin("liouville")
-    assert euler_factor_log(lam, 3, 2.0) == pytest.approx(-math.log(10.0 / 9.0))
+    (v,) = _exact_factor_logs(lam, 3, [2.0])
+    assert v == pytest.approx(-math.log(5.0 / 4.0) - math.log(10.0 / 9.0))
     odd = builtin("odd_one")
-    assert euler_factor_log(odd, 2, 2.0) == 0
-    assert euler_factor_log(odd, 2, complex(1.2, 3.0)) == 0
+    assert _exact_factor_logs(odd, 2, [2.0, complex(1.2, 3.0)]) == [0, 0]
 
 
 def test_euler_factor_singular():
     # f(2^k) = -1 for every k makes the p=2 factor vanish as sigma -> 1
     f = MultiplicativeFunction("half-pole", lambda ps, k: np.where(ps == 2, -1.0, 0.0))
     with pytest.raises(SingularFactorError):
-        euler_factor_log(f, 2, 1.0 + 1e-13)
+        _exact_factor_logs(f, 2, [1.0 + 1e-13])
 
 
 def test_defect_series_matches_closed_form():
@@ -350,8 +352,8 @@ def test_prime_sums_streamed_in_short_chunks_have_the_bits_of_one_pass(size):
     def streamed(chunks):
         sums, deltas, residuals = [None] * 2, [None] * 2, [None] * 2
         for c in chunks:
-            sums, deltas = add_prime_sums(f, c, np.log(c.astype(np.float64)),
-                                          f.prime_values(c), pts, 10**4, sums, deltas)
+            sums = add_power_sums(f.prime_values(c), np.log(c.astype(np.float64)), pts, sums)
+            deltas = add_defects(f, c, pts, 10**4, deltas)
             residuals = add_alignment_sums(f, c, pts, -1, 0.7, residuals)
         return np.array(sums + residuals, dtype=np.complex128).view(np.uint64).tolist()
 
@@ -375,7 +377,7 @@ def test_moebius_defect_against_local_factors():
     mu = builtin("moebius")
     s = complex(1.2, 3.0)
     (r,) = log_F_prime_sum(mu, [s], PLAN)
-    ref = sum(cmath.log(1 - p ** -s) + p ** -s for p in BASE.primes_le(10**4).tolist())
+    ref = sum(cmath.log(1 - p ** -s) + p ** -s for p in BASE.primes[BASE.primes <= 10**4].tolist())
     assert abs(r.defect - ref) < 1e-12
 
 
@@ -445,11 +447,6 @@ def test_results_overlap_across_methods():
     (fe,) = F_euler(lam, [s], PLAN, epsilon0=1)
     for a, b in ((ft, fp), (ft, fe), (fp, fe)):
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound
-
-
-def test_zeta_floor_probe_coarse():
-    v = zeta_floor_probe([1.01, 1.1], np.arange(-20.0, 20.5, 2.5))
-    assert v >= 0.1
 
 
 def test_truncation_plan_validation():

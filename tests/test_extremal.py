@@ -178,10 +178,10 @@ def test_theta_values_examples():
 
 def test_theta_window_exact_set():
     spec = reference_spec()
-    ps = BASE.primes_le(10**4)
+    ps = BASE.primes[BASE.primes <= 10**4]
     selected = [int(p) for p in ps[theta_values(spec, ps) > 0]]
     oracle = [
-        int(p) for p in BASE.primes_le(10**4)
+        int(p) for p in ps
         if math.log(20.0) <= math.log(p) < math.log(20.0) ** 2
         and -math.sin(math.log(p)) >= 0.5
     ]
@@ -231,7 +231,7 @@ def test_theta_values_take_the_callers_log_p():
 def test_taylor_remainder():
     spec = reference_spec()
     f = extremal_function(spec)
-    ps = BASE.primes_le(10**5)
+    ps = BASE.primes
     for p, th in zip(ps.tolist(), theta_values(spec, ps).tolist()):
         if th == 0.0:
             continue
@@ -242,8 +242,8 @@ def test_pole_sum_cosine_bound():
     spec = reference_spec()
     f = extremal_function(spec)
     ps = pole_sum(f, HalaszDirection(1, 0.0), 10**5)
-    th = theta_values(spec, BASE.primes_le(10**5))
-    bound = float(np.sum(th**2 / (2.0 * BASE.primes_le(10**5).astype(float))))
+    th = theta_values(spec, BASE.primes)
+    bound = float(np.sum(th**2 / (2.0 * BASE.primes.astype(float))))
     assert ps.final() <= bound + 1e-12
 
 

@@ -49,6 +49,8 @@ CORPUS = [
                              "--prime-cutoff", P2]),
     ("criterion-extremal.txt", ["criterion", "--function", "extremal-ref",
                                 "--prime-cutoff", "100000", "--kmax", "5"]),
+    ("criterion-twist-extremal.txt", ["criterion", "--function", "twist:7.25:extremal-ref",
+                                      "--t", "3.1", "--prime-cutoff", "100000"]),
     ("lemma-liouville.csv", ["lemma", "--function", "liouville", "--epsilon", "1",
                              "--sigma", "1.001:1.3:4", "--prime-cutoff", P2]),
     ("lemma-twist.csv", ["lemma", "--function", "twist:0.7:one", "--epsilon", "-1",

@@ -3,8 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mflab.dirichlet import ComplexPoint, F_euler, TruncationPlan, zeta
 from mflab.errors import DomainError
@@ -15,8 +13,6 @@ from mflab.halasz import (
     pole_sum,
     theorem1_ratio,
     theorem2_ratio,
-    theta_decomposition,
-    theta_from_value,
 )
 from mflab.multfun import (
     MultiplicativeFunction,
@@ -60,53 +56,22 @@ def test_pole_sum_partials_monotone():
     assert s.cutoffs[-1] == 10**5
 
 
+def test_pole_sum_sums_terms_within_the_class_M_tolerance_unclamped():
+    # criterion's arithmetic: a term in (-1e-12, 0) is summed as it is, not as 0
+    f = MultiplicativeFunction("edge", lambda ps, k: np.full(ps.shape, -(1.0 + 1e-13)))
+    ps = BASE.primes[BASE.primes <= 100]
+    got = pole_sum(f, EPLUS, 100).final()
+    assert got == pytest.approx(-1e-13 * np.sum(1.0 / ps), rel=1e-3, abs=0)
+
+
 def test_pole_sum_rejects_out_of_class():
-    bad = MultiplicativeFunction("bad", lambda ps, k: np.full(ps.shape, -1.5))
+    # |f(p)| = 1.5 gives Re g(p) < 0 along (+1, 0) at p = 2 and along (-1, 0)
+    # at every odd p; criterion reads its partial sums from pole_sum along (-1, t)
+    bad = MultiplicativeFunction("bad", lambda ps, k: np.where(ps == 2, -1.5, 1.5))
     with pytest.raises(DomainError):
         pole_sum(bad, EPLUS, 1000)
-
-
-def test_theta_examples():
-    tv = theta_from_value(-1.0 + 0j, EPLUS, 5)
-    assert tv.theta == 0.0 and tv.modulus == 1.0
-    tv = theta_from_value(1.0 + 0j, EPLUS, 5)
-    assert tv.theta == pytest.approx(math.pi)
-    assert (tv.chain_top, tv.chain_mid) == (2.0, pytest.approx(2.0))
-    assert tv.chain_low == pytest.approx(math.pi / 2)
-    tv = theta_from_value(1j, EPLUS, 5)
-    assert tv.theta == pytest.approx(-math.pi / 2)
-    assert tv.chain_top == pytest.approx(1.0)
-    assert tv.chain_mid == pytest.approx(1.0)
-    assert tv.chain_low == pytest.approx(math.pi / 8)
-
-
-def test_theta_zero_value_degenerate():
-    tv = theta_from_value(0j, HalaszDirection(-1, 2.0), 7)
-    assert tv.theta == 0.0 and tv.modulus == 0.0
-    assert tv.chain_top == 1.0 and tv.chain_mid == 0.0
-
-
-def test_theta_decomposition_reproduces_value():
-    f = builtin("extremal-ref")
-    for p in (41, 97, 211, 1009):
-        tv = theta_decomposition(f, EPLUS, p)
-        recon = -tv.modulus * np.exp(1j * tv.theta)
-        assert abs(recon - f.prime_power(p, 1)) < 1e-12
-        assert -math.pi < tv.theta <= math.pi
-
-
-@given(
-    st.floats(0, 1),
-    st.floats(0, 2 * math.pi),
-    st.sampled_from([-1, 1]),
-    st.floats(-10, 10),
-)
-@settings(max_examples=300, deadline=None)
-def test_theta_chain_property(r, phase, eps, t0):
-    fp = r * complex(math.cos(phase), math.sin(phase))
-    tv = theta_from_value(fp, HalaszDirection(eps, t0), 13)
-    assert tv.chain_top >= tv.chain_mid - 1e-12
-    assert tv.chain_mid >= tv.chain_low - 1e-12
+    with pytest.raises(DomainError, match="p=3"):
+        criterion_report(bad, 0.0, 1000)
 
 
 def test_finiteness_transfer():
@@ -121,7 +86,7 @@ def test_finiteness_transfer():
     B = pole_sum(f, EPLUS, P).final()
     theta_sq = sum(
         abs(f.prime_power(int(p), 1)) * thetas.get(int(p), 0.0) ** 2 / int(p)
-        for p in BASE.primes_le(P))
+        for p in BASE.primes[BASE.primes <= P])
     assert theta_sq <= 2 * math.pi * B
 
 

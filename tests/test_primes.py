@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mflab.errors import CapacityError, CoverageError, EmptyRangeError
+from mflab.errors import CapacityError, EmptyRangeError
 from mflab.primes import (
     MERTENS_CONSTANT,
+    PRIME_LIMIT_CEILING,
     _SUM_CHUNK,
     mertens_estimate,
     ordered_partials,
@@ -81,7 +82,7 @@ def test_sieve_errors():
     with pytest.raises(EmptyRangeError):
         sieve_primes(1)
     with pytest.raises(CapacityError):
-        sieve_primes(10**7, ceiling=10**6)
+        sieve_primes(PRIME_LIMIT_CEILING + 1)  # refused before any sieving
 
 
 def reciprocal_sum(x: int) -> float:
@@ -108,12 +109,6 @@ def test_reciprocal_sum_monotone_and_mertens_window():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     for x, v in zip(xs, vals):
         assert abs(v - (math.log(math.log(x)) + MERTENS_CONSTANT)) <= 0.05
-
-
-def test_reciprocal_sum_coverage_error():
-    t = sieve_primes(1000)
-    with pytest.raises(CoverageError):
-        t.primes_le(2000)
 
 
 def test_mertens_estimate_matches_sieve():
