@@ -131,6 +131,8 @@ def _power_terms(c: np.ndarray, log_n: np.ndarray, pts: Sequence[ComplexPoint]):
 
 def add_power_sums(c: np.ndarray, log_n: np.ndarray, pts: Sequence[ComplexPoint], totals):
     """Each point's running ordered sum of c n^{-s}, continued over ``c``."""
+    if c.dtype.kind == "c" and not any(pt.t for pt in pts) and not c.imag.view(np.int64).any():
+        c = c.real  # every imaginary part is +0 and t = 0: the real parts have the bits
     totals = list(totals)
     for _, i, term in _power_terms(c, log_n, pts):
         totals[i] = ordered_sum(term, totals[i])
@@ -272,13 +274,17 @@ def F_truncated(
     The series streams the segment kernel of summatory_trace, so N has the
     same ceiling, checked before any sieving."""
     pts = [as_point(s) for s in points]
+    if f.twisted:  # F_twist(s) = F_base(s + iT)
+        fb, T = f.twisted
+        return F_truncated(fb, [ComplexPoint(pt.sigma, pt.t + T) for pt in pts], plan)
     N = plan.series_cutoff
     if N > SUMMATORY_LIMIT_CEILING:
         raise CapacityError(f"series cutoff {N} exceeds ceiling {SUMMATORY_LIMIT_CEILING}")
     base = sieve_primes(max(2, isqrt(N)))
     summers = [StreamSummer() for _ in pts]
     for lo, vals in _value_segments(f, 1, N, base, 1 << 18):
-        log_n = np.log(np.arange(lo, lo + vals.size, dtype=np.float64))
+        log_n = np.arange(lo, lo + vals.size, dtype=np.float64)
+        np.log(log_n, out=log_n)  # in place: one segment-sized array, not two
         for j, i, term in _power_terms(vals, log_n, pts):
             summers[i].feed(lo + j, term)
     return [EvalResult(summer.close(), float(N) ** (1.0 - pt.sigma) / (pt.sigma - 1.0),

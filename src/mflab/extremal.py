@@ -443,6 +443,7 @@ def verify(
             fp = _unit_values(th)
             del th
             sums = add_power_sums(fp, lp, pts, sums)
+            del fp, lp  # as psf: not alive while the next chunk is built
             deltas = add_defects(fext, ps, pts, plan.exact_factor_cutoff, deltas)
     windows = tuple(
         _window_report(j, b, pt.sigma, np.concatenate(sel_ps), np.concatenate(sel_lp),

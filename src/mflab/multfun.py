@@ -5,17 +5,18 @@ plus class flags.  Bulk evaluation over a range of n runs as a segmented
 sieve driven by base primes up to sqrt(range): strided passes per prime power
 into a float64 p-part product (exact below 2^53) and one float64 division
 per n, so traces up to 10^9 stay feasible.  Values take the narrowest exact
-rung of int8 (f in {-1, 0, 1}), float64 and complex128.  It is the one route
-to f(n); tests check it against trial division.
+rung of int8 (f in {-1, 0, 1}), float64 and complex128; a twist f(n) n^{-it}
+takes its base's rung times one unit per n.  It is the one route to f(n);
+tests check it against trial division.
 
 Summation is order-deterministic: values are grouped into blocks aligned to
 absolute positions (multiples of 4096) and cut at checkpoints, each block is
 np.sum'ed (int8 blocks as exact integers), and block sums enter a
 compensated accumulator in ascending order.  So reruns at a fixed segment
-size are byte-identical, and a real-valued rule gives bit-identical
-checkpoints at every segment size.  A complex rule does not yet: the kernel
-multiplies one value by f(p) as a scalar or by a gathered table entry
-depending on the segment, and the two can round differently in the last bit.
+size are byte-identical, and a real-valued rule or a twist of one gives
+bit-identical checkpoints at every segment size.  Other complex rules do not
+yet: the kernel multiplies one value by f(p) as a scalar or by a gathered
+table entry depending on the segment, and the two can round differently.
 """
 
 from __future__ import annotations
@@ -103,10 +104,10 @@ class SummatoryTrace:
 # builtins and the function-spec mini-language
 
 
-def unit_power(log_n: np.ndarray, t: float) -> np.ndarray:
+def unit_power(log_n: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
     """n^{-it} in one complex array, (cos phi, sin phi) with phi = -t log n:
     the bits of np.exp(-1j * t * log_n) at about 2/3 of its cost."""
-    u = np.empty(log_n.shape, dtype=np.complex128)
+    u = np.empty(log_n.shape, dtype=np.complex128) if out is None else out
     np.multiply(log_n, -t, out=u.imag)
     np.cos(u.imag, out=u.real)
     np.sin(u.imag, out=u.imag)
@@ -216,9 +217,17 @@ def _int8_steps(f: MultiplicativeFunction, p: int, levels: int) -> tuple | None:
     return f._memo[key]
 
 
+def _untwist(f: MultiplicativeFunction) -> tuple[MultiplicativeFunction, float]:
+    """(base, t) with f = twist(base, t), base no twist (t = 0.0 if f is none)."""
+    t = 0.0
+    while f.twisted:
+        f, t = f.twisted[0], t + f.twisted[1]
+    return f, t
+
+
 def segment_values(
     f: MultiplicativeFunction, lo: int, hi: int, base: PrimeTable,
-    vals: np.ndarray | None = None, prod: np.ndarray | None = None,
+    vals: np.ndarray | None = None, prod: np.ndarray | None = None, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """f(n) for every n in [lo, hi].
 
@@ -236,11 +245,13 @@ def segment_values(
     widens the segment first.  Above int8 the view of p is multiplied by
     f(p) when no p^2 divides any n here, else by the gathered f(p^k), in
     ascending prime order, then by the leftover prime's value.  Every rung
-    gives the numbers of a complex128 pass, up to the sign of zeros.
+    gives the numbers of a complex128 pass, up to the sign of zeros.  A
+    twist(base, t) runs base so, then multiplies in one unit n^{-it} =
+    unit_power(log n, t) per n.
 
-    ``vals`` (by default on the rung of f(2)) and ``prod`` (float64) are
-    optional work buffers of length hi - lo + 1; a widened result is a new
-    array rather than ``vals``.
+    ``vals`` (on the rung of the base's f(2) by default), ``prod`` (float64)
+    and ``out`` (complex128, for a twist) are optional work buffers of length
+    hi - lo + 1; a widened base is a new array rather than ``vals``.
     """
     if lo < 1 or hi < lo:
         raise CoverageError(f"bad segment [{lo}, {hi}]")
@@ -248,6 +259,7 @@ def segment_values(
     if base.limit < root:
         raise CoverageError(f"base primes cover {base.limit} < sqrt({hi})")
     size = hi - lo + 1
+    twisted, (f, t) = f.twisted, _untwist(f)
     if vals is None:
         vals = np.empty(size, dtype=_rung(f._power(2, 1)))
     if prod is None:
@@ -292,7 +304,10 @@ def segment_values(
         fp = np.asarray(f.powers(ps, 1))
         vals = _widen(vals, _rung(fp))
         vals[big] *= fp.astype(vals.dtype, copy=False)
-    return vals
+    if not twisted:
+        return vals
+    u = unit_power(np.log(np.arange(lo, hi + 1, dtype=np.float64), out=prod), t, out)
+    return np.multiply(u, vals, out=u)
 
 
 def _value_segments(
@@ -300,19 +315,20 @@ def _value_segments(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(start, f(start..end)) for consecutive segments of [lo, hi].
 
-    One pair of work buffers serves every segment, so each array is valid
-    only until the next one is yielded.  Once a segment has widened, the
-    value buffer is replaced by one on the wider rung.
+    One set of work buffers serves every segment, so each array is valid
+    only until the next one is yielded.  Once a segment of a rule that is no
+    twist has widened, the value buffer is replaced by one on the wider rung.
     """
     size = min(segment_size, hi - lo + 1)
-    vals = np.empty(size, dtype=_rung(f._power(2, 1)))
+    vals = np.empty(size, dtype=_rung(_untwist(f)[0]._power(2, 1)))
     prod = np.empty(size, dtype=np.float64)
+    out = np.empty(size, dtype=np.complex128)  # a twist's values; never touched otherwise
     while lo <= hi:
         n = min(size, hi - lo + 1)
-        out = segment_values(f, lo, lo + n - 1, base, vals[:n], prod[:n])
-        if out.dtype != vals.dtype:
-            vals = np.empty(size, dtype=out.dtype)
-        yield lo, out
+        seg = segment_values(f, lo, lo + n - 1, base, vals[:n], prod[:n], out[:n])
+        if seg.dtype != vals.dtype and not f.twisted:
+            vals = np.empty(size, dtype=seg.dtype)
+        yield lo, seg
         lo += n
 
 

@@ -360,6 +360,22 @@ def test_prime_sums_streamed_in_short_chunks_have_the_bits_of_one_pass(size):
     assert streamed([ps[i : i + size] for i in range(0, ps.size, size)]) == streamed([ps])
 
 
+def test_real_coefficients_sum_in_float64_with_the_bits_of_complex128():
+    # f(p) of moebius is complex128 with +0 imaginary parts: a grid at t = 0
+    # sums in float64 (continuing a complex total too), a grid with t != 0 in
+    # complex128; every total has the bits of the complex128 sum
+    ps = BASE.primes
+    c, lp = builtin("moebius").prime_values(ps), np.log(ps.astype(np.float64))
+    bits = lambda z: np.array([z], dtype=np.complex128).view(np.uint64).tolist()
+    for pts, types in (([ComplexPoint(1.001), ComplexPoint(2.0)], [np.float64, np.complex128]),
+                       ([ComplexPoint(1.001), ComplexPoint(1.3, 0.7)], [np.complex128] * 2)):
+        got = add_power_sums(c, lp, pts, [None, 1j])
+        assert [type(v) for v in got] == types
+        for pt, start, v in zip(pts, [None, 1j], got):
+            cu = c if pt.t == 0.0 else c * unit_power(lp, pt.t)
+            assert bits(v) == bits(ordered_sum(cu * inverse_power(lp, pt.sigma), start))
+
+
 def test_defect_cut_past_a_segment_edge_is_one_table_sum():
     # C falls just past the first segment (3..2^20+2), so the second
     # segment's defect slice is short; the streamed defect still has the
@@ -477,6 +493,17 @@ def test_grid_routes_equal_one_point_calls(spec):
         assert len(grid) == len(GRID)
         for i, pt in enumerate(GRID):
             assert grid[i] == route([pt])[0]
+
+
+@pytest.mark.parametrize("spec", ["twist:0.7:moebius", "twist:-2.5:twist:0.7:liouville"])
+def test_F_truncated_folds_a_twist_into_the_point(spec):
+    # F_twist(s) = F_base(s + iT): bitwise the base's call at the shifted
+    # points, so a term pays one unit n^{-i(t+T)} and not two
+    f = parse_function_spec(spec)
+    (base, T) = f.twisted
+    plan = TruncationPlan(series_cutoff=2**18 + 3000)  # 2 segments
+    got = F_truncated(f, GRID, plan)
+    assert got == F_truncated(base, [ComplexPoint(pt.sigma, pt.t + T) for pt in GRID], plan)
 
 
 def test_F_truncated_grid_memory():

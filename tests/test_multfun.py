@@ -235,7 +235,8 @@ KERNEL_WINDOWS = [2, 10**7, 10**9 - 3, 2**33 - 5000, 2**30 - 20, 3**19 - 20]
 
 @pytest.mark.parametrize("spec,tol", [
     ("one", 0.0), ("moebius", 0.0), ("liouville", 0.0), ("odd_one", 0.0),
-    ("twist:0.7:moebius", 1e-12), ("extremal-ref", 1e-12)])
+    ("twist:0.7:moebius", 1e-12), ("extremal-ref", 1e-12), ("twist:0.7:extremal-ref", 1e-12),
+    ("twist:1.3:twist:0.7:moebius", 1e-12)])
 def test_segment_values_against_trial_division(spec, tol):
     f = parse_function_spec(spec)
     for lo in KERNEL_WINDOWS:
@@ -256,11 +257,16 @@ def _window_factors(lo, hi):
 REAL_BUILTINS = ["one", "moebius", "liouville", "odd_one"]
 
 
+def _complex_copy(name):
+    # the same rule returning complex128, so it runs the complex128 kernel
+    # on the same real values (twist:0.0 runs its base's rung instead)
+    f = builtin(name)
+    return MultiplicativeFunction(name, lambda ps, k: f.powers(ps, k).astype(np.complex128))
+
+
 @pytest.mark.parametrize("name", REAL_BUILTINS)
 def test_real_rules_give_float_values_equal_to_zero_twist(name):
-    # twist:0.0 returns a complex dtype with zero imaginary parts, so it runs
-    # the complex128 kernel on the same real values
-    f, ref = parse_function_spec(name), parse_function_spec(f"twist:0.0:{name}")
+    f, ref = parse_function_spec(name), _complex_copy(name)
     for lo in KERNEL_WINDOWS:
         hi = lo + 40
         base = sieve_primes(isqrt(hi))
@@ -277,10 +283,10 @@ def test_real_rules_give_float_values_equal_to_zero_twist(name):
 @pytest.mark.parametrize("segment_size,limit", [
     (1, 1000), (7, 5000), (4095, 10**5), (1 << 18, 6 * 10**5)])
 def test_real_rule_traces_equal_zero_twist_bit_for_bit(segment_size, limit):
+    # against the complex128-typed copy of each rule
     for name in REAL_BUILTINS:
         got = summatory_trace(builtin(name), limit, segment_size=segment_size).values
-        want = summatory_trace(
-            parse_function_spec(f"twist:0.0:{name}"), limit, segment_size=segment_size).values
+        want = summatory_trace(_complex_copy(name), limit, segment_size=segment_size).values
         assert got.real.view(np.uint64).tolist() == want.real.view(np.uint64).tolist(), name
         assert not got.imag.any()
 
@@ -363,13 +369,28 @@ def test_stream_summer_sums_int8_segments_with_the_bits_of_complex128(segment_si
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
+SEGMENT_SIZES = (1, 7, 4095, 1 << 18)
+
+
+def _checkpoint_ims(spec, limit, x):
+    f = parse_function_spec(spec)
+    traces = [summatory_trace(f, limit, grid=f"explicit:{x}", segment_size=size)
+              for size in SEGMENT_SIZES]
+    return {tr.values[tr.xs.tolist().index(x)].imag for tr in traces}
+
+
+@pytest.mark.parametrize("name", REAL_BUILTINS)
+def test_complex_checkpoints_do_not_depend_on_segment_size(name):
+    # a twist of a real rule runs its base's exact rung times one unit per n
+    ims = _checkpoint_ims(f"twist:0.7:{name}", 5000, 4095)
+    assert len(ims) == 1, sorted(ims)
+
+
 @pytest.mark.xfail(strict=True, reason="the kernel's scalar and gathered-table "
-                   "products round differently for complex f (ROADMAP item 3)")
-def test_complex_checkpoints_do_not_depend_on_segment_size():
-    f = parse_function_spec("twist:0.7:moebius")
-    traces = [summatory_trace(f, 5000, grid="explicit:4095", segment_size=size)
-              for size in (1, 7, 4095)]
-    ims = {tr.values[tr.xs.tolist().index(4095)].imag for tr in traces}
+                   "products round differently for complex rules that are no "
+                   "twist (ROADMAP item 4)")
+def test_extremal_checkpoints_do_not_depend_on_segment_size():
+    ims = _checkpoint_ims("extremal-ref", 30000, 20000)
     assert len(ims) == 1, sorted(ims)
 
 
