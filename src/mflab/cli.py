@@ -275,7 +275,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("thm2", help="summatory decay ratio CSV")
     p.add_argument("--function", required=True)
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--c", type=_finite_float, default=1.0)
+    p.add_argument("--c", type=_nonnegative_float, default=1.0)
     p.add_argument("--grid", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_thm2)

@@ -17,8 +17,8 @@ bounds instead of refusing.
 The series, prime-sum and euler-product routes take a sequence of points and
 return one result per point, in order; work that does not depend on s is
 done once per call.  The prime routes make one pass over ``prime_chunks``
-and keep one running ordered sum per point, so their memory does not grow
-with the prime cutoff.
+and feed one ``StreamSummer`` per point and sum, so their memory does not
+grow with the prime cutoff.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import CapacityError, DomainError, SingularFactorError
 from .multfun import (SUMMATORY_LIMIT_CEILING, MultiplicativeFunction, StreamSummer,
                       _value_segments, unit_power)
-from .primes import ordered_sum, prime_chunks, sieve_primes
+from .primes import prime_chunks, sieve_primes
 
 # Bernoulli quotients B_2/2!, B_4/4!, B_6/6! for the Euler-Maclaurin tail.
 _B2_2F = 1.0 / 12.0
@@ -46,8 +46,8 @@ _DEFECT_COEFF = 3.75
 # Local-factor series terms are summed while their tail may exceed this.
 _FACTOR_TAIL_TOL = 1e-14
 # zeta's head sum and _power_terms work in blocks of this many terms.  A
-# seeded ordered_sum has the same bits at any split, so this only bounds
-# the size of their temporaries.
+# StreamSummer has the same bits at any split, so this only bounds the
+# size of their temporaries.
 _BLOCK = 1 << 14
 # Largest |t| that zeta accepts; see zeta.
 ZETA_HEIGHT_CEILING = 1e8
@@ -129,14 +129,13 @@ def _power_terms(c: np.ndarray, log_n: np.ndarray, pts: Sequence[ComplexPoint]):
             yield j, i, np.multiply(cu, x, out=None if cu.dtype.kind == "c" else x)
 
 
-def add_power_sums(c: np.ndarray, log_n: np.ndarray, pts: Sequence[ComplexPoint], totals):
-    """Each point's running ordered sum of c n^{-s}, continued over ``c``."""
+def add_power_sums(c: np.ndarray, log_n: np.ndarray, pts: Sequence[ComplexPoint],
+                   summers: Sequence[StreamSummer]) -> None:
+    """Feed each point's summer the terms c n^{-s}."""
     if c.dtype.kind == "c" and not any(pt.t for pt in pts) and not c.imag.view(np.int64).any():
         c = c.real  # every imaginary part is +0 and t = 0: the real parts have the bits
-    totals = list(totals)
     for _, i, term in _power_terms(c, log_n, pts):
-        totals[i] = ordered_sum(term, totals[i])
-    return totals
+        summers[i].feed(None, term)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +180,11 @@ def zeta(s, tol: float = 1e-10) -> EvalResult:
     while rem_bound(N) > tol and N < cap:
         N *= 2
     N = min(N, cap)
-    head = None
+    summer = StreamSummer()
     for lo in range(1, N, _BLOCK):
         ns = np.arange(lo, min(lo + _BLOCK, N), dtype=np.float64)
-        head = ordered_sum(np.exp(-sc * np.log(ns)), head)
-    head = complex(head)
+        summer.feed(lo, np.exp(-sc * np.log(ns)))
+    head = summer.close()
     lnN = log(N)
     value = (
         head
@@ -342,17 +341,16 @@ def _factor_logs(
 
 def add_defects(
     f: MultiplicativeFunction, ps: np.ndarray, pts: Sequence[ComplexPoint], cutoff: int,
-    totals: list,
-) -> list:
-    """Each point's running sum of log factor_p - f(p) p^{-s}, continued
-    over the primes of the chunk ``ps`` that are <= cutoff.  The cut can
-    leave a short slice; _factor_logs gives each prime the same bits at
-    any array length, so the sum does not depend on where segments fall."""
+    summers: Sequence[StreamSummer],
+) -> None:
+    """Feed each point's summer log factor_p - f(p) p^{-s} for the primes
+    of the chunk ``ps`` that are <= cutoff.  The cut can leave a short
+    slice; _factor_logs gives each prime the same bits at any array length,
+    so the sum does not depend on where segments fall."""
     head = ps[: int(np.searchsorted(ps, cutoff, side="right"))]
-    if not head.size:
-        return totals
-    return [ordered_sum(defect, total)
-            for total, (_, defect) in zip(totals, _factor_logs(f, head, pts))]
+    if head.size:
+        for summer, (_, defect) in zip(summers, _factor_logs(f, head, pts)):
+            summer.feed(None, defect)
 
 
 def _defect_tail(pt: ComplexPoint, cutoff: int) -> float:
@@ -411,36 +409,38 @@ def log_F_prime_sum(
     raises SingularFactorError).
     """
     pts = [as_point(s) for s in points]
-    sums = [None] * len(pts)
-    deltas = [None] * len(pts)
+    sums = [StreamSummer() for _ in pts]
+    deltas = [StreamSummer() for _ in pts]
     for ps in prime_chunks(plan.prime_cutoff):
-        sums = add_power_sums(f.prime_values(ps), np.log(ps.astype(np.float64)), pts, sums)
-        deltas = add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
+        add_power_sums(f.prime_values(ps), np.log(ps.astype(np.float64)), pts, sums)
+        add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
     return prime_sum_results(pts, sums, deltas, plan)
 
 
 def prime_sum_results(
-    pts: Sequence[ComplexPoint], sums: list, deltas: list, plan: TruncationPlan,
+    pts: Sequence[ComplexPoint], sums: Sequence[StreamSummer], deltas: Sequence[StreamSummer],
+    plan: TruncationPlan,
 ) -> list[PrimeSumResult]:
-    """The results of log_F_prime_sum from its running sums over all primes
+    """The results of log_F_prime_sum from its summers, fed every prime
     <= plan.prime_cutoff, with the tail bounds of plan's cutoffs."""
     P = float(plan.prime_cutoff)
     return [
-        PrimeSumResult(complex(total), complex(delta), P ** (1.0 - pt.sigma) / (pt.sigma - 1.0),
+        PrimeSumResult(summer.close(), delta.close(), P ** (1.0 - pt.sigma) / (pt.sigma - 1.0),
                        _defect_tail(pt, plan.exact_factor_cutoff))
-        for pt, total, delta in zip(pts, sums, deltas)]
+        for pt, summer, delta in zip(pts, sums, deltas)]
 
 
 def add_alignment_sums(
     f: MultiplicativeFunction, ps: np.ndarray, ws: Sequence[ComplexPoint], epsilon0: int,
-    t0: float, totals: list,
-) -> list:
-    """Each running sum of g(p) p^{-w}, one per w, continued over the chunk
-    ``ps``, over the primes with g(p) != 0 alone: adding exact zeros leaves an
-    ordered sum unchanged, so an aligned direction adds nothing."""
+    t0: float, summers: Sequence[StreamSummer],
+) -> None:
+    """Feed each w's summer g(p) p^{-w} for the primes of the chunk ``ps``
+    with g(p) != 0 alone, so an aligned direction feeds nothing.  Positions
+    count the nonzero terms only; which terms those are does not depend on
+    the chunking, so neither do the bits."""
     lp, g = alignment_terms(f, ps, epsilon0, t0)
     nz = np.flatnonzero(g)
-    return add_power_sums(g[nz], lp[nz], ws, totals)
+    add_power_sums(g[nz], lp[nz], ws, summers)
 
 
 def F_euler(
@@ -472,15 +472,14 @@ def F_euler(
     chunks = prime_chunks(plan.prime_cutoff)  # checks the cutoff before the zeta work
     ws = [ComplexPoint(pt.sigma, pt.t - t0) for pt in pts]
     pzs = [prime_zeta(w) for w in ws]
-    residuals = [None] * len(pts)
-    deltas = [None] * len(pts)
+    residuals = [StreamSummer() for _ in pts]
+    deltas = [StreamSummer() for _ in pts]
     for ps in chunks:
-        deltas = add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
-        residuals = add_alignment_sums(f, ps, ws, epsilon0, t0, residuals)
+        add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
+        add_alignment_sums(f, ps, ws, epsilon0, t0, residuals)
     out = []
     for pt, pz, residual, delta in zip(pts, pzs, residuals, deltas):
-        residual = 0j if residual is None else complex(residual)
-        log_F = epsilon0 * (residual - pz.value) + complex(delta)
+        log_F = epsilon0 * (residual.close() - pz.value) + delta.close()
         value = np.exp(log_F)
         dtail = _defect_tail(pt, plan.exact_factor_cutoff)
         bound = abs(value) * expm1(min(pz.error_bound + dtail, 500.0))

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapacityError, CoverageError, DomainError, FunctionSpecError
-from .multfun import MultiplicativeFunction, completely_multiplicative, unit_power
-from .primes import check_limit, mertens_estimate, ordered_partials, ordered_sum, prime_chunks
+from .multfun import MultiplicativeFunction, StreamSummer, completely_multiplicative, unit_power
+from .primes import check_limit, mertens_estimate, prime_chunks
 
 LOGLOG_16 = log(log(16.0))      # smallest admissible loglog coordinate
 LOGLOG_MAX = 40.0               # sup truncation: x_max = e^(e^40)
@@ -401,8 +401,9 @@ def verify(
 
     P and the blocks are checked before any sieving.  Then one pass over
     ``prime_chunks(P)`` takes log p and theta_p once per chunk for every
-    sum: the theta and 1/p sums, the windows' selected primes, and each
-    point's prime sum and defect (dirichlet.add_power_sums, add_defects).
+    sum: the theta sum, the 1/p sums (one StreamSummer, cut at each block's
+    end), the windows' selected primes, and each point's prime sum and
+    defect (dirichlet.add_power_sums, add_defects).
     """
     from .dirichlet import (ComplexPoint, TruncationPlan, add_defects, add_power_sums,
                             prime_sum_results)
@@ -422,17 +423,17 @@ def verify(
     window_cuts = [int(min(exp(b.log_upper), float(P))) for b in checked]
     picked = [([], []) for _ in checked]  # each window's selected primes and their log p
     fext = extremal_function(spec)
-    H = np.zeros(len(spec.blocks))  # sum_{p <= min(upper_j, P)} 1/p
-    cuts = [min(float(P), exp(min(b.log_upper, log_P))) for b in spec.blocks]
-    obs = recip = None
-    sums = [None] * len(pts)
-    deltas = [None] * len(pts)
+    # sum_{p <= min(upper_j, P)} 1/p for each block j, at its checkpoint
+    H = StreamSummer([min(float(P), exp(min(b.log_upper, log_P))) for b in spec.blocks])
+    obs = StreamSummer()
+    sums = [StreamSummer() for _ in pts]
+    deltas = [StreamSummer() for _ in pts]
     for ps in prime_chunks(P):
         psf = ps.astype(np.float64)
         lp = np.log(psf)
         th = theta_values(spec, ps, lp)
-        obs = ordered_sum(th * th / psf, obs)
-        recip = ordered_partials(ps, 1.0 / psf, cuts, H, recip)
+        obs.feed(None, th * th / psf)
+        H.feed(None, 1.0 / psf, ps)
         del psf  # each chunk array is dropped once its last sum is taken
         for b, cut, (sel_ps, sel_lp) in zip(checked, window_cuts, picked):
             lpc = lp[: int(np.searchsorted(ps, cut, side="right"))]
@@ -442,15 +443,16 @@ def verify(
         if pts:
             fp = _unit_values(th)
             del th
-            sums = add_power_sums(fp, lp, pts, sums)
+            add_power_sums(fp, lp, pts, sums)
             del fp, lp  # as psf: not alive while the next chunk is built
-            deltas = add_defects(fext, ps, pts, plan.exact_factor_cutoff, deltas)
+            add_defects(fext, ps, pts, plan.exact_factor_cutoff, deltas)
     windows = tuple(
         _window_report(j, b, pt.sigma, np.concatenate(sel_ps), np.concatenate(sel_lp),
                        psr.log_F.real)
         for j, b, pt, (sel_ps, sel_lp), psr in zip(
             blocks, checked, pts, picked, prime_sum_results(pts, sums, deltas, plan)))
-    return _psum_report(spec, P, float(obs), H.tolist()), windows
+    H.close()
+    return _psum_report(spec, P, obs.close().real, [h.real for h in H.checkpoint_values]), windows
 
 
 def _window_report(j: int, b: ExtremalBlock, sigma: float, ps: np.ndarray, lps: np.ndarray,

@@ -33,9 +33,9 @@ from .dirichlet import (
     log_zeta_minus_prime_zeta,
 )
 from .errors import CapacityError, DomainError
-from .multfun import (GRID_STEP_CEILING, MultiplicativeFunction, SummatoryTrace,
+from .multfun import (GRID_STEP_CEILING, MultiplicativeFunction, StreamSummer, SummatoryTrace,
                       two_adic_failures)
-from .primes import ordered_partials, prime_chunks
+from .primes import prime_chunks
 
 
 @dataclass(frozen=True)
@@ -75,18 +75,19 @@ def pole_sum(
     while cuts[-1] < P:
         cuts.append(cuts[-1] * 10)
     cuts[-1] = P
-    vals = np.zeros(len(cuts))
-    total = None
+    summer = StreamSummer(cuts)
     worst, p_bad = 0.0, 0
     for ps in prime_chunks(P):
         terms = alignment_terms(f, ps, direction.epsilon0, direction.t0)[1].real / ps
         i = int(np.argmin(terms))
         if terms[i] < worst:
             worst, p_bad = float(terms[i]), int(ps[i])
-        total = ordered_partials(ps, terms, cuts, vals, total)
+        summer.feed(None, terms, ps)
     if worst < -1e-12:
         raise DomainError(f"negative alignment term at p={p_bad}: |f(p)| > 1")
-    return PartialSumSeries(np.asarray(cuts, dtype=np.int64), vals)
+    summer.close()
+    return PartialSumSeries(np.asarray(cuts, dtype=np.int64),
+                            np.array(summer.checkpoint_values).real)
 
 
 @dataclass(frozen=True)
@@ -123,13 +124,12 @@ def lemma_defect(
     chunks = prime_chunks(plan.prime_cutoff)  # checks the cutoff before the zeta work
     ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
     brackets = [log_zeta_minus_prime_zeta(w) for w in ws]
-    residuals = [None] * len(pts)
+    residuals = [StreamSummer() for _ in pts]
     for ps in chunks:
-        residuals = add_alignment_sums(
-            f, ps, ws, direction.epsilon0, direction.t0, residuals)
+        add_alignment_sums(f, ps, ws, direction.epsilon0, direction.t0, residuals)
     out = []
     for pt, bracket, residual in zip(pts, brackets, residuals):
-        D = bracket.value + (0j if residual is None else complex(residual))
+        D = bracket.value + residual.close()
         err = bracket.error_bound + 2.0 * float(plan.prime_cutoff) ** (1.0 - pt.sigma) / (
             pt.sigma - 1.0)
         normalizer = sqrt(max(log(1.0 / (pt.sigma - 1.0)), 1.0))
@@ -142,7 +142,6 @@ class Theorem1Point:
     sigma: float
     F: EvalResult
     ratio: float | None  # None = indeterminate (|F| within its error bound)
-    ratio_bound: float
 
 
 def theorem1_ratio(
@@ -166,15 +165,12 @@ def theorem1_ratio(
     for sg, fe in zip(grid, fes):
         aF = abs(fe.value)
         if aF <= fe.error_bound:
-            out.append(Theorem1Point(sg, fe, None, float("inf")))
-            continue
-        if direction.epsilon0 == 1:
+            ratio = None
+        elif direction.epsilon0 == 1:
             ratio = aF / (sg - 1.0)
-            rbound = fe.error_bound / (sg - 1.0)
         else:
             ratio = 1.0 / (aF * (sg - 1.0))
-            rbound = fe.error_bound / (aF * (aF - fe.error_bound) * (sg - 1.0))
-        out.append(Theorem1Point(sg, fe, ratio, rbound))
+        out.append(Theorem1Point(sg, fe, ratio))
     return out
 
 

@@ -354,63 +354,85 @@ class _Neumaier:
 
 
 class StreamSummer:
-    """Order-deterministic streaming sum with checkpoint snapshots.
+    """Order-deterministic streaming sum with checkpoint snapshots: the one
+    ordered sum of mflab, over n and over primes alike.
 
-    Values arrive as contiguous arrays indexed from absolute position 1.
-    Internal block cuts sit at absolute multiples of 4096 and at the
-    requested checkpoints, so totals do not depend on feed chunking.
-    Between feeds only the unflushed tail (under one block) is kept.
+    Values take positions 1, 2, ... in the order they are fed.  Blocks are
+    cut at positions that are multiples of 4096 and at the checkpoints; each
+    block is np.sum'ed (int8 blocks as exact integers) and the block sums
+    enter a compensated accumulator in ascending order, so a sum and its
+    checkpoints have the same bits at any feed chunking.  Between feeds only
+    the unsummed tail (under one block) is kept.
+
+    ``checkpoints`` are ascending cutoffs on a key per value: its position,
+    or the ascending ``keys`` fed with the values (the primes of a prime
+    sum).  A checkpoint takes the sum just before the first value whose key
+    exceeds it; one still open when the stream closes takes the total.
     """
 
-    def __init__(self, checkpoints: Sequence[int] = ()) -> None:
-        self._cps = [int(c) for c in checkpoints]
-        self._ci = 0
+    def __init__(self, checkpoints: Sequence = ()) -> None:
+        self._cps = list(checkpoints)
         self._re = _Neumaier()
         self._im = _Neumaier()
         self._tail = np.zeros(0, dtype=np.complex128)  # fed, not yet summed
-        self._buf_start = 1  # absolute position of _tail[0]
+        self._buf_start = 1  # position of _tail[0]
         self._n_next = 1
         self.checkpoint_values: list[complex] = []
 
-    def _next_cut(self) -> int:
+    def _next_cut(self, lo: int, keys: np.ndarray | None) -> tuple[int, bool]:
+        """The position that ends the next block, and whether the open
+        checkpoint is taken there; ``keys`` start at position ``lo``."""
         cut = ((self._buf_start - 1) // _SUM_BLOCK + 1) * _SUM_BLOCK
-        if self._ci < len(self._cps):
-            cut = min(cut, self._cps[self._ci])
-        return cut
+        if len(self.checkpoint_values) == len(self._cps):
+            return cut, False
+        cp = self._cps[len(self.checkpoint_values)]
+        if keys is not None:  # the last key <= cp is known once a key exceeds it
+            i = int(np.searchsorted(keys, cp, side="right"))
+            cp = lo - 1 + i if i < keys.size else self._n_next
+        return min(cut, cp), cp <= cut
 
     def _flush(self, head: np.ndarray) -> None:
-        """Sum the tail followed by ``head`` as one block."""
+        """Sum the tail followed by ``head`` as one block (none if empty)."""
         chunk = np.concatenate((self._tail, head)) if self._tail.size else head
+        if not chunk.size:
+            return
+        if chunk.dtype != np.int8:  # int8 blocks sum as exact integers, uncopied
+            chunk = chunk.astype(np.complex128, copy=False)  # a block, not the feed, at a time
         s = chunk.sum()
         self._re.add(float(s.real))
         self._im.add(float(s.imag))
         self._buf_start += chunk.size
         self._tail = self._tail[:0]
 
-    def feed(self, start: int, vals: np.ndarray) -> None:
-        if start != self._n_next:
-            raise ValueError(f"stream discontinuity: expected {self._n_next}, got {start}")
-        if vals.dtype != np.int8:  # int8 blocks sum as exact integers, uncopied
-            vals = np.asarray(vals, dtype=np.complex128)
+    def feed(self, start: int | None, vals: np.ndarray, keys: np.ndarray | None = None) -> None:
+        """Append ``vals``.  ``start``, unless None, must be the position of
+        vals[0]; ``keys`` (for cutoffs on keys) continue the ascending keys
+        fed before."""
+        lo = self._n_next
+        if start is not None and start != lo:
+            raise ValueError(f"stream discontinuity: expected {lo}, got {start}")
         self._n_next += vals.size
         i = 0  # vals[:i] is summed
-        while (cut := self._next_cut()) < self._n_next:
+        cut, taken = self._next_cut(lo, keys)
+        while cut < self._n_next:
             j = i + cut - self._buf_start + 1 - self._tail.size
             self._flush(vals[i:j])
             i = j
-            if self._ci < len(self._cps) and cut == self._cps[self._ci]:
+            if taken:
                 self.checkpoint_values.append(self.total())
-                self._ci += 1
+            cut, taken = self._next_cut(lo, keys)
         self._tail = np.concatenate((self._tail, vals[i:]))  # a copy: never pin ``vals``
 
     def total(self) -> complex:
         return complex(self._re.total(), self._im.total())
 
     def close(self) -> complex:
-        """Flush any partial trailing block and return the grand total."""
-        if self._tail.size:
-            self._flush(self._tail[:0])  # the tail alone
-        return self.total()
+        """Flush any partial trailing block and return the grand total,
+        which every checkpoint still open takes."""
+        self._flush(self._tail[:0])  # the tail alone
+        total = self.total()
+        self.checkpoint_values += [total] * (len(self._cps) - len(self.checkpoint_values))
+        return total
 
 
 def resolve_checkpoints(grid, limit: int) -> list[int]:

@@ -1,13 +1,13 @@
-"""Prime streams, prime tables and ordered prime sums.
+"""Prime streams and prime tables.
 
 Every prime sum downstream (Euler products, Halász sums, the extremal
 checks) reads ``prime_chunks``: the primes up to a cutoff, one ascending
 array per sieve segment, so a consumer holds O(segment) memory rather
-than O(pi(P)).  ``ordered_sum`` and ``ordered_partials`` continue their
-running sums from chunk to chunk, so a streamed sum has the bits of one
-cumsum over all primes.  A ``PrimeTable`` (random access) remains for the
-base primes of the segment kernels and for small windows.  Tables are
-immutable after construction and safe to share across threads.
+than O(pi(P)).  The sums themselves run through ``multfun.StreamSummer``,
+whose blocks count positions from the first term, so a streamed sum has
+the same bits at any chunking.  A ``PrimeTable`` (random access) remains
+for the base primes of the segment kernels and for small windows.  Tables
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ MERTENS_CONSTANT = 0.2614972128476428
 # only sieve_primes, which returns a table, would hold ~1.6 GB at the
 # ceiling.
 PRIME_LIMIT_CEILING = 2**32
-_SUM_CHUNK = 1 << 16  # values per cumsum in ordered_sum
 
 
 @dataclass(frozen=True)
@@ -103,42 +102,6 @@ def _segments(limit: int) -> Iterator[np.ndarray]:
         if lo == 3 or primes.size:
             yield np.concatenate(([2], primes)) if lo == 3 else primes
         lo = hi + 1
-
-
-def ordered_sum(x: np.ndarray, start=None):
-    """The sum of ``x`` accumulated in ascending index order, continued from
-    the running total ``start``; 0 when both are empty.
-
-    cumsum keeps the accumulation strictly sequential (np.sum is pairwise),
-    so results are reproducible bit-for-bit regardless of thread count.
-    Each chunk's cumsum starts from the running total: the bits of
-    np.cumsum(x)[-1] without a second array the size of ``x``, and
-    ``ordered_sum(b, ordered_sum(a))`` has the bits of one sum over a then b.
-    """
-    total = start
-    for i in range(0, x.size, _SUM_CHUNK):
-        chunk = x[i : i + _SUM_CHUNK]
-        total = np.cumsum(chunk if total is None else np.concatenate(([total], chunk)))[-1]
-    return 0.0 if total is None else total
-
-
-def ordered_partials(ps: np.ndarray, terms: np.ndarray, cuts, out: np.ndarray, start=None):
-    """One chunk of a streamed partial-sum series: the running sum of
-    ``terms`` (one per prime of the ascending chunk ``ps``), continued from
-    ``start``, is written to out[i] for each cut with a prime of this chunk
-    <= cuts[i]; returns the new running total.
-
-    Fed every chunk in order, ``out`` ends as np.cumsum over all terms
-    picked at the last prime <= each cut, bit for bit (0 before the first
-    prime).
-    """
-    partial = np.cumsum(terms if start is None else np.concatenate(([start], terms)))
-    if start is not None:
-        partial = partial[1:]
-    idx = np.searchsorted(ps, cuts, side="right") - 1
-    hit = idx >= 0
-    out[hit] = partial[idx[hit]]
-    return partial[-1]
 
 
 def mertens_estimate(log_x: float) -> float:

@@ -155,6 +155,15 @@ def test_thm2_limit_invariant(tmp_path, capsys):
     assert cap.err.startswith("error:usage:")
 
 
+def test_thm2_refuses_a_negative_c(tmp_path, capsys):
+    # Theorem 2 is for c > 0; a large negative c made exp overflow into
+    # nan and inf rows with exit 0
+    assert usage_failure(["thm2", "--function", "moebius", "--limit", "100", "--c=-1000",
+                          "--grid", "explicit:39,40,92", "--out", str(tmp_path / "x.csv")],
+                         capsys) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_capacity_and_coverage_exit_code(tmp_path, capsys):
     code = run(["sum", "--function", "one", "--limit", str(2**35),
                 "--out", str(tmp_path / "x.csv")])

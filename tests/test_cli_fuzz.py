@@ -91,7 +91,7 @@ COMMANDS = {
         series_cutoff=CUTOFF, prime_cutoff=PRIME_CUTOFF, exact_cutoff=CUTOFF),
     "thm2": command(
         "thm2", function=FUNCTION, limit=(ints(16, 10_000), st.one_of(ints(-2, 15), pick("x"))),
-        c=(pick(None, "1", "0", "2.5", "-1"), pick("nan", "x")), grid=GRID),
+        c=(pick(None, "1", "0", "2.5"), pick("nan", "x", "-1", "-1000")), grid=GRID),
     "extremal-build": command(
         "extremal-build",
         kappa=(pick("power:0.25", "const:1", "loglog-fraction:0.3"),

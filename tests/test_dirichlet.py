@@ -23,9 +23,9 @@ from mflab.dirichlet import (
     zeta,
 )
 from mflab.errors import CapacityError, CoverageError, DomainError, SingularFactorError
-from mflab.multfun import (MultiplicativeFunction, builtin, parse_function_spec, summatory_trace,
-                           unit_power)
-from mflab.primes import ordered_sum, sieve_primes
+from mflab.multfun import (MultiplicativeFunction, StreamSummer, builtin, parse_function_spec,
+                           summatory_trace, unit_power)
+from mflab.primes import sieve_primes
 
 from _oracles import F_partial_summation, prime_sum_power_oracle, zeta_series_oracle
 
@@ -97,6 +97,19 @@ def test_zeta_and_prime_zeta_against_mpmath():
             assert abs(diff) <= pz.error_bound, pt
 
 
+@pytest.mark.parametrize("sigma", [2.0, 3.0])
+def test_prime_sum_of_one_lies_within_err_of_log_zeta(sigma):
+    # log F = sum_{p<=P} p^{-sigma} + defect is log zeta(sigma) up to err.  At
+    # sigma = 3 the terms fall below half an ulp of the running total from
+    # p ~ 4e5 on, so a plain running sum misses by 1.7e-13 against err 5e-15
+    mp = pytest.importorskip("mpmath")
+    (r,) = log_F_prime_sum(builtin("one"), [ComplexPoint(sigma)], TruncationPlan(prime_cutoff=10**7))
+    with mp.workdps(30):
+        truth = float(mp.log(mp.zeta(sigma)))
+    assert r.log_F.imag == 0.0
+    assert abs(r.log_F.real - truth) <= r.error_bound
+
+
 def _earlier_rule_terms(s: complex, tol: float) -> int:
     """Head terms of zeta's earlier rule: N doubles from max(16, 2|t| + 10)
     while the Euler-Maclaurin remainder bound exceeds tol and N < 2^22."""
@@ -114,11 +127,11 @@ def _earlier_rule_terms(s: complex, tol: float) -> int:
 
 def test_zeta_sums_no_more_terms_than_the_earlier_rule(monkeypatch):
     fed, calls = [0], []
-    real_sum, real_zeta = dirichlet.ordered_sum, dirichlet.zeta
+    real_feed, real_zeta = StreamSummer.feed, dirichlet.zeta
 
-    def counting_sum(x, start=None):
-        fed[0] += x.size
-        return real_sum(x, start)
+    def counting_feed(self, start, vals, keys=None):
+        fed[0] += vals.size
+        return real_feed(self, start, vals, keys)
 
     def counting_zeta(s, tol=1e-10):
         before = fed[0]
@@ -126,7 +139,7 @@ def test_zeta_sums_no_more_terms_than_the_earlier_rule(monkeypatch):
         calls.append((s.s, tol, fed[0] - before))  # s: the ComplexPoint log_zeta passes
         return result
 
-    monkeypatch.setattr(dirichlet, "ordered_sum", counting_sum)
+    monkeypatch.setattr(StreamSummer, "feed", counting_feed)
     monkeypatch.setattr(dirichlet, "zeta", counting_zeta)
     # the two prime_zeta calls of a near-line height row (seed 1); the
     # earlier rule summed 2,539,351 head terms for them
@@ -304,14 +317,16 @@ def test_twist_folds_into_the_direction_bit_for_bit(spec, base, T):
 @pytest.mark.parametrize("spec,t0", [("twist:0.7:one", -0.7), ("twist:0.5:twist:0.25:one", -0.75)])
 def test_aligned_twist_direction_has_exactly_zero_alignment_terms(spec, t0):
     # twist:T:one is aligned with (-1, -T): g = 1 - p^{-i0} is exactly 0, so
-    # the alignment sums skip every prime and keep their totals
+    # the alignment sums skip every prime and feed their summers nothing
     f = parse_function_spec(spec)
     _, g = alignment_terms(f, BASE.primes, -1, t0)
     assert not g.any()
-    totals = [np.complex128(1.5 - 2.0j), None]
-    got = add_alignment_sums(f, BASE.primes, [ComplexPoint(1.001), ComplexPoint(1.3, 2.0)],
-                             -1, t0, totals)
-    assert len(got) == 2 and all(a is b for a, b in zip(got, totals))
+    summers = [StreamSummer(), StreamSummer()]
+    summers[0].feed(None, np.array([1.5 - 2.0j]))
+    add_alignment_sums(f, BASE.primes, [ComplexPoint(1.001), ComplexPoint(1.3, 2.0)],
+                       -1, t0, summers)
+    assert [s.close() for s in summers] == [1.5 - 2.0j, 0j]
+    assert summers[0]._n_next == 2 and summers[1]._n_next == 1
 
 
 def test_factored_inverse_power_against_mpmath():
@@ -350,43 +365,60 @@ def test_prime_sums_streamed_in_short_chunks_have_the_bits_of_one_pass(size):
     pts = [ComplexPoint(1.001), ComplexPoint(1.2, 1000.0)]
 
     def streamed(chunks):
-        sums, deltas, residuals = [None] * 2, [None] * 2, [None] * 2
+        sums, deltas, residuals = ([StreamSummer() for _ in pts] for _ in range(3))
         for c in chunks:
-            sums = add_power_sums(f.prime_values(c), np.log(c.astype(np.float64)), pts, sums)
-            deltas = add_defects(f, c, pts, 10**4, deltas)
-            residuals = add_alignment_sums(f, c, pts, -1, 0.7, residuals)
-        return np.array(sums + residuals, dtype=np.complex128).view(np.uint64).tolist()
+            add_power_sums(f.prime_values(c), np.log(c.astype(np.float64)), pts, sums)
+            add_defects(f, c, pts, 10**4, deltas)
+            add_alignment_sums(f, c, pts, -1, 0.7, residuals)
+        totals = [s.close() for s in sums + residuals]
+        return np.array(totals, dtype=np.complex128).view(np.uint64).tolist()
 
     assert streamed([ps[i : i + size] for i in range(0, ps.size, size)]) == streamed([ps])
 
 
-def test_real_coefficients_sum_in_float64_with_the_bits_of_complex128():
+def one_feed_total(x: np.ndarray) -> complex:
+    summer = StreamSummer()
+    summer.feed(None, x)
+    return summer.close()
+
+
+def test_real_coefficients_sum_in_float64_with_the_bits_of_complex128(monkeypatch):
     # f(p) of moebius is complex128 with +0 imaginary parts: a grid at t = 0
-    # sums in float64 (continuing a complex total too), a grid with t != 0 in
-    # complex128; every total has the bits of the complex128 sum
+    # forms its terms in float64, a grid with t != 0 in complex128; every
+    # total has the bits of the complex128 terms fed at once
     ps = BASE.primes
     c, lp = builtin("moebius").prime_values(ps), np.log(ps.astype(np.float64))
     bits = lambda z: np.array([z], dtype=np.complex128).view(np.uint64).tolist()
-    for pts, types in (([ComplexPoint(1.001), ComplexPoint(2.0)], [np.float64, np.complex128]),
-                       ([ComplexPoint(1.001), ComplexPoint(1.3, 0.7)], [np.complex128] * 2)):
-        got = add_power_sums(c, lp, pts, [None, 1j])
-        assert [type(v) for v in got] == types
-        for pt, start, v in zip(pts, [None, 1j], got):
+    kinds, real_feed = [], StreamSummer.feed
+
+    def recording_feed(self, start, vals, keys=None):
+        kinds.append(vals.dtype.kind)
+        real_feed(self, start, vals, keys)
+
+    monkeypatch.setattr(StreamSummer, "feed", recording_feed)
+    for pts, kind in (([ComplexPoint(1.001), ComplexPoint(2.0)], "f"),
+                      ([ComplexPoint(1.001), ComplexPoint(1.3, 0.7)], "c")):
+        summers = [StreamSummer(), StreamSummer()]
+        kinds.clear()
+        add_power_sums(c, lp, pts, summers)
+        assert set(kinds) == {kind}
+        for pt, summer in zip(pts, summers):
             cu = c if pt.t == 0.0 else c * unit_power(lp, pt.t)
-            assert bits(v) == bits(ordered_sum(cu * inverse_power(lp, pt.sigma), start))
+            want = one_feed_total(cu * inverse_power(lp, pt.sigma))
+            assert bits(summer.close()) == bits(want)
 
 
 def test_defect_cut_past_a_segment_edge_is_one_table_sum():
     # C falls just past the first segment (3..2^20+2), so the second
     # segment's defect slice is short; the streamed defect still has the
-    # bits of one ordered sum over a table of the primes <= C
+    # bits of one feed of a table of the primes <= C
     lam = builtin("liouville")
     C = 1_100_000
     plan = TruncationPlan(prime_cutoff=2_200_000, exact_factor_cutoff=C)
     pts = [ComplexPoint(1.001, 0.3), ComplexPoint(1.2, 5.0)]
     table = sieve_primes(C).primes
     for r, (_, d) in zip(log_F_prime_sum(lam, pts, plan), _factor_logs(lam, table, pts)):
-        assert r.defect == complex(ordered_sum(d))
+        assert r.defect == one_feed_total(d)
 
 
 def test_moebius_defect_against_local_factors():

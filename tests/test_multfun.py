@@ -108,6 +108,29 @@ def test_stream_summer_alignment():
     assert a.close() == b.close()
 
 
+def test_stream_summer_totals_do_not_depend_on_chunking():
+    # unchecked feeds count positions from the first value, so a sum fed in
+    # pieces has the bits of one feed, real or complex, at any split
+    rng = np.random.default_rng(7)
+
+    def total(x, edges):
+        summer = StreamSummer()
+        for a, b in zip(edges, edges[1:]):
+            summer.feed(None, x[a:b])
+        return np.array([summer.close()]).view(np.uint64).tolist()
+
+    for n in (1, 5, 4096, 4097, 3 * 4096 + 5):
+        x = rng.standard_normal(n) * np.exp(1j * rng.uniform(0, 6.3, n))
+        for v in (x, x.real):
+            want = total(v, [0, n])
+            splits = [[0, k, n] for k in (1, 7, 4095, 4096, 4097, 2 * 4096 + 3, n - 1) if 0 < k < n]
+            for edges in [*splits, [0, *range(1, n, 37), n]]:
+                assert total(v, edges) == want, (n, edges[1])
+    x = rng.standard_normal(3 * 4096 + 5)
+    assert total(x, [0, 5, 5, 4096 + 9, 2 * 4096, x.size]) == total(x, [0, x.size])  # one empty
+    assert StreamSummer().close() == 0
+
+
 @given(st.floats(-5, 5), st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 4))
 @settings(max_examples=50, deadline=None)
 def test_twist_preserves_modulus(t, p, k):

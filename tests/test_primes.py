@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from mflab.errors import CapacityError, EmptyRangeError
+from mflab.multfun import StreamSummer
 from mflab.primes import (
     MERTENS_CONSTANT,
     PRIME_LIMIT_CEILING,
-    _SUM_CHUNK,
     mertens_estimate,
-    ordered_partials,
-    ordered_sum,
     prime_chunks,
     sieve_primes,
 )
@@ -87,10 +85,10 @@ def test_sieve_errors():
 
 def reciprocal_sum(x: int) -> float:
     """Mertens sum sum_{p<=x} 1/p, streamed over prime_chunks in ascending order."""
-    total = None
+    summer = StreamSummer()
     for ps in prime_chunks(x):
-        total = ordered_sum(1.0 / ps, total)
-    return float(total)
+        summer.feed(None, 1.0 / ps)
+    return summer.close().real
 
 
 def test_reciprocal_sum_examples():
@@ -98,9 +96,11 @@ def test_reciprocal_sum_examples():
     assert reciprocal_sum(2) == 0.5
     expected = math.log(math.log(10**6)) + MERTENS_CONSTANT
     assert abs(reciprocal_sum(10**6) - expected) < 0.01
-    # three chunks: the streamed sum has the bits of one cumsum over the table
+    # three chunks: the streamed sum has the bits of one feed of the table
     limit = 3 * 2**20
-    assert reciprocal_sum(limit) == np.cumsum(1.0 / sieve_primes(limit).primes)[-1]
+    whole = StreamSummer()
+    whole.feed(None, 1.0 / sieve_primes(limit).primes)
+    assert reciprocal_sum(limit) == whole.close().real
 
 
 def test_reciprocal_sum_monotone_and_mertens_window():
@@ -116,33 +116,10 @@ def test_mertens_estimate_matches_sieve():
     assert abs(est - reciprocal_sum(10**6)) < 0.01
 
 
-def test_ordered_sum_is_one_cumsum():
-    # chunked, but bitwise the last running sum of one cumsum over the array
-    rng = np.random.default_rng(7)
-    for n in (1, 5, 2**16, 2**16 + 1, 3 * 2**16 + 5):
-        x = rng.standard_normal(n) * np.exp(1j * rng.uniform(0, 6.3, n))
-        assert ordered_sum(x) == np.cumsum(x)[-1]
-        assert ordered_sum(x.real) == np.cumsum(x.real)[-1]
-    assert ordered_sum(np.zeros(0)) == 0.0
-    # seeded: continuing from the running total of a prefix is one cumsum
-    x = rng.standard_normal(3 * _SUM_CHUNK + 5) * np.exp(1j * rng.uniform(0, 6.3, 3 * _SUM_CHUNK + 5))
-    want = np.cumsum(x)[-1]
-    for k in (1, 7, _SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1, 2 * _SUM_CHUNK + 3, x.size - 1):
-        assert ordered_sum(x[k:], ordered_sum(x[:k])) == want
-        assert ordered_sum(x[k:].real, ordered_sum(x[:k].real)) == want.real
-    cuts = (5, _SUM_CHUNK + 9, 2 * _SUM_CHUNK)
-    total = None
-    for a, b in zip((0,) + cuts, cuts + (x.size,)):
-        total = ordered_sum(x[a:b], total)
-    assert total == want
-    assert ordered_sum(np.zeros(0), want) == want
-
-
-def test_ordered_partials_equal_whole_cumsum_picks():
+def test_partials_at_prime_cutoffs_do_not_depend_on_chunking():
     ps = sieve_primes(10**5).primes
     terms = np.random.default_rng(3).uniform(0.0, 1.0, ps.size) / ps
-    edges = [0, 1, 500, 501, 4000, ps.size]  # chunks of 1, 499, 1, 3499 and the rest
-    cuts = [
+    cuts = sorted([
         1,                          # before every prime
         2,                          # on the first prime, alone in its chunk
         int(ps[500]),               # the only prime of a one-prime chunk
@@ -151,13 +128,22 @@ def test_ordered_partials_equal_whole_cumsum_picks():
         int(ps[2000]) + 1,          # between primes inside a chunk
         int(ps[4000]) - 1,          # just before a chunk's first prime
         10**5,                      # P
-    ]
-    whole = np.cumsum(terms)
-    idx = np.searchsorted(ps, cuts, side="right") - 1
-    want = np.where(idx >= 0, whole[np.maximum(idx, 0)], 0.0)
-    got = np.zeros(len(cuts))
-    total = None
-    for a, b in zip(edges, edges[1:]):
-        total = ordered_partials(ps[a:b], terms[a:b], cuts, got, total)
-    assert np.array_equal(got, want)
-    assert want[0] == 0.0 and total == whole[-1]
+    ])
+
+    def partials(edges):
+        summer = StreamSummer(cuts)
+        for a, b in zip(edges, edges[1:]):
+            summer.feed(None, terms[a:b], ps[a:b])
+        total = summer.close()
+        return np.array([*summer.checkpoint_values, total]).view(np.uint64).tolist()
+
+    want = partials([0, ps.size])
+    for size in (4095, 7):
+        assert partials([*range(0, ps.size, size), ps.size]) == want, size
+    assert partials([0, 1, 500, 501, 4000, ps.size]) == want  # chunks of 1, 499, 1, 3499, rest
+    got = np.array(want, dtype=np.uint64).view(np.complex128)
+    assert got[0] == 0.0 and not got.imag.any()
+    for c, v in zip(cuts, got):
+        exact = math.fsum(terms[ps <= c])
+        assert abs(v.real - exact) <= 2 * math.ulp(exact), c
+    assert got[-1] == got[-2]  # P takes the total
