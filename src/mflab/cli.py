@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import replace
 from math import isfinite
 
 import numpy as np
@@ -137,8 +138,8 @@ def _cmd_eval_f(args) -> int:
         results = dirichlet.F_truncated(f, pts, plan)
     elif args.method == "euler":
         results = dirichlet.F_euler(f, pts, plan, epsilon0=args.epsilon, t0=args.t0)
-    else:  # prime-sum
-        results = [dirichlet.EvalResult(complex(np.exp(r.log_F)), r.error_bound, r.method)
+    else:  # prime-sum: exp(log F), but err bounds log F mod 2 pi i, as perfbench's audit reads
+        results = [replace(r, value=complex(np.exp(r.value)))
                    for r in dirichlet.log_F_prime_sum(f, pts, plan)]
     rows = [[_fmt(sg), _fmt(args.t), _fmt(r.value.real), _fmt(r.value.imag),
              _fmt(abs(r.value)), _fmt(r.error_bound), r.method] for sg, r in zip(grid, results)]
@@ -166,8 +167,8 @@ def _cmd_lemma(args) -> int:
     grid = _sigma_grid(args.sigma)
     results = halasz.lemma_defect(
         f, direction, [ComplexPoint(sg, args.t) for sg in grid], plan)
-    rows = [[_fmt(sg), _fmt(args.t), _fmt(abs(r.value)), _fmt(r.ratio), _fmt(r.error_bound)]
-            for sg, r in zip(grid, results)]
+    rows = [[_fmt(sg), _fmt(args.t), _fmt(abs(r.value)), _fmt(halasz.lemma_ratio(sg, r.value)),
+             _fmt(r.error_bound)] for sg, r in zip(grid, results)]
     _write_rows(args.out, _provenance(args), ["sigma", "t", "abs_D", "ratio", "err"], rows)
     return 0
 

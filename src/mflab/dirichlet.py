@@ -1,18 +1,19 @@
 """Error-bounded evaluation of zeta(s), F(s) and log F(s) for sigma > 1.
 
-Three routes to F are offered by ``mflab eval-f``, each tagged in its
-EvalResult:
+Every value comes as one EvalResult: the value and the named parts of its
+error bound.  Three routes to F are offered by ``mflab eval-f``, each tagged
+in its EvalResult:
 
 * ``truncated-series``  -- direct sum to N, unconditional tail bound.
-* ``prime-sum``         -- sum f(p) p^{-s} plus Euler-factor defect,
+* ``prime-sum``         -- log F: sum f(p) p^{-s} plus Euler-factor defect,
                            unconditional (crude near sigma = 1).
 * ``euler-product``     -- prime-zeta route usable arbitrarily close to the
                            one-line; its bound is conditional on the stated
                            alignment assumption (see F_euler).
 
-All tail bounds are integral comparisons using |f(n)| <= 1: rigorous but
-crude, so near sigma = 1 the unconditional routes report honest, large
-bounds instead of refusing.
+All tail bounds are integral comparisons (tail_bound) using |f(n)| <= 1:
+rigorous but crude, so near sigma = 1 the unconditional routes report
+honest, large bounds instead of refusing.
 
 The series, prime-sum and euler-product routes take a sequence of points and
 return one result per point, in order; work that does not depend on s is
@@ -78,12 +79,34 @@ def as_point(s) -> ComplexPoint:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A value with a bound on |value - true value| under the method's
-    stated assumptions."""
+    """A value and the named parts of a bound on |value - true value| under
+    the method's stated assumptions: a midpoint-radius ball, as in Arb
+    (Johansson, IEEE Trans. Comput. 66(8), 2017).  A derived result takes
+    each input's error_bound as one part, so the additions keep their order."""
 
     value: complex
-    error_bound: float
+    parts: tuple[tuple[str, float], ...]
     method: str
+
+    @property
+    def error_bound(self) -> float:
+        """The parts added in order; not sum(), which compensates floats from Python 3.12."""
+        err = 0.0
+        for _, bound in self.parts:
+            err += bound
+        return err
+
+    def exp(self) -> EvalResult:
+        """e^value, with |e^(x+d) - e^x| <= |e^x| expm1(|d|)."""
+        value = np.exp(self.value)
+        err = abs(value) * expm1(min(self.error_bound, 500.0))
+        return EvalResult(complex(value), (("exp", err),), self.method)
+
+
+def tail_bound(cutoff: float, sigma: float) -> float:
+    """x^{1-sigma}/(sigma-1) at x = cutoff: the integral bound on sum_{n>x} n^{-sigma}."""
+    x = float(cutoff)
+    return x ** (1.0 - sigma) / (sigma - 1.0)
 
 
 @dataclass(frozen=True)
@@ -193,8 +216,8 @@ def zeta(s, tol: float = 1e-10) -> EvalResult:
         + _B2_2F * sc * np.exp((-sc - 1) * lnN)
         + _B4_4F * sc * (sc + 1) * (sc + 2) * np.exp((-sc - 3) * lnN)
     )
-    bound = rem_bound(N) + 1e-15 * (1.0 + abs(value)) * log(N)
-    return EvalResult(value, bound, "euler-maclaurin")
+    return EvalResult(value, (("remainder", rem_bound(N)),
+                              ("rounding", 1e-15 * (1.0 + abs(value)) * log(N))), "euler-maclaurin")
 
 
 def log_zeta(s, tol: float = 1e-10) -> EvalResult:
@@ -203,8 +226,7 @@ def log_zeta(s, tol: float = 1e-10) -> EvalResult:
     az = abs(z.value)
     if az <= z.error_bound:
         raise SingularFactorError("zeta value indistinguishable from 0")
-    err = z.error_bound / (az - z.error_bound)
-    return EvalResult(np.log(z.value), err, z.method)
+    return EvalResult(np.log(z.value), (("log", z.error_bound / (az - z.error_bound)),), z.method)
 
 
 def _mu_small(k: int) -> int:
@@ -241,8 +263,8 @@ def log_zeta_minus_prime_zeta(w, tol: float = 1e-12) -> EvalResult:
         lz = log_zeta(ComplexPoint(k * pt.sigma, k * pt.t), tol=1e-14)
         total -= (mu / k) * lz.value
         err += lz.error_bound / k
-    err += 12.0 * 2.0 ** (-(K + 1) * sigma)
-    return EvalResult(total, err, "euler-maclaurin")
+    return EvalResult(total, (("log-zeta", err), ("k-tail", 12.0 * 2.0 ** (-(K + 1) * sigma))),
+                      "euler-maclaurin")
 
 
 def prime_zeta(w, tol: float = 1e-12) -> EvalResult:
@@ -253,7 +275,8 @@ def prime_zeta(w, tol: float = 1e-12) -> EvalResult:
     """
     tail = log_zeta_minus_prime_zeta(w, tol)
     lz = log_zeta(w)
-    return EvalResult(lz.value - tail.value, lz.error_bound + tail.error_bound,
+    return EvalResult(lz.value - tail.value,
+                      (("log-zeta", lz.error_bound), ("identity", tail.error_bound)),
                       "euler-maclaurin")
 
 
@@ -286,7 +309,7 @@ def F_truncated(
         np.log(log_n, out=log_n)  # in place: one segment-sized array, not two
         for j, i, term in _power_terms(vals, log_n, pts):
             summers[i].feed(lo + j, term)
-    return [EvalResult(summer.close(), float(N) ** (1.0 - pt.sigma) / (pt.sigma - 1.0),
+    return [EvalResult(summer.close(), (("series-tail", tail_bound(N, pt.sigma)),),
                        "truncated-series") for pt, summer in zip(pts, summers)]
 
 
@@ -375,36 +398,14 @@ def alignment_terms(
     return lp, np.add(1.0, g, out=g)
 
 
-@dataclass(frozen=True)
-class PrimeSumResult:
-    """Truncated prime sum of f(p) p^{-s} with its Euler-factor defect.
-
-    log F(s) = value + defect + remainder, |remainder| <= error_bound.
-    """
-
-    value: complex
-    defect: complex
-    prime_tail_bound: float
-    defect_tail_bound: float
-    method: str = "prime-sum"
-
-    @property
-    def error_bound(self) -> float:
-        return self.prime_tail_bound + self.defect_tail_bound
-
-    @property
-    def log_F(self) -> complex:
-        return self.value + self.defect
-
-
 def log_F_prime_sum(
     f: MultiplicativeFunction, points: Sequence, plan: TruncationPlan,
-) -> list[PrimeSumResult]:
-    """sum_{p<=P} f(p) p^{-s} plus the defect sum_{p<=C} [log factor - f(p)p^{-s}]
-    at each point.
+) -> list[EvalResult]:
+    """log F(s) = sum_{p<=P} f(p) p^{-s} plus the defect sum_{p<=C} [log factor
+    - f(p)p^{-s}] at each point.
 
-    Unconditional bounds: prime tail P^{1-sigma}/(sigma-1) and defect tail
-    3.75 C^{1-2 sigma}/(2 sigma - 1).  The p = 2 factor is always inside the
+    Unconditional bounds, the parts "prime-tail" P^{1-sigma}/(sigma-1) and
+    "defect-tail" 3.75 C^{1-2 sigma}/(2 sigma - 1).  The p = 2 factor is always inside the
     exact range, so class M2 is not required (a vanishing factor at p = 2
     raises SingularFactorError).
     """
@@ -420,13 +421,13 @@ def log_F_prime_sum(
 def prime_sum_results(
     pts: Sequence[ComplexPoint], sums: Sequence[StreamSummer], deltas: Sequence[StreamSummer],
     plan: TruncationPlan,
-) -> list[PrimeSumResult]:
+) -> list[EvalResult]:
     """The results of log_F_prime_sum from its summers, fed every prime
     <= plan.prime_cutoff, with the tail bounds of plan's cutoffs."""
-    P = float(plan.prime_cutoff)
     return [
-        PrimeSumResult(summer.close(), delta.close(), P ** (1.0 - pt.sigma) / (pt.sigma - 1.0),
-                       _defect_tail(pt, plan.exact_factor_cutoff))
+        EvalResult(summer.close() + delta.close(),
+                   (("prime-tail", tail_bound(plan.prime_cutoff, pt.sigma)),
+                    ("defect-tail", _defect_tail(pt, plan.exact_factor_cutoff))), "prime-sum")
         for pt, summer, delta in zip(pts, sums, deltas)]
 
 
@@ -477,11 +478,8 @@ def F_euler(
     for ps in chunks:
         add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
         add_alignment_sums(f, ps, ws, epsilon0, t0, residuals)
-    out = []
-    for pt, pz, residual, delta in zip(pts, pzs, residuals, deltas):
-        log_F = epsilon0 * (residual.close() - pz.value) + delta.close()
-        value = np.exp(log_F)
-        dtail = _defect_tail(pt, plan.exact_factor_cutoff)
-        bound = abs(value) * expm1(min(pz.error_bound + dtail, 500.0))
-        out.append(EvalResult(complex(value), bound, "euler-product"))
-    return out
+    return [EvalResult(epsilon0 * (residual.close() - pz.value) + delta.close(),
+                       (("prime-zeta", pz.error_bound),
+                        ("defect-tail", _defect_tail(pt, plan.exact_factor_cutoff))),
+                       "euler-product").exp()
+            for pt, pz, residual, delta in zip(pts, pzs, residuals, deltas)]

@@ -382,7 +382,6 @@ def verify(
     spec: ExtremalSpec,
     P: int,
     blocks: Sequence[int] | None = None,
-    exact_cutoff: int = 10_000,
 ) -> tuple[PsumReport, tuple[WindowReport, ...]]:
     """Check the construction's mechanics on the primes <= P: the theta-sum
     report, and a window report for each checked block.
@@ -396,7 +395,7 @@ def verify(
     with upper_j <= P), at s = 1 + 1/(log x_j)^2 + i: the sine-window
     selection guarantees W_j >= (1/2) sum_{selected} theta_p p^{-sigma}
     (asserted); log_F_prime_sum's Re log F at s (exact Euler factors below
-    min(exact_cutoff, P)) and the a_j sqrt(loglog x_j) target are reported
+    min(10^4, P)) and the a_j sqrt(loglog x_j) target are reported
     without asserting the asymptotic lower bound.
 
     P and the blocks are checked before any sieving.  Then one pass over
@@ -417,7 +416,7 @@ def verify(
         if spec.blocks[j - 1].log_upper > log_P:
             raise CoverageError(f"block {j} extends to exp({spec.blocks[j - 1].log_upper!r}), "
                                 f"beyond prime cutoff {P}")
-    plan = TruncationPlan(prime_cutoff=P, exact_factor_cutoff=min(exact_cutoff, P))
+    plan = TruncationPlan(prime_cutoff=P, exact_factor_cutoff=min(10_000, P))
     checked = [spec.blocks[j - 1] for j in blocks]
     pts = [ComplexPoint(1.0 + 1.0 / (b.log_x * b.log_x), 1.0) for b in checked]
     window_cuts = [int(min(exp(b.log_upper), float(P))) for b in checked]
@@ -448,7 +447,7 @@ def verify(
             add_defects(fext, ps, pts, plan.exact_factor_cutoff, deltas)
     windows = tuple(
         _window_report(j, b, pt.sigma, np.concatenate(sel_ps), np.concatenate(sel_lp),
-                       psr.log_F.real)
+                       psr.value.real)
         for j, b, pt, (sel_ps, sel_lp), psr in zip(
             blocks, checked, pts, picked, prime_sum_results(pts, sums, deltas, plan)))
     H.close()

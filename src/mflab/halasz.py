@@ -31,6 +31,7 @@ from .dirichlet import (
     alignment_terms,
     as_point,
     log_zeta_minus_prime_zeta,
+    tail_bound,
 )
 from .errors import CapacityError, DomainError
 from .multfun import (GRID_STEP_CEILING, MultiplicativeFunction, StreamSummer, SummatoryTrace,
@@ -90,23 +91,14 @@ def pole_sum(
                             np.array(summer.checkpoint_values).real)
 
 
-@dataclass(frozen=True)
-class LemmaDefectResult:
-    """D = e0 sum_p f(p) p^{-s} + log zeta(s - i t0), with normalized ratio."""
-
-    value: complex
-    error_bound: float
-    normalizer: float
-    ratio: float
-
-
 def lemma_defect(
     f: MultiplicativeFunction,
     direction: HalaszDirection,
     points: Sequence,
     plan: TruncationPlan,
-) -> list[LemmaDefectResult]:
-    """Evaluate the defect D and |D| / sqrt(log 1/(sigma-1)) at each point.
+) -> list[EvalResult]:
+    """Evaluate the defect D = e0 sum_p f(p) p^{-s} + log zeta(s - i t0) at
+    each point.
 
     Rearranged so the pole cancels exactly:
 
@@ -115,8 +107,8 @@ def lemma_defect(
 
     where the bracket comes from the Moebius/log-zeta identity.  The value
     is then accurate near sigma = 1 whenever f is aligned with the
-    direction; the bound still carries the unconditional residual tail
-    2 P^{1-sigma}/(sigma-1).
+    direction; the bound still carries the unconditional part
+    "residual-tail" 2 P^{1-sigma}/(sigma-1) beside the "bracket".
     """
     pts = [as_point(s) for s in points]
     if any(pt.sigma - 1.0 > 1.0 / np.e + 1e-12 for pt in pts):
@@ -127,14 +119,16 @@ def lemma_defect(
     residuals = [StreamSummer() for _ in pts]
     for ps in chunks:
         add_alignment_sums(f, ps, ws, direction.epsilon0, direction.t0, residuals)
-    out = []
-    for pt, bracket, residual in zip(pts, brackets, residuals):
-        D = bracket.value + residual.close()
-        err = bracket.error_bound + 2.0 * float(plan.prime_cutoff) ** (1.0 - pt.sigma) / (
-            pt.sigma - 1.0)
-        normalizer = sqrt(max(log(1.0 / (pt.sigma - 1.0)), 1.0))
-        out.append(LemmaDefectResult(D, err, normalizer, abs(D) / normalizer))
-    return out
+    return [EvalResult(bracket.value + residual.close(),
+                       (("bracket", bracket.error_bound),
+                        ("residual-tail", 2.0 * tail_bound(plan.prime_cutoff, pt.sigma))),
+                       "lemma-defect")
+            for pt, bracket, residual in zip(pts, brackets, residuals)]
+
+
+def lemma_ratio(sigma: float, D: complex) -> float:
+    """The lemma's ratio |D| / sqrt(max(log 1/(sigma-1), 1))."""
+    return abs(D) / sqrt(max(log(1.0 / (sigma - 1.0)), 1.0))
 
 
 @dataclass(frozen=True)

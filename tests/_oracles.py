@@ -157,7 +157,8 @@ def F_partial_summation(trace, s, X: float) -> EvalResult:
         raise DomainError(f"X must be >= 1, got {X}")
     tail = abs(sc) * X ** (1.0 - sigma) / (sigma - 1.0)
     if X == 1:
-        return EvalResult(0.0 + 0.0j, tail, "partial-summation")
+        return EvalResult(0.0 + 0.0j, (("reconstruction", 0.0), ("tail", tail)),
+                          "partial-summation")
     if trace.xs.size == 0 or float(trace.xs[-1]) < X - 1:
         raise CoverageError(
             f"trace ends at {0 if trace.xs.size == 0 else int(trace.xs[-1])}, needs >= {X - 1}")
@@ -176,4 +177,4 @@ def F_partial_summation(trace, s, X: float) -> EvalResult:
             e = (a ** (1 - sigma) - c ** (1 - sigma)) / (sigma - 1.0) - a * (
                 a ** (-sigma) - c ** (-sigma)) / sigma
             recon += abs(sc) * e
-    return EvalResult(value, recon + tail, "partial-summation")
+    return EvalResult(value, (("reconstruction", recon), ("tail", tail)), "partial-summation")

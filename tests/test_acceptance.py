@@ -22,7 +22,7 @@ from mflab.dirichlet import (
     zeta,
 )
 from mflab.extremal import reference_spec, extremal_function, theta_values, verify
-from mflab.halasz import HalaszDirection, lemma_defect, pole_sum, theorem2_ratio
+from mflab.halasz import HalaszDirection, lemma_defect, lemma_ratio, pole_sum, theorem2_ratio
 from mflab.multfun import builtin, completely_multiplicative, segment_values, summatory_trace
 from mflab.primes import sieve_primes
 
@@ -123,7 +123,7 @@ def test_criterion_03_cross_method_consistency():
         pts = [ComplexPoint(sg, tt) for sg in (1.1, 1.5) for tt in (0.0, 0.7, -1.0)]
         for s, ft, pr in zip(pts, F_truncated(f, pts, PLAN), log_F_prime_sum(f, pts, PLAN)):
             fp = F_partial_summation(trace, s, 10**5)
-            fe_val = np.exp(pr.log_F)
+            fe_val = np.exp(pr.value)
             fe_err = abs(fe_val) * math.expm1(min(pr.error_bound, 500.0))
             assert abs(ft.value - fp.value) <= ft.error_bound + fp.error_bound
             assert abs(ft.value - fe_val) <= ft.error_bound + fe_err
@@ -157,9 +157,10 @@ def test_criterion_06_lemma_defect():
     t0 = time.perf_counter()
     lam = builtin("liouville")
     ratios = []
-    for r in lemma_defect(lam, EPLUS, [1.1, 1.01, 1.001], PLAN):
+    sigmas = [1.1, 1.01, 1.001]
+    for sg, r in zip(sigmas, lemma_defect(lam, EPLUS, sigmas, PLAN)):
         assert abs(r.value) <= 1.0
-        ratios.append(float(r.ratio))
+        ratios.append(float(lemma_ratio(sg, r.value)))
     assert ratios[0] > ratios[1] > ratios[2]
     _report(6, f"|D| <= 1 and ratio strictly decreasing: {[round(v, 4) for v in ratios]}", t0)
 
@@ -202,7 +203,7 @@ def test_criterion_08_extremal_mechanics():
     assert selected[0] == 41 and selected[-1] == 317
 
     # (b) theta-square sum against the per-block Mertens majorant and budget
-    rep, (wrep,) = verify(spec, PLAN.prime_cutoff, [1], exact_cutoff=PLAN.exact_factor_cutoff)
+    rep, (wrep,) = verify(spec, PLAN.prime_cutoff, [1])
     assert rep.observed <= rep.majorant + 1e-12
     assert rep.majorant <= 4.0 * rep.sum_a_sq + 1e-12
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -98,6 +99,54 @@ def test_eval_f_command(tmp_path):
     assert rows[0][6] == "euler-product"
     # 1/zeta(1.5) = 0.3827...
     assert float(rows[0][4]) == pytest.approx(0.3827928, abs=1e-4)
+
+
+PLAN_FLAGS = ["--series-cutoff", "5000", "--prime-cutoff", "20000", "--exact-cutoff", "10000"]
+# route -> (argv of one row, the library call with the same inputs, the part names of its err)
+ERR_ROUTES = {
+    "truncated": (
+        ["eval-f", "--function", "moebius", "--sigma", "1.01:1.01:1"],
+        lambda f, plan: dirichlet.F_truncated(f, [dirichlet.ComplexPoint(1.01)], plan),
+        ("series-tail",)),
+    "euler": (
+        ["eval-f", "--function", "moebius", "--method", "euler", "--sigma", "1.001:1.001:1"],
+        lambda f, plan: dirichlet.F_euler(f, [dirichlet.ComplexPoint(1.001)], plan),
+        ("exp",)),
+    "prime-sum": (
+        ["eval-f", "--function", "extremal-ref", "--method", "prime-sum", "--t", "1",
+         "--sigma", "1.01:1.01:1"],
+        lambda f, plan: dirichlet.log_F_prime_sum(f, [dirichlet.ComplexPoint(1.01, 1.0)], plan),
+        ("prime-tail", "defect-tail")),
+    "lemma": (
+        ["lemma", "--function", "liouville", "--epsilon", "1", "--sigma", "1.001:1.001:1"],
+        lambda f, plan: halasz.lemma_defect(f, halasz.HalaszDirection(1),
+                                            [dirichlet.ComplexPoint(1.001)], plan),
+        ("bracket", "residual-tail")),
+    "thm1": (
+        ["thm1", "--function", "one", "--epsilon", "-1", "--t0", "0.5", "--sigma", "1.01:1.01:1"],
+        lambda f, plan: [p.F for p in halasz.theorem1_ratio(f, halasz.HalaszDirection(-1, 0.5),
+                                                            [1.01], plan)],
+        ("exp",)),
+}
+
+
+@pytest.mark.parametrize("route", ERR_ROUTES)
+def test_printed_err_is_the_sum_of_the_parts(tmp_path, route):
+    argv, call, names = ERR_ROUTES[route]
+    out = tmp_path / "out.csv"
+    assert run([*argv, *PLAN_FLAGS, "--out", str(out)]) == 0
+    _, header, (row,) = read_csv(out)
+    f = multfun.parse_function_spec(argv[argv.index("--function") + 1])
+    plan = dirichlet.TruncationPlan(series_cutoff=5000, prime_cutoff=20000,
+                                    exact_factor_cutoff=10000)
+    (r,) = call(f, plan)
+    assert row[header.index("err_F" if route == "thm1" else "err")] == repr(float(r.error_bound))
+    assert tuple(name for name, _ in r.parts) == names
+    total = 0.0
+    for _, bound in r.parts:
+        assert math.isfinite(bound) and bound >= 0.0
+        total += bound
+    assert total == r.error_bound
 
 
 def test_criterion_command(tmp_path, capsys):

@@ -25,7 +25,7 @@ from mflab.dirichlet import (
 from mflab.errors import CapacityError, CoverageError, DomainError, SingularFactorError
 from mflab.multfun import (MultiplicativeFunction, StreamSummer, builtin, parse_function_spec,
                            summatory_trace, unit_power)
-from mflab.primes import sieve_primes
+from mflab.primes import prime_chunks, sieve_primes
 
 from _oracles import F_partial_summation, prime_sum_power_oracle, zeta_series_oracle
 
@@ -106,8 +106,8 @@ def test_prime_sum_of_one_lies_within_err_of_log_zeta(sigma):
     (r,) = log_F_prime_sum(builtin("one"), [ComplexPoint(sigma)], TruncationPlan(prime_cutoff=10**7))
     with mp.workdps(30):
         truth = float(mp.log(mp.zeta(sigma)))
-    assert r.log_F.imag == 0.0
-    assert abs(r.log_F.real - truth) <= r.error_bound
+    assert r.value.imag == 0.0
+    assert abs(r.value.real - truth) <= r.error_bound
 
 
 def _earlier_rule_terms(s: complex, tol: float) -> int:
@@ -231,9 +231,30 @@ def test_F_partial_summation_empty_and_coverage():
         F_partial_summation(tr, s, 5000.0)
 
 
+def bits(z) -> list:
+    return np.array([z], dtype=np.complex128).view(np.uint64).tolist()
+
+
+def _sum_and_defect(f, points, plan):
+    """(result, prime sum, defect) per point: log_F_prime_sum's result, and
+    its two sums fed the way it feeds them.  Its value is their sum, bit for
+    bit."""
+    pts = [dirichlet.as_point(pt) for pt in points]
+    sums = [StreamSummer() for _ in pts]
+    deltas = [StreamSummer() for _ in pts]
+    for ps in prime_chunks(plan.prime_cutoff):
+        add_power_sums(f.prime_values(ps), np.log(ps.astype(np.float64)), pts, sums)
+        add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
+    out = [(r, a.close(), d.close())
+           for r, a, d in zip(log_F_prime_sum(f, pts, plan), sums, deltas)]
+    for r, a, d in out:
+        assert bits(r.value) == bits(a + d)
+    return out
+
+
 def _exact_factor_logs(f, P, points):
     """log F(s) = sum_{p<=P} log factor_p at each point, every factor exact."""
-    return [r.log_F for r in log_F_prime_sum(
+    return [r.value for r in log_F_prime_sum(
         f, points, TruncationPlan(prime_cutoff=P, exact_factor_cutoff=P))]
 
 
@@ -266,9 +287,9 @@ def test_defect_series_matches_closed_form():
     lam = builtin("liouville")
     series_fn = MultiplicativeFunction("lam-series", lam.powers)
     pts = [ComplexPoint(1.0 + 1e-6), ComplexPoint(1.3, 14.13)]
-    for a, b in zip(log_F_prime_sum(lam, pts, PLAN),
-                    log_F_prime_sum(series_fn, pts, PLAN)):
-        assert abs(a.defect - b.defect) < 1229 * 1e-14
+    for (_, _, a), (_, _, b) in zip(_sum_and_defect(lam, pts, PLAN),
+                                    _sum_and_defect(series_fn, pts, PLAN)):
+        assert abs(a - b) < 1229 * 1e-14
 
 
 @pytest.mark.parametrize("spec", ["liouville", "extremal-ref"])
@@ -388,7 +409,6 @@ def test_real_coefficients_sum_in_float64_with_the_bits_of_complex128(monkeypatc
     # total has the bits of the complex128 terms fed at once
     ps = BASE.primes
     c, lp = builtin("moebius").prime_values(ps), np.log(ps.astype(np.float64))
-    bits = lambda z: np.array([z], dtype=np.complex128).view(np.uint64).tolist()
     kinds, real_feed = [], StreamSummer.feed
 
     def recording_feed(self, start, vals, keys=None):
@@ -417,38 +437,41 @@ def test_defect_cut_past_a_segment_edge_is_one_table_sum():
     plan = TruncationPlan(prime_cutoff=2_200_000, exact_factor_cutoff=C)
     pts = [ComplexPoint(1.001, 0.3), ComplexPoint(1.2, 5.0)]
     table = sieve_primes(C).primes
-    for r, (_, d) in zip(log_F_prime_sum(lam, pts, plan), _factor_logs(lam, table, pts)):
-        assert r.defect == one_feed_total(d)
+    for (_, _, defect), (_, d) in zip(_sum_and_defect(lam, pts, plan),
+                                      _factor_logs(lam, table, pts)):
+        assert defect == one_feed_total(d)
 
 
 def test_moebius_defect_against_local_factors():
     mu = builtin("moebius")
     s = complex(1.2, 3.0)
-    (r,) = log_F_prime_sum(mu, [s], PLAN)
+    ((_, _, defect),) = _sum_and_defect(mu, [s], PLAN)
     ref = sum(cmath.log(1 - p ** -s) + p ** -s for p in BASE.primes[BASE.primes <= 10**4].tolist())
-    assert abs(r.defect - ref) < 1e-12
+    assert abs(defect - ref) < 1e-12
 
 
 def test_log_F_prime_sum_values():
     lam = builtin("liouville")
-    (r,) = log_F_prime_sum(lam, [2.0], PLAN)
+    ((_, value, _),) = _sum_and_defect(lam, [2.0], PLAN)
     direct = -prime_sum_power_oracle(BASE.primes.tolist(), -2.0)
-    assert r.value == pytest.approx(direct, abs=1e-12)
-    assert abs(r.value - (-0.4522474200410655)) < 1e-5
+    assert value == pytest.approx(direct, abs=1e-12)
+    assert abs(value - (-0.4522474200410655)) < 1e-5
 
     odd = builtin("odd_one")
-    (r2,) = log_F_prime_sum(odd, [2.0], PLAN)
-    assert r2.value == pytest.approx(-direct - 0.25, abs=1e-12)
+    ((_, value2, _),) = _sum_and_defect(odd, [2.0], PLAN)
+    assert value2 == pytest.approx(-direct - 0.25, abs=1e-12)
 
 
 def test_defect_bound_contains_value():
     # enlarging the exact range moves the defect by less than the tail bound
     lam = builtin("liouville")
     s = 2.0
-    (small,) = log_F_prime_sum(lam, [s], TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=1000))
-    (big,) = log_F_prime_sum(lam, [s], TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=10**4))
-    assert abs(big.defect - small.defect) <= small.defect_tail_bound
-    assert abs(small.defect) > 0  # nonzero correction for lambda
+    ((r, _, small),) = _sum_and_defect(
+        lam, [s], TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=1000))
+    ((_, _, big),) = _sum_and_defect(
+        lam, [s], TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=10**4))
+    assert abs(big - small) <= dict(r.parts)["defect-tail"]
+    assert abs(small) > 0  # nonzero correction for lambda
 
 
 def test_prime_sum_route_consistent_with_truncated_for_M2():
@@ -456,7 +479,7 @@ def test_prime_sum_route_consistent_with_truncated_for_M2():
     pts = [ComplexPoint(1.5), ComplexPoint(1.2, 0.5), ComplexPoint(1.1, 1.0)]
     for psr, ft in zip(log_F_prime_sum(odd, pts, PLAN),
                        F_truncated(odd, pts, TruncationPlan(series_cutoff=10**5))):
-        fe = np.exp(psr.log_F)
+        fe = np.exp(psr.value)
         fe_err = abs(fe) * np.expm1(min(psr.error_bound, 500.0))
         assert abs(fe - ft.value) <= fe_err + ft.error_bound
 

@@ -282,7 +282,7 @@ def test_verify_psum_majorant_family(x1, J):
 
 def test_verify_logF_lower_reference():
     spec = reference_spec()
-    _, (rep,) = verify(spec, 10**5, [1], exact_cutoff=10**4)
+    _, (rep,) = verify(spec, 10**5, [1])
     assert rep.selected_min == 41 and rep.selected_max == 317
     assert rep.window_sum >= rep.half_theta_sum
     assert rep.ok
@@ -297,7 +297,7 @@ def test_verify_logF_lower_reference():
 def test_verify_logF_lower_zero_amplitude():
     blocks = (ExtremalBlock(math.log(20.0), math.log(20.0) ** 2, 0.0),)
     spec = ExtremalSpec(20.0, 1, 1.0, blocks, "manual", "manual")
-    _, (rep,) = verify(spec, 10**4, [1], exact_cutoff=10**3)
+    _, (rep,) = verify(spec, 10**4, [1])
     assert rep.window_sum == 0.0 and rep.half_theta_sum == 0.0
 
 

@@ -10,6 +10,7 @@ from mflab.halasz import (
     HalaszDirection,
     criterion_report,
     lemma_defect,
+    lemma_ratio,
     pole_sum,
     theorem1_ratio,
     theorem2_ratio,
@@ -93,9 +94,10 @@ def test_finiteness_transfer():
 def test_lemma_defect_liouville_grid():
     lam = builtin("liouville")
     vals = []
-    for r in lemma_defect(lam, EPLUS, [1.1, 1.01, 1.001], PLAN):
+    sigmas = [1.1, 1.01, 1.001]
+    for sg, r in zip(sigmas, lemma_defect(lam, EPLUS, sigmas, PLAN)):
         assert abs(r.value) <= 1.0
-        vals.append(r.ratio)
+        vals.append(lemma_ratio(sg, r.value))
     assert vals[0] > vals[1] > vals[2]
 
 
@@ -126,9 +128,10 @@ def test_lemma_defect_one_equals_liouville():
 
 
 def test_lemma_defect_degenerate_normalizer():
-    (r,) = lemma_defect(builtin("liouville"), EPLUS, [1.0 + 1.0 / math.e], PLAN)
-    assert r.normalizer == 1.0
-    assert r.ratio == abs(r.value)
+    sg = 1.0 + 1.0 / math.e
+    (r,) = lemma_defect(builtin("liouville"), EPLUS, [sg], PLAN)
+    assert lemma_ratio(sg, 1.0) == 1.0  # the normalizer is 1
+    assert lemma_ratio(sg, r.value) == abs(r.value)
     with pytest.raises(DomainError):
         lemma_defect(builtin("liouville"), EPLUS, [1.1, 1.4], PLAN)
 
