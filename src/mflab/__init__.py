@@ -14,8 +14,8 @@ from importlib import import_module
 _EXPORTS = {
     "ComplexPoint": "dirichlet",
     "EvalResult": "dirichlet",
+    "HalaszDirection": "dirichlet",
     "TruncationPlan": "dirichlet",
-    "HalaszDirection": "halasz",
     "MultiplicativeFunction": "multfun",
     "SummatoryTrace": "multfun",
     "builtin": "multfun",

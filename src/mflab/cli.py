@@ -85,9 +85,9 @@ def _sigma_grid(spec: str) -> list[float]:
     return head + [end]  # exactly the requested end, not a rounded power
 
 
-def _write(path: str | None, provenance: str, body: str) -> None:
-    """The provenance comment then ``body``, to ``path`` (stdout for None or '-')."""
-    text = f"# {provenance}\n{body}"
+def _write(path: str | None, provenance: str | None, body: str) -> None:
+    """The provenance comment, if any, then ``body``, to ``path`` (stdout for None or '-')."""
+    text = body if provenance is None else f"# {provenance}\n{body}"
     if path is None or path == "-":
         sys.stdout.write(text)
         return
@@ -120,27 +120,23 @@ def _cmd_sum(args) -> int:
 def _plan(args):
     from .dirichlet import TruncationPlan
 
-    return TruncationPlan(
-        series_cutoff=args.series_cutoff,
-        prime_cutoff=args.prime_cutoff,
-        exact_factor_cutoff=min(args.exact_cutoff, args.prime_cutoff),
-    )
+    return TruncationPlan(args.prime_cutoff, min(args.exact_cutoff, args.prime_cutoff))
 
 
 def _cmd_eval_f(args) -> int:
     from . import dirichlet
 
     f = multfun.parse_function_spec(args.function)
-    plan = _plan(args)
     grid = _sigma_grid(args.sigma)
     pts = [dirichlet.ComplexPoint(sg, args.t) for sg in grid]
     if args.method == "truncated":
-        results = dirichlet.F_truncated(f, pts, plan)
+        results = dirichlet.F_truncated(f, pts, args.series_cutoff)
     elif args.method == "euler":
-        results = dirichlet.F_euler(f, pts, plan, epsilon0=args.epsilon, t0=args.t0)
+        results = dirichlet.F_euler(
+            f, pts, _plan(args), dirichlet.HalaszDirection(args.epsilon, args.t0))
     else:  # prime-sum: exp(log F), but err bounds log F mod 2 pi i, as perfbench's audit reads
         results = [replace(r, value=complex(np.exp(r.value)))
-                   for r in dirichlet.log_F_prime_sum(f, pts, plan)]
+                   for r in dirichlet.log_F_prime_sum(f, pts, _plan(args))]
     rows = [[_fmt(sg), _fmt(args.t), _fmt(r.value.real), _fmt(r.value.imag),
              _fmt(abs(r.value)), _fmt(r.error_bound), r.method] for sg, r in zip(grid, results)]
     _write_rows(args.out, _provenance(args),
@@ -162,11 +158,10 @@ def _cmd_lemma(args) -> int:
     from .dirichlet import ComplexPoint
 
     f = multfun.parse_function_spec(args.function)
-    plan = _plan(args)
     direction = halasz.HalaszDirection(args.epsilon, args.t0)
     grid = _sigma_grid(args.sigma)
     results = halasz.lemma_defect(
-        f, direction, [ComplexPoint(sg, args.t) for sg in grid], plan)
+        f, direction, [ComplexPoint(sg, args.t) for sg in grid], args.prime_cutoff)
     rows = [[_fmt(sg), _fmt(args.t), _fmt(abs(r.value)), _fmt(halasz.lemma_ratio(sg, r.value)),
              _fmt(r.error_bound)] for sg, r in zip(grid, results)]
     _write_rows(args.out, _provenance(args), ["sigma", "t", "abs_D", "ratio", "err"], rows)
@@ -204,7 +199,7 @@ def _cmd_extremal_build(args) -> int:
     from . import extremal
 
     spec = extremal.build_spec(args.kappa, x1=args.x1, J=args.J, C0=args.C0)
-    extremal.save_spec(spec, args.out)
+    _write(args.out, None, extremal.spec_json(spec))  # JSON alone: load_spec reads it back
     return 0
 
 
@@ -220,11 +215,6 @@ def _cmd_extremal_verify(args) -> int:
 def build_parser() -> _Parser:
     ap = _Parser(prog="mflab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_plan_flags(p):
-        p.add_argument("--series-cutoff", type=int, default=100_000)
-        p.add_argument("--prime-cutoff", type=int, default=100_000)
-        p.add_argument("--exact-cutoff", type=int, default=10_000)
 
     p = sub.add_parser("sum", help="summatory trace CSV")
     p.add_argument("--function", required=True)
@@ -242,7 +232,9 @@ def build_parser() -> _Parser:
                    default="truncated")
     p.add_argument("--epsilon", type=int, choices=[-1, 1], default=1)
     p.add_argument("--t0", type=_finite_float, default=0.0)
-    add_plan_flags(p)
+    p.add_argument("--series-cutoff", type=int, default=100_000)
+    p.add_argument("--prime-cutoff", type=int, default=100_000)
+    p.add_argument("--exact-cutoff", type=int, default=10_000)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_eval_f)
 
@@ -260,7 +252,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t0", type=_finite_float, default=0.0)
     p.add_argument("--sigma", required=True)
     p.add_argument("--t", type=_finite_float, default=0.0)
-    add_plan_flags(p)
+    p.add_argument("--prime-cutoff", type=int, default=100_000)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_lemma)
 
@@ -269,7 +261,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=int, choices=[-1, 1], required=True)
     p.add_argument("--t0", type=_finite_float, default=0.0)
     p.add_argument("--sigma", required=True)
-    add_plan_flags(p)
+    p.add_argument("--prime-cutoff", type=int, default=100_000)
+    p.add_argument("--exact-cutoff", type=int, default=10_000)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_thm1)
 

@@ -70,6 +70,18 @@ class ComplexPoint:
         return complex(self.sigma, self.t)
 
 
+@dataclass(frozen=True)
+class HalaszDirection:
+    """A direction (epsilon0, t0) of the one-line, as in halasz."""
+
+    epsilon0: int
+    t0: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.epsilon0 not in (-1, 1):
+            raise DomainError(f"epsilon0 must be +1 or -1, got {self.epsilon0}")
+
+
 def as_point(s) -> ComplexPoint:
     if isinstance(s, ComplexPoint):
         return s
@@ -111,16 +123,13 @@ def tail_bound(cutoff: float, sigma: float) -> float:
 
 @dataclass(frozen=True)
 class TruncationPlan:
-    """Cutoffs: N terms of the series, primes to P, exact Euler-factor
-    logs below exact_factor_cutoff."""
+    """The prime routes' cutoffs: primes to P, exact Euler-factor logs below
+    exact_factor_cutoff."""
 
-    series_cutoff: int = 100_000
     prime_cutoff: int = 100_000
     exact_factor_cutoff: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.series_cutoff < 2 or self.prime_cutoff < 2:
-            raise DomainError("cutoffs must be >= 2")
         if not 2 <= self.exact_factor_cutoff <= self.prime_cutoff:
             raise DomainError("need 2 <= exact_factor_cutoff <= prime_cutoff")
 
@@ -287,19 +296,21 @@ def prime_zeta(w, tol: float = 1e-12) -> EvalResult:
 def F_truncated(
     f: MultiplicativeFunction,
     points: Sequence,
-    plan: TruncationPlan,
+    series_cutoff: int,
 ) -> list[EvalResult]:
     """sum_{n<=N} f(n) n^{-s} at each point, with the integral-comparison
     tail bound N^{1-sigma}/(sigma-1).  f(n) and log n are computed once per
     segment of 2^18 numbers; each point has its own compensated summer, since
     a plain running sum would round away terms below half an ulp of it.
     The series streams the segment kernel of summatory_trace, so N has the
-    same ceiling, checked before any sieving."""
+    same ceiling, checked before any sieving, and N >= 2."""
     pts = [as_point(s) for s in points]
     if f.twisted:  # F_twist(s) = F_base(s + iT)
         fb, T = f.twisted
-        return F_truncated(fb, [ComplexPoint(pt.sigma, pt.t + T) for pt in pts], plan)
-    N = plan.series_cutoff
+        return F_truncated(fb, [ComplexPoint(pt.sigma, pt.t + T) for pt in pts], series_cutoff)
+    N = series_cutoff
+    if N < 2:
+        raise DomainError(f"series cutoff must be >= 2, got {N}")
     if N > SUMMATORY_LIMIT_CEILING:
         raise CapacityError(f"series cutoff {N} exceeds ceiling {SUMMATORY_LIMIT_CEILING}")
     base = sieve_primes(max(2, isqrt(N)))
@@ -382,17 +393,18 @@ def _defect_tail(pt: ComplexPoint, cutoff: int) -> float:
 
 
 def alignment_terms(
-    f: MultiplicativeFunction, ps: np.ndarray, epsilon0: int, t0: float,
+    f: MultiplicativeFunction, ps: np.ndarray, direction: HalaszDirection,
 ) -> tuple[np.ndarray, np.ndarray]:
     """log p and g(p) = 1 + e0 f(p) p^{-it0} for every prime in ``ps``: the
     part of f(p) that the direction (e0, t0) does not cancel against log zeta.
     F_euler and the lemma defect sum g(p) p^{-w}; the Halász sums Re g(p)/p.
     On twist(base, T) it is g of base along (e0, t0 + T): one exp per prime,
     and g is exactly 0 where that direction aligns with base."""
+    e0, t0 = direction.epsilon0, direction.t0
     if f.twisted:
-        return alignment_terms(f.twisted[0], ps, epsilon0, t0 + f.twisted[1])
+        return alignment_terms(f.twisted[0], ps, HalaszDirection(e0, t0 + f.twisted[1]))
     lp = np.log(ps.astype(np.float64))
-    g = epsilon0 * f.prime_values(ps)
+    g = e0 * f.prime_values(ps)
     if t0 != 0.0:  # the unit 1 - 0i could only flip a zero's sign, which 1 + g clears
         g *= unit_power(lp, t0)
     return lp, np.add(1.0, g, out=g)
@@ -432,14 +444,14 @@ def prime_sum_results(
 
 
 def add_alignment_sums(
-    f: MultiplicativeFunction, ps: np.ndarray, ws: Sequence[ComplexPoint], epsilon0: int,
-    t0: float, summers: Sequence[StreamSummer],
+    f: MultiplicativeFunction, ps: np.ndarray, ws: Sequence[ComplexPoint],
+    direction: HalaszDirection, summers: Sequence[StreamSummer],
 ) -> None:
     """Feed each w's summer g(p) p^{-w} for the primes of the chunk ``ps``
     with g(p) != 0 alone, so an aligned direction feeds nothing.  Positions
     count the nonzero terms only; which terms those are does not depend on
     the chunking, so neither do the bits."""
-    lp, g = alignment_terms(f, ps, epsilon0, t0)
+    lp, g = alignment_terms(f, ps, direction)
     nz = np.flatnonzero(g)
     add_power_sums(g[nz], lp[nz], ws, summers)
 
@@ -448,8 +460,7 @@ def F_euler(
     f: MultiplicativeFunction,
     points: Sequence,
     plan: TruncationPlan,
-    epsilon0: int = 1,
-    t0: float = 0.0,
+    direction: HalaszDirection = HalaszDirection(1),
 ) -> list[EvalResult]:
     """F(s) at each point through the Euler product, written around the
     direction (e0, t0):
@@ -465,20 +476,18 @@ def F_euler(
     at t0 = 0 and the extremal construction).  The residual's observed
     partial sums diagnose how credible that is.
     """
-    if epsilon0 not in (-1, 1):
-        raise DomainError("epsilon0 must be +1 or -1")
     if not f.claims_M:
         raise DomainError("F_euler requires a class-M function")
     pts = [as_point(s) for s in points]
     chunks = prime_chunks(plan.prime_cutoff)  # checks the cutoff before the zeta work
-    ws = [ComplexPoint(pt.sigma, pt.t - t0) for pt in pts]
+    ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
     pzs = [prime_zeta(w) for w in ws]
     residuals = [StreamSummer() for _ in pts]
     deltas = [StreamSummer() for _ in pts]
     for ps in chunks:
         add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
-        add_alignment_sums(f, ps, ws, epsilon0, t0, residuals)
-    return [EvalResult(epsilon0 * (residual.close() - pz.value) + delta.close(),
+        add_alignment_sums(f, ps, ws, direction, residuals)
+    return [EvalResult(direction.epsilon0 * (residual.close() - pz.value) + delta.close(),
                        (("prime-zeta", pz.error_bound),
                         ("defect-tail", _defect_tail(pt, plan.exact_factor_cutoff))),
                        "euler-product").exp()

@@ -230,14 +230,13 @@ def reference_spec() -> ExtremalSpec:
     return build_spec("power:0.25", x1=20.0, J=3, C0=1.0)
 
 
-def save_spec(spec: ExtremalSpec, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def spec_json(spec: ExtremalSpec) -> str:
+    """The text of a spec file, which load_spec reads."""
+    return json.dumps(spec.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def load_spec(path: str) -> ExtremalSpec:
-    """Read a ``save_spec`` file; FunctionSpecError if it is missing or
+    """Read a ``spec_json`` file; FunctionSpecError if it is missing or
     malformed, or holds a non-finite number, a J other than its number of
     blocks, an x_j < 16 (as choose_blocks requires), an a_j < 0 or a C0 < 0."""
     try:

@@ -26,6 +26,7 @@ from .dirichlet import (
     ComplexPoint,
     EvalResult,
     F_euler,
+    HalaszDirection,
     TruncationPlan,
     add_alignment_sums,
     alignment_terms,
@@ -37,16 +38,6 @@ from .errors import CapacityError, DomainError
 from .multfun import (GRID_STEP_CEILING, MultiplicativeFunction, StreamSummer, SummatoryTrace,
                       two_adic_failures)
 from .primes import prime_chunks
-
-
-@dataclass(frozen=True)
-class HalaszDirection:
-    epsilon0: int
-    t0: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.epsilon0 not in (-1, 1):
-            raise DomainError(f"epsilon0 must be +1 or -1, got {self.epsilon0}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +70,7 @@ def pole_sum(
     summer = StreamSummer(cuts)
     worst, p_bad = 0.0, 0
     for ps in prime_chunks(P):
-        terms = alignment_terms(f, ps, direction.epsilon0, direction.t0)[1].real / ps
+        terms = alignment_terms(f, ps, direction)[1].real / ps
         i = int(np.argmin(terms))
         if terms[i] < worst:
             worst, p_bad = float(terms[i]), int(ps[i])
@@ -95,7 +86,7 @@ def lemma_defect(
     f: MultiplicativeFunction,
     direction: HalaszDirection,
     points: Sequence,
-    plan: TruncationPlan,
+    prime_cutoff: int,
 ) -> list[EvalResult]:
     """Evaluate the defect D = e0 sum_p f(p) p^{-s} + log zeta(s - i t0) at
     each point.
@@ -113,15 +104,15 @@ def lemma_defect(
     pts = [as_point(s) for s in points]
     if any(pt.sigma - 1.0 > 1.0 / np.e + 1e-12 for pt in pts):
         raise DomainError("lemma defect needs sigma - 1 <= 1/e")
-    chunks = prime_chunks(plan.prime_cutoff)  # checks the cutoff before the zeta work
+    chunks = prime_chunks(prime_cutoff)  # checks the cutoff before the zeta work
     ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
     brackets = [log_zeta_minus_prime_zeta(w) for w in ws]
     residuals = [StreamSummer() for _ in pts]
     for ps in chunks:
-        add_alignment_sums(f, ps, ws, direction.epsilon0, direction.t0, residuals)
+        add_alignment_sums(f, ps, ws, direction, residuals)
     return [EvalResult(bracket.value + residual.close(),
                        (("bracket", bracket.error_bound),
-                        ("residual-tail", 2.0 * tail_bound(plan.prime_cutoff, pt.sigma))),
+                        ("residual-tail", 2.0 * tail_bound(prime_cutoff, pt.sigma))),
                        "lemma-defect")
             for pt, bracket, residual in zip(pts, brackets, residuals)]
 
@@ -153,8 +144,7 @@ def theorem1_ratio(
     for sg in grid:
         if not 1.0 < sg <= 1.5:
             raise DomainError(f"theorem-1 grid needs sigma in (1, 3/2], got {sg}")
-    fes = F_euler(f, [ComplexPoint(sg, direction.t0) for sg in grid], plan,
-                  epsilon0=direction.epsilon0, t0=direction.t0)
+    fes = F_euler(f, [ComplexPoint(sg, direction.t0) for sg in grid], plan, direction)
     out = []
     for sg, fe in zip(grid, fes):
         aF = abs(fe.value)

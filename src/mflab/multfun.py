@@ -12,11 +12,10 @@ tests check it against trial division.
 Summation is order-deterministic: values are grouped into blocks aligned to
 absolute positions (multiples of 4096) and cut at checkpoints, each block is
 np.sum'ed (int8 blocks as exact integers), and block sums enter a
-compensated accumulator in ascending order.  So reruns at a fixed segment
-size are byte-identical, and a real-valued rule or a twist of one gives
-bit-identical checkpoints at every segment size.  Other complex rules do not
-yet: the kernel multiplies one value by f(p) as a scalar or by a gathered
-table entry depending on the segment, and the two can round differently.
+compensated accumulator in ascending order.  Each f(n) is the same
+sequence of products at any segment size (see _times), so reruns are
+byte-identical, and every rule and twist gives bit-identical checkpoints at
+every segment size.
 """
 
 from __future__ import annotations
@@ -285,14 +284,13 @@ def segment_values(
         fs = [f._power(p, j) for j in range(1, len(views) + 1)]
         if vals.dtype != np.complex128:
             vals = _widen(vals, np.result_type(np.float64, *fs))
-        start = views[0][0]
-        if len(fs) == 1:
-            vals[start::p] *= fs[0]
-            continue
-        k = np.ones(len(range(start, size, p)), dtype=np.intp)  # exponent of p along [start::p]
-        for s, q in views[1:]:  # multiples of q: every (q/p)-th slot
-            k[(s - start) // p :: q // p] += 1
-        vals[start::p] *= np.array([1.0, *fs])[k]
+        start, x = views[0][0], fs[0]
+        if len(fs) > 1:
+            k = np.ones(len(range(start, size, p)), dtype=np.intp)  # exponent of p along [start::p]
+            for s, q in views[1:]:  # multiples of q: every (q/p)-th slot
+                k[(s - start) // p :: q // p] += 1
+            x = np.array([1.0, *fs])[k]
+        vals[start::p] = _times(vals[start::p], x)
     rem = np.divide(np.arange(lo, hi + 1, dtype=np.float64), prod, out=prod)
     if signed:
         vals *= 1 - 2 * (rem < 0).view(np.int8)
@@ -303,11 +301,17 @@ def segment_values(
         ps[:] = rem[big]
         fp = np.asarray(f.powers(ps, 1))
         vals = _widen(vals, _rung(fp))
-        vals[big] *= fp.astype(vals.dtype, copy=False)
+        vals[big] = _times(vals[big], fp.astype(vals.dtype, copy=False))
     if not twisted:
         return vals
     u = unit_power(np.log(np.arange(lo, hi + 1, dtype=np.float64), out=prod), t, out)
-    return np.multiply(u, vals, out=u)
+    return _times(u, vals)
+
+
+def _times(a: np.ndarray, b) -> np.ndarray:
+    """a * b in place in ``a``, but out of place for one complex value: numpy 2.4
+    on AVX-512 rounds that in-place product otherwise than in a longer array."""
+    return np.multiply(a, b, out=None if a.size == 1 and a.dtype.kind == "c" else a)
 
 
 def _value_segments(

@@ -17,19 +17,20 @@ from mflab.dirichlet import (
     TruncationPlan,
     F_euler,
     F_truncated,
+    HalaszDirection,
     alignment_terms,
     log_F_prime_sum,
     zeta,
 )
 from mflab.extremal import reference_spec, extremal_function, theta_values, verify
-from mflab.halasz import HalaszDirection, lemma_defect, lemma_ratio, pole_sum, theorem2_ratio
+from mflab.halasz import lemma_defect, lemma_ratio, pole_sum, theorem2_ratio
 from mflab.multfun import builtin, completely_multiplicative, segment_values, summatory_trace
 from mflab.primes import sieve_primes
 
 from _oracles import F_partial_summation, factorization_table
 
 BASE5 = sieve_primes(10**5)
-PLAN = TruncationPlan(series_cutoff=10**5, prime_cutoff=10**5, exact_factor_cutoff=10**4)
+PLAN = TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=10**4)
 EPLUS = HalaszDirection(1, 0.0)
 EMINUS = HalaszDirection(-1, 0.0)
 
@@ -84,9 +85,9 @@ def test_criterion_02_dirichlet_identities():
     pts = [ComplexPoint(1.5), ComplexPoint(1.2, 0.5), ComplexPoint(1.1, 1.0)]
     columns = zip(
         pts,
-        F_euler(mu, pts, PLAN, epsilon0=1),
-        F_euler(lam, pts, PLAN, epsilon0=1),
-        F_euler(odd, pts, PLAN, epsilon0=-1))
+        F_euler(mu, pts, PLAN, EPLUS),
+        F_euler(lam, pts, PLAN, EPLUS),
+        F_euler(odd, pts, PLAN, EMINUS))
     for s, fmu, flam, fodd in columns:
         sc = s.s
         z = zeta(s)
@@ -121,7 +122,7 @@ def test_criterion_03_cross_method_consistency():
     for f in (builtin("liouville"), builtin("odd_one")):
         trace = summatory_trace(f, 10**5)
         pts = [ComplexPoint(sg, tt) for sg in (1.1, 1.5) for tt in (0.0, 0.7, -1.0)]
-        for s, ft, pr in zip(pts, F_truncated(f, pts, PLAN), log_F_prime_sum(f, pts, PLAN)):
+        for s, ft, pr in zip(pts, F_truncated(f, pts, 10**5), log_F_prime_sum(f, pts, PLAN)):
             fp = F_partial_summation(trace, s, 10**5)
             fe_val = np.exp(pr.value)
             fe_err = abs(fe_val) * math.expm1(min(pr.error_bound, 500.0))
@@ -135,7 +136,7 @@ def test_criterion_04_pole_case():
     t0 = time.perf_counter()
     odd = builtin("odd_one")
     sigmas = [1.01] + [1.0 + 2.0**-k for k in range(4, 11)]
-    fes = F_euler(odd, sigmas, PLAN, epsilon0=-1)
+    fes = F_euler(odd, sigmas, PLAN, EMINUS)
     v101, *seq = [(sg - 1.0) * abs(fe.value) for sg, fe in zip(sigmas, fes)]
     assert 0.45 <= v101 <= 0.55
     assert all(b < a for a, b in zip(seq, seq[1:]))  # monotone approach from above
@@ -147,7 +148,7 @@ def test_criterion_04_pole_case():
 def test_criterion_05_zero_case():
     t0 = time.perf_counter()
     mu = builtin("moebius")
-    (fe,) = F_euler(mu, [ComplexPoint(1.001)], PLAN, epsilon0=1)
+    (fe,) = F_euler(mu, [ComplexPoint(1.001)], PLAN, EPLUS)
     ratio = abs(fe.value) / 0.001
     assert 0.9 <= ratio <= 1.1
     _report(5, f"F_mu(1.001)/(sigma-1) = {ratio:.5f}", t0)
@@ -158,7 +159,7 @@ def test_criterion_06_lemma_defect():
     lam = builtin("liouville")
     ratios = []
     sigmas = [1.1, 1.01, 1.001]
-    for sg, r in zip(sigmas, lemma_defect(lam, EPLUS, sigmas, PLAN)):
+    for sg, r in zip(sigmas, lemma_defect(lam, EPLUS, sigmas, PLAN.prime_cutoff)):
         assert abs(r.value) <= 1.0
         ratios.append(float(lemma_ratio(sg, r.value)))
     assert ratios[0] > ratios[1] > ratios[2]
@@ -176,7 +177,7 @@ def test_criterion_07_theta_chain():
     f = completely_multiplicative("disk", lambda q: fp[np.searchsorted(ps, q)])
     violations = 0
     for e, tt in zip(rng.choice([-1, 1], 10), rng.uniform(-10.0, 10.0, 10)):
-        _, g = alignment_terms(f, ps, int(e), float(tt))
+        _, g = alignment_terms(f, ps, HalaszDirection(int(e), float(tt)))
         w = g - 1.0
         theta = np.angle(1.0 - g)
         theta[theta <= -math.pi] = math.pi

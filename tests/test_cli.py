@@ -101,31 +101,37 @@ def test_eval_f_command(tmp_path):
     assert float(rows[0][4]) == pytest.approx(0.3827928, abs=1e-4)
 
 
-PLAN_FLAGS = ["--series-cutoff", "5000", "--prime-cutoff", "20000", "--exact-cutoff", "10000"]
+# the cutoff flags each command declares; PLAN holds the same prime and exact cutoffs
+PLAN_FLAGS = {
+    "eval-f": ["--series-cutoff", "5000", "--prime-cutoff", "20000", "--exact-cutoff", "10000"],
+    "lemma": ["--prime-cutoff", "20000"],
+    "thm1": ["--prime-cutoff", "20000", "--exact-cutoff", "10000"],
+}
+PLAN = dirichlet.TruncationPlan(prime_cutoff=20000, exact_factor_cutoff=10000)
 # route -> (argv of one row, the library call with the same inputs, the part names of its err)
 ERR_ROUTES = {
     "truncated": (
         ["eval-f", "--function", "moebius", "--sigma", "1.01:1.01:1"],
-        lambda f, plan: dirichlet.F_truncated(f, [dirichlet.ComplexPoint(1.01)], plan),
+        lambda f: dirichlet.F_truncated(f, [dirichlet.ComplexPoint(1.01)], 5000),
         ("series-tail",)),
     "euler": (
         ["eval-f", "--function", "moebius", "--method", "euler", "--sigma", "1.001:1.001:1"],
-        lambda f, plan: dirichlet.F_euler(f, [dirichlet.ComplexPoint(1.001)], plan),
+        lambda f: dirichlet.F_euler(f, [dirichlet.ComplexPoint(1.001)], PLAN),
         ("exp",)),
     "prime-sum": (
         ["eval-f", "--function", "extremal-ref", "--method", "prime-sum", "--t", "1",
          "--sigma", "1.01:1.01:1"],
-        lambda f, plan: dirichlet.log_F_prime_sum(f, [dirichlet.ComplexPoint(1.01, 1.0)], plan),
+        lambda f: dirichlet.log_F_prime_sum(f, [dirichlet.ComplexPoint(1.01, 1.0)], PLAN),
         ("prime-tail", "defect-tail")),
     "lemma": (
         ["lemma", "--function", "liouville", "--epsilon", "1", "--sigma", "1.001:1.001:1"],
-        lambda f, plan: halasz.lemma_defect(f, halasz.HalaszDirection(1),
-                                            [dirichlet.ComplexPoint(1.001)], plan),
+        lambda f: halasz.lemma_defect(f, halasz.HalaszDirection(1),
+                                      [dirichlet.ComplexPoint(1.001)], PLAN.prime_cutoff),
         ("bracket", "residual-tail")),
     "thm1": (
         ["thm1", "--function", "one", "--epsilon", "-1", "--t0", "0.5", "--sigma", "1.01:1.01:1"],
-        lambda f, plan: [p.F for p in halasz.theorem1_ratio(f, halasz.HalaszDirection(-1, 0.5),
-                                                            [1.01], plan)],
+        lambda f: [p.F for p in halasz.theorem1_ratio(f, halasz.HalaszDirection(-1, 0.5),
+                                                      [1.01], PLAN)],
         ("exp",)),
 }
 
@@ -134,12 +140,10 @@ ERR_ROUTES = {
 def test_printed_err_is_the_sum_of_the_parts(tmp_path, route):
     argv, call, names = ERR_ROUTES[route]
     out = tmp_path / "out.csv"
-    assert run([*argv, *PLAN_FLAGS, "--out", str(out)]) == 0
+    assert run([*argv, *PLAN_FLAGS[argv[0]], "--out", str(out)]) == 0
     _, header, (row,) = read_csv(out)
     f = multfun.parse_function_spec(argv[argv.index("--function") + 1])
-    plan = dirichlet.TruncationPlan(series_cutoff=5000, prime_cutoff=20000,
-                                    exact_factor_cutoff=10000)
-    (r,) = call(f, plan)
+    (r,) = call(f)
     assert row[header.index("err_F" if route == "thm1" else "err")] == repr(float(r.error_bound))
     assert tuple(name for name, _ in r.parts) == names
     total = 0.0
@@ -147,6 +151,48 @@ def test_printed_err_is_the_sum_of_the_parts(tmp_path, route):
         assert math.isfinite(bound) and bound >= 0.0
         total += bound
     assert total == r.error_bound
+
+
+# per command, one row's argv and a method of it that reads each cutoff flag
+CUTOFF_READERS = {
+    "eval-f": (["--function", "moebius", "--sigma", "1.5:1.5:1"],
+               {"--series-cutoff": "truncated", "--prime-cutoff": "euler",
+                "--exact-cutoff": "prime-sum"}),
+    "lemma": (["--function", "liouville", "--epsilon", "1", "--sigma", "1.1:1.1:1"],
+              {"--prime-cutoff": None}),
+    "thm1": (["--function", "moebius", "--epsilon", "1", "--sigma", "1.1:1.1:1"],
+             {"--prime-cutoff": None, "--exact-cutoff": None}),
+}
+
+
+@pytest.mark.parametrize("command,flag", [(c, fl) for c, (_, by) in CUTOFF_READERS.items()
+                                          for fl in by])
+def test_every_cutoff_flag_changes_the_body_of_a_method_that_reads_it(command, flag, tmp_path):
+    argv, by = CUTOFF_READERS[command]
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {a.option_strings[0] for a in sub.choices[command]._actions
+            if a.option_strings and a.option_strings[0].endswith("-cutoff")} == set(by)
+    method = [] if by[flag] is None else ["--method", by[flag]]
+    bodies = set()
+    for value in ("300", "3000"):
+        out = tmp_path / f"{value}.csv"
+        assert run([command, *argv, *method, flag, value, "--out", str(out)]) == 0
+        bodies.add(out.read_text().split("\n", 1)[1])
+    assert len(bodies) == 2, (command, flag)
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma", "--function", "liouville", "--epsilon", "1", "--sigma", "1.1:1.2:2",
+     "--series-cutoff", "5"],
+    ["lemma", "--function", "liouville", "--epsilon", "1", "--sigma", "1.1:1.2:2",
+     "--exact-cutoff", "5"],
+    ["thm1", "--function", "moebius", "--epsilon", "1", "--sigma", "1.1:1.5:2",
+     "--series-cutoff", "5"],
+])
+def test_a_cutoff_flag_no_route_of_the_command_reads_is_refused(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert usage_failure([*argv, "--out", str(out)], capsys) == 2
+    assert not out.exists()
 
 
 def test_criterion_command(tmp_path, capsys):
@@ -170,6 +216,18 @@ def test_extremal_build_and_verify(tmp_path, capsys):
     cap = capsys.readouterr()
     assert "verdict: PASS" in cap.out
     assert "selected primes: 54 in [41, 317]" in cap.out
+
+
+def test_extremal_build_out_dash_writes_the_spec_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["extremal-build", "--kappa", "power:0.25"]
+    assert run([*argv, "--out", "-"]) == 0
+    text = capsys.readouterr().out
+    assert not (tmp_path / "-").exists()
+    assert run([*argv, "--out", "spec.json"]) == 0
+    assert text == (tmp_path / "spec.json").read_text()  # no comment line: load_spec reads it
+    (tmp_path / "stdout.json").write_text(text)
+    assert extremal.load_spec("stdout.json") == extremal.load_spec("spec.json")
 
 
 def test_extremal_spec_usable_as_function(tmp_path):

@@ -85,10 +85,10 @@ COMMANDS = {
         kmax=(pick(None, "1", "5", "20"), pick("0", "x", "100001"))),
     "lemma": command(
         "lemma", function=FUNCTION, epsilon=EPSILON, t0=HEIGHT, sigma=SIGMA, t=HEIGHT,
-        series_cutoff=CUTOFF, prime_cutoff=PRIME_CUTOFF, exact_cutoff=CUTOFF),
+        prime_cutoff=PRIME_CUTOFF),
     "thm1": command(
         "thm1", function=FUNCTION, epsilon=EPSILON, t0=HEIGHT, sigma=SIGMA,
-        series_cutoff=CUTOFF, prime_cutoff=PRIME_CUTOFF, exact_cutoff=CUTOFF),
+        prime_cutoff=PRIME_CUTOFF, exact_cutoff=CUTOFF),
     "thm2": command(
         "thm2", function=FUNCTION, limit=(ints(16, 10_000), st.one_of(ints(-2, 15), pick("x"))),
         c=(pick(None, "1", "0", "2.5"), pick("nan", "x", "-1", "-1000")), grid=GRID),

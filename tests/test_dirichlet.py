@@ -16,6 +16,7 @@ from mflab.dirichlet import (
     alignment_terms,
     F_euler,
     F_truncated,
+    HalaszDirection,
     inverse_power,
     log_F_prime_sum,
     log_zeta_minus_prime_zeta,
@@ -30,7 +31,7 @@ from mflab.primes import prime_chunks, sieve_primes
 from _oracles import F_partial_summation, prime_sum_power_oracle, zeta_series_oracle
 
 BASE = sieve_primes(10**5)
-PLAN = TruncationPlan(series_cutoff=10**4, prime_cutoff=10**5, exact_factor_cutoff=10**4)
+PLAN = TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=10**4)
 
 
 def test_zeta_reference_points():
@@ -172,20 +173,20 @@ def test_log_zeta_minus_prime_zeta_small_near_one():
 
 
 def test_F_truncated_one():
-    (r,) = F_truncated(builtin("one"), [2.0], TruncationPlan(series_cutoff=100))
+    (r,) = F_truncated(builtin("one"), [2.0], 100)
     assert r.error_bound == pytest.approx(0.01)
     assert abs(r.value - 1.6449340668482264) <= 0.01
 
 
 def test_F_truncated_moebius():
-    (r,) = F_truncated(builtin("moebius"), [2.0], TruncationPlan(series_cutoff=10**4))
+    (r,) = F_truncated(builtin("moebius"), [2.0], 10**4)
     assert abs(r.value - 1 / 1.6449340668482264) <= 1e-4
 
 
 def test_F_truncated_liouville():
     # lambda: F = zeta(2s)/zeta(s)
     s = 1.5
-    (r,) = F_truncated(builtin("liouville"), [s], TruncationPlan(series_cutoff=10**5))
+    (r,) = F_truncated(builtin("liouville"), [s], 10**5)
     target = zeta(3.0).value / zeta(1.5).value
     assert abs(r.value - target) <= r.error_bound + 1e-8
 
@@ -194,7 +195,7 @@ def test_F_truncated_keeps_terms_below_an_ulp_of_the_running_sum():
     # past n ~ 2.1e5 the terms n^-3 are below half an ulp of zeta(3): a plain
     # running sum drops them and misses by about 9e-12, against err 5e-13
     N = 10**6
-    (r,) = F_truncated(builtin("one"), [3.0], TruncationPlan(series_cutoff=N))
+    (r,) = F_truncated(builtin("one"), [3.0], N)
     tail = 1.0 / (2 * N**2) - 1.0 / (2 * N**3) + 1.0 / (4 * N**4)  # sum_{n>N} n^-3
     assert r.error_bound == pytest.approx(5e-13)
     assert abs(r.value - (1.2020569031595942854 - tail)) <= 1e-15
@@ -205,7 +206,7 @@ def test_F_partial_summation_unit_steps_exact():
     tr = summatory_trace(one, 1000, grid=list(range(1, 1001)))
     s = ComplexPoint(2.0)
     fp = F_partial_summation(tr, s, 1000.0)
-    (ft,) = F_truncated(one, [s], TruncationPlan(series_cutoff=1000))
+    (ft,) = F_truncated(one, [s], 1000)
     assert abs(fp.value - ft.value) <= fp.error_bound + ft.error_bound
     # integer-step reconstruction leaves only the X tail
     assert fp.error_bound == pytest.approx(abs(s.s) * 1000.0 ** (-1.0) / 1.0, rel=1e-12)
@@ -216,7 +217,7 @@ def test_F_partial_summation_sparse_grid():
     tr = summatory_trace(lam, 10**5)
     s = ComplexPoint(1.5, 0.7)
     fp = F_partial_summation(tr, s, 10**5)
-    (ft,) = F_truncated(lam, [s], TruncationPlan(series_cutoff=10**5))
+    (ft,) = F_truncated(lam, [s], 10**5)
     assert abs(fp.value - ft.value) <= fp.error_bound + ft.error_bound
 
 
@@ -311,7 +312,7 @@ def test_alignment_terms_at_t0_zero_skip_the_unit_factor_bit_for_bit(spec):
     f = parse_function_spec(spec)
     ps = BASE.primes
     for e0 in (1, -1):
-        lp, g = alignment_terms(f, ps, e0, 0.0)
+        lp, g = alignment_terms(f, ps, HalaszDirection(e0, 0.0))
         want = 1.0 + e0 * f.prime_values(ps) * np.exp(-1j * 0.0 * lp)
         assert np.array_equal(g.view(np.uint64), want.view(np.uint64)), e0
 
@@ -328,8 +329,8 @@ def test_twist_folds_into_the_direction_bit_for_bit(spec, base, T):
     ps = BASE.primes
     for e0 in (1, -1):
         for t0 in (0.0, 2.5, -0.7):
-            lp, g = alignment_terms(f, ps, e0, t0)
-            _, want = alignment_terms(b, ps, e0, t0 + T)
+            lp, g = alignment_terms(f, ps, HalaszDirection(e0, t0))
+            _, want = alignment_terms(b, ps, HalaszDirection(e0, t0 + T))
             assert np.array_equal(g.view(np.uint64), want.view(np.uint64)), (e0, t0)
             unfolded = 1.0 + e0 * f.prime_values(ps) * np.exp(-1j * t0 * lp)
             assert np.max(np.abs(g - unfolded)) < 1e-12, (e0, t0)
@@ -340,12 +341,12 @@ def test_aligned_twist_direction_has_exactly_zero_alignment_terms(spec, t0):
     # twist:T:one is aligned with (-1, -T): g = 1 - p^{-i0} is exactly 0, so
     # the alignment sums skip every prime and feed their summers nothing
     f = parse_function_spec(spec)
-    _, g = alignment_terms(f, BASE.primes, -1, t0)
+    _, g = alignment_terms(f, BASE.primes, HalaszDirection(-1, t0))
     assert not g.any()
     summers = [StreamSummer(), StreamSummer()]
     summers[0].feed(None, np.array([1.5 - 2.0j]))
     add_alignment_sums(f, BASE.primes, [ComplexPoint(1.001), ComplexPoint(1.3, 2.0)],
-                       -1, t0, summers)
+                       HalaszDirection(-1, t0), summers)
     assert [s.close() for s in summers] == [1.5 - 2.0j, 0j]
     assert summers[0]._n_next == 2 and summers[1]._n_next == 1
 
@@ -390,7 +391,7 @@ def test_prime_sums_streamed_in_short_chunks_have_the_bits_of_one_pass(size):
         for c in chunks:
             add_power_sums(f.prime_values(c), np.log(c.astype(np.float64)), pts, sums)
             add_defects(f, c, pts, 10**4, deltas)
-            add_alignment_sums(f, c, pts, -1, 0.7, residuals)
+            add_alignment_sums(f, c, pts, HalaszDirection(-1, 0.7), residuals)
         totals = [s.close() for s in sums + residuals]
         return np.array(totals, dtype=np.complex128).view(np.uint64).tolist()
 
@@ -478,7 +479,7 @@ def test_prime_sum_route_consistent_with_truncated_for_M2():
     odd = builtin("odd_one")
     pts = [ComplexPoint(1.5), ComplexPoint(1.2, 0.5), ComplexPoint(1.1, 1.0)]
     for psr, ft in zip(log_F_prime_sum(odd, pts, PLAN),
-                       F_truncated(odd, pts, TruncationPlan(series_cutoff=10**5))):
+                       F_truncated(odd, pts, 10**5)):
         fe = np.exp(psr.value)
         fe_err = abs(fe) * np.expm1(min(psr.error_bound, 500.0))
         assert abs(fe - ft.value) <= fe_err + ft.error_bound
@@ -490,10 +491,10 @@ def test_identity_suite_euler_route():
     pts = [ComplexPoint(1.5), ComplexPoint(1.2, 0.5), ComplexPoint(1.1, 1.0)]
     columns = zip(
         pts,
-        F_euler(mu, pts, plan, epsilon0=1),
-        F_euler(lam, pts, plan, epsilon0=1),
-        F_euler(odd, pts, plan, epsilon0=-1),
-        F_euler(one, pts, plan, epsilon0=-1))
+        F_euler(mu, pts, plan, HalaszDirection(1)),
+        F_euler(lam, pts, plan, HalaszDirection(1)),
+        F_euler(odd, pts, plan, HalaszDirection(-1)),
+        F_euler(one, pts, plan, HalaszDirection(-1)))
     for s, fmu, flam, fodd, fone in columns:
         z = zeta(s).value
         sc = s.s
@@ -512,19 +513,21 @@ def test_F_euler_requires_class_M():
 def test_results_overlap_across_methods():
     lam = builtin("liouville")
     s = ComplexPoint(1.5)
-    (ft,) = F_truncated(lam, [s], TruncationPlan(series_cutoff=10**5))
+    (ft,) = F_truncated(lam, [s], 10**5)
     tr = summatory_trace(lam, 10**5)
     fp = F_partial_summation(tr, s, 10**5)
-    (fe,) = F_euler(lam, [s], PLAN, epsilon0=1)
+    (fe,) = F_euler(lam, [s], PLAN, HalaszDirection(1))
     for a, b in ((ft, fp), (ft, fe), (fp, fe)):
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound
 
 
 def test_truncation_plan_validation():
     with pytest.raises(DomainError):
-        TruncationPlan(series_cutoff=1)
+        F_truncated(builtin("one"), [2.0], 1)
     with pytest.raises(DomainError):
         TruncationPlan(exact_factor_cutoff=10**6)
+    with pytest.raises(DomainError):
+        TruncationPlan(prime_cutoff=1, exact_factor_cutoff=1)
 
 
 # moebius is not completely multiplicative; the twist has t != 0 and complex f(p)
@@ -539,9 +542,9 @@ def test_grid_routes_equal_one_point_calls(spec):
     # the one-point result
     f = parse_function_spec(spec)
     routes = [
-        lambda pts: F_truncated(f, pts, TruncationPlan(series_cutoff=2**18 + 3000)),  # 2 segments
+        lambda pts: F_truncated(f, pts, 2**18 + 3000),  # 2 segments
         lambda pts: log_F_prime_sum(f, pts, PLAN),
-        lambda pts: F_euler(f, pts, PLAN, epsilon0=-1, t0=0.7),
+        lambda pts: F_euler(f, pts, PLAN, HalaszDirection(-1, 0.7)),
     ]
     for route in routes:
         grid = route(GRID)
@@ -556,20 +559,20 @@ def test_F_truncated_folds_a_twist_into_the_point(spec):
     # points, so a term pays one unit n^{-i(t+T)} and not two
     f = parse_function_spec(spec)
     (base, T) = f.twisted
-    plan = TruncationPlan(series_cutoff=2**18 + 3000)  # 2 segments
-    got = F_truncated(f, GRID, plan)
-    assert got == F_truncated(base, [ComplexPoint(pt.sigma, pt.t + T) for pt in GRID], plan)
+    N = 2**18 + 3000  # 2 segments
+    got = F_truncated(f, GRID, N)
+    assert got == F_truncated(base, [ComplexPoint(pt.sigma, pt.t + T) for pt in GRID], N)
 
 
 def test_F_truncated_grid_memory():
     # each point's summer keeps a tail under one block, not a view of a segment
     f = builtin("moebius")
-    plan = TruncationPlan(series_cutoff=3 * 2**18)
+    N = 3 * 2**18
 
     def peak(n_points):
         tracemalloc.start()
         try:
-            F_truncated(f, [ComplexPoint(1.5 + 0.01 * i) for i in range(n_points)], plan)
+            F_truncated(f, [ComplexPoint(1.5 + 0.01 * i) for i in range(n_points)], N)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

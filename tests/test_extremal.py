@@ -15,7 +15,7 @@ from mflab.extremal import (
     parse_kappa_spec,
     reference_spec,
     regularize_kappa,
-    save_spec,
+    spec_json,
     theta_values,
     verify,
 )
@@ -329,7 +329,7 @@ def test_window_gathered_over_many_chunks_is_the_table_sum():
 def test_spec_json_roundtrip(tmp_path):
     spec = reference_spec()
     path = tmp_path / "spec.json"
-    save_spec(spec, str(path))
+    path.write_text(spec_json(spec))
     loaded = load_spec(str(path))
     assert loaded.x1 == spec.x1 and loaded.J == spec.J and loaded.C0 == spec.C0
     assert loaded.blocks == spec.blocks
@@ -345,6 +345,6 @@ def test_spec_json_roundtrip(tmp_path):
 def test_spec_json_deterministic(tmp_path):
     spec = reference_spec()
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_spec(spec, str(p1))
-    save_spec(spec, str(p2))
+    p1.write_text(spec_json(spec))
+    p2.write_text(spec_json(spec))
     assert p1.read_bytes() == p2.read_bytes()

@@ -95,7 +95,7 @@ def test_lemma_defect_liouville_grid():
     lam = builtin("liouville")
     vals = []
     sigmas = [1.1, 1.01, 1.001]
-    for sg, r in zip(sigmas, lemma_defect(lam, EPLUS, sigmas, PLAN)):
+    for sg, r in zip(sigmas, lemma_defect(lam, EPLUS, sigmas, PLAN.prime_cutoff)):
         assert abs(r.value) <= 1.0
         vals.append(lemma_ratio(sg, r.value))
     assert vals[0] > vals[1] > vals[2]
@@ -106,7 +106,7 @@ def test_lemma_defect_oracle_value():
     # independent oracle: direct double sum over sieve primes plus tiny tail
     lam = builtin("liouville")
     sg = 1.01
-    (r,) = lemma_defect(lam, EPLUS, [sg], PLAN)
+    (r,) = lemma_defect(lam, EPLUS, [sg], PLAN.prime_cutoff)
     oracle = 0.0
     for p in BASE.primes[:2000]:
         p = float(p)
@@ -122,18 +122,18 @@ def test_lemma_defect_oracle_value():
 def test_lemma_defect_one_equals_liouville():
     # identical series: the defect only sees the alignment residual, which
     # vanishes for both (one, -1) and (liouville, +1)
-    (a,) = lemma_defect(builtin("one"), EMINUS, [1.05], PLAN)
-    (b,) = lemma_defect(builtin("liouville"), EPLUS, [1.05], PLAN)
+    (a,) = lemma_defect(builtin("one"), EMINUS, [1.05], PLAN.prime_cutoff)
+    (b,) = lemma_defect(builtin("liouville"), EPLUS, [1.05], PLAN.prime_cutoff)
     assert a.value == b.value
 
 
 def test_lemma_defect_degenerate_normalizer():
     sg = 1.0 + 1.0 / math.e
-    (r,) = lemma_defect(builtin("liouville"), EPLUS, [sg], PLAN)
+    (r,) = lemma_defect(builtin("liouville"), EPLUS, [sg], PLAN.prime_cutoff)
     assert lemma_ratio(sg, 1.0) == 1.0  # the normalizer is 1
     assert lemma_ratio(sg, r.value) == abs(r.value)
     with pytest.raises(DomainError):
-        lemma_defect(builtin("liouville"), EPLUS, [1.1, 1.4], PLAN)
+        lemma_defect(builtin("liouville"), EPLUS, [1.1, 1.4], PLAN.prime_cutoff)
 
 
 @pytest.mark.parametrize("spec", ["moebius", "twist:0.7:moebius", "extremal-ref"])
@@ -141,10 +141,10 @@ def test_lemma_defect_grid_equals_one_point_calls(spec):
     f = parse_function_spec(spec)
     d = HalaszDirection(1, -0.7)
     pts = [ComplexPoint(1.0 + 1e-7, 2.5), ComplexPoint(1.001, 2.5), ComplexPoint(1.3, -1.0)]
-    grid = lemma_defect(f, d, pts, PLAN)
+    grid = lemma_defect(f, d, pts, PLAN.prime_cutoff)
     assert len(grid) == len(pts)
     for i, pt in enumerate(pts):
-        assert grid[i] == lemma_defect(f, d, [pt], PLAN)[0]
+        assert grid[i] == lemma_defect(f, d, [pt], PLAN.prime_cutoff)[0]
 
 
 def test_theorem1_ratio_examples():
@@ -225,5 +225,5 @@ def test_prime_sums_stream_in_constant_memory():
 
     for run in (lambda P: criterion_report(ext, 0.0, P),
                 lambda P: F_euler(twist, [1.001, 1.01, 1.1, 1.5], TruncationPlan(prime_cutoff=P),
-                                  epsilon0=-1, t0=0.7)):
+                                  HalaszDirection(-1, 0.7))):
         assert peak(run, 4 * 10**6) - peak(run, 5 * 10**5) <= 5 * 2**20
