@@ -22,6 +22,7 @@ import numpy as np
 
 from . import multfun
 from .errors import CapacityError, FunctionSpecError, MFLabError
+from .primes import check_limit
 
 _USAGE_EXIT = 2
 _RESOURCE_EXIT = 3
@@ -120,7 +121,8 @@ def _cmd_sum(args) -> int:
 def _plan(args):
     from .dirichlet import TruncationPlan
 
-    return TruncationPlan(args.prime_cutoff, min(args.exact_cutoff, args.prime_cutoff))
+    P = check_limit(args.prime_cutoff)  # lemma's refusal, before C is capped at P
+    return TruncationPlan(P, min(args.exact_cutoff, P))
 
 
 def _cmd_eval_f(args) -> int:

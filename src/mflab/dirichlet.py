@@ -252,7 +252,7 @@ def _mu_small(k: int) -> int:
     return -mu if k > 1 else mu
 
 
-def log_zeta_minus_prime_zeta(w, tol: float = 1e-12) -> EvalResult:
+def log_zeta_minus_prime_zeta(w) -> EvalResult:
     """log zeta(w) - P(w) = -sum_{k>=2} mu(k)/k log zeta(kw).
 
     The k = 1 terms cancel, so the result is branch-free and stays O(1)
@@ -261,7 +261,7 @@ def log_zeta_minus_prime_zeta(w, tol: float = 1e-12) -> EvalResult:
     pt = as_point(w)
     sigma = pt.sigma
     K = 2
-    while 2.0 ** (-(K + 1) * sigma) * 12.0 > tol and K < 64:
+    while 2.0 ** (-(K + 1) * sigma) * 12.0 > 1e-12 and K < 64:  # k-tail below 1e-12
         K += 1
     total = 0.0 + 0.0j
     err = 0.0
@@ -276,13 +276,13 @@ def log_zeta_minus_prime_zeta(w, tol: float = 1e-12) -> EvalResult:
                       "euler-maclaurin")
 
 
-def prime_zeta(w, tol: float = 1e-12) -> EvalResult:
+def prime_zeta(w) -> EvalResult:
     """P(w) = sum_p p^{-w} via the Moebius/log-zeta identity.
 
     Uses the principal log of zeta(w); accurate even for sigma - 1 ~ 1e-9
     where direct prime summation is hopeless.
     """
-    tail = log_zeta_minus_prime_zeta(w, tol)
+    tail = log_zeta_minus_prime_zeta(w)
     lz = log_zeta(w)
     return EvalResult(lz.value - tail.value,
                       (("log-zeta", lz.error_bound), ("identity", tail.error_bound)),

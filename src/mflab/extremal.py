@@ -9,8 +9,8 @@ from j = 3 on even though the construction remains well-defined.
 
 from __future__ import annotations
 
-import hashlib
 import json
+from _sha1 import sha1  # hashlib's own fallback; hashlib would load OpenSSL (+3.5 MB RSS)
 from dataclasses import dataclass, field
 from math import exp, isfinite, log, sqrt
 from typing import Callable, Sequence
@@ -183,7 +183,7 @@ class ExtremalSpec:
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
-        return hashlib.sha1(blob).hexdigest()[:10]
+        return sha1(blob).hexdigest()[:10]
 
 
 def choose_blocks(

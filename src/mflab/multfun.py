@@ -4,7 +4,8 @@ A function is described by its vectorized prime-power rule (ps, k) -> f(p^k)
 plus class flags.  Bulk evaluation over a range of n runs as a segmented
 sieve driven by base primes up to sqrt(range): strided passes per prime power
 into a float64 p-part product (exact below 2^53) and one float64 division
-per n, so traces up to 10^9 stay feasible.  Values take the narrowest exact
+per n, each step per n over sub-blocks of the segment, so traces up to 10^9
+stay feasible in memory bounded per segment.  Values take the narrowest exact
 rung of int8 (f in {-1, 0, 1}), float64 and complex128; a twist f(n) n^{-it}
 takes its base's rung times one unit per n.  It is the one route to f(n);
 tests check it against trial division.
@@ -35,6 +36,7 @@ DEFAULT_GRID_RATIO = 2.0 ** 0.25
 DEFAULT_GRID_START = 10
 GRID_STEP_CEILING = 10**5  # geometric steps, each one checkpoint before duplicates go
 _SUM_BLOCK = 4096
+_SUB_BLOCK = 1 << 13  # entries per elementwise step of segment_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +196,7 @@ def _rung(v: np.ndarray | np.generic) -> type:
     """The lowest rung, int8 -> float64 -> complex128, that holds ``v`` exactly."""
     if v.dtype.kind == "c":
         return np.complex128
-    return np.int8 if np.isin(v, (-1, 0, 1)).all() else np.float64
+    return np.int8 if ((v == 0) | (abs(v) == 1)).all() else np.float64
 
 
 def _widen(vals: np.ndarray, dtype) -> np.ndarray:
@@ -242,7 +244,7 @@ def segment_values(
     ``prod``, whose signs reach ``vals`` after the division.  A step int8
     cannot take (a value outside {-1, 0, 1}, or f(p^{j-1}) = 0 != f(p^j))
     widens the segment first.  Above int8 the view of p is multiplied by
-    f(p) when no p^2 divides any n here, else by the gathered f(p^k), in
+    f(p) when no p^2 divides any n here, else by f(p^k) per multiple, in
     ascending prime order, then by the leftover prime's value.  Every rung
     gives the numbers of a complex128 pass, up to the sign of zeros.  A
     twist(base, t) runs base so, then multiplies in one unit n^{-it} =
@@ -250,7 +252,8 @@ def segment_values(
 
     ``vals`` (on the rung of the base's f(2) by default), ``prod`` (float64)
     and ``out`` (complex128, for a twist) are optional work buffers of length
-    hi - lo + 1; a widened base is a new array rather than ``vals``.
+    hi - lo + 1; a widened base is a new array rather than ``vals``.  All
+    but the strided passes run _SUB_BLOCK entries at a time into them.
     """
     if lo < 1 or hi < lo:
         raise CoverageError(f"bad segment [{lo}, {hi}]")
@@ -259,10 +262,8 @@ def segment_values(
         raise CoverageError(f"base primes cover {base.limit} < sqrt({hi})")
     size = hi - lo + 1
     twisted, (f, t) = f.twisted, _untwist(f)
-    if vals is None:
-        vals = np.empty(size, dtype=_rung(f._power(2, 1)))
-    if prod is None:
-        prod = np.empty(size, dtype=np.float64)
+    vals = np.empty(size, dtype=_rung(f._power(2, 1))) if vals is None else vals
+    prod = np.empty(size, dtype=np.float64) if prod is None else prod
     signed = vals.dtype == np.int8  # int8 steps keep their signs in prod
     vals.fill(1)
     prod.fill(1.0)  # p-part of each n over the base primes
@@ -282,36 +283,48 @@ def segment_values(
         if steps is not None:
             continue
         fs = [f._power(p, j) for j in range(1, len(views) + 1)]
+        dtype = np.result_type(np.float64, *fs)
         if vals.dtype != np.complex128:
-            vals = _widen(vals, np.result_type(np.float64, *fs))
-        start, x = views[0][0], fs[0]
-        if len(fs) > 1:
-            k = np.ones(len(range(start, size, p)), dtype=np.intp)  # exponent of p along [start::p]
-            for s, q in views[1:]:  # multiples of q: every (q/p)-th slot
-                k[(s - start) // p :: q // p] += 1
-            x = np.array([1.0, *fs])[k]
-        vals[start::p] = _times(vals[start::p], x)
-    rem = np.divide(np.arange(lo, hi + 1, dtype=np.float64), prod, out=prod)
-    if signed:
-        vals *= 1 - 2 * (rem < 0).view(np.int8)
-        np.abs(rem, out=rem)
-    big = np.flatnonzero(rem > 1)
-    if big.size:
-        ps = prod.view(np.int64)[:big.size]  # leftover primes over spent quotients
-        ps[:] = rem[big]
-        fp = np.asarray(f.powers(ps, 1))
-        vals = _widen(vals, _rung(fp))
-        vals[big] = _times(vals[big], fp.astype(vals.dtype, copy=False))
-    if not twisted:
-        return vals
-    u = unit_power(np.log(np.arange(lo, hi + 1, dtype=np.float64), out=prod), t, out)
-    return _times(u, vals)
+            vals = _widen(vals, dtype)
+        start = views[0][0]
+        view = vals[start::p]
+        if len(fs) == 1:
+            _times(view, fs[0])
+            continue
+        for i in range(0, view.size, _SUB_BLOCK):  # f(p^k) of each multiple of p
+            x = np.full(min(_SUB_BLOCK, view.size - i), fs[0], dtype)
+            for (s, q), v in zip(views[1:], fs[1:]):  # multiples of q: every (q/p)-th slot
+                x[((s - start) // p - i) % (q // p) :: q // p] = v
+            _times(view[i : i + x.size], x)
+    out = np.empty(size, dtype=np.complex128) if twisted and out is None else out
+    for a in range(0, size, _SUB_BLOCK):
+        b = min(a + _SUB_BLOCK, size)
+        n = np.arange(lo + a, lo + b, dtype=np.float64)
+        rem = np.divide(n, prod[a:b], out=prod[a:b])
+        if signed:
+            _times(vals[a:b], 1 - 2 * (rem < 0).view(np.int8))
+            np.abs(rem, out=rem)
+        big = np.flatnonzero(rem > 1)
+        if big.size:
+            ps = rem.view(np.int64)[:big.size]  # leftover primes over spent quotients
+            ps[:] = rem[big]
+            fp = np.asarray(f.powers(ps, 1))
+            vals = _widen(vals, _rung(fp))
+            vals[a:b][big] = _times(vals[a:b][big], fp.astype(vals.dtype, copy=False))
+        if twisted:
+            _times(unit_power(np.log(n, out=n), t, out[a:b]), vals[a:b])
+    return out if twisted else vals
 
 
 def _times(a: np.ndarray, b) -> np.ndarray:
-    """a * b in place in ``a``, but out of place for one complex value: numpy 2.4
-    on AVX-512 rounds that in-place product otherwise than in a longer array."""
-    return np.multiply(a, b, out=None if a.size == 1 and a.dtype.kind == "c" else a)
+    """a *= b, returning ``a``, but formed out of place for one complex value:
+    numpy 2.4 on AVX-512 rounds that in-place product otherwise than in a
+    longer array."""
+    if a.size == 1 and a.dtype.kind == "c":
+        a[...] = a * b
+    else:
+        np.multiply(a, b, out=a)
+    return a
 
 
 def _value_segments(
@@ -321,17 +334,17 @@ def _value_segments(
 
     One set of work buffers serves every segment, so each array is valid
     only until the next one is yielded.  Once a segment of a rule that is no
-    twist has widened, the value buffer is replaced by one on the wider rung.
+    twist has widened, it is the value buffer of the segments after it.
     """
     size = min(segment_size, hi - lo + 1)
     vals = np.empty(size, dtype=_rung(_untwist(f)[0]._power(2, 1)))
     prod = np.empty(size, dtype=np.float64)
-    out = np.empty(size, dtype=np.complex128)  # a twist's values; never touched otherwise
+    out = np.empty(size, dtype=np.complex128) if f.twisted else None  # a twist's values
     while lo <= hi:
         n = min(size, hi - lo + 1)
-        seg = segment_values(f, lo, lo + n - 1, base, vals[:n], prod[:n], out[:n])
+        seg = segment_values(f, lo, lo + n - 1, base, vals[:n], prod[:n], out if out is None else out[:n])
         if seg.dtype != vals.dtype and not f.twisted:
-            vals = np.empty(size, dtype=seg.dtype)
+            vals = seg  # widened; only the last segment can be shorter
         yield lo, seg
         lo += n
 

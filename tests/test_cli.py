@@ -433,6 +433,19 @@ def test_extremal_verify_cutoff_below_2_is_a_usage_error(tmp_path, capsys):
         assert usage_failure(["extremal-verify", spec, f"--cutoff={cutoff}"], capsys) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["lemma", "--function", "moebius", "--epsilon", "1", "--sigma", "1.1:1.2:2"],
+    ["thm1", "--function", "moebius", "--epsilon", "1", "--sigma", "1.1:1.5:2"],
+    ["eval-f", "--function", "moebius", "--sigma", "1.5:1.5:1", "--method", "euler"],
+    ["eval-f", "--function", "moebius", "--sigma", "1.5:1.5:1", "--method", "prime-sum"],
+])
+def test_prime_cutoff_below_2_gets_one_error_in_every_command(argv, tmp_path, capsys):
+    # thm1 and eval-f used to blame --exact-cutoff, which was not set
+    assert run([*argv, "--prime-cutoff", "1", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error:usage:sieve limit must be >= 2, got 1\n"
+    assert not (tmp_path / "x").exists()
+
+
 ABOVE_PRIME_CEILING = str(2**32 + 1)
 
 
@@ -602,15 +615,27 @@ print(json.dumps(loaded))
 """
 
 
-def _modules_loaded_after_each(commands, cwd):
-    """The mflab submodules loaded after each command of one fresh process."""
+def _fresh_python(args, cwd):
+    """stdout of ``python args`` in a fresh process that imports this checkout's mflab."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_EACH, json.dumps(commands)],
-                          cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return [set(m) for m in json.loads(proc.stdout)]
+    return proc.stdout
+
+
+def _modules_loaded_after_each(commands, cwd):
+    """The mflab submodules loaded after each command of one fresh process."""
+    out = _fresh_python(["-c", _LOADED_AFTER_EACH, json.dumps(commands)], cwd)
+    return [set(m) for m in json.loads(out)]
+
+
+def test_importing_the_cli_and_extremal_does_not_load_openssl(tmp_path):
+    # hashlib would load _hashlib and libcrypto (+3.5 MB RSS) for one SHA-1
+    code = "import sys, mflab.cli, mflab.extremal; print('_hashlib' in sys.modules)"
+    assert _fresh_python(["-c", code], tmp_path).strip() == "False"
 
 
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):

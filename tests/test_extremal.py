@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -324,6 +326,12 @@ def test_window_gathered_over_many_chunks_is_the_table_sum():
 
 
 # --- serialization -------------------------------------------------------------
+
+
+def test_content_hash_is_the_hashlib_sha1_of_the_spec():
+    spec = reference_spec()
+    blob = json.dumps(spec.to_json_dict(), sort_keys=True).encode()
+    assert spec.content_hash() == hashlib.sha1(blob).hexdigest()[:10]
 
 
 def test_spec_json_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache, partial
 from math import isqrt
 
@@ -413,6 +414,22 @@ def _checkpoint_ims(spec, limit, x):
 def test_complex_checkpoints_do_not_depend_on_segment_size(spec, limit, x):
     ims = _checkpoint_ims(spec, limit, x)
     assert len(ims) == 1, sorted(ims)
+
+
+@pytest.mark.parametrize("spec,entry_bytes", [
+    # per n of a 2^18 segment: the values (int8 or complex128), the float64
+    # product and a twist's complex128 output
+    ("moebius", 1 + 8), ("twist:7.5:moebius", 1 + 8 + 16), ("extremal-ref", 16 + 8)])
+def test_segment_kernel_allocates_no_temporary_of_segment_length(spec, entry_bytes):
+    f = parse_function_spec(spec)
+    summatory_trace(f, 10**4)  # memoize the values of the small primes
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        summatory_trace(f, 2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry_bytes * (1 << 18) <= 1.5 * 2**20, peak
 
 
 @lru_cache(maxsize=None)
