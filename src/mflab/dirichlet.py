@@ -299,8 +299,8 @@ def F_truncated(
     series_cutoff: int,
 ) -> list[EvalResult]:
     """sum_{n<=N} f(n) n^{-s} at each point, with the integral-comparison
-    tail bound N^{1-sigma}/(sigma-1).  f(n) and log n are computed once per
-    segment of 2^18 numbers; each point has its own compensated summer, since
+    tail bound N^{1-sigma}/(sigma-1).  f(n) is computed once per segment of
+    2^18 numbers, log n per block of 2^14; each point has its own compensated summer, since
     a plain running sum would round away terms below half an ulp of it.
     The series streams the segment kernel of summatory_trace, so N has the
     same ceiling, checked before any sieving, and N >= 2."""
@@ -315,11 +315,11 @@ def F_truncated(
         raise CapacityError(f"series cutoff {N} exceeds ceiling {SUMMATORY_LIMIT_CEILING}")
     base = sieve_primes(max(2, isqrt(N)))
     summers = [StreamSummer() for _ in pts]
-    for lo, vals in _value_segments(f, 1, N, base, 1 << 18):
-        log_n = np.arange(lo, lo + vals.size, dtype=np.float64)
-        np.log(log_n, out=log_n)  # in place: one segment-sized array, not two
-        for j, i, term in _power_terms(vals, log_n, pts):
-            summers[i].feed(lo + j, term)
+    for lo, vals in _value_segments(f, [(1, N)], base, 1 << 18):
+        for j in range(0, vals.size, _BLOCK):  # no temporary spans a segment
+            log_n = np.log(np.arange(lo + j, lo + min(j + _BLOCK, vals.size), dtype=np.float64))
+            for _, i, term in _power_terms(vals[j : j + _BLOCK], log_n, pts):
+                summers[i].feed(lo + j, term)
     return [EvalResult(summer.close(), (("series-tail", tail_bound(N, pt.sigma)),),
                        "truncated-series") for pt, summer in zip(pts, summers)]
 
@@ -452,8 +452,10 @@ def add_alignment_sums(
     count the nonzero terms only; which terms those are does not depend on
     the chunking, so neither do the bits."""
     lp, g = alignment_terms(f, ps, direction)
-    nz = np.flatnonzero(g)
-    add_power_sums(g[nz], lp[nz], ws, summers)
+    if not g.all():  # copy out the nonzero terms only when there is a zero
+        nz = np.flatnonzero(g)
+        g, lp = g[nz], lp[nz]
+    add_power_sums(g, lp, ws, summers)
 
 
 def F_euler(

@@ -16,7 +16,9 @@ np.sum'ed (int8 blocks as exact integers), and block sums enter a
 compensated accumulator in ascending order.  Each f(n) is the same
 sequence of products at any segment size (see _times), so reruns are
 byte-identical, and every rule and twist gives bit-identical checkpoints at
-every segment size.
+every segment size.  summatory_trace runs the kernel in forked workers over
+stripes of whole blocks and adds their block sums in order, so the bits do
+not depend on the number of workers either.
 """
 
 from __future__ import annotations
@@ -328,25 +330,29 @@ def _times(a: np.ndarray, b) -> np.ndarray:
 
 
 def _value_segments(
-    f: MultiplicativeFunction, lo: int, hi: int, base: PrimeTable, segment_size: int,
+    f: MultiplicativeFunction, spans: Sequence[tuple[int, int]], base: PrimeTable,
+    segment_size: int,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, f(start..end)) for consecutive segments of [lo, hi].
+    """(start, f(start..end)) for consecutive segments of each span [lo, hi]
+    in turn.
 
     One set of work buffers serves every segment, so each array is valid
     only until the next one is yielded.  Once a segment of a rule that is no
-    twist has widened, it is the value buffer of the segments after it.
+    twist has widened, it (or, if shorter, a buffer of its type) is the
+    value buffer of the segments after it.
     """
-    size = min(segment_size, hi - lo + 1)
+    size = min(segment_size, max(hi - lo + 1 for lo, hi in spans))
     vals = np.empty(size, dtype=_rung(_untwist(f)[0]._power(2, 1)))
     prod = np.empty(size, dtype=np.float64)
     out = np.empty(size, dtype=np.complex128) if f.twisted else None  # a twist's values
-    while lo <= hi:
-        n = min(size, hi - lo + 1)
-        seg = segment_values(f, lo, lo + n - 1, base, vals[:n], prod[:n], out if out is None else out[:n])
-        if seg.dtype != vals.dtype and not f.twisted:
-            vals = seg  # widened; only the last segment can be shorter
-        yield lo, seg
-        lo += n
+    for lo, hi in spans:
+        while lo <= hi:
+            n = min(size, hi - lo + 1)
+            seg = segment_values(f, lo, lo + n - 1, base, vals[:n], prod[:n], out if out is None else out[:n])
+            if seg.dtype != vals.dtype and not f.twisted:  # widened
+                vals = seg if n == size else np.empty(size, seg.dtype)
+            yield lo, seg
+            lo += n
 
 
 class _Neumaier:
@@ -416,10 +422,16 @@ class StreamSummer:
         if chunk.dtype != np.int8:  # int8 blocks sum as exact integers, uncopied
             chunk = chunk.astype(np.complex128, copy=False)  # a block, not the feed, at a time
         s = chunk.sum()
-        self._re.add(float(s.real))
-        self._im.add(float(s.imag))
+        self._add(float(s.real), float(s.imag))
         self._buf_start += chunk.size
         self._tail = self._tail[:0]
+
+    def _add(self, re: float, im: float) -> None:  # one block's sum
+        self._re.add(re)
+        self._im.add(im)
+
+    def _take(self) -> None:  # the open checkpoint, after the block just added
+        self.checkpoint_values.append(self.total())
 
     def feed(self, start: int | None, vals: np.ndarray, keys: np.ndarray | None = None) -> None:
         """Append ``vals``.  ``start``, unless None, must be the position of
@@ -436,7 +448,7 @@ class StreamSummer:
             self._flush(vals[i:j])
             i = j
             if taken:
-                self.checkpoint_values.append(self.total())
+                self._take()
             cut, taken = self._next_cut(lo, keys)
         self._tail = np.concatenate((self._tail, vals[i:]))  # a copy: never pin ``vals``
 
@@ -504,7 +516,10 @@ def summatory_trace(
     grid=None,
     segment_size: int = 1 << 18,
 ) -> SummatoryTrace:
-    """Stream S_f(x) over n = 1..limit, snapshotting at grid checkpoints."""
+    """Stream S_f(x) over n = 1..limit, snapshotting at grid checkpoints.
+
+    The segment kernel runs in forked workers, and this process adds their
+    block sums in order (workers.checkpoint_sums)."""
     if limit < 1:
         raise CoverageError(f"limit must be >= 1, got {limit}")
     if limit > SUMMATORY_LIMIT_CEILING:
@@ -514,15 +529,12 @@ def summatory_trace(
             f"segment size {segment_size} exceeds ceiling {SEGMENT_SIZE_CEILING}")
     cps = resolve_checkpoints(grid, limit)
     base = sieve_primes(max(2, isqrt(limit)))
-    summer = StreamSummer(cps)
-    summer.feed(1, np.ones(1, dtype=np.complex128))  # n = 1
-    for lo, seg in _value_segments(f, 2, limit, base, segment_size):
-        summer.feed(lo, seg)
-    vals = summer.checkpoint_values
+    from .workers import checkpoint_sums  # compiled only by the commands that trace
+
     return SummatoryTrace(
         function_label=f.label,
         xs=np.asarray(cps, dtype=np.int64),
-        values=np.asarray(vals, dtype=np.complex128),
+        values=np.asarray(checkpoint_sums(f, limit, cps, base, segment_size), dtype=np.complex128),
     )
 
 

@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mflab import dirichlet, extremal, halasz, multfun, primes
 from mflab.cli import build_parser, main
+from mflab.errors import FunctionSpecError
 
 from _oracles import brute_summatory
 from mflab.multfun import builtin
@@ -277,6 +279,37 @@ def test_capacity_and_coverage_exit_code(tmp_path, capsys):
     cap = capsys.readouterr()
     assert code == 3
     assert cap.err.startswith("error:capacity:")
+
+
+def _fails_in_second_stripe(fail):
+    """moebius, except that ``fail`` runs when f(p) is asked of a prime above
+    300000: a leftover prime of the second stripe of 2^18 positions on."""
+    def powers(ps, k):
+        if (ps > 300_000).any():
+            fail()
+        return np.full(ps.shape, -1.0 if k == 1 else 0.0)
+
+    return multfun.MultiplicativeFunction("fails", powers)
+
+
+def _refuse():
+    raise FunctionSpecError("no value beyond 300000")
+
+
+@pytest.mark.parametrize("fail,code,line", [
+    (_refuse, 2, "error:usage:no value beyond 300000\n"),
+    (lambda: os._exit(7), 3, "error:capacity:a segment worker ended before it sent its stripe\n"),
+])
+def test_a_failing_segment_worker_gives_one_error_line(fail, code, line, tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(multfun, "parse_function_spec", lambda spec: _fails_in_second_stripe(fail))
+    out = tmp_path / "x.csv"
+    assert main(["sum", "--function", "moebius", "--limit", "1000000", "--out", str(out)]) == code
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_segment_size_above_ceiling_is_refused_before_sieving(tmp_path, capsys, monkeypatch):
@@ -647,10 +680,11 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
         ["thm1", "--function", "moebius", "--epsilon", "1", "--sigma", "1.1:1.5:2",
          "--prime-cutoff", "1000", "--out", "thm1.csv"],
     ], tmp_path)
-    assert after == [core, core | {"dirichlet"}, core | {"dirichlet", "halasz"}]
+    traced = core | {"workers"}  # summatory_trace's segment workers
+    assert after == [traced, traced | {"dirichlet"}, traced | {"dirichlet", "halasz"}]
     after = _modules_loaded_after_each([
         ["extremal-build", "--kappa", "power:0.25", "--out", "spec.json"],
         ["sum", "--function", "extremal:spec.json", "--limit", "1000", "--out", "sum.csv"],
         ["extremal-verify", "spec.json", "--cutoff", "1000", "--out", "verify.txt"],
     ], tmp_path)
-    assert after == [core | {"extremal"}] * 2 + [core | {"extremal", "dirichlet"}]
+    assert after == [core | {"extremal"}, traced | {"extremal"}, traced | {"extremal", "dirichlet"}]

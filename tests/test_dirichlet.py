@@ -564,6 +564,24 @@ def test_F_truncated_folds_a_twist_into_the_point(spec):
     assert got == F_truncated(base, [ComplexPoint(pt.sigma, pt.t + T) for pt in GRID], N)
 
 
+@pytest.mark.parametrize("spec,entry_bytes", [
+    # per n of a 2^18 segment: the kernel's values (int8 or complex128) and
+    # its float64 product
+    ("moebius", 1 + 8), ("extremal-ref", 16 + 8)])
+@pytest.mark.parametrize("points", [[1.5], [1.5, 1.5 + 3j]], ids=["real", "unit"])
+def test_F_truncated_allocates_no_temporary_of_segment_length(spec, entry_bytes, points):
+    # log n, the units and the terms are formed per block of 2^14 entries
+    f = builtin(spec)
+    F_truncated(f, points, 10**4)  # memoize the values of the small primes
+    tracemalloc.start()
+    try:
+        F_truncated(f, points, 2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry_bytes * (1 << 18) <= 1.5 * 2**20, peak
+
+
 def test_F_truncated_grid_memory():
     # each point's summer keeps a tail under one block, not a view of a segment
     f = builtin("moebius")

@@ -1,3 +1,5 @@
+import os
+import time
 import tracemalloc
 from functools import lru_cache, partial
 from math import isqrt
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mflab.errors import CoverageError, FunctionSpecError
+from mflab import workers
+from mflab.errors import CapacityError, CoverageError, FunctionSpecError
 from mflab.multfun import (
     MultiplicativeFunction,
     StreamSummer,
@@ -22,6 +25,7 @@ from mflab.multfun import (
     unit_power,
 )
 from mflab.primes import sieve_primes
+from mflab.workers import stripe_blocks, stripes
 
 from _oracles import (Mertens, brute_summatory, class_m_violations, prime_powers,
                       trial_factorize, trial_value)
@@ -421,15 +425,147 @@ def test_complex_checkpoints_do_not_depend_on_segment_size(spec, limit, x):
     # product and a twist's complex128 output
     ("moebius", 1 + 8), ("twist:7.5:moebius", 1 + 8 + 16), ("extremal-ref", 16 + 8)])
 def test_segment_kernel_allocates_no_temporary_of_segment_length(spec, entry_bytes):
-    f = parse_function_spec(spec)
+    # what one segment worker runs over every stripe, here in process
+    f, limit = parse_function_spec(spec), 2 * 10**6
     summatory_trace(f, 10**4)  # memoize the values of the small primes
+    base, cps = sieve_primes(isqrt(limit)), resolve_checkpoints(None, limit)
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        for _ in stripe_blocks(f, stripes(limit, 1 << 18), cps, base, 1 << 18):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry_bytes * (1 << 18) <= 1.5 * 2**20, peak
+
+
+@pytest.mark.parametrize("spec", ["moebius", "twist:7.5:moebius", "extremal-ref"])
+def test_summing_process_holds_no_segment_length_buffer(spec):
+    # the workers hold the segments; this process adds their block sums
+    f = parse_function_spec(spec)
+    summatory_trace(f, 10**4)
+    tracemalloc.start()
     try:
         summatory_trace(f, 2 * 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - entry_bytes * (1 << 18) <= 1.5 * 2**20, peak
+    assert peak < 1 << 18, peak  # the smallest segment buffer: one int8 per n
+
+
+def _with_cpus(monkeypatch, count):
+    """Make summatory_trace see ``count`` CPUs, so it starts that many workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+WORKER_RULES = {name: builtin(name) for name in ("moebius", "liouville", "extremal-ref")}
+WORKER_RULES["twist:0.7:extremal-ref"] = parse_function_spec("twist:0.7:extremal-ref")
+WORKER_RULES["half"] = HALF_BEYOND_1000
+
+
+@pytest.mark.parametrize("segment_size", SEGMENT_SIZES)
+@pytest.mark.parametrize("name", WORKER_RULES)
+def test_checkpoints_have_the_same_bits_at_any_number_of_workers(name, segment_size, monkeypatch):
+    f = WORKER_RULES[name]
+    width = stripes(1 << 20, segment_size)[0][1]  # positions per stripe
+    # stripe edges +-1 and multiples of 4096; the last limit gives 3 stripes
+    grid = [1, 2, *(k * e + d for k in (1, 2) for e in (4096, width) for d in (-1, 0, 1))]
+    for limit in (1, 4095, 4097, 2 * width + 5):
+        traces = []
+        for count in (1, 2):
+            _with_cpus(monkeypatch, count)
+            traces.append(summatory_trace(f, limit, grid, segment_size))
+        one, two = traces
+        assert one.xs.tolist() == two.xs.tolist()
+        assert one.values.view(np.uint64).tolist() == two.values.view(np.uint64).tolist(), limit
+
+
+@pytest.mark.parametrize("cpus,limit,count", [
+    (1, 2 * 10**6, 1), (2, 2 * 10**6, 2), (8, 2 * 10**6, 4), (8, 4096, 1), (8, 3 * 4096, 3)])
+def test_no_more_workers_than_stripes_cpus_or_the_cap(cpus, limit, count, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    _with_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    got = summatory_trace(builtin("moebius"), limit, segment_size=4096).values
+    assert len(forks) == count
+    _with_cpus(monkeypatch, 1)  # more workers than this host's CPUs give the same bits
+    want = summatory_trace(builtin("moebius"), limit, segment_size=4096).values
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def _fails_beyond(p0, fail):
+    """moebius, except that ``fail`` runs when f(p) is asked of a prime
+    above p0: in this process's stripes only if p0 < sqrt(limit)."""
+    def powers(ps, k):
+        if (ps > p0).any():
+            fail()
+        return np.full(ps.shape, -1.0 if k == 1 else 0.0)
+
+    return MultiplicativeFunction("fails", powers)
+
+
+def _refuse():
+    raise FunctionSpecError("no value beyond 300000")
+
+
+def _die():
+    os._exit(7)
+
+
+def _hang():
+    time.sleep(60)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_worker_error_is_raised_here_with_its_class_and_message(count, monkeypatch):
+    # primes above 300000 are leftover primes of the second stripe on
+    _with_cpus(monkeypatch, count)
+    with pytest.raises(FunctionSpecError, match="^no value beyond 300000$"):
+        summatory_trace(_fails_beyond(300_000, _refuse), 10**6)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_dies_is_a_capacity_error(monkeypatch):
+    _with_cpus(monkeypatch, 2)
+    with pytest.raises(CapacityError, match="segment worker ended"):
+        summatory_trace(_fails_beyond(300_000, _die), 10**6)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_failure_that_is_no_library_error_is_a_capacity_error(monkeypatch):
+    _with_cpus(monkeypatch, 2)
+    with pytest.raises(CapacityError, match="segment worker failed: ZeroDivisionError"):
+        summatory_trace(_fails_beyond(300_000, lambda: 1 / 0), 10**6)
+
+
+def test_an_interrupt_kills_and_reaps_every_worker(monkeypatch):
+    # the first stripe arrives, then this process is interrupted while the
+    # other worker hangs in its first stripe
+    receive = workers._receive
+    calls = []
+
+    def interrupted(pipe):
+        calls.append(1)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return receive(pipe)
+
+    _with_cpus(monkeypatch, 2)
+    monkeypatch.setattr(workers, "_receive", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        summatory_trace(_fails_beyond(300_000, _hang), 10**6)
+    assert time.monotonic() - start < 30  # killed, not waited for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @lru_cache(maxsize=None)
