@@ -432,7 +432,6 @@ def verify(
         th = theta_values(spec, ps, lp)
         obs.feed(None, th * th / psf)
         H.feed(None, 1.0 / psf, ps)
-        del psf  # each chunk array is dropped once its last sum is taken
         for b, cut, (sel_ps, sel_lp) in zip(checked, window_cuts, picked):
             lpc = lp[: int(np.searchsorted(ps, cut, side="right"))]
             sel = (lpc >= b.log_x) & (lpc < b.log_upper) & (-np.sin(lpc) >= 0.5)
@@ -442,7 +441,7 @@ def verify(
             fp = _unit_values(th)
             del th
             add_power_sums(fp, lp, pts, sums)
-            del fp, lp  # as psf: not alive while the next chunk is built
+            del fp, lp  # not alive while the next segment is sieved
             add_defects(fext, ps, pts, plan.exact_factor_cutoff, deltas)
     windows = tuple(
         _window_report(j, b, pt.sigma, np.concatenate(sel_ps), np.concatenate(sel_lp),

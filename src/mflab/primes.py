@@ -1,8 +1,8 @@
 """Prime streams and prime tables.
 
 Every prime sum downstream (Euler products, Halász sums, the extremal
-checks) reads ``prime_chunks``: the primes up to a cutoff, one ascending
-array per sieve segment, so a consumer holds O(segment) memory rather
+checks) reads ``prime_chunks``: the primes up to a cutoff, ascending, in
+chunks of at most 2^13 primes, so a consumer holds O(chunk) memory rather
 than O(pi(P)).  The sums themselves run through ``multfun.StreamSummer``,
 whose blocks count positions from the first term, so a streamed sum has
 the same bits at any chunking.  A ``PrimeTable`` (random access) remains
@@ -29,6 +29,9 @@ MERTENS_CONSTANT = 0.2614972128476428
 # only sieve_primes, which returns a table, would hold ~1.6 GB at the
 # ceiling.
 PRIME_LIMIT_CEILING = 2**32
+# Numbers per sieve segment, and most primes per chunk of prime_chunks.
+_SEGMENT = 1 << 20
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -47,17 +50,18 @@ def sieve_primes(limit: int) -> PrimeTable:
 
 
 def prime_chunks(limit: int) -> Iterator[np.ndarray]:
-    """The primes <= ``limit``, ascending, as int64 arrays, one per sieve
-    segment.  The limit is checked against PRIME_LIMIT_CEILING here, before
-    any sieving.
+    """The primes <= ``limit``, ascending, as int64 arrays of at most 2^13
+    primes (64 KiB), each within one sieve segment.  The limit is checked
+    against PRIME_LIMIT_CEILING here, before any sieving.
 
-    Segmented sieve of Eratosthenes: a segment spans sqrt(limit) numbers
-    clamped to [2^20, 2^22], with one flag byte per odd number: 0.5-2 MB,
-    cache-sized as in Oliveira e Silva, Herzog & Pardi (Math. Comp. 83,
-    2014).  The floor amortizes the Python loop over base primes that every
-    segment runs.  Peak memory is O(sqrt(limit) + segment).
+    Segmented sieve of Eratosthenes: a segment spans 2^20 >= sqrt(limit)
+    numbers, one flag byte per odd number: 0.5 MB, cache-sized as in
+    Oliveira e Silva, Herzog & Pardi (Math. Comp. 83, 2014), and large
+    enough to amortize the Python loop over base primes that every segment
+    runs.  Its primes are yielded as views of one array, so a consumer's
+    temporaries span one chunk.  Peak memory is O(sqrt(limit) + segment).
 
-    2 leads the first chunk, and a segment without primes yields nothing.
+    2 is the first chunk, alone, and a segment without primes yields nothing.
     Chunk lengths do not reach the bits of a streamed sum: its terms are
     products of named operands in a fixed order (see dirichlet._power_terms).
     """
@@ -85,12 +89,10 @@ def _segments(limit: int) -> Iterator[np.ndarray]:
     come from ``_sieve``, and segments track odd numbers only."""
     root = isqrt(limit)
     odd_base = _sieve(root)[1:].tolist() if root >= 3 else []
-    seg = min(max(root, 1 << 20), 1 << 22)
-    if limit == 2:
-        yield np.array([2], dtype=np.int64)
+    yield np.array([2], dtype=np.int64)
     lo = 3
     while lo <= limit:
-        hi = min(limit, lo + seg - 1)
+        hi = min(limit, lo + _SEGMENT - 1)
         first_odd = lo | 1
         flags = np.ones((hi - first_odd) // 2 + 1, dtype=bool)
         for p in odd_base:
@@ -98,9 +100,12 @@ def _segments(limit: int) -> Iterator[np.ndarray]:
             if start % 2 == 0:
                 start += p
             flags[(start - first_odd) // 2 :: p] = False  # empty once start > hi
-        primes = first_odd + 2 * np.flatnonzero(flags)
-        if lo == 3 or primes.size:
-            yield np.concatenate(([2], primes)) if lo == 3 else primes
+        primes = np.flatnonzero(flags)
+        del flags  # not alive while the consumers run
+        primes *= 2
+        primes += first_odd
+        for i in range(0, primes.size, _BLOCK):
+            yield primes[i : i + _BLOCK]
         lo = hi + 1
 
 

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mflab.dirichlet import ComplexPoint, F_euler, TruncationPlan, zeta
+from mflab import extremal
+from mflab.dirichlet import ComplexPoint, F_euler, TruncationPlan, log_F_prime_sum, zeta
 from mflab.errors import DomainError
 from mflab.halasz import (
     HalaszDirection,
@@ -227,3 +228,31 @@ def test_prime_sums_stream_in_constant_memory():
                 lambda P: F_euler(twist, [1.001, 1.01, 1.1, 1.5], TruncationPlan(prime_cutoff=P),
                                   HalaszDirection(-1, 0.7))):
         assert peak(run, 4 * 10**6) - peak(run, 5 * 10**5) <= 5 * 2**20
+
+
+_TWIST = parse_function_spec("twist:0.7:one")  # misaligned along (-1, 0.7): every g(p) != 0
+_FOUR_POINTS = [1.001, 1.01, 1.1, 1.3]
+
+
+@pytest.mark.parametrize("route", [
+    lambda P: criterion_report(builtin("extremal-ref"), 0.0, P),
+    lambda P: F_euler(_TWIST, _FOUR_POINTS, TruncationPlan(prime_cutoff=P),
+                      HalaszDirection(-1, 0.7)),
+    lambda P: lemma_defect(_TWIST, HalaszDirection(-1, 0.7), _FOUR_POINTS, P),
+    lambda P: log_F_prime_sum(builtin("extremal-ref"), _FOUR_POINTS,
+                              TruncationPlan(prime_cutoff=P)),
+    lambda P: extremal.verify(extremal.reference_spec(), P),
+], ids=["criterion", "F_euler", "lemma_defect", "log_F_prime_sum", "extremal_verify"])
+def test_prime_routes_hold_one_chunk_of_primes_at_a_time(route):
+    # prime_chunks yields at most 2^13 primes at a time, so each temporary of
+    # a route (log p, f(p), g(p), p^-sigma, the terms) takes 64-128 KiB.  The
+    # sieve holds a segment's flags (0.5 MiB) and primes (0.5-0.63 MiB), and
+    # the previous segment's primes while the next is sieved: 1.7-2 MiB in
+    # all here.  Temporaries of a whole segment's 62,000 primes reach 4.4-5.3
+    # MiB, past the bound.
+    tracemalloc.start()
+    try:
+        route(4 * 10**6)
+        assert tracemalloc.get_traced_memory()[1] <= 3 * 2**20
+    finally:
+        tracemalloc.stop()

@@ -54,9 +54,10 @@ def test_prime_chunks_concatenate_to_the_sieve(limit):
     assert np.all(np.diff(joined) > 0)
     assert np.array_equal(joined, sieve_primes(limit).primes)
     assert joined.size == bitset_prime_count(limit)
-    # one chunk per segment of 2^20 numbers from 3 on that holds a prime
-    segment = [np.unique((np.maximum(c, 3) - 3) // 2**20).tolist() for c in chunks]
-    assert segment == [[k] for k in np.unique((np.maximum(joined, 3) - 3) // 2**20).tolist()]
+    # each chunk holds at most one block of 2^13 primes, all in one segment
+    # of 2^20 numbers from 3 on
+    assert all(c.size <= 2**13 for c in chunks)
+    assert all(np.unique((np.maximum(c, 3) - 3) // 2**20).size == 1 for c in chunks)
 
 
 def test_prime_chunks_check_the_limit_before_sieving():
