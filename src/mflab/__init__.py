@@ -20,7 +20,6 @@ _EXPORTS = {
     "SummatoryTrace": "multfun",
     "builtin": "multfun",
     "parse_function_spec": "multfun",
-    "PrimeTable": "primes",
     "prime_chunks": "primes",
     "sieve_primes": "primes",
 }

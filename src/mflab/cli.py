@@ -27,6 +27,9 @@ from .primes import check_limit
 _USAGE_EXIT = 2
 _RESOURCE_EXIT = 3
 _EXIT_BY_KIND = {"usage": 2, "domain": 2, "capacity": 3, "coverage": 3, "singular": 3}
+# Most points of a --sigma grid.  Each point keeps at most two StreamSummer
+# tails of under 4096 complex128 values, so the grid holds under 128 MiB.
+SIGMA_GRID_CEILING = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,8 +74,8 @@ def _sigma_grid(spec: str) -> list[float]:
     spacing = parts[3] if len(parts) == 4 else "geometric"
     if count < 1 or not 1.0 < start <= end < float("inf"):
         raise FunctionSpecError(f"sigma grid needs finite 1 < start <= end, count >= 1: {spec!r}")
-    if count > multfun.GRID_STEP_CEILING:
-        raise CapacityError(f"sigma grid of {count} points exceeds {multfun.GRID_STEP_CEILING}")
+    if count > SIGMA_GRID_CEILING:
+        raise CapacityError(f"sigma grid of {count} points exceeds {SIGMA_GRID_CEILING}")
     if count == 1:
         return [start]
     if spacing == "linear":

@@ -25,15 +25,15 @@ grow with the prime cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import expm1, isqrt, log
+from math import expm1, log
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, SingularFactorError
 from .multfun import (SUMMATORY_LIMIT_CEILING, MultiplicativeFunction, StreamSummer,
-                      _value_segments, unit_power)
-from .primes import prime_chunks, sieve_primes
+                      _value_segments, kernel_base, unit_power)
+from .primes import prime_chunks
 
 # Bernoulli quotients B_2/2!, B_4/4!, B_6/6! for the Euler-Maclaurin tail.
 _B2_2F = 1.0 / 12.0
@@ -46,7 +46,7 @@ _B6_6F = 1.0 / 30240.0
 _DEFECT_COEFF = 3.75
 # Local-factor series terms are summed while their tail may exceed this.
 _FACTOR_TAIL_TOL = 1e-14
-# zeta's head sum and _power_terms work in blocks of this many terms.  A
+# zeta's head sum and F_truncated work in blocks of this many terms.  A
 # StreamSummer has the same bits at any split, so this only bounds the
 # size of their temporaries.
 _BLOCK = 1 << 14
@@ -152,21 +152,19 @@ def _unit_runs(c: np.ndarray, log_n: np.ndarray, pts: Sequence[ComplexPoint]):
 
 
 def _power_terms(c: np.ndarray, log_n: np.ndarray, pts: Sequence[ComplexPoint]):
-    """(j, i, c n^{-s}) per block j of 2^14 entries and point i: one real exp,
-    one multiply.  numpy may swap the operands of a product with a temporary;
-    named operands keep a term's bits free of the other points and of len(c)."""
-    for j in range(0, c.size, _BLOCK):
-        for i, pt, _, cu in _unit_runs(c[j : j + _BLOCK], log_n[j : j + _BLOCK], pts):
-            x = inverse_power(log_n[j : j + _BLOCK], pt.sigma)
-            yield j, i, np.multiply(cu, x, out=None if cu.dtype.kind == "c" else x)
+    """(i, c n^{-s}) per point i: one real exp, one multiply.  Every caller
+    passes a block of at most 2^14 entries.  numpy may swap the operands of
+    a product with a temporary; named operands keep a term's bits free of
+    the other points and of len(c)."""
+    for i, pt, _, cu in _unit_runs(c, log_n, pts):
+        x = inverse_power(log_n, pt.sigma)
+        yield i, np.multiply(cu, x, out=None if cu.dtype.kind == "c" else x)
 
 
 def add_power_sums(c: np.ndarray, log_n: np.ndarray, pts: Sequence[ComplexPoint],
                    summers: Sequence[StreamSummer]) -> None:
     """Feed each point's summer the terms c n^{-s}."""
-    if c.dtype.kind == "c" and not any(pt.t for pt in pts) and not c.imag.view(np.int64).any():
-        c = c.real  # every imaginary part is +0 and t = 0: the real parts have the bits
-    for _, i, term in _power_terms(c, log_n, pts):
+    for i, term in _power_terms(c, log_n, pts):
         summers[i].feed(None, term)
 
 
@@ -313,12 +311,11 @@ def F_truncated(
         raise DomainError(f"series cutoff must be >= 2, got {N}")
     if N > SUMMATORY_LIMIT_CEILING:
         raise CapacityError(f"series cutoff {N} exceeds ceiling {SUMMATORY_LIMIT_CEILING}")
-    base = sieve_primes(max(2, isqrt(N)))
     summers = [StreamSummer() for _ in pts]
-    for lo, vals in _value_segments(f, [(1, N)], base, 1 << 18):
+    for lo, vals in _value_segments(kernel_base(f, N), [(1, N)], 1 << 18):
         for j in range(0, vals.size, _BLOCK):  # no temporary spans a segment
             log_n = np.log(np.arange(lo + j, lo + min(j + _BLOCK, vals.size), dtype=np.float64))
-            for _, i, term in _power_terms(vals[j : j + _BLOCK], log_n, pts):
+            for i, term in _power_terms(vals[j : j + _BLOCK], log_n, pts):
                 summers[i].feed(lo + j, term)
     return [EvalResult(summer.close(), (("series-tail", tail_bound(N, pt.sigma)),),
                        "truncated-series") for pt, summer in zip(pts, summers)]

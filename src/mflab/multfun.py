@@ -24,13 +24,14 @@ not depend on the number of workers either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile, zip_longest
 from math import ceil, isfinite, isqrt, log
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, CoverageError, FunctionSpecError
-from .primes import PrimeTable, sieve_primes
+from .primes import sieve_primes
 
 SUMMATORY_LIMIT_CEILING = 2**34
 SEGMENT_SIZE_CEILING = 2**22  # 64 MiB of complex values per segment buffer
@@ -55,21 +56,11 @@ class MultiplicativeFunction:
     powers: Callable[[np.ndarray, int], np.ndarray]
     completely_multiplicative: bool = False
     claims_M: bool = False
-    _memo: dict = field(default_factory=dict, repr=False)
     twisted: tuple | None = field(default=None, repr=False)  # (base, t) from twist()
 
     def prime_power(self, p: int, k: int) -> complex:
-        """f(p^k) for one prime as a Python complex (``_power`` memoizes)."""
-        return complex(self._power(p, k))
-
-    def _power(self, p: int, k: int) -> np.generic:
-        """f(p^k) as a numpy scalar of the rule's own dtype, memoized."""
-        key = (p, k)
-        v = self._memo.get(key)
-        if v is None:
-            v = self._memo[key] = np.asarray(
-                self.powers(np.array([p], dtype=np.int64), k))[0]
-        return v
+        """f(p^k) for one prime as a Python complex."""
+        return complex(np.asarray(self.powers(np.array([p], dtype=np.int64), k))[0])
 
     def prime_values(self, ps: np.ndarray) -> np.ndarray:
         """f(p) for an array of primes."""
@@ -207,19 +198,6 @@ def _widen(vals: np.ndarray, dtype) -> np.ndarray:
     return vals if wide == vals.dtype else vals.astype(wide)
 
 
-def _int8_steps(f: MultiplicativeFunction, p: int, levels: int) -> tuple | None:
-    """Per power p^j, j <= levels, the int8 rung's step from f(p^{j-1}) to
-    f(p^j): the sign of the change, or 0 to zero.  None (also memoized) if
-    a value is not a real -1, 0 or 1, or is nonzero after a 0."""
-    key = ("int8", p, levels)
-    if key not in f._memo:
-        fs = [1, *(f._power(p, j) for j in range(1, levels + 1))]
-        pairs = list(zip(fs, fs[1:]))  # (f(p^{j-1}), f(p^j))
-        exact = all(v.dtype.kind != "c" and v in (-1, 0, 1) and (a or not v) for a, v in pairs)
-        f._memo[key] = tuple(int(a * v) if a else 1 for a, v in pairs) if exact else None
-    return f._memo[key]
-
-
 def _untwist(f: MultiplicativeFunction) -> tuple[MultiplicativeFunction, float]:
     """(base, t) with f = twist(base, t), base no twist (t = 0.0 if f is none)."""
     t = 0.0
@@ -228,17 +206,45 @@ def _untwist(f: MultiplicativeFunction) -> tuple[MultiplicativeFunction, float]:
     return f, t
 
 
+KernelBase = NamedTuple("KernelBase", [("f", MultiplicativeFunction), ("limit", int),
+                                       ("rows", list)])
+
+
+def kernel_base(f: MultiplicativeFunction, limit: int) -> KernelBase:
+    """What the segment kernel reads of rule ``f`` for n <= ``limit``, built
+    once per stream: rows (p, fs, steps) per base prime p <= sqrt(limit),
+    ascending.  fs holds f(p^j) of the untwisted rule for each p^j <= limit
+    as numpy scalars, from one ``powers`` call per j on the primes that have
+    it (a prefix), which gives each prime the bits of a call on it alone.
+    steps holds the int8 rung's step from f(p^{j-1}) to f(p^j), the sign of
+    the change or 0 to zero, over the longest prefix of fs that int8 can
+    take: real values -1, 0 or 1, none nonzero after a 0."""
+    g, ps = _untwist(f)[0], sieve_primes(max(2, isqrt(limit)))
+    cols, q = [], ps  # q: p^j of the primes with p^j <= limit (every base prime at j = 1)
+    while q.size:
+        cols.append(np.asarray(g.powers(ps[: q.size], len(cols) + 1)))
+        q = q * ps[: q.size]
+        q = q[q <= limit]
+    rows = []
+    for p, vs in zip(ps.tolist(), zip_longest(*cols)):
+        fs = [v for v in vs if v is not None]
+        exact = takewhile(lambda av: av[1].dtype.kind != "c" and av[1] in (-1, 0, 1)
+                          and (av[0] or not av[1]), zip([1, *fs], fs))  # (f(p^{j-1}), f(p^j))
+        rows.append((p, fs, [int(a * v) if a else 1 for a, v in exact]))
+    return KernelBase(f, limit, rows)
+
+
 def segment_values(
-    f: MultiplicativeFunction, lo: int, hi: int, base: PrimeTable,
+    f: MultiplicativeFunction, lo: int, hi: int, base: KernelBase,
     vals: np.ndarray | None = None, prod: np.ndarray | None = None, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """f(n) for every n in [lo, hi].
 
-    ``base`` must cover primes up to sqrt(hi).  Each power p^j of a base
-    prime with a multiple here gives a strided view [s::p^j], in which
-    ``prod`` collects the p-part of n.  The prime above sqrt(hi) that n may
-    have left is n / prod, an exact float64 division (both are integers
-    below 2^53), and multiplies in through its indices.
+    ``base`` is kernel_base(f, limit) for some limit >= hi.  Each power
+    p^j of a base prime with a multiple here gives a strided view [s::p^j],
+    in which ``prod`` collects the p-part of n.  The prime above sqrt(hi)
+    that n may have left is n / prod, an exact float64 division (both are
+    integers below 2^53), and multiplies in through its indices.
 
     Values climb the rungs int8 -> float64 -> complex128.  In int8 (every
     f(p^k) read is -1, 0 or 1) each p^j takes the step from f(p^{j-1}) to
@@ -259,17 +265,17 @@ def segment_values(
     """
     if lo < 1 or hi < lo:
         raise CoverageError(f"bad segment [{lo}, {hi}]")
+    if base.f is not f or base.limit < hi:
+        raise CoverageError(f"kernel base {base.f.label}:{base.limit} misses {f.label}:{hi}")
     root = isqrt(hi)
-    if base.limit < root:
-        raise CoverageError(f"base primes cover {base.limit} < sqrt({hi})")
     size = hi - lo + 1
     twisted, (f, t) = f.twisted, _untwist(f)
-    vals = np.empty(size, dtype=_rung(f._power(2, 1))) if vals is None else vals
+    vals = np.empty(size, dtype=_rung(base.rows[0][1][0])) if vals is None else vals
     prod = np.empty(size, dtype=np.float64) if prod is None else prod
     signed = vals.dtype == np.int8  # int8 steps keep their signs in prod
     vals.fill(1)
     prod.fill(1.0)  # p-part of each n over the base primes
-    for p in base.primes[base.primes <= root].tolist():
+    for p, fs, int8 in takewhile(lambda row: row[0] <= root, base.rows):
         views = []  # (offset, p^j) of the multiples of each power of p here
         q = p
         while (s := -lo % q) < size:  # false once q > hi
@@ -277,14 +283,14 @@ def segment_values(
             q *= p
         if not views:
             continue
-        steps = _int8_steps(f, p, len(views)) if vals.dtype == np.int8 else None
+        steps = int8 if vals.dtype == np.int8 and len(int8) >= len(views) else None
         for (s, q), step in zip(views, steps or (1,) * len(views)):
             prod[s::q] *= p * (step or 1)
             if not step:
                 vals[s::q] = 0
         if steps is not None:
             continue
-        fs = [f._power(p, j) for j in range(1, len(views) + 1)]
+        fs = fs[: len(views)]
         dtype = np.result_type(np.float64, *fs)
         if vals.dtype != np.complex128:
             vals = _widen(vals, dtype)
@@ -330,19 +336,18 @@ def _times(a: np.ndarray, b) -> np.ndarray:
 
 
 def _value_segments(
-    f: MultiplicativeFunction, spans: Sequence[tuple[int, int]], base: PrimeTable,
-    segment_size: int,
+    base: KernelBase, spans: Sequence[tuple[int, int]], segment_size: int,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, f(start..end)) for consecutive segments of each span [lo, hi]
-    in turn.
+    """(start, f(start..end)) of the rule f of ``base`` for consecutive
+    segments of each span [lo, hi] in turn.
 
     One set of work buffers serves every segment, so each array is valid
     only until the next one is yielded.  Once a segment of a rule that is no
     twist has widened, it (or, if shorter, a buffer of its type) is the
     value buffer of the segments after it.
     """
-    size = min(segment_size, max(hi - lo + 1 for lo, hi in spans))
-    vals = np.empty(size, dtype=_rung(_untwist(f)[0]._power(2, 1)))
+    f, size = base.f, min(segment_size, max(hi - lo + 1 for lo, hi in spans))
+    vals = np.empty(size, dtype=_rung(base.rows[0][1][0]))
     prod = np.empty(size, dtype=np.float64)
     out = np.empty(size, dtype=np.complex128) if f.twisted else None  # a twist's values
     for lo, hi in spans:
@@ -528,13 +533,13 @@ def summatory_trace(
         raise CapacityError(
             f"segment size {segment_size} exceeds ceiling {SEGMENT_SIZE_CEILING}")
     cps = resolve_checkpoints(grid, limit)
-    base = sieve_primes(max(2, isqrt(limit)))
+    base = kernel_base(f, limit)
     from .workers import checkpoint_sums  # compiled only by the commands that trace
 
     return SummatoryTrace(
         function_label=f.label,
         xs=np.asarray(cps, dtype=np.int64),
-        values=np.asarray(checkpoint_sums(f, limit, cps, base, segment_size), dtype=np.complex128),
+        values=np.asarray(checkpoint_sums(base, cps, segment_size), dtype=np.complex128),
     )
 
 

@@ -5,14 +5,12 @@ checks) reads ``prime_chunks``: the primes up to a cutoff, ascending, in
 chunks of at most 2^13 primes, so a consumer holds O(chunk) memory rather
 than O(pi(P)).  The sums themselves run through ``multfun.StreamSummer``,
 whose blocks count positions from the first term, so a streamed sum has
-the same bits at any chunking.  A ``PrimeTable`` (random access) remains
-for the base primes of the segment kernels and for small windows.  Tables
-are immutable after construction and safe to share across threads.
+the same bits at any chunking.  ``sieve_primes`` (random access) remains
+for the base primes of the segment kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt, log
 from typing import Iterator
 
@@ -34,19 +32,11 @@ _SEGMENT = 1 << 20
 _BLOCK = 1 << 13
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes up to ``limit``, ascending."""
-
-    limit: int
-    primes: np.ndarray = field(repr=False)
-
-
-def sieve_primes(limit: int) -> PrimeTable:
-    """All primes <= ``limit`` as one table: the chunks of ``prime_chunks``
-    concatenated.  For consumers that need random access; a prime sum
-    should stream the chunks instead."""
-    return PrimeTable(limit=limit, primes=_sieve(check_limit(limit)))
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= ``limit``, ascending, in one int64 array: the chunks of
+    ``prime_chunks`` concatenated.  For consumers that need random access;
+    a prime sum should stream the chunks instead."""
+    return _sieve(check_limit(limit))
 
 
 def prime_chunks(limit: int) -> Iterator[np.ndarray]:

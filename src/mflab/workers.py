@@ -15,16 +15,13 @@ import os
 import signal
 from bisect import bisect_left, bisect_right
 from contextlib import suppress
-from math import log
 from typing import BinaryIO, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from . import errors
 from .errors import CapacityError, MFLabError
-from .multfun import (_SUM_BLOCK, MultiplicativeFunction, StreamSummer, _int8_steps, _untwist,
-                      _value_segments)
-from .primes import PrimeTable
+from .multfun import _SUM_BLOCK, KernelBase, StreamSummer, _value_segments
 
 WORKER_CAP = 4  # most workers of one trace, whatever the CPU count
 
@@ -54,11 +51,11 @@ def stripes(limit: int, segment_size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + width - 1, limit)) for lo in range(1, limit + 1, width)]
 
 
-def stripe_blocks(f: MultiplicativeFunction, spans: Sequence[tuple[int, int]], cps: list[int],
-                  base: PrimeTable, segment_size: int) -> Iterator[list[float]]:
-    """Per stripe of ``spans``, the rows of a _BlockRecorder fed f(n) over it
-    (1 at n = 1): what one worker computes."""
-    segs = _value_segments(f, [(max(lo, 2), hi) for lo, hi in spans], base, segment_size)
+def stripe_blocks(base: KernelBase, spans: Sequence[tuple[int, int]], cps: list[int],
+                  segment_size: int) -> Iterator[list[float]]:
+    """Per stripe of ``spans``, the rows of a _BlockRecorder fed f(n) of the
+    rule of ``base`` over it (1 at n = 1): what one worker computes."""
+    segs = _value_segments(base, [(max(lo, 2), hi) for lo, hi in spans], segment_size)
     for lo, hi in spans:
         rec = _BlockRecorder(cps[bisect_left(cps, lo) : bisect_right(cps, hi)], lo)
         if lo == 1:
@@ -101,23 +98,18 @@ def _receive(pipe: BinaryIO) -> list[float]:
     return np.frombuffer(body).tolist()
 
 
-def checkpoint_sums(f: MultiplicativeFunction, limit: int, cps: list[int], base: PrimeTable,
-                    segment_size: int) -> list[complex]:
-    """S_f(x) at each checkpoint x of ``cps``, the last being ``limit``.
+def checkpoint_sums(base: KernelBase, cps: list[int], segment_size: int) -> list[complex]:
+    """S_f(x) of the rule f of ``base`` at each checkpoint x of ``cps``, the
+    last being base.limit.
 
     W is the least of the stripe count, the CPUs this process may use and
     WORKER_CAP; worker w takes every W-th stripe from the w-th, pinned to the
-    w-th CPU.  It inherits the memoized f(p^j) and int8 steps of every base
-    prime, filled here before forking.  Every worker is reaped before this
-    returns, and killed first on an error or interrupt.  A worker's
-    MFLabError is raised here as its own class, any other failure or death
-    as a CapacityError.
+    w-th CPU, and reads the ``base`` it inherits.  Every worker is reaped
+    before this returns, and killed first on an error or interrupt.  A
+    worker's MFLabError is raised here as its own class, any other failure
+    or death as a CapacityError.
     """
-    g = _untwist(f)[0]
-    for p in base.primes.tolist():
-        for j in range(1, int(log(limit, p)) + 1):
-            _int8_steps(g, p, j)  # and f(p), ..., f(p^j) on the way
-    spans = stripes(limit, segment_size)
+    spans = stripes(base.limit, segment_size)
     cpus = sorted(os.sched_getaffinity(0))[: min(len(spans), WORKER_CAP)]
     summer, pids, pipes = StreamSummer(cps), [], []
     try:
@@ -125,7 +117,7 @@ def checkpoint_sums(f: MultiplicativeFunction, limit: int, cps: list[int], base:
             r, fd = os.pipe()
             pipes.append(open(r, "rb"))
             if not (pid := os.fork()):
-                _work(cpu, fd, stripe_blocks(f, spans[w :: len(cpus)], cps, base, segment_size))
+                _work(cpu, fd, stripe_blocks(base, spans[w :: len(cpus)], cps, segment_size))
             os.close(fd)
             pids.append(pid)
         for k in range(len(spans)):

@@ -24,7 +24,8 @@ from mflab.dirichlet import (
 )
 from mflab.extremal import reference_spec, extremal_function, theta_values, verify
 from mflab.halasz import lemma_defect, lemma_ratio, pole_sum, theorem2_ratio
-from mflab.multfun import builtin, completely_multiplicative, segment_values, summatory_trace
+from mflab.multfun import (builtin, completely_multiplicative, kernel_base, segment_values,
+                           summatory_trace)
 from mflab.primes import sieve_primes
 
 from _oracles import F_partial_summation, factorization_table
@@ -67,7 +68,7 @@ def test_criterion_01_oracle_equivalence():
                     table[pk] = w
                 v *= w
             oracle[n - 1] = v
-        sieved = segment_values(f, 1, N, BASE5)
+        sieved = segment_values(f, 1, N, kernel_base(f, N))
         assert float(np.max(np.abs(sieved - oracle))) <= 1e-12, f.label
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -171,7 +172,7 @@ def test_criterion_07_theta_chain():
     # library's own alignment terms g = 1 + w, w = e0 f(p) p^{-it0} = -|w| e^{i theta}
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260810)
-    ps = BASE5.primes[:1000]
+    ps = BASE5[:1000]
     radii = np.sqrt(rng.uniform(0.0, 1.0, ps.size))  # uniform over the unit disk
     fp = radii * np.exp(1j * rng.uniform(-math.pi, math.pi, ps.size))
     f = completely_multiplicative("disk", lambda q: fp[np.searchsorted(ps, q)])
@@ -195,7 +196,7 @@ def test_criterion_08_extremal_mechanics():
 
     # (a) block-1 selection window: exactly the primes in [41, 317]
     # (10^4 < x_2, so any nonzero theta below 10^4 belongs to block 1)
-    ps4 = BASE5.primes[BASE5.primes <= 10**4]
+    ps4 = BASE5[BASE5 <= 10**4]
     selected = [int(p) for p, th in zip(ps4, theta_values(spec, ps4)) if th > 0]
     oracle = [int(p) for p in ps4
               if spec.blocks[0].log_x <= math.log(p) < spec.blocks[0].log_upper
@@ -216,8 +217,8 @@ def test_criterion_08_extremal_mechanics():
     # condition holds by construction at (epsilon0, t0) = (+1, 0)
     f = extremal_function(spec)
     psum = pole_sum(f, EPLUS, 10**5)
-    th = theta_values(spec, BASE5.primes)
-    half_sq = float(np.sum(th * th / (2.0 * BASE5.primes.astype(np.float64))))
+    th = theta_values(spec, BASE5)
+    half_sq = float(np.sum(th * th / (2.0 * BASE5.astype(np.float64))))
     assert psum.final() <= half_sq + 1e-12
 
     elapsed = time.perf_counter() - t0

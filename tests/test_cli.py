@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mflab import dirichlet, extremal, halasz, multfun, primes
-from mflab.cli import build_parser, main
+from mflab.cli import SIGMA_GRID_CEILING, build_parser, main
 from mflab.errors import FunctionSpecError
 
 from _oracles import brute_summatory
@@ -531,14 +531,14 @@ def test_sigma_grid_above_ceiling_is_refused_before_sieving(tmp_path, capsys, mo
 
     monkeypatch.setattr(primes, "_segments", no_sieving)
     out = tmp_path / "x.csv"
-    sigma = f"1.1:1.5:{multfun.GRID_STEP_CEILING + 1}"
+    sigma = f"1.1:1.5:{SIGMA_GRID_CEILING + 1}"
     for argv in (["eval-f", "--function", "moebius"],
                  ["lemma", "--function", "liouville", "--epsilon", "1"],
                  ["thm1", "--function", "moebius", "--epsilon", "1"]):
         assert main([*argv, "--sigma", sigma, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:capacity:") and err.count("\n") == 1, err
-        assert str(multfun.GRID_STEP_CEILING) in err
+        assert str(SIGMA_GRID_CEILING) in err
     assert not out.exists()
 
 

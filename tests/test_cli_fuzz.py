@@ -36,7 +36,7 @@ FUNCTION = (pick("one", "moebius", "liouville", "odd_one", "extremal-ref", "twis
                  "twist:-3:liouville", "extremal:spec.json"),
             pick("twist:nan:one", "twist:x:one", "twist:1", "bogus", "extremal:missing.json",
                  "extremal:bad.json"))
-# GRID_STEP_CEILING + 1 = 100001 points, like --kmax 100001, is refused before any sieving
+# 100001 points (above SIGMA_GRID_CEILING), like --kmax 100001, is refused before any sieving
 SIGMA = (st.builds(lambda a, b, n, spacing: f"{min(a, b)}:{max(a, b)}:{n}{spacing}",
                    pick(1.0000001, 1.001, 1.3, 1.5), pick(1.0000001, 1.001, 1.3, 1.5),
                    st.integers(1, 4), pick("", ":linear", ":geometric")),

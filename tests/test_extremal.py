@@ -180,7 +180,7 @@ def test_theta_values_examples():
 
 def test_theta_window_exact_set():
     spec = reference_spec()
-    ps = BASE.primes[BASE.primes <= 10**4]
+    ps = BASE[BASE <= 10**4]
     selected = [int(p) for p in ps[theta_values(spec, ps) > 0]]
     oracle = [
         int(p) for p in ps
@@ -194,7 +194,7 @@ def test_theta_window_exact_set():
 def test_theta_window_random_primes():
     spec = reference_spec()
     rng = np.random.default_rng(11)
-    ps = rng.choice(BASE.primes, size=1000, replace=False)
+    ps = rng.choice(BASE, size=1000, replace=False)
     th = theta_values(spec, ps)
     for p, t in zip(ps, th):
         p = int(p)
@@ -216,7 +216,7 @@ def test_extremal_function_class_and_values():
 def test_prime_values_are_minus_exp_i_theta_bit_for_bit():
     # f(p) is built in place from theta_p; its bits are those of -exp(1j theta)
     spec = reference_spec()
-    ps = BASE.primes
+    ps = BASE
     got = extremal_function(spec).prime_values(ps)
     want = -np.exp(1j * theta_values(spec, ps))
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -224,7 +224,7 @@ def test_prime_values_are_minus_exp_i_theta_bit_for_bit():
 
 def test_theta_values_take_the_callers_log_p():
     spec = reference_spec()
-    ps = BASE.primes
+    ps = BASE
     lp = np.log(ps.astype(np.float64))
     assert np.array_equal(theta_values(spec, ps, lp), theta_values(spec, ps))
     assert not theta_values(spec, ps, np.zeros(ps.size)).any()  # lp is used as given
@@ -233,7 +233,7 @@ def test_theta_values_take_the_callers_log_p():
 def test_taylor_remainder():
     spec = reference_spec()
     f = extremal_function(spec)
-    ps = BASE.primes
+    ps = BASE
     for p, th in zip(ps.tolist(), theta_values(spec, ps).tolist()):
         if th == 0.0:
             continue
@@ -244,8 +244,8 @@ def test_pole_sum_cosine_bound():
     spec = reference_spec()
     f = extremal_function(spec)
     ps = pole_sum(f, HalaszDirection(1, 0.0), 10**5)
-    th = theta_values(spec, BASE.primes)
-    bound = float(np.sum(th**2 / (2.0 * BASE.primes.astype(float))))
+    th = theta_values(spec, BASE)
+    bound = float(np.sum(th**2 / (2.0 * BASE.astype(float))))
     assert ps.final() <= bound + 1e-12
 
 
@@ -311,7 +311,7 @@ def test_window_gathered_over_many_chunks_is_the_table_sum():
     spec = build_spec("power:0.25", x1=60.0, J=2)
     b = spec.blocks[0]
     _, (rep,) = verify(spec, 2 * 10**7, [1])
-    ps = sieve_primes(int(math.exp(b.log_upper))).primes
+    ps = sieve_primes(int(math.exp(b.log_upper)))
     lp = np.log(ps.astype(np.float64))
     sel = (lp >= b.log_x) & (lp < b.log_upper) & (-np.sin(lp) >= 0.5)
     lps = lp[sel]

@@ -61,7 +61,7 @@ def test_pole_sum_partials_monotone():
 def test_pole_sum_sums_terms_within_the_class_M_tolerance_unclamped():
     # criterion's arithmetic: a term in (-1e-12, 0) is summed as it is, not as 0
     f = MultiplicativeFunction("edge", lambda ps, k: np.full(ps.shape, -(1.0 + 1e-13)))
-    ps = BASE.primes[BASE.primes <= 100]
+    ps = BASE[BASE <= 100]
     got = pole_sum(f, EPLUS, 100).final()
     assert got == pytest.approx(-1e-13 * np.sum(1.0 / ps), rel=1e-3, abs=0)
 
@@ -79,7 +79,7 @@ def test_pole_sum_rejects_out_of_class():
 def test_finiteness_transfer():
     # bounded alignment sum forces a bounded theta-square sum (factor 2 pi)
     rng = np.random.default_rng(3)
-    thetas = {int(p): float(th) for p, th in zip(BASE.primes, rng.normal(0, 0.2, BASE.primes.size))}
+    thetas = {int(p): float(th) for p, th in zip(BASE, rng.normal(0, 0.2, BASE.size))}
 
     f = completely_multiplicative(
         "perturbed", lambda ps: -np.exp(1j * np.array([thetas.get(int(p), 0.0) for p in ps])),
@@ -88,7 +88,7 @@ def test_finiteness_transfer():
     B = pole_sum(f, EPLUS, P).final()
     theta_sq = sum(
         abs(f.prime_power(int(p), 1)) * thetas.get(int(p), 0.0) ** 2 / int(p)
-        for p in BASE.primes[BASE.primes <= P])
+        for p in BASE[BASE <= P])
     assert theta_sq <= 2 * math.pi * B
 
 
@@ -109,7 +109,7 @@ def test_lemma_defect_oracle_value():
     sg = 1.01
     (r,) = lemma_defect(lam, EPLUS, [sg], PLAN.prime_cutoff)
     oracle = 0.0
-    for p in BASE.primes[:2000]:
+    for p in BASE[:2000]:
         p = float(p)
         for k in range(2, 60):
             term = p ** (-k * sg) / k

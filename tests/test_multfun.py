@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mflab import workers
+from mflab import extremal, workers
 from mflab.errors import CapacityError, CoverageError, FunctionSpecError
 from mflab.multfun import (
     MultiplicativeFunction,
     StreamSummer,
     builtin,
     completely_multiplicative,
+    kernel_base,
     parse_function_spec,
     resolve_checkpoints,
     segment_values,
@@ -30,8 +31,12 @@ from mflab.workers import stripe_blocks, stripes
 from _oracles import (Mertens, brute_summatory, class_m_violations, prime_powers,
                       trial_factorize, trial_value)
 
-BASE = sieve_primes(1000)
 PRIMES6 = sieve_primes(10**6)
+
+
+def values(f, lo, hi):
+    """segment_values of ``f`` over [lo, hi], from a kernel base to hi."""
+    return segment_values(f, lo, hi, kernel_base(f, hi))
 
 
 def test_builtin_rules():
@@ -52,19 +57,21 @@ def test_builtin_rules():
 def test_value_at_examples():
     # f(n) from the segment kernel, the one route to single values
     mu, lam, odd = builtin("moebius"), builtin("liouville"), builtin("odd_one")
-    assert segment_values(mu, 12, 12, BASE)[0] == 0
-    assert segment_values(lam, 12, 12, BASE)[0] == -1  # Omega(12) = 3
-    assert segment_values(odd, 10, 10, BASE)[0] == 0
-    assert segment_values(mu, 1, 1, BASE)[0] == 1
+    assert values(mu, 12, 12)[0] == 0
+    assert values(lam, 12, 12)[0] == -1  # Omega(12) = 3
+    assert values(odd, 10, 10)[0] == 0
+    assert values(mu, 1, 1)[0] == 1
     with pytest.raises(CoverageError):
-        segment_values(mu, 1001**2, 1001**2, BASE)  # needs base primes to 1001
+        segment_values(mu, 1001**2, 1001**2, kernel_base(mu, 1000**2))  # needs n <= 10^6
+    with pytest.raises(CoverageError):
+        segment_values(lam, 12, 12, kernel_base(mu, 12))  # the base of another rule
 
 
 @pytest.mark.parametrize(
     "name", ["one", "moebius", "liouville", "odd_one", "twist"])
 def test_sieve_vs_trial_division(name):
     f = builtin(name, params=[0.7] if name == "twist" else ())
-    vals = segment_values(f, 1, 3000, BASE)
+    vals = values(f, 1, 3000)
     for n in range(1, 3001):
         assert abs(vals[n - 1] - trial_value(f, n)) <= 1e-12
 
@@ -199,7 +206,7 @@ def test_completely_multiplicative_first_power_has_the_bits_of_np_power(spec):
         fp = _signed_zeros
     else:
         fp = partial(parse_function_spec(spec).powers, k=1)
-    ps = PRIMES6.primes
+    ps = PRIMES6
     got = completely_multiplicative(spec, fp).powers(ps, 1)
     want = np.power(fp(ps), 1)
     assert got.dtype == want.dtype
@@ -238,10 +245,31 @@ def test_segment_values_independent_of_segment_end():
     # prime of [n, 88651^2]; both paths read the same rule
     f = builtin("extremal-ref")
     n = 88651 * 88647
-    base = sieve_primes(88651)
+    base = kernel_base(f, 88651**2)
     alone = segment_values(f, n, n, base)
     wide = segment_values(f, n, 88651**2, base)
     assert alone.view(np.uint64).tolist() == wide[:1].view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("spec", ["one", "moebius", "liouville", "odd_one", "extremal-ref",
+                                  "loglog-fraction"])
+def test_kernel_base_gives_each_prime_the_bits_of_a_call_on_that_prime_alone(spec):
+    # one powers call per j on all the base primes that have p^j <= limit
+    if spec == "loglog-fraction":
+        f = extremal.extremal_function(extremal.build_spec("loglog-fraction:0.3", 20.0, 2))
+    else:
+        f = builtin(spec)
+    bits = {}  # (p, j) -> (dtype, bytes) of f(p^j) from a call on p alone
+    for limit in (2**34, 10**8):
+        rows = kernel_base(f, limit).rows
+        assert [p for p, _, _ in rows] == sieve_primes(isqrt(limit)).tolist()
+        for p, fs, _ in rows:
+            assert p ** len(fs) <= limit < p ** (len(fs) + 1), p
+            for j, v in enumerate(fs, 1):
+                if (p, j) not in bits:
+                    w = np.asarray(f.powers(np.array([p]), j))[0]
+                    bits[p, j] = w.dtype, w.tobytes()
+                assert (v.dtype, v.tobytes()) == bits[p, j], (p, j)
 
 
 @pytest.mark.parametrize("spec", [
@@ -251,7 +279,7 @@ def test_prime_power_matches_prime_values(spec):
     # one-prime reads (base primes) equal array reads (leftover
     # primes, prime sums) bit for bit, including p = 88651, 125683, 285343
     f = parse_function_spec(spec)
-    ps = PRIMES6.primes
+    ps = PRIMES6
     one = np.array([f.prime_power(p, 1) for p in ps.tolist()])
     assert np.array_equal(one.view(np.uint64), f.prime_values(ps).view(np.uint64))
 
@@ -269,7 +297,7 @@ def test_segment_values_against_trial_division(spec, tol):
     f = parse_function_spec(spec)
     for lo in KERNEL_WINDOWS:
         hi = lo + 40
-        vals = segment_values(f, lo, hi, sieve_primes(isqrt(hi)))
+        vals = values(f, lo, hi)
         for n, facs in zip(range(lo, hi + 1), _window_factors(lo, hi)):
             want = 1.0 + 0.0j  # trial_value's product, each window factored once
             for p, k in facs:
@@ -297,8 +325,7 @@ def test_real_rules_give_float_values_equal_to_zero_twist(name):
     f, ref = parse_function_spec(name), _complex_copy(name)
     for lo in KERNEL_WINDOWS:
         hi = lo + 40
-        base = sieve_primes(isqrt(hi))
-        vals, want = segment_values(f, lo, hi, base), segment_values(ref, lo, hi, base)
+        vals, want = values(f, lo, hi), values(ref, lo, hi)
         # every value of a real builtin is -1, 0 or 1: the exact int8 rung
         assert vals.dtype == np.int8 and want.dtype == np.complex128
         # equal as numbers; a zero may carry the other sign
@@ -335,19 +362,26 @@ COMPLEX_TWIN = completely_multiplicative("twin", _always_complex)
 
 
 def test_kernel_switches_to_complex_at_the_first_complex_value():
-    # the first complex value arrives as a leftover prime (2..3000), as a
-    # scalar base prime (1009 with no 1009^2 in range) or as a gathered
-    # table (1009^2 in range); below 1000 there is none, and every value
-    # there is -1, 0 or 1
-    assert segment_values(MIXED, 2, 999, BASE).dtype == np.int8
+    # the first complex value arrives as a leftover prime (2..3000) or with
+    # a kernel base that holds 1009 (one powers call then gives every base
+    # prime a complex f(p)), with 1009^2 in range or not; below 1000 there
+    # is none, and every value there is -1, 0 or 1
+    assert values(MIXED, 2, 999).dtype == np.int8
     for lo, hi in [(2, 3000), (1009 * 1013 - 20, 1009 * 1013 + 20),
                    (1009**2 - 20, 1009**2 + 20)]:
-        base = sieve_primes(isqrt(hi))
-        vals = segment_values(MIXED, lo, hi, base)
+        vals = values(MIXED, lo, hi)
         assert vals.dtype == np.complex128
-        assert np.array_equal(vals, segment_values(COMPLEX_TWIN, lo, hi, base))
+        assert np.array_equal(vals, values(COMPLEX_TWIN, lo, hi))
         for n in range(lo, hi + 1, 7):
             assert abs(vals[n - lo] - trial_value(MIXED, n)) <= 1e-12
+    # complex from f(p^2) on: the segment switches at the first base prime
+    # whose square has a multiple in it
+    sq = MultiplicativeFunction(
+        "sq", lambda ps, k: np.full(ps.shape, -1.0 if k == 1 else (-1.0) ** k + 0j))
+    assert values(sq, 2, 3).dtype == np.int8
+    vals = values(sq, 1009**2 - 20, 1009**2 + 20)
+    assert vals.dtype == np.complex128
+    assert np.array_equal(vals, values(builtin("liouville"), 1009**2 - 20, 1009**2 + 20))
 
 
 @pytest.mark.parametrize("segment_size,limit", [(7, 3000), (4095, 20000), (1 << 18, 20000)])
@@ -377,7 +411,7 @@ ZERO_THEN_ONE = MultiplicativeFunction(
 def test_int8_rung_widens_to_float64_at_a_step_it_cannot_take(f, int8_windows, float_windows):
     for windows, dtype in ((int8_windows, np.int8), (float_windows, np.float64)):
         for lo, hi in windows:
-            vals = segment_values(f, lo, hi, sieve_primes(max(2, isqrt(hi))))
+            vals = values(f, lo, hi)
             assert vals.dtype == dtype, (lo, hi)
             for n in range(lo, hi + 1):
                 assert vals[n - lo] == trial_value(f, n), n  # products of 0.5 and 1 are exact
@@ -386,7 +420,7 @@ def test_int8_rung_widens_to_float64_at_a_step_it_cannot_take(f, int8_windows, f
 @pytest.mark.parametrize("segment_size,limit", [
     (1, 1000), (7, 5000), (4095, 10**5), (1 << 18, 6 * 10**5)])
 def test_stream_summer_sums_int8_segments_with_the_bits_of_complex128(segment_size, limit):
-    vals = segment_values(builtin("liouville"), 1, limit, sieve_primes(isqrt(limit)))
+    vals = values(builtin("liouville"), 1, limit)
     assert vals.dtype == np.int8
     cps = resolve_checkpoints("geometric:1.2:2", limit)
     exact, wide = StreamSummer(cps), StreamSummer(cps)
@@ -427,11 +461,10 @@ def test_complex_checkpoints_do_not_depend_on_segment_size(spec, limit, x):
 def test_segment_kernel_allocates_no_temporary_of_segment_length(spec, entry_bytes):
     # what one segment worker runs over every stripe, here in process
     f, limit = parse_function_spec(spec), 2 * 10**6
-    summatory_trace(f, 10**4)  # memoize the values of the small primes
-    base, cps = sieve_primes(isqrt(limit)), resolve_checkpoints(None, limit)
+    base, cps = kernel_base(f, limit), resolve_checkpoints(None, limit)
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
-        for _ in stripe_blocks(f, stripes(limit, 1 << 18), cps, base, 1 << 18):
+        for _ in stripe_blocks(base, stripes(limit, 1 << 18), cps, 1 << 18):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -610,7 +643,7 @@ def test_mertens_published_values_to_1e9():
 def test_unit_power_has_the_bits_of_the_complex_exp():
     # the unit is built from cos and sin of the phase; every prime sum, the
     # twist rule and the extremal f(p) rely on it matching np.exp bit for bit
-    lp = np.log(sieve_primes(10**6).primes.astype(np.float64))
+    lp = np.log(PRIMES6.astype(np.float64))
     for t in (0.7, -3.3, 14.13, 1188.582, 1e4, 1e8):
         want = np.exp(-1j * t * lp)
         assert np.array_equal(unit_power(lp, t).view(np.uint64), want.view(np.uint64)), t

@@ -17,25 +17,25 @@ from _oracles import bitset_prime_count, trial_factorize
 
 
 def test_sieve_small():
-    assert sieve_primes(10).primes.tolist() == [2, 3, 5, 7]
-    assert sieve_primes(2).primes.tolist() == [2]
-    assert sieve_primes(30).primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert sieve_primes(10).tolist() == [2, 3, 5, 7]
+    assert sieve_primes(2).tolist() == [2]
+    assert sieve_primes(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_sieve_million_against_bitset_oracle():
-    table = sieve_primes(10**6)
-    assert table.primes.size == bitset_prime_count(10**6)
-    assert table.primes.size == 78498
+    ps = sieve_primes(10**6)
+    assert ps.size == bitset_prime_count(10**6)
+    assert ps.size == 78498
 
 
 def test_sieve_crosses_segment_boundaries():
     # segments hold 2^20 numbers from 3 on, so this limit spans three of
     # them; the primes next to each cut come from trial division
     limit = 2 * 2**20 + 2**19 + 7
-    table = sieve_primes(limit)
-    assert table.primes.size == bitset_prime_count(limit)
+    ps = sieve_primes(limit)
+    assert ps.size == bitset_prime_count(limit)
     for cut in (3 + 2**20, 3 + 2 * 2**20):
-        got = table.primes[(table.primes >= cut - 300) & (table.primes < cut + 300)]
+        got = ps[(ps >= cut - 300) & (ps < cut + 300)]
         want = [n for n in range(cut - 300, cut + 300) if trial_factorize(n) == [(n, 1)]]
         assert got.tolist() == want
 
@@ -52,7 +52,7 @@ def test_prime_chunks_concatenate_to_the_sieve(limit):
     assert all(c.size and c.dtype == np.int64 for c in chunks)
     joined = np.concatenate(chunks)
     assert np.all(np.diff(joined) > 0)
-    assert np.array_equal(joined, sieve_primes(limit).primes)
+    assert np.array_equal(joined, sieve_primes(limit))
     assert joined.size == bitset_prime_count(limit)
     # each chunk holds at most one block of 2^13 primes, all in one segment
     # of 2^20 numbers from 3 on
@@ -68,8 +68,7 @@ def test_prime_chunks_check_the_limit_before_sieving():
 
 
 def test_sieve_invariants():
-    t = sieve_primes(5000)
-    ps = t.primes
+    ps = sieve_primes(5000)
     assert ps[0] == 2
     assert np.all(np.diff(ps) > 0)
     for p in ps[::97]:
@@ -100,7 +99,7 @@ def test_reciprocal_sum_examples():
     # three chunks: the streamed sum has the bits of one feed of the table
     limit = 3 * 2**20
     whole = StreamSummer()
-    whole.feed(None, 1.0 / sieve_primes(limit).primes)
+    whole.feed(None, 1.0 / sieve_primes(limit))
     assert reciprocal_sum(limit) == whole.close().real
 
 
@@ -118,7 +117,7 @@ def test_mertens_estimate_matches_sieve():
 
 
 def test_partials_at_prime_cutoffs_do_not_depend_on_chunking():
-    ps = sieve_primes(10**5).primes
+    ps = sieve_primes(10**5)
     terms = np.random.default_rng(3).uniform(0.0, 1.0, ps.size) / ps
     cuts = sorted([
         1,                          # before every prime
