@@ -14,9 +14,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from dataclasses import replace
 from math import isfinite
+
+# mflab calls no BLAS routine: set before numpy loads, this starts no OpenBLAS pool
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -302,6 +306,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for t in (vars(args).get("t", 0.0), vars(args).get("t0", 0.0)):
+            multfun.check_height(t)
         return args.fn(args)
     except (MFLabError, OSError) as e:  # OSError: an output path that cannot be written
         kind = getattr(e, "kind", "usage")

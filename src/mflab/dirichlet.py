@@ -31,8 +31,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError, SingularFactorError
-from .multfun import (SUMMATORY_LIMIT_CEILING, MultiplicativeFunction, StreamSummer,
-                      _value_segments, kernel_base, unit_power)
+from .multfun import (SUMMATORY_LIMIT_CEILING, ZETA_HEIGHT_CEILING, MultiplicativeFunction,
+                      StreamSummer, _value_segments, kernel_base, unit_power)
 from .primes import prime_chunks
 
 # Bernoulli quotients B_2/2!, B_4/4!, B_6/6! for the Euler-Maclaurin tail.
@@ -50,8 +50,6 @@ _FACTOR_TAIL_TOL = 1e-14
 # StreamSummer has the same bits at any split, so this only bounds the
 # size of their temporaries.
 _BLOCK = 1 << 14
-# Largest |t| that zeta accepts; see zeta.
-ZETA_HEIGHT_CEILING = 1e8
 
 
 @dataclass(frozen=True)

@@ -400,11 +400,11 @@ def verify(
     P and the blocks are checked before any sieving.  Then one pass over
     ``prime_chunks(P)`` takes log p and theta_p once per chunk for every
     sum: the theta sum, the 1/p sums (one StreamSummer, cut at each block's
-    end), the windows' selected primes, and each point's prime sum and
-    defect (dirichlet.add_power_sums, add_defects).
+    end), each window's two sums over its selected primes, and each point's
+    prime sum and defect (dirichlet.add_power_sums, add_defects).
     """
     from .dirichlet import (ComplexPoint, TruncationPlan, add_defects, add_power_sums,
-                            prime_sum_results)
+                            inverse_power, prime_sum_results)
 
     log_P = log(check_limit(P))
     if blocks is None:
@@ -419,7 +419,8 @@ def verify(
     checked = [spec.blocks[j - 1] for j in blocks]
     pts = [ComplexPoint(1.0 + 1.0 / (b.log_x * b.log_x), 1.0) for b in checked]
     window_cuts = [int(min(exp(b.log_upper), float(P))) for b in checked]
-    picked = [([], []) for _ in checked]  # each window's selected primes and their log p
+    # per window: W_j, sum theta_p p^{-sigma}, and the selected count, first and last prime
+    wins = [[StreamSummer(), StreamSummer(), 0, 0, 0] for _ in checked]
     fext = extremal_function(spec)
     # sum_{p <= min(upper_j, P)} 1/p for each block j, at its checkpoint
     H = StreamSummer([min(float(P), exp(min(b.log_upper, log_P))) for b in spec.blocks])
@@ -432,11 +433,15 @@ def verify(
         th = theta_values(spec, ps, lp)
         obs.feed(None, th * th / psf)
         H.feed(None, 1.0 / psf, ps)
-        for b, cut, (sel_ps, sel_lp) in zip(checked, window_cuts, picked):
+        for b, cut, pt, win in zip(checked, window_cuts, pts, wins):
             lpc = lp[: int(np.searchsorted(ps, cut, side="right"))]
-            sel = (lpc >= b.log_x) & (lpc < b.log_upper) & (-np.sin(lpc) >= 0.5)
-            sel_ps.append(ps[: lpc.size][sel])
-            sel_lp.append(lpc[sel])
+            nsin = -np.sin(lpc)
+            sel = np.flatnonzero((lpc >= b.log_x) & (lpc < b.log_upper) & (nsin >= 0.5))
+            if sel.size:
+                pw = inverse_power(lpc[sel], pt.sigma)
+                win[0].feed(None, th[sel] * nsin[sel] * pw)
+                win[1].feed(None, th[sel] * pw)
+                win[2:] = [win[2] + sel.size, win[3] or int(ps[sel[0]]), int(ps[sel[-1]])]
         if pts:
             fp = _unit_values(th)
             del th
@@ -444,31 +449,12 @@ def verify(
             del fp, lp  # not alive while the next segment is sieved
             add_defects(fext, ps, pts, plan.exact_factor_cutoff, deltas)
     windows = tuple(
-        _window_report(j, b, pt.sigma, np.concatenate(sel_ps), np.concatenate(sel_lp),
-                       psr.value.real)
-        for j, b, pt, (sel_ps, sel_lp), psr in zip(
-            blocks, checked, pts, picked, prime_sum_results(pts, sums, deltas, plan)))
+        WindowReport(j, pt.sigma, count, first, last, W.close().real, 0.5 * T.close().real,
+                     psr.value.real, b.a * sqrt(log(b.log_x)))
+        for j, b, pt, (W, T, count, first, last), psr in zip(
+            blocks, checked, pts, wins, prime_sum_results(pts, sums, deltas, plan)))
     H.close()
     return _psum_report(spec, P, obs.close().real, [h.real for h in H.checkpoint_values]), windows
-
-
-def _window_report(j: int, b: ExtremalBlock, sigma: float, ps: np.ndarray, lps: np.ndarray,
-                   re_log_F: float) -> WindowReport:
-    """Block j's window check from its selected primes ``ps`` (log p in
-    ``lps``), summed with the pairwise np.sum."""
-    th = b.a / np.sqrt(np.log(lps))
-    pw = np.exp(-sigma * lps)
-    return WindowReport(
-        j=j,
-        sigma=sigma,
-        selected_count=int(ps.size),
-        selected_min=int(ps[0]) if ps.size else 0,
-        selected_max=int(ps[-1]) if ps.size else 0,
-        window_sum=float(np.sum(th * (-np.sin(lps)) * pw)),
-        half_theta_sum=0.5 * float(np.sum(th * pw)),
-        re_log_F_prime_sum=float(re_log_F),
-        target=b.a * sqrt(log(b.log_x)),
-    )
 
 
 def _psum_report(spec: ExtremalSpec, P: int, observed: float, H: list[float]) -> PsumReport:

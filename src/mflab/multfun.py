@@ -5,8 +5,8 @@ plus class flags.  Bulk evaluation over a range of n runs as a segmented
 sieve driven by base primes up to sqrt(range): strided passes per prime power
 into a float64 p-part product (exact below 2^53) and one float64 division
 per n, each step per n over sub-blocks of the segment, so traces up to 10^9
-stay feasible in memory bounded per segment.  Values take the narrowest exact
-rung of int8 (f in {-1, 0, 1}), float64 and complex128; a twist f(n) n^{-it}
+stay feasible in memory bounded per segment.  Values take one of two rungs:
+int8, exact while f is -1, 0 or 1, else complex128; a twist f(n) n^{-it}
 takes its base's rung times one unit per n.  It is the one route to f(n);
 tests check it against trial division.
 
@@ -30,7 +30,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, CoverageError, FunctionSpecError
+from .errors import CapacityError, CoverageError, DomainError, FunctionSpecError
 from .primes import sieve_primes
 
 SUMMATORY_LIMIT_CEILING = 2**34
@@ -38,6 +38,9 @@ SEGMENT_SIZE_CEILING = 2**22  # 64 MiB of complex values per segment buffer
 DEFAULT_GRID_RATIO = 2.0 ** 0.25
 DEFAULT_GRID_START = 10
 GRID_STEP_CEILING = 10**5  # geometric steps, each one checkpoint before duplicates go
+# Largest height |t| a caller may give (--t, --t0, a twist's t), and zeta's
+# (see dirichlet.zeta): the phase t log n loses a digit per decade of |t|.
+ZETA_HEIGHT_CEILING = 1e8
 _SUM_BLOCK = 4096
 _SUB_BLOCK = 1 << 13  # entries per elementwise step of segment_values
 
@@ -108,11 +111,18 @@ def unit_power(log_n: np.ndarray, t: float, out: np.ndarray | None = None) -> np
     return u
 
 
+def check_height(t: float) -> None:
+    """DomainError if |t| exceeds ZETA_HEIGHT_CEILING."""
+    if abs(t) > ZETA_HEIGHT_CEILING:
+        raise DomainError(f"height |t| = {abs(t)!r} exceeds ceiling {ZETA_HEIGHT_CEILING!r}")
+
+
 def twist(base: MultiplicativeFunction, t: float) -> MultiplicativeFunction:
     """f(p^k) = base(p^k) * p^{-ikt}; preserves |f| and all class flags."""
     t = float(t)
     if not isfinite(t):
         raise FunctionSpecError(f"twist parameter must be finite, got {t!r}")
+    check_height(_untwist(base)[1] + t)  # the height of the phases of f
 
     def powers(ps: np.ndarray, k: int) -> np.ndarray:
         return base.powers(ps, k) * unit_power(np.log(ps.astype(np.float64)), k * t)
@@ -186,16 +196,9 @@ def parse_function_spec(spec: str) -> MultiplicativeFunction:
 
 
 def _rung(v: np.ndarray | np.generic) -> type:
-    """The lowest rung, int8 -> float64 -> complex128, that holds ``v`` exactly."""
-    if v.dtype.kind == "c":
-        return np.complex128
-    return np.int8 if ((v == 0) | (abs(v) == 1)).all() else np.float64
-
-
-def _widen(vals: np.ndarray, dtype) -> np.ndarray:
-    """``vals``, copied up the ladder if it cannot hold ``dtype``."""
-    wide = np.promote_types(vals.dtype, dtype)
-    return vals if wide == vals.dtype else vals.astype(wide)
+    """int8 if it holds ``v`` exactly (every value -1, 0 or 1), else complex128."""
+    exact = v.dtype.kind != "c" and ((v == 0) | (abs(v) == 1)).all()
+    return np.int8 if exact else np.complex128
 
 
 def _untwist(f: MultiplicativeFunction) -> tuple[MultiplicativeFunction, float]:
@@ -246,15 +249,15 @@ def segment_values(
     that n may have left is n / prod, an exact float64 division (both are
     integers below 2^53), and multiplies in through its indices.
 
-    Values climb the rungs int8 -> float64 -> complex128.  In int8 (every
-    f(p^k) read is -1, 0 or 1) each p^j takes the step from f(p^{j-1}) to
-    f(p^j): it zeroes its multiples in ``vals`` or multiplies them by -p in
-    ``prod``, whose signs reach ``vals`` after the division.  A step int8
-    cannot take (a value outside {-1, 0, 1}, or f(p^{j-1}) = 0 != f(p^j))
-    widens the segment first.  Above int8 the view of p is multiplied by
-    f(p) when no p^2 divides any n here, else by f(p^k) per multiple, in
-    ascending prime order, then by the leftover prime's value.  Every rung
-    gives the numbers of a complex128 pass, up to the sign of zeros.  A
+    Values are int8 while every f(p^k) read is -1, 0 or 1, else complex128.
+    In int8 each p^j takes the step from f(p^{j-1}) to f(p^j): it zeroes its
+    multiples in ``vals`` or multiplies them by -p in ``prod``, whose signs
+    reach ``vals`` after the division.  A step int8 cannot take (a value
+    outside {-1, 0, 1}, or f(p^{j-1}) = 0 != f(p^j)) widens the segment to
+    complex128 first.  There the view of p is multiplied by f(p) when no p^2
+    divides any n here, else by f(p^k) per multiple, in ascending prime
+    order, then by the leftover prime's value.  The int8 rung gives the
+    numbers of a complex128 pass, up to the sign of zeros.  A
     twist(base, t) runs base so, then multiplies in one unit n^{-it} =
     unit_power(log n, t) per n.
 
@@ -291,16 +294,14 @@ def segment_values(
         if steps is not None:
             continue
         fs = fs[: len(views)]
-        dtype = np.result_type(np.float64, *fs)
-        if vals.dtype != np.complex128:
-            vals = _widen(vals, dtype)
+        vals = vals.astype(np.complex128, copy=False)
         start = views[0][0]
         view = vals[start::p]
         if len(fs) == 1:
             _times(view, fs[0])
             continue
         for i in range(0, view.size, _SUB_BLOCK):  # f(p^k) of each multiple of p
-            x = np.full(min(_SUB_BLOCK, view.size - i), fs[0], dtype)
+            x = np.full(min(_SUB_BLOCK, view.size - i), fs[0], np.complex128)
             for (s, q), v in zip(views[1:], fs[1:]):  # multiples of q: every (q/p)-th slot
                 x[((s - start) // p - i) % (q // p) :: q // p] = v
             _times(view[i : i + x.size], x)
@@ -317,7 +318,7 @@ def segment_values(
             ps = rem.view(np.int64)[:big.size]  # leftover primes over spent quotients
             ps[:] = rem[big]
             fp = np.asarray(f.powers(ps, 1))
-            vals = _widen(vals, _rung(fp))
+            vals = vals.astype(np.promote_types(vals.dtype, _rung(fp)), copy=False)
             vals[a:b][big] = _times(vals[a:b][big], fp.astype(vals.dtype, copy=False))
         if twisted:
             _times(unit_power(np.log(n, out=n), t, out[a:b]), vals[a:b])

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import json
 import math
@@ -600,11 +601,46 @@ def test_one_prime_stream_per_command(argv, tmp_path, monkeypatch):
 
 
 def test_euler_route_refuses_zeta_above_height_ceiling(tmp_path, capsys):
+    # each height the user gives is at the ceiling; the route's w = s - i t0
+    # lies at 2e8, where zeta keeps its own capacity refusal
     out = tmp_path / "x.csv"
-    assert main(["eval-f", "--function", "moebius", "--sigma", "1.5:1.5:1",
-                 "--method", "euler", "--t0", "1e12", "--out", str(out)]) == 3
+    assert main(["eval-f", "--function", "moebius", "--sigma", "1.5:1.5:1", "--method",
+                 "euler", "--t", "1e8", "--t0=-1e8", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:capacity:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-f", "--function", "moebius", "--sigma", "1.5:1.5:1", "--method", "prime-sum",
+     "--t", "2e8"],
+    ["eval-f", "--function", "moebius", "--sigma", "1.5:1.5:1", "--method", "euler",
+     "--t0", "1e12"],
+    ["lemma", "--function", "liouville", "--epsilon", "1", "--sigma", "1.1:1.2:2", "--t0=-2e8"],
+    ["thm1", "--function", "moebius", "--epsilon", "1", "--sigma", "1.1:1.5:2", "--t0", "1e9"],
+    ["criterion", "--function", "moebius", "--t", "1e300"],
+    ["criterion", "--function", "twist:-1.5e8:one"],
+    ["sum", "--function", "twist:1e12:moebius", "--limit", "20000"],
+    ["sum", "--function", "twist:1:twist:1e8:moebius", "--limit", "20000"],
+])
+def test_a_height_above_the_ceiling_is_refused_before_sieving(argv, tmp_path, capsys,
+                                                              monkeypatch):
+    # --t, --t0 and a twist's t (nested twists add up) share zeta's ceiling:
+    # past it the phase t log n keeps too few correct digits
+    def no_sieving(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(primes, "_segments", no_sieving)
+    out = tmp_path / "x.out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:domain:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_a_height_at_the_ceiling_runs(tmp_path):
+    out = tmp_path / "c.txt"
+    assert main(["criterion", "--function", "twist:1e8:moebius", "--t=-1e8",
+                 "--prime-cutoff", "1000", "--out", str(out)]) == 0
 
 
 def test_provenance_names_every_flag(tmp_path):
@@ -663,6 +699,44 @@ def _modules_loaded_after_each(commands, cwd):
     """The mflab submodules loaded after each command of one fresh process."""
     out = _fresh_python(["-c", _LOADED_AFTER_EACH, json.dumps(commands)], cwd)
     return [set(m) for m in json.loads(out)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts Linux threads")
+@pytest.mark.parametrize("preset", [None, "4"])
+def test_importing_the_cli_starts_no_blas_thread_pool(preset, tmp_path, monkeypatch):
+    # numpy's OpenBLAS starts a thread pool as it loads, whatever a user set,
+    # unless mflab.cli sets one thread first; mflab calls no BLAS routine
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    code = "import os, mflab.cli; print(len(os.listdir('/proc/self/task')))"
+    assert _fresh_python(["-c", code], tmp_path).strip() == "1"
+
+
+BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "outer", "tensordot", "einsum", "linalg"}
+
+
+def _blas_uses(source):
+    """Line numbers of the numpy BLAS calls in ``source``: the names in
+    BLAS_NAMES as attribute, name or import, and the @ operator."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = (node.attr if isinstance(node, ast.Attribute) else
+                 node.id if isinstance(node, ast.Name) else
+                 node.name if isinstance(node, ast.alias) else "").split(".")
+        if BLAS_NAMES.intersection(names) or isinstance(getattr(node, "op", None), ast.MatMult):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_source_file_calls_a_blas_routine():
+    # the premise of the one OpenBLAS thread that mflab.cli sets
+    bad = "import numpy.linalg\nfrom numpy import dot\na @ b\na @= b\nnp.einsum('i', a)\nx.outer(y)\n"
+    assert _blas_uses(bad) == [1, 2, 3, 4, 5, 6]
+    src = Path(multfun.__file__).parent
+    found = {p.name: _blas_uses(p.read_text()) for p in sorted(src.glob("*.py"))}
+    assert len(found) >= 9 and not any(found.values()), found
 
 
 def test_importing_the_cli_and_extremal_does_not_load_openssl(tmp_path):

@@ -42,7 +42,7 @@ SIGMA = (st.builds(lambda a, b, n, spacing: f"{min(a, b)}:{max(a, b)}:{n}{spacin
                    st.integers(1, 4), pick("", ":linear", ":geometric")),
          pick("1", "0.5:1.5:3", "nan:1.5:2", "1.5:inf:2", "1.5:1.2:2", "1.1:1.2:0",
               "1.1:1.2:2:log", "1.5", "", "a:b:c", "1.1:1.5:100001"))
-# heights past ZETA_HEIGHT_CEILING = 1e8 reach its check only
+# heights past ZETA_HEIGHT_CEILING = 1e8 are refused before any sieving
 HEIGHT = (pick(None, "0", "0.7", "-14.13", "3", "1188.582"), pick("nan", "inf", "x", "1e9", "-2e8"))
 EPSILON = (pick("1", "-1"), pick("0", "2", "x"))
 CUTOFF = (ints(2, 10_000), st.one_of(ints(-2, 1), pick("x", "1e3")))

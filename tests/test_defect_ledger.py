@@ -70,9 +70,9 @@ def test_prime_sum_at_height_1e8_lies_within_err():
     assert abs(d) <= r.error_bound
 
 
-@defect(2, "no height ceiling outside zeta: criterion prints meaningless phases")
 def test_criterion_refuses_a_height_whose_phases_are_noise(tmp_path, capsys):
-    """``criterion --function moebius --t 1e300`` exits 0 with partial sums."""
+    """``criterion --function moebius --t 1e300`` exited 0 with partial sums
+    before every height a user gives shared zeta's ceiling (item 2)."""
     out = tmp_path / "c.txt"
     code = main(["criterion", "--function", "moebius", "--t", "1e300",
                  "--prime-cutoff", "1000", "--out", str(out)])
@@ -93,11 +93,11 @@ def moebius_upto(x: int) -> np.ndarray:
     return mu
 
 
-@defect(10, "sum prints S with no err")
 def test_sum_of_a_high_twist_is_refused_or_within_its_err(tmp_path):
-    """``sum --function twist:1e12:moebius --limit 20000`` prints S = -85.575
+    """``sum --function twist:1e12:moebius --limit 20000`` printed S = -85.575
     - 24.543i at x = 20000, where mpmath at 40 digits gives -85.534 - 24.483i.
-    A refusal at a height ceiling (exit 2) would be honest too."""
+    It is refused at the height ceiling now (exit 2); once sum prints an err
+    (item 10), a run below the ceiling must lie within it."""
     out = tmp_path / "s.csv"
     code = main(["sum", "--function", "twist:1e12:moebius", "--limit", "20000",
                  "--out", str(out)])
@@ -114,6 +114,23 @@ def test_sum_of_a_high_twist_is_refused_or_within_its_err(tmp_path):
                                for n in np.flatnonzero(mu).tolist()))
     got = complex(float(row["re_S"]), float(row["im_S"]))
     assert abs(got - want) <= float(row["err"])
+
+
+@defect(6, "eval-f --method prime-sum prints exp(log F) beside the bound on log F")
+def test_prime_sum_err_bounds_the_printed_F(tmp_path):
+    """``eval-f --function one --method prime-sum --sigma 1.2:1.2:1
+    --prime-cutoff 100 --exact-cutoff 100`` prints F = 4.366 with err 1.995,
+    which bounds log F; the bound EvalResult.exp() gives for F is
+    |F| expm1(1.995) = 27.7."""
+    out = tmp_path / "e.csv"
+    assert main(["eval-f", "--function", "one", "--method", "prime-sum", "--sigma", "1.2:1.2:1",
+                 "--prime-cutoff", "100", "--exact-cutoff", "100", "--out", str(out)]) == 0
+    header, (row,) = read_rows(out)
+    row = dict(zip(header, row))
+    (r,) = log_F_prime_sum(builtin("one"), [ComplexPoint(1.2)], TruncationPlan(100, 100))
+    F = r.exp()
+    assert complex(float(row["re"]), float(row["im"])) == F.value
+    assert float(row["err"]) == F.error_bound
 
 
 @defect(9, "thm1 writes the ratio nan when |F| <= err")

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mflab import primes
 from mflab.errors import CapacityError, CoverageError, DomainError, FunctionSpecError
 from mflab.extremal import (
     ExtremalBlock,
@@ -22,7 +24,7 @@ from mflab.extremal import (
     verify,
 )
 from mflab.halasz import HalaszDirection, pole_sum
-from mflab.multfun import parse_function_spec
+from mflab.multfun import StreamSummer, parse_function_spec
 from mflab.primes import sieve_primes
 
 from _oracles import class_m_violations
@@ -303,26 +305,46 @@ def test_verify_logF_lower_zero_amplitude():
     assert rep.window_sum == 0.0 and rep.half_theta_sum == 0.0
 
 
-def test_window_gathered_over_many_chunks_is_the_table_sum():
+def test_window_gathered_over_many_chunks_is_the_table_sum(monkeypatch):
     # x1 = 60: block 1 ends at e^16.76 ~ 1.9e7, and its window from e^16.23
-    # on spans several sieve segments; the window sums over the primes
-    # gathered from the stream have the bits of the same pairwise sums over
-    # a table of the primes <= upper_1
+    # on spans several sieve segments; the window sums streamed chunk by
+    # chunk have the bits of one StreamSummer fed the terms of a table of the
+    # primes <= upper_1, at the default chunk size and at another one
     spec = build_spec("power:0.25", x1=60.0, J=2)
     b = spec.blocks[0]
-    _, (rep,) = verify(spec, 2 * 10**7, [1])
     ps = sieve_primes(int(math.exp(b.log_upper)))
     lp = np.log(ps.astype(np.float64))
     sel = (lp >= b.log_x) & (lp < b.log_upper) & (-np.sin(lp) >= 0.5)
-    lps = lp[sel]
-    th = b.a / np.sqrt(np.log(lps))
-    pw = np.exp(-rep.sigma * lps)
-    assert rep.selected_count == int(sel.sum())
     late = ps[sel][ps[sel] > 10**7]  # the window from e^16.23
     assert late[-1] - late[0] > 4 * 2**20  # longer than four sieve segments
-    assert (rep.selected_min, rep.selected_max) == (int(ps[sel][0]), int(ps[sel][-1]))
-    assert rep.window_sum == float(np.sum(th * (-np.sin(lps)) * pw))
-    assert rep.half_theta_sum == 0.5 * float(np.sum(th * pw))
+    lps = lp[sel]
+    th = b.a / np.sqrt(np.log(lps))
+    for chunk in (primes._BLOCK, 1000):
+        monkeypatch.setattr(primes, "_BLOCK", chunk)
+        _, (rep,) = verify(spec, 2 * 10**7, [1])
+        pw = np.exp(-rep.sigma * lps)
+        W, T = StreamSummer(), StreamSummer()
+        W.feed(None, th * (-np.sin(lps)) * pw)
+        T.feed(None, th * pw)
+        assert rep.selected_count == int(sel.sum())
+        assert (rep.selected_min, rep.selected_max) == (int(ps[sel][0]), int(ps[sel][-1]))
+        assert rep.window_sum == W.close().real
+        assert rep.half_theta_sum == 0.5 * T.close().real
+
+
+def test_verify_holds_no_list_of_primes():
+    # 489,436 primes are selected in block 1's window; the pass holds one
+    # chunk of them at a time, not a list of all of them (about 26 MiB)
+    spec = build_spec("power:0.25", x1=60.0, J=2)
+    verify(spec, 10**4)  # loads what the first call imports
+    tracemalloc.start()
+    try:
+        _, (rep,) = verify(spec, 2 * 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.selected_count == 489_436
+    assert peak < 4 * 2**20, peak
 
 
 # --- serialization -------------------------------------------------------------

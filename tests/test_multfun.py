@@ -386,7 +386,7 @@ def test_kernel_switches_to_complex_at_the_first_complex_value():
 
 @pytest.mark.parametrize("segment_size,limit", [(7, 3000), (4095, 20000), (1 << 18, 20000)])
 def test_summatory_trace_never_drops_an_imaginary_part(segment_size, limit):
-    # segments below 1000 run in float64; the buffer must turn complex128
+    # segments below 1000 run in int8; the buffer must turn complex128
     # at the first leftover prime above 1000 and stay so
     got = summatory_trace(MIXED, limit, segment_size=segment_size).values
     want = summatory_trace(COMPLEX_TWIN, limit, segment_size=segment_size).values
@@ -395,7 +395,8 @@ def test_summatory_trace_never_drops_an_imaginary_part(segment_size, limit):
 
 
 # exact (-1)^k below 1000 and 0.5 beyond; f(3) = 0 but f(9) = 1, so int8
-# cannot step from f(3) to f(9) and widens inside one prime
+# cannot step from f(3) to f(9) and widens inside one prime.  A real value
+# outside {-1, 0, 1} takes the complex128 rung: there is no float64 one.
 HALF_BEYOND_1000 = MultiplicativeFunction(
     "half", lambda ps, k: np.where(ps < 1000, (-1.0) ** k, 0.5))
 ZERO_THEN_ONE = MultiplicativeFunction(
@@ -409,7 +410,7 @@ ZERO_THEN_ONE = MultiplicativeFunction(
     (ZERO_THEN_ONE, [(10, 12), (3**5 + 1, 3**5 + 8)], [(1, 3000), (3**10 - 20, 3**10 + 20)]),
 ])
 def test_int8_rung_widens_to_float64_at_a_step_it_cannot_take(f, int8_windows, float_windows):
-    for windows, dtype in ((int8_windows, np.int8), (float_windows, np.float64)):
+    for windows, dtype in ((int8_windows, np.int8), (float_windows, np.complex128)):
         for lo, hi in windows:
             vals = values(f, lo, hi)
             assert vals.dtype == dtype, (lo, hi)
