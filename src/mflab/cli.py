@@ -6,7 +6,8 @@ error, 3 capacity/coverage/singular error.  All errors print one line to
 stderr with the machine-parsable prefix ``error:<kind>:``.
 
 Each handler imports the modules it runs, so a process loads only what its
-subcommand needs: ``sum`` never imports dirichlet, halasz or extremal.
+subcommand needs: ``sum`` never imports dirichlet, halasz or extremal, and
+``extremal-build`` never imports numpy.
 """
 
 from __future__ import annotations
@@ -22,11 +23,7 @@ from math import isfinite
 # mflab calls no BLAS routine: set before numpy loads, this starts no OpenBLAS pool
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
-
-from . import multfun
 from .errors import CapacityError, FunctionSpecError, MFLabError
-from .primes import check_limit
 
 _USAGE_EXIT = 2
 _RESOURCE_EXIT = 3
@@ -116,6 +113,8 @@ def _fmt(v: float) -> str:
 
 
 def _cmd_sum(args) -> int:
+    from . import multfun
+
     f = multfun.parse_function_spec(args.function)
     trace = multfun.summatory_trace(
         f, args.limit, grid=args.grid, segment_size=args.segment_size)
@@ -127,13 +126,14 @@ def _cmd_sum(args) -> int:
 
 def _plan(args):
     from .dirichlet import TruncationPlan
+    from .primes import check_limit
 
     P = check_limit(args.prime_cutoff)  # lemma's refusal, before C is capped at P
     return TruncationPlan(P, min(args.exact_cutoff, P))
 
 
 def _cmd_eval_f(args) -> int:
-    from . import dirichlet
+    from . import dirichlet, multfun
 
     f = multfun.parse_function_spec(args.function)
     grid = _sigma_grid(args.sigma)
@@ -144,6 +144,7 @@ def _cmd_eval_f(args) -> int:
         results = dirichlet.F_euler(
             f, pts, _plan(args), dirichlet.HalaszDirection(args.epsilon, args.t0))
     else:  # prime-sum: exp(log F), but err bounds log F mod 2 pi i, as perfbench's audit reads
+        import numpy as np  # np.exp's bits, which cmath.exp does not promise
         results = [replace(r, value=complex(np.exp(r.value)))
                    for r in dirichlet.log_F_prime_sum(f, pts, _plan(args))]
     rows = [[_fmt(sg), _fmt(args.t), _fmt(r.value.real), _fmt(r.value.imag),
@@ -154,7 +155,7 @@ def _cmd_eval_f(args) -> int:
 
 
 def _cmd_criterion(args) -> int:
-    from . import halasz
+    from . import halasz, multfun
 
     f = multfun.parse_function_spec(args.function)
     rep = halasz.criterion_report(f, args.t, args.prime_cutoff, K=args.kmax)
@@ -163,7 +164,7 @@ def _cmd_criterion(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    from . import halasz
+    from . import halasz, multfun
     from .dirichlet import ComplexPoint
 
     f = multfun.parse_function_spec(args.function)
@@ -178,7 +179,7 @@ def _cmd_lemma(args) -> int:
 
 
 def _cmd_thm1(args) -> int:
-    from . import halasz
+    from . import halasz, multfun
 
     f = multfun.parse_function_spec(args.function)
     plan = _plan(args)
@@ -192,7 +193,7 @@ def _cmd_thm1(args) -> int:
 
 
 def _cmd_thm2(args) -> int:
-    from . import halasz
+    from . import halasz, multfun
 
     if args.limit < 16:
         raise FunctionSpecError("thm2 needs --limit >= 16 (log log x must stay positive)")
@@ -306,8 +307,10 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        for t in (vars(args).get("t", 0.0), vars(args).get("t0", 0.0)):
-            multfun.check_height(t)
+        if "t" in args or "t0" in args:  # the commands with a height load multfun anyway
+            from .multfun import check_height
+            for t in (getattr(args, "t", 0.0), getattr(args, "t0", 0.0)):
+                check_height(t)
         return args.fn(args)
     except (MFLabError, OSError) as e:  # OSError: an output path that cannot be written
         kind = getattr(e, "kind", "usage")

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import json
 from _sha1 import sha1  # hashlib's own fallback; hashlib would load OpenSSL (+3.5 MB RSS)
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import exp, isfinite, log, sqrt
-from typing import Callable, Sequence
-
-import numpy as np
+from itertools import accumulate
+from math import e, exp, isfinite, isnan, log, sqrt
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import CapacityError, CoverageError, DomainError, FunctionSpecError
-from .multfun import MultiplicativeFunction, StreamSummer, completely_multiplicative, unit_power
-from .primes import check_limit, mertens_estimate, prime_chunks
+
+if TYPE_CHECKING:  # annotations only
+    import numpy as np
+    from .multfun import MultiplicativeFunction
 
 LOGLOG_16 = log(log(16.0))      # smallest admissible loglog coordinate
 LOGLOG_MAX = 40.0               # sup truncation: x_max = e^(e^40)
@@ -30,7 +32,16 @@ ALPHA_FLOOR = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# kappa regularization and alpha
+# kappa regularization and alpha, on floats with numpy's bits: no numpy loads
+
+
+def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
+    """np.interp(x, xp, fp) with its bits where fp is finite or flat: fp[0] or fp[-1] beyond
+    the ends, fp[j] at a node xp[j] or on a flat stretch, else slope * (x - xp[j]) + fp[j]."""
+    j = max(bisect_right(xp, x) - 1, 0)
+    if not xp[j] < x < xp[-1] or fp[j] == fp[j + 1]:
+        return x if isnan(x) else fp[j]
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
 
 
 @dataclass(frozen=True)
@@ -43,35 +54,35 @@ class KappaFunction:
     kappa1 is truncated; beyond the grid both extend as constants.
     """
 
-    grid: np.ndarray = field(repr=False)
-    kappa0_vals: np.ndarray = field(repr=False)
-    kappa1_vals: np.ndarray = field(repr=False)
+    grid: tuple[float, ...] = field(repr=False)
+    kappa0_vals: tuple[float, ...] = field(repr=False)
+    kappa1_vals: tuple[float, ...] = field(repr=False)
     desc: str = "custom"
 
     def kappa0(self, ll: float) -> float:
-        return self._interp(ll, self.kappa0_vals)
+        return self._at(ll, self.kappa0_vals)
 
     def kappa1(self, ll: float) -> float:
-        return self._interp(ll, self.kappa1_vals)
+        return self._at(ll, self.kappa1_vals)
 
-    def _interp(self, ll: float, vals: np.ndarray) -> float:
+    def _at(self, ll: float, vals: tuple[float, ...]) -> float:
         if ll < self.grid[0] - 1e-12:
             raise DomainError(f"loglog coordinate {ll} below domain start {self.grid[0]}")
-        if ll >= self.grid[-1]:
-            return float(vals[-1])
-        return float(np.interp(ll, self.grid, vals))
+        return _interp(ll, self.grid, vals)
 
 
 def regularize_kappa(raw: Callable[[float], float], desc: str = "custom") -> KappaFunction:
     """Running-max and sup regularizations of ``raw`` on the loglog grid."""
-    grid = np.linspace(LOGLOG_16, LOGLOG_MAX, KAPPA_GRID_POINTS)
-    vals = np.array([float(raw(v)) for v in grid])
-    if not np.all(vals > 0.0):
-        bad = float(grid[int(np.argmin(vals))])
+    step = (LOGLOG_MAX - LOGLOG_16) / (KAPPA_GRID_POINTS - 1)  # np.linspace's grid
+    grid = tuple(i * step + LOGLOG_16 for i in range(KAPPA_GRID_POINTS - 1)) + (LOGLOG_MAX,)
+    vals = [float(raw(v)) for v in grid]
+    if not all(v > 0.0 for v in vals):
+        nans = [i for i, v in enumerate(vals) if isnan(v)]  # np.argmin picks the first NaN
+        bad = grid[nans[0] if nans else vals.index(min(vals))]
         raise DomainError(f"raw kappa must be positive; fails near loglog={bad}")
-    kappa0 = np.maximum.accumulate(vals)
-    ratio = kappa0 / np.sqrt(grid)
-    kappa1 = np.sqrt(grid) * np.maximum.accumulate(ratio[::-1])[::-1]
+    kappa0 = tuple(accumulate(vals, max))
+    ratio_max = tuple(accumulate(reversed([k / sqrt(v) for k, v in zip(kappa0, grid)]), max))[::-1]
+    kappa1 = tuple(sqrt(v) * m for v, m in zip(grid, ratio_max))
     return KappaFunction(grid, kappa0, kappa1, desc)
 
 
@@ -86,20 +97,17 @@ class AlphaFunction:
 
     kappa: KappaFunction
     C0: float
-    grid: np.ndarray = field(repr=False)
-    env_vals: np.ndarray = field(repr=False)
+    grid: tuple[float, ...] = field(repr=False)
+    env_vals: tuple[float, ...] = field(repr=False)
     desc: str = "custom"
 
     def formula_at(self, ll: float) -> float:
-        v = (self.kappa.kappa1(ll) + log(ll + 1.0 / np.e) + self.C0) / sqrt(ll)
-        return max(v, ALPHA_FLOOR)
+        return max((self.kappa.kappa1(ll) + log(ll + 1.0 / e) + self.C0) / sqrt(ll), ALPHA_FLOOR)
 
     def at_loglog(self, ll: float) -> float:
         if ll < self.grid[0] - 1e-12:
             raise DomainError(f"alpha undefined below loglog={self.grid[0]}")
-        if ll >= self.grid[-1]:
-            return self.formula_at(ll)
-        return float(np.interp(ll, self.grid, self.env_vals))
+        return self.formula_at(ll) if ll >= self.grid[-1] else _interp(ll, self.grid, self.env_vals)
 
     def __call__(self, x: float) -> float:
         if x < 16.0:
@@ -110,12 +118,10 @@ class AlphaFunction:
 def alpha_from_kappa(kappa: KappaFunction, C0: float) -> AlphaFunction:
     if C0 < 0:
         raise DomainError(f"C0 must be >= 0, got {C0}")
-    grid = kappa.grid
-    raw = np.array(
-        [max((k1 + log(v + 1.0 / np.e) + C0) / sqrt(v), ALPHA_FLOOR)
-         for v, k1 in zip(grid, kappa.kappa1_vals)])
-    env = np.maximum.accumulate(raw[::-1])[::-1]
-    return AlphaFunction(kappa, float(C0), grid, env,
+    raw = [max((k1 + log(v + 1.0 / e) + C0) / sqrt(v), ALPHA_FLOOR)
+           for v, k1 in zip(kappa.grid, kappa.kappa1_vals)]
+    env = tuple(accumulate(reversed(raw), max))[::-1]
+    return AlphaFunction(kappa, float(C0), kappa.grid, env,
                          desc=f"envelope(kappa={kappa.desc}, C0={C0!r})")
 
 
@@ -203,7 +209,7 @@ def choose_blocks(
     total = 0.0
     for j in range(1, J + 1):
         lu = lx * lx
-        if not np.isfinite(lu) or lu >= 8.98e307:
+        if not isfinite(lu) or lu >= 8.98e307:
             raise CapacityError(
                 f"log-form overflow at block {j}; maximal feasible J = {j - 1}")
         a = sqrt(alpha.at_loglog(log(lu)))
@@ -237,21 +243,22 @@ def spec_json(spec: ExtremalSpec) -> str:
 
 def load_spec(path: str) -> ExtremalSpec:
     """Read a ``spec_json`` file; FunctionSpecError if it is missing or
-    malformed, or holds a non-finite number, a J other than its number of
-    blocks, an x_j < 16 (as choose_blocks requires), an a_j < 0 or a C0 < 0."""
+    malformed (J not a JSON integer, another number not a JSON number), or
+    holds a non-finite number, a J other than its number of blocks, an
+    x_j < 16 (as choose_blocks requires), an a_j < 0 or a C0 < 0."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        blocks = tuple(
-            ExtremalBlock(float(b["log_x"]), float(b["log_upper"]), float(b["a"]))
-            for b in doc["blocks"])
-        spec = ExtremalSpec(
-            x1=float(doc["x1"]), J=int(doc["J"]), C0=float(doc["C0"]),
-            blocks=blocks, kappa_desc=doc["kappa_desc"], alpha_desc=doc["alpha_desc"])
-    except (OSError, ValueError, LookupError, TypeError, AttributeError) as e:
+        numbers = [doc["x1"], doc["C0"]] + [b[k] for b in doc["blocks"] for k in ("log_x", "log_upper", "a")]
+        if type(doc["J"]) is not int or any(type(v) not in (int, float) for v in numbers):
+            raise TypeError("J must be a JSON integer, and each other number an integer or a float")
+        x1, C0, *rest = map(float, numbers)
+        blocks = tuple(ExtremalBlock(*rest[i : i + 3]) for i in range(0, len(rest), 3))
+        spec = ExtremalSpec(x1=x1, J=doc["J"], C0=C0, blocks=blocks,
+                            kappa_desc=doc["kappa_desc"], alpha_desc=doc["alpha_desc"])
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
         raise FunctionSpecError(
-            f"cannot load extremal spec {path!r}: {type(e).__name__}: {e}") from None
-    numbers = [spec.x1, spec.C0] + [v for b in blocks for v in (b.log_x, b.log_upper, b.a)]
+            f"cannot load extremal spec {path!r}: {type(exc).__name__}: {exc}") from None
     if not all(map(isfinite, numbers)):
         problem = "a number that is not finite"
     elif spec.J != len(blocks):
@@ -268,7 +275,7 @@ def load_spec(path: str) -> ExtremalSpec:
 
 
 # ---------------------------------------------------------------------------
-# the function itself
+# the function itself: from here on, each function imports the numpy it runs
 
 
 def theta_values(spec: ExtremalSpec, ps: np.ndarray, lp: np.ndarray | None = None) -> np.ndarray:
@@ -276,6 +283,7 @@ def theta_values(spec: ExtremalSpec, ps: np.ndarray, lp: np.ndarray | None = Non
     sine-selected window of block j, 0 outside all blocks (including all
     p < x_1).  ``lp`` is log p of ``ps`` as float64, when the caller has
     it already."""
+    import numpy as np
     if lp is None:
         lp = np.log(ps.astype(np.float64))
     th = np.zeros(lp.size, dtype=np.float64)
@@ -289,6 +297,7 @@ def theta_values(spec: ExtremalSpec, ps: np.ndarray, lp: np.ndarray | None = Non
 
 def extremal_function(spec: ExtremalSpec) -> MultiplicativeFunction:
     """Completely multiplicative f with f(p) = -e^{i theta_p}; class M."""
+    from .multfun import completely_multiplicative
     return completely_multiplicative(
         f"extremal:{spec.content_hash()}",
         lambda ps: _unit_values(theta_values(spec, ps)),
@@ -298,6 +307,8 @@ def extremal_function(spec: ExtremalSpec) -> MultiplicativeFunction:
 def _unit_values(th: np.ndarray) -> np.ndarray:
     """f(p) = -e^{i theta_p} from theta_p >= 0 in one complex array, with
     the bits of -np.exp(1j * th)."""
+    import numpy as np
+    from .multfun import unit_power
     fp = unit_power(th, -1.0)
     return np.negative(fp, out=fp)
 
@@ -403,9 +414,11 @@ def verify(
     end), each window's two sums over its selected primes, and each point's
     prime sum and defect (dirichlet.add_power_sums, add_defects).
     """
+    import numpy as np
     from .dirichlet import (ComplexPoint, TruncationPlan, add_defects, add_power_sums,
                             inverse_power, prime_sum_results)
-
+    from .multfun import StreamSummer
+    from .primes import check_limit, prime_chunks
     log_P = log(check_limit(P))
     if blocks is None:
         blocks = [j for j, b in enumerate(spec.blocks, start=1) if b.log_upper <= log_P]
@@ -459,6 +472,7 @@ def verify(
 
 def _psum_report(spec: ExtremalSpec, P: int, observed: float, H: list[float]) -> PsumReport:
     """The theta-sum check from the observed sum and each block's 1/p sum H."""
+    from .primes import mertens_estimate
     log_P = log(P)
     majorant = 0.0
     rows = []

@@ -78,22 +78,21 @@ def _segments(limit: int) -> Iterator[np.ndarray]:
     """The chunks of ``prime_chunks``; the odd base primes <= sqrt(limit)
     come from ``_sieve``, and segments track odd numbers only."""
     root = isqrt(limit)
-    odd_base = _sieve(root)[1:].tolist() if root >= 3 else []
+    base = _sieve(root)[1:] if root >= 3 else np.zeros(0, dtype=np.int64)
+    offs = (base * base - 3) // 2  # each base prime's next flag index: p^2's, counted from 3
     yield np.array([2], dtype=np.int64)
     lo = 3
-    while lo <= limit:
+    while lo <= limit:  # lo stays odd: a segment spans an even count of numbers
         hi = min(limit, lo + _SEGMENT - 1)
-        first_odd = lo | 1
-        flags = np.ones((hi - first_odd) // 2 + 1, dtype=bool)
-        for p in odd_base:
-            start = max(p * p, ((first_odd + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            flags[(start - first_odd) // 2 :: p] = False  # empty once start > hi
+        flags = np.ones((hi - lo) // 2 + 1, dtype=bool)
+        for p, o in zip(base.tolist(), offs.tolist()):
+            flags[o::p] = False  # empty once o >= flags.size
+        offs -= flags.size  # the next segment's: o - L, or (o - L) mod p where that is < 0
+        np.remainder(offs, base, out=offs, where=offs < 0)
         primes = np.flatnonzero(flags)
         del flags  # not alive while the consumers run
         primes *= 2
-        primes += first_odd
+        primes += lo
         for i in range(0, primes.size, _BLOCK):
             yield primes[i : i + _BLOCK]
         lo = hi + 1

@@ -404,6 +404,21 @@ def test_missing_or_malformed_extremal_spec(tmp_path, capsys, content):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("J", 3.7), ("J", "3"), ("x1", "20"), ("C0", True),
+                                        ("a", "0.5"), ("x1", 10**400)])
+def test_a_spec_number_of_the_wrong_json_type_is_a_usage_error(key, value, tmp_path, capsys):
+    # each used to be coerced (J = 3.7 read as 3, true as C0 = 1.0) and verified
+    # with exit 0; an integer beyond float range ended in an OverflowError traceback
+    doc = json.loads(extremal.spec_json(extremal.reference_spec()))
+    (doc if key in doc else doc["blocks"][0])[key] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert usage_failure(["extremal-verify", str(spec), "--cutoff", "1000"], capsys) == 2
+    doc = json.loads(extremal.spec_json(extremal.reference_spec()))
+    spec.write_text(json.dumps(dict(doc, x1=20, C0=1)))  # a JSON integer is a number
+    assert main(["extremal-verify", str(spec), "--cutoff", "1000", "--out", str(tmp_path / "v")]) == 0
+
+
 def test_negative_C0_is_a_usage_error_from_the_flag_and_from_a_spec_file(tmp_path, capsys):
     out = tmp_path / "built.json"
     assert usage_failure(["extremal-build", "--kappa", "power:0.25", "--C0", "-1",
@@ -567,7 +582,7 @@ def test_extremal_verify_refuses_a_bad_block_before_sieving(block, code, kind, t
 
     spec = str(tmp_path / "spec.json")
     assert run(["extremal-build", "--kappa", "power:0.25", "--out", spec]) == 0
-    monkeypatch.setattr(extremal, "prime_chunks", no_stream)
+    monkeypatch.setattr(primes, "prime_chunks", no_stream)  # verify imports it as it runs
     monkeypatch.setattr(primes, "_segments", no_stream)
     assert main(["extremal-verify", spec, "--cutoff", "20000000", "--block", block]) == code
     err = capsys.readouterr().err
@@ -593,7 +608,7 @@ def test_one_prime_stream_per_command(argv, tmp_path, monkeypatch):
     assert run(["extremal-build", "--kappa", "power:0.25", "--out", "spec.json"]) == 0
     monkeypatch.setattr(primes, "_segments", counted("_segments", primes._segments))
     stream = counted("prime_chunks", primes.prime_chunks)
-    for mod in (primes, dirichlet, extremal, halasz):
+    for mod in (primes, dirichlet, halasz):  # extremal.verify imports primes' as it runs
         monkeypatch.setattr(mod, "prime_chunks", stream)
     assert run([*argv, "--out", "x.out"]) == 0
     assert calls["prime_chunks"].count(100_000) == 1, calls
@@ -676,7 +691,8 @@ from mflab.cli import main
 loaded = []
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    loaded.append(sorted(m[6:] for m in sys.modules if m.startswith("mflab.")))
+    loaded.append(sorted(m.removeprefix("mflab.") for m in sys.modules
+                         if m.startswith("mflab.") or m == "numpy"))
 import mflab
 for name in mflab.__all__:  # every export resolves to the module it names
     assert getattr(mflab, name).__module__ == "mflab." + mflab._EXPORTS[name], name
@@ -696,7 +712,7 @@ def _fresh_python(args, cwd):
 
 
 def _modules_loaded_after_each(commands, cwd):
-    """The mflab submodules loaded after each command of one fresh process."""
+    """The mflab submodules, and numpy if loaded, after each command of one fresh process."""
     out = _fresh_python(["-c", _LOADED_AFTER_EACH, json.dumps(commands)], cwd)
     return [set(m) for m in json.loads(out)]
 
@@ -705,12 +721,14 @@ def _modules_loaded_after_each(commands, cwd):
 @pytest.mark.parametrize("preset", [None, "4"])
 def test_importing_the_cli_starts_no_blas_thread_pool(preset, tmp_path, monkeypatch):
     # numpy's OpenBLAS starts a thread pool as it loads, whatever a user set,
-    # unless mflab.cli sets one thread first; mflab calls no BLAS routine
+    # unless mflab.cli sets one thread first; mflab calls no BLAS routine.
+    # mflab.cli alone loads no numpy, so multfun loads it here
     if preset is None:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
-    code = "import os, mflab.cli; print(len(os.listdir('/proc/self/task')))"
+    code = ("import os, sys, mflab.cli, mflab.multfun; assert 'numpy' in sys.modules; "
+            "print(len(os.listdir('/proc/self/task')))")
     assert _fresh_python(["-c", code], tmp_path).strip() == "1"
 
 
@@ -746,7 +764,7 @@ def test_importing_the_cli_and_extremal_does_not_load_openssl(tmp_path):
 
 
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
-    core = {"cli", "errors", "multfun", "primes"}
+    core = {"cli", "errors", "multfun", "primes", "numpy"}
     after = _modules_loaded_after_each([
         ["sum", "--function", "moebius", "--limit", "1000", "--out", "sum.csv"],
         ["eval-f", "--function", "moebius", "--method", "euler", "--sigma", "1.5:2:2",
@@ -761,4 +779,6 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
         ["sum", "--function", "extremal:spec.json", "--limit", "1000", "--out", "sum.csv"],
         ["extremal-verify", "spec.json", "--cutoff", "1000", "--out", "verify.txt"],
     ], tmp_path)
-    assert after == [core | {"extremal"}, traced | {"extremal"}, traced | {"extremal", "dirichlet"}]
+    # the construction runs on floats: no numpy, multfun or primes
+    assert after == [{"cli", "errors", "extremal"}, traced | {"extremal"},
+                     traced | {"extremal", "dirichlet"}]

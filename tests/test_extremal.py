@@ -9,6 +9,10 @@ import pytest
 from mflab import primes
 from mflab.errors import CapacityError, CoverageError, DomainError, FunctionSpecError
 from mflab.extremal import (
+    ALPHA_FLOOR,
+    KAPPA_GRID_POINTS,
+    LOGLOG_16,
+    LOGLOG_MAX,
     ExtremalBlock,
     ExtremalSpec,
     alpha_from_kappa,
@@ -62,11 +66,35 @@ def test_regularize_oscillating_running_max():
     run = np.maximum.accumulate([raw(v) for v in dense])
     for i in range(0, dense.size, 777):
         assert k.kappa0(dense[i]) >= run[i] - 1e-3
-    assert np.all(np.diff(k.kappa0_vals) >= -1e-12)
-    assert np.all(np.diff(k.kappa1_vals) >= -1e-9)
-    ratio = k.kappa1_vals / np.sqrt(k.grid)
+    grid, k0, k1 = map(np.asarray, (k.grid, k.kappa0_vals, k.kappa1_vals))
+    assert np.all(np.diff(k0) >= -1e-12)
+    assert np.all(np.diff(k1) >= -1e-9)
+    ratio = k1 / np.sqrt(grid)
     assert np.all(np.diff(ratio) <= 1e-12)
-    assert np.all(k.kappa1_vals >= k.kappa0_vals - 1e-12)
+    assert np.all(k1 >= k0 - 1e-12)
+
+
+@pytest.mark.parametrize("kappa", ["const:1.5", "power:0.25", "loglog-fraction:0.8"])
+def test_the_construction_on_floats_has_numpys_bits(kappa):
+    # the construction runs without numpy; these are the numpy steps it replaced
+    raw = parse_kappa_spec(kappa)
+    k = regularize_kappa(raw, desc=kappa)
+    alpha = alpha_from_kappa(k, 1.0)
+    grid = np.linspace(LOGLOG_16, LOGLOG_MAX, KAPPA_GRID_POINTS)
+    kappa0 = np.maximum.accumulate(np.array([float(raw(v)) for v in grid]))
+    kappa1 = np.sqrt(grid) * np.maximum.accumulate((kappa0 / np.sqrt(grid))[::-1])[::-1]
+    env = np.maximum.accumulate(np.array(
+        [max((k1 + math.log(v + 1.0 / np.e) + 1.0) / math.sqrt(v), ALPHA_FLOOR)
+         for v, k1 in zip(grid, kappa1)])[::-1])[::-1]
+    for got, want in ((k.grid, grid), (k.kappa0_vals, kappa0), (k.kappa1_vals, kappa1),
+                      (alpha.env_vals, env)):
+        assert np.array(got).tobytes() == want.tobytes()
+    # every grid node, the left end, a point left of it and random points between
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([grid[:-1], [grid[0] - 5e-13],
+                         rng.uniform(grid[0], grid[-1], 10**4 - KAPPA_GRID_POINTS)])
+    for at, vals in ((k.kappa0, kappa0), (k.kappa1, kappa1), (alpha.at_loglog, env)):
+        assert np.array([at(x) for x in xs.tolist()]).tobytes() == np.interp(xs, grid, vals).tobytes()
 
 
 def test_regularize_rejects_nonpositive():

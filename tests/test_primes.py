@@ -60,6 +60,25 @@ def test_prime_chunks_concatenate_to_the_sieve(limit):
     assert all(np.unique((np.maximum(c, 3) - 3) // 2**20).size == 1 for c in chunks)
 
 
+@pytest.mark.parametrize("limit", [2, 3, 100, 10**5 + 7, 10**7])
+def test_prime_chunks_are_the_segments_of_a_plain_sieve_cut_in_blocks(limit):
+    # the segmented sieve carries each base prime's next index from segment
+    # to segment; its chunks are 2 alone, then each segment of 2^20 numbers
+    # from 3 on, cut into blocks of 2^13 primes
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    ps = np.flatnonzero(flags)
+    want = [ps[:1]]
+    for seg in np.split(ps[1:], np.flatnonzero(np.diff((ps[1:] - 3) // 2**20)) + 1):
+        want += [seg[i : i + 2**13] for i in range(0, seg.size, 2**13)]
+    got = list(prime_chunks(limit))
+    assert all(c.dtype == np.int64 for c in got)
+    assert [c.tolist() for c in got] == [w.tolist() for w in want]
+
+
 def test_prime_chunks_check_the_limit_before_sieving():
     with pytest.raises(CapacityError):
         prime_chunks(2**32 + 1)
