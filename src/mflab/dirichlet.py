@@ -473,8 +473,6 @@ def F_euler(
     at t0 = 0 and the extremal construction).  The residual's observed
     partial sums diagnose how credible that is.
     """
-    if not f.claims_M:
-        raise DomainError("F_euler requires a class-M function")
     pts = [as_point(s) for s in points]
     chunks = prime_chunks(plan.prime_cutoff)  # checks the cutoff before the zeta work
     ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]

@@ -91,13 +91,12 @@ class AlphaFunction:
     """Nonincreasing envelope dominating the F-growth exponent.
 
     alpha(x) solves exp(kappa1(x)) (loglog x + 1/e) e^{C0} =
-    exp(alpha(x) sqrt(loglog x)); a right-running max on the grid enforces
-    monotonicity when kappa1 + C0 is too small for the raw formula.
+    exp(alpha(x) sqrt(loglog x)); a right-running max on kappa's grid
+    enforces monotonicity when kappa1 + C0 is too small for the raw formula.
     """
 
     kappa: KappaFunction
     C0: float
-    grid: tuple[float, ...] = field(repr=False)
     env_vals: tuple[float, ...] = field(repr=False)
     desc: str = "custom"
 
@@ -105,14 +104,10 @@ class AlphaFunction:
         return max((self.kappa.kappa1(ll) + log(ll + 1.0 / e) + self.C0) / sqrt(ll), ALPHA_FLOOR)
 
     def at_loglog(self, ll: float) -> float:
-        if ll < self.grid[0] - 1e-12:
-            raise DomainError(f"alpha undefined below loglog={self.grid[0]}")
-        return self.formula_at(ll) if ll >= self.grid[-1] else _interp(ll, self.grid, self.env_vals)
-
-    def __call__(self, x: float) -> float:
-        if x < 16.0:
-            raise DomainError(f"alpha needs x >= 16, got {x}")
-        return self.at_loglog(log(log(x)))
+        grid = self.kappa.grid
+        if ll < grid[0] - 1e-12:
+            raise DomainError(f"alpha undefined below loglog={grid[0]}")
+        return self.formula_at(ll) if ll >= grid[-1] else _interp(ll, grid, self.env_vals)
 
 
 def alpha_from_kappa(kappa: KappaFunction, C0: float) -> AlphaFunction:
@@ -121,7 +116,7 @@ def alpha_from_kappa(kappa: KappaFunction, C0: float) -> AlphaFunction:
     raw = [max((k1 + log(v + 1.0 / e) + C0) / sqrt(v), ALPHA_FLOOR)
            for v, k1 in zip(kappa.grid, kappa.kappa1_vals)]
     env = tuple(accumulate(reversed(raw), max))[::-1]
-    return AlphaFunction(kappa, float(C0), kappa.grid, env,
+    return AlphaFunction(kappa, float(C0), env,
                          desc=f"envelope(kappa={kappa.desc}, C0={C0!r})")
 
 
@@ -300,8 +295,7 @@ def extremal_function(spec: ExtremalSpec) -> MultiplicativeFunction:
     from .multfun import completely_multiplicative
     return completely_multiplicative(
         f"extremal:{spec.content_hash()}",
-        lambda ps: _unit_values(theta_values(spec, ps)),
-        claims_M=True)
+        lambda ps: _unit_values(theta_values(spec, ps)))
 
 
 def _unit_values(th: np.ndarray) -> np.ndarray:

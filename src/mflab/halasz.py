@@ -194,7 +194,6 @@ class CriterionReport:
     last_decade_growth: float
     loglog_increment: float
     sum_side: str        # diverging | converged | unclear
-    two_adic_ok: bool
     two_adic_first_failure: int | None
     verdict: str
 
@@ -209,7 +208,7 @@ class CriterionReport:
         lines.append(f"last-decade growth: {self.last_decade_growth!r}"
                      f" (loglog increment {self.loglog_increment!r})")
         lines.append(f"sum side: {self.sum_side}")
-        if self.two_adic_ok:
+        if self.two_adic_first_failure is None:
             lines.append("2-adic side f(2^k) = -2^(ikt): pass")
         else:
             lines.append(
@@ -266,7 +265,6 @@ def criterion_report(
         last_decade_growth=growth,
         loglog_increment=dll,
         sum_side=sum_side,
-        two_adic_ok=two_adic_fail is None,
         two_adic_first_failure=two_adic_fail,
         verdict=verdict,
     )

@@ -1,7 +1,7 @@
 """Multiplicative functions with |f(n)| <= 1 and their summatory traces.
 
 A function is described by its vectorized prime-power rule (ps, k) -> f(p^k)
-plus class flags.  Bulk evaluation over a range of n runs as a segmented
+alone.  Bulk evaluation over a range of n runs as a segmented
 sieve driven by base primes up to sqrt(range): strided passes per prime power
 into a float64 p-part product (exact below 2^53) and one float64 division
 per n, each step per n over sub-blocks of the segment, so traces up to 10^9
@@ -47,18 +47,18 @@ _SUB_BLOCK = 1 << 13  # entries per elementwise step of segment_values
 
 @dataclass(frozen=True, eq=False)
 class MultiplicativeFunction:
-    """Prime-power rule plus class flags.
+    """A multiplicative f given by its prime-power rule.
 
     ``powers(ps, k)`` returns f(p^k) for an int64 array of primes and one
     k >= 1; f(1) = 1 by convention.  It is the function's only definition:
     segmented evaluation, single values and every prime sum read it.
-    ``completely_multiplicative`` builds one from f(p) alone.
+    ``completely_multiplicative`` builds one from f(p) alone.  Every
+    route's bound assumes |f(p^k)| <= 1 (class M), which no route checks.
     """
 
     label: str
     powers: Callable[[np.ndarray, int], np.ndarray]
     completely_multiplicative: bool = False
-    claims_M: bool = False
     twisted: tuple | None = field(default=None, repr=False)  # (base, t) from twist()
 
     def prime_power(self, p: int, k: int) -> complex:
@@ -72,7 +72,6 @@ class MultiplicativeFunction:
 
 def completely_multiplicative(
     label: str, fp: Callable[[np.ndarray], np.ndarray],
-    claims_M: bool = False,
 ) -> MultiplicativeFunction:
     """The function with f(p) = fp(ps) and f(p^k) = f(p)^k.
 
@@ -84,15 +83,13 @@ def completely_multiplicative(
         v = np.asarray(fp(ps))
         return v if k == 1 and (v.dtype.kind != "c" or v.all()) else np.power(v, k)
 
-    return MultiplicativeFunction(
-        label, powers, completely_multiplicative=True, claims_M=claims_M)
+    return MultiplicativeFunction(label, powers, completely_multiplicative=True)
 
 
 @dataclass(frozen=True)
 class SummatoryTrace:
     """Checkpointed partial sums S_f(x) = sum_{n<=x} f(n)."""
 
-    function_label: str
     xs: np.ndarray
     values: np.ndarray
 
@@ -118,7 +115,7 @@ def check_height(t: float) -> None:
 
 
 def twist(base: MultiplicativeFunction, t: float) -> MultiplicativeFunction:
-    """f(p^k) = base(p^k) * p^{-ikt}; preserves |f| and all class flags."""
+    """f(p^k) = base(p^k) * p^{-ikt}; preserves |f| and complete multiplicativity."""
     t = float(t)
     if not isfinite(t):
         raise FunctionSpecError(f"twist parameter must be finite, got {t!r}")
@@ -131,41 +128,33 @@ def twist(base: MultiplicativeFunction, t: float) -> MultiplicativeFunction:
         label=f"twist:{t!r}:{base.label}",
         powers=powers,
         completely_multiplicative=base.completely_multiplicative,
-        claims_M=base.claims_M,
         twisted=(base, t),
     )
 
 
-def builtin(name: str, params: Sequence[float] = ()) -> MultiplicativeFunction:
+def builtin(name: str) -> MultiplicativeFunction:
     """Construct a named test-corpus function.
 
-    Known names: one, moebius, liouville, odd_one, twist (params = [t],
-    base defaults to ``one``), extremal-ref (the reference desk-scale
-    extremal construction).
+    Known names: one, moebius, liouville, odd_one, extremal-ref (the
+    reference desk-scale extremal construction).  A twist is the spec
+    ``twist:<t>:<base>`` or ``twist(base, t)``.
     """
     if name == "one":
-        return completely_multiplicative("one", lambda ps: np.ones(ps.shape), claims_M=True)
+        return completely_multiplicative("one", lambda ps: np.ones(ps.shape))
     if name == "moebius":
         return MultiplicativeFunction(
-            "moebius", lambda ps, k: np.full(ps.shape, -1.0 if k == 1 else 0.0),
-            claims_M=True)
+            "moebius", lambda ps, k: np.full(ps.shape, -1.0 if k == 1 else 0.0))
     if name == "liouville":
-        return completely_multiplicative(
-            "liouville", lambda ps: np.full(ps.shape, -1.0), claims_M=True)
+        return completely_multiplicative("liouville", lambda ps: np.full(ps.shape, -1.0))
     if name == "odd_one":
-        return completely_multiplicative(
-            "odd_one", lambda ps: np.where(ps == 2, 0.0, 1.0), claims_M=True)
-    if name == "twist":
-        if len(params) != 1:
-            raise FunctionSpecError("twist builtin takes exactly one parameter t")
-        return twist(builtin("one"), params[0])
+        return completely_multiplicative("odd_one", lambda ps: np.where(ps == 2, 0.0, 1.0))
     if name == "extremal-ref":
         from . import extremal
 
         return extremal.extremal_function(extremal.reference_spec())
     raise FunctionSpecError(
-        f"unknown function {name!r}; valid: one, moebius, liouville, "
-        "odd_one, twist, extremal-ref")
+        f"unknown function {name!r}; valid: one, moebius, liouville, odd_one, "
+        "extremal-ref, twist:<t>:<base>, extremal:<path>")
 
 
 def parse_function_spec(spec: str) -> MultiplicativeFunction:
@@ -470,45 +459,42 @@ class StreamSummer:
         return total
 
 
-def resolve_checkpoints(grid, limit: int) -> list[int]:
+def resolve_checkpoints(grid: str | None, limit: int) -> list[int]:
     """Expand a grid spec into sorted integer checkpoints in [1, limit].
 
-    ``grid`` is either ``"geometric:<ratio>[:<start>]"`` (default start 10),
-    an iterable of integers, or None for the default geometric grid with
+    ``grid`` is ``"geometric:<ratio>[:<start>]"`` (default start 10),
+    ``"explicit:<x>,<x>,..."``, or None for the default geometric grid with
     ratio 2^(1/4).  The final point ``limit`` is always included.
     """
     if grid is None:
         grid = f"geometric:{DEFAULT_GRID_RATIO!r}"
+    parts = grid.split(":")
     pts: list[int] = []
-    if isinstance(grid, str):
-        parts = grid.split(":")
-        if parts[0] == "geometric":
-            if len(parts) not in (2, 3):
-                raise FunctionSpecError(f"bad grid spec {grid!r}")
-            try:
-                ratio = float(parts[1])
-                start = float(parts[2]) if len(parts) == 3 else float(DEFAULT_GRID_START)
-            except ValueError:
-                raise FunctionSpecError(f"bad grid spec {grid!r}") from None
-            if not (ratio > 1.0 and 0.0 < start < float("inf")):
-                raise FunctionSpecError("geometric grid needs ratio > 1 and a finite start > 0")
-            if (steps := ceil(log(limit / start) / log(ratio))) > GRID_STEP_CEILING:
-                raise CapacityError(f"geometric grid of {steps} steps exceeds {GRID_STEP_CEILING}")
-            x = start
-            while x <= limit:
-                pts.append(int(x))
-                x *= ratio
-        elif parts[0] == "explicit":
-            if len(parts) != 2:
-                raise FunctionSpecError(f"bad grid spec {grid!r}")
-            try:
-                pts = [int(v) for v in parts[1].split(",") if v]
-            except ValueError:
-                raise FunctionSpecError(f"bad grid spec {grid!r}") from None
-        else:
-            raise FunctionSpecError(f"unknown grid kind {parts[0]!r}")
+    if parts[0] == "geometric":
+        if len(parts) not in (2, 3):
+            raise FunctionSpecError(f"bad grid spec {grid!r}")
+        try:
+            ratio = float(parts[1])
+            start = float(parts[2]) if len(parts) == 3 else float(DEFAULT_GRID_START)
+        except ValueError:
+            raise FunctionSpecError(f"bad grid spec {grid!r}") from None
+        if not (ratio > 1.0 and 0.0 < start < float("inf")):
+            raise FunctionSpecError("geometric grid needs ratio > 1 and a finite start > 0")
+        if (steps := ceil(log(limit / start) / log(ratio))) > GRID_STEP_CEILING:
+            raise CapacityError(f"geometric grid of {steps} steps exceeds {GRID_STEP_CEILING}")
+        x = start
+        while x <= limit:
+            pts.append(int(x))
+            x *= ratio
+    elif parts[0] == "explicit":
+        if len(parts) != 2:
+            raise FunctionSpecError(f"bad grid spec {grid!r}")
+        try:
+            pts = [int(v) for v in parts[1].split(",") if v]
+        except ValueError:
+            raise FunctionSpecError(f"bad grid spec {grid!r}") from None
     else:
-        pts = [int(v) for v in grid]
+        raise FunctionSpecError(f"unknown grid kind {parts[0]!r}")
     pts.append(limit)
     cps = sorted({p for p in pts if 1 <= p <= limit})
     if not cps:
@@ -519,7 +505,7 @@ def resolve_checkpoints(grid, limit: int) -> list[int]:
 def summatory_trace(
     f: MultiplicativeFunction,
     limit: int,
-    grid=None,
+    grid: str | None = None,
     segment_size: int = 1 << 18,
 ) -> SummatoryTrace:
     """Stream S_f(x) over n = 1..limit, snapshotting at grid checkpoints.
@@ -538,7 +524,6 @@ def summatory_trace(
     from .workers import checkpoint_sums  # compiled only by the commands that trace
 
     return SummatoryTrace(
-        function_label=f.label,
         xs=np.asarray(cps, dtype=np.int64),
         values=np.asarray(checkpoint_sums(base, cps, segment_size), dtype=np.complex128),
     )

@@ -54,12 +54,10 @@ def stripes(limit: int, segment_size: int) -> list[tuple[int, int]]:
 def stripe_blocks(base: KernelBase, spans: Sequence[tuple[int, int]], cps: list[int],
                   segment_size: int) -> Iterator[list[float]]:
     """Per stripe of ``spans``, the rows of a _BlockRecorder fed f(n) of the
-    rule of ``base`` over it (1 at n = 1): what one worker computes."""
-    segs = _value_segments(base, [(max(lo, 2), hi) for lo, hi in spans], segment_size)
+    rule of ``base`` over it: what one worker computes."""
+    segs = _value_segments(base, spans, segment_size)
     for lo, hi in spans:
         rec = _BlockRecorder(cps[bisect_left(cps, lo) : bisect_right(cps, hi)], lo)
-        if lo == 1:
-            rec.feed(1, np.ones(1, dtype=np.complex128))
         while rec._n_next <= hi:
             rec.feed(*next(segs))
         yield rec.rows

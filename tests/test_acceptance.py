@@ -24,8 +24,8 @@ from mflab.dirichlet import (
 )
 from mflab.extremal import reference_spec, extremal_function, theta_values, verify
 from mflab.halasz import lemma_defect, lemma_ratio, pole_sum, theorem2_ratio
-from mflab.multfun import (builtin, completely_multiplicative, kernel_base, segment_values,
-                           summatory_trace)
+from mflab.multfun import (builtin, completely_multiplicative, kernel_base,
+                           parse_function_spec, segment_values, summatory_trace)
 from mflab.primes import sieve_primes
 
 from _oracles import F_partial_summation, factorization_table
@@ -41,14 +41,8 @@ def _report(n: int, msg: str, t0: float) -> None:
 
 
 def _builtin_corpus():
-    return [
-        builtin("one"),
-        builtin("moebius"),
-        builtin("liouville"),
-        builtin("odd_one"),
-        builtin("twist", [0.7]),
-        builtin("extremal-ref"),
-    ]
+    specs = ("one", "moebius", "liouville", "odd_one", "twist:0.7:one", "extremal-ref")
+    return [parse_function_spec(spec) for spec in specs]
 
 
 def test_criterion_01_oracle_equivalence():

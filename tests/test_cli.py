@@ -257,6 +257,15 @@ def test_usage_errors(tmp_path, capsys):
     assert cap.err.startswith("error:")
 
 
+@pytest.mark.parametrize("name", ["twist", "bogus"])
+def test_an_unknown_function_name_lists_the_spec_forms(name, capsys):
+    # "twist" used to reach a builtin parameter that no CLI input can give
+    assert main(["sum", "--function", name, "--limit", "10", "--out", "-"]) == 2
+    assert capsys.readouterr().err == (
+        f"error:usage:unknown function {name!r}; valid: one, moebius, liouville, odd_one, "
+        "extremal-ref, twist:<t>:<base>, extremal:<path>\n")
+
+
 def test_thm2_limit_invariant(tmp_path, capsys):
     code = run(["thm2", "--function", "one", "--limit", "10",
                 "--out", str(tmp_path / "x.csv")])

@@ -30,8 +30,8 @@ def ints(lo, hi):
 
 
 # (good, bad) values of each flag; None leaves the flag out.  Some good
-# combinations are still refused (thm1 needs a class-M function, lemma
-# sigma - 1 <= 1/e), and some bad values only by some routes.
+# combinations are still refused (lemma needs sigma - 1 <= 1/e), and some
+# bad values only by some routes.
 FUNCTION = (pick("one", "moebius", "liouville", "odd_one", "extremal-ref", "twist:0.7:moebius",
                  "twist:-3:liouville", "extremal:spec.json"),
             pick("twist:nan:one", "twist:x:one", "twist:1", "bogus", "extremal:missing.json",

@@ -203,7 +203,7 @@ def test_F_truncated_keeps_terms_below_an_ulp_of_the_running_sum():
 
 def test_F_partial_summation_unit_steps_exact():
     one = builtin("one")
-    tr = summatory_trace(one, 1000, grid=list(range(1, 1001)))
+    tr = summatory_trace(one, 1000, grid="explicit:" + ",".join(map(str, range(1, 1001))))
     s = ComplexPoint(2.0)
     fp = F_partial_summation(tr, s, 1000.0)
     (ft,) = F_truncated(one, [s], 1000)
@@ -492,12 +492,6 @@ def test_identity_suite_euler_route():
         assert abs(flam.value * z / zeta(2 * sc).value - 1) < 1e-4
         assert abs(fodd.value / (z * (1 - 2**-sc)) - 1) < 1e-4
         assert abs(fone.value / z - 1) < 1e-4
-
-
-def test_F_euler_requires_class_M():
-    f = MultiplicativeFunction("big", lambda ps, k: np.full(ps.shape, 2.0))
-    with pytest.raises(DomainError):
-        F_euler(f, [1.5], PLAN)
 
 
 def test_results_overlap_across_methods():

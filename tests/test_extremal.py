@@ -137,7 +137,7 @@ def test_alpha_dominates_kappa1():
 def test_alpha_domain_errors():
     a = alpha_from_kappa(regularize_kappa(lambda ll: 1.0), 1.0)
     with pytest.raises(DomainError):
-        a(15.0)
+        a.at_loglog(math.log(math.log(15.0)))  # x = 15 < 16
     with pytest.raises(DomainError):
         alpha_from_kappa(regularize_kappa(lambda ll: 1.0), -1.0)
 

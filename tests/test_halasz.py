@@ -82,8 +82,7 @@ def test_finiteness_transfer():
     thetas = {int(p): float(th) for p, th in zip(BASE, rng.normal(0, 0.2, BASE.size))}
 
     f = completely_multiplicative(
-        "perturbed", lambda ps: -np.exp(1j * np.array([thetas.get(int(p), 0.0) for p in ps])),
-        claims_M=True)
+        "perturbed", lambda ps: -np.exp(1j * np.array([thetas.get(int(p), 0.0) for p in ps])))
     P = 10**4
     B = pole_sum(f, EPLUS, P).final()
     theta_sq = sum(

@@ -46,7 +46,7 @@ def test_builtin_rules():
     lam = builtin("liouville")
     assert lam.prime_power(3, 1) == -1
     assert lam.prime_power(3, 2) == 1
-    assert lam.completely_multiplicative and lam.claims_M
+    assert lam.completely_multiplicative
     odd = builtin("odd_one")
     assert odd.prime_power(2, 1) == 0
     assert odd.prime_power(3, 4) == 1
@@ -67,10 +67,9 @@ def test_value_at_examples():
         segment_values(lam, 12, 12, kernel_base(mu, 12))  # the base of another rule
 
 
-@pytest.mark.parametrize(
-    "name", ["one", "moebius", "liouville", "odd_one", "twist"])
-def test_sieve_vs_trial_division(name):
-    f = builtin(name, params=[0.7] if name == "twist" else ())
+@pytest.mark.parametrize("spec", ["one", "moebius", "liouville", "odd_one", "twist:0.7:one"])
+def test_sieve_vs_trial_division(spec):
+    f = parse_function_spec(spec)
     vals = values(f, 1, 3000)
     for n in range(1, 3001):
         assert abs(vals[n - 1] - trial_value(f, n)) <= 1e-12
@@ -153,7 +152,7 @@ def test_twist_preserves_modulus(t, p, k):
 
 def test_twist_flags_and_vector_path():
     tw = twist(builtin("odd_one"), 1.5)
-    assert tw.claims_M and tw.completely_multiplicative
+    assert tw.completely_multiplicative
     ps = np.array([2, 3, 5, 101], dtype=np.int64)
     vec = tw.prime_values(ps)
     for i, p in enumerate(ps):
@@ -170,7 +169,7 @@ def test_class_check_odd_one_and_violation():
     assert class_m_violations(odd) == []
     assert all(odd.prime_power(2, k) == 0 for k in range(1, 11))  # class M2
     bad = MultiplicativeFunction(
-        "bad", lambda ps, k: np.where((ps == 3) & (k == 1), 1.5, 1.0), claims_M=True)
+        "bad", lambda ps, k: np.where((ps == 3) & (k == 1), 1.5, 1.0))
     assert class_m_violations(bad, 50) == [(3, 1)]
 
 
@@ -185,7 +184,7 @@ def test_class_check_two_adic_match():
     "extremal-ref"])
 def test_corpus_is_in_class_M(spec):
     f = parse_function_spec(spec)
-    assert f.claims_M and class_m_violations(f) == []
+    assert class_m_violations(f) == []
     if f.completely_multiplicative:
         for p, k in prime_powers(2000):
             assert abs(f.prime_power(p, k) - f.prime_power(p, 1) ** k) <= 1e-12, (p, k)
@@ -503,7 +502,8 @@ def test_checkpoints_have_the_same_bits_at_any_number_of_workers(name, segment_s
     f = WORKER_RULES[name]
     width = stripes(1 << 20, segment_size)[0][1]  # positions per stripe
     # stripe edges +-1 and multiples of 4096; the last limit gives 3 stripes
-    grid = [1, 2, *(k * e + d for k in (1, 2) for e in (4096, width) for d in (-1, 0, 1))]
+    edges = [1, 2, *(k * e + d for k in (1, 2) for e in (4096, width) for d in (-1, 0, 1))]
+    grid = "explicit:" + ",".join(map(str, edges))
     for limit in (1, 4095, 4097, 2 * width + 5):
         traces = []
         for count in (1, 2):
@@ -636,8 +636,8 @@ def test_sublinear_oracle_mertens_1e10():
 @pytest.mark.slow
 def test_mertens_published_values_to_1e9():
     # M(10^6..10^9) = 212, 1037, 1928, -222 (Deléglise & Rivat, Experimental
-    # Math. 5, 1996; OEIS A084237); about 2.5 minutes on 2 CPUs
-    trace = summatory_trace(builtin("moebius"), 10**9, grid=[10**6, 10**7, 10**8])
+    # Math. 5, 1996; OEIS A084237); about 35 s on 2 CPUs
+    trace = summatory_trace(builtin("moebius"), 10**9, grid="explicit:1000000,10000000,100000000")
     assert trace.values.tolist() == [212, 1037, 1928, -222]
 
 
