@@ -25,6 +25,7 @@ grow with the prime cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import expm1, log
 from typing import Iterator, Sequence
 
@@ -32,7 +33,8 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, SingularFactorError
 from .multfun import (SUMMATORY_LIMIT_CEILING, ZETA_HEIGHT_CEILING, MultiplicativeFunction,
-                      StreamSummer, _value_segments, kernel_base, unit_power)
+                      StreamSummer, _value_segments, builtin, check_folded_height, kernel_base,
+                      segment_values, unit_power)
 from .primes import prime_chunks
 
 # Bernoulli quotients B_2/2!, B_4/4!, B_6/6! for the Euler-Maclaurin tail.
@@ -234,18 +236,12 @@ def log_zeta(s, tol: float = 1e-10) -> EvalResult:
     return EvalResult(np.log(z.value), (("log", z.error_bound / (az - z.error_bound)),), z.method)
 
 
-def _mu_small(k: int) -> int:
-    if k == 1:
-        return 1
-    mu, d = 1, 2
-    while d * d <= k:
-        if k % d == 0:
-            k //= d
-            if k % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    return -mu if k > 1 else mu
+@cache
+def _moebius() -> tuple[int, ...]:
+    """(0, mu(1), ..., mu(64)), mu from the segment kernel, the one route to
+    f(n): the mu(k) of log_zeta_minus_prime_zeta, whose k stops at 64."""
+    mu = builtin("moebius")
+    return (0, *segment_values(mu, 1, 64, kernel_base(mu, 64)).tolist())
 
 
 def log_zeta_minus_prime_zeta(w) -> EvalResult:
@@ -262,7 +258,7 @@ def log_zeta_minus_prime_zeta(w) -> EvalResult:
     total = 0.0 + 0.0j
     err = 0.0
     for k in range(2, K + 1):
-        mu = _mu_small(k)
+        mu = _moebius()[k]
         if mu == 0:
             continue
         lz = log_zeta(ComplexPoint(k * pt.sigma, k * pt.t), tol=1e-14)
@@ -299,9 +295,12 @@ def F_truncated(
     2^18 numbers, log n per block of 2^14; each point has its own compensated summer, since
     a plain running sum would round away terms below half an ulp of it.
     The series streams the segment kernel of summatory_trace, so N has the
-    same ceiling, checked before any sieving, and N >= 2."""
+    same ceiling, checked before any sieving, and N >= 2; so is the height
+    t + T at which a twist's T is folded in."""
     pts = [as_point(s) for s in points]
     if f.twisted:  # F_twist(s) = F_base(s + iT)
+        for pt in pts:
+            check_folded_height(f, pt.t)
         fb, T = f.twisted
         return F_truncated(fb, [ComplexPoint(pt.sigma, pt.t + T) for pt in pts], series_cutoff)
     N = series_cutoff
@@ -321,9 +320,9 @@ def F_truncated(
 
 def _factor_logs(
     f: MultiplicativeFunction, ps: np.ndarray, pts: Sequence[ComplexPoint],
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """For each point: z = f(p) p^{-s} and log(factor_p) - z for every prime
-    in ``ps``.
+) -> Iterator[np.ndarray]:
+    """For each point: log(factor_p) - z, with z = f(p) p^{-s}, for every
+    prime in ``ps``.
 
     factor_p = sum_k f(p^k) p^{-ks}.  A completely multiplicative f has the
     closed form 1/(1 - z); otherwise term k is summed while p^{-k sigma}
@@ -355,7 +354,7 @@ def _factor_logs(
         if bad.any():
             raise SingularFactorError(f"Euler factor at p={int(ps[np.argmax(bad)])} vanishes")
         if not f.completely_multiplicative:
-            yield z, np.log(w) - z
+            yield np.log(w) - z
             continue
         # -log(1 - z) - z cancels for small z: use its Taylor series there.
         # Named operands: a term's bits do not depend on len(ps) (see _power_terms).
@@ -365,7 +364,7 @@ def _factor_logs(
         u = 0.5 + z * u
         zz = z * z
         series = zz * u
-        yield z, np.where(small, series, -np.log(w) - z)
+        yield np.where(small, series, -np.log(w) - z)
 
 
 def add_defects(
@@ -378,7 +377,7 @@ def add_defects(
     so the sum does not depend on where segments fall."""
     head = ps[: int(np.searchsorted(ps, cutoff, side="right"))]
     if head.size:
-        for summer, (_, defect) in zip(summers, _factor_logs(f, head, pts)):
+        for summer, defect in zip(summers, _factor_logs(f, head, pts)):
             summer.feed(None, defect)
 
 
@@ -470,10 +469,11 @@ def F_euler(
 
     Stated assumption for the error bound: the alignment residual g(p)
     vanishes for p > P (true for the aligned corpus: moebius/liouville/one
-    at t0 = 0 and the extremal construction).  The residual's observed
-    partial sums diagnose how credible that is.
+    at t0 = 0 and the extremal construction).  A twist's T is folded into
+    t0, and t0 + T is refused above the height ceiling before any sieving.
     """
     pts = [as_point(s) for s in points]
+    check_folded_height(f, direction.t0)
     chunks = prime_chunks(plan.prime_cutoff)  # checks the cutoff before the zeta work
     ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
     pzs = [prime_zeta(w) for w in ws]

@@ -315,8 +315,7 @@ def _unit_values(th: np.ndarray) -> np.ndarray:
 class BlockPsum:
     j: int
     covered: bool            # block intersects [1, P]
-    mertens_partial: float   # sum 1/p up to min(upper_j, P)
-    majorant: float          # a_j^2 * mertens_partial / loglog x_j
+    majorant: float          # a_j^2 * (sum 1/p up to min(upper_j, P)) / loglog x_j
     analytic_majorant: float  # same with the analytic Mertens estimate at upper_j
 
 
@@ -474,10 +473,10 @@ def _psum_report(spec: ExtremalSpec, P: int, observed: float, H: list[float]) ->
         llx = log(b.log_x)
         analytic = b.a * b.a * (mertens_estimate(b.log_upper) + MERTENS_SLACK) / llx
         if b.log_x > log_P:
-            rows.append(BlockPsum(j, False, 0.0, 0.0, analytic))
+            rows.append(BlockPsum(j, False, 0.0, analytic))
             continue
         mj = b.a * b.a * h / llx
         majorant += mj
-        rows.append(BlockPsum(j, True, h, mj, analytic))
+        rows.append(BlockPsum(j, True, mj, analytic))
     return PsumReport(cutoff=P, observed=observed, majorant=majorant,
                       sum_a_sq=spec.sum_a_sq(), blocks=tuple(rows))

@@ -36,7 +36,7 @@ from .dirichlet import (
 )
 from .errors import CapacityError, DomainError
 from .multfun import (GRID_STEP_CEILING, MultiplicativeFunction, StreamSummer, SummatoryTrace,
-                      two_adic_failures)
+                      check_folded_height, two_adic_failures)
 from .primes import prime_chunks
 
 
@@ -61,8 +61,10 @@ def pole_sum(
 
     Every term is >= 0 when |f(p)| <= 1; a term below -1e-12 means the
     function is outside class M and raises, naming the prime of the most
-    negative term.
+    negative term.  A twist's T is folded into t0, and t0 + T is refused
+    above the height ceiling before any sieving.
     """
+    check_folded_height(f, direction.t0)
     cuts = [10]
     while cuts[-1] < P:
         cuts.append(cuts[-1] * 10)
@@ -99,11 +101,14 @@ def lemma_defect(
     where the bracket comes from the Moebius/log-zeta identity.  The value
     is then accurate near sigma = 1 whenever f is aligned with the
     direction; the bound still carries the unconditional part
-    "residual-tail" 2 P^{1-sigma}/(sigma-1) beside the "bracket".
+    "residual-tail" 2 P^{1-sigma}/(sigma-1) beside the "bracket".  A
+    twist's T is folded into t0, and t0 + T is refused above the height
+    ceiling before any sieving.
     """
     pts = [as_point(s) for s in points]
     if any(pt.sigma - 1.0 > 1.0 / np.e + 1e-12 for pt in pts):
         raise DomainError("lemma defect needs sigma - 1 <= 1/e")
+    check_folded_height(f, direction.t0)
     chunks = prime_chunks(prime_cutoff)  # checks the cutoff before the zeta work
     ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
     brackets = [log_zeta_minus_prime_zeta(w) for w in ws]

@@ -114,12 +114,18 @@ def check_height(t: float) -> None:
         raise DomainError(f"height |t| = {abs(t)!r} exceeds ceiling {ZETA_HEIGHT_CEILING!r}")
 
 
+def check_folded_height(f: MultiplicativeFunction, t: float) -> None:
+    """check_height of t with f's twists folded in: the height of the phases
+    of f(n) n^{-it}, which a route that folds a twist into t computes at."""
+    check_height(_untwist(f)[1] + t)
+
+
 def twist(base: MultiplicativeFunction, t: float) -> MultiplicativeFunction:
     """f(p^k) = base(p^k) * p^{-ikt}; preserves |f| and complete multiplicativity."""
     t = float(t)
     if not isfinite(t):
         raise FunctionSpecError(f"twist parameter must be finite, got {t!r}")
-    check_height(_untwist(base)[1] + t)  # the height of the phases of f
+    check_folded_height(base, t)  # the height of the phases of f
 
     def powers(ps: np.ndarray, k: int) -> np.ndarray:
         return base.powers(ps, k) * unit_power(np.log(ps.astype(np.float64)), k * t)

@@ -300,8 +300,7 @@ def test_defect_terms_do_not_depend_on_array_length(spec):
     f = parse_function_spec(spec)
     ps = sieve_primes(4 * 10**5)
     pts = [ComplexPoint(1.001, 0.3), ComplexPoint(1.2, 5.0)]
-    for (zw, dw), (zs, ds) in zip(_factor_logs(f, ps, pts), _factor_logs(f, ps[:3000], pts)):
-        assert np.array_equal(zw[:3000], zs)
+    for dw, ds in zip(_factor_logs(f, ps, pts), _factor_logs(f, ps[:3000], pts)):
         assert np.array_equal(dw[:3000], ds)
 
 
@@ -428,8 +427,7 @@ def test_defect_cut_past_a_segment_edge_is_one_table_sum():
     plan = TruncationPlan(prime_cutoff=2_200_000, exact_factor_cutoff=C)
     pts = [ComplexPoint(1.001, 0.3), ComplexPoint(1.2, 5.0)]
     table = sieve_primes(C)
-    for (_, _, defect), (_, d) in zip(_sum_and_defect(lam, pts, plan),
-                                      _factor_logs(lam, table, pts)):
+    for (_, _, defect), d in zip(_sum_and_defect(lam, pts, plan), _factor_logs(lam, table, pts)):
         assert defect == one_feed_total(d)
 
 

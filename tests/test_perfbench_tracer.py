@@ -24,19 +24,31 @@ COMMANDS = {
                "--sigma", "1.01:1.5:2", "--series-cutoff", "20000", "--out", "f.csv"],
     "criterion": ["criterion", "--function", "extremal-ref", "--prime-cutoff", "20000",
                   "--out", "c.txt"],
+    # the prime routes; the Moebius/log-zeta identity of the euler route, thm1
+    # and lemma reads mu(k) from segment_values
+    "euler": ["eval-f", "--function", "liouville", "--method", "euler", "--sigma", "1.01:1.5:2",
+              "--prime-cutoff", "20000", "--out", "e.csv"],
+    "prime-sum": ["eval-f", "--function", "extremal-ref", "--method", "prime-sum", "--t", "1",
+                  "--sigma", "1.01:1.5:2", "--prime-cutoff", "20000", "--out", "p.csv"],
+    "thm1": ["thm1", "--function", "odd_one", "--epsilon", "-1", "--sigma", "1.01:1.5:2",
+             "--prime-cutoff", "20000", "--out", "t.csv"],
+    "lemma": ["lemma", "--function", "twist:0.5:one", "--epsilon", "-1", "--t0", "0.5",
+              "--sigma", "1.01:1.2:2", "--prime-cutoff", "20000", "--out", "l.csv"],
 }
 
 
 def test_the_tracer_runs_each_command_and_records_the_kernel_spans(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    names = set()
+    names = {}
     for command, argv in COMMANDS.items():
         spans = tmp_path / f"{command}.json"
         proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans),
                                *argv], cwd=tmp_path, env=env, capture_output=True, text=True,
                               timeout=60)
         assert proc.returncode == 0, (command, proc.stderr)
-        names |= {span[0] for span in json.loads(spans.read_text())["spans"]}
+        names[command] = {span[0] for span in json.loads(spans.read_text())["spans"]}
     assert {"multfun.segment_values", "multfun.prime_values",
-            "multfun.StreamSummer.feed"} <= names, sorted(names)
+            "multfun.StreamSummer.feed"} <= set().union(*names.values()), names
+    for command in ("euler", "thm1", "lemma"):
+        assert "multfun.segment_values" in names[command], (command, sorted(names[command]))
