@@ -17,6 +17,7 @@ import csv
 import io
 import os
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from math import isfinite
 
@@ -25,8 +26,6 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .errors import CapacityError, FunctionSpecError, MFLabError
 
-_USAGE_EXIT = 2
-_RESOURCE_EXIT = 3
 _EXIT_BY_KIND = {"usage": 2, "domain": 2, "capacity": 3, "coverage": 3, "singular": 3}
 # Most points of a --sigma grid.  Each point keeps at most two StreamSummer
 # tails of under 4096 complex128 values, so the grid holds under 128 MiB.
@@ -36,7 +35,7 @@ SIGMA_GRID_CEILING = 1000
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         sys.stderr.write(f"error:usage:{message}\n")
-        sys.exit(_USAGE_EXIT)
+        sys.exit(_EXIT_BY_KIND["usage"])
 
 
 def _provenance(args: argparse.Namespace) -> str:
@@ -95,6 +94,7 @@ def _write(path: str | None, provenance: str | None, body: str) -> None:
     text = body if provenance is None else f"# {provenance}\n{body}"
     if path is None or path == "-":
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe is main's OSError, not a message at exit
         return
     with open(path, "w", newline="") as fh:
         fh.write(text)
@@ -315,8 +315,23 @@ def main(argv: list[str] | None = None) -> int:
     except (MFLabError, OSError) as e:  # OSError: an output path that cannot be written
         kind = getattr(e, "kind", "usage")
         sys.stderr.write(f"error:{kind}:{e}\n")
-        return _EXIT_BY_KIND.get(kind, _RESOURCE_EXIT)
+        return _EXIT_BY_KIND.get(kind, 3)
+
+
+def run() -> None:
+    """The process entry: exit with main's code (or argparse's) by os._exit after
+    flushing stdout and stderr, skipping interpreter teardown.  Safe: mflab registers no
+    atexit handler, _write closes each file before main returns, checkpoint_sums reaps
+    its workers before it returns, and an uncaught exception still ends in a traceback."""
+    try:
+        code = main()
+    except SystemExit as e:  # argparse: a usage error or --help
+        code = e.code or 0
+    for stream in (sys.stdout, sys.stderr):
+        with suppress(OSError):  # a closed pipe, which main reported
+            stream.flush()  # stdout: argparse's --help; _write flushed the rest
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

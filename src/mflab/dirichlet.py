@@ -249,20 +249,20 @@ def log_zeta_minus_prime_zeta(w) -> EvalResult:
 
     The k = 1 terms cancel, so the result is branch-free and stays O(1)
     as Re w -> 1; this is the accurate route to prime sums near the pole.
+    A w whose k w exceeds zeta's height ceiling is refused (DomainError) before any zeta work.
     """
     pt = as_point(w)
     sigma = pt.sigma
-    K = 2
-    while 2.0 ** (-(K + 1) * sigma) * 12.0 > 1e-12 and K < 64:  # k-tail below 1e-12
-        K += 1
+    K = next((K for K in range(2, 64) if 2.0 ** (-(K + 1) * sigma) * 12.0 <= 1e-12), 64)
+    ks = [k for k in range(2, K + 1) if _moebius()[k]]  # zeta's heights are k |Im w|
+    if abs(ks[-1] * pt.t) > ZETA_HEIGHT_CEILING:
+        raise DomainError(f"height |t - t0| = {abs(pt.t)!r} exceeds {ZETA_HEIGHT_CEILING / ks[-1]!r}"
+                          f", the Moebius/log-zeta identity's limit at sigma = {sigma!r}")
     total = 0.0 + 0.0j
     err = 0.0
-    for k in range(2, K + 1):
-        mu = _moebius()[k]
-        if mu == 0:
-            continue
+    for k in ks:
         lz = log_zeta(ComplexPoint(k * pt.sigma, k * pt.t), tol=1e-14)
-        total -= (mu / k) * lz.value
+        total -= (_moebius()[k] / k) * lz.value
         err += lz.error_bound / k
     return EvalResult(total, (("log-zeta", err), ("k-tail", 12.0 * 2.0 ** (-(K + 1) * sigma))),
                       "euler-maclaurin")

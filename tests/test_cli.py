@@ -17,6 +17,7 @@ from mflab.cli import SIGMA_GRID_CEILING, build_parser, main
 from mflab.errors import FunctionSpecError
 
 from _oracles import brute_summatory
+from test_golden import CORPUS
 from mflab.multfun import builtin
 
 
@@ -626,12 +627,14 @@ def test_one_prime_stream_per_command(argv, tmp_path, monkeypatch):
 
 def test_euler_route_refuses_zeta_above_height_ceiling(tmp_path, capsys):
     # each height the user gives is at the ceiling; the route's w = s - i t0
-    # lies at 2e8, where zeta keeps its own capacity refusal
+    # lies at 2e8, beyond the Moebius/log-zeta identity's reach
     out = tmp_path / "x.csv"
     assert main(["eval-f", "--function", "moebius", "--sigma", "1.5:1.5:1", "--method",
-                 "euler", "--t", "1e8", "--t0=-1e8", "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error:capacity:") and err.count("\n") == 1, err
+                 "euler", "--t", "1e8", "--t0=-1e8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error:domain:height |t - t0| = 200000000.0 exceeds 3846153.846153846, "
+        "the Moebius/log-zeta identity's limit at sigma = 1.5\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -679,6 +682,51 @@ def test_a_height_at_the_ceiling_runs(tmp_path):
                  "--prime-cutoff", "1000", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["eval-f", "--function", "one", "--method", "euler", "--t", "4e6", "--sigma", "1.5:1.5:1",
+      "--prime-cutoff", "1000"],
+     "height |t - t0| = 4000000.0 exceeds 3846153.846153846, "
+     "the Moebius/log-zeta identity's limit at sigma = 1.5"),
+    (["eval-f", "--function", "one", "--method", "euler", "--t", "6e7", "--sigma", "1.5:1.5:1"],
+     "height |t - t0| = 60000000.0 exceeds 3846153.846153846, "
+     "the Moebius/log-zeta identity's limit at sigma = 1.5"),
+    (["lemma", "--function", "one", "--epsilon", "-1", "--t", "6e7", "--sigma", "1.1:1.2:2"],
+     "height |t - t0| = 60000000.0 exceeds 2564102.564102564, "
+     "the Moebius/log-zeta identity's limit at sigma = 1.1"),
+    (["eval-f", "--function", "one", "--method", "euler", "--t", "7.2e6", "--sigma", "3:3:1",
+      "--prime-cutoff", "1000"],
+     "height |t - t0| = 7200000.0 exceeds 7142857.142857143, "
+     "the Moebius/log-zeta identity's limit at sigma = 3.0"),
+])
+def test_a_height_beyond_the_identity_is_refused_before_any_zeta_work(argv, line, tmp_path,
+                                                                     capsys, monkeypatch):
+    # log_zeta_minus_prime_zeta reads zeta at k w for squarefree k <= K (K = 43
+    # near sigma = 1, 39 at 1.1, 28 at 1.5, 14 at 3), so |t - t0| must stay
+    # within the height ceiling over the largest such k: 43, 39, 26 and 14
+    def no_zeta(s, tol):
+        raise AssertionError(f"zeta ran at {s}")
+
+    def no_sieving(limit):
+        raise AssertionError(f"sieved to {limit}")
+        yield  # a generator, as primes._segments is: a route may create it first
+
+    dirichlet._moebius()  # the identity's mu(k) table, built once per process
+    monkeypatch.setattr(dirichlet, "zeta", no_zeta)
+    monkeypatch.setattr(primes, "_segments", no_sieving)
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error:domain:{line}\n"
+    assert not out.exists()
+
+
+def test_a_height_just_within_the_identity_runs(tmp_path):
+    # 14 * 7e6 = 9.8e7: every zeta height of the identity at sigma = 3 is under 1e8
+    out = tmp_path / "x.csv"
+    assert main(["eval-f", "--function", "one", "--method", "euler", "--t", "7e6",
+                 "--sigma", "3:3:1", "--prime-cutoff", "1000", "--out", str(out)]) == 0
+    assert len(read_csv(out)[2]) == 1
+
+
 def test_provenance_names_every_flag(tmp_path):
     spec = str(tmp_path / "spec.json")
     assert run(["extremal-build", "--kappa", "power:0.25", "--out", spec]) == 0
@@ -718,15 +766,39 @@ print(json.dumps(loaded))
 """
 
 
+def _fresh_process(args, cwd, stdout=subprocess.PIPE):
+    """Run ``python args`` to its end in a fresh process, the leader of a
+    session of its own, that imports this checkout's mflab, with stdout
+    block-buffered as in a shell pipeline.  Returns its exit code, stdout
+    bytes, stderr text and the pids left in its session."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, *args], cwd=cwd, env=env, stdout=stdout,
+                            stderr=subprocess.PIPE, start_new_session=True)
+    out, err = proc.communicate(timeout=60)
+    return proc.returncode, out, err.decode(), _session_members(proc.pid)
+
+
+def _session_members(sid):
+    """The pids of the processes in session ``sid``, from /proc (none without it)."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()  # state ppid pgrp session
+        except OSError:  # the process ended meanwhile
+            continue
+        if int(fields[3]) == sid:
+            found.append(int(stat.parent.name))
+    return found
+
+
 def _fresh_python(args, cwd):
     """stdout of ``python args`` in a fresh process that imports this checkout's mflab."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    code, out, err, _ = _fresh_process(args, cwd)
+    assert code == 0, err
+    return out.decode()
 
 
 def _modules_loaded_after_each(commands, cwd):
@@ -806,3 +878,73 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     # the construction runs on floats: no numpy, multfun or primes
     assert after == [{"cli", "errors", "extremal"}, traced | {"extremal"},
                      traced | {"extremal", "dirichlet"}]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ENTRY = ["-m", "mflab.cli"]  # the launcher of perfbench and of the README's examples
+
+
+@pytest.mark.parametrize("name, out", [
+    ("sum-twist-extremal.csv", ["--out", "sum-twist-extremal.csv"]),  # forks segment workers
+    ("verify-block.txt", ["--out", "verify-block.txt"]),
+    ("thm2.csv", ["--out", "-"]),  # read through a pipe
+    ("criterion-one.txt", []),  # stdout by default
+])
+def test_a_fresh_process_writes_the_golden_bytes(name, out, tmp_path):
+    (tmp_path / "spec-ll.json").write_bytes((GOLDEN / "spec-ll.json").read_bytes())
+    code, stdout, err, left = _fresh_process([*ENTRY, *dict(CORPUS)[name], *out], tmp_path)
+    assert (code, err, left) == (0, "", [])
+    to_file = out == ["--out", name]
+    assert (tmp_path / name).exists() == to_file and (stdout == b"") == to_file
+    assert ((tmp_path / name).read_bytes() if to_file else stdout) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["sum", "--function", "moebius", "--limit", "5"], 2,
+     "error:usage:the following arguments are required: --out"),
+    (["eval-f", "--function", "one", "--method", "euler", "--t", "4e6", "--sigma", "1.5:1.5:1",
+      "--prime-cutoff", "1000", "--out", "x.csv"], 2,
+     "error:domain:height |t - t0| = 4000000.0 exceeds 3846153.846153846, "
+     "the Moebius/log-zeta identity's limit at sigma = 1.5"),
+    (["eval-f", "--function", "one", "--sigma", "1.5:2:1001", "--out", "x.csv"], 3,
+     "error:capacity:sigma grid of 1001 points exceeds 1000"),
+])
+def test_a_fresh_process_ends_an_error_in_one_line(argv, code, line, tmp_path):
+    assert _fresh_process([*ENTRY, *argv], tmp_path) == (code, b"", line + "\n", [])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_fresh_process_reports_a_closed_stdout_in_one_line(tmp_path):
+    # _write flushes stdout inside main, so the broken pipe is main's OSError
+    # and not a message at exit, where os._exit would leave no room for one
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        got = _fresh_process([*ENTRY, *dict(CORPUS)["thm2.csv"], "--out", "-"],
+                             tmp_path, stdout=w)
+    finally:
+        os.close(w)
+    assert got == (2, None, "error:usage:[Errno 32] Broken pipe\n", [])
+
+
+def test_a_fresh_process_prints_the_whole_help(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # as _fresh_process sets it
+    help_text = build_parser().format_help().encode()
+    assert _fresh_process([*ENTRY, "--help"], tmp_path) == (0, help_text, "", [])
+
+
+def test_both_launchers_enter_through_run():
+    # the mflab script and python -m mflab.cli: one exit path, past one flush
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"mflab": "mflab.cli:run"}
+    tree = ast.parse((Path(multfun.__file__).parent / "cli.py").read_text())
+    (block,) = [n for n in tree.body if isinstance(n, ast.If)
+                and ast.unparse(n.test) == "__name__ == '__main__'"]
+    assert ast.unparse(block.body) == "run()"
+    (entry,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "run"]
+
+    def exits(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "_exit"]
+
+    assert len(exits(entry)) == len(exits(tree)) == 1  # os._exit in run alone
