@@ -64,28 +64,22 @@ _nonnegative_float = _checked(float, lambda v: 0 <= v < float("inf"), "a finite 
 
 
 def _sigma_grid(spec: str) -> list[float]:
+    """start:end:count, geometric in sigma - 1, the natural scale for approach to the pole."""
     parts = spec.split(":")
-    if len(parts) not in (3, 4):
-        raise FunctionSpecError(f"sigma grid must be start:end:count[:spacing], got {spec!r}")
+    if len(parts) != 3:
+        raise FunctionSpecError(f"sigma grid must be start:end:count, got {spec!r}")
     try:
         start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise FunctionSpecError(f"bad sigma grid {spec!r}") from None
-    spacing = parts[3] if len(parts) == 4 else "geometric"
     if count < 1 or not 1.0 < start <= end < float("inf"):
         raise FunctionSpecError(f"sigma grid needs finite 1 < start <= end, count >= 1: {spec!r}")
     if count > SIGMA_GRID_CEILING:
         raise CapacityError(f"sigma grid of {count} points exceeds {SIGMA_GRID_CEILING}")
     if count == 1:
         return [start]
-    if spacing == "linear":
-        head = [start + (end - start) * i / (count - 1) for i in range(count - 1)]
-    elif spacing == "geometric":
-        # geometric in sigma - 1, the natural scale for approach to the pole
-        r = ((end - 1.0) / (start - 1.0)) ** (1.0 / (count - 1))
-        head = [1.0 + (start - 1.0) * r**i for i in range(count - 1)]
-    else:
-        raise FunctionSpecError(f"unknown sigma spacing {spacing!r}")
+    r = ((end - 1.0) / (start - 1.0)) ** (1.0 / (count - 1))
+    head = [1.0 + (start - 1.0) * r**i for i in range(count - 1)]
     return head + [end]  # exactly the requested end, not a rounded power
 
 
@@ -236,7 +230,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval-f", help="F(s) grid CSV")
     p.add_argument("--function", required=True)
-    p.add_argument("--sigma", required=True, help="start:end:count[:spacing]")
+    p.add_argument("--sigma", required=True, help="start:end:count")
     p.add_argument("--t", type=_finite_float, default=0.0)
     p.add_argument("--method", choices=["truncated", "euler", "prime-sum"],
                    default="truncated")
@@ -327,9 +321,14 @@ def run() -> None:
         code = main()
     except SystemExit as e:  # argparse: a usage error or --help
         code = e.code or 0
-    for stream in (sys.stdout, sys.stderr):
-        with suppress(OSError):  # a closed pipe, which main reported
-            stream.flush()  # stdout: argparse's --help; _write flushed the rest
+    try:
+        sys.stdout.flush()  # argparse's --help; _write flushed the rest
+    except OSError as e:  # a closed pipe, which main reported unless it exited 0
+        if code == 0:
+            sys.stderr.write(f"error:usage:{e}\n")
+            code = _EXIT_BY_KIND["usage"]
+    with suppress(OSError):
+        sys.stderr.flush()
     os._exit(code)
 
 

@@ -17,9 +17,9 @@ honest, large bounds instead of refusing.
 
 The series, prime-sum and euler-product routes take a sequence of points and
 return one result per point, in order; work that does not depend on s is
-done once per call.  The prime routes make one pass over ``prime_chunks``
-and feed one ``StreamSummer`` per point and sum, so their memory does not
-grow with the prime cutoff.
+done once per call.  The prime routes sum through ``prime_sums``, one pass
+over ``prime_chunks`` with one ``StreamSummer`` per point and sum, so their
+memory does not grow with the prime cutoff.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import expm1, log
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -159,13 +159,6 @@ def _power_terms(c: np.ndarray, log_n: np.ndarray, pts: Sequence[ComplexPoint]):
     for i, pt, _, cu in _unit_runs(c, log_n, pts):
         x = inverse_power(log_n, pt.sigma)
         yield i, np.multiply(cu, x, out=None if cu.dtype.kind == "c" else x)
-
-
-def add_power_sums(c: np.ndarray, log_n: np.ndarray, pts: Sequence[ComplexPoint],
-                   summers: Sequence[StreamSummer]) -> None:
-    """Feed each point's summer the terms c n^{-s}."""
-    for i, term in _power_terms(c, log_n, pts):
-        summers[i].feed(None, term)
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +360,6 @@ def _factor_logs(
         yield np.where(small, series, -np.log(w) - z)
 
 
-def add_defects(
-    f: MultiplicativeFunction, ps: np.ndarray, pts: Sequence[ComplexPoint], cutoff: int,
-    summers: Sequence[StreamSummer],
-) -> None:
-    """Feed each point's summer log factor_p - f(p) p^{-s} for the primes
-    of the chunk ``ps`` that are <= cutoff.  The cut can leave a short
-    slice; _factor_logs gives each prime the same bits at any array length,
-    so the sum does not depend on where segments fall."""
-    head = ps[: int(np.searchsorted(ps, cutoff, side="right"))]
-    if head.size:
-        for summer, defect in zip(summers, _factor_logs(f, head, pts)):
-            summer.feed(None, defect)
-
-
 def _defect_tail(pt: ComplexPoint, cutoff: int) -> float:
     """Bound on the defect terms of the primes above cutoff."""
     return _DEFECT_COEFF * float(cutoff) ** (1.0 - 2.0 * pt.sigma) / (2.0 * pt.sigma - 1.0)
@@ -404,6 +383,43 @@ def alignment_terms(
     return lp, np.add(1.0, g, out=g)
 
 
+def residual_terms(f: MultiplicativeFunction, direction: HalaszDirection):
+    """prime_sums' ``terms`` of the alignment residual: g(p) and log p of
+    alignment_terms for the primes with g(p) != 0 alone, so an aligned
+    direction feeds nothing.  Which terms those are does not depend on the chunking."""
+    def terms(ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lp, g = alignment_terms(f, ps, direction)
+        if not g.all():  # copy out the nonzero terms only when there is a zero
+            nz = np.flatnonzero(g)
+            g, lp = g[nz], lp[nz]
+        return g, lp
+    return terms
+
+
+def prime_sums(
+    f: MultiplicativeFunction, pts: Sequence[ComplexPoint], ws: Sequence[ComplexPoint],
+    terms: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], chunks: Iterable[np.ndarray],
+    exact_factor_cutoff: int,
+) -> list[tuple[complex, complex]]:
+    """The one pass of the prime routes over ``chunks``: per point i, the sum
+    of c(p) p^{-ws[i]}, with (c, log p) = terms(ps) for each chunk ps, and
+    the defect sum of log factor_p - f(p) p^{-pts[i]} over the primes <=
+    exact_factor_cutoff, each in one StreamSummer.  Returns the closed (sum,
+    defect) pairs.  _factor_logs gives a prime the same bits in any slice, so
+    no sum depends on where chunks fall or the cutoff cuts."""
+    sums = [StreamSummer() for _ in ws]
+    deltas = [StreamSummer() for _ in pts]
+    for ps in chunks:
+        c, lp = terms(ps)
+        for i, term in _power_terms(c, lp, ws):
+            sums[i].feed(None, term)
+        head = ps[: int(np.searchsorted(ps, exact_factor_cutoff, side="right"))]
+        for delta, defect in zip(deltas, _factor_logs(f, head, pts) if head.size else ()):
+            delta.feed(None, defect)
+        c = lp = term = head = defect = None  # hold nothing of this chunk into the next
+    return [(s.close(), d.close()) for s, d in zip(sums, deltas)]
+
+
 def log_F_prime_sum(
     f: MultiplicativeFunction, points: Sequence, plan: TruncationPlan,
 ) -> list[EvalResult]:
@@ -416,40 +432,21 @@ def log_F_prime_sum(
     raises SingularFactorError).
     """
     pts = [as_point(s) for s in points]
-    sums = [StreamSummer() for _ in pts]
-    deltas = [StreamSummer() for _ in pts]
-    for ps in prime_chunks(plan.prime_cutoff):
-        add_power_sums(f.prime_values(ps), np.log(ps.astype(np.float64)), pts, sums)
-        add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
-    return prime_sum_results(pts, sums, deltas, plan)
+    pairs = prime_sums(f, pts, pts, lambda ps: (f.prime_values(ps), np.log(ps.astype(np.float64))),
+                       prime_chunks(plan.prime_cutoff), plan.exact_factor_cutoff)
+    return prime_sum_results(pts, pairs, plan)
 
 
 def prime_sum_results(
-    pts: Sequence[ComplexPoint], sums: Sequence[StreamSummer], deltas: Sequence[StreamSummer],
-    plan: TruncationPlan,
+    pts: Sequence[ComplexPoint], pairs: Sequence[tuple[complex, complex]], plan: TruncationPlan,
 ) -> list[EvalResult]:
-    """The results of log_F_prime_sum from its summers, fed every prime
-    <= plan.prime_cutoff, with the tail bounds of plan's cutoffs."""
+    """The results of log_F_prime_sum from prime_sums' (sum, defect) pairs
+    over the primes <= plan.prime_cutoff, with the tail bounds of plan's cutoffs."""
     return [
-        EvalResult(summer.close() + delta.close(),
+        EvalResult(total + delta,
                    (("prime-tail", tail_bound(plan.prime_cutoff, pt.sigma)),
                     ("defect-tail", _defect_tail(pt, plan.exact_factor_cutoff))), "prime-sum")
-        for pt, summer, delta in zip(pts, sums, deltas)]
-
-
-def add_alignment_sums(
-    f: MultiplicativeFunction, ps: np.ndarray, ws: Sequence[ComplexPoint],
-    direction: HalaszDirection, summers: Sequence[StreamSummer],
-) -> None:
-    """Feed each w's summer g(p) p^{-w} for the primes of the chunk ``ps``
-    with g(p) != 0 alone, so an aligned direction feeds nothing.  Positions
-    count the nonzero terms only; which terms those are does not depend on
-    the chunking, so neither do the bits."""
-    lp, g = alignment_terms(f, ps, direction)
-    if not g.all():  # copy out the nonzero terms only when there is a zero
-        nz = np.flatnonzero(g)
-        g, lp = g[nz], lp[nz]
-    add_power_sums(g, lp, ws, summers)
+        for pt, (total, delta) in zip(pts, pairs)]
 
 
 def F_euler(
@@ -477,13 +474,9 @@ def F_euler(
     chunks = prime_chunks(plan.prime_cutoff)  # checks the cutoff before the zeta work
     ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
     pzs = [prime_zeta(w) for w in ws]
-    residuals = [StreamSummer() for _ in pts]
-    deltas = [StreamSummer() for _ in pts]
-    for ps in chunks:
-        add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
-        add_alignment_sums(f, ps, ws, direction, residuals)
-    return [EvalResult(direction.epsilon0 * (residual.close() - pz.value) + delta.close(),
+    pairs = prime_sums(f, pts, ws, residual_terms(f, direction), chunks, plan.exact_factor_cutoff)
+    return [EvalResult(direction.epsilon0 * (residual - pz.value) + delta,
                        (("prime-zeta", pz.error_bound),
                         ("defect-tail", _defect_tail(pt, plan.exact_factor_cutoff))),
                        "euler-product").exp()
-            for pt, pz, residual, delta in zip(pts, pzs, residuals, deltas)]
+            for pt, pz, (residual, delta) in zip(pts, pzs, pairs)]

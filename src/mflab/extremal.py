@@ -401,15 +401,16 @@ def verify(
     min(10^4, P)) and the a_j sqrt(loglog x_j) target are reported
     without asserting the asymptotic lower bound.
 
-    P and the blocks are checked before any sieving.  Then one pass over
-    ``prime_chunks(P)`` takes log p and theta_p once per chunk for every
-    sum: the theta sum, the 1/p sums (one StreamSummer, cut at each block's
-    end), each window's two sums over its selected primes, and each point's
-    prime sum and defect (dirichlet.add_power_sums, add_defects).
+    P and the blocks are checked before any sieving.  Then one pass
+    (dirichlet.prime_sums over ``prime_chunks(P)``) takes log p and theta_p
+    once per chunk for every sum: its ``terms`` feeds the theta sum, the 1/p
+    sums (one StreamSummer, cut at each block's end) and each window's two
+    sums over its selected primes, and hands f(p) = -e^{i theta_p} to each
+    point's prime sum and defect.
     """
     import numpy as np
-    from .dirichlet import (ComplexPoint, TruncationPlan, add_defects, add_power_sums,
-                            inverse_power, prime_sum_results)
+    from .dirichlet import (ComplexPoint, TruncationPlan, inverse_power, prime_sum_results,
+                            prime_sums)
     from .multfun import StreamSummer
     from .primes import check_limit, prime_chunks
     log_P = log(check_limit(P))
@@ -427,13 +428,11 @@ def verify(
     window_cuts = [int(min(exp(b.log_upper), float(P))) for b in checked]
     # per window: W_j, sum theta_p p^{-sigma}, and the selected count, first and last prime
     wins = [[StreamSummer(), StreamSummer(), 0, 0, 0] for _ in checked]
-    fext = extremal_function(spec)
     # sum_{p <= min(upper_j, P)} 1/p for each block j, at its checkpoint
     H = StreamSummer([min(float(P), exp(min(b.log_upper, log_P))) for b in spec.blocks])
     obs = StreamSummer()
-    sums = [StreamSummer() for _ in pts]
-    deltas = [StreamSummer() for _ in pts]
-    for ps in prime_chunks(P):
+
+    def terms(ps):
         psf = ps.astype(np.float64)
         lp = np.log(psf)
         th = theta_values(spec, ps, lp)
@@ -448,17 +447,15 @@ def verify(
                 win[0].feed(None, th[sel] * nsin[sel] * pw)
                 win[1].feed(None, th[sel] * pw)
                 win[2:] = [win[2] + sel.size, win[3] or int(ps[sel[0]]), int(ps[sel[-1]])]
-        if pts:
-            fp = _unit_values(th)
-            del th
-            add_power_sums(fp, lp, pts, sums)
-            del fp, lp  # not alive while the next segment is sieved
-            add_defects(fext, ps, pts, plan.exact_factor_cutoff, deltas)
+        return (_unit_values(th) if pts else th), lp  # with no point no term is formed
+
+    pairs = prime_sums(extremal_function(spec), pts, pts, terms, prime_chunks(P),
+                       plan.exact_factor_cutoff)
     windows = tuple(
         WindowReport(j, pt.sigma, count, first, last, W.close().real, 0.5 * T.close().real,
                      psr.value.real, b.a * sqrt(log(b.log_x)))
         for j, b, pt, (W, T, count, first, last), psr in zip(
-            blocks, checked, pts, wins, prime_sum_results(pts, sums, deltas, plan)))
+            blocks, checked, pts, wins, prime_sum_results(pts, pairs, plan)))
     H.close()
     return _psum_report(spec, P, obs.close().real, [h.real for h in H.checkpoint_values]), windows
 

@@ -28,10 +28,11 @@ from .dirichlet import (
     F_euler,
     HalaszDirection,
     TruncationPlan,
-    add_alignment_sums,
     alignment_terms,
     as_point,
     log_zeta_minus_prime_zeta,
+    prime_sums,
+    residual_terms,
     tail_bound,
 )
 from .errors import CapacityError, DomainError
@@ -112,14 +113,12 @@ def lemma_defect(
     chunks = prime_chunks(prime_cutoff)  # checks the cutoff before the zeta work
     ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
     brackets = [log_zeta_minus_prime_zeta(w) for w in ws]
-    residuals = [StreamSummer() for _ in pts]
-    for ps in chunks:
-        add_alignment_sums(f, ps, ws, direction, residuals)
-    return [EvalResult(bracket.value + residual.close(),
+    pairs = prime_sums(f, pts, ws, residual_terms(f, direction), chunks, 1)  # no defect: C = 1
+    return [EvalResult(bracket.value + residual,
                        (("bracket", bracket.error_bound),
                         ("residual-tail", 2.0 * tail_bound(prime_cutoff, pt.sigma))),
                        "lemma-defect")
-            for pt, bracket, residual in zip(pts, brackets, residuals)]
+            for pt, bracket, (residual, _) in zip(pts, brackets, pairs)]
 
 
 def lemma_ratio(sigma: float, D: complex) -> float:

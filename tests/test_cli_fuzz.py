@@ -1,7 +1,8 @@
 """Fuzz of ``cli.main(argv)`` over every subcommand.
 
 Half the command lines use good values only; the other half have one bad
-field: an unparsable number, a sigma grid at or left of 1, an unknown
+field: an unparsable number, a sigma grid at or left of 1 or with a
+spacing field, an unknown
 function or grid, a missing or malformed spec file.  Sizes stay small (limits and cutoffs <= 10^4).  Ceilings appear only
 as values just above them, which every command refuses before it sieves,
 allocates or sums.  Whatever the input, a run must exit 0, 2 or 3; a
@@ -37,11 +38,12 @@ FUNCTION = (pick("one", "moebius", "liouville", "odd_one", "extremal-ref", "twis
             pick("twist:nan:one", "twist:x:one", "twist:1", "bogus", "extremal:missing.json",
                  "extremal:bad.json"))
 # 100001 points (above SIGMA_GRID_CEILING), like --kmax 100001, is refused before any sieving
-SIGMA = (st.builds(lambda a, b, n, spacing: f"{min(a, b)}:{max(a, b)}:{n}{spacing}",
+SIGMA = (st.builds(lambda a, b, n: f"{min(a, b)}:{max(a, b)}:{n}",
                    pick(1.0000001, 1.001, 1.3, 1.5), pick(1.0000001, 1.001, 1.3, 1.5),
-                   st.integers(1, 4), pick("", ":linear", ":geometric")),
+                   st.integers(1, 4)),
          pick("1", "0.5:1.5:3", "nan:1.5:2", "1.5:inf:2", "1.5:1.2:2", "1.1:1.2:0",
-              "1.1:1.2:2:log", "1.5", "", "a:b:c", "1.1:1.5:100001"))
+              "1.1:1.2:2:log", "1.1:1.2:2:linear", "1.001:1.5:3:geometric", "1.3:1.3:1:linear",
+              "1.5", "", "a:b:c", "1.1:1.5:100001"))
 # heights past ZETA_HEIGHT_CEILING = 1e8 are refused before any sieving
 HEIGHT = (pick(None, "0", "0.7", "-14.13", "3", "1188.582"), pick("nan", "inf", "x", "1e9", "-2e8"))
 EPSILON = (pick("1", "-1"), pick("0", "2", "x"))

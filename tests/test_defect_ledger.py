@@ -46,13 +46,18 @@ def test_misaligned_euler_row_lies_within_err_of_the_truth(spec, direction, s, t
     assert abs(r.value - want) <= r.error_bound
 
 
-@pytest.mark.slow  # zeta takes about 10 s at this height
+@pytest.mark.parametrize("sigma, t", [
+    # off by 8.2e-11 against an err of 1.79e-11, in 0.35 s
+    (1.01, 1e6),
+    # off by 8.3e-9 against an err of 7.5e-11; zeta takes about 10 s at this height
+    pytest.param(1.5, 1e8, marks=pytest.mark.slow),
+], ids=["1e6", "1e8"])
 @defect(2, "no err part counts the rounding of the phase t log n")
-def test_zeta_at_height_1e8_lies_within_err():
-    """``dirichlet.zeta(1.5 + 1e8 i)`` is off by 8.3e-9 against an err of 7.5e-11."""
-    r = zeta(ComplexPoint(1.5, 1e8))
+def test_zeta_at_height_lies_within_err(sigma, t):
+    """``dirichlet.zeta(sigma + it)`` at t = 1e6 and 1e8, below the height ceiling."""
+    r = zeta(ComplexPoint(sigma, t))
     with mp.workdps(30):
-        want = complex(mp.zeta(mp.mpc(1.5, 1e8)))
+        want = complex(mp.zeta(mp.mpc(sigma, t)))
     assert abs(r.value - want) <= r.error_bound
 
 

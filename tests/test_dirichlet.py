@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,9 +11,6 @@ from mflab.dirichlet import (
     ComplexPoint,
     _factor_logs,
     TruncationPlan,
-    add_alignment_sums,
-    add_defects,
-    add_power_sums,
     alignment_terms,
     F_euler,
     F_truncated,
@@ -20,13 +18,15 @@ from mflab.dirichlet import (
     inverse_power,
     log_F_prime_sum,
     log_zeta_minus_prime_zeta,
+    prime_sums,
     prime_zeta,
+    residual_terms,
     zeta,
 )
 from mflab.errors import CapacityError, CoverageError, DomainError, SingularFactorError
 from mflab.multfun import (MultiplicativeFunction, StreamSummer, builtin, parse_function_spec,
                            summatory_trace, unit_power)
-from mflab.primes import prime_chunks, sieve_primes
+from mflab.primes import sieve_primes
 
 from _oracles import F_partial_summation, prime_sum_power_oracle, zeta_series_oracle
 
@@ -236,18 +236,20 @@ def bits(z) -> list:
     return np.array([z], dtype=np.complex128).view(np.uint64).tolist()
 
 
+def prime_terms(f):
+    """The terms of log_F_prime_sum: f(p) and log p."""
+    return lambda ps: (f.prime_values(ps), np.log(ps.astype(np.float64)))
+
+
 def _sum_and_defect(f, points, plan):
     """(result, prime sum, defect) per point: log_F_prime_sum's result, and
-    its two sums fed the way it feeds them.  Its value is their sum, bit for
-    bit."""
+    its two sums from prime_sums over chunks of 1000 primes.  Its value is
+    their sum, bit for bit."""
     pts = [dirichlet.as_point(pt) for pt in points]
-    sums = [StreamSummer() for _ in pts]
-    deltas = [StreamSummer() for _ in pts]
-    for ps in prime_chunks(plan.prime_cutoff):
-        add_power_sums(f.prime_values(ps), np.log(ps.astype(np.float64)), pts, sums)
-        add_defects(f, ps, pts, plan.exact_factor_cutoff, deltas)
-    out = [(r, a.close(), d.close())
-           for r, a, d in zip(log_F_prime_sum(f, pts, plan), sums, deltas)]
+    ps = sieve_primes(plan.prime_cutoff)
+    chunks = [ps[i : i + 1000] for i in range(0, ps.size, 1000)]
+    pairs = prime_sums(f, pts, pts, prime_terms(f), chunks, plan.exact_factor_cutoff)
+    out = [(r, a, d) for r, (a, d) in zip(log_F_prime_sum(f, pts, plan), pairs)]
     for r, a, d in out:
         assert bits(r.value) == bits(a + d)
     return out
@@ -338,16 +340,16 @@ def test_twist_folds_into_the_direction_bit_for_bit(spec, base, T):
 @pytest.mark.parametrize("spec,t0", [("twist:0.7:one", -0.7), ("twist:0.5:twist:0.25:one", -0.75)])
 def test_aligned_twist_direction_has_exactly_zero_alignment_terms(spec, t0):
     # twist:T:one is aligned with (-1, -T): g = 1 - p^{-i0} is exactly 0, so
-    # the alignment sums skip every prime and feed their summers nothing
+    # the residual terms are empty and the residual sums are fed nothing
     f = parse_function_spec(spec)
-    _, g = alignment_terms(f, BASE, HalaszDirection(-1, t0))
+    direction = HalaszDirection(-1, t0)
+    _, g = alignment_terms(f, BASE, direction)
     assert not g.any()
-    summers = [StreamSummer(), StreamSummer()]
-    summers[0].feed(None, np.array([1.5 - 2.0j]))
-    add_alignment_sums(f, BASE, [ComplexPoint(1.001), ComplexPoint(1.3, 2.0)],
-                       HalaszDirection(-1, t0), summers)
-    assert [s.close() for s in summers] == [1.5 - 2.0j, 0j]
-    assert summers[0]._n_next == 2 and summers[1]._n_next == 1
+    c, lp = residual_terms(f, direction)(BASE)
+    assert c.size == lp.size == 0
+    pts = [ComplexPoint(1.001), ComplexPoint(1.3, 2.0)]
+    assert prime_sums(f, pts, pts, residual_terms(f, direction), [BASE[:5000], BASE[5000:]],
+                      1) == [(0j, 0j), (0j, 0j)]
 
 
 def test_factored_inverse_power_against_mpmath():
@@ -386,15 +388,32 @@ def test_prime_sums_streamed_in_short_chunks_have_the_bits_of_one_pass(size):
     pts = [ComplexPoint(1.001), ComplexPoint(1.2, 1000.0)]
 
     def streamed(chunks):
-        sums, deltas, residuals = ([StreamSummer() for _ in pts] for _ in range(3))
-        for c in chunks:
-            add_power_sums(f.prime_values(c), np.log(c.astype(np.float64)), pts, sums)
-            add_defects(f, c, pts, 10**4, deltas)
-            add_alignment_sums(f, c, pts, HalaszDirection(-1, 0.7), residuals)
-        totals = [s.close() for s in sums + residuals]
+        # every prime of the range takes its exact factor, so the defect sums
+        # are over each chunk whole
+        pairs = prime_sums(f, pts, pts, prime_terms(f), chunks, 10**6)
+        residuals = prime_sums(f, pts, pts, residual_terms(f, HalaszDirection(-1, 0.7)), chunks, 1)
+        totals = [z for pair in pairs + residuals for z in pair]
         return np.array(totals, dtype=np.complex128).view(np.uint64).tolist()
 
     assert streamed([ps[i : i + size] for i in range(0, ps.size, size)]) == streamed([ps])
+
+
+def test_prime_sums_holds_nothing_of_a_chunk_into_the_next():
+    # a chunk of prime_chunks is a view of its whole sieve segment: a name
+    # left bound to it, or to a slice of it, would keep that segment alive
+    # through the next chunk's work
+    f = builtin("liouville")
+    pts = [ComplexPoint(1.001), ComplexPoint(1.3, 2.0)]
+    seen = []
+
+    def terms(ps):
+        assert all(ref() is None for ref in seen), len(seen)
+        seen.append(weakref.ref(ps))
+        return f.prime_values(ps), np.log(ps.astype(np.float64))
+
+    chunks = (BASE[i : i + 1000].copy() for i in range(0, BASE.size, 1000))
+    prime_sums(f, pts, pts, terms, chunks, 10**5)  # every prime takes its defect too
+    assert len(seen) == 10
 
 
 def one_feed_total(x: np.ndarray) -> complex:
@@ -410,12 +429,11 @@ def test_real_coefficients_sum_in_float64_with_the_bits_of_complex128():
     c, lp = builtin("moebius").prime_values(ps), np.log(ps.astype(np.float64))
     for pts in ([ComplexPoint(1.001), ComplexPoint(2.0)],
                 [ComplexPoint(1.001), ComplexPoint(1.3, 0.7)]):
-        summers = [StreamSummer(), StreamSummer()]
-        add_power_sums(c, lp, pts, summers)
-        for pt, summer in zip(pts, summers):
+        pairs = prime_sums(builtin("moebius"), pts, pts, lambda _: (c, lp), [ps], 1)
+        for pt, (total, _) in zip(pts, pairs):
             cu = c if pt.t == 0.0 else c * unit_power(lp, pt.t)
             want = one_feed_total(cu * inverse_power(lp, pt.sigma))
-            assert bits(summer.close()) == bits(want)
+            assert bits(total) == bits(want)
 
 
 def test_defect_cut_past_a_segment_edge_is_one_table_sum():

@@ -34,6 +34,9 @@ COMMANDS = {
              "--prime-cutoff", "20000", "--out", "t.csv"],
     "lemma": ["lemma", "--function", "twist:0.5:one", "--epsilon", "-1", "--t0", "0.5",
               "--sigma", "1.01:1.2:2", "--prime-cutoff", "20000", "--out", "l.csv"],
+    # the spec that verify reads: the build runs first, in its own process
+    "build": ["extremal-build", "--kappa", "power:0.25", "--out", "spec.json"],
+    "verify": ["extremal-verify", "spec.json", "--cutoff", "20000", "--out", "v.txt"],
 }
 
 
@@ -52,3 +55,6 @@ def test_the_tracer_runs_each_command_and_records_the_kernel_spans(tmp_path):
             "multfun.StreamSummer.feed"} <= set().union(*names.values()), names
     for command in ("euler", "thm1", "lemma"):
         assert "multfun.segment_values" in names[command], (command, sorted(names[command]))
+    # every prime route sums through the one prime pass
+    for command in ("euler", "prime-sum", "thm1", "lemma", "verify"):
+        assert "dirichlet.prime_sums" in names[command], (command, sorted(names[command]))
