@@ -35,7 +35,7 @@ from .errors import CapacityError, DomainError, SingularFactorError
 from .multfun import (SUMMATORY_LIMIT_CEILING, ZETA_HEIGHT_CEILING, MultiplicativeFunction,
                       StreamSummer, _value_segments, builtin, check_folded_height, kernel_base,
                       segment_values, unit_power)
-from .primes import prime_chunks
+from .primes import check_limit, prime_chunks
 
 # Bernoulli quotients B_2/2!, B_4/4!, B_6/6! for the Euler-Maclaurin tail.
 _B2_2F = 1.0 / 12.0
@@ -396,6 +396,14 @@ def residual_terms(f: MultiplicativeFunction, direction: HalaszDirection):
     return terms
 
 
+def residual_chunks(f: MultiplicativeFunction, direction: HalaszDirection, P: int, C: int):
+    """prime_chunks to min(P, max(2, C, f.reach)): g(p) = 0 beyond the reach, and C
+    ends the defect.  P is checked first, so a refusal comes before any zeta work."""
+    P = check_limit(P)
+    reach = P if f.reach is None else f.reach(direction.epsilon0, direction.t0, P)
+    return prime_chunks(min(P, max(2, C, reach)))
+
+
 def prime_sums(
     f: MultiplicativeFunction, pts: Sequence[ComplexPoint], ws: Sequence[ComplexPoint],
     terms: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], chunks: Iterable[np.ndarray],
@@ -464,14 +472,15 @@ def F_euler(
     with P(w) from the Moebius/log-zeta identity.  This stays accurate for
     sigma arbitrarily close to 1.
 
-    Stated assumption for the error bound: the alignment residual g(p)
-    vanishes for p > P (true for the aligned corpus: moebius/liouville/one
-    at t0 = 0 and the extremal construction).  A twist's T is folded into
-    t0, and t0 + T is refused above the height ceiling before any sieving.
+    Stated assumption for the error bound: g(p) vanishes for p > P, as it
+    does beyond f's reach (residual_chunks) for moebius and liouville along
+    (+1, 0), one and odd_one along (-1, 0) and their twists, but an extremal
+    rule's theta_p is not 0 beyond any P.  A twist's T is folded into t0,
+    and t0 + T is refused above the height ceiling before any sieving.
     """
     pts = [as_point(s) for s in points]
     check_folded_height(f, direction.t0)
-    chunks = prime_chunks(plan.prime_cutoff)  # checks the cutoff before the zeta work
+    chunks = residual_chunks(f, direction, plan.prime_cutoff, plan.exact_factor_cutoff)
     ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
     pzs = [prime_zeta(w) for w in ws]
     pairs = prime_sums(f, pts, ws, residual_terms(f, direction), chunks, plan.exact_factor_cutoff)

@@ -14,7 +14,7 @@ from _sha1 import sha1  # hashlib's own fallback; hashlib would load OpenSSL (+3
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from math import e, exp, isfinite, isnan, log, sqrt
+from math import e, exp, floor, inf, isfinite, isnan, log, pi, sqrt
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import CapacityError, CoverageError, DomainError, FunctionSpecError
@@ -29,6 +29,7 @@ KAPPA_GRID_POINTS = 2000        # loglog grid of the kappa regularizations
 A_SQ_BUDGET = 64.0              # largest sum of a_j^2 that choose_blocks accepts
 MERTENS_SLACK = 0.05            # finite-range slack for analytic Mertens bounds
 ALPHA_FLOOR = 1e-6
+REACH_SLACK = 1e-6              # in log p: the rounding of log p, sin and the window ends
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +240,9 @@ def spec_json(spec: ExtremalSpec) -> str:
 def load_spec(path: str) -> ExtremalSpec:
     """Read a ``spec_json`` file; FunctionSpecError if it is missing or
     malformed (J not a JSON integer, another number not a JSON number), or
-    holds a non-finite number, a J other than its number of blocks, an
-    x_j < 16 (as choose_blocks requires), an a_j < 0 or a C0 < 0."""
+    holds a non-finite number, a J other than its number of blocks, blocks
+    out of order (not log x_j < log upper_j <= log x_{j+1}), an x_j < 16 (as
+    choose_blocks requires), an a_j < 0 or a C0 < 0."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -258,6 +260,9 @@ def load_spec(path: str) -> ExtremalSpec:
         problem = "a number that is not finite"
     elif spec.J != len(blocks):
         problem = f"J = {spec.J} but {len(blocks)} blocks"
+    elif any(not b.log_x < b.log_upper <= nxt
+             for b, nxt in zip(blocks, [b.log_x for b in blocks[1:]] + [inf])):
+        problem = "a block that is empty or overlaps the next"
     elif any(b.log_x < log(16.0) for b in blocks):
         problem = "a block starting below x = 16"
     elif any(b.a < 0 for b in blocks):
@@ -290,12 +295,26 @@ def theta_values(spec: ExtremalSpec, ps: np.ndarray, lp: np.ndarray | None = Non
     return th
 
 
+def _theta_reach(spec: ExtremalSpec, P: int) -> int:
+    """The last p <= P where theta_values may be nonzero (1 if none): the end of the
+    last sine window, -sin(log p) >= 1/2 on [7 pi/6, 11 pi/6] + 2 pi k, that meets
+    a block [log x_j, log upper_j) below log P, each widened by REACH_SLACK."""
+    end = 0.0
+    for b in spec.blocks:
+        hi = min(b.log_upper, log(P)) + REACH_SLACK
+        k = floor((hi - 7 * pi / 6) / (2 * pi))  # the last window starting below hi
+        if (w := min(hi, 2 * pi * k + 11 * pi / 6 + REACH_SLACK)) >= b.log_x - REACH_SLACK:
+            end = max(end, w)
+    return min(P, int(exp(end)))
+
+
 def extremal_function(spec: ExtremalSpec) -> MultiplicativeFunction:
     """Completely multiplicative f with f(p) = -e^{i theta_p}; class M."""
     from .multfun import completely_multiplicative
     return completely_multiplicative(
         f"extremal:{spec.content_hash()}",
-        lambda ps: _unit_values(theta_values(spec, ps)))
+        lambda ps: _unit_values(theta_values(spec, ps)),
+        lambda e0, t0, P: _theta_reach(spec, P) if e0 == 1 and t0 == 0.0 else P)
 
 
 def _unit_values(th: np.ndarray) -> np.ndarray:

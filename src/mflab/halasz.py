@@ -32,6 +32,7 @@ from .dirichlet import (
     as_point,
     log_zeta_minus_prime_zeta,
     prime_sums,
+    residual_chunks,
     residual_terms,
     tail_bound,
 )
@@ -110,7 +111,7 @@ def lemma_defect(
     if any(pt.sigma - 1.0 > 1.0 / np.e + 1e-12 for pt in pts):
         raise DomainError("lemma defect needs sigma - 1 <= 1/e")
     check_folded_height(f, direction.t0)
-    chunks = prime_chunks(prime_cutoff)  # checks the cutoff before the zeta work
+    chunks = residual_chunks(f, direction, prime_cutoff, 1)
     ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
     brackets = [log_zeta_minus_prime_zeta(w) for w in ws]
     pairs = prime_sums(f, pts, ws, residual_terms(f, direction), chunks, 1)  # no defect: C = 1

@@ -54,12 +54,14 @@ class MultiplicativeFunction:
     segmented evaluation, single values and every prime sum read it.
     ``completely_multiplicative`` builds one from f(p) alone.  Every
     route's bound assumes |f(p^k)| <= 1 (class M), which no route checks.
+    ``reach(e0, t0, P)``, if set, is the last p <= P where g(p) of alignment_terms may be nonzero.
     """
 
     label: str
     powers: Callable[[np.ndarray, int], np.ndarray]
     completely_multiplicative: bool = False
     twisted: tuple | None = field(default=None, repr=False)  # (base, t) from twist()
+    reach: Callable[[int, float, int], int] | None = field(default=None, repr=False)
 
     def prime_power(self, p: int, k: int) -> complex:
         """f(p^k) for one prime as a Python complex."""
@@ -71,7 +73,7 @@ class MultiplicativeFunction:
 
 
 def completely_multiplicative(
-    label: str, fp: Callable[[np.ndarray], np.ndarray],
+    label: str, fp: Callable[[np.ndarray], np.ndarray], reach=None,
 ) -> MultiplicativeFunction:
     """The function with f(p) = fp(ps) and f(p^k) = f(p)^k.
 
@@ -83,7 +85,7 @@ def completely_multiplicative(
         v = np.asarray(fp(ps))
         return v if k == 1 and (v.dtype.kind != "c" or v.all()) else np.power(v, k)
 
-    return MultiplicativeFunction(label, powers, completely_multiplicative=True)
+    return MultiplicativeFunction(label, powers, completely_multiplicative=True, reach=reach)
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,13 @@ def twist(base: MultiplicativeFunction, t: float) -> MultiplicativeFunction:
         powers=powers,
         completely_multiplicative=base.completely_multiplicative,
         twisted=(base, t),
+        reach=base.reach and (lambda e0, t0, P: base.reach(e0, t0 + t, P)),  # alignment_terms' fold
     )
+
+
+def _constant_reach(c: float, p0: int = 1):
+    """reach of f(p) = c for p > p0: p0 where g(p) = 1 + e0 c is 0.0 at t0 = 0 (no unit)."""
+    return lambda e0, t0, P: p0 if t0 == 0.0 and 1.0 + e0 * c == 0.0 else P
 
 
 def builtin(name: str) -> MultiplicativeFunction:
@@ -146,14 +154,17 @@ def builtin(name: str) -> MultiplicativeFunction:
     ``twist:<t>:<base>`` or ``twist(base, t)``.
     """
     if name == "one":
-        return completely_multiplicative("one", lambda ps: np.ones(ps.shape))
+        return completely_multiplicative("one", lambda ps: np.ones(ps.shape), _constant_reach(1.0))
     if name == "moebius":
         return MultiplicativeFunction(
-            "moebius", lambda ps, k: np.full(ps.shape, -1.0 if k == 1 else 0.0))
+            "moebius", lambda ps, k: np.full(ps.shape, -1.0 if k == 1 else 0.0),
+            reach=_constant_reach(-1.0))
     if name == "liouville":
-        return completely_multiplicative("liouville", lambda ps: np.full(ps.shape, -1.0))
+        return completely_multiplicative("liouville", lambda ps: np.full(ps.shape, -1.0),
+                                         _constant_reach(-1.0))
     if name == "odd_one":
-        return completely_multiplicative("odd_one", lambda ps: np.where(ps == 2, 0.0, 1.0))
+        return completely_multiplicative("odd_one", lambda ps: np.where(ps == 2, 0.0, 1.0),
+                                         _constant_reach(1.0, 2))
     if name == "extremal-ref":
         from . import extremal
 

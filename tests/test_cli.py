@@ -402,6 +402,8 @@ def _spec_text(J=1, blocks=1, C0="1.0", log_x="3.0", log_upper="9.0", a="0.5"):
     pytest.param(_spec_text(log_x="1.0"), id="block-below-16"),
     pytest.param(_spec_text(a="-0.5"), id="negative-a"),
     pytest.param(_spec_text(C0="-1.0"), id="negative-C0"),
+    pytest.param(_spec_text(log_x="9.97", log_upper="5.0"), id="inverted-block"),
+    pytest.param(_spec_text(J=2, blocks=2), id="overlapping-blocks"),
 ])
 def test_missing_or_malformed_extremal_spec(tmp_path, capsys, content):
     spec = tmp_path / "spec.json"

@@ -15,7 +15,7 @@ import pytest
 
 from mflab.cli import main
 from mflab.dirichlet import (ComplexPoint, F_euler, HalaszDirection, TruncationPlan,
-                             log_F_prime_sum, zeta)
+                             log_F_prime_sum, log_zeta_minus_prime_zeta, zeta)
 from mflab.multfun import builtin, parse_function_spec
 
 
@@ -73,6 +73,19 @@ def test_prime_sum_at_height_1e8_lies_within_err():
     d = r.value - want
     d = complex(d.real, (d.imag + cmath.pi) % (2 * cmath.pi) - cmath.pi)  # log modulo 2 pi i
     assert abs(d) <= r.error_bound
+
+
+@defect(2, "no err part counts the rounding of the phase t log n")
+def test_the_identity_at_height_1e5_lies_within_err():
+    """``log_zeta_minus_prime_zeta(1.01 + 10^5 i)``, the bracket of ``lemma``
+    and the prime-zeta part of ``eval-f --method euler`` at |t - t0| = 10^5:
+    off by 1.29e-12 against an err of 5.48e-13.  At 3·10^4 it holds (2.9e-13
+    against 5.4e-13).  The truth is log zeta(w) - P(w) from mpmath's ``zeta``
+    and ``primezeta`` at 30 digits (45 digits agree to 5e-19), written out
+    because it takes about 2 s to compute."""
+    r = log_zeta_minus_prime_zeta(ComplexPoint(1.01, 1e5))
+    want = complex(-0.04301939148670326452705213, 0.03332335819332332729167345)
+    assert abs(r.value - want) <= r.error_bound
 
 
 def test_criterion_refuses_a_height_whose_phases_are_noise(tmp_path, capsys):

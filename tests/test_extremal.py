@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,3 +407,25 @@ def test_spec_json_deterministic(tmp_path):
     p1.write_text(spec_json(spec))
     p2.write_text(spec_json(spec))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("block, log_upper", [
+    (1, 5.0),  # block 2 inverted: log_upper below its log_x of 9.97
+    (0, 10.5),  # block 1 overlaps block 2, which starts at 9.97
+    (0, math.log(20.0)),  # block 1 empty: log_upper = log_x = log x1
+])
+def test_a_spec_with_blocks_out_of_order_is_refused(block, log_upper, tmp_path):
+    # the inverted spec used to verify with PASS and run in thm1; the reach
+    # of extremal_function reads these intervals
+    doc = json.loads(spec_json(reference_spec()))
+    doc["blocks"][block]["log_upper"] = log_upper
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FunctionSpecError, match="bad extremal spec .*: a block that is empty or overlaps"):
+        load_spec(str(path))
+
+
+def test_the_golden_specs_load():
+    golden = Path(__file__).resolve().parent / "golden"
+    assert load_spec(str(golden / "spec.json")).blocks == reference_spec().blocks
+    assert len(load_spec(str(golden / "spec-ll.json")).blocks) >= 1
