@@ -18,7 +18,6 @@ import io
 import os
 import sys
 from contextlib import suppress
-from dataclasses import replace
 from math import isfinite
 
 # mflab calls no BLAS routine: set before numpy loads, this starts no OpenBLAS pool
@@ -139,7 +138,7 @@ def _cmd_eval_f(args) -> int:
             f, pts, _plan(args), dirichlet.HalaszDirection(args.epsilon, args.t0))
     else:  # prime-sum: exp(log F), but err bounds log F mod 2 pi i, as perfbench's audit reads
         import numpy as np  # np.exp's bits, which cmath.exp does not promise
-        results = [replace(r, value=complex(np.exp(r.value)))
+        results = [r._replace(value=complex(np.exp(r.value)))
                    for r in dirichlet.log_F_prime_sum(f, pts, _plan(args))]
     rows = [[_fmt(sg), _fmt(args.t), _fmt(r.value.real), _fmt(r.value.imag),
              _fmt(abs(r.value)), _fmt(r.error_bound), r.method] for sg, r in zip(grid, results)]

@@ -24,10 +24,9 @@ memory does not grow with the prime cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import expm1, log
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,32 +53,30 @@ _FACTOR_TAIL_TOL = 1e-14
 _BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
-class ComplexPoint:
+class ComplexPoint(NamedTuple("ComplexPoint", [("sigma", float), ("t", float)])):
     """A point s = sigma + it strictly right of the one-line."""
 
-    sigma: float
-    t: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.sigma > 1.0:
-            raise DomainError(f"sigma must be > 1, got {self.sigma}")
+    def __new__(cls, sigma: float, t: float = 0.0) -> ComplexPoint:
+        if not sigma > 1.0:
+            raise DomainError(f"sigma must be > 1, got {sigma}")
+        return super().__new__(cls, sigma, t)
 
     @property
     def s(self) -> complex:
         return complex(self.sigma, self.t)
 
 
-@dataclass(frozen=True)
-class HalaszDirection:
+class HalaszDirection(NamedTuple("HalaszDirection", [("epsilon0", int), ("t0", float)])):
     """A direction (epsilon0, t0) of the one-line, as in halasz."""
 
-    epsilon0: int
-    t0: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.epsilon0 not in (-1, 1):
-            raise DomainError(f"epsilon0 must be +1 or -1, got {self.epsilon0}")
+    def __new__(cls, epsilon0: int, t0: float = 0.0) -> HalaszDirection:
+        if epsilon0 not in (-1, 1):
+            raise DomainError(f"epsilon0 must be +1 or -1, got {epsilon0}")
+        return super().__new__(cls, epsilon0, t0)
 
 
 def as_point(s) -> ComplexPoint:
@@ -89,8 +86,7 @@ def as_point(s) -> ComplexPoint:
     return ComplexPoint(c.real, c.imag)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """A value and the named parts of a bound on |value - true value| under
     the method's stated assumptions: a midpoint-radius ball, as in Arb
     (Johansson, IEEE Trans. Comput. 66(8), 2017).  A derived result takes
@@ -121,17 +117,18 @@ def tail_bound(cutoff: float, sigma: float) -> float:
     return x ** (1.0 - sigma) / (sigma - 1.0)
 
 
-@dataclass(frozen=True)
-class TruncationPlan:
+class TruncationPlan(NamedTuple("TruncationPlan", [("prime_cutoff", int),
+                                                   ("exact_factor_cutoff", int)])):
     """The prime routes' cutoffs: primes to P, exact Euler-factor logs below
     exact_factor_cutoff."""
 
-    prime_cutoff: int = 100_000
-    exact_factor_cutoff: int = 10_000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 2 <= self.exact_factor_cutoff <= self.prime_cutoff:
+    def __new__(cls, prime_cutoff: int = 100_000,
+                exact_factor_cutoff: int = 10_000) -> TruncationPlan:
+        if not 2 <= exact_factor_cutoff <= prime_cutoff:
             raise DomainError("need 2 <= exact_factor_cutoff <= prime_cutoff")
+        return super().__new__(cls, prime_cutoff, exact_factor_cutoff)
 
 
 def inverse_power(log_n: np.ndarray, sigma: float) -> np.ndarray:

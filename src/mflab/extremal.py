@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 from _sha1 import sha1  # hashlib's own fallback; hashlib would load OpenSSL (+3.5 MB RSS)
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
 from math import e, exp, floor, inf, isfinite, isnan, log, pi, sqrt
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import CapacityError, CoverageError, DomainError, FunctionSpecError
 
@@ -45,8 +44,7 @@ def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
     return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
 
 
-@dataclass(frozen=True)
-class KappaFunction:
+class KappaFunction(NamedTuple):
     """A growth target with its monotone regularizations on a loglog grid.
 
     kappa0 is the running max of raw (nondecreasing); kappa1 additionally
@@ -55,9 +53,9 @@ class KappaFunction:
     kappa1 is truncated; beyond the grid both extend as constants.
     """
 
-    grid: tuple[float, ...] = field(repr=False)
-    kappa0_vals: tuple[float, ...] = field(repr=False)
-    kappa1_vals: tuple[float, ...] = field(repr=False)
+    grid: tuple[float, ...]
+    kappa0_vals: tuple[float, ...]
+    kappa1_vals: tuple[float, ...]
     desc: str = "custom"
 
     def kappa0(self, ll: float) -> float:
@@ -87,8 +85,7 @@ def regularize_kappa(raw: Callable[[float], float], desc: str = "custom") -> Kap
     return KappaFunction(grid, kappa0, kappa1, desc)
 
 
-@dataclass(frozen=True)
-class AlphaFunction:
+class AlphaFunction(NamedTuple):
     """Nonincreasing envelope dominating the F-growth exponent.
 
     alpha(x) solves exp(kappa1(x)) (loglog x + 1/e) e^{C0} =
@@ -98,11 +95,11 @@ class AlphaFunction:
 
     kappa: KappaFunction
     C0: float
-    env_vals: tuple[float, ...] = field(repr=False)
+    env_vals: tuple[float, ...]
     desc: str = "custom"
 
     def formula_at(self, ll: float) -> float:
-        return max((self.kappa.kappa1(ll) + log(ll + 1.0 / e) + self.C0) / sqrt(ll), ALPHA_FLOOR)
+        return _alpha_formula(self.kappa.kappa1(ll), ll, self.C0)
 
     def at_loglog(self, ll: float) -> float:
         grid = self.kappa.grid
@@ -111,11 +108,15 @@ class AlphaFunction:
         return self.formula_at(ll) if ll >= grid[-1] else _interp(ll, grid, self.env_vals)
 
 
+def _alpha_formula(k1: float, ll: float, C0: float) -> float:
+    """alpha's raw formula at loglog coordinate ll, from kappa1(ll) = k1."""
+    return max((k1 + log(ll + 1.0 / e) + C0) / sqrt(ll), ALPHA_FLOOR)
+
+
 def alpha_from_kappa(kappa: KappaFunction, C0: float) -> AlphaFunction:
     if C0 < 0:
         raise DomainError(f"C0 must be >= 0, got {C0}")
-    raw = [max((k1 + log(v + 1.0 / e) + C0) / sqrt(v), ALPHA_FLOOR)
-           for v, k1 in zip(kappa.grid, kappa.kappa1_vals)]
+    raw = [_alpha_formula(k1, v, C0) for v, k1 in zip(kappa.grid, kappa.kappa1_vals)]
     env = tuple(accumulate(reversed(raw), max))[::-1]
     return AlphaFunction(kappa, float(C0), env,
                          desc=f"envelope(kappa={kappa.desc}, C0={C0!r})")
@@ -151,15 +152,13 @@ def parse_kappa_spec(spec: str) -> Callable[[float], float]:
 # block construction
 
 
-@dataclass(frozen=True)
-class ExtremalBlock:
+class ExtremalBlock(NamedTuple):
     log_x: float      # log x_j
     log_upper: float  # log x_j^{log x_j} = (log x_j)^2
     a: float          # sqrt(alpha(upper_j))
 
 
-@dataclass(frozen=True)
-class ExtremalSpec:
+class ExtremalSpec(NamedTuple):
     x1: float
     J: int
     C0: float
@@ -168,7 +167,11 @@ class ExtremalSpec:
     alpha_desc: str
 
     def sum_a_sq(self) -> float:
-        return float(sum(b.a * b.a for b in self.blocks))
+        """The squares added in order; not sum(), which compensates floats from Python 3.12."""
+        total = 0.0
+        for b in self.blocks:
+            total += b.a * b.a
+        return total
 
     def to_json_dict(self) -> dict:
         return {
@@ -330,16 +333,14 @@ def _unit_values(th: np.ndarray) -> np.ndarray:
 # verification reports
 
 
-@dataclass(frozen=True)
-class BlockPsum:
+class BlockPsum(NamedTuple):
     j: int
     covered: bool            # block intersects [1, P]
     majorant: float          # a_j^2 * (sum 1/p up to min(upper_j, P)) / loglog x_j
     analytic_majorant: float  # same with the analytic Mertens estimate at upper_j
 
 
-@dataclass(frozen=True)
-class PsumReport:
+class PsumReport(NamedTuple):
     cutoff: int
     observed: float
     majorant: float
@@ -371,8 +372,7 @@ class PsumReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(NamedTuple):
     j: int
     sigma: float
     selected_count: int

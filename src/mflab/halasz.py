@@ -16,9 +16,8 @@ partial sums at its cutoffs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log, sqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,8 +41,7 @@ from .multfun import (GRID_STEP_CEILING, MultiplicativeFunction, StreamSummer, S
 from .primes import prime_chunks
 
 
-@dataclass(frozen=True)
-class PartialSumSeries:
+class PartialSumSeries(NamedTuple):
     """Partial sums of a nonnegative prime series at decade cutoffs."""
 
     cutoffs: np.ndarray
@@ -127,8 +125,7 @@ def lemma_ratio(sigma: float, D: complex) -> float:
     return abs(D) / sqrt(max(log(1.0 / (sigma - 1.0)), 1.0))
 
 
-@dataclass(frozen=True)
-class Theorem1Point:
+class Theorem1Point(NamedTuple):
     sigma: float
     F: EvalResult
     ratio: float | None  # None = indeterminate (|F| within its error bound)
@@ -163,8 +160,7 @@ def theorem1_ratio(
     return out
 
 
-@dataclass(frozen=True)
-class Theorem2Point:
+class Theorem2Point(NamedTuple):
     x: int
     abs_S: float
     ratio: float
@@ -190,8 +186,7 @@ _DIVERGENT_SLOPE = 0.5   # growth per decade >= this fraction of d(loglog): dive
 _FLAT_SLOPE = 0.05       # below this fraction: treated as converged
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     function_label: str
     t: float
     cutoffs: np.ndarray

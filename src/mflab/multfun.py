@@ -23,7 +23,6 @@ not depend on the number of workers either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import takewhile, zip_longest
 from math import ceil, isfinite, isqrt, log
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -45,8 +44,7 @@ _SUM_BLOCK = 4096
 _SUB_BLOCK = 1 << 13  # entries per elementwise step of segment_values
 
 
-@dataclass(frozen=True, eq=False)
-class MultiplicativeFunction:
+class MultiplicativeFunction(NamedTuple):
     """A multiplicative f given by its prime-power rule.
 
     ``powers(ps, k)`` returns f(p^k) for an int64 array of primes and one
@@ -60,8 +58,8 @@ class MultiplicativeFunction:
     label: str
     powers: Callable[[np.ndarray, int], np.ndarray]
     completely_multiplicative: bool = False
-    twisted: tuple | None = field(default=None, repr=False)  # (base, t) from twist()
-    reach: Callable[[int, float, int], int] | None = field(default=None, repr=False)
+    twisted: tuple | None = None  # (base, t) from twist()
+    reach: Callable[[int, float, int], int] | None = None
 
     def prime_power(self, p: int, k: int) -> complex:
         """f(p^k) for one prime as a Python complex."""
@@ -88,8 +86,7 @@ def completely_multiplicative(
     return MultiplicativeFunction(label, powers, completely_multiplicative=True, reach=reach)
 
 
-@dataclass(frozen=True)
-class SummatoryTrace:
+class SummatoryTrace(NamedTuple):
     """Checkpointed partial sums S_f(x) = sum_{n<=x} f(n)."""
 
     xs: np.ndarray

@@ -849,6 +849,27 @@ def test_no_source_file_calls_a_blas_routine():
     assert len(found) >= 9 and not any(found.values()), found
 
 
+def _imported_modules(source):
+    """The top-level names of the modules that ``source`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_source_file_imports_dataclasses():
+    # creating a frozen dataclass costs a fresh process about ten times a NamedTuple
+    bad = "import dataclasses as d\nfrom dataclasses import field\n"
+    assert _imported_modules(bad) == {"dataclasses"}
+    src = Path(multfun.__file__).parent
+    found = {p.name: "dataclasses" in _imported_modules(p.read_text())
+             for p in sorted(src.glob("*.py"))}
+    assert len(found) >= 9 and not any(found.values()), found
+
+
 def test_importing_the_package_loads_no_submodule_and_no_numpy(tmp_path):
     code = ("import sys, mflab; "
             "print(sorted(m for m in sys.modules if m.startswith(('mflab.', 'numpy'))))")
@@ -880,6 +901,13 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     # the construction runs on floats: no numpy, multfun or primes
     assert after == [{"cli", "errors", "extremal"}, traced | {"extremal"},
                      traced | {"extremal", "dirichlet"}]
+
+
+def test_extremal_build_loads_no_numpy_dataclasses_or_inspect(tmp_path):
+    code = ("import sys; from mflab.cli import main; "
+            "assert main(['extremal-build', '--kappa', 'power:0.25', '--out', 'spec.json']) == 0; "
+            "print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert _fresh_python(["-c", code], tmp_path).strip() == "[]"
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import math
@@ -194,6 +195,28 @@ def test_sum_a_sq_budget():
     spec = reference_spec()
     assert spec.sum_a_sq() == pytest.approx(sum(b.a**2 for b in spec.blocks))
     assert spec.sum_a_sq() <= 32.0
+
+
+def _neumaier(xs):
+    """A compensated float sum, rounded once at the end, as sum() is from Python 3.12."""
+    s, c = 0.0, 0.0
+    for x in xs:
+        t = s + x
+        c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        s = t
+    return s + c
+
+
+@pytest.mark.parametrize("kappa", ["const:1.7", "power:0.329"])
+def test_sum_a_sq_adds_in_order_whatever_sum_does(kappa, monkeypatch):
+    # the 4 * sum a_j^2 line of extremal-verify keeps its bits on every Python
+    spec = build_spec(kappa, 20.0, 3)
+    want = 0.0
+    for b in spec.blocks:
+        want += b.a * b.a
+    assert _neumaier(b.a * b.a for b in spec.blocks) != want  # the two differ in the last bit
+    monkeypatch.setattr(builtins, "sum", _neumaier)
+    assert spec.sum_a_sq() == want
 
 
 # --- theta and the function --------------------------------------------------

@@ -7,7 +7,6 @@ by the routes at run time: a run-time check would sieve again the very
 primes that the routes skip.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -86,7 +85,7 @@ def test_the_reach_of_the_corpus(spec, direction, P, want):
 
 
 def test_a_rule_with_no_declaration_and_its_twists_reach_P():
-    blind = dataclasses.replace(builtin("one"), reach=None)
+    blind = builtin("one")._replace(reach=None)
     assert reach(blind, HalaszDirection(-1), 1000) == 1000
     assert twist(blind, 0.5).reach is None
 
@@ -123,7 +122,7 @@ def test_the_reach_of_drawn_blocks_leaves_only_zero_residuals_beyond_it(spec):
 ])
 def test_routes_that_stop_at_the_reach_have_the_bits_of_the_whole_stream(spec, direction):
     f = parse_function_spec(spec)
-    blind = dataclasses.replace(f, reach=None)  # streams every prime to P
+    blind = f._replace(reach=None)  # streams every prime to P
     pts = [ComplexPoint(1.0 + 1e-7, 0.3), ComplexPoint(1.2)]
     plan = TruncationPlan(prime_cutoff=10**6, exact_factor_cutoff=1000)
     # repr: every bit of each value and bound, signs of zero included
