@@ -133,13 +133,11 @@ def _cmd_eval_f(args) -> int:
     pts = [dirichlet.ComplexPoint(sg, args.t) for sg in grid]
     if args.method == "truncated":
         results = dirichlet.F_truncated(f, pts, args.series_cutoff)
-    elif args.method == "euler":
-        results = dirichlet.F_euler(
-            f, pts, _plan(args), dirichlet.HalaszDirection(args.epsilon, args.t0))
-    else:  # prime-sum: exp(log F), but err bounds log F mod 2 pi i, as perfbench's audit reads
-        import numpy as np  # np.exp's bits, which cmath.exp does not promise
-        results = [r._replace(value=complex(np.exp(r.value)))
-                   for r in dirichlet.log_F_prime_sum(f, pts, _plan(args))]
+    else:  # exp(log F), err a bound on F; euler passes its direction, prime-sum none
+        direction = (dirichlet.HalaszDirection(args.epsilon, args.t0)
+                     if args.method == "euler" else None)
+        results = [r.exp(sg) for sg, r in
+                   zip(grid, dirichlet.log_F(f, pts, _plan(args), direction))]
     rows = [[_fmt(sg), _fmt(args.t), _fmt(r.value.real), _fmt(r.value.imag),
              _fmt(abs(r.value)), _fmt(r.error_bound), r.method] for sg, r in zip(grid, results)]
     _write_rows(args.out, _provenance(args),

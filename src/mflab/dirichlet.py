@@ -1,25 +1,26 @@
 """Error-bounded evaluation of zeta(s), F(s) and log F(s) for sigma > 1.
 
 Every value comes as one EvalResult: the value and the named parts of its
-error bound.  Three routes to F are offered by ``mflab eval-f``, each tagged
-in its EvalResult:
+error bound.  F has two routes, each tagged in its EvalResult:
 
-* ``truncated-series``  -- direct sum to N, unconditional tail bound.
-* ``prime-sum``         -- log F: sum f(p) p^{-s} plus Euler-factor defect,
-                           unconditional (crude near sigma = 1).
-* ``euler-product``     -- prime-zeta route usable arbitrarily close to the
-                           one-line; its bound is conditional on the stated
-                           alignment assumption (see F_euler).
+* ``F_truncated`` -- ``truncated-series``: direct sum to N, unconditional
+  tail bound.
+* ``log_F`` -- log F by one pass over the primes, in one of two sums:
+  ``euler-product``, the prime-zeta rewrite around a direction (e0, t0)
+  along which f's declared reach is below the prime cutoff, usable
+  arbitrarily close to the one-line; or ``prime-sum``, sum f(p) p^{-s}
+  plus the Euler-factor defect, unconditional (crude near sigma = 1).
+  EvalResult.exp turns either into F, with a bound on F.
 
 All tail bounds are integral comparisons (tail_bound) using |f(n)| <= 1:
-rigorous but crude, so near sigma = 1 the unconditional routes report
-honest, large bounds instead of refusing.
+rigorous but crude, so near sigma = 1 the unconditional sum reports an
+honest, large bound instead of refusing.
 
-The series, prime-sum and euler-product routes take a sequence of points and
-return one result per point, in order; work that does not depend on s is
-done once per call.  The prime routes sum through ``prime_sums``, one pass
-over ``prime_chunks`` with one ``StreamSummer`` per point and sum, so their
-memory does not grow with the prime cutoff.
+Both routes take a sequence of points and return one result per point, in
+order; work that does not depend on s is done once per call.  log_F sums
+through ``prime_sums``, one pass over ``prime_chunks`` with one
+``StreamSummer`` per point and sum, so its memory does not grow with the
+prime cutoff.
 """
 
 from __future__ import annotations
@@ -104,10 +105,18 @@ class EvalResult(NamedTuple):
             err += bound
         return err
 
-    def exp(self) -> EvalResult:
-        """e^value, with |e^(x+d) - e^x| <= |e^x| expm1(|d|)."""
+    def exp(self, sigma: float) -> EvalResult:
+        """e^value as F(s) at Re s = sigma: |e^(x+d) - e^x| <= |e^x| expm1(|d|),
+        and, as |f| <= 1, |F(s)| <= zeta(sigma) < 1 + 1/(sigma - 1), so the
+        error is also below |e^x| + 1 + 1/(sigma - 1); the less of the two.
+        The factor 1 + 1e-15 covers the rounding of the second: near
+        sigma = 1 + 2^-52 an ulp of 1/(sigma - 1) is 0.5, more than the 0.42
+        by which zeta(sigma) ~ 1/(sigma - 1) + 0.577 stays below the bound."""
         value = np.exp(self.value)
-        err = abs(value) * expm1(min(self.error_bound, 500.0))
+        size = abs(value)
+        d = self.error_bound
+        grow = size * expm1(d) if d < 709.0 else float("inf")  # expm1 overflows past 709.78
+        err = min(grow, (size + 1.0 + 1.0 / (sigma - 1.0)) * (1.0 + 1e-15))
         return EvalResult(complex(value), (("exp", err),), self.method)
 
 
@@ -367,9 +376,9 @@ def alignment_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """log p and g(p) = 1 + e0 f(p) p^{-it0} for every prime in ``ps``: the
     part of f(p) that the direction (e0, t0) does not cancel against log zeta.
-    F_euler and the lemma defect sum g(p) p^{-w}; the Halász sums Re g(p)/p.
-    On twist(base, T) it is g of base along (e0, t0 + T): one exp per prime,
-    and g is exactly 0 where that direction aligns with base."""
+    log_F's aligned sum and the lemma defect sum g(p) p^{-w}; the Halász sums
+    Re g(p)/p.  On twist(base, T) it is g of base along (e0, t0 + T): one exp
+    per prime, and g is exactly 0 where that direction aligns with base."""
     e0, t0 = direction.epsilon0, direction.t0
     if f.twisted:
         return alignment_terms(f.twisted[0], ps, HalaszDirection(e0, t0 + f.twisted[1]))
@@ -425,64 +434,51 @@ def prime_sums(
     return [(s.close(), d.close()) for s, d in zip(sums, deltas)]
 
 
-def log_F_prime_sum(
-    f: MultiplicativeFunction, points: Sequence, plan: TruncationPlan,
-) -> list[EvalResult]:
-    """log F(s) = sum_{p<=P} f(p) p^{-s} plus the defect sum_{p<=C} [log factor
-    - f(p)p^{-s}] at each point.
-
-    Unconditional bounds, the parts "prime-tail" P^{1-sigma}/(sigma-1) and
-    "defect-tail" 3.75 C^{1-2 sigma}/(2 sigma - 1).  The p = 2 factor is always inside the
-    exact range, so class M2 is not required (a vanishing factor at p = 2
-    raises SingularFactorError).
-    """
-    pts = [as_point(s) for s in points]
-    pairs = prime_sums(f, pts, pts, lambda ps: (f.prime_values(ps), np.log(ps.astype(np.float64))),
-                       prime_chunks(plan.prime_cutoff), plan.exact_factor_cutoff)
-    return prime_sum_results(pts, pairs, plan)
-
-
-def prime_sum_results(
-    pts: Sequence[ComplexPoint], pairs: Sequence[tuple[complex, complex]], plan: TruncationPlan,
-) -> list[EvalResult]:
-    """The results of log_F_prime_sum from prime_sums' (sum, defect) pairs
-    over the primes <= plan.prime_cutoff, with the tail bounds of plan's cutoffs."""
-    return [
-        EvalResult(total + delta,
-                   (("prime-tail", tail_bound(plan.prime_cutoff, pt.sigma)),
-                    ("defect-tail", _defect_tail(pt, plan.exact_factor_cutoff))), "prime-sum")
-        for pt, (total, delta) in zip(pts, pairs)]
-
-
-def F_euler(
+def log_F(
     f: MultiplicativeFunction,
     points: Sequence,
     plan: TruncationPlan,
-    direction: HalaszDirection = HalaszDirection(1),
+    direction: HalaszDirection | None = None,
 ) -> list[EvalResult]:
-    """F(s) at each point through the Euler product, written around the
-    direction (e0, t0):
+    """log F(s) at each point, by one pass over the primes in one of two sums.
 
-        log F = e0 [ sum_{p<=P} g(p) p^{-w} - P(w) ] + defect,
-        g(p) = 1 + e0 f(p) p^{-it0},  w = s - i t0,
+    Aligned ("euler-product"), where a direction (e0, t0) is given and f's
+    reach along it is below P: with g(p) = 1 + e0 f(p) p^{-it0}, w = s - i t0,
 
-    with P(w) from the Moebius/log-zeta identity.  This stays accurate for
-    sigma arbitrarily close to 1.
+        log F = e0 [ sum_{p<=reach} g(p) p^{-w} - P(w) ] + defect,
 
-    Stated assumption for the error bound: g(p) vanishes for p > P, as it
-    does beyond f's reach (residual_chunks) for moebius and liouville along
-    (+1, 0), one and odd_one along (-1, 0) and their twists, but an extremal
-    rule's theta_p is not 0 beyond any P.  A twist's T is folded into t0,
-    and t0 + T is refused above the height ceiling before any sieving.
+    P(w) from the Moebius/log-zeta identity, accurate arbitrarily close to
+    sigma = 1; parts "prime-zeta" and "defect-tail".  The bound assumes that
+    g(p) = 0 beyond the reach: true for the builtins and their twists, not
+    for an extremal rule, whose rows are conditional.
+
+    Otherwise ("prime-sum"): sum_{p<=P} f(p) p^{-s} + defect, with the
+    unconditional parts "prime-tail" P^{1-sigma}/(sigma-1) and "defect-tail".
+
+    The defect sums log factor_p - f(p) p^{-s} over p <= C (p = 2 always in
+    it; a vanishing factor raises SingularFactorError), with the tail 3.75
+    C^{1-2 sigma}/(2 sigma - 1).  A twist's T is folded into t0; t0 + T above
+    the height ceiling and P above the sieve's are refused before any zeta
+    work or sieving.
     """
     pts = [as_point(s) for s in points]
-    check_folded_height(f, direction.t0)
-    chunks = residual_chunks(f, direction, plan.prime_cutoff, plan.exact_factor_cutoff)
+    P, C = check_limit(plan.prime_cutoff), plan.exact_factor_cutoff
+    reach = P
+    if direction is not None:
+        check_folded_height(f, direction.t0)
+        if f.reach is not None:
+            reach = f.reach(direction.epsilon0, direction.t0, P)
+    if reach >= P:
+        pairs = prime_sums(
+            f, pts, pts, lambda ps: (f.prime_values(ps), np.log(ps.astype(np.float64))),
+            prime_chunks(P), C)
+        return [EvalResult(total + delta, (("prime-tail", tail_bound(P, pt.sigma)),
+                                           ("defect-tail", _defect_tail(pt, C))), "prime-sum")
+                for pt, (total, delta) in zip(pts, pairs)]
     ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
     pzs = [prime_zeta(w) for w in ws]
-    pairs = prime_sums(f, pts, ws, residual_terms(f, direction), chunks, plan.exact_factor_cutoff)
+    pairs = prime_sums(f, pts, ws, residual_terms(f, direction), prime_chunks(max(2, C, reach)), C)
     return [EvalResult(direction.epsilon0 * (residual - pz.value) + delta,
-                       (("prime-zeta", pz.error_bound),
-                        ("defect-tail", _defect_tail(pt, plan.exact_factor_cutoff))),
-                       "euler-product").exp()
+                       (("prime-zeta", pz.error_bound), ("defect-tail", _defect_tail(pt, C))),
+                       "euler-product")
             for pt, pz, (residual, delta) in zip(pts, pzs, pairs)]

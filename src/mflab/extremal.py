@@ -380,7 +380,7 @@ class WindowReport(NamedTuple):
     selected_max: int
     window_sum: float        # W_j = sum theta_p (-sin log p) p^{-sigma}
     half_theta_sum: float    # (1/2) sum theta_p p^{-sigma}
-    re_log_F_prime_sum: float
+    re_log_F: float
     target: float            # a_j sqrt(loglog x_j)
 
     @property
@@ -394,7 +394,7 @@ class WindowReport(NamedTuple):
             f"[{self.selected_min}, {self.selected_max}]",
             f"window sum W_j: {self.window_sum!r}",
             f"(1/2) sum theta_p p^-sigma: {self.half_theta_sum!r}",
-            f"Re prime-sum log F: {self.re_log_F_prime_sum!r}",
+            f"Re prime-sum log F: {self.re_log_F!r}",
             f"target a_j sqrt(loglog x_j): {self.target!r} (reported, not asserted)",
             f"verdict: {'PASS' if self.ok else 'FAIL'}",
         ])
@@ -416,9 +416,10 @@ def verify(
     The window check of each block j in ``blocks`` (default: every block
     with upper_j <= P), at s = 1 + 1/(log x_j)^2 + i: the sine-window
     selection guarantees W_j >= (1/2) sum_{selected} theta_p p^{-sigma}
-    (asserted); log_F_prime_sum's Re log F at s (exact Euler factors below
-    min(10^4, P)) and the a_j sqrt(loglog x_j) target are reported
-    without asserting the asymptotic lower bound.
+    (asserted); the prime sum's Re log F at s (sum_p f(p) p^{-s} plus the
+    Euler-factor defect below C = min(10^4, P), as dirichlet.log_F forms it)
+    and the a_j sqrt(loglog x_j) target are reported without asserting the
+    asymptotic lower bound.
 
     P and the blocks are checked before any sieving.  Then one pass
     (dirichlet.prime_sums over ``prime_chunks(P)``) takes log p and theta_p
@@ -428,8 +429,7 @@ def verify(
     point's prime sum and defect.
     """
     import numpy as np
-    from .dirichlet import (ComplexPoint, TruncationPlan, inverse_power, prime_sum_results,
-                            prime_sums)
+    from .dirichlet import ComplexPoint, inverse_power, prime_sums
     from .multfun import StreamSummer
     from .primes import check_limit, prime_chunks
     log_P = log(check_limit(P))
@@ -441,7 +441,6 @@ def verify(
         if spec.blocks[j - 1].log_upper > log_P:
             raise CoverageError(f"block {j} extends to exp({spec.blocks[j - 1].log_upper!r}), "
                                 f"beyond prime cutoff {P}")
-    plan = TruncationPlan(prime_cutoff=P, exact_factor_cutoff=min(10_000, P))
     checked = [spec.blocks[j - 1] for j in blocks]
     pts = [ComplexPoint(1.0 + 1.0 / (b.log_x * b.log_x), 1.0) for b in checked]
     window_cuts = [int(min(exp(b.log_upper), float(P))) for b in checked]
@@ -468,13 +467,12 @@ def verify(
                 win[2:] = [win[2] + sel.size, win[3] or int(ps[sel[0]]), int(ps[sel[-1]])]
         return (_unit_values(th) if pts else th), lp  # with no point no term is formed
 
-    pairs = prime_sums(extremal_function(spec), pts, pts, terms, prime_chunks(P),
-                       plan.exact_factor_cutoff)
+    pairs = prime_sums(extremal_function(spec), pts, pts, terms, prime_chunks(P), min(10_000, P))
     windows = tuple(
         WindowReport(j, pt.sigma, count, first, last, W.close().real, 0.5 * T.close().real,
-                     psr.value.real, b.a * sqrt(log(b.log_x)))
-        for j, b, pt, (W, T, count, first, last), psr in zip(
-            blocks, checked, pts, wins, prime_sum_results(pts, pairs, plan)))
+                     (total + delta).real, b.a * sqrt(log(b.log_x)))
+        for j, b, pt, (W, T, count, first, last), (total, delta) in zip(
+            blocks, checked, pts, wins, pairs))
     H.close()
     return _psum_report(spec, P, obs.close().real, [h.real for h in H.checkpoint_values]), windows
 

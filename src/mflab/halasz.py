@@ -24,11 +24,11 @@ import numpy as np
 from .dirichlet import (
     ComplexPoint,
     EvalResult,
-    F_euler,
     HalaszDirection,
     TruncationPlan,
     alignment_terms,
     as_point,
+    log_F,
     log_zeta_minus_prime_zeta,
     prime_sums,
     residual_chunks,
@@ -139,14 +139,17 @@ def theorem1_ratio(
 ) -> list[Theorem1Point]:
     """|F(sigma + i t0)|^e0 / (sigma - 1) along a grid of sigma in (1, 3/2].
 
-    F comes from the euler-product route, the only one usable near the
-    one-line; see F_euler for its stated alignment assumption.
+    F is exp of dirichlet.log_F along the direction: the euler-product sum,
+    usable arbitrarily close to the one-line, where f's reach along it is
+    below P, and the prime sum otherwise, whose bound near sigma = 1 leaves
+    the ratio indeterminate.
     """
     grid = [float(sg) for sg in sigma_grid]
     for sg in grid:
         if not 1.0 < sg <= 1.5:
             raise DomainError(f"theorem-1 grid needs sigma in (1, 3/2], got {sg}")
-    fes = F_euler(f, [ComplexPoint(sg, direction.t0) for sg in grid], plan, direction)
+    pts = [ComplexPoint(sg, direction.t0) for sg in grid]
+    fes = [r.exp(sg) for sg, r in zip(grid, log_F(f, pts, plan, direction))]
     out = []
     for sg, fe in zip(grid, fes):
         aF = abs(fe.value)

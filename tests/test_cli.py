@@ -120,13 +120,15 @@ ERR_ROUTES = {
         ("series-tail",)),
     "euler": (
         ["eval-f", "--function", "moebius", "--method", "euler", "--sigma", "1.001:1.001:1"],
-        lambda f: dirichlet.F_euler(f, [dirichlet.ComplexPoint(1.001)], PLAN),
+        lambda f: [r.exp(1.001) for r in dirichlet.log_F(
+            f, [dirichlet.ComplexPoint(1.001)], PLAN, dirichlet.HalaszDirection(1))],
         ("exp",)),
     "prime-sum": (
         ["eval-f", "--function", "extremal-ref", "--method", "prime-sum", "--t", "1",
          "--sigma", "1.01:1.01:1"],
-        lambda f: dirichlet.log_F_prime_sum(f, [dirichlet.ComplexPoint(1.01, 1.0)], PLAN),
-        ("prime-tail", "defect-tail")),
+        lambda f: [r.exp(1.01) for r in dirichlet.log_F(
+            f, [dirichlet.ComplexPoint(1.01, 1.0)], PLAN)],
+        ("exp",)),
     "lemma": (
         ["lemma", "--function", "liouville", "--epsilon", "1", "--sigma", "1.001:1.001:1"],
         lambda f: halasz.lemma_defect(f, halasz.HalaszDirection(1),
@@ -628,11 +630,12 @@ def test_one_prime_stream_per_command(argv, tmp_path, monkeypatch):
 
 
 def test_euler_route_refuses_zeta_above_height_ceiling(tmp_path, capsys):
-    # each height the user gives is at the ceiling; the route's w = s - i t0
-    # lies at 2e8, beyond the Moebius/log-zeta identity's reach
+    # each height the user gives is at the ceiling, and twist:1e8:one aligns
+    # with (-1, -1e8); the route's w = s - i t0 lies at 2e8, beyond the
+    # Moebius/log-zeta identity's reach
     out = tmp_path / "x.csv"
-    assert main(["eval-f", "--function", "moebius", "--sigma", "1.5:1.5:1", "--method",
-                 "euler", "--t", "1e8", "--t0=-1e8", "--out", str(out)]) == 2
+    assert main(["eval-f", "--function", "twist:1e8:one", "--sigma", "1.5:1.5:1", "--method",
+                 "euler", "--epsilon", "-1", "--t", "1e8", "--t0=-1e8", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error:domain:height |t - t0| = 200000000.0 exceeds 3846153.846153846, "
         "the Moebius/log-zeta identity's limit at sigma = 1.5\n")
@@ -684,19 +687,21 @@ def test_a_height_at_the_ceiling_runs(tmp_path):
                  "--prime-cutoff", "1000", "--out", str(out)]) == 0
 
 
+# `one` aligns with (-1, 0), so its euler route reads the identity at w = s
 @pytest.mark.parametrize("argv, line", [
-    (["eval-f", "--function", "one", "--method", "euler", "--t", "4e6", "--sigma", "1.5:1.5:1",
-      "--prime-cutoff", "1000"],
+    (["eval-f", "--function", "one", "--method", "euler", "--epsilon", "-1", "--t", "4e6",
+      "--sigma", "1.5:1.5:1", "--prime-cutoff", "1000"],
      "height |t - t0| = 4000000.0 exceeds 3846153.846153846, "
      "the Moebius/log-zeta identity's limit at sigma = 1.5"),
-    (["eval-f", "--function", "one", "--method", "euler", "--t", "6e7", "--sigma", "1.5:1.5:1"],
+    (["eval-f", "--function", "one", "--method", "euler", "--epsilon", "-1", "--t", "6e7",
+      "--sigma", "1.5:1.5:1"],
      "height |t - t0| = 60000000.0 exceeds 3846153.846153846, "
      "the Moebius/log-zeta identity's limit at sigma = 1.5"),
     (["lemma", "--function", "one", "--epsilon", "-1", "--t", "6e7", "--sigma", "1.1:1.2:2"],
      "height |t - t0| = 60000000.0 exceeds 2564102.564102564, "
      "the Moebius/log-zeta identity's limit at sigma = 1.1"),
-    (["eval-f", "--function", "one", "--method", "euler", "--t", "7.2e6", "--sigma", "3:3:1",
-      "--prime-cutoff", "1000"],
+    (["eval-f", "--function", "one", "--method", "euler", "--epsilon", "-1", "--t", "7.2e6",
+      "--sigma", "3:3:1", "--prime-cutoff", "1000"],
      "height |t - t0| = 7200000.0 exceeds 7142857.142857143, "
      "the Moebius/log-zeta identity's limit at sigma = 3.0"),
 ])
@@ -724,9 +729,52 @@ def test_a_height_beyond_the_identity_is_refused_before_any_zeta_work(argv, line
 def test_a_height_just_within_the_identity_runs(tmp_path):
     # 14 * 7e6 = 9.8e7: every zeta height of the identity at sigma = 3 is under 1e8
     out = tmp_path / "x.csv"
-    assert main(["eval-f", "--function", "one", "--method", "euler", "--t", "7e6",
-                 "--sigma", "3:3:1", "--prime-cutoff", "1000", "--out", str(out)]) == 0
-    assert len(read_csv(out)[2]) == 1
+    assert main(["eval-f", "--function", "one", "--method", "euler", "--epsilon", "-1",
+                 "--t", "7e6", "--sigma", "3:3:1", "--prime-cutoff", "1000",
+                 "--out", str(out)]) == 0
+    assert read_csv(out)[2][0][6] == "euler-product"
+
+
+def test_a_misaligned_euler_route_reads_no_identity_at_height(tmp_path, monkeypatch):
+    # `one` along (+1, 0) does not align: the route is the prime sum, which
+    # reads no zeta, so a height beyond the identity's limit runs
+    def no_zeta(s, tol):
+        raise AssertionError(f"zeta ran at {s}")
+
+    monkeypatch.setattr(dirichlet, "zeta", no_zeta)
+    out = tmp_path / "x.csv"
+    assert main(["eval-f", "--function", "one", "--method", "euler", "--t", "4e6",
+                 "--sigma", "1.5:1.5:1", "--prime-cutoff", "1000", "--out", str(out)]) == 0
+    assert read_csv(out)[2][0][6] == "prime-sum"
+
+
+@pytest.mark.parametrize("spec, epsilon, t0", [
+    ("one", "1", "0"), ("moebius", "-1", "0"), ("twist:0.7:one", "-1", "0.7")])
+def test_a_misaligned_euler_row_is_the_prime_sum_row(spec, epsilon, t0, tmp_path):
+    # along a direction whose reach is P, log_F takes the prime sum whether or
+    # not the direction is passed, so both methods write the same rows
+    flags = ["--function", spec, "--sigma", "1.001:1.5:3", "--t", "0.3", "--prime-cutoff", "20000"]
+    rows = {}
+    for method in ("euler", "prime-sum"):
+        out = tmp_path / f"{method}.csv"
+        assert run(["eval-f", *flags, "--method", method, "--epsilon", epsilon, "--t0", t0,
+                    "--out", str(out)]) == 0
+        rows[method] = read_csv(out)[1:]
+    assert rows["euler"] == rows["prime-sum"]
+    assert {row[6] for row in rows["euler"][1]} == {"prime-sum"}
+
+
+def test_err_of_F_stays_finite_and_true_at_sigma_1_plus_1e_15(tmp_path):
+    # log F's bound is about 1/(sigma - 1) = 1e15 here, far past expm1's
+    # range; |F - F^| <= |F^| + zeta(sigma) is what err must still cover
+    out = tmp_path / "x.csv"
+    assert run(["eval-f", "--function", "one", "--method", "prime-sum", "--sigma",
+                "1.000000000000001:1.000000000000001:1", "--prime-cutoff", "1000",
+                "--out", str(out)]) == 0
+    _, header, (row,) = read_csv(out)
+    row = dict(zip(header, row))
+    sigma, err = float(row["sigma"]), float(row["err"])
+    assert math.isfinite(err) and err >= float(row["abs"]) + 1.0 / (sigma - 1.0)
 
 
 def test_provenance_names_every_flag(tmp_path):
@@ -932,8 +980,8 @@ def test_a_fresh_process_writes_the_golden_bytes(name, out, tmp_path):
 @pytest.mark.parametrize("argv, code, line", [
     (["sum", "--function", "moebius", "--limit", "5"], 2,
      "error:usage:the following arguments are required: --out"),
-    (["eval-f", "--function", "one", "--method", "euler", "--t", "4e6", "--sigma", "1.5:1.5:1",
-      "--prime-cutoff", "1000", "--out", "x.csv"], 2,
+    (["eval-f", "--function", "one", "--method", "euler", "--epsilon", "-1", "--t", "4e6",
+      "--sigma", "1.5:1.5:1", "--prime-cutoff", "1000", "--out", "x.csv"], 2,
      "error:domain:height |t - t0| = 4000000.0 exceeds 3846153.846153846, "
      "the Moebius/log-zeta identity's limit at sigma = 1.5"),
     (["eval-f", "--function", "one", "--sigma", "1.5:2:1001", "--out", "x.csv"], 3,

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from mflab.cli import main
-from mflab.dirichlet import (ComplexPoint, F_euler, HalaszDirection, TruncationPlan,
-                             log_F_prime_sum, log_zeta_minus_prime_zeta, zeta)
+from mflab.dirichlet import (ComplexPoint, HalaszDirection, TruncationPlan, log_F,
+                             log_zeta_minus_prime_zeta, zeta)
 from mflab.multfun import builtin, parse_function_spec
 
 
@@ -32,18 +32,21 @@ def read_rows(path):
 
 @pytest.mark.parametrize("spec, direction, s, truth", [
     # eval-f --function twist:0.7:one --method euler --epsilon 1 --t0 0.7
-    #        --sigma 1.01:1.01:1 prints |F| = 1.864, err 5.7e-4
+    #        --sigma 1.01:1.01:1 printed |F| = 1.864, err 5.7e-4
     ("twist:0.7:one", HalaszDirection(1, 0.7), 1.01, lambda: mp.zeta(mp.mpc(1.01, 0.7))),
-    # thm1 --function moebius --epsilon -1 --sigma 1.001:1.5:2 prints
+    # thm1 --function moebius --epsilon -1 --sigma 1.001:1.5:2 printed
     # abs_F = 2.431, err 8.9e-4, at sigma = 1.001
     ("moebius", HalaszDirection(-1, 0.0), 1.001, lambda: 1 / mp.zeta(1.001)),
 ], ids=["twist-0.7-one", "thm1-moebius-minus"])
-@defect(6, "F_euler assumes g(p) = 0 beyond P on a misaligned direction")
 def test_misaligned_euler_row_lies_within_err_of_the_truth(spec, direction, s, truth):
-    (r,) = F_euler(parse_function_spec(spec), [s], TruncationPlan(), direction)
+    """Mended (item 19): the Euler route added the unbounded model tail
+    -e0 sum_{p>P} p^-w along a misaligned direction; it is the prime sum now."""
+    (r,) = log_F(parse_function_spec(spec), [s], TruncationPlan(), direction)
+    F = r.exp(s)
     with mp.workdps(30):
         want = complex(truth())
-    assert abs(r.value - want) <= r.error_bound
+    assert F.method == "prime-sum"
+    assert abs(F.value - want) <= F.error_bound
 
 
 @pytest.mark.parametrize("sigma, t", [
@@ -66,8 +69,7 @@ def test_prime_sum_at_height_1e8_lies_within_err():
     """``eval-f --function one --method prime-sum --sigma 3:3:1 --t 1e8
     --prime-cutoff 1e5``: log F is off by 1.29e-9 in im against an err of
     5.0e-11."""
-    (r,) = log_F_prime_sum(builtin("one"), [ComplexPoint(3.0, 1e8)],
-                           TruncationPlan(prime_cutoff=10**5))
+    (r,) = log_F(builtin("one"), [ComplexPoint(3.0, 1e8)], TruncationPlan(prime_cutoff=10**5))
     with mp.workdps(30):
         want = complex(mp.log(mp.zeta(mp.mpc(3, 1e8))))
     d = r.value - want
@@ -134,19 +136,18 @@ def test_sum_of_a_high_twist_is_refused_or_within_its_err(tmp_path):
     assert abs(got - want) <= float(row["err"])
 
 
-@defect(6, "eval-f --method prime-sum prints exp(log F) beside the bound on log F")
 def test_prime_sum_err_bounds_the_printed_F(tmp_path):
-    """``eval-f --function one --method prime-sum --sigma 1.2:1.2:1
-    --prime-cutoff 100 --exact-cutoff 100`` prints F = 4.366 with err 1.995,
-    which bounds log F; the bound EvalResult.exp() gives for F is
-    |F| expm1(1.995) = 27.7."""
+    """Mended (item 19): ``eval-f --function one --method prime-sum --sigma
+    1.2:1.2:1 --prime-cutoff 100 --exact-cutoff 100`` printed F = 4.366 with
+    err 1.995, which bounds log F; the bound EvalResult.exp gives for F is
+    min(|F| expm1(1.995), |F| + 1 + 1/0.2) = 10.4."""
     out = tmp_path / "e.csv"
     assert main(["eval-f", "--function", "one", "--method", "prime-sum", "--sigma", "1.2:1.2:1",
                  "--prime-cutoff", "100", "--exact-cutoff", "100", "--out", str(out)]) == 0
     header, (row,) = read_rows(out)
     row = dict(zip(header, row))
-    (r,) = log_F_prime_sum(builtin("one"), [ComplexPoint(1.2)], TruncationPlan(100, 100))
-    F = r.exp()
+    (r,) = log_F(builtin("one"), [ComplexPoint(1.2)], TruncationPlan(100, 100))
+    F = r.exp(1.2)
     assert complex(float(row["re"]), float(row["im"])) == F.value
     assert float(row["err"]) == F.error_bound
 

@@ -12,11 +12,10 @@ from mflab.dirichlet import (
     _factor_logs,
     TruncationPlan,
     alignment_terms,
-    F_euler,
     F_truncated,
     HalaszDirection,
     inverse_power,
-    log_F_prime_sum,
+    log_F,
     log_zeta_minus_prime_zeta,
     prime_sums,
     prime_zeta,
@@ -104,7 +103,7 @@ def test_prime_sum_of_one_lies_within_err_of_log_zeta(sigma):
     # sigma = 3 the terms fall below half an ulp of the running total from
     # p ~ 4e5 on, so a plain running sum misses by 1.7e-13 against err 5e-15
     mp = pytest.importorskip("mpmath")
-    (r,) = log_F_prime_sum(builtin("one"), [ComplexPoint(sigma)], TruncationPlan(prime_cutoff=10**7))
+    (r,) = log_F(builtin("one"), [ComplexPoint(sigma)], TruncationPlan(prime_cutoff=10**7))
     with mp.workdps(30):
         truth = float(mp.log(mp.zeta(sigma)))
     assert r.value.imag == 0.0
@@ -237,19 +236,19 @@ def bits(z) -> list:
 
 
 def prime_terms(f):
-    """The terms of log_F_prime_sum: f(p) and log p."""
+    """The terms of log_F's prime sum: f(p) and log p."""
     return lambda ps: (f.prime_values(ps), np.log(ps.astype(np.float64)))
 
 
 def _sum_and_defect(f, points, plan):
-    """(result, prime sum, defect) per point: log_F_prime_sum's result, and
+    """(result, prime sum, defect) per point: log_F's prime-sum result, and
     its two sums from prime_sums over chunks of 1000 primes.  Its value is
     their sum, bit for bit."""
     pts = [dirichlet.as_point(pt) for pt in points]
     ps = sieve_primes(plan.prime_cutoff)
     chunks = [ps[i : i + 1000] for i in range(0, ps.size, 1000)]
     pairs = prime_sums(f, pts, pts, prime_terms(f), chunks, plan.exact_factor_cutoff)
-    out = [(r, a, d) for r, (a, d) in zip(log_F_prime_sum(f, pts, plan), pairs)]
+    out = [(r, a, d) for r, (a, d) in zip(log_F(f, pts, plan), pairs)]
     for r, a, d in out:
         assert bits(r.value) == bits(a + d)
     return out
@@ -257,7 +256,7 @@ def _sum_and_defect(f, points, plan):
 
 def _exact_factor_logs(f, P, points):
     """log F(s) = sum_{p<=P} log factor_p at each point, every factor exact."""
-    return [r.value for r in log_F_prime_sum(
+    return [r.value for r in log_F(
         f, points, TruncationPlan(prime_cutoff=P, exact_factor_cutoff=P))]
 
 
@@ -484,11 +483,23 @@ def test_defect_bound_contains_value():
 def test_prime_sum_route_consistent_with_truncated_for_M2():
     odd = builtin("odd_one")
     pts = [ComplexPoint(1.5), ComplexPoint(1.2, 0.5), ComplexPoint(1.1, 1.0)]
-    for psr, ft in zip(log_F_prime_sum(odd, pts, PLAN),
-                       F_truncated(odd, pts, 10**5)):
-        fe = np.exp(psr.value)
-        fe_err = abs(fe) * np.expm1(min(psr.error_bound, 500.0))
-        assert abs(fe - ft.value) <= fe_err + ft.error_bound
+    for pt, psr, ft in zip(pts, log_F(odd, pts, PLAN), F_truncated(odd, pts, 10**5)):
+        fe = psr.exp(pt.sigma)
+        assert abs(fe.value - ft.value) <= fe.error_bound + ft.error_bound
+
+
+@pytest.mark.parametrize("d", [700.0, 709.78, 709.79, 1e300])
+def test_exp_of_a_log_bound_past_expm1s_range_is_finite(d):
+    # expm1 overflows past 709.78; the bound |F^| + 1 + 1/(sigma - 1) is left
+    r = dirichlet.EvalResult(complex(0.5, 1.0), (("x", d),), "m").exp(1.0 + 2.0**-52)
+    assert math.isfinite(r.error_bound) and r.error_bound >= abs(r.value) + 1.0 + 2.0**52
+
+
+def euler(f, pts, plan, direction):
+    """F by log_F's aligned sum along ``direction``."""
+    out = [r.exp(pt.sigma) for pt, r in zip(pts, log_F(f, pts, plan, direction))]
+    assert {r.method for r in out} == {"euler-product"}
+    return out
 
 
 def test_identity_suite_euler_route():
@@ -497,10 +508,10 @@ def test_identity_suite_euler_route():
     pts = [ComplexPoint(1.5), ComplexPoint(1.2, 0.5), ComplexPoint(1.1, 1.0)]
     columns = zip(
         pts,
-        F_euler(mu, pts, plan, HalaszDirection(1)),
-        F_euler(lam, pts, plan, HalaszDirection(1)),
-        F_euler(odd, pts, plan, HalaszDirection(-1)),
-        F_euler(one, pts, plan, HalaszDirection(-1)))
+        euler(mu, pts, plan, HalaszDirection(1)),
+        euler(lam, pts, plan, HalaszDirection(1)),
+        euler(odd, pts, plan, HalaszDirection(-1)),
+        euler(one, pts, plan, HalaszDirection(-1)))
     for s, fmu, flam, fodd, fone in columns:
         z = zeta(s).value
         sc = s.s
@@ -516,7 +527,7 @@ def test_results_overlap_across_methods():
     (ft,) = F_truncated(lam, [s], 10**5)
     tr = summatory_trace(lam, 10**5)
     fp = F_partial_summation(tr, s, 10**5)
-    (fe,) = F_euler(lam, [s], PLAN, HalaszDirection(1))
+    (fe,) = euler(lam, [s], PLAN, HalaszDirection(1))
     for a, b in ((ft, fp), (ft, fe), (fp, fe)):
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound
 
@@ -543,8 +554,9 @@ def test_grid_routes_equal_one_point_calls(spec):
     f = parse_function_spec(spec)
     routes = [
         lambda pts: F_truncated(f, pts, 2**18 + 3000),  # 2 segments
-        lambda pts: log_F_prime_sum(f, pts, PLAN),
-        lambda pts: F_euler(f, pts, PLAN, HalaszDirection(-1, 0.7)),
+        lambda pts: log_F(f, pts, PLAN),
+        lambda pts: log_F(f, pts, PLAN, HalaszDirection(1)),  # aligned for the untwisted rules
+        lambda pts: log_F(f, pts, PLAN, HalaszDirection(1, -0.7)),  # aligned for the twist
     ]
     for route in routes:
         grid = route(GRID)

@@ -8,15 +8,13 @@ mpmath at 30 digits, which shares no code with mflab:
 * ``one`` -> zeta(s), ``moebius`` -> 1/zeta(s), ``liouville`` ->
   zeta(2s)/zeta(s), ``odd_one`` -> (1 - 2^-s) zeta(s), and ``twist:T:base``
   -> the base's form at s + iT;
-* ``eval-f`` rows print F(s): |value - truth| <= err; a ``prime-sum`` row's
-  err bounds log F, so its log is compared modulo 2 pi i;
+* ``eval-f`` rows print F(s): |value - truth| <= err;
 * ``thm1`` rows print |F(sigma + i t0)| and ``lemma`` rows |D|, where
   D = e0 sum_p f(p) p^-s + log zeta(s - i t0) with the prime sum from
   ``primezeta``: ||value| - |truth|| <= err.
 
 Rows of ``extremal-ref`` rules have no closed form and are not audited
-here.  Rows that fail today are strict xfails that name their ROADMAP
-item.  The tightness err / |value - truth| of each row is recorded as a
+here.  The tightness err / |value - truth| of each row is recorded as a
 property of its test, not gated; print the whole table with
 
     PYTHONPATH=src python tests/test_golden_audit.py
@@ -31,9 +29,6 @@ import mpmath as mp
 import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MISALIGNED = pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 6: F_euler assumes g(p) = 0 beyond P on a misaligned direction"))
-XFAIL_FILES = {"thm1-one-misaligned.csv", "eval-euler-twist-misaligned.csv"}
 
 
 def _flags(provenance: str) -> tuple[str, dict]:
@@ -70,12 +65,7 @@ def _off_by(command: str, flags: dict, row: dict) -> tuple[float, float]:
         if command == "eval-f":
             s = mp.mpc(float(row["sigma"]), float(row["t"]))
             value = mp.mpc(float(row["re"]), float(row["im"]))
-            if flags["method"] == "prime-sum":
-                d = mp.log(value) - mp.log(_F(spec, s))
-                d = mp.mpc(d.real, (d.imag + mp.pi) % (2 * mp.pi) - mp.pi)  # modulo 2 pi i
-            else:
-                d = value - _F(spec, s)
-            return float(abs(d)), float(row["err"])
+            return float(abs(value - _F(spec, s))), float(row["err"])
         if command == "thm1":
             s = mp.mpc(float(row["sigma"]), float(row["t0"]))
             return float(abs(float(row["abs_F"]) - abs(_F(spec, s)))), float(row["err_F"])
@@ -102,8 +92,7 @@ ROWS = list(_rows())
 
 
 @pytest.mark.parametrize("name, i, command, flags, row", [
-    pytest.param(*r, id=f"{r[0]}:{r[1]}", marks=[MISALIGNED] if r[0] in XFAIL_FILES else [])
-    for r in ROWS])
+    pytest.param(*r, id=f"{r[0]}:{r[1]}") for r in ROWS])
 def test_golden_row_lies_within_err_of_the_truth(name, i, command, flags, row, record_property):
     off, err = _off_by(command, flags, row)
     record_property("tightness", err / off if off else float("inf"))
@@ -113,7 +102,6 @@ def test_golden_row_lies_within_err_of_the_truth(name, i, command, flags, row, r
 def test_the_audit_covers_every_closed_form_file():
     audited = {r[0] for r in ROWS}
     assert len(ROWS) == 39 and len(audited) == 11, sorted(audited)
-    assert XFAIL_FILES <= audited
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mflab import extremal
-from mflab.dirichlet import ComplexPoint, F_euler, TruncationPlan, log_F_prime_sum, zeta
+from mflab.dirichlet import ComplexPoint, TruncationPlan, log_F, zeta
 from mflab.errors import DomainError
 from mflab.halasz import (
     HalaszDirection,
@@ -224,8 +224,8 @@ def test_prime_sums_stream_in_constant_memory():
             tracemalloc.stop()
 
     for run in (lambda P: criterion_report(ext, 0.0, P),
-                lambda P: F_euler(twist, [1.001, 1.01, 1.1, 1.5], TruncationPlan(prime_cutoff=P),
-                                  HalaszDirection(-1, 0.7))):
+                lambda P: log_F(twist, [1.001, 1.01, 1.1, 1.5], TruncationPlan(prime_cutoff=P),
+                                HalaszDirection(-1, 0.7))):
         assert peak(run, 4 * 10**6) - peak(run, 5 * 10**5) <= 5 * 2**20
 
 
@@ -235,13 +235,12 @@ _FOUR_POINTS = [1.001, 1.01, 1.1, 1.3]
 
 @pytest.mark.parametrize("route", [
     lambda P: criterion_report(builtin("extremal-ref"), 0.0, P),
-    lambda P: F_euler(_TWIST, _FOUR_POINTS, TruncationPlan(prime_cutoff=P),
-                      HalaszDirection(-1, 0.7)),
+    lambda P: log_F(_TWIST, _FOUR_POINTS, TruncationPlan(prime_cutoff=P),
+                    HalaszDirection(-1, 0.7)),
     lambda P: lemma_defect(_TWIST, HalaszDirection(-1, 0.7), _FOUR_POINTS, P),
-    lambda P: log_F_prime_sum(builtin("extremal-ref"), _FOUR_POINTS,
-                              TruncationPlan(prime_cutoff=P)),
+    lambda P: log_F(builtin("extremal-ref"), _FOUR_POINTS, TruncationPlan(prime_cutoff=P)),
     lambda P: extremal.verify(extremal.reference_spec(), P),
-], ids=["criterion", "F_euler", "lemma_defect", "log_F_prime_sum", "extremal_verify"])
+], ids=["criterion", "log_F_misaligned", "lemma_defect", "log_F_prime_sum", "extremal_verify"])
 def test_prime_routes_hold_one_chunk_of_primes_at_a_time(route):
     # prime_chunks yields at most 2^13 primes at a time, so each temporary of
     # a route (log p, f(p), g(p), p^-sigma, the terms) takes 64-128 KiB.  The

@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from mflab import dirichlet
 from mflab.cli import main
-from mflab.dirichlet import (ComplexPoint, F_euler, HalaszDirection, TruncationPlan,
-                             alignment_terms)
+from mflab.dirichlet import (ComplexPoint, HalaszDirection, TruncationPlan, alignment_terms,
+                             log_F, prime_sums, residual_chunks, residual_terms)
 from mflab.errors import CapacityError
 from mflab.extremal import ExtremalBlock, ExtremalSpec, build_spec, extremal_function
 from mflab.halasz import lemma_defect
 from mflab.multfun import _untwist, builtin, parse_function_spec, twist
-from mflab.primes import PRIME_LIMIT_CEILING, sieve_primes
+from mflab.primes import PRIME_LIMIT_CEILING, prime_chunks, sieve_primes
 
 CUTS = [10**3, 10**4, 10**5, 10**6, 10**7]
 PS = sieve_primes(CUTS[-1])
@@ -124,9 +124,14 @@ def test_routes_that_stop_at_the_reach_have_the_bits_of_the_whole_stream(spec, d
     f = parse_function_spec(spec)
     blind = f._replace(reach=None)  # streams every prime to P
     pts = [ComplexPoint(1.0 + 1e-7, 0.3), ComplexPoint(1.2)]
-    plan = TruncationPlan(prime_cutoff=10**6, exact_factor_cutoff=1000)
+    ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
+
+    def pairs(chunks):  # the aligned sum of log_F: residual and defect, C = 1000
+        return prime_sums(f, pts, ws, residual_terms(f, direction), chunks, 1000)
+
     # repr: every bit of each value and bound, signs of zero included
-    assert repr(F_euler(f, pts, plan, direction)) == repr(F_euler(blind, pts, plan, direction))
+    assert (repr(pairs(residual_chunks(f, direction, 10**6, 1000)))
+            == repr(pairs(prime_chunks(10**6))))
     assert (repr(lemma_defect(f, direction, pts, 10**6))
             == repr(lemma_defect(blind, direction, pts, 10**6)))
 
@@ -175,6 +180,7 @@ def test_an_aligned_route_refuses_a_cutoff_above_the_ceiling_before_any_zeta_wor
     assert capsys.readouterr().err.startswith("error:capacity:sieve limit")
     assert not out.exists()
     with pytest.raises(CapacityError):
-        F_euler(builtin("moebius"), [1.5], TruncationPlan(PRIME_LIMIT_CEILING + 1))
+        log_F(builtin("moebius"), [1.5], TruncationPlan(PRIME_LIMIT_CEILING + 1),
+              HalaszDirection(1))
     with pytest.raises(CapacityError):
         lemma_defect(builtin("liouville"), HalaszDirection(1), [1.1], PRIME_LIMIT_CEILING + 1)
