@@ -312,8 +312,8 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """The process entry: exit with main's code (or argparse's) by os._exit after
     flushing stdout and stderr, skipping interpreter teardown.  Safe: mflab registers no
-    atexit handler, _write closes each file before main returns, checkpoint_sums reaps
-    its workers before it returns, and an uncaught exception still ends in a traceback."""
+    atexit handler, _write closes each file before main returns, mflab.workers reaps
+    its workers before a pass returns, and an uncaught exception still ends in a traceback."""
     try:
         code = main()
     except SystemExit as e:  # argparse: a usage error or --help

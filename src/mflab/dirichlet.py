@@ -18,24 +18,25 @@ honest, large bound instead of refusing.
 
 Both routes take a sequence of points and return one result per point, in
 order; work that does not depend on s is done once per call.  log_F sums
-through ``prime_sums``, one pass over ``prime_chunks`` with one
-``StreamSummer`` per point and sum, so its memory does not grow with the
-prime cutoff.
+through ``prime_sums``, one pass over the primes with one ``StreamSummer``
+per point and sum, so its memory does not grow with the prime cutoff; the
+pass runs in mflab.workers, over the sieve segments in forked workers.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import expm1, log
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, SingularFactorError
-from .multfun import (SUMMATORY_LIMIT_CEILING, ZETA_HEIGHT_CEILING, MultiplicativeFunction,
-                      StreamSummer, _value_segments, builtin, check_folded_height, kernel_base,
-                      segment_values, unit_power)
-from .primes import check_limit, prime_chunks
+from .multfun import (PRIME_BLOCK, SUMMATORY_LIMIT_CEILING, ZETA_HEIGHT_CEILING,
+                      MultiplicativeFunction, StreamSummer, _value_segments, builtin,
+                      check_folded_height, kernel_base, segment_values, unit_power)
+from .primes import check_limit
+from .workers import prime_pass
 
 # Bernoulli quotients B_2/2!, B_4/4!, B_6/6! for the Euler-Maclaurin tail.
 _B2_2F = 1.0 / 12.0
@@ -212,7 +213,7 @@ def zeta(s, tol: float = 1e-10) -> EvalResult:
     summer = StreamSummer()
     for lo in range(1, N, _BLOCK):
         ns = np.arange(lo, min(lo + _BLOCK, N), dtype=np.float64)
-        summer.feed(lo, np.exp(-sc * np.log(ns)))
+        summer.feed(np.exp(-sc * np.log(ns)), lo)
     head = summer.close()
     lnN = log(N)
     value = (
@@ -312,7 +313,7 @@ def F_truncated(
         for j in range(0, vals.size, _BLOCK):  # no temporary spans a segment
             log_n = np.log(np.arange(lo + j, lo + min(j + _BLOCK, vals.size), dtype=np.float64))
             for i, term in _power_terms(vals[j : j + _BLOCK], log_n, pts):
-                summers[i].feed(lo + j, term)
+                summers[i].feed(term, lo + j)
     return [EvalResult(summer.close(), (("series-tail", tail_bound(N, pt.sigma)),),
                        "truncated-series") for pt, summer in zip(pts, summers)]
 
@@ -391,47 +392,62 @@ def alignment_terms(
 
 def residual_terms(f: MultiplicativeFunction, direction: HalaszDirection):
     """prime_sums' ``terms`` of the alignment residual: g(p) and log p of
-    alignment_terms for the primes with g(p) != 0 alone, so an aligned
+    alignment_terms at the primes with g(p) != 0 alone, so an aligned
     direction feeds nothing.  Which terms those are does not depend on the chunking."""
-    def terms(ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def terms(ps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lp, g = alignment_terms(f, ps, direction)
         if not g.all():  # copy out the nonzero terms only when there is a zero
             nz = np.flatnonzero(g)
-            g, lp = g[nz], lp[nz]
-        return g, lp
+            ps, g, lp = ps[nz], g[nz], lp[nz]
+        return ps, g, lp
     return terms
 
 
-def residual_chunks(f: MultiplicativeFunction, direction: HalaszDirection, P: int, C: int):
-    """prime_chunks to min(P, max(2, C, f.reach)): g(p) = 0 beyond the reach, and C
-    ends the defect.  P is checked first, so a refusal comes before any zeta work."""
+def residual_limit(f: MultiplicativeFunction, direction: HalaszDirection, P: int, C: int) -> int:
+    """min(P, max(2, C, f.reach)), the primes a residual pass needs: g(p) = 0 beyond
+    the reach, and C ends the defect.  P is checked first, so a refusal comes
+    before any zeta work."""
     P = check_limit(P)
     reach = P if f.reach is None else f.reach(direction.epsilon0, direction.t0, P)
-    return prime_chunks(min(P, max(2, C, reach)))
+    return min(P, max(2, C, reach))
+
+
+def point_summers(
+    f: MultiplicativeFunction, pts: Sequence[ComplexPoint], ws: Sequence[ComplexPoint],
+    exact_factor_cutoff: int,
+) -> tuple[list[StreamSummer], Callable[..., None]]:
+    """The StreamSummers of a prime pass's sums at points, and feed(ps,
+    keys, c, lp), which feeds them one chunk ``ps``: per point i, the sum of
+    c(p) p^{-ws[i]}, with c and log p given at ``keys`` (ps, or the primes of
+    ps that a caller keeps), then the defect sum of log factor_p - f(p)
+    p^{-pts[i]} over the primes of ps <= exact_factor_cutoff.  The summers
+    are the sums, then the defects.  _factor_logs gives a prime the same bits
+    in any slice, so no sum depends on where chunks fall or the cutoff cuts."""
+    sums = [StreamSummer(width=PRIME_BLOCK) for _ in ws]
+    deltas = [StreamSummer(width=PRIME_BLOCK) for _ in pts]
+
+    def feed(ps: np.ndarray, keys: np.ndarray, c: np.ndarray, lp: np.ndarray) -> None:
+        for i, term in _power_terms(c, lp, ws):
+            sums[i].feed(term, keys)
+        head = ps[: int(np.searchsorted(ps, exact_factor_cutoff, side="right"))]
+        for delta, defect in zip(deltas, _factor_logs(f, head, pts) if head.size else ()):
+            delta.feed(defect, head)
+
+    return sums + deltas, feed
 
 
 def prime_sums(
     f: MultiplicativeFunction, pts: Sequence[ComplexPoint], ws: Sequence[ComplexPoint],
-    terms: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], chunks: Iterable[np.ndarray],
+    terms: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]], limit: int,
     exact_factor_cutoff: int,
 ) -> list[tuple[complex, complex]]:
-    """The one pass of the prime routes over ``chunks``: per point i, the sum
-    of c(p) p^{-ws[i]}, with (c, log p) = terms(ps) for each chunk ps, and
-    the defect sum of log factor_p - f(p) p^{-pts[i]} over the primes <=
-    exact_factor_cutoff, each in one StreamSummer.  Returns the closed (sum,
-    defect) pairs.  _factor_logs gives a prime the same bits in any slice, so
-    no sum depends on where chunks fall or the cutoff cuts."""
-    sums = [StreamSummer() for _ in ws]
-    deltas = [StreamSummer() for _ in pts]
-    for ps in chunks:
-        c, lp = terms(ps)
-        for i, term in _power_terms(c, lp, ws):
-            sums[i].feed(None, term)
-        head = ps[: int(np.searchsorted(ps, exact_factor_cutoff, side="right"))]
-        for delta, defect in zip(deltas, _factor_logs(f, head, pts) if head.size else ()):
-            delta.feed(None, defect)
-        c = lp = term = head = defect = None  # hold nothing of this chunk into the next
-    return [(s.close(), d.close()) for s, d in zip(sums, deltas)]
+    """The one pass of the prime routes over the primes <= ``limit``
+    (workers.prime_pass): the closed (sum, defect) pair of point_summers per
+    point, with (keys, c, log p) = terms(ps) for each chunk ps."""
+    summers, feed = point_summers(f, pts, ws, exact_factor_cutoff)
+    prime_pass(limit, summers, lambda ps: feed(ps, *terms(ps)))
+    totals = [summer.close() for summer in summers]
+    return list(zip(totals[: len(ws)], totals[len(ws) :]))
 
 
 def log_F(
@@ -470,14 +486,13 @@ def log_F(
             reach = f.reach(direction.epsilon0, direction.t0, P)
     if reach >= P:
         pairs = prime_sums(
-            f, pts, pts, lambda ps: (f.prime_values(ps), np.log(ps.astype(np.float64))),
-            prime_chunks(P), C)
+            f, pts, pts, lambda ps: (ps, f.prime_values(ps), np.log(ps.astype(np.float64))), P, C)
         return [EvalResult(total + delta, (("prime-tail", tail_bound(P, pt.sigma)),
                                            ("defect-tail", _defect_tail(pt, C))), "prime-sum")
                 for pt, (total, delta) in zip(pts, pairs)]
     ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
     pzs = [prime_zeta(w) for w in ws]
-    pairs = prime_sums(f, pts, ws, residual_terms(f, direction), prime_chunks(max(2, C, reach)), C)
+    pairs = prime_sums(f, pts, ws, residual_terms(f, direction), max(2, C, reach), C)
     return [EvalResult(direction.epsilon0 * (residual - pz.value) + delta,
                        (("prime-zeta", pz.error_bound), ("defect-tail", _defect_tail(pt, C))),
                        "euler-product")

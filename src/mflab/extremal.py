@@ -422,16 +422,18 @@ def verify(
     asymptotic lower bound.
 
     P and the blocks are checked before any sieving.  Then one pass
-    (dirichlet.prime_sums over ``prime_chunks(P)``) takes log p and theta_p
-    once per chunk for every sum: its ``terms`` feeds the theta sum, the 1/p
-    sums (one StreamSummer, cut at each block's end) and each window's two
-    sums over its selected primes, and hands f(p) = -e^{i theta_p} to each
-    point's prime sum and defect.
+    (workers.prime_pass to P) takes log p and theta_p once per chunk for
+    every sum: the theta sum, the 1/p sums (one StreamSummer, cut at each
+    block's end), each window's two sums over its selected primes, and,
+    with f(p) = -e^{i theta_p}, each point's prime sum and defect
+    (dirichlet.point_summers).  Each window's count, first and last
+    selected prime come back per chunk and are combined in key order.
     """
     import numpy as np
-    from .dirichlet import ComplexPoint, inverse_power, prime_sums
-    from .multfun import StreamSummer
-    from .primes import check_limit, prime_chunks
+    from .dirichlet import ComplexPoint, inverse_power, point_summers
+    from .multfun import PRIME_BLOCK, StreamSummer
+    from .primes import check_limit
+    from .workers import prime_pass
     log_P = log(check_limit(P))
     if blocks is None:
         blocks = [j for j, b in enumerate(spec.blocks, start=1) if b.log_upper <= log_P]
@@ -444,35 +446,45 @@ def verify(
     checked = [spec.blocks[j - 1] for j in blocks]
     pts = [ComplexPoint(1.0 + 1.0 / (b.log_x * b.log_x), 1.0) for b in checked]
     window_cuts = [int(min(exp(b.log_upper), float(P))) for b in checked]
-    # per window: W_j, sum theta_p p^{-sigma}, and the selected count, first and last prime
-    wins = [[StreamSummer(), StreamSummer(), 0, 0, 0] for _ in checked]
+    points, feed = point_summers(extremal_function(spec), pts, pts, min(10_000, P))
+    # per window: W_j and sum theta_p p^{-sigma}
+    wins = [(StreamSummer(width=PRIME_BLOCK), StreamSummer(width=PRIME_BLOCK)) for _ in checked]
     # sum_{p <= min(upper_j, P)} 1/p for each block j, at its checkpoint
-    H = StreamSummer([min(float(P), exp(min(b.log_upper, log_P))) for b in spec.blocks])
-    obs = StreamSummer()
+    H = StreamSummer([min(float(P), exp(min(b.log_upper, log_P))) for b in spec.blocks],
+                     PRIME_BLOCK)
+    obs = StreamSummer(width=PRIME_BLOCK)
 
-    def terms(ps):
+    def chunk(ps: np.ndarray) -> list[tuple[int, int, int]]:
         psf = ps.astype(np.float64)
         lp = np.log(psf)
         th = theta_values(spec, ps, lp)
-        obs.feed(None, th * th / psf)
-        H.feed(None, 1.0 / psf, ps)
-        for b, cut, pt, win in zip(checked, window_cuts, pts, wins):
+        obs.feed(th * th / psf, ps)
+        H.feed(1.0 / psf, ps)
+        selected = []  # per window: the count, first and last prime selected here
+        for b, cut, pt, (W, T) in zip(checked, window_cuts, pts, wins):
             lpc = lp[: int(np.searchsorted(ps, cut, side="right"))]
             nsin = -np.sin(lpc)
             sel = np.flatnonzero((lpc >= b.log_x) & (lpc < b.log_upper) & (nsin >= 0.5))
+            selected.append((sel.size, int(ps[sel[0]]), int(ps[sel[-1]])) if sel.size
+                            else (0, 0, 0))
             if sel.size:
                 pw = inverse_power(lpc[sel], pt.sigma)
-                win[0].feed(None, th[sel] * nsin[sel] * pw)
-                win[1].feed(None, th[sel] * pw)
-                win[2:] = [win[2] + sel.size, win[3] or int(ps[sel[0]]), int(ps[sel[-1]])]
-        return (_unit_values(th) if pts else th), lp  # with no point no term is formed
+                W.feed(th[sel] * nsin[sel] * pw, ps[sel])
+                T.feed(th[sel] * pw, ps[sel])
+        if pts:  # with no point no term is formed
+            feed(ps, ps, _unit_values(th), lp)
+        return selected
 
-    pairs = prime_sums(extremal_function(spec), pts, pts, terms, prime_chunks(P), min(10_000, P))
+    counts = [(0, 0, 0) for _ in checked]
+    for selected in prime_pass(P, [*points, obs, H, *(s for win in wins for s in win)], chunk):
+        counts = [(n + m, first or a, b if m else last)
+                  for (n, first, last), (m, a, b) in zip(counts, selected)]
+    totals = [s.close() for s in points]
     windows = tuple(
         WindowReport(j, pt.sigma, count, first, last, W.close().real, 0.5 * T.close().real,
                      (total + delta).real, b.a * sqrt(log(b.log_x)))
-        for j, b, pt, (W, T, count, first, last), (total, delta) in zip(
-            blocks, checked, pts, wins, pairs))
+        for j, b, pt, (W, T), (count, first, last), total, delta in zip(
+            blocks, checked, pts, wins, counts, totals, totals[len(pts) :]))
     H.close()
     return _psum_report(spec, P, obs.close().real, [h.real for h in H.checkpoint_values]), windows
 

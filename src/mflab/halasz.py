@@ -10,8 +10,8 @@ whose convergence or divergence separates the two regimes.
 
 The lemma defect and the Theorem 1 ratio take a whole sigma grid in one
 call, so f(p), log p and g(p) are computed once per grid.  Every prime sum
-here streams ``prime_chunks`` and keeps only running totals and the
-partial sums at its cutoffs.
+here is one workers.prime_pass, which splits the primes across the CPUs,
+and keeps only running totals and the partial sums at its cutoffs.
 """
 
 from __future__ import annotations
@@ -31,14 +31,15 @@ from .dirichlet import (
     log_F,
     log_zeta_minus_prime_zeta,
     prime_sums,
-    residual_chunks,
+    residual_limit,
     residual_terms,
     tail_bound,
 )
 from .errors import CapacityError, DomainError
-from .multfun import (GRID_STEP_CEILING, MultiplicativeFunction, StreamSummer, SummatoryTrace,
-                      check_folded_height, two_adic_failures)
-from .primes import prime_chunks
+from .multfun import (GRID_STEP_CEILING, PRIME_BLOCK, MultiplicativeFunction, StreamSummer,
+                      SummatoryTrace, check_folded_height, two_adic_failures)
+from .primes import check_limit
+from .workers import prime_pass
 
 
 class PartialSumSeries(NamedTuple):
@@ -60,23 +61,28 @@ def pole_sum(
     at the decade cutoffs 10, 100, ..., P.
 
     Every term is >= 0 when |f(p)| <= 1; a term below -1e-12 means the
-    function is outside class M and raises, naming the prime of the most
-    negative term.  A twist's T is folded into t0, and t0 + T is refused
-    above the height ceiling before any sieving.
+    function is outside class M and raises, naming the first prime of the
+    most negative term.  A twist's T is folded into t0; t0 + T above the
+    height ceiling and P above the sieve's are refused before any sieving.
     """
     check_folded_height(f, direction.t0)
+    check_limit(P)
     cuts = [10]
     while cuts[-1] < P:
         cuts.append(cuts[-1] * 10)
     cuts[-1] = P
-    summer = StreamSummer(cuts)
-    worst, p_bad = 0.0, 0
-    for ps in prime_chunks(P):
+    summer = StreamSummer(cuts, PRIME_BLOCK)
+
+    def chunk(ps: np.ndarray) -> tuple[float, int]:  # the chunk's most negative term, first
         terms = alignment_terms(f, ps, direction)[1].real / ps
+        summer.feed(terms, ps)
         i = int(np.argmin(terms))
-        if terms[i] < worst:
-            worst, p_bad = float(terms[i]), int(ps[i])
-        summer.feed(None, terms, ps)
+        return float(terms[i]), int(ps[i])
+
+    worst, p_bad = 0.0, 0
+    for term, p in prime_pass(P, [summer], chunk):
+        if term < worst:
+            worst, p_bad = term, p
     if worst < -1e-12:
         raise DomainError(f"negative alignment term at p={p_bad}: |f(p)| > 1")
     summer.close()
@@ -109,10 +115,10 @@ def lemma_defect(
     if any(pt.sigma - 1.0 > 1.0 / np.e + 1e-12 for pt in pts):
         raise DomainError("lemma defect needs sigma - 1 <= 1/e")
     check_folded_height(f, direction.t0)
-    chunks = residual_chunks(f, direction, prime_cutoff, 1)
+    limit = residual_limit(f, direction, prime_cutoff, 1)
     ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
     brackets = [log_zeta_minus_prime_zeta(w) for w in ws]
-    pairs = prime_sums(f, pts, ws, residual_terms(f, direction), chunks, 1)  # no defect: C = 1
+    pairs = prime_sums(f, pts, ws, residual_terms(f, direction), limit, 1)  # no defect: C = 1
     return [EvalResult(bracket.value + residual,
                        (("bracket", bracket.error_bound),
                         ("residual-tail", 2.0 * tail_bound(prime_cutoff, pt.sigma))),

@@ -10,10 +10,11 @@ int8, exact while f is -1, 0 or 1, else complex128; a twist f(n) n^{-it}
 takes its base's rung times one unit per n.  It is the one route to f(n);
 tests check it against trial division.
 
-Summation is order-deterministic: values are grouped into blocks aligned to
-absolute positions (multiples of 4096) and cut at checkpoints, each block is
-np.sum'ed (int8 blocks as exact integers), and block sums enter a
-compensated accumulator in ascending order.  Each f(n) is the same
+Summation is order-deterministic (StreamSummer): values are grouped into
+blocks aligned to absolute keys (positions n at multiples of 4096, primes p
+at multiples of 2^16) and cut at checkpoints, each block is np.sum'ed (int8
+blocks as exact integers), and block sums enter a compensated accumulator
+in ascending order.  Each f(n) is the same
 sequence of products at any segment size (see _times), so reruns are
 byte-identical, and every rule and twist gives bit-identical checkpoints at
 every segment size.  summatory_trace runs the kernel in forked workers over
@@ -23,6 +24,7 @@ not depend on the number of workers either.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import takewhile, zip_longest
 from math import ceil, isfinite, isqrt, log
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -40,7 +42,8 @@ GRID_STEP_CEILING = 10**5  # geometric steps, each one checkpoint before duplica
 # Largest height |t| a caller may give (--t, --t0, a twist's t), and zeta's
 # (see dirichlet.zeta): the phase t log n loses a digit per decade of |t|.
 ZETA_HEIGHT_CEILING = 1e8
-_SUM_BLOCK = 4096
+_SUM_BLOCK = 4096  # StreamSummer block width in n
+PRIME_BLOCK = 1 << 16  # and in p; a divisor of the 2^20 of a sieve segment
 _SUB_BLOCK = 1 << 13  # entries per elementwise step of segment_values
 
 
@@ -389,85 +392,95 @@ class StreamSummer:
     """Order-deterministic streaming sum with checkpoint snapshots: the one
     ordered sum of mflab, over n and over primes alike.
 
-    Values take positions 1, 2, ... in the order they are fed.  Blocks are
-    cut at positions that are multiples of 4096 and at the checkpoints; each
-    block is np.sum'ed (int8 blocks as exact integers) and the block sums
-    enter a compensated accumulator in ascending order, so a sum and its
-    checkpoints have the same bits at any feed chunking.  Between feeds only
-    the unsummed tail (under one block) is kept.
+    Every value comes with a key, and keys ascend: n for a trace or a
+    series, p for a prime sum.  Blocks are cut where the key passes a
+    multiple of ``width`` (4096 for n, PRIME_BLOCK for p) and at the
+    checkpoints; each block is np.sum'ed (int8 blocks as exact integers) and
+    the block sums enter a compensated accumulator in key order.  So a sum
+    and its checkpoints have bits that depend only on the keys and values
+    fed: not on the feed chunking, on which keys a caller leaves out, or on
+    which process summed a block (see mflab.workers).  Between feeds only
+    the open block is kept: for n under 4096 values, for p at most the 6,542
+    primes below 2^16, the fullest 2^16 interval below PRIME_LIMIT_CEILING.
 
-    ``checkpoints`` are ascending cutoffs on a key per value: its position,
-    or the ascending ``keys`` fed with the values (the primes of a prime
-    sum).  A checkpoint takes the sum just before the first value whose key
-    exceeds it; one still open when the stream closes takes the total.
+    ``checkpoints`` are ascending cutoffs on the key.  A checkpoint takes
+    the sum of the values whose key is at most it; one still open when the
+    stream closes takes the total.  In a worker ``rows`` is a list, and
+    each block's (real sum, imaginary sum, first key) goes there instead of
+    into the total.
     """
 
-    def __init__(self, checkpoints: Sequence = ()) -> None:
+    def __init__(self, checkpoints: Sequence = (), width: int = _SUM_BLOCK) -> None:
         self._cps = list(checkpoints)
+        self._width = width
         self._re = _Neumaier()
         self._im = _Neumaier()
-        self._tail = np.zeros(0, dtype=np.complex128)  # fed, not yet summed
-        self._buf_start = 1  # position of _tail[0]
-        self._n_next = 1
+        self._tail = np.zeros(0, dtype=np.complex128)  # the open block, fed, not yet summed
+        self._first = self._end = 0  # its first key, and the last key it may take
+        self._cut = 0  # cut at checkpoints from self._cps[self._cut] on
+        self.rows: list[float] | None = None
         self.checkpoint_values: list[complex] = []
 
-    def _next_cut(self, lo: int, keys: np.ndarray | None) -> tuple[int, bool]:
-        """The position that ends the next block, and whether the open
-        checkpoint is taken there; ``keys`` start at position ``lo``."""
-        cut = ((self._buf_start - 1) // _SUM_BLOCK + 1) * _SUM_BLOCK
-        if len(self.checkpoint_values) == len(self._cps):
-            return cut, False
-        cp = self._cps[len(self.checkpoint_values)]
-        if keys is not None:  # the last key <= cp is known once a key exceeds it
-            i = int(np.searchsorted(keys, cp, side="right"))
-            cp = lo - 1 + i if i < keys.size else self._n_next
-        return min(cut, cp), cp <= cut
+    def feed(self, vals: np.ndarray, keys: int | np.ndarray) -> None:
+        """Append ``vals`` at ``keys``: an ascending int array, or the key of
+        vals[0], the others following one by one.  Keys continue above those
+        fed before."""
+        i, n, listed = 0, vals.size, isinstance(keys, np.ndarray)
+        while i < n:
+            if not self._tail.size:  # vals[i] opens a block
+                self._open(int(keys[i]) if listed else keys + i)
+            if listed:
+                j = int(np.searchsorted(keys, self._end, side="right"))
+            else:  # keys, keys + 1, ...: vals[:j] have keys up to the end
+                j = min(n, max(i, int(self._end) - keys + 1))
+            if j == n and (listed or keys + n <= self._end):  # the block may go on
+                self._tail = np.concatenate((self._tail, vals[i:]))  # a copy: never pin ``vals``
+                return
+            self._flush(vals[i:j])
+            i = j
+
+    def _open(self, key: int) -> None:
+        """Open a block at ``key``: it ends at the next multiple of the width,
+        or at the next checkpoint if that comes first."""
+        self._first = key
+        self._end = ((key - 1) // self._width + 1) * self._width
+        self._cut = bisect_left(self._cps, key, self._cut)
+        if self._cut < len(self._cps):
+            self._end = min(self._end, self._cps[self._cut])
 
     def _flush(self, head: np.ndarray) -> None:
-        """Sum the tail followed by ``head`` as one block (none if empty)."""
+        """Sum the open block, the tail followed by ``head``."""
         chunk = np.concatenate((self._tail, head)) if self._tail.size else head
-        if not chunk.size:
-            return
         if chunk.dtype != np.int8:  # int8 blocks sum as exact integers, uncopied
             chunk = chunk.astype(np.complex128, copy=False)  # a block, not the feed, at a time
         s = chunk.sum()
-        self._add(float(s.real), float(s.imag))
-        self._buf_start += chunk.size
+        self._add(float(s.real), float(s.imag), self._first)
         self._tail = self._tail[:0]
 
-    def _add(self, re: float, im: float) -> None:  # one block's sum
+    def _add(self, re: float, im: float, key: int) -> None:
+        """Add one block's sum, whose first key is ``key``, after the
+        checkpoints below that key take the sum before it."""
+        if self.rows is not None:
+            self.rows += (re, im, key)
+            return
+        cps, taken = self._cps, self.checkpoint_values
+        while len(taken) < len(cps) and cps[len(taken)] < key:
+            taken.append(self.total())
         self._re.add(re)
         self._im.add(im)
 
-    def _take(self) -> None:  # the open checkpoint, after the block just added
-        self.checkpoint_values.append(self.total())
-
-    def feed(self, start: int | None, vals: np.ndarray, keys: np.ndarray | None = None) -> None:
-        """Append ``vals``.  ``start``, unless None, must be the position of
-        vals[0]; ``keys`` (for cutoffs on keys) continue the ascending keys
-        fed before."""
-        lo = self._n_next
-        if start is not None and start != lo:
-            raise ValueError(f"stream discontinuity: expected {lo}, got {start}")
-        self._n_next += vals.size
-        i = 0  # vals[:i] is summed
-        cut, taken = self._next_cut(lo, keys)
-        while cut < self._n_next:
-            j = i + cut - self._buf_start + 1 - self._tail.size
-            self._flush(vals[i:j])
-            i = j
-            if taken:
-                self._take()
-            cut, taken = self._next_cut(lo, keys)
-        self._tail = np.concatenate((self._tail, vals[i:]))  # a copy: never pin ``vals``
+    def flush(self) -> None:
+        """Sum the open block now: all its keys are fed."""
+        if self._tail.size:
+            self._flush(self._tail[:0])
 
     def total(self) -> complex:
         return complex(self._re.total(), self._im.total())
 
     def close(self) -> complex:
-        """Flush any partial trailing block and return the grand total,
-        which every checkpoint still open takes."""
-        self._flush(self._tail[:0])  # the tail alone
+        """Flush any open block and return the grand total, which every
+        checkpoint still open takes."""
+        self.flush()
         total = self.total()
         self.checkpoint_values += [total] * (len(self._cps) - len(self.checkpoint_values))
         return total
@@ -524,8 +537,8 @@ def summatory_trace(
 ) -> SummatoryTrace:
     """Stream S_f(x) over n = 1..limit, snapshotting at grid checkpoints.
 
-    The segment kernel runs in forked workers, and this process adds their
-    block sums in order (workers.checkpoint_sums)."""
+    The segment kernel runs in forked workers (one CPU: in this process), and
+    this process adds their block sums in order (workers.checkpoint_sums)."""
     if limit < 1:
         raise CoverageError(f"limit must be >= 1, got {limit}")
     if limit > SUMMATORY_LIMIT_CEILING:
@@ -535,7 +548,7 @@ def summatory_trace(
             f"segment size {segment_size} exceeds ceiling {SEGMENT_SIZE_CEILING}")
     cps = resolve_checkpoints(grid, limit)
     base = kernel_base(f, limit)
-    from .workers import checkpoint_sums  # compiled only by the commands that trace
+    from .workers import checkpoint_sums  # here, since workers imports this module
 
     return SummatoryTrace(
         xs=np.asarray(cps, dtype=np.int64),

@@ -1,12 +1,15 @@
 """Prime streams and prime tables.
 
 Every prime sum downstream (Euler products, Halász sums, the extremal
-checks) reads ``prime_chunks``: the primes up to a cutoff, ascending, in
-chunks of at most 2^13 primes, so a consumer holds O(chunk) memory rather
-than O(pi(P)).  The sums themselves run through ``multfun.StreamSummer``,
-whose blocks count positions from the first term, so a streamed sum has
-the same bits at any chunking.  ``sieve_primes`` (random access) remains
-for the base primes of the segment kernel.
+checks) reads the primes up to a cutoff, ascending, in chunks of at most
+2^13 primes, so a consumer holds O(chunk) memory rather than O(pi(P)).
+Chunks lie within one sieve segment (k 2^20, (k+1) 2^20], and a segment
+can be sieved on its own from the base primes, so mflab.workers deals
+whole segments to its workers.  The sums themselves run through
+``multfun.StreamSummer``, whose blocks are cut at multiples of 2^16 in p,
+so a streamed sum has the same bits at any chunking and in any process.
+``sieve_primes`` (random access) remains for the base primes of the
+segment kernel.
 """
 
 from __future__ import annotations
@@ -44,16 +47,17 @@ def prime_chunks(limit: int) -> Iterator[np.ndarray]:
     primes (64 KiB), each within one sieve segment.  The limit is checked
     against PRIME_LIMIT_CEILING here, before any sieving.
 
-    Segmented sieve of Eratosthenes: a segment spans 2^20 >= sqrt(limit)
-    numbers, one flag byte per odd number: 0.5 MB, cache-sized as in
-    Oliveira e Silva, Herzog & Pardi (Math. Comp. 83, 2014), and large
-    enough to amortize the Python loop over base primes that every segment
-    runs.  Its primes are yielded as views of one array, so a consumer's
+    Segmented sieve of Eratosthenes: a segment spans the 2^20 >= sqrt(limit)
+    numbers of (k 2^20, (k+1) 2^20], one flag byte per odd number: 0.5 MB,
+    cache-sized as in Oliveira e Silva, Herzog & Pardi (Math. Comp. 83,
+    2014), and large enough to amortize the Python loop over base primes
+    that every segment runs.  Its primes are yielded as views of one array, so a consumer's
     temporaries span one chunk.  Peak memory is O(sqrt(limit) + segment).
 
     2 is the first chunk, alone, and a segment without primes yields nothing.
     Chunk lengths do not reach the bits of a streamed sum: its terms are
-    products of named operands in a fixed order (see dirichlet._power_terms).
+    products of named operands in a fixed order (see dirichlet._power_terms),
+    and its blocks are cut at keys.
     """
     return _segments(check_limit(limit))
 
@@ -74,28 +78,34 @@ def _sieve(limit: int) -> np.ndarray:
     return np.concatenate(list(_segments(limit)))
 
 
-def _segments(limit: int) -> Iterator[np.ndarray]:
-    """The chunks of ``prime_chunks``; the odd base primes <= sqrt(limit)
-    come from ``_sieve``, and segments track odd numbers only."""
+def base_primes(limit: int) -> np.ndarray:
+    """The odd primes <= sqrt(limit): what a segment of a sieve to ``limit`` strikes with."""
     root = isqrt(limit)
-    base = _sieve(root)[1:] if root >= 3 else np.zeros(0, dtype=np.int64)
-    offs = (base * base - 3) // 2  # each base prime's next flag index: p^2's, counted from 3
-    yield np.array([2], dtype=np.int64)
-    lo = 3
-    while lo <= limit:  # lo stays odd: a segment spans an even count of numbers
-        hi = min(limit, lo + _SEGMENT - 1)
-        flags = np.ones((hi - lo) // 2 + 1, dtype=bool)
-        for p, o in zip(base.tolist(), offs.tolist()):
+    return _sieve(root)[1:] if root >= 3 else np.zeros(0, dtype=np.int64)
+
+
+def _segments(limit: int, lo: int = 0, base: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """The chunks of ``prime_chunks`` in (lo, limit], ``lo`` a multiple of 2^20;
+    ``base`` is base_primes of ``limit`` or of a larger limit, by default
+    sieved here.  Segments track odd numbers only."""
+    if base is None:
+        base = base_primes(limit)
+    if lo == 0:
+        yield np.array([2], dtype=np.int64)
+    for a in range(lo, limit, _SEGMENT):  # the odd numbers of (a, b], from a + 1 on
+        b = min(limit, a + _SEGMENT)
+        flags = np.ones((b - a + 1) // 2, dtype=bool)
+        flags[0] = a > 0  # 1 is not prime
+        first = np.maximum(base * base, -(-(a + 1) // base) * base)  # p's first multiple to strike
+        first += base * (first % 2 == 0)  # odd
+        for p, o in zip(base.tolist(), ((first - a - 1) // 2).tolist()):
             flags[o::p] = False  # empty once o >= flags.size
-        offs -= flags.size  # the next segment's: o - L, or (o - L) mod p where that is < 0
-        np.remainder(offs, base, out=offs, where=offs < 0)
         primes = np.flatnonzero(flags)
         del flags  # not alive while the consumers run
         primes *= 2
-        primes += lo
+        primes += a + 1
         for i in range(0, primes.size, _BLOCK):
             yield primes[i : i + _BLOCK]
-        lo = hi + 1
 
 
 def mertens_estimate(log_x: float) -> float:

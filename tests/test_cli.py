@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mflab import dirichlet, extremal, halasz, multfun, primes
+from mflab import dirichlet, extremal, halasz, multfun, primes, workers
 from mflab.cli import SIGMA_GRID_CEILING, build_parser, main
 from mflab.errors import FunctionSpecError
 
@@ -607,26 +607,26 @@ def test_extremal_verify_refuses_a_bad_block_before_sieving(block, code, kind, t
     ["extremal-verify", "spec.json", "--cutoff", "100000"],
     ["criterion", "--function", "extremal-ref", "--prime-cutoff", "100000"],
 ])
-def test_one_prime_stream_per_command(argv, tmp_path, monkeypatch):
-    """One prime_chunks stream to the cutoff, and no other sieve to it: every
-    sieve, a stream or a sieve_primes table, runs _segments."""
-    calls = {"prime_chunks": [], "_segments": []}
+def test_one_prime_pass_per_command(argv, tmp_path, monkeypatch):
+    """One prime pass to the cutoff, and no other sieve to it: every sieve, a
+    stripe of a pass or a sieve_primes table, runs _segments."""
+    calls = {"prime_pass": [], "_segments": []}
 
     def counted(name, fn):
-        def wrapper(limit):
+        def wrapper(limit, *args):
             calls[name].append(limit)
-            return fn(limit)
+            return fn(limit, *args)
         return wrapper
 
     monkeypatch.chdir(tmp_path)
     assert run(["extremal-build", "--kappa", "power:0.25", "--out", "spec.json"]) == 0
     monkeypatch.setattr(primes, "_segments", counted("_segments", primes._segments))
-    stream = counted("prime_chunks", primes.prime_chunks)
-    for mod in (primes, dirichlet, halasz):  # extremal.verify imports primes' as it runs
-        monkeypatch.setattr(mod, "prime_chunks", stream)
+    prime_pass = counted("prime_pass", workers.prime_pass)
+    for mod in (workers, dirichlet, halasz):  # extremal.verify imports workers' as it runs
+        monkeypatch.setattr(mod, "prime_pass", prime_pass)
     assert run([*argv, "--out", "x.out"]) == 0
-    assert calls["prime_chunks"].count(100_000) == 1, calls
-    assert calls["_segments"].count(100_000) == 1, calls
+    assert calls["prime_pass"] == [100_000], calls
+    assert calls["_segments"].count(100_000) == 1, calls  # the one stripe
 
 
 def test_euler_route_refuses_zeta_above_height_ceiling(tmp_path, capsys):
@@ -939,7 +939,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
         ["thm1", "--function", "moebius", "--epsilon", "1", "--sigma", "1.1:1.5:2",
          "--prime-cutoff", "1000", "--out", "thm1.csv"],
     ], tmp_path)
-    traced = core | {"workers"}  # summatory_trace's segment workers
+    traced = core | {"workers"}  # the workers of every trace and prime pass
     assert after == [traced, traced | {"dirichlet"}, traced | {"dirichlet", "halasz"}]
     after = _modules_loaded_after_each([
         ["extremal-build", "--kappa", "power:0.25", "--out", "spec.json"],
@@ -963,7 +963,8 @@ ENTRY = ["-m", "mflab.cli"]  # the launcher of perfbench and of the README's exa
 
 
 @pytest.mark.parametrize("name, out", [
-    ("sum-twist-extremal.csv", ["--out", "sum-twist-extremal.csv"]),  # forks segment workers
+    ("sum-twist-extremal.csv", ["--out", "sum-twist-extremal.csv"]),
+    ("criterion-twist.txt", ["--out", "criterion-twist.txt"]),  # forks prime-pass workers
     ("verify-block.txt", ["--out", "verify-block.txt"]),
     ("thm2.csv", ["--out", "-"]),  # read through a pipe
     ("criterion-one.txt", []),  # stdout by default

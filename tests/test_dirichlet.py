@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mflab import dirichlet
+from mflab import dirichlet, primes
 from mflab.dirichlet import (
     ComplexPoint,
     _factor_logs,
@@ -23,8 +23,8 @@ from mflab.dirichlet import (
     zeta,
 )
 from mflab.errors import CapacityError, CoverageError, DomainError, SingularFactorError
-from mflab.multfun import (MultiplicativeFunction, StreamSummer, builtin, parse_function_spec,
-                           summatory_trace, unit_power)
+from mflab.multfun import (PRIME_BLOCK, MultiplicativeFunction, StreamSummer, builtin,
+                           parse_function_spec, summatory_trace, unit_power)
 from mflab.primes import sieve_primes
 
 from _oracles import F_partial_summation, prime_sum_power_oracle, zeta_series_oracle
@@ -129,9 +129,9 @@ def test_zeta_sums_no_more_terms_than_the_earlier_rule(monkeypatch):
     fed, calls = [0], []
     real_feed, real_zeta = StreamSummer.feed, dirichlet.zeta
 
-    def counting_feed(self, start, vals, keys=None):
+    def counting_feed(self, vals, keys):
         fed[0] += vals.size
-        return real_feed(self, start, vals, keys)
+        return real_feed(self, vals, keys)
 
     def counting_zeta(s, tol=1e-10):
         before = fed[0]
@@ -236,18 +236,15 @@ def bits(z) -> list:
 
 
 def prime_terms(f):
-    """The terms of log_F's prime sum: f(p) and log p."""
-    return lambda ps: (f.prime_values(ps), np.log(ps.astype(np.float64)))
+    """The terms of log_F's prime sum: f(p) and log p at every prime."""
+    return lambda ps: (ps, f.prime_values(ps), np.log(ps.astype(np.float64)))
 
 
 def _sum_and_defect(f, points, plan):
     """(result, prime sum, defect) per point: log_F's prime-sum result, and
-    its two sums from prime_sums over chunks of 1000 primes.  Its value is
-    their sum, bit for bit."""
+    its two sums from prime_sums.  Its value is their sum, bit for bit."""
     pts = [dirichlet.as_point(pt) for pt in points]
-    ps = sieve_primes(plan.prime_cutoff)
-    chunks = [ps[i : i + 1000] for i in range(0, ps.size, 1000)]
-    pairs = prime_sums(f, pts, pts, prime_terms(f), chunks, plan.exact_factor_cutoff)
+    pairs = prime_sums(f, pts, pts, prime_terms(f), plan.prime_cutoff, plan.exact_factor_cutoff)
     out = [(r, a, d) for r, (a, d) in zip(log_F(f, pts, plan), pairs)]
     for r, a, d in out:
         assert bits(r.value) == bits(a + d)
@@ -344,11 +341,10 @@ def test_aligned_twist_direction_has_exactly_zero_alignment_terms(spec, t0):
     direction = HalaszDirection(-1, t0)
     _, g = alignment_terms(f, BASE, direction)
     assert not g.any()
-    c, lp = residual_terms(f, direction)(BASE)
-    assert c.size == lp.size == 0
+    keys, c, lp = residual_terms(f, direction)(BASE)
+    assert keys.size == c.size == lp.size == 0
     pts = [ComplexPoint(1.001), ComplexPoint(1.3, 2.0)]
-    assert prime_sums(f, pts, pts, residual_terms(f, direction), [BASE[:5000], BASE[5000:]],
-                      1) == [(0j, 0j), (0j, 0j)]
+    assert prime_sums(f, pts, pts, residual_terms(f, direction), 10**5, 1) == [(0j, 0j), (0j, 0j)]
 
 
 def test_factored_inverse_power_against_mpmath():
@@ -374,33 +370,36 @@ def test_factored_inverse_power_against_mpmath():
 
 
 @pytest.mark.parametrize("size", [1000, 999])
-def test_prime_sums_streamed_in_short_chunks_have_the_bits_of_one_pass(size):
+def test_prime_sums_streamed_in_short_chunks_have_the_bits_of_one_pass(size, monkeypatch):
     # the 44,638 primes in (4e5, 1e6] give complex terms of more than 256 KiB,
     # where numpy may swap the operands of a product with a temporary.  The
     # terms are of like size and, at t = 1000, of fast-turning phase, so the
     # sums stay small and a last-bit change in a term reaches them.  Every
     # product has named operands, so chunks of any length give the bits of
-    # one pass
+    # one chunk per sieve segment
     f = parse_function_spec("twist:0.7:liouville")
-    ps = sieve_primes(10**6)
-    ps = ps[ps > 4 * 10**5]
     pts = [ComplexPoint(1.001), ComplexPoint(1.2, 1000.0)]
 
-    def streamed(chunks):
-        # every prime of the range takes its exact factor, so the defect sums
-        # are over each chunk whole
-        pairs = prime_sums(f, pts, pts, prime_terms(f), chunks, 10**6)
-        residuals = prime_sums(f, pts, pts, residual_terms(f, HalaszDirection(-1, 0.7)), chunks, 1)
+    def terms(ps):
+        ps = ps[ps > 4 * 10**5]
+        return ps, f.prime_values(ps), np.log(ps.astype(np.float64))
+
+    def streamed(chunk):
+        # every prime takes its exact factor, so the defect sums are over
+        # each chunk whole
+        monkeypatch.setattr(primes, "_BLOCK", chunk)
+        pairs = prime_sums(f, pts, pts, terms, 10**6, 10**6)
+        residuals = prime_sums(f, pts, pts, residual_terms(f, HalaszDirection(-1, 0.7)), 10**6, 1)
         totals = [z for pair in pairs + residuals for z in pair]
         return np.array(totals, dtype=np.complex128).view(np.uint64).tolist()
 
-    assert streamed([ps[i : i + size] for i in range(0, ps.size, size)]) == streamed([ps])
+    assert streamed(size) == streamed(1 << 20)
 
 
-def test_prime_sums_holds_nothing_of_a_chunk_into_the_next():
-    # a chunk of prime_chunks is a view of its whole sieve segment: a name
-    # left bound to it, or to a slice of it, would keep that segment alive
-    # through the next chunk's work
+def test_prime_sums_holds_nothing_of_a_chunk_into_the_next(monkeypatch):
+    # a chunk of the prime stream is a view of its whole sieve segment: a
+    # name left bound to it, or to a slice of it, would keep that segment
+    # alive through the next chunk's work
     f = builtin("liouville")
     pts = [ComplexPoint(1.001), ComplexPoint(1.3, 2.0)]
     seen = []
@@ -408,16 +407,16 @@ def test_prime_sums_holds_nothing_of_a_chunk_into_the_next():
     def terms(ps):
         assert all(ref() is None for ref in seen), len(seen)
         seen.append(weakref.ref(ps))
-        return f.prime_values(ps), np.log(ps.astype(np.float64))
+        return ps, f.prime_values(ps), np.log(ps.astype(np.float64))
 
-    chunks = (BASE[i : i + 1000].copy() for i in range(0, BASE.size, 1000))
-    prime_sums(f, pts, pts, terms, chunks, 10**5)  # every prime takes its defect too
-    assert len(seen) == 10
+    monkeypatch.setattr(primes, "_BLOCK", 1000)
+    prime_sums(f, pts, pts, terms, 10**5, 10**5)  # every prime takes its defect too
+    assert len(seen) == 11  # 2 alone, then the other 9,591 primes in chunks of 1000
 
 
-def one_feed_total(x: np.ndarray) -> complex:
-    summer = StreamSummer()
-    summer.feed(None, x)
+def one_feed_total(x: np.ndarray, keys: np.ndarray) -> complex:
+    summer = StreamSummer(width=PRIME_BLOCK)
+    summer.feed(x, keys)
     return summer.close()
 
 
@@ -425,18 +424,19 @@ def test_real_coefficients_sum_in_float64_with_the_bits_of_complex128():
     # f(p) of moebius is complex128 with +0 imaginary parts; at t = 0 and
     # t != 0 alike, every total has the bits of the complex128 terms fed at once
     ps = BASE
-    c, lp = builtin("moebius").prime_values(ps), np.log(ps.astype(np.float64))
+    mu = builtin("moebius")
+    c, lp = mu.prime_values(ps), np.log(ps.astype(np.float64))
     for pts in ([ComplexPoint(1.001), ComplexPoint(2.0)],
                 [ComplexPoint(1.001), ComplexPoint(1.3, 0.7)]):
-        pairs = prime_sums(builtin("moebius"), pts, pts, lambda _: (c, lp), [ps], 1)
+        pairs = prime_sums(mu, pts, pts, prime_terms(mu), 10**5, 1)
         for pt, (total, _) in zip(pts, pairs):
             cu = c if pt.t == 0.0 else c * unit_power(lp, pt.t)
-            want = one_feed_total(cu * inverse_power(lp, pt.sigma))
+            want = one_feed_total(cu * inverse_power(lp, pt.sigma), ps)
             assert bits(total) == bits(want)
 
 
 def test_defect_cut_past_a_segment_edge_is_one_table_sum():
-    # C falls just past the first segment (3..2^20+2), so the second
+    # C falls just past the first segment (1..2^20), so the second
     # segment's defect slice is short; the streamed defect still has the
     # bits of one feed of a table of the primes <= C
     lam = builtin("liouville")
@@ -445,7 +445,7 @@ def test_defect_cut_past_a_segment_edge_is_one_table_sum():
     pts = [ComplexPoint(1.001, 0.3), ComplexPoint(1.2, 5.0)]
     table = sieve_primes(C)
     for (_, _, defect), d in zip(_sum_and_defect(lam, pts, plan), _factor_logs(lam, table, pts)):
-        assert defect == one_feed_total(d)
+        assert defect == one_feed_total(d, table)
 
 
 def test_moebius_defect_against_local_factors():

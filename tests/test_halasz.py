@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -209,9 +210,11 @@ def test_criterion_reports():
     assert "verdict" in rep.text()
 
 
-def test_prime_sums_stream_in_constant_memory():
+def test_prime_sums_stream_in_constant_memory(monkeypatch):
     # the primes to 4e6 span four sieve segments; a whole-range table of p,
-    # log p and g(p) there would add about 14 MB to the traced peak
+    # log p and g(p) there would add about 14 MB to the traced peak.  One CPU:
+    # the pass runs here, where tracemalloc sees it, as a worker would run it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     ext = builtin("extremal-ref")
     twist = parse_function_spec("twist:0.7:one")  # misaligned: every g(p) != 0
 
@@ -241,13 +244,15 @@ _FOUR_POINTS = [1.001, 1.01, 1.1, 1.3]
     lambda P: log_F(builtin("extremal-ref"), _FOUR_POINTS, TruncationPlan(prime_cutoff=P)),
     lambda P: extremal.verify(extremal.reference_spec(), P),
 ], ids=["criterion", "log_F_misaligned", "lemma_defect", "log_F_prime_sum", "extremal_verify"])
-def test_prime_routes_hold_one_chunk_of_primes_at_a_time(route):
-    # prime_chunks yields at most 2^13 primes at a time, so each temporary of
+def test_prime_routes_hold_one_chunk_of_primes_at_a_time(route, monkeypatch):
+    # a route runs in this process on one CPU, as in each worker otherwise.
+    # The sieve yields at most 2^13 primes at a time, so each temporary of
     # a route (log p, f(p), g(p), p^-sigma, the terms) takes 64-128 KiB.  The
     # sieve holds a segment's flags (0.5 MiB) and primes (0.5-0.63 MiB), and
     # the previous segment's primes while the next is sieved: 1.7-2 MiB in
     # all here.  Temporaries of a whole segment's 62,000 primes reach 4.4-5.3
     # MiB, past the bound.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     tracemalloc.start()
     try:
         route(4 * 10**6)

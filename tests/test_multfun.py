@@ -26,7 +26,7 @@ from mflab.multfun import (
     unit_power,
 )
 from mflab.primes import sieve_primes
-from mflab.workers import stripe_blocks, stripes
+from mflab.workers import checkpoint_sums, stripes
 
 from _oracles import (Mertens, brute_summatory, class_m_violations, prime_powers,
                       trial_factorize, trial_value)
@@ -111,23 +111,23 @@ def test_segmentation_bit_identity():
 def test_stream_summer_alignment():
     vals = np.exp(1j * np.arange(10000) / 7.0)
     a = StreamSummer([500, 9999])
-    a.feed(1, vals)
+    a.feed(vals, 1)
     b = StreamSummer([500, 9999])
     for i in range(0, 10000, 37):
-        b.feed(i + 1, vals[i : i + 37])
+        b.feed(vals[i : i + 37], i + 1)
     assert a.checkpoint_values == b.checkpoint_values
     assert a.close() == b.close()
 
 
 def test_stream_summer_totals_do_not_depend_on_chunking():
-    # unchecked feeds count positions from the first value, so a sum fed in
-    # pieces has the bits of one feed, real or complex, at any split
+    # keys 1, 2, ... as in a trace: a sum fed in pieces has the bits of one
+    # feed, real or complex, at any split
     rng = np.random.default_rng(7)
 
     def total(x, edges):
         summer = StreamSummer()
         for a, b in zip(edges, edges[1:]):
-            summer.feed(None, x[a:b])
+            summer.feed(x[a:b], a + 1)
         return np.array([summer.close()]).view(np.uint64).tolist()
 
     for n in (1, 5, 4096, 4097, 3 * 4096 + 5):
@@ -425,8 +425,8 @@ def test_stream_summer_sums_int8_segments_with_the_bits_of_complex128(segment_si
     cps = resolve_checkpoints("geometric:1.2:2", limit)
     exact, wide = StreamSummer(cps), StreamSummer(cps)
     for lo in range(0, limit, segment_size):
-        exact.feed(lo + 1, vals[lo : lo + segment_size])
-        wide.feed(lo + 1, vals[lo : lo + segment_size].astype(np.complex128))
+        exact.feed(vals[lo : lo + segment_size], lo + 1)
+        wide.feed(vals[lo : lo + segment_size].astype(np.complex128), lo + 1)
     got, want = (np.array([*s.checkpoint_values, s.close()]) for s in (exact, wide))
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
@@ -458,14 +458,14 @@ def test_complex_checkpoints_do_not_depend_on_segment_size(spec, limit, x):
     # per n of a 2^18 segment: the values (int8 or complex128), the float64
     # product and a twist's complex128 output
     ("moebius", 1 + 8), ("twist:7.5:moebius", 1 + 8 + 16), ("extremal-ref", 16 + 8)])
-def test_segment_kernel_allocates_no_temporary_of_segment_length(spec, entry_bytes):
-    # what one segment worker runs over every stripe, here in process
+def test_segment_kernel_allocates_no_temporary_of_segment_length(spec, entry_bytes, monkeypatch):
+    # what the segment workers run over every stripe, here in process (one CPU)
+    _with_cpus(monkeypatch, 1)
     f, limit = parse_function_spec(spec), 2 * 10**6
     base, cps = kernel_base(f, limit), resolve_checkpoints(None, limit)
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
-        for _ in stripe_blocks(base, stripes(limit, 1 << 18), cps, 1 << 18):
-            pass
+        checkpoint_sums(base, cps, 1 << 18)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -473,8 +473,9 @@ def test_segment_kernel_allocates_no_temporary_of_segment_length(spec, entry_byt
 
 
 @pytest.mark.parametrize("spec", ["moebius", "twist:7.5:moebius", "extremal-ref"])
-def test_summing_process_holds_no_segment_length_buffer(spec):
+def test_summing_process_holds_no_segment_length_buffer(spec, monkeypatch):
     # the workers hold the segments; this process adds their block sums
+    _with_cpus(monkeypatch, 2)
     f = parse_function_spec(spec)
     summatory_trace(f, 10**4)
     tracemalloc.start()
@@ -514,8 +515,8 @@ def test_checkpoints_have_the_same_bits_at_any_number_of_workers(name, segment_s
         assert one.values.view(np.uint64).tolist() == two.values.view(np.uint64).tolist(), limit
 
 
-@pytest.mark.parametrize("cpus,limit,count", [
-    (1, 2 * 10**6, 1), (2, 2 * 10**6, 2), (8, 2 * 10**6, 4), (8, 4096, 1), (8, 3 * 4096, 3)])
+@pytest.mark.parametrize("cpus,limit,count", [  # one worker is this process: no fork
+    (1, 2 * 10**6, 0), (2, 2 * 10**6, 2), (8, 2 * 10**6, 4), (8, 4096, 0), (8, 3 * 4096, 3)])
 def test_no_more_workers_than_stripes_cpus_or_the_cap(cpus, limit, count, monkeypatch):
     forks = []
     fork = os.fork

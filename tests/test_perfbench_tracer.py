@@ -55,6 +55,6 @@ def test_the_tracer_runs_each_command_and_records_the_kernel_spans(tmp_path):
             "multfun.StreamSummer.feed"} <= set().union(*names.values()), names
     for command in ("euler", "thm1", "lemma"):
         assert "multfun.segment_values" in names[command], (command, sorted(names[command]))
-    # every prime route sums through the one prime pass
+    # every prime route sums at its points through the summers of the one prime pass
     for command in ("euler", "prime-sum", "thm1", "lemma", "verify"):
-        assert "dirichlet.prime_sums" in names[command], (command, sorted(names[command]))
+        assert "dirichlet.point_summers" in names[command], (command, sorted(names[command]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mflab.errors import CapacityError, EmptyRangeError
-from mflab.multfun import StreamSummer
+from mflab.multfun import PRIME_BLOCK, StreamSummer
 from mflab.primes import (
     MERTENS_CONSTANT,
     PRIME_LIMIT_CEILING,
@@ -29,20 +29,21 @@ def test_sieve_million_against_bitset_oracle():
 
 
 def test_sieve_crosses_segment_boundaries():
-    # segments hold 2^20 numbers from 3 on, so this limit spans three of
-    # them; the primes next to each cut come from trial division
+    # segments are (k 2^20, (k+1) 2^20], so this limit spans three of them;
+    # the primes next to each cut come from trial division
     limit = 2 * 2**20 + 2**19 + 7
     ps = sieve_primes(limit)
     assert ps.size == bitset_prime_count(limit)
-    for cut in (3 + 2**20, 3 + 2 * 2**20):
+    for cut in (2**20, 2 * 2**20):
         got = ps[(ps >= cut - 300) & (ps < cut + 300)]
         want = [n for n in range(cut - 300, cut + 300) if trial_factorize(n) == [(n, 1)]]
         assert got.tolist() == want
 
 
 @pytest.mark.parametrize("limit", [
-    2, 3, 4, 9, 2**20 - 1, 2**20 + 1,
-    2**20 + 3,  # one number past the first segment: 1048579, a composite
+    2, 3, 4, 9, 2**20 - 1, 2**20,
+    2**20 + 1,  # one number past the first segment: 1048577, a composite
+    2**20 + 3,
     1031**2,  # a perfect square just past the first segment
     2 * 2**20 + 2**19 + 7,  # three segments
     2 * 2**20 + 2**18,  # a short remainder is a chunk of its own
@@ -55,16 +56,16 @@ def test_prime_chunks_concatenate_to_the_sieve(limit):
     assert np.array_equal(joined, sieve_primes(limit))
     assert joined.size == bitset_prime_count(limit)
     # each chunk holds at most one block of 2^13 primes, all in one segment
-    # of 2^20 numbers from 3 on
+    # (k 2^20, (k+1) 2^20]
     assert all(c.size <= 2**13 for c in chunks)
-    assert all(np.unique((np.maximum(c, 3) - 3) // 2**20).size == 1 for c in chunks)
+    assert all(np.unique((c - 1) // 2**20).size == 1 for c in chunks)
 
 
 @pytest.mark.parametrize("limit", [2, 3, 100, 10**5 + 7, 10**7])
 def test_prime_chunks_are_the_segments_of_a_plain_sieve_cut_in_blocks(limit):
-    # the segmented sieve carries each base prime's next index from segment
-    # to segment; its chunks are 2 alone, then each segment of 2^20 numbers
-    # from 3 on, cut into blocks of 2^13 primes
+    # the segmented sieve finds each base prime's first multiple in every
+    # segment; its chunks are 2 alone, then each segment (k 2^20, (k+1) 2^20]
+    # of odd primes, cut into blocks of 2^13 primes
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -72,7 +73,7 @@ def test_prime_chunks_are_the_segments_of_a_plain_sieve_cut_in_blocks(limit):
             flags[p * p :: p] = False
     ps = np.flatnonzero(flags)
     want = [ps[:1]]
-    for seg in np.split(ps[1:], np.flatnonzero(np.diff((ps[1:] - 3) // 2**20)) + 1):
+    for seg in np.split(ps[1:], np.flatnonzero(np.diff((ps[1:] - 1) // 2**20)) + 1):
         want += [seg[i : i + 2**13] for i in range(0, seg.size, 2**13)]
     got = list(prime_chunks(limit))
     assert all(c.dtype == np.int64 for c in got)
@@ -104,9 +105,9 @@ def test_sieve_errors():
 
 def reciprocal_sum(x: int) -> float:
     """Mertens sum sum_{p<=x} 1/p, streamed over prime_chunks in ascending order."""
-    summer = StreamSummer()
+    summer = StreamSummer(width=PRIME_BLOCK)
     for ps in prime_chunks(x):
-        summer.feed(None, 1.0 / ps)
+        summer.feed(1.0 / ps, ps)
     return summer.close().real
 
 
@@ -117,8 +118,8 @@ def test_reciprocal_sum_examples():
     assert abs(reciprocal_sum(10**6) - expected) < 0.01
     # three chunks: the streamed sum has the bits of one feed of the table
     limit = 3 * 2**20
-    whole = StreamSummer()
-    whole.feed(None, 1.0 / sieve_primes(limit))
+    whole = StreamSummer(width=PRIME_BLOCK)
+    whole.feed(1.0 / (ps := sieve_primes(limit)), ps)
     assert reciprocal_sum(limit) == whole.close().real
 
 
@@ -150,9 +151,9 @@ def test_partials_at_prime_cutoffs_do_not_depend_on_chunking():
     ])
 
     def partials(edges):
-        summer = StreamSummer(cuts)
+        summer = StreamSummer(cuts, PRIME_BLOCK)
         for a, b in zip(edges, edges[1:]):
-            summer.feed(None, terms[a:b], ps[a:b])
+            summer.feed(terms[a:b], ps[a:b])
         total = summer.close()
         return np.array([*summer.checkpoint_values, total]).view(np.uint64).tolist()
 

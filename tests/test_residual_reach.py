@@ -1,6 +1,6 @@
 """The reach a rule declares: the last prime at which its alignment residual
 g(p) = 1 + e0 f(p) p^{-it0} may be nonzero, and the prime routes that stream
-only that far (``dirichlet.residual_chunks``).
+only that far (``dirichlet.residual_limit``).
 
 The declaration is checked here, against ``alignment_terms``, rather than
 by the routes at run time: a run-time check would sieve again the very
@@ -15,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 from mflab import dirichlet
 from mflab.cli import main
 from mflab.dirichlet import (ComplexPoint, HalaszDirection, TruncationPlan, alignment_terms,
-                             log_F, prime_sums, residual_chunks, residual_terms)
+                             log_F, prime_sums, residual_limit, residual_terms)
 from mflab.errors import CapacityError
 from mflab.extremal import ExtremalBlock, ExtremalSpec, build_spec, extremal_function
 from mflab.halasz import lemma_defect
 from mflab.multfun import _untwist, builtin, parse_function_spec, twist
-from mflab.primes import PRIME_LIMIT_CEILING, prime_chunks, sieve_primes
+from mflab.primes import PRIME_LIMIT_CEILING, sieve_primes
 
 CUTS = [10**3, 10**4, 10**5, 10**6, 10**7]
 PS = sieve_primes(CUTS[-1])
@@ -126,12 +126,11 @@ def test_routes_that_stop_at_the_reach_have_the_bits_of_the_whole_stream(spec, d
     pts = [ComplexPoint(1.0 + 1e-7, 0.3), ComplexPoint(1.2)]
     ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
 
-    def pairs(chunks):  # the aligned sum of log_F: residual and defect, C = 1000
-        return prime_sums(f, pts, ws, residual_terms(f, direction), chunks, 1000)
+    def pairs(limit):  # the aligned sum of log_F: residual and defect, C = 1000
+        return prime_sums(f, pts, ws, residual_terms(f, direction), limit, 1000)
 
     # repr: every bit of each value and bound, signs of zero included
-    assert (repr(pairs(residual_chunks(f, direction, 10**6, 1000)))
-            == repr(pairs(prime_chunks(10**6))))
+    assert repr(pairs(residual_limit(f, direction, 10**6, 1000))) == repr(pairs(10**6))
     assert (repr(lemma_defect(f, direction, pts, 10**6))
             == repr(lemma_defect(blind, direction, pts, 10**6)))
 
@@ -155,8 +154,9 @@ MISALIGNED = [
 
 
 def test_aligned_routes_stream_the_primes_only_to_the_reach(monkeypatch, tmp_path):
-    asked, chunks = [], dirichlet.prime_chunks
-    monkeypatch.setattr(dirichlet, "prime_chunks", lambda limit: asked.append(limit) or chunks(limit))
+    asked, prime_pass = [], dirichlet.prime_pass
+    monkeypatch.setattr(dirichlet, "prime_pass",
+                        lambda limit, *args: asked.append(limit) or prime_pass(limit, *args))
     P = ["--prime-cutoff", str(10**7), "--out", str(tmp_path / "out.csv")]
     for argv, most in ALIGNED:
         asked.clear()
