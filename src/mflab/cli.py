@@ -27,7 +27,8 @@ from .errors import CapacityError, FunctionSpecError, MFLabError
 
 _EXIT_BY_KIND = {"usage": 2, "domain": 2, "capacity": 3, "coverage": 3, "singular": 3}
 # Most points of a --sigma grid.  Each point keeps at most two StreamSummer
-# tails of under 4096 complex128 values, so the grid holds under 128 MiB.
+# tails of at most 6,542 complex128 values (the primes of one 2^16 block of
+# p), so the grid holds under 200 MiB per process.
 SIGMA_GRID_CEILING = 1000
 
 
