@@ -17,10 +17,10 @@ rigorous but crude, so near sigma = 1 the unconditional sum reports an
 honest, large bound instead of refusing.
 
 Both routes take a sequence of points and return one result per point, in
-order; work that does not depend on s is done once per call.  log_F sums
-through ``prime_sums``, one pass over the primes with one ``StreamSummer``
-per point and sum, so its memory does not grow with the prime cutoff; the
-pass runs in mflab.workers, over the sieve segments in forked workers.
+order; work that does not depend on s is done once per call.  Each feeds
+one ``StreamSummer`` per point and sum in one pass of mflab.workers, whose
+stripes forked workers share, so memory does not grow with the cutoff:
+F_truncated in series_pass, over n, and log_F in prime_pass (prime_sums).
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, SingularFactorError
 from .multfun import (PRIME_BLOCK, SUMMATORY_LIMIT_CEILING, ZETA_HEIGHT_CEILING,
-                      MultiplicativeFunction, StreamSummer, _value_segments, builtin,
+                      MultiplicativeFunction, StreamSummer, builtin,
                       check_folded_height, kernel_base, segment_values, unit_power)
 from .primes import check_limit
-from .workers import prime_pass
+from .workers import prime_pass, series_pass
 
 # Bernoulli quotients B_2/2!, B_4/4!, B_6/6! for the Euler-Maclaurin tail.
 _B2_2F = 1.0 / 12.0
@@ -294,9 +294,9 @@ def F_truncated(
     tail bound N^{1-sigma}/(sigma-1).  f(n) is computed once per segment of
     2^18 numbers, log n per block of 2^14; each point has its own compensated summer, since
     a plain running sum would round away terms below half an ulp of it.
-    The series streams the segment kernel of summatory_trace, so N has the
-    same ceiling, checked before any sieving, and N >= 2; so is the height
-    t + T at which a twist's T is folded in."""
+    The series is summatory_trace's pass over n (workers.series_pass), split
+    across the CPUs, so N has the same ceiling, checked before any sieving,
+    and N >= 2; so is the height t + T at which a twist's T is folded in."""
     pts = [as_point(s) for s in points]
     if f.twisted:  # F_twist(s) = F_base(s + iT)
         for pt in pts:
@@ -309,11 +309,14 @@ def F_truncated(
     if N > SUMMATORY_LIMIT_CEILING:
         raise CapacityError(f"series cutoff {N} exceeds ceiling {SUMMATORY_LIMIT_CEILING}")
     summers = [StreamSummer() for _ in pts]
-    for lo, vals in _value_segments(kernel_base(f, N), [(1, N)], 1 << 18):
+
+    def chunk(vals: np.ndarray, lo: int) -> None:
         for j in range(0, vals.size, _BLOCK):  # no temporary spans a segment
             log_n = np.log(np.arange(lo + j, lo + min(j + _BLOCK, vals.size), dtype=np.float64))
             for i, term in _power_terms(vals[j : j + _BLOCK], log_n, pts):
                 summers[i].feed(term, lo + j)
+
+    series_pass(kernel_base(f, N), summers, 1 << 18, chunk)
     return [EvalResult(summer.close(), (("series-tail", tail_bound(N, pt.sigma)),),
                        "truncated-series") for pt, summer in zip(pts, summers)]
 

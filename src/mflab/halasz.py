@@ -16,7 +16,7 @@ and keeps only running totals and the partial sums at its cutoffs.
 
 from __future__ import annotations
 
-from math import log, sqrt
+from math import exp, inf, log, sqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -183,7 +183,10 @@ def theorem2_ratio(trace: SummatoryTrace, c: float) -> list[Theorem2Point]:
         if x < 16:
             continue
         a = abs(complex(v))
-        ratio = a * log(x) / (x * np.exp(c * sqrt(log(log(x)))))
+        e = c * sqrt(log(log(x)))
+        with np.errstate(over="ignore"):  # past e^709.78: the log form, 0 where S = 0
+            d = x * np.exp(e)
+        ratio = a * log(x) / d if d < inf else exp(log(a * log(x) / x) - e) if a else 0.0
         out.append(Theorem2Point(x, a, float(ratio)))
     return out
 

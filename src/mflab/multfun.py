@@ -538,7 +538,7 @@ def summatory_trace(
     """Stream S_f(x) over n = 1..limit, snapshotting at grid checkpoints.
 
     The segment kernel runs in forked workers (one CPU: in this process), and
-    this process adds their block sums in order (workers.checkpoint_sums)."""
+    this process adds their block sums in order (workers.series_pass)."""
     if limit < 1:
         raise CoverageError(f"limit must be >= 1, got {limit}")
     if limit > SUMMATORY_LIMIT_CEILING:
@@ -547,13 +547,13 @@ def summatory_trace(
         raise CapacityError(
             f"segment size {segment_size} exceeds ceiling {SEGMENT_SIZE_CEILING}")
     cps = resolve_checkpoints(grid, limit)
-    base = kernel_base(f, limit)
-    from .workers import checkpoint_sums  # here, since workers imports this module
+    summer = StreamSummer(cps)
+    from .workers import series_pass  # here, since workers imports this module
 
-    return SummatoryTrace(
-        xs=np.asarray(cps, dtype=np.int64),
-        values=np.asarray(checkpoint_sums(base, cps, segment_size), dtype=np.complex128),
-    )
+    series_pass(kernel_base(f, limit), [summer], segment_size, summer.feed)
+    summer.close()
+    return SummatoryTrace(xs=np.asarray(cps, dtype=np.int64),
+                          values=np.asarray(summer.checkpoint_values, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------

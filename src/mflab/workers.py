@@ -1,17 +1,16 @@
-"""The forked workers of mflab's streamed sums: the segment kernel of
-multfun.summatory_trace and every prime pass.
+"""The forked workers of mflab's streamed sums: series_pass, the one pass
+over n (summatory_trace, F_truncated), and prime_pass, the one over p.
 
-A stream's keys (n for a trace, p for a prime pass) are cut into stripes
-whose edges are multiples of the block width of each StreamSummer it feeds:
-whole 4096-position blocks of n, whole 2^20-number sieve segments of p.  So
-no block straddles two stripes.  The stripes are dealt round-robin to
-W = min(stripes, CPUs this process may use, WORKER_CAP) workers, the w-th
-pinned to the w-th CPU.  A worker runs the stream's work over its stripes
-and sends, per stripe, each summer's blocks (sum and first key) and the
-exact extras the work returns, pickled over a pipe; the calling process
-adds the blocks and gathers the extras in key order, as one process would,
-so the bits do not depend on W.  With W = 1 the stripes run in the calling
-process and nothing forks.
+A pass's keys, n or p, are cut into stripes whose edges are multiples of
+the block width of each StreamSummer it feeds: whole 4096-position blocks
+of n, whole 2^20-number sieve segments of p.  So no block straddles two
+stripes.  The stripes are dealt round-robin to W = min(stripes, CPUs this
+process may use, WORKER_CAP) workers, the w-th pinned to the w-th CPU.  A
+worker runs the stream's work over its stripes and sends, per stripe, each
+summer's blocks (sum and first key) and the exact extras the work returns,
+pickled over a pipe; the calling process adds the blocks and gathers the
+extras in key order, as one process would, so the bits do not depend on W.
+With W = 1 the stripes run in the calling process and nothing forks.
 """
 
 from __future__ import annotations
@@ -38,24 +37,23 @@ def stripes(limit: int, segment_size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + width - 1, limit)) for lo in range(1, limit + 1, width)]
 
 
-def checkpoint_sums(base: KernelBase, cps: list[int], segment_size: int) -> list[complex]:
-    """S_f(x) of the rule f of ``base`` at each checkpoint x of ``cps``, the
-    last being base.limit: f(n) from the segment kernel, over stripes of n
-    (see ``stripes``), fed to one StreamSummer."""
-    summer = StreamSummer(cps)
+def series_pass(base: KernelBase, summers: Sequence[StreamSummer], segment_size: int,
+                chunk: Callable[[np.ndarray, int], None]) -> None:
+    """chunk(vals, lo) for each segment vals = f(lo), f(lo + 1), ... of the
+    rule f of ``base`` over n = 1..base.limit, from the segment kernel, over
+    stripes of n (see ``stripes``).  ``chunk`` feeds ``summers``, which take
+    the whole pass's blocks; the caller closes them."""
 
     def work(mine: Sequence[tuple[int, int]]) -> Iterator[list]:
         segs = _value_segments(base, mine, segment_size)
         for lo, hi in mine:
             while lo <= hi:
                 start, vals = next(segs)
-                summer.feed(vals, start)
+                chunk(vals, start)
                 lo = start + vals.size
             yield []
 
-    _run(stripes(base.limit, segment_size), [summer], work)
-    summer.close()
-    return summer.checkpoint_values
+    _run(stripes(base.limit, segment_size), summers, work)
 
 
 def prime_pass(limit: int, summers: Sequence[StreamSummer],

@@ -5,7 +5,7 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_child_process_is_left_behind():
-    # summatory_trace and every prime pass fork their workers and must reap
+    # every pass over n or over p forks its workers and must reap
     # every one, also on an error or an interrupt
     yield
     try:

@@ -286,6 +286,14 @@ def test_thm2_refuses_a_negative_c(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_thm2_at_a_large_c_writes_nothing_to_stderr(tmp_path):
+    # exp(c sqrt(log log x)) overflows past x = 16 at c = 700
+    code, out, err, _ = _fresh_process(["-m", "mflab.cli", "thm2", "--function", "moebius",
+                                        "--limit", "100", "--c", "700", "--out", "-"], tmp_path)
+    assert (code, err) == (0, "")
+    assert out.count(b"\n") > 3
+
+
 def test_capacity_and_coverage_exit_code(tmp_path, capsys):
     code = run(["sum", "--function", "one", "--limit", str(2**35),
                 "--out", str(tmp_path / "x.csv")])
@@ -916,6 +924,26 @@ def test_no_source_file_imports_dataclasses():
     found = {p.name: "dataclasses" in _imported_modules(p.read_text())
              for p in sorted(src.glob("*.py"))}
     assert len(found) >= 9 and not any(found.values()), found
+
+
+def _names(source):
+    """Every name that ``source`` defines, imports, reads or takes as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        for field in ("id", "name", "attr"):
+            if isinstance(getattr(node, field, None), str):
+                found.add(getattr(node, field))
+    return found
+
+
+def test_only_the_workers_run_the_segment_loop():
+    # one pass over n: _value_segments is named where multfun defines it and
+    # where workers.series_pass runs it, and nowhere else
+    assert "_value_segments" in _names("from m import _value_segments as v\nm._value_segments\n")
+    src = Path(multfun.__file__).parent
+    found = {p.name for p in sorted(src.glob("*.py")) if "_value_segments" in _names(p.read_text())}
+    assert found == {"multfun.py", "workers.py"}, found
+    assert not hasattr(workers, "checkpoint_sums")
 
 
 def test_importing_the_package_loads_no_submodule_and_no_numpy(tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 import tracemalloc
 import weakref
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from mflab import dirichlet, primes
+from mflab.cli import main
 from mflab.dirichlet import (
     ComplexPoint,
     _factor_logs,
@@ -28,6 +30,7 @@ from mflab.multfun import (PRIME_BLOCK, MultiplicativeFunction, StreamSummer, bu
 from mflab.primes import sieve_primes
 
 from _oracles import F_partial_summation, prime_sum_power_oracle, zeta_series_oracle
+from test_multfun import _with_cpus
 
 BASE = sieve_primes(10**5)
 PLAN = TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=10**4)
@@ -576,13 +579,38 @@ def test_F_truncated_folds_a_twist_into_the_point(spec):
     assert got == F_truncated(base, [ComplexPoint(pt.sigma, pt.t + T) for pt in GRID], N)
 
 
+@pytest.mark.parametrize("spec", ["moebius", "twist:0.7:liouville", "extremal-ref"])
+@pytest.mark.parametrize("N", [2**18 - 1, 2**18 + 1, 3 * 2**18 + 5])
+def test_the_truncated_route_has_the_same_bytes_at_any_number_of_workers(
+        spec, N, tmp_path, monkeypatch):
+    # stripes of 2^18 numbers: one, two, and four (the last of five numbers);
+    # W = min(stripes, CPUs), and one worker is this process
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    stripes = -(-N // 2**18)
+    want = None
+    for count in (1, 2, 3):
+        _with_cpus(monkeypatch, count)
+        forks.clear()
+        out = tmp_path / f"{count}.csv"
+        assert main(["eval-f", "--function", spec, "--method", "truncated", "--t", "0.3",
+                     "--sigma", "1.01:1.5:3", "--series-cutoff", str(N), "--out", str(out)]) == 0
+        workers = min(stripes, count)
+        assert len(forks) == (0 if workers == 1 else workers), count
+        assert want is None or out.read_bytes() == want, count
+        want = out.read_bytes()
+
+
 @pytest.mark.parametrize("spec,entry_bytes", [
     # per n of a 2^18 segment: the kernel's values (int8 or complex128) and
     # its float64 product
     ("moebius", 1 + 8), ("extremal-ref", 16 + 8)])
 @pytest.mark.parametrize("points", [[1.5], [1.5, 1.5 + 3j]], ids=["real", "unit"])
-def test_F_truncated_allocates_no_temporary_of_segment_length(spec, entry_bytes, points):
-    # log n, the units and the terms are formed per block of 2^14 entries
+def test_F_truncated_allocates_no_temporary_of_segment_length(spec, entry_bytes, points,
+                                                             monkeypatch):
+    # log n, the units and the terms are formed per block of 2^14 entries;
+    # one CPU, so the pass runs in this process, where tracemalloc sees it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     f = builtin(spec)
     F_truncated(f, points, 10**4)  # memoize the values of the small primes
     tracemalloc.start()
@@ -594,8 +622,10 @@ def test_F_truncated_allocates_no_temporary_of_segment_length(spec, entry_bytes,
     assert peak - entry_bytes * (1 << 18) <= 1.5 * 2**20, peak
 
 
-def test_F_truncated_grid_memory():
-    # each point's summer keeps a tail under one block, not a view of a segment
+def test_F_truncated_grid_memory(monkeypatch):
+    # each point's summer keeps a tail under one block, not a view of a segment;
+    # one CPU, so the pass runs in this process, where tracemalloc sees it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     f = builtin("moebius")
     N = 3 * 2**18
 

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,17 @@ def test_theorem2_ratio():
     for p in theorem2_ratio(tr, 1.0):
         if p.abs_S == 0:
             assert p.ratio == 0.0
+
+
+@pytest.mark.parametrize("c", [700.0, 1e308])
+def test_theorem2_ratio_past_the_range_of_exp_is_finite_and_warns_nothing(c):
+    # at c = 700, exp(c sqrt(log log x)) overflows for every x >= 17
+    tr = summatory_trace(builtin("moebius"), 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = theorem2_ratio(tr, c)
+    assert pts and all(math.isfinite(p.ratio) and p.ratio >= 0.0 for p in pts)
+    assert any(p.abs_S == 0.0 for p in pts) and any(p.abs_S > 0.0 for p in pts)
 
 
 def test_criterion_reports():

@@ -26,7 +26,7 @@ from mflab.multfun import (
     unit_power,
 )
 from mflab.primes import sieve_primes
-from mflab.workers import checkpoint_sums, stripes
+from mflab.workers import series_pass, stripes
 
 from _oracles import (Mertens, brute_summatory, class_m_violations, prime_powers,
                       trial_factorize, trial_value)
@@ -462,10 +462,10 @@ def test_segment_kernel_allocates_no_temporary_of_segment_length(spec, entry_byt
     # what the segment workers run over every stripe, here in process (one CPU)
     _with_cpus(monkeypatch, 1)
     f, limit = parse_function_spec(spec), 2 * 10**6
-    base, cps = kernel_base(f, limit), resolve_checkpoints(None, limit)
+    base, summer = kernel_base(f, limit), StreamSummer(resolve_checkpoints(None, limit))
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
-        checkpoint_sums(base, cps, 1 << 18)
+        series_pass(base, [summer], 1 << 18, summer.feed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -488,7 +488,8 @@ def test_summing_process_holds_no_segment_length_buffer(spec, monkeypatch):
 
 
 def _with_cpus(monkeypatch, count):
-    """Make summatory_trace see ``count`` CPUs, so it starts that many workers."""
+    """Make a pass over n see ``count`` CPUs, so it starts that many workers
+    (none for one)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
