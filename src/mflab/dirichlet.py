@@ -32,9 +32,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError, SingularFactorError
-from .multfun import (PRIME_BLOCK, SUMMATORY_LIMIT_CEILING, ZETA_HEIGHT_CEILING,
-                      MultiplicativeFunction, StreamSummer, builtin,
-                      check_folded_height, kernel_base, segment_values, unit_power)
+from .multfun import (SUMMATORY_LIMIT_CEILING, ZETA_HEIGHT_CEILING, MultiplicativeFunction,
+                      StreamSummer, builtin, fold, kernel_base, segment_values, unit_power)
 from .primes import check_limit
 from .workers import prime_pass, series_pass
 
@@ -296,13 +295,10 @@ def F_truncated(
     a plain running sum would round away terms below half an ulp of it.
     The series is summatory_trace's pass over n (workers.series_pass), split
     across the CPUs, so N has the same ceiling, checked before any sieving,
-    and N >= 2; so is the height t + T at which a twist's T is folded in."""
-    pts = [as_point(s) for s in points]
-    if f.twisted:  # F_twist(s) = F_base(s + iT)
-        for pt in pts:
-            check_folded_height(f, pt.t)
-        fb, T = f.twisted
-        return F_truncated(fb, [ComplexPoint(pt.sigma, pt.t + T) for pt in pts], series_cutoff)
+    and N >= 2.  A twist's T is folded into each point: F_twist(s) =
+    F_base(s + iT), and t + T is checked first."""
+    pts = [ComplexPoint(pt.sigma, fold(f, pt.t)[1]) for pt in map(as_point, points)]
+    f = fold(f)[0]
     N = series_cutoff
     if N < 2:
         raise DomainError(f"series cutoff must be >= 2, got {N}")
@@ -383,11 +379,9 @@ def alignment_terms(
     log_F's aligned sum and the lemma defect sum g(p) p^{-w}; the Halász sums
     Re g(p)/p.  On twist(base, T) it is g of base along (e0, t0 + T): one exp
     per prime, and g is exactly 0 where that direction aligns with base."""
-    e0, t0 = direction.epsilon0, direction.t0
-    if f.twisted:
-        return alignment_terms(f.twisted[0], ps, HalaszDirection(e0, t0 + f.twisted[1]))
+    f, t0 = fold(f, direction.t0)
     lp = np.log(ps.astype(np.float64))
-    g = e0 * f.prime_values(ps)
+    g = direction.epsilon0 * f.prime_values(ps)
     if t0 != 0.0:  # the unit 1 - 0i could only flip a zero's sign, which 1 + g clears
         g *= unit_power(lp, t0)
     return lp, np.add(1.0, g, out=g)
@@ -406,13 +400,13 @@ def residual_terms(f: MultiplicativeFunction, direction: HalaszDirection):
     return terms
 
 
-def residual_limit(f: MultiplicativeFunction, direction: HalaszDirection, P: int, C: int) -> int:
-    """min(P, max(2, C, f.reach)), the primes a residual pass needs: g(p) = 0 beyond
-    the reach, and C ends the defect.  P is checked first, so a refusal comes
-    before any zeta work."""
+def residual_reach(f: MultiplicativeFunction, direction: HalaszDirection, P: int) -> int:
+    """The last p <= P where g(p) of ``direction`` may be nonzero: the
+    declared reach of f's base at the folded t0, or P.  The height, then P,
+    is checked first, so a refusal comes before any zeta work or sieving."""
+    base, t0 = fold(f, direction.t0)
     P = check_limit(P)
-    reach = P if f.reach is None else f.reach(direction.epsilon0, direction.t0, P)
-    return min(P, max(2, C, reach))
+    return P if base.reach is None else base.reach(direction.epsilon0, t0, P)
 
 
 def point_summers(
@@ -426,8 +420,8 @@ def point_summers(
     p^{-pts[i]} over the primes of ps <= exact_factor_cutoff.  The summers
     are the sums, then the defects.  _factor_logs gives a prime the same bits
     in any slice, so no sum depends on where chunks fall or the cutoff cuts."""
-    sums = [StreamSummer(width=PRIME_BLOCK) for _ in ws]
-    deltas = [StreamSummer(width=PRIME_BLOCK) for _ in pts]
+    sums = [StreamSummer() for _ in ws]
+    deltas = [StreamSummer() for _ in pts]
 
     def feed(ps: np.ndarray, keys: np.ndarray, c: np.ndarray, lp: np.ndarray) -> None:
         for i, term in _power_terms(c, lp, ws):
@@ -476,17 +470,13 @@ def log_F(
 
     The defect sums log factor_p - f(p) p^{-s} over p <= C (p = 2 always in
     it; a vanishing factor raises SingularFactorError), with the tail 3.75
-    C^{1-2 sigma}/(2 sigma - 1).  A twist's T is folded into t0; t0 + T above
-    the height ceiling and P above the sieve's are refused before any zeta
-    work or sieving.
+    C^{1-2 sigma}/(2 sigma - 1).  P above the sieve's ceiling, then a
+    twist's T folded into t0 above the height ceiling (residual_reach), are
+    refused before any zeta work or sieving.
     """
     pts = [as_point(s) for s in points]
     P, C = check_limit(plan.prime_cutoff), plan.exact_factor_cutoff
-    reach = P
-    if direction is not None:
-        check_folded_height(f, direction.t0)
-        if f.reach is not None:
-            reach = f.reach(direction.epsilon0, direction.t0, P)
+    reach = P if direction is None else residual_reach(f, direction, P)
     if reach >= P:
         pairs = prime_sums(
             f, pts, pts, lambda ps: (ps, f.prime_values(ps), np.log(ps.astype(np.float64))), P, C)

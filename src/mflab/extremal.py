@@ -431,7 +431,7 @@ def verify(
     """
     import numpy as np
     from .dirichlet import ComplexPoint, inverse_power, point_summers
-    from .multfun import PRIME_BLOCK, StreamSummer
+    from .multfun import StreamSummer
     from .primes import check_limit
     from .workers import prime_pass
     log_P = log(check_limit(P))
@@ -448,11 +448,10 @@ def verify(
     window_cuts = [int(min(exp(b.log_upper), float(P))) for b in checked]
     points, feed = point_summers(extremal_function(spec), pts, pts, min(10_000, P))
     # per window: W_j and sum theta_p p^{-sigma}
-    wins = [(StreamSummer(width=PRIME_BLOCK), StreamSummer(width=PRIME_BLOCK)) for _ in checked]
+    wins = [(StreamSummer(), StreamSummer()) for _ in checked]
     # sum_{p <= min(upper_j, P)} 1/p for each block j, at its checkpoint
-    H = StreamSummer([min(float(P), exp(min(b.log_upper, log_P))) for b in spec.blocks],
-                     PRIME_BLOCK)
-    obs = StreamSummer(width=PRIME_BLOCK)
+    H = StreamSummer([min(float(P), exp(min(b.log_upper, log_P))) for b in spec.blocks])
+    obs = StreamSummer()
 
     def chunk(ps: np.ndarray) -> list[tuple[int, int, int]]:
         psf = ps.astype(np.float64)

@@ -31,47 +31,37 @@ from .dirichlet import (
     log_F,
     log_zeta_minus_prime_zeta,
     prime_sums,
-    residual_limit,
+    residual_reach,
     residual_terms,
     tail_bound,
 )
 from .errors import CapacityError, DomainError
-from .multfun import (GRID_STEP_CEILING, PRIME_BLOCK, MultiplicativeFunction, StreamSummer,
-                      SummatoryTrace, check_folded_height, two_adic_failures)
+from .multfun import (GRID_STEP_CEILING, MultiplicativeFunction, PartialSums, StreamSummer,
+                      fold, two_adic_failures)
 from .primes import check_limit
 from .workers import prime_pass
-
-
-class PartialSumSeries(NamedTuple):
-    """Partial sums of a nonnegative prime series at decade cutoffs."""
-
-    cutoffs: np.ndarray
-    partials: np.ndarray
-
-    def final(self) -> float:
-        return float(self.partials[-1])
 
 
 def pole_sum(
     f: MultiplicativeFunction,
     direction: HalaszDirection,
     P: int,
-) -> PartialSumSeries:
-    """Partial sums of Re g(p)/p = (1 + e0 Re(f(p) p^{-it0}))/p over p <= P
-    at the decade cutoffs 10, 100, ..., P.
+) -> PartialSums:
+    """The real partial sums of Re g(p)/p = (1 + e0 Re(f(p) p^{-it0}))/p
+    over p <= P at the decade cutoffs xs = 10, 100, ..., P.
 
     Every term is >= 0 when |f(p)| <= 1; a term below -1e-12 means the
     function is outside class M and raises, naming the first prime of the
     most negative term.  A twist's T is folded into t0; t0 + T above the
-    height ceiling and P above the sieve's are refused before any sieving.
+    height ceiling, then P above the sieve's, are refused before sieving.
     """
-    check_folded_height(f, direction.t0)
+    fold(f, direction.t0)
     check_limit(P)
     cuts = [10]
     while cuts[-1] < P:
         cuts.append(cuts[-1] * 10)
     cuts[-1] = P
-    summer = StreamSummer(cuts, PRIME_BLOCK)
+    summer = StreamSummer(cuts)
 
     def chunk(ps: np.ndarray) -> tuple[float, int]:  # the chunk's most negative term, first
         terms = alignment_terms(f, ps, direction)[1].real / ps
@@ -86,8 +76,7 @@ def pole_sum(
     if worst < -1e-12:
         raise DomainError(f"negative alignment term at p={p_bad}: |f(p)| > 1")
     summer.close()
-    return PartialSumSeries(np.asarray(cuts, dtype=np.int64),
-                            np.array(summer.checkpoint_values).real)
+    return PartialSums(np.asarray(cuts, dtype=np.int64), np.array(summer.checkpoint_values).real)
 
 
 def lemma_defect(
@@ -108,14 +97,13 @@ def lemma_defect(
     is then accurate near sigma = 1 whenever f is aligned with the
     direction; the bound still carries the unconditional part
     "residual-tail" 2 P^{1-sigma}/(sigma-1) beside the "bracket".  A
-    twist's T is folded into t0, and t0 + T is refused above the height
-    ceiling before any sieving.
+    twist's T is folded into t0; t0 + T above the height ceiling, then P
+    above the sieve's, are refused before any zeta work or sieving.
     """
     pts = [as_point(s) for s in points]
     if any(pt.sigma - 1.0 > 1.0 / np.e + 1e-12 for pt in pts):
         raise DomainError("lemma defect needs sigma - 1 <= 1/e")
-    check_folded_height(f, direction.t0)
-    limit = residual_limit(f, direction, prime_cutoff, 1)
+    limit = max(2, residual_reach(f, direction, prime_cutoff))
     ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
     brackets = [log_zeta_minus_prime_zeta(w) for w in ws]
     pairs = prime_sums(f, pts, ws, residual_terms(f, direction), limit, 1)  # no defect: C = 1
@@ -175,7 +163,7 @@ class Theorem2Point(NamedTuple):
     ratio: float
 
 
-def theorem2_ratio(trace: SummatoryTrace, c: float) -> list[Theorem2Point]:
+def theorem2_ratio(trace: PartialSums, c: float) -> list[Theorem2Point]:
     """|S_f(x)| log x / (x exp(c sqrt(log log x))) at checkpoints x >= 16."""
     out = []
     for x, v in zip(trace.xs, trace.values):
@@ -248,8 +236,7 @@ def criterion_report(
         raise DomainError("criterion needs P >= 100")
     if K > GRID_STEP_CEILING:
         raise CapacityError(f"kmax {K} exceeds ceiling {GRID_STEP_CEILING}")
-    series = pole_sum(f, HalaszDirection(-1, t), P)
-    cutoffs, partials = series.cutoffs, series.partials
+    cutoffs, partials = pole_sum(f, HalaszDirection(-1, t), P)
     lo, hi = int(cutoffs[-2]), int(cutoffs[-1])
     growth = float(partials[-1] - partials[-2])
     dll = log(log(hi)) - log(log(lo))

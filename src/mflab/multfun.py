@@ -24,6 +24,7 @@ not depend on the number of workers either.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from itertools import takewhile, zip_longest
 from math import ceil, isfinite, isqrt, log
@@ -56,6 +57,7 @@ class MultiplicativeFunction(NamedTuple):
     ``completely_multiplicative`` builds one from f(p) alone.  Every
     route's bound assumes |f(p^k)| <= 1 (class M), which no route checks.
     ``reach(e0, t0, P)``, if set, is the last p <= P where g(p) of alignment_terms may be nonzero.
+    A twist has none: a route reads its base's at the folded t0 (see fold).
     """
 
     label: str
@@ -89,8 +91,9 @@ def completely_multiplicative(
     return MultiplicativeFunction(label, powers, completely_multiplicative=True, reach=reach)
 
 
-class SummatoryTrace(NamedTuple):
-    """Checkpointed partial sums S_f(x) = sum_{n<=x} f(n)."""
+class PartialSums(NamedTuple):
+    """values[i] sums the terms whose key is at most xs[i], xs ascending:
+    S_f(x) of summatory_trace, or the real sums over p of halasz.pole_sum."""
 
     xs: np.ndarray
     values: np.ndarray
@@ -116,10 +119,15 @@ def check_height(t: float) -> None:
         raise DomainError(f"height |t| = {abs(t)!r} exceeds ceiling {ZETA_HEIGHT_CEILING!r}")
 
 
-def check_folded_height(f: MultiplicativeFunction, t: float) -> None:
-    """check_height of t with f's twists folded in: the height of the phases
-    of f(n) n^{-it}, which a route that folds a twist into t computes at."""
-    check_height(_untwist(f)[1] + t)
+def fold(f: MultiplicativeFunction, t: float = 0.0) -> tuple[MultiplicativeFunction, float]:
+    """(base, t'): f = twist(base, T), base no twist, and t' = t + T, each
+    twist's T added to t outermost first, as every route computes.  F_f(s)
+    = F_base(s + iT) and the direction (e0, t0) of f is (e0, t0 + T) of
+    base, so each route folds once, at its entry; fold runs check_height(t')."""
+    while f.twisted:
+        f, t = f.twisted[0], t + f.twisted[1]
+    check_height(t)
+    return f, t
 
 
 def twist(base: MultiplicativeFunction, t: float) -> MultiplicativeFunction:
@@ -127,7 +135,7 @@ def twist(base: MultiplicativeFunction, t: float) -> MultiplicativeFunction:
     t = float(t)
     if not isfinite(t):
         raise FunctionSpecError(f"twist parameter must be finite, got {t!r}")
-    check_folded_height(base, t)  # the height of the phases of f
+    fold(base, t)  # the height of the kernel's unit n^{-iT}
 
     def powers(ps: np.ndarray, k: int) -> np.ndarray:
         return base.powers(ps, k) * unit_power(np.log(ps.astype(np.float64)), k * t)
@@ -137,7 +145,6 @@ def twist(base: MultiplicativeFunction, t: float) -> MultiplicativeFunction:
         powers=powers,
         completely_multiplicative=base.completely_multiplicative,
         twisted=(base, t),
-        reach=base.reach and (lambda e0, t0, P: base.reach(e0, t0 + t, P)),  # alignment_terms' fold
     )
 
 
@@ -207,14 +214,6 @@ def _rung(v: np.ndarray | np.generic) -> type:
     return np.int8 if exact else np.complex128
 
 
-def _untwist(f: MultiplicativeFunction) -> tuple[MultiplicativeFunction, float]:
-    """(base, t) with f = twist(base, t), base no twist (t = 0.0 if f is none)."""
-    t = 0.0
-    while f.twisted:
-        f, t = f.twisted[0], t + f.twisted[1]
-    return f, t
-
-
 KernelBase = NamedTuple("KernelBase", [("f", MultiplicativeFunction), ("limit", int),
                                        ("rows", list)])
 
@@ -228,7 +227,7 @@ def kernel_base(f: MultiplicativeFunction, limit: int) -> KernelBase:
     steps holds the int8 rung's step from f(p^{j-1}) to f(p^j), the sign of
     the change or 0 to zero, over the longest prefix of fs that int8 can
     take: real values -1, 0 or 1, none nonzero after a 0."""
-    g, ps = _untwist(f)[0], sieve_primes(max(2, isqrt(limit)))
+    g, ps = fold(f)[0], sieve_primes(max(2, isqrt(limit)))
     cols, q = [], ps  # q: p^j of the primes with p^j <= limit (every base prime at j = 1)
     while q.size:
         cols.append(np.asarray(g.powers(ps[: q.size], len(cols) + 1)))
@@ -278,7 +277,7 @@ def segment_values(
         raise CoverageError(f"kernel base {base.f.label}:{base.limit} misses {f.label}:{hi}")
     root = isqrt(hi)
     size = hi - lo + 1
-    twisted, (f, t) = f.twisted, _untwist(f)
+    twisted, (f, t) = f.twisted, fold(f)
     vals = np.empty(size, dtype=_rung(base.rows[0][1][0])) if vals is None else vals
     prod = np.empty(size, dtype=np.float64) if prod is None else prod
     signed = vals.dtype == np.int8  # int8 steps keep their signs in prod
@@ -393,10 +392,11 @@ class StreamSummer:
     ordered sum of mflab, over n and over primes alike.
 
     Every value comes with a key, and keys ascend: n for a trace or a
-    series, p for a prime sum.  Blocks are cut where the key passes a
-    multiple of ``width`` (4096 for n, PRIME_BLOCK for p) and at the
-    checkpoints; each block is np.sum'ed (int8 blocks as exact integers) and
-    the block sums enter a compensated accumulator in key order.  So a sum
+    series, fed as the int key of consecutive n, and p for a prime sum, fed
+    as an array.  Blocks are cut where the key passes a multiple of 4096 for
+    n, of PRIME_BLOCK for p, and at the checkpoints; each block is np.sum'ed
+    (int8 blocks as exact integers) and the block sums enter a compensated
+    accumulator in key order.  So a sum
     and its checkpoints have bits that depend only on the keys and values
     fed: not on the feed chunking, on which keys a caller leaves out, or on
     which process summed a block (see mflab.workers).  Between feeds only
@@ -405,20 +405,19 @@ class StreamSummer:
 
     ``checkpoints`` are ascending cutoffs on the key.  A checkpoint takes
     the sum of the values whose key is at most it; one still open when the
-    stream closes takes the total.  In a worker ``rows`` is a list, and
-    each block's (real sum, imaginary sum, first key) goes there instead of
-    into the total.
+    stream closes takes the total.  In a worker ``rows`` is an array("d"),
+    and each block's (real sum, imaginary sum, first key) goes there instead
+    of into the total; keys below 2^53 are exact in it.
     """
 
-    def __init__(self, checkpoints: Sequence = (), width: int = _SUM_BLOCK) -> None:
+    def __init__(self, checkpoints: Sequence = ()) -> None:
         self._cps = list(checkpoints)
-        self._width = width
         self._re = _Neumaier()
         self._im = _Neumaier()
         self._tail = np.zeros(0, dtype=np.complex128)  # the open block, fed, not yet summed
         self._first = self._end = 0  # its first key, and the last key it may take
         self._cut = 0  # cut at checkpoints from self._cps[self._cut] on
-        self.rows: list[float] | None = None
+        self.rows: array | None = None
         self.checkpoint_values: list[complex] = []
 
     def feed(self, vals: np.ndarray, keys: int | np.ndarray) -> None:
@@ -427,8 +426,8 @@ class StreamSummer:
         fed before."""
         i, n, listed = 0, vals.size, isinstance(keys, np.ndarray)
         while i < n:
-            if not self._tail.size:  # vals[i] opens a block
-                self._open(int(keys[i]) if listed else keys + i)
+            if not self._tail.size:  # vals[i] opens a block: of primes, or of consecutive n
+                self._open(*((int(keys[i]), PRIME_BLOCK) if listed else (keys + i, _SUM_BLOCK)))
             if listed:
                 j = int(np.searchsorted(keys, self._end, side="right"))
             else:  # keys, keys + 1, ...: vals[:j] have keys up to the end
@@ -439,11 +438,11 @@ class StreamSummer:
             self._flush(vals[i:j])
             i = j
 
-    def _open(self, key: int) -> None:
-        """Open a block at ``key``: it ends at the next multiple of the width,
+    def _open(self, key: int, width: int) -> None:
+        """Open a block at ``key``: it ends at the next multiple of ``width``,
         or at the next checkpoint if that comes first."""
         self._first = key
-        self._end = ((key - 1) // self._width + 1) * self._width
+        self._end = ((key - 1) // width + 1) * width
         self._cut = bisect_left(self._cps, key, self._cut)
         if self._cut < len(self._cps):
             self._end = min(self._end, self._cps[self._cut])
@@ -461,7 +460,7 @@ class StreamSummer:
         """Add one block's sum, whose first key is ``key``, after the
         checkpoints below that key take the sum before it."""
         if self.rows is not None:
-            self.rows += (re, im, key)
+            self.rows.extend((re, im, key))
             return
         cps, taken = self._cps, self.checkpoint_values
         while len(taken) < len(cps) and cps[len(taken)] < key:
@@ -534,7 +533,7 @@ def summatory_trace(
     limit: int,
     grid: str | None = None,
     segment_size: int = 1 << 18,
-) -> SummatoryTrace:
+) -> PartialSums:
     """Stream S_f(x) over n = 1..limit, snapshotting at grid checkpoints.
 
     The segment kernel runs in forked workers (one CPU: in this process), and
@@ -552,8 +551,8 @@ def summatory_trace(
 
     series_pass(kernel_base(f, limit), [summer], segment_size, summer.feed)
     summer.close()
-    return SummatoryTrace(xs=np.asarray(cps, dtype=np.int64),
-                          values=np.asarray(summer.checkpoint_values, dtype=np.complex128))
+    return PartialSums(xs=np.asarray(cps, dtype=np.int64),
+                       values=np.asarray(summer.checkpoint_values, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------

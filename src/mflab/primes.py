@@ -1,15 +1,15 @@
 """Prime streams and prime tables.
 
 Every prime sum downstream (Euler products, Halász sums, the extremal
-checks) reads the primes up to a cutoff, ascending, in chunks of at most
-2^13 primes, so a consumer holds O(chunk) memory rather than O(pi(P)).
-Chunks lie within one sieve segment (k 2^20, (k+1) 2^20], and a segment
-can be sieved on its own from the base primes, so mflab.workers deals
-whole segments to its workers.  The sums themselves run through
+checks) reads the primes up to a cutoff, ascending, from the one stream
+``prime_chunks``, in chunks of at most 2^13 primes, so a consumer holds
+O(chunk) memory rather than O(pi(P)).  Chunks lie within one sieve segment
+(k 2^20, (k+1) 2^20], which prime_chunks sieves alone from the base primes,
+so mflab.workers deals whole segments to its workers.  The sums run through
 ``multfun.StreamSummer``, whose blocks are cut at multiples of 2^16 in p,
 so a streamed sum has the same bits at any chunking and in any process.
-``sieve_primes`` (random access) remains for the base primes of the
-segment kernel.
+``sieve_primes`` (random access), the stream concatenated, remains for
+the base primes of the segment kernel.
 """
 
 from __future__ import annotations
@@ -39,33 +39,13 @@ def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= ``limit``, ascending, in one int64 array: the chunks of
     ``prime_chunks`` concatenated.  For consumers that need random access;
     a prime sum should stream the chunks instead."""
-    return _sieve(check_limit(limit))
-
-
-def prime_chunks(limit: int) -> Iterator[np.ndarray]:
-    """The primes <= ``limit``, ascending, as int64 arrays of at most 2^13
-    primes (64 KiB), each within one sieve segment.  The limit is checked
-    against PRIME_LIMIT_CEILING here, before any sieving.
-
-    Segmented sieve of Eratosthenes: a segment spans the 2^20 >= sqrt(limit)
-    numbers of (k 2^20, (k+1) 2^20], one flag byte per odd number: 0.5 MB,
-    cache-sized as in Oliveira e Silva, Herzog & Pardi (Math. Comp. 83,
-    2014), and large enough to amortize the Python loop over base primes
-    that every segment runs.  Its primes are yielded as views of one array, so a consumer's
-    temporaries span one chunk.  Peak memory is O(sqrt(limit) + segment).
-
-    2 is the first chunk, alone, and a segment without primes yields nothing.
-    Chunk lengths do not reach the bits of a streamed sum: its terms are
-    products of named operands in a fixed order (see dirichlet._power_terms),
-    and its blocks are cut at keys.
-    """
-    return _segments(check_limit(limit))
+    return _sieve(limit)
 
 
 def check_limit(limit: int) -> int:
     """``limit``, if a sieve may run to it: EmptyRangeError below 2 and
-    CapacityError above PRIME_LIMIT_CEILING.  prime_chunks and
-    sieve_primes call this first; a caller with other arguments to check
+    CapacityError above PRIME_LIMIT_CEILING.  prime_chunks, and so
+    sieve_primes, calls this first; a caller with other arguments to check
     calls it before them, so that every refusal comes before any sieving."""
     if limit < 2:
         raise EmptyRangeError(f"sieve limit must be >= 2, got {limit}")
@@ -75,7 +55,7 @@ def check_limit(limit: int) -> int:
 
 
 def _sieve(limit: int) -> np.ndarray:
-    return np.concatenate(list(_segments(limit)))
+    return np.concatenate(list(prime_chunks(limit)))
 
 
 def base_primes(limit: int) -> np.ndarray:
@@ -84,10 +64,27 @@ def base_primes(limit: int) -> np.ndarray:
     return _sieve(root)[1:] if root >= 3 else np.zeros(0, dtype=np.int64)
 
 
-def _segments(limit: int, lo: int = 0, base: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """The chunks of ``prime_chunks`` in (lo, limit], ``lo`` a multiple of 2^20;
-    ``base`` is base_primes of ``limit`` or of a larger limit, by default
-    sieved here.  Segments track odd numbers only."""
+def prime_chunks(limit: int, lo: int = 0, base: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """The primes in (lo, limit], ascending, as int64 arrays of at most 2^13
+    primes (64 KiB), each within one sieve segment: the one prime stream.
+    ``lo`` is a multiple of 2^20, and ``base`` is base_primes of ``limit``
+    or of a larger limit, by default sieved here.  The limit is checked
+    against PRIME_LIMIT_CEILING at the first step, before any sieving.
+
+    Segmented sieve of Eratosthenes: a segment spans the 2^20 >= sqrt(limit)
+    numbers of (k 2^20, (k+1) 2^20], one flag byte per odd number: 0.5 MB,
+    cache-sized as in Oliveira e Silva, Herzog & Pardi (Math. Comp. 83,
+    2014), and large enough to amortize the Python loop over base primes
+    that every segment runs.  Segments track odd numbers only.  Its primes
+    are yielded as views of one array, so a consumer's temporaries span one
+    chunk.  Peak memory is O(sqrt(limit) + segment).
+
+    2 is the first chunk, alone, and a segment without primes yields nothing.
+    Chunk lengths do not reach the bits of a streamed sum: its terms are
+    products of named operands in a fixed order (see dirichlet._power_terms),
+    and its blocks are cut at keys.
+    """
+    check_limit(limit)
     if base is None:
         base = base_primes(limit)
     if lo == 0:

@@ -7,9 +7,10 @@ of n, whole 2^20-number sieve segments of p.  So no block straddles two
 stripes.  The stripes are dealt round-robin to W = min(stripes, CPUs this
 process may use, WORKER_CAP) workers, the w-th pinned to the w-th CPU.  A
 worker runs the stream's work over its stripes and sends, per stripe, each
-summer's blocks (sum and first key) and the exact extras the work returns,
-pickled over a pipe; the calling process adds the blocks and gathers the
-extras in key order, as one process would, so the bits do not depend on W.
+summer's blocks (sum and first key, one array("d") of rows per summer) and
+the exact extras the work returns, pickled over a pipe; the calling
+process adds the blocks and gathers the extras in key order, as one
+process would, so the bits do not depend on W.
 With W = 1 the stripes run in the calling process and nothing forks.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+from array import array
 from contextlib import suppress
 from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -58,8 +60,8 @@ def series_pass(base: KernelBase, summers: Sequence[StreamSummer], segment_size:
 
 def prime_pass(limit: int, summers: Sequence[StreamSummer],
                chunk: Callable[[np.ndarray], object]) -> list:
-    """chunk(ps) for each chunk ps of prime_chunks(limit), whose stripes are
-    the sieve segments; the base primes are sieved once, here.  ``chunk``
+    """chunk(ps) for each chunk ps of primes.prime_chunks(limit), whose
+    stripes are its segments (a, b]; the base primes are sieved once, here.  ``chunk``
     feeds ``summers``, which take the whole pass's blocks, and returns the
     chunk's exact extras (picklable, and small); the list of them, in key
     order, is returned.  The caller checks ``limit`` first."""
@@ -69,7 +71,7 @@ def prime_pass(limit: int, summers: Sequence[StreamSummer],
 
     def work(mine: Sequence[tuple[int, int]]) -> Iterator[list]:
         for a, b in mine:
-            yield [chunk(ps) for ps in primes._segments(b, a, base)]
+            yield [chunk(ps) for ps in primes.prime_chunks(b, a, base)]
 
     return _run(spans, summers, work)
 
@@ -124,7 +126,7 @@ def _work(cpu: int, fd: int, summers: Sequence[StreamSummer],
         with suppress(OSError):  # a CPU the kernel refuses leaves the worker unpinned
             os.sched_setaffinity(0, {cpu})
         for summer in summers:
-            summer.rows = []
+            summer.rows = array("d")
         with open(fd, "wb") as pipe:
             try:
                 for extras in stripe_extras:
@@ -132,7 +134,7 @@ def _work(cpu: int, fd: int, summers: Sequence[StreamSummer],
                         summer.flush()  # a stripe edge is a block edge
                     body = pickle.dumps(([summer.rows for summer in summers], extras))
                     for summer in summers:
-                        summer.rows.clear()
+                        del summer.rows[:]
                     pipe.write(len(body).to_bytes(8, "little") + body)
                     pipe.flush()
             except BaseException as e:  # reported to the parent, then os._exit
@@ -144,7 +146,7 @@ def _work(cpu: int, fd: int, summers: Sequence[StreamSummer],
         os._exit(0)
 
 
-def _receive(pipe: BinaryIO) -> tuple[list[list], list]:
+def _receive(pipe: BinaryIO) -> tuple[list[array], list]:
     """The block rows and extras of a worker's next stripe, or the error it
     sent, raised."""
     size = int.from_bytes(head := pipe.read(8), "little", signed=True)

@@ -221,7 +221,7 @@ def test_criterion_08_extremal_mechanics():
     psum = pole_sum(f, EPLUS, 10**5)
     th = theta_values(spec, BASE5)
     half_sq = float(np.sum(th * th / (2.0 * BASE5.astype(np.float64))))
-    assert psum.final() <= half_sq + 1e-12
+    assert psum.values[-1] <= half_sq + 1e-12
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

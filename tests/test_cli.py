@@ -14,7 +14,7 @@ import pytest
 
 from mflab import dirichlet, extremal, halasz, multfun, primes, workers
 from mflab.cli import SIGMA_GRID_CEILING, build_parser, main
-from mflab.errors import FunctionSpecError
+from mflab.errors import DomainError, FunctionSpecError
 
 from _oracles import brute_summatory
 from test_golden import CORPUS
@@ -322,8 +322,8 @@ def _refuse():
     (lambda: os._exit(7), 3, "error:capacity:a segment worker ended before it sent its stripe\n"),
 ])
 def test_a_failing_segment_worker_gives_one_error_line(fail, code, line, tmp_path, capsys,
-                                                       monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+                                                       monkeypatch, with_cpus):
+    with_cpus(2)
     monkeypatch.setattr(multfun, "parse_function_spec", lambda spec: _fails_in_second_stripe(fail))
     out = tmp_path / "x.csv"
     assert main(["sum", "--function", "moebius", "--limit", "1000000", "--out", str(out)]) == code
@@ -538,7 +538,7 @@ def test_prime_cutoff_above_ceiling_is_refused_before_sieving(argv, tmp_path, ca
         raise AssertionError(f"sieved to {limit}")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(primes, "_segments", no_sieving)
+    monkeypatch.setattr(primes, "prime_chunks", no_sieving)
     assert run(["extremal-build", "--kappa", "power:0.25", "--out", "spec.json"]) == 0
     assert main([*argv, "--out", "x.out"]) == 3
     err = capsys.readouterr().err
@@ -552,7 +552,7 @@ def test_series_cutoff_above_ceiling_is_refused_before_sieving(tmp_path, capsys,
     def no_sieving(limit):
         raise AssertionError(f"sieved to {limit}")
 
-    monkeypatch.setattr(primes, "_segments", no_sieving)
+    monkeypatch.setattr(primes, "prime_chunks", no_sieving)
     out = tmp_path / "x.csv"
     above = str(multfun.SUMMATORY_LIMIT_CEILING + 1)
     assert main(["eval-f", "--function", "moebius", "--sigma", "1.5:1.5:1",
@@ -567,7 +567,7 @@ def test_sigma_grid_above_ceiling_is_refused_before_sieving(tmp_path, capsys, mo
     def no_sieving(limit):
         raise AssertionError(f"sieved to {limit}")
 
-    monkeypatch.setattr(primes, "_segments", no_sieving)
+    monkeypatch.setattr(primes, "prime_chunks", no_sieving)
     out = tmp_path / "x.csv"
     sigma = f"1.1:1.5:{SIGMA_GRID_CEILING + 1}"
     for argv in (["eval-f", "--function", "moebius"],
@@ -585,7 +585,7 @@ def test_criterion_kmax_above_ceiling_is_refused_before_sieving(tmp_path, capsys
     def no_sieving(limit):
         raise AssertionError(f"sieved to {limit}")
 
-    monkeypatch.setattr(primes, "_segments", no_sieving)
+    monkeypatch.setattr(primes, "prime_chunks", no_sieving)
     out = tmp_path / "x.txt"
     assert main(["criterion", "--function", "moebius", "--prime-cutoff", "1000",
                  "--kmax", str(multfun.GRID_STEP_CEILING + 1), "--out", str(out)]) == 3
@@ -604,8 +604,7 @@ def test_extremal_verify_refuses_a_bad_block_before_sieving(block, code, kind, t
 
     spec = str(tmp_path / "spec.json")
     assert run(["extremal-build", "--kappa", "power:0.25", "--out", spec]) == 0
-    monkeypatch.setattr(primes, "prime_chunks", no_stream)  # verify imports it as it runs
-    monkeypatch.setattr(primes, "_segments", no_stream)
+    monkeypatch.setattr(primes, "prime_chunks", no_stream)
     assert main(["extremal-verify", spec, "--cutoff", "20000000", "--block", block]) == code
     err = capsys.readouterr().err
     assert err.startswith(f"error:{kind}:") and err.count("\n") == 1, err
@@ -617,8 +616,8 @@ def test_extremal_verify_refuses_a_bad_block_before_sieving(block, code, kind, t
 ])
 def test_one_prime_pass_per_command(argv, tmp_path, monkeypatch):
     """One prime pass to the cutoff, and no other sieve to it: every sieve, a
-    stripe of a pass or a sieve_primes table, runs _segments."""
-    calls = {"prime_pass": [], "_segments": []}
+    stripe of a pass or a sieve_primes table, runs prime_chunks."""
+    calls = {"prime_pass": [], "prime_chunks": []}
 
     def counted(name, fn):
         def wrapper(limit, *args):
@@ -628,13 +627,13 @@ def test_one_prime_pass_per_command(argv, tmp_path, monkeypatch):
 
     monkeypatch.chdir(tmp_path)
     assert run(["extremal-build", "--kappa", "power:0.25", "--out", "spec.json"]) == 0
-    monkeypatch.setattr(primes, "_segments", counted("_segments", primes._segments))
+    monkeypatch.setattr(primes, "prime_chunks", counted("prime_chunks", primes.prime_chunks))
     prime_pass = counted("prime_pass", workers.prime_pass)
     for mod in (workers, dirichlet, halasz):  # extremal.verify imports workers' as it runs
         monkeypatch.setattr(mod, "prime_pass", prime_pass)
     assert run([*argv, "--out", "x.out"]) == 0
     assert calls["prime_pass"] == [100_000], calls
-    assert calls["_segments"].count(100_000) == 1, calls  # the one stripe
+    assert calls["prime_chunks"].count(100_000) == 1, calls  # the one stripe
 
 
 def test_euler_route_refuses_zeta_above_height_ceiling(tmp_path, capsys):
@@ -681,12 +680,57 @@ def test_a_height_above_the_ceiling_is_refused_before_sieving(argv, tmp_path, ca
     def no_sieving(limit):
         raise AssertionError(f"sieved to {limit}")
 
-    monkeypatch.setattr(primes, "_segments", no_sieving)
+    monkeypatch.setattr(primes, "prime_chunks", no_sieving)
     out = tmp_path / "x.out"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(r"error:domain:height \|t\| = \S+ exceeds ceiling 100000000\.0\n", err), err
     assert not out.exists()
+
+
+# T = 25426356.4 + 2194267.7 and t = 72379375.9 add to exactly 1e8 in the
+# order (T_outer + T_inner) + t, but every route computes (t + T_outer) +
+# T_inner = 100000000.00000001, above the ceiling
+NESTED = "twist:25426356.4:twist:2194267.7:one"
+NESTED_HEIGHT = 72379375.9
+
+
+@pytest.mark.parametrize("argv", [
+    ["criterion", "--t", str(NESTED_HEIGHT), "--prime-cutoff", "1000"],
+    ["thm1", "--epsilon", "-1", "--t0", str(NESTED_HEIGHT), "--sigma", "1.1:1.5:2",
+     "--prime-cutoff", "1000"],
+    ["eval-f", "--method", "euler", "--epsilon", "-1", "--t0", str(NESTED_HEIGHT),
+     "--sigma", "1.1:1.5:2", "--prime-cutoff", "1000"],
+    ["eval-f", "--method", "truncated", "--t", str(NESTED_HEIGHT), "--sigma", "1.1:1.5:2",
+     "--series-cutoff", "1000"],
+    ["lemma", "--epsilon", "-1", "--t0", str(NESTED_HEIGHT), "--sigma", "1.1:1.2:2",
+     "--prime-cutoff", "1000"],
+])
+def test_a_direction_is_refused_at_the_height_its_route_computes(argv, tmp_path, capsys,
+                                                                 monkeypatch):
+    def no_sieving(limit, *args):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(primes, "prime_chunks", no_sieving)
+    out = tmp_path / "x.out"
+    assert main([*argv, "--function", NESTED, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error:domain:height |t| = 100000000.00000001 exceeds ceiling 100000000.0\n")
+    assert not out.exists()
+
+
+def test_a_nested_twist_is_refused_in_process_before_any_sieving(monkeypatch):
+    def no_sieving(limit, *args):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(primes, "prime_chunks", no_sieving)
+    f = multfun.parse_function_spec(NESTED)
+    direction = dirichlet.HalaszDirection(-1, NESTED_HEIGHT)
+    for route in (lambda: dirichlet.log_F(f, [1.1], dirichlet.TruncationPlan(1000, 100), direction),
+                  lambda: halasz.lemma_defect(f, direction, [1.1], 1000),
+                  lambda: halasz.pole_sum(f, direction, 1000)):
+        with pytest.raises(DomainError, match=r"100000000\.00000001 exceeds ceiling"):
+            route()
 
 
 def test_a_height_at_the_ceiling_runs(tmp_path):
@@ -723,11 +767,11 @@ def test_a_height_beyond_the_identity_is_refused_before_any_zeta_work(argv, line
 
     def no_sieving(limit):
         raise AssertionError(f"sieved to {limit}")
-        yield  # a generator, as primes._segments is: a route may create it first
+        yield  # a generator, as primes.prime_chunks is: a route may create it first
 
     dirichlet._moebius()  # the identity's mu(k) table, built once per process
     monkeypatch.setattr(dirichlet, "zeta", no_zeta)
-    monkeypatch.setattr(primes, "_segments", no_sieving)
+    monkeypatch.setattr(primes, "prime_chunks", no_sieving)
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error:domain:{line}\n"
@@ -944,6 +988,15 @@ def test_only_the_workers_run_the_segment_loop():
     found = {p.name for p in sorted(src.glob("*.py")) if "_value_segments" in _names(p.read_text())}
     assert found == {"multfun.py", "workers.py"}, found
     assert not hasattr(workers, "checkpoint_sums")
+
+
+def test_each_decision_keeps_one_home():
+    # multfun.fold alone reads a twist's (base, T), and the StreamSummer
+    # alone takes the prime block width from its keys
+    src = Path(multfun.__file__).parent
+    for name in ("twisted", "PRIME_BLOCK"):
+        found = {p.name for p in sorted(src.glob("*.py")) if name in _names(p.read_text())}
+        assert found == {"multfun.py"}, (name, found)
 
 
 def test_importing_the_package_loads_no_submodule_and_no_numpy(tmp_path):

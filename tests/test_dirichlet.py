@@ -1,5 +1,6 @@
 import cmath
 import math
+from array import array
 import os
 import tracemalloc
 import weakref
@@ -7,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mflab import dirichlet, primes
+from mflab import dirichlet, primes, workers
 from mflab.cli import main
 from mflab.dirichlet import (
     ComplexPoint,
@@ -25,12 +26,11 @@ from mflab.dirichlet import (
     zeta,
 )
 from mflab.errors import CapacityError, CoverageError, DomainError, SingularFactorError
-from mflab.multfun import (PRIME_BLOCK, MultiplicativeFunction, StreamSummer, builtin,
-                           parse_function_spec, summatory_trace, unit_power)
+from mflab.multfun import (MultiplicativeFunction, StreamSummer, builtin, parse_function_spec,
+                           summatory_trace, unit_power)
 from mflab.primes import sieve_primes
 
 from _oracles import F_partial_summation, prime_sum_power_oracle, zeta_series_oracle
-from test_multfun import _with_cpus
 
 BASE = sieve_primes(10**5)
 PLAN = TruncationPlan(prime_cutoff=10**5, exact_factor_cutoff=10**4)
@@ -418,7 +418,7 @@ def test_prime_sums_holds_nothing_of_a_chunk_into_the_next(monkeypatch):
 
 
 def one_feed_total(x: np.ndarray, keys: np.ndarray) -> complex:
-    summer = StreamSummer(width=PRIME_BLOCK)
+    summer = StreamSummer()
     summer.feed(x, keys)
     return summer.close()
 
@@ -582,7 +582,7 @@ def test_F_truncated_folds_a_twist_into_the_point(spec):
 @pytest.mark.parametrize("spec", ["moebius", "twist:0.7:liouville", "extremal-ref"])
 @pytest.mark.parametrize("N", [2**18 - 1, 2**18 + 1, 3 * 2**18 + 5])
 def test_the_truncated_route_has_the_same_bytes_at_any_number_of_workers(
-        spec, N, tmp_path, monkeypatch):
+        spec, N, tmp_path, monkeypatch, with_cpus):
     # stripes of 2^18 numbers: one, two, and four (the last of five numbers);
     # W = min(stripes, CPUs), and one worker is this process
     forks, fork = [], os.fork
@@ -590,7 +590,7 @@ def test_the_truncated_route_has_the_same_bytes_at_any_number_of_workers(
     stripes = -(-N // 2**18)
     want = None
     for count in (1, 2, 3):
-        _with_cpus(monkeypatch, count)
+        with_cpus(count)
         forks.clear()
         out = tmp_path / f"{count}.csv"
         assert main(["eval-f", "--function", spec, "--method", "truncated", "--t", "0.3",
@@ -601,16 +601,37 @@ def test_the_truncated_route_has_the_same_bytes_at_any_number_of_workers(
         want = out.read_bytes()
 
 
+def test_a_worker_sends_each_summers_block_rows_as_one_float64_array(monkeypatch, with_cpus):
+    # three stripes of 2^18 numbers over two workers; a row holds (re, im,
+    # first key), and a key below 2^53 is exact in float64
+    f, N = parse_function_spec("twist:0.7:liouville"), 2 * 2**18 + 5
+    pts = [ComplexPoint(1.01, -0.0), ComplexPoint(1.5, 0.3), ComplexPoint(2.0, -0.7)]
+    sent, receive = [], workers._receive
+    monkeypatch.setattr(workers, "_receive", lambda pipe: sent.append(receive(pipe)) or sent[-1])
+    with_cpus(2)
+    split = F_truncated(f, pts, N)
+    for (rows, _), blocks in zip(sent, [64, 64, 1], strict=True):  # 4096 numbers a block
+        assert len(rows) == len(pts)
+        assert all(type(r) is array and r.typecode == "d" and len(r) == 3 * blocks for r in rows)
+    with_cpus(1)
+    whole = F_truncated(f, pts, N)
+
+    def bits(results):
+        return np.array([r.value for r in results]).view(np.uint64).tolist()
+
+    assert bits(split) == bits(whole) and split == whole
+
+
 @pytest.mark.parametrize("spec,entry_bytes", [
     # per n of a 2^18 segment: the kernel's values (int8 or complex128) and
     # its float64 product
     ("moebius", 1 + 8), ("extremal-ref", 16 + 8)])
 @pytest.mark.parametrize("points", [[1.5], [1.5, 1.5 + 3j]], ids=["real", "unit"])
 def test_F_truncated_allocates_no_temporary_of_segment_length(spec, entry_bytes, points,
-                                                             monkeypatch):
+                                                             with_cpus):
     # log n, the units and the terms are formed per block of 2^14 entries;
     # one CPU, so the pass runs in this process, where tracemalloc sees it
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with_cpus(1)
     f = builtin(spec)
     F_truncated(f, points, 10**4)  # memoize the values of the small primes
     tracemalloc.start()
@@ -622,10 +643,10 @@ def test_F_truncated_allocates_no_temporary_of_segment_length(spec, entry_bytes,
     assert peak - entry_bytes * (1 << 18) <= 1.5 * 2**20, peak
 
 
-def test_F_truncated_grid_memory(monkeypatch):
+def test_F_truncated_grid_memory(with_cpus):
     # each point's summer keeps a tail under one block, not a view of a segment;
     # one CPU, so the pass runs in this process, where tracemalloc sees it
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with_cpus(1)
     f = builtin("moebius")
     N = 3 * 2**18
 

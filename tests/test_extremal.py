@@ -2,7 +2,6 @@ import builtins
 import hashlib
 import json
 import math
-import os
 import tracemalloc
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from mflab.extremal import (
     verify,
 )
 from mflab.halasz import HalaszDirection, pole_sum
-from mflab.multfun import PRIME_BLOCK, StreamSummer, parse_function_spec
+from mflab.multfun import StreamSummer, parse_function_spec
 from mflab.primes import sieve_primes
 
 from _oracles import class_m_violations
@@ -301,7 +300,7 @@ def test_pole_sum_cosine_bound():
     ps = pole_sum(f, HalaszDirection(1, 0.0), 10**5)
     th = theta_values(spec, BASE)
     bound = float(np.sum(th**2 / (2.0 * BASE.astype(float))))
-    assert ps.final() <= bound + 1e-12
+    assert ps.values[-1] <= bound + 1e-12
 
 
 # --- verification reports -----------------------------------------------------
@@ -376,7 +375,7 @@ def test_window_gathered_over_many_chunks_is_the_table_sum(monkeypatch):
         monkeypatch.setattr(primes, "_BLOCK", chunk)
         _, (rep,) = verify(spec, 2 * 10**7, [1])
         pw = np.exp(-rep.sigma * lps)
-        W, T = StreamSummer(width=PRIME_BLOCK), StreamSummer(width=PRIME_BLOCK)
+        W, T = StreamSummer(), StreamSummer()
         W.feed(th * (-np.sin(lps)) * pw, ps[sel])
         T.feed(th * pw, ps[sel])
         assert rep.selected_count == int(sel.sum())
@@ -385,11 +384,11 @@ def test_window_gathered_over_many_chunks_is_the_table_sum(monkeypatch):
         assert rep.half_theta_sum == 0.5 * T.close().real
 
 
-def test_verify_holds_no_list_of_primes(monkeypatch):
+def test_verify_holds_no_list_of_primes(with_cpus):
     # 489,436 primes are selected in block 1's window; the pass holds one
     # chunk of them at a time, not a list of all of them (about 26 MiB).  One
     # CPU: the pass runs here, where tracemalloc sees it
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with_cpus(1)
     spec = build_spec("power:0.25", x1=60.0, J=2)
     verify(spec, 10**4)  # loads what the first call imports
     tracemalloc.start()

@@ -1,5 +1,4 @@
 import math
-import os
 import tracemalloc
 import warnings
 
@@ -41,9 +40,9 @@ def test_direction_validation():
 def test_pole_sum_perfect_cases():
     # f(p) = -1 aligned with epsilon0 = +1: every term vanishes
     s = pole_sum(builtin("liouville"), EPLUS, 10**5)
-    assert s.final() == 0.0
+    assert s.values[-1] == 0.0
     s = pole_sum(builtin("one"), EMINUS, 10**5)
-    assert s.final() == 0.0
+    assert s.values[-1] == 0.0
 
 
 def test_pole_sum_tracks_double_mertens():
@@ -51,20 +50,20 @@ def test_pole_sum_tracks_double_mertens():
     for P in (10**3, 10**4, 10**5, 10**6):
         s = pole_sum(one, EPLUS, P)
         expected = 2.0 * (math.log(math.log(P)) + MERTENS_CONSTANT)
-        assert abs(s.final() - expected) < 0.1
+        assert abs(s.values[-1] - expected) < 0.1
 
 
 def test_pole_sum_partials_monotone():
     s = pole_sum(builtin("moebius"), EPLUS, 10**5)
-    assert np.all(np.diff(s.partials) >= 0)
-    assert s.cutoffs[-1] == 10**5
+    assert np.all(np.diff(s.values) >= 0)
+    assert s.xs[-1] == 10**5
 
 
 def test_pole_sum_sums_terms_within_the_class_M_tolerance_unclamped():
     # criterion's arithmetic: a term in (-1e-12, 0) is summed as it is, not as 0
     f = MultiplicativeFunction("edge", lambda ps, k: np.full(ps.shape, -(1.0 + 1e-13)))
     ps = BASE[BASE <= 100]
-    got = pole_sum(f, EPLUS, 100).final()
+    got = pole_sum(f, EPLUS, 100).values[-1]
     assert got == pytest.approx(-1e-13 * np.sum(1.0 / ps), rel=1e-3, abs=0)
 
 
@@ -86,7 +85,7 @@ def test_finiteness_transfer():
     f = completely_multiplicative(
         "perturbed", lambda ps: -np.exp(1j * np.array([thetas.get(int(p), 0.0) for p in ps])))
     P = 10**4
-    B = pole_sum(f, EPLUS, P).final()
+    B = pole_sum(f, EPLUS, P).values[-1]
     theta_sq = sum(
         abs(f.prime_power(int(p), 1)) * thetas.get(int(p), 0.0) ** 2 / int(p)
         for p in BASE[BASE <= P])
@@ -222,11 +221,11 @@ def test_criterion_reports():
     assert "verdict" in rep.text()
 
 
-def test_prime_sums_stream_in_constant_memory(monkeypatch):
+def test_prime_sums_stream_in_constant_memory(with_cpus):
     # the primes to 4e6 span four sieve segments; a whole-range table of p,
     # log p and g(p) there would add about 14 MB to the traced peak.  One CPU:
     # the pass runs here, where tracemalloc sees it, as a worker would run it
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with_cpus(1)
     ext = builtin("extremal-ref")
     twist = parse_function_spec("twist:0.7:one")  # misaligned: every g(p) != 0
 
@@ -256,7 +255,7 @@ _FOUR_POINTS = [1.001, 1.01, 1.1, 1.3]
     lambda P: log_F(builtin("extremal-ref"), _FOUR_POINTS, TruncationPlan(prime_cutoff=P)),
     lambda P: extremal.verify(extremal.reference_spec(), P),
 ], ids=["criterion", "log_F_misaligned", "lemma_defect", "log_F_prime_sum", "extremal_verify"])
-def test_prime_routes_hold_one_chunk_of_primes_at_a_time(route, monkeypatch):
+def test_prime_routes_hold_one_chunk_of_primes_at_a_time(route, with_cpus):
     # a route runs in this process on one CPU, as in each worker otherwise.
     # The sieve yields at most 2^13 primes at a time, so each temporary of
     # a route (log p, f(p), g(p), p^-sigma, the terms) takes 64-128 KiB.  The
@@ -264,7 +263,7 @@ def test_prime_routes_hold_one_chunk_of_primes_at_a_time(route, monkeypatch):
     # the previous segment's primes while the next is sieved: 1.7-2 MiB in
     # all here.  Temporaries of a whole segment's 62,000 primes reach 4.4-5.3
     # MiB, past the bound.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with_cpus(1)
     tracemalloc.start()
     try:
         route(4 * 10**6)

@@ -458,9 +458,9 @@ def test_complex_checkpoints_do_not_depend_on_segment_size(spec, limit, x):
     # per n of a 2^18 segment: the values (int8 or complex128), the float64
     # product and a twist's complex128 output
     ("moebius", 1 + 8), ("twist:7.5:moebius", 1 + 8 + 16), ("extremal-ref", 16 + 8)])
-def test_segment_kernel_allocates_no_temporary_of_segment_length(spec, entry_bytes, monkeypatch):
+def test_segment_kernel_allocates_no_temporary_of_segment_length(spec, entry_bytes, with_cpus):
     # what the segment workers run over every stripe, here in process (one CPU)
-    _with_cpus(monkeypatch, 1)
+    with_cpus(1)
     f, limit = parse_function_spec(spec), 2 * 10**6
     base, summer = kernel_base(f, limit), StreamSummer(resolve_checkpoints(None, limit))
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
@@ -473,9 +473,9 @@ def test_segment_kernel_allocates_no_temporary_of_segment_length(spec, entry_byt
 
 
 @pytest.mark.parametrize("spec", ["moebius", "twist:7.5:moebius", "extremal-ref"])
-def test_summing_process_holds_no_segment_length_buffer(spec, monkeypatch):
+def test_summing_process_holds_no_segment_length_buffer(spec, with_cpus):
     # the workers hold the segments; this process adds their block sums
-    _with_cpus(monkeypatch, 2)
+    with_cpus(2)
     f = parse_function_spec(spec)
     summatory_trace(f, 10**4)
     tracemalloc.start()
@@ -487,12 +487,6 @@ def test_summing_process_holds_no_segment_length_buffer(spec, monkeypatch):
     assert peak < 1 << 18, peak  # the smallest segment buffer: one int8 per n
 
 
-def _with_cpus(monkeypatch, count):
-    """Make a pass over n see ``count`` CPUs, so it starts that many workers
-    (none for one)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 WORKER_RULES = {name: builtin(name) for name in ("moebius", "liouville", "extremal-ref")}
 WORKER_RULES["twist:0.7:extremal-ref"] = parse_function_spec("twist:0.7:extremal-ref")
 WORKER_RULES["half"] = HALF_BEYOND_1000
@@ -500,7 +494,7 @@ WORKER_RULES["half"] = HALF_BEYOND_1000
 
 @pytest.mark.parametrize("segment_size", SEGMENT_SIZES)
 @pytest.mark.parametrize("name", WORKER_RULES)
-def test_checkpoints_have_the_same_bits_at_any_number_of_workers(name, segment_size, monkeypatch):
+def test_checkpoints_have_the_same_bits_at_any_number_of_workers(name, segment_size, with_cpus):
     f = WORKER_RULES[name]
     width = stripes(1 << 20, segment_size)[0][1]  # positions per stripe
     # stripe edges +-1 and multiples of 4096; the last limit gives 3 stripes
@@ -509,7 +503,7 @@ def test_checkpoints_have_the_same_bits_at_any_number_of_workers(name, segment_s
     for limit in (1, 4095, 4097, 2 * width + 5):
         traces = []
         for count in (1, 2):
-            _with_cpus(monkeypatch, count)
+            with_cpus(count)
             traces.append(summatory_trace(f, limit, grid, segment_size))
         one, two = traces
         assert one.xs.tolist() == two.xs.tolist()
@@ -518,7 +512,7 @@ def test_checkpoints_have_the_same_bits_at_any_number_of_workers(name, segment_s
 
 @pytest.mark.parametrize("cpus,limit,count", [  # one worker is this process: no fork
     (1, 2 * 10**6, 0), (2, 2 * 10**6, 2), (8, 2 * 10**6, 4), (8, 4096, 0), (8, 3 * 4096, 3)])
-def test_no_more_workers_than_stripes_cpus_or_the_cap(cpus, limit, count, monkeypatch):
+def test_no_more_workers_than_stripes_cpus_or_the_cap(cpus, limit, count, monkeypatch, with_cpus):
     forks = []
     fork = os.fork
 
@@ -526,11 +520,11 @@ def test_no_more_workers_than_stripes_cpus_or_the_cap(cpus, limit, count, monkey
         forks.append(1)
         return fork()
 
-    _with_cpus(monkeypatch, cpus)
+    with_cpus(cpus)
     monkeypatch.setattr(os, "fork", counting_fork)
     got = summatory_trace(builtin("moebius"), limit, segment_size=4096).values
     assert len(forks) == count
-    _with_cpus(monkeypatch, 1)  # more workers than this host's CPUs give the same bits
+    with_cpus(1)  # more workers than this host's CPUs give the same bits
     want = summatory_trace(builtin("moebius"), limit, segment_size=4096).values
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
@@ -559,30 +553,30 @@ def _hang():
 
 
 @pytest.mark.parametrize("count", [1, 2])
-def test_a_worker_error_is_raised_here_with_its_class_and_message(count, monkeypatch):
+def test_a_worker_error_is_raised_here_with_its_class_and_message(count, with_cpus):
     # primes above 300000 are leftover primes of the second stripe on
-    _with_cpus(monkeypatch, count)
+    with_cpus(count)
     with pytest.raises(FunctionSpecError, match="^no value beyond 300000$"):
         summatory_trace(_fails_beyond(300_000, _refuse), 10**6)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_worker_that_dies_is_a_capacity_error(monkeypatch):
-    _with_cpus(monkeypatch, 2)
+def test_a_worker_that_dies_is_a_capacity_error(with_cpus):
+    with_cpus(2)
     with pytest.raises(CapacityError, match="segment worker ended"):
         summatory_trace(_fails_beyond(300_000, _die), 10**6)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_worker_failure_that_is_no_library_error_is_a_capacity_error(monkeypatch):
-    _with_cpus(monkeypatch, 2)
+def test_a_worker_failure_that_is_no_library_error_is_a_capacity_error(with_cpus):
+    with_cpus(2)
     with pytest.raises(CapacityError, match="segment worker failed: ZeroDivisionError"):
         summatory_trace(_fails_beyond(300_000, lambda: 1 / 0), 10**6)
 
 
-def test_an_interrupt_kills_and_reaps_every_worker(monkeypatch):
+def test_an_interrupt_kills_and_reaps_every_worker(monkeypatch, with_cpus):
     # the first stripe arrives, then this process is interrupted while the
     # other worker hangs in its first stripe
     receive = workers._receive
@@ -594,7 +588,7 @@ def test_an_interrupt_kills_and_reaps_every_worker(monkeypatch):
             raise KeyboardInterrupt
         return receive(pipe)
 
-    _with_cpus(monkeypatch, 2)
+    with_cpus(2)
     monkeypatch.setattr(workers, "_receive", interrupted)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):

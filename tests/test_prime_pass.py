@@ -24,12 +24,6 @@ from mflab.primes import sieve_primes
 SEGMENT = 2**20
 
 
-def _with_cpus(monkeypatch, count):
-    """Make the prime pass see ``count`` CPUs, so it starts that many workers
-    (none for one)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 def _routes(P):
     """One command per prime route: criterion, the prime sum (its defect cut
     past the first segment when P allows), a misaligned euler row, thm1 and
@@ -67,14 +61,15 @@ def spec_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
-def test_every_prime_route_has_the_same_bytes_at_any_number_of_workers(spec_dir, monkeypatch):
+def test_every_prime_route_has_the_same_bytes_at_any_number_of_workers(spec_dir, monkeypatch,
+                                                                        with_cpus):
     # four stripes, the last of one number; W = 3 deals them unevenly
     P = 3 * SEGMENT + 1
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     want = None
     for count in (1, 2, 3):
-        _with_cpus(monkeypatch, count)
+        with_cpus(count)
         forks.clear()
         got = _outputs(P, spec_dir)
         assert len(forks) == (0 if count == 1 else count * len(got)), count
@@ -91,7 +86,7 @@ def test_every_prime_route_has_the_same_bytes_at_any_chunking(chunk, spec_dir, m
     assert _outputs(2**17, spec_dir) == want
 
 
-def test_checkpoints_on_stripe_edges_take_the_same_bits_in_workers(monkeypatch):
+def test_checkpoints_on_stripe_edges_take_the_same_bits_in_workers(with_cpus):
     # checkpoints on stripe edges and one each side of one, and one past the
     # last prime of a stripe: the workers take none of them, this process
     # takes each in key order
@@ -99,7 +94,7 @@ def test_checkpoints_on_stripe_edges_take_the_same_bits_in_workers(monkeypatch):
     cps = [10, SEGMENT - 1, SEGMENT, SEGMENT + 1, 2 * SEGMENT, 3 * SEGMENT, P]
 
     def partials():
-        summer = StreamSummer(cps, PRIME_BLOCK)
+        summer = StreamSummer(cps)
 
         def chunk(ps):
             summer.feed(np.sin(ps) / ps, ps)
@@ -111,7 +106,7 @@ def test_checkpoints_on_stripe_edges_take_the_same_bits_in_workers(monkeypatch):
 
     results = []
     for count in (1, 2, 3):
-        _with_cpus(monkeypatch, count)
+        with_cpus(count)
         results.append(partials())
     assert results[1] == results[0] and results[2] == results[0]
     extras, bits = results[0]
@@ -124,7 +119,7 @@ def test_checkpoints_on_stripe_edges_take_the_same_bits_in_workers(monkeypatch):
         assert v.imag == 0.0 and abs(v.real - exact) <= 1e-15, cp
 
 
-def test_open_blocks_stay_within_the_primes_below_2_to_16(monkeypatch):
+def test_open_blocks_stay_within_the_primes_below_2_to_16(monkeypatch, with_cpus):
     # the memory statement of cli.SIGMA_GRID_CEILING and the README: a prime
     # sum's open block holds at most the primes of one 2^16 interval, the
     # fullest of which below 2^32 is the first (6,542 primes; checked by a
@@ -132,7 +127,7 @@ def test_open_blocks_stay_within_the_primes_below_2_to_16(monkeypatch):
     # primes below 2^16 exactly, so one tail there holds the whole bound
     bound = sieve_primes(PRIME_BLOCK).size
     assert bound == 6542
-    _with_cpus(monkeypatch, 1)
+    with_cpus(1)
     widest, feed = [0], StreamSummer.feed
 
     def watched(self, vals, keys):
@@ -166,9 +161,9 @@ def _too_large_in_later_stripes():
 
 @pytest.mark.parametrize("count", [1, 2])
 def test_criterion_names_the_first_prime_of_the_most_negative_term(count, tmp_path, capsys,
-                                                                  monkeypatch):
+                                                                  monkeypatch, with_cpus):
     f, bad = _too_large_in_later_stripes()
-    _with_cpus(monkeypatch, count)
+    with_cpus(count)
     monkeypatch.setattr(multfun, "parse_function_spec", lambda spec: f)
     out = tmp_path / "c.txt"
     assert main(["criterion", "--function", "x", "--prime-cutoff", str(3 * SEGMENT + 1),
@@ -180,9 +175,9 @@ def test_criterion_names_the_first_prime_of_the_most_negative_term(count, tmp_pa
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_prime_worker_error_is_raised_here_with_its_class(monkeypatch):
+def test_a_prime_worker_error_is_raised_here_with_its_class(with_cpus):
     # a vanishing Euler factor in the second stripe: f(p) = p^s there
-    _with_cpus(monkeypatch, 2)
+    with_cpus(2)
     ps = sieve_primes(SEGMENT + 100)
     p0 = int(ps[ps > SEGMENT][0])
 
@@ -196,7 +191,7 @@ def test_a_prime_worker_error_is_raised_here_with_its_class(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_an_interrupt_kills_and_reaps_every_prime_worker(monkeypatch):
+def test_an_interrupt_kills_and_reaps_every_prime_worker(monkeypatch, with_cpus):
     # the first stripe arrives, then this process is interrupted while the
     # other worker hangs in its first stripe, the second of the pass
     def powers(ps, k):
@@ -212,7 +207,7 @@ def test_an_interrupt_kills_and_reaps_every_prime_worker(monkeypatch):
             raise KeyboardInterrupt
         return receive(pipe)
 
-    _with_cpus(monkeypatch, 2)
+    with_cpus(2)
     monkeypatch.setattr(workers, "_receive", interrupted)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
@@ -222,13 +217,13 @@ def test_an_interrupt_kills_and_reaps_every_prime_worker(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_domain_error_raised_by_a_prime_worker_keeps_its_class(monkeypatch):
+def test_a_domain_error_raised_by_a_prime_worker_keeps_its_class(with_cpus):
     def powers(ps, k):
         if (ps > SEGMENT).any():
             raise DomainError("no value past 2^20")
         return np.ones(ps.shape)
 
-    _with_cpus(monkeypatch, 2)
+    with_cpus(2)
     with pytest.raises(DomainError, match="^no value past 2\\^20$"):
         log_F(MultiplicativeFunction("refuses", powers), [2.0], TruncationPlan(3 * SEGMENT))
     with pytest.raises(ChildProcessError):
@@ -237,14 +232,14 @@ def test_a_domain_error_raised_by_a_prime_worker_keeps_its_class(monkeypatch):
 
 @pytest.mark.slow
 def test_north_star_prime_routes_have_the_same_bytes_at_one_and_two_workers(spec_dir,
-                                                                          monkeypatch):
+                                                                          with_cpus):
     # criterion and extremal-verify of the reference construction at P = 10^8:
     # 96 stripes; about 2 s on 2 CPUs
     argvs = [["criterion", "--function", "extremal-ref", "--prime-cutoff", str(10**8)],
              ["extremal-verify", "spec.json", "--cutoff", str(10**8)]]
     outputs = []
     for count in (1, 2):
-        _with_cpus(monkeypatch, count)
+        with_cpus(count)
         for i, argv in enumerate(argvs):
             assert main([*argv, "--out", f"{count}-{i}.out"]) == 0
         outputs.append([(spec_dir / f"{count}-{i}.out").read_bytes() for i in range(len(argvs))])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mflab.errors import CapacityError, EmptyRangeError
-from mflab.multfun import PRIME_BLOCK, StreamSummer
+from mflab.multfun import StreamSummer
 from mflab.primes import (
     MERTENS_CONSTANT,
     PRIME_LIMIT_CEILING,
@@ -82,9 +82,9 @@ def test_prime_chunks_are_the_segments_of_a_plain_sieve_cut_in_blocks(limit):
 
 def test_prime_chunks_check_the_limit_before_sieving():
     with pytest.raises(CapacityError):
-        prime_chunks(2**32 + 1)
+        next(prime_chunks(2**32 + 1))
     with pytest.raises(EmptyRangeError):
-        prime_chunks(1)
+        next(prime_chunks(1))
 
 
 def test_sieve_invariants():
@@ -105,7 +105,7 @@ def test_sieve_errors():
 
 def reciprocal_sum(x: int) -> float:
     """Mertens sum sum_{p<=x} 1/p, streamed over prime_chunks in ascending order."""
-    summer = StreamSummer(width=PRIME_BLOCK)
+    summer = StreamSummer()
     for ps in prime_chunks(x):
         summer.feed(1.0 / ps, ps)
     return summer.close().real
@@ -118,7 +118,7 @@ def test_reciprocal_sum_examples():
     assert abs(reciprocal_sum(10**6) - expected) < 0.01
     # three chunks: the streamed sum has the bits of one feed of the table
     limit = 3 * 2**20
-    whole = StreamSummer(width=PRIME_BLOCK)
+    whole = StreamSummer()
     whole.feed(1.0 / (ps := sieve_primes(limit)), ps)
     assert reciprocal_sum(limit) == whole.close().real
 
@@ -151,7 +151,7 @@ def test_partials_at_prime_cutoffs_do_not_depend_on_chunking():
     ])
 
     def partials(edges):
-        summer = StreamSummer(cuts, PRIME_BLOCK)
+        summer = StreamSummer(cuts)
         for a, b in zip(edges, edges[1:]):
             summer.feed(terms[a:b], ps[a:b])
         total = summer.close()
