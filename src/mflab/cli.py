@@ -106,7 +106,7 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _cmd_sum(args) -> int:
+def _cmd_sum(args) -> None:
     from . import multfun
 
     f = multfun.parse_function_spec(args.function)
@@ -115,7 +115,6 @@ def _cmd_sum(args) -> int:
     rows = [[int(x), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
             for x, v in zip(trace.xs, map(complex, trace.values))]
     _write_rows(args.out, _provenance(args), ["x", "re_S", "im_S", "abs_S"], rows)
-    return 0
 
 
 def _plan(args):
@@ -126,7 +125,7 @@ def _plan(args):
     return TruncationPlan(P, min(args.exact_cutoff, P))
 
 
-def _cmd_eval_f(args) -> int:
+def _cmd_eval_f(args) -> None:
     from . import dirichlet, multfun
 
     f = multfun.parse_function_spec(args.function)
@@ -143,19 +142,17 @@ def _cmd_eval_f(args) -> int:
              _fmt(abs(r.value)), _fmt(r.error_bound), r.method] for sg, r in zip(grid, results)]
     _write_rows(args.out, _provenance(args),
                 ["sigma", "t", "re", "im", "abs", "err", "method"], rows)
-    return 0
 
 
-def _cmd_criterion(args) -> int:
+def _cmd_criterion(args) -> None:
     from . import halasz, multfun
 
     f = multfun.parse_function_spec(args.function)
     rep = halasz.criterion_report(f, args.t, args.prime_cutoff, K=args.kmax)
     _write(args.out, _provenance(args), rep.text() + "\n")
-    return 0
 
 
-def _cmd_lemma(args) -> int:
+def _cmd_lemma(args) -> None:
     from . import halasz, multfun
     from .dirichlet import ComplexPoint
 
@@ -167,10 +164,9 @@ def _cmd_lemma(args) -> int:
     rows = [[_fmt(sg), _fmt(args.t), _fmt(abs(r.value)), _fmt(halasz.lemma_ratio(sg, r.value)),
              _fmt(r.error_bound)] for sg, r in zip(grid, results)]
     _write_rows(args.out, _provenance(args), ["sigma", "t", "abs_D", "ratio", "err"], rows)
-    return 0
 
 
-def _cmd_thm1(args) -> int:
+def _cmd_thm1(args) -> None:
     from . import halasz, multfun
 
     f = multfun.parse_function_spec(args.function)
@@ -181,10 +177,9 @@ def _cmd_thm1(args) -> int:
              _fmt(float("nan") if p.ratio is None else p.ratio)]
             for p in halasz.theorem1_ratio(f, direction, grid, plan)]
     _write_rows(args.out, _provenance(args), ["sigma", "t0", "abs_F", "err_F", "ratio"], rows)
-    return 0
 
 
-def _cmd_thm2(args) -> int:
+def _cmd_thm2(args) -> None:
     from . import halasz, multfun
 
     if args.limit < 16:
@@ -194,104 +189,79 @@ def _cmd_thm2(args) -> int:
     pts = halasz.theorem2_ratio(trace, args.c)
     rows = [[int(p.x), _fmt(p.abs_S), _fmt(p.ratio)] for p in pts]
     _write_rows(args.out, _provenance(args), ["x", "abs_S", "ratio"], rows)
-    return 0
 
 
-def _cmd_extremal_build(args) -> int:
+def _cmd_extremal_build(args) -> None:
     from . import extremal
 
     spec = extremal.build_spec(args.kappa, x1=args.x1, J=args.J, C0=args.C0)
     _write(args.out, None, extremal.spec_json(spec))  # JSON alone: load_spec reads it back
-    return 0
 
 
-def _cmd_extremal_verify(args) -> int:
+def _cmd_extremal_verify(args) -> None:
     from . import extremal
 
     spec = extremal.load_spec(args.specfile)
     psum, windows = extremal.verify(spec, args.cutoff, None if args.block is None else [args.block])
     _write(args.out, _provenance(args), "\n\n".join(r.text() for r in (psum, *windows)) + "\n")
-    return 0
+
+
+# Each flag's argparse keywords, once; a command names the flags it takes.
+_FLAGS = {
+    "--function": {"required": True},
+    "--limit": {"type": int, "required": True},
+    "--grid": {},
+    "--segment-size": {"type": _positive_int, "default": 1 << 18},
+    "--sigma": {"required": True, "help": "start:end:count"},
+    "--t": {"type": _finite_float, "default": 0.0},
+    "--method": {"choices": ["truncated", "euler", "prime-sum"], "default": "truncated"},
+    "--epsilon": {"type": int, "choices": [-1, 1], "required": True},
+    "--t0": {"type": _finite_float, "default": 0.0},
+    "--series-cutoff": {"type": int, "default": 100_000},
+    "--prime-cutoff": {"type": int, "default": 100_000},
+    "--exact-cutoff": {"type": int, "default": 10_000},
+    "--kmax": {"type": _positive_int, "default": 20},
+    "--c": {"type": _nonnegative_float, "default": 1.0},
+    "--kappa": {"required": True, "help": "const:<c> | power:<e> | loglog-fraction:<c>"},
+    "--x1": {"type": _finite_float, "default": 20.0},
+    "--J": {"type": int, "default": 3},
+    "--C0": {"type": _nonnegative_float, "default": 1.0},
+    "specfile": {},
+    "--cutoff": {"type": int, "default": 100_000},
+    "--block": {"type": _positive_int},
+    "--out": {"required": True},
+}
+
+# command: (help, handler, its flags in order, its own keywords for a flag)
+_COMMANDS = {
+    "sum": ("summatory trace CSV", _cmd_sum,
+            "--function --limit --grid --segment-size --out", {}),
+    "eval-f": ("F(s) grid CSV", _cmd_eval_f,
+               "--function --sigma --t --method --epsilon --t0 --series-cutoff --prime-cutoff"
+               " --exact-cutoff --out", {"--epsilon": {"required": False, "default": 1}}),
+    "criterion": ("mean-value criterion report", _cmd_criterion,
+                  "--function --t --prime-cutoff --kmax --out",
+                  {"--prime-cutoff": {"default": 1_000_000}, "--out": {"required": False}}),
+    "lemma": ("defect grid CSV", _cmd_lemma,
+              "--function --epsilon --t0 --sigma --t --prime-cutoff --out", {}),
+    "thm1": ("pole/zero ratio grid CSV", _cmd_thm1,
+             "--function --epsilon --t0 --sigma --prime-cutoff --exact-cutoff --out", {}),
+    "thm2": ("summatory decay ratio CSV", _cmd_thm2, "--function --limit --c --grid --out", {}),
+    "extremal-build": ("construct an extremal spec JSON", _cmd_extremal_build,
+                       "--kappa --x1 --J --C0 --out", {}),
+    "extremal-verify": ("verify an extremal spec", _cmd_extremal_verify,
+                        "specfile --cutoff --block --out", {"--out": {"required": False}}),
+}
 
 
 def build_parser() -> _Parser:
     ap = _Parser(prog="mflab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sum", help="summatory trace CSV")
-    p.add_argument("--function", required=True)
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--grid", default=None)
-    p.add_argument("--segment-size", type=_positive_int, default=1 << 18)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_sum)
-
-    p = sub.add_parser("eval-f", help="F(s) grid CSV")
-    p.add_argument("--function", required=True)
-    p.add_argument("--sigma", required=True, help="start:end:count")
-    p.add_argument("--t", type=_finite_float, default=0.0)
-    p.add_argument("--method", choices=["truncated", "euler", "prime-sum"],
-                   default="truncated")
-    p.add_argument("--epsilon", type=int, choices=[-1, 1], default=1)
-    p.add_argument("--t0", type=_finite_float, default=0.0)
-    p.add_argument("--series-cutoff", type=int, default=100_000)
-    p.add_argument("--prime-cutoff", type=int, default=100_000)
-    p.add_argument("--exact-cutoff", type=int, default=10_000)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_eval_f)
-
-    p = sub.add_parser("criterion", help="mean-value criterion report")
-    p.add_argument("--function", required=True)
-    p.add_argument("--t", type=_finite_float, default=0.0)
-    p.add_argument("--prime-cutoff", type=int, default=1_000_000)
-    p.add_argument("--kmax", type=_positive_int, default=20)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_criterion)
-
-    p = sub.add_parser("lemma", help="defect grid CSV")
-    p.add_argument("--function", required=True)
-    p.add_argument("--epsilon", type=int, choices=[-1, 1], required=True)
-    p.add_argument("--t0", type=_finite_float, default=0.0)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--t", type=_finite_float, default=0.0)
-    p.add_argument("--prime-cutoff", type=int, default=100_000)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_lemma)
-
-    p = sub.add_parser("thm1", help="pole/zero ratio grid CSV")
-    p.add_argument("--function", required=True)
-    p.add_argument("--epsilon", type=int, choices=[-1, 1], required=True)
-    p.add_argument("--t0", type=_finite_float, default=0.0)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--prime-cutoff", type=int, default=100_000)
-    p.add_argument("--exact-cutoff", type=int, default=10_000)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_thm1)
-
-    p = sub.add_parser("thm2", help="summatory decay ratio CSV")
-    p.add_argument("--function", required=True)
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--c", type=_nonnegative_float, default=1.0)
-    p.add_argument("--grid", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_thm2)
-
-    p = sub.add_parser("extremal-build", help="construct an extremal spec JSON")
-    p.add_argument("--kappa", required=True,
-                   help="const:<c> | power:<e> | loglog-fraction:<c>")
-    p.add_argument("--x1", type=_finite_float, default=20.0)
-    p.add_argument("--J", type=int, default=3)
-    p.add_argument("--C0", type=_nonnegative_float, default=1.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_extremal_build)
-
-    p = sub.add_parser("extremal-verify", help="verify an extremal spec")
-    p.add_argument("specfile")
-    p.add_argument("--cutoff", type=int, default=100_000)
-    p.add_argument("--block", type=_positive_int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_extremal_verify)
-
+    for name, (help_, fn, flags, own) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flag in flags.split():
+            p.add_argument(flag, **{**_FLAGS[flag], **own.get(flag, {})})
+        p.set_defaults(fn=fn)
     return ap
 
 
@@ -303,7 +273,8 @@ def main(argv: list[str] | None = None) -> int:
             from .multfun import check_height
             for t in (getattr(args, "t", 0.0), getattr(args, "t0", 0.0)):
                 check_height(t)
-        return args.fn(args)
+        args.fn(args)
+        return 0
     except (MFLabError, OSError) as e:  # OSError: an output path that cannot be written
         kind = getattr(e, "kind", "usage")
         sys.stderr.write(f"error:{kind}:{e}\n")

@@ -471,13 +471,18 @@ def log_F(
     The defect sums log factor_p - f(p) p^{-s} over p <= C (p = 2 always in
     it; a vanishing factor raises SingularFactorError), with the tail 3.75
     C^{1-2 sigma}/(2 sigma - 1).  P above the sieve's ceiling, then a
-    twist's T folded into t0 above the height ceiling (residual_reach), are
-    refused before any zeta work or sieving.
+    twist's T folded into t0 (residual_reach), then, for the prime sum, into
+    each point's t, above the height ceiling are refused before any zeta
+    work or sieving.  An aligned direction folds t0 to 0.0 (no rule declares
+    a reach elsewhere), so there a point's folded height is |t - t0|, which
+    prime_zeta refuses first, at the identity's limit of at most 5e7.
     """
     pts = [as_point(s) for s in points]
     P, C = check_limit(plan.prime_cutoff), plan.exact_factor_cutoff
     reach = P if direction is None else residual_reach(f, direction, P)
     if reach >= P:
+        for pt in pts:
+            fold(f, pt.t)
         pairs = prime_sums(
             f, pts, pts, lambda ps: (ps, f.prime_values(ps), np.log(ps.astype(np.float64))), P, C)
         return [EvalResult(total + delta, (("prime-tail", tail_bound(P, pt.sigma)),

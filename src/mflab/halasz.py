@@ -37,7 +37,7 @@ from .dirichlet import (
 )
 from .errors import CapacityError, DomainError
 from .multfun import (GRID_STEP_CEILING, MultiplicativeFunction, PartialSums, StreamSummer,
-                      fold, two_adic_failures)
+                      fold, resolve_checkpoints, two_adic_failures)
 from .primes import check_limit
 from .workers import prime_pass
 
@@ -57,10 +57,7 @@ def pole_sum(
     """
     fold(f, direction.t0)
     check_limit(P)
-    cuts = [10]
-    while cuts[-1] < P:
-        cuts.append(cuts[-1] * 10)
-    cuts[-1] = P
+    cuts = resolve_checkpoints("geometric:10", P)
     summer = StreamSummer(cuts)
 
     def chunk(ps: np.ndarray) -> tuple[float, int]:  # the chunk's most negative term, first

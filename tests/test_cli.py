@@ -705,6 +705,11 @@ NESTED_HEIGHT = 72379375.9
      "--series-cutoff", "1000"],
     ["lemma", "--epsilon", "-1", "--t0", str(NESTED_HEIGHT), "--sigma", "1.1:1.2:2",
      "--prime-cutoff", "1000"],
+    # no direction, and the default (1, 0), which is misaligned: both take the prime sum
+    ["eval-f", "--method", "prime-sum", "--t", str(NESTED_HEIGHT), "--sigma", "1.1:1.5:2",
+     "--prime-cutoff", "1000"],
+    ["eval-f", "--method", "euler", "--t", str(NESTED_HEIGHT), "--sigma", "1.1:1.5:2",
+     "--prime-cutoff", "1000"],
 ])
 def test_a_direction_is_refused_at_the_height_its_route_computes(argv, tmp_path, capsys,
                                                                  monkeypatch):
@@ -854,6 +859,31 @@ def test_provenance_names_every_flag(tmp_path):
                  for a in sub.choices[name]._actions} - {"-h", "--out"}
         named = re.findall(r" (--[a-z0-9-]+)=", first)
         assert named == sorted(named) and set(named) == flags, name
+
+
+# The only flags whose keywords differ between the commands that take them
+OWN_KEYWORDS = {
+    ("criterion", "--prime-cutoff"): {"default": 1_000_000},
+    ("eval-f", "--epsilon"): {"default": 1, "required": False},
+    ("criterion", "--out"): {"default": None, "required": False},
+    ("extremal-verify", "--out"): {"default": None, "required": False},
+}
+
+
+def test_each_flag_takes_the_same_keywords_on_every_command():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    taken = {}  # flag: {command: its keywords there}
+    for name, parser in sub.choices.items():
+        for a in parser._actions:
+            if not isinstance(a, argparse._HelpAction):
+                flag = a.option_strings[0] if a.option_strings else a.dest
+                taken.setdefault(flag, {})[name] = {
+                    k: getattr(a, k) for k in ("type", "choices", "help", "default", "required")}
+    assert len(taken) == 22  # 21 flags and the specfile positional
+    for flag, by in taken.items():
+        plain = [kw for name, kw in by.items() if (name, flag) not in OWN_KEYWORDS]
+        for name, kw in by.items():
+            assert kw == {**plain[0], **OWN_KEYWORDS.get((name, flag), {})}, (name, flag)
 
 
 _LOADED_AFTER_EACH = """
