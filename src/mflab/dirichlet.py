@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, SingularFactorError
 from .multfun import (SUMMATORY_LIMIT_CEILING, ZETA_HEIGHT_CEILING, MultiplicativeFunction,
-                      StreamSummer, builtin, fold, kernel_base, segment_values, unit_power)
+                      StreamSummer, builtin, fold, kernel_base, segment_values,
+                      summation_error, unit_power)
 from .primes import check_limit
 from .workers import prime_pass, series_pass
 
@@ -48,8 +49,8 @@ _B6_6F = 1.0 / 30240.0
 _DEFECT_COEFF = 3.75
 # Local-factor series terms are summed while their tail may exceed this.
 _FACTOR_TAIL_TOL = 1e-14
-# zeta's head sum and F_truncated work in blocks of this many terms.  A
-# StreamSummer has the same bits at any split, so this only bounds the
+# zeta's head sum and F_truncated form their terms in blocks of this many.
+# A StreamSummer's sum is exact and order-free, so this only bounds the
 # size of their temporaries.
 _BLOCK = 1 << 14
 
@@ -223,7 +224,8 @@ def zeta(s, tol: float = 1e-10) -> EvalResult:
         + _B4_4F * sc * (sc + 1) * (sc + 2) * np.exp((-sc - 3) * lnN)
     )
     return EvalResult(value, (("remainder", rem_bound(N)),
-                              ("rounding", 1e-15 * (1.0 + abs(value)) * log(N))), "euler-maclaurin")
+                              ("rounding", 1e-15 * (1.0 + abs(value)) * log(N)),
+                              ("summation", summation_error(head, N))), "euler-maclaurin")
 
 
 def log_zeta(s, tol: float = 1e-10) -> EvalResult:
@@ -291,8 +293,8 @@ def F_truncated(
 ) -> list[EvalResult]:
     """sum_{n<=N} f(n) n^{-s} at each point, with the integral-comparison
     tail bound N^{1-sigma}/(sigma-1).  f(n) is computed once per segment of
-    2^18 numbers, log n per block of 2^14; each point has its own compensated summer, since
-    a plain running sum would round away terms below half an ulp of it.
+    2^18 numbers, log n per block of 2^14; each point has its own StreamSummer, whose
+    rounding is the "summation" part.
     The series is summatory_trace's pass over n (workers.series_pass), split
     across the CPUs, so N has the same ceiling, checked before any sieving,
     and N >= 2.  A twist's T is folded into each point: F_twist(s) =
@@ -313,7 +315,8 @@ def F_truncated(
                 summers[i].feed(term, lo + j)
 
     series_pass(kernel_base(f, N), summers, 1 << 18, chunk)
-    return [EvalResult(summer.close(), (("series-tail", tail_bound(N, pt.sigma)),),
+    return [EvalResult(total := summer.close(), (("series-tail", tail_bound(N, pt.sigma)),
+                                                 ("summation", summation_error(total, N))),
                        "truncated-series") for pt, summer in zip(pts, summers)]
 
 
@@ -467,6 +470,9 @@ def log_F(
 
     Otherwise ("prime-sum"): sum_{p<=P} f(p) p^{-s} + defect, with the
     unconditional parts "prime-tail" P^{1-sigma}/(sigma-1) and "defect-tail".
+    Either has a "summation" part for its two sums, of at most P and C
+    terms: P, not the reach, so that it does not depend on where f declares
+    its terms to end.
 
     The defect sums log factor_p - f(p) p^{-s} over p <= C (p = 2 always in
     it; a vanishing factor raises SingularFactorError), with the tail 3.75
@@ -486,12 +492,15 @@ def log_F(
         pairs = prime_sums(
             f, pts, pts, lambda ps: (ps, f.prime_values(ps), np.log(ps.astype(np.float64))), P, C)
         return [EvalResult(total + delta, (("prime-tail", tail_bound(P, pt.sigma)),
-                                           ("defect-tail", _defect_tail(pt, C))), "prime-sum")
+                                           ("defect-tail", _defect_tail(pt, C)),
+                                           ("summation", summation_error(total, P)
+                                            + summation_error(delta, C))), "prime-sum")
                 for pt, (total, delta) in zip(pts, pairs)]
     ws = [ComplexPoint(pt.sigma, pt.t - direction.t0) for pt in pts]
     pzs = [prime_zeta(w) for w in ws]
     pairs = prime_sums(f, pts, ws, residual_terms(f, direction), max(2, C, reach), C)
     return [EvalResult(direction.epsilon0 * (residual - pz.value) + delta,
-                       (("prime-zeta", pz.error_bound), ("defect-tail", _defect_tail(pt, C))),
-                       "euler-product")
+                       (("prime-zeta", pz.error_bound), ("defect-tail", _defect_tail(pt, C)),
+                        ("summation", summation_error(residual, P)
+                         + summation_error(delta, C))), "euler-product")
             for pt, pz, (residual, delta) in zip(pts, pzs, pairs)]

@@ -245,7 +245,9 @@ def load_spec(path: str) -> ExtremalSpec:
     malformed (J not a JSON integer, another number not a JSON number), or
     holds a non-finite number, a J other than its number of blocks, blocks
     out of order (not log x_j < log upper_j <= log x_{j+1}), an x_j < 16 (as
-    choose_blocks requires), an a_j < 0 or a C0 < 0."""
+    choose_blocks requires), an a_j < 0, a C0 < 0, or a sum of a_j^2 above
+    A_SQ_BUDGET (as choose_blocks refuses; it bounds theta_p^2/p, which
+    verify sums, by 3.62)."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -272,6 +274,8 @@ def load_spec(path: str) -> ExtremalSpec:
         problem = "an amplitude a_j < 0"
     elif spec.C0 < 0:
         problem = f"C0 = {spec.C0!r} < 0"
+    elif spec.sum_a_sq() > A_SQ_BUDGET:
+        problem = f"sum of a_j^2 = {spec.sum_a_sq()!r} exceeds budget {A_SQ_BUDGET}"
     else:
         return spec
     raise FunctionSpecError(f"bad extremal spec {path!r}: {problem}")

@@ -37,7 +37,7 @@ from .dirichlet import (
 )
 from .errors import CapacityError, DomainError
 from .multfun import (GRID_STEP_CEILING, MultiplicativeFunction, PartialSums, StreamSummer,
-                      fold, resolve_checkpoints, two_adic_failures)
+                      fold, resolve_checkpoints, summation_error, two_adic_failures)
 from .primes import check_limit
 from .workers import prime_pass
 
@@ -93,9 +93,10 @@ def lemma_defect(
     where the bracket comes from the Moebius/log-zeta identity.  The value
     is then accurate near sigma = 1 whenever f is aligned with the
     direction; the bound still carries the unconditional part
-    "residual-tail" 2 P^{1-sigma}/(sigma-1) beside the "bracket".  A
-    twist's T is folded into t0; t0 + T above the height ceiling, then P
-    above the sieve's, are refused before any zeta work or sieving.
+    "residual-tail" 2 P^{1-sigma}/(sigma-1) beside the "bracket" and the
+    residual sum's "summation".  A twist's T is folded into t0; t0 + T
+    above the height ceiling, then P above the sieve's, are refused before
+    any zeta work or sieving.
     """
     pts = [as_point(s) for s in points]
     if any(pt.sigma - 1.0 > 1.0 / np.e + 1e-12 for pt in pts):
@@ -106,7 +107,8 @@ def lemma_defect(
     pairs = prime_sums(f, pts, ws, residual_terms(f, direction), limit, 1)  # no defect: C = 1
     return [EvalResult(bracket.value + residual,
                        (("bracket", bracket.error_bound),
-                        ("residual-tail", 2.0 * tail_bound(prime_cutoff, pt.sigma))),
+                        ("residual-tail", 2.0 * tail_bound(prime_cutoff, pt.sigma)),
+                        ("summation", summation_error(residual, prime_cutoff))),
                        "lemma-defect")
             for pt, bracket, (residual, _) in zip(pts, brackets, pairs)]
 

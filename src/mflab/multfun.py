@@ -10,24 +10,22 @@ int8, exact while f is -1, 0 or 1, else complex128; a twist f(n) n^{-it}
 takes its base's rung times one unit per n.  It is the one route to f(n);
 tests check it against trial division.
 
-Summation is order-deterministic (StreamSummer): values are grouped into
-blocks aligned to absolute keys (positions n at multiples of 4096, primes p
-at multiples of 2^16) and cut at checkpoints, each block is np.sum'ed (int8
-blocks as exact integers), and block sums enter a compensated accumulator
-in ascending order.  Each f(n) is the same
-sequence of products at any segment size (see _times), so reruns are
+Summation is exact and order-free (StreamSummer): each float64 component,
+at most B in modulus, is rounded to a multiple of 2^-80 B and summed in
+fixed point (int8 values as integers), and each checkpoint is one correctly
+rounded division; summation_error bounds what both drop.  Each f(n) is the
+same sequence of products at any segment size (see _times), so reruns are
 byte-identical, and every rule and twist gives bit-identical checkpoints at
 every segment size.  summatory_trace runs the kernel in forked workers over
-stripes of whole blocks and adds their block sums in order, so the bits do
-not depend on the number of workers either.
+stripes of n and adds their exact sums, so the bits do not depend on the
+number of workers either.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from itertools import takewhile, zip_longest
-from math import ceil, isfinite, isqrt, log
+from math import ceil, isfinite, isqrt, log, ulp
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -43,9 +41,18 @@ GRID_STEP_CEILING = 10**5  # geometric steps, each one checkpoint before duplica
 # Largest height |t| a caller may give (--t, --t0, a twist's t), and zeta's
 # (see dirichlet.zeta): the phase t log n loses a digit per decade of |t|.
 ZETA_HEIGHT_CEILING = 1e8
-_SUM_BLOCK = 4096  # StreamSummer block width in n
-PRIME_BLOCK = 1 << 16  # and in p; a divisor of the 2^20 of a sieve segment
-_SUB_BLOCK = 1 << 13  # entries per elementwise step of segment_values
+# The summation bound: every float64 component a StreamSummer takes lies
+# within [-B, B].  Class M gives |value| <= 1 for traces, series and prime-sum
+# terms; the largest value summed is theta_p^2/p <= 3.62 in extremal.verify,
+# and B = 8 leaves room for a standard normal sample, as in the tests.
+B = 8.0
+_C1 = 1.5 * 2.0**12 * B  # (x + _C1) - _C1 rounds x to a multiple of 2^-40 B
+_C2 = 1.5 * 2.0**-28 * B  # and the rest to a multiple of 2^-80 B
+_HI, _LO = 2.0**40 / B, 2.0**80 / B  # those multiples to integers
+_ONE = int(_LO)  # units of 2^-80 B in 1
+_GROUP = 1 << 11  # multiples summed in float64 at a time, exactly
+_SUB_BLOCK = 1 << 13  # entries per elementwise step of segment_values and _fixed_sum
+_GROUPS = np.arange(0, _SUB_BLOCK, _GROUP)  # the first value of each group of a step
 
 
 class MultiplicativeFunction(NamedTuple):
@@ -366,123 +373,104 @@ def _value_segments(
             lo += n
 
 
-class _Neumaier:
-    """Compensated scalar accumulator (Kahan-Babuska)."""
+def _fixed_sum(vals: np.ndarray) -> tuple[int, int]:
+    """The sums of the real and imaginary parts of ``vals``, in units of
+    2^-80 B: exact for int8, else of each component x rounded to a multiple
+    of the unit, which drops at most 2^-81 B.  x splits exactly as q1 =
+    (x + C1) - C1, a multiple of 2^-40 B, and q2 = ((x - q1) + C2) - C2;
+    any 2^11 of either sum exactly in float64, in any order (Rump, Ogita &
+    Oishi, SIAM J. Sci. Comput. 31(1), 2008).  A component above B in
+    modulus, or a NaN, is refused."""
+    if vals.dtype == np.int8:
+        return int(np.add.reduce(vals, dtype=np.int64)) * _ONE, 0
+    kind = np.complex128 if vals.dtype.kind == "c" else np.float64
+    re = im = 0
+    for a in range(0, vals.size, _SUB_BLOCK):  # no temporary spans a segment
+        x = np.ascontiguousarray(vals[a : a + _SUB_BLOCK], dtype=kind).view(np.float64)
+        if not (np.minimum.reduce(x) >= -B and np.maximum.reduce(x) <= B):  # false for a NaN
+            bad = x[~(np.abs(x) <= B)][0]
+            raise DomainError(f"summand component {bad!r} exceeds the summation bound {B!r}")
+        q = x + _C1
+        q -= _C1
+        r = np.subtract(x, q)
+        r += _C2
+        r -= _C2
+        q, r = q.view(kind), r.view(kind)
+        groups = _GROUPS[: -(-q.size // _GROUP)]  # any 2^11 multiples sum exactly
+        for h, l in zip(np.add.reduceat(q, groups).tolist(), np.add.reduceat(r, groups).tolist()):
+            re += (int(h.real * _HI) << 40) + int(l.real * _LO)
+            im += (int(h.imag * _HI) << 40) + int(l.imag * _LO)
+    return re, im
 
-    __slots__ = ("s", "c")
 
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    def total(self) -> float:
-        return self.s + self.c
+def summation_error(total: complex, count: int) -> float:
+    """The summation part of the error of a StreamSummer total of at most
+    ``count`` values: each float64 component of a value drops at most
+    2^-81 B, and each component of the total rounds by half an ulp."""
+    return count * 2.0**-80 * B + 0.5 * (ulp(total.real) + ulp(total.imag))
 
 
 class StreamSummer:
-    """Order-deterministic streaming sum with checkpoint snapshots: the one
-    ordered sum of mflab, over n and over primes alike.
+    """Exact, order-free streaming sum with checkpoint snapshots: the one
+    sum of mflab, over n and over primes alike.
 
-    Every value comes with a key, and keys ascend: n for a trace or a
-    series, fed as the int key of consecutive n, and p for a prime sum, fed
-    as an array.  Blocks are cut where the key passes a multiple of 4096 for
-    n, of PRIME_BLOCK for p, and at the checkpoints; each block is np.sum'ed
-    (int8 blocks as exact integers) and the block sums enter a compensated
-    accumulator in key order.  So a sum
-    and its checkpoints have bits that depend only on the keys and values
-    fed: not on the feed chunking, on which keys a caller leaves out, or on
-    which process summed a block (see mflab.workers).  Between feeds only
-    the open block is kept: for n under 4096 values, for p at most the 6,542
-    primes below 2^16, the fullest 2^16 interval below PRIME_LIMIT_CEILING.
-
-    ``checkpoints`` are ascending cutoffs on the key.  A checkpoint takes
-    the sum of the values whose key is at most it; one still open when the
-    stream closes takes the total.  In a worker ``rows`` is an array("d"),
-    and each block's (real sum, imaginary sum, first key) goes there instead
-    of into the total; keys below 2^53 are exact in it.
+    Every value comes with a key: n for a trace or a series, fed as the int
+    key of consecutive n, and p for a prime sum, fed as an ascending array.
+    ``checkpoints`` are ascending cutoffs on the key, and checkpoint i takes
+    the sum of the values whose key is at most it.  Every component of a
+    value lies within [-B, B]; each is summed in fixed point (_fixed_sum),
+    and ``parts`` maps interval i, the keys in (checkpoint i - 1,
+    checkpoint i], to the exact (real, imaginary) sum of its values, in
+    units of 2^-80 B.  So a sum and its checkpoints depend only on the keys
+    and values fed: not on the order, the chunking or which process fed
+    them (see mflab.workers, which adds a worker's ``parts`` with ``add``).
+    close() rounds each sum once; summation_error bounds what that and the
+    fixed point drop.
     """
 
     def __init__(self, checkpoints: Sequence = ()) -> None:
         self._cps = list(checkpoints)
-        self._re = _Neumaier()
-        self._im = _Neumaier()
-        self._tail = np.zeros(0, dtype=np.complex128)  # the open block, fed, not yet summed
-        self._first = self._end = 0  # its first key, and the last key it may take
-        self._cut = 0  # cut at checkpoints from self._cps[self._cut] on
-        self.rows: array | None = None
+        self.parts: dict[int, list[int]] = {}
         self.checkpoint_values: list[complex] = []
 
     def feed(self, vals: np.ndarray, keys: int | np.ndarray) -> None:
-        """Append ``vals`` at ``keys``: an ascending int array, or the key of
-        vals[0], the others following one by one.  Keys continue above those
-        fed before."""
-        i, n, listed = 0, vals.size, isinstance(keys, np.ndarray)
-        while i < n:
-            if not self._tail.size:  # vals[i] opens a block: of primes, or of consecutive n
-                self._open(*((int(keys[i]), PRIME_BLOCK) if listed else (keys + i, _SUM_BLOCK)))
-            if listed:
-                j = int(np.searchsorted(keys, self._end, side="right"))
-            else:  # keys, keys + 1, ...: vals[:j] have keys up to the end
-                j = min(n, max(i, int(self._end) - keys + 1))
-            if j == n and (listed or keys + n <= self._end):  # the block may go on
-                self._tail = np.concatenate((self._tail, vals[i:]))  # a copy: never pin ``vals``
-                return
-            self._flush(vals[i:j])
-            i = j
-
-    def _open(self, key: int, width: int) -> None:
-        """Open a block at ``key``: it ends at the next multiple of ``width``,
-        or at the next checkpoint if that comes first."""
-        self._first = key
-        self._end = ((key - 1) // width + 1) * width
-        self._cut = bisect_left(self._cps, key, self._cut)
-        if self._cut < len(self._cps):
-            self._end = min(self._end, self._cps[self._cut])
-
-    def _flush(self, head: np.ndarray) -> None:
-        """Sum the open block, the tail followed by ``head``."""
-        chunk = np.concatenate((self._tail, head)) if self._tail.size else head
-        if chunk.dtype != np.int8:  # int8 blocks sum as exact integers, uncopied
-            chunk = chunk.astype(np.complex128, copy=False)  # a block, not the feed, at a time
-        s = chunk.sum()
-        self._add(float(s.real), float(s.imag), self._first)
-        self._tail = self._tail[:0]
-
-    def _add(self, re: float, im: float, key: int) -> None:
-        """Add one block's sum, whose first key is ``key``, after the
-        checkpoints below that key take the sum before it."""
-        if self.rows is not None:
-            self.rows.extend((re, im, key))
+        """Add ``vals`` at ``keys``: an ascending int array, or the key of
+        vals[0], the others following one by one."""
+        n, cps = vals.size, self._cps
+        if not n:
             return
-        cps, taken = self._cps, self.checkpoint_values
-        while len(taken) < len(cps) and cps[len(taken)] < key:
-            taken.append(self.total())
-        self._re.add(re)
-        self._im.add(im)
+        if not cps:
+            self.add({0: _fixed_sum(vals)})
+            return
+        if isinstance(keys, np.ndarray):  # cut where the keys pass a checkpoint
+            i = bisect_left(cps, keys[0])
+            cuts = np.searchsorted(keys, cps[i : bisect_left(cps, keys[-1], i)], "right").tolist()
+        else:
+            i = bisect_left(cps, keys)
+            cuts = [c - keys + 1 for c in cps[i : bisect_left(cps, keys + n - 1, i)]]
+        for k, (a, b) in enumerate(zip([0, *cuts], [*cuts, n]), start=i):
+            if a < b:
+                self.add({k: _fixed_sum(vals[a:b])})
 
-    def flush(self) -> None:
-        """Sum the open block now: all its keys are fed."""
-        if self._tail.size:
-            self._flush(self._tail[:0])
-
-    def total(self) -> complex:
-        return complex(self._re.total(), self._im.total())
+    def add(self, parts: dict[int, Sequence[int]]) -> None:
+        """Add exact (re, im) sums by interval: a feed's, or the ``parts`` of
+        another summer with the same checkpoints."""
+        for k, (re, im) in parts.items():
+            part = self.parts.setdefault(k, [0, 0])
+            part[0] += re
+            part[1] += im
 
     def close(self) -> complex:
-        """Flush any open block and return the grand total, which every
-        checkpoint still open takes."""
-        self.flush()
-        total = self.total()
-        self.checkpoint_values += [total] * (len(self._cps) - len(self.checkpoint_values))
-        return total
+        """The total, each component one correctly rounded division; each
+        checkpoint's value goes to ``checkpoint_values``."""
+        re = im = 0
+        values = []
+        for k in range(len(self._cps) + 1):
+            dre, dim = self.parts.get(k, (0, 0))
+            re, im = re + dre, im + dim
+            values.append(complex(re / _ONE, im / _ONE))
+        self.checkpoint_values = values[:-1]
+        return values[-1]
 
 
 def resolve_checkpoints(grid: str | None, limit: int) -> list[int]:
@@ -506,7 +494,7 @@ def resolve_checkpoints(grid: str | None, limit: int) -> list[int]:
             raise FunctionSpecError(f"bad grid spec {grid!r}") from None
         if not (ratio > 1.0 and 0.0 < start < float("inf")):
             raise FunctionSpecError("geometric grid needs ratio > 1 and a finite start > 0")
-        if (steps := ceil(log(limit / start) / log(ratio))) > GRID_STEP_CEILING:
+        if (steps := ceil((log(limit) - log(start)) / log(ratio))) > GRID_STEP_CEILING:
             raise CapacityError(f"geometric grid of {steps} steps exceeds {GRID_STEP_CEILING}")
         x = start
         while x <= limit:
@@ -537,7 +525,7 @@ def summatory_trace(
     """Stream S_f(x) over n = 1..limit, snapshotting at grid checkpoints.
 
     The segment kernel runs in forked workers (one CPU: in this process), and
-    this process adds their block sums in order (workers.series_pass)."""
+    this process adds their exact sums (workers.series_pass)."""
     if limit < 1:
         raise CoverageError(f"limit must be >= 1, got {limit}")
     if limit > SUMMATORY_LIMIT_CEILING:

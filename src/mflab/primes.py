@@ -6,8 +6,8 @@ checks) reads the primes up to a cutoff, ascending, from the one stream
 O(chunk) memory rather than O(pi(P)).  Chunks lie within one sieve segment
 (k 2^20, (k+1) 2^20], which prime_chunks sieves alone from the base primes,
 so mflab.workers deals whole segments to its workers.  The sums run through
-``multfun.StreamSummer``, whose blocks are cut at multiples of 2^16 in p,
-so a streamed sum has the same bits at any chunking and in any process.
+``multfun.StreamSummer``, which is exact and order-free, so a streamed sum
+has the same bits at any chunking and in any process.
 ``sieve_primes`` (random access), the stream concatenated, remains for
 the base primes of the segment kernel.
 """
@@ -82,7 +82,7 @@ def prime_chunks(limit: int, lo: int = 0, base: np.ndarray | None = None) -> Ite
     2 is the first chunk, alone, and a segment without primes yields nothing.
     Chunk lengths do not reach the bits of a streamed sum: its terms are
     products of named operands in a fixed order (see dirichlet._power_terms),
-    and its blocks are cut at keys.
+    and their sum is exact.
     """
     check_limit(limit)
     if base is None:

@@ -1,17 +1,16 @@
 """The forked workers of mflab's streamed sums: series_pass, the one pass
 over n (summatory_trace, F_truncated), and prime_pass, the one over p.
 
-A pass's keys, n or p, are cut into stripes whose edges are multiples of
-the block width of each StreamSummer it feeds: whole 4096-position blocks
-of n, whole 2^20-number sieve segments of p.  So no block straddles two
-stripes.  The stripes are dealt round-robin to W = min(stripes, CPUs this
-process may use, WORKER_CAP) workers, the w-th pinned to the w-th CPU.  A
-worker runs the stream's work over its stripes and sends, per stripe, each
-summer's blocks (sum and first key, one array("d") of rows per summer) and
-the exact extras the work returns, pickled over a pipe; the calling
-process adds the blocks and gathers the extras in key order, as one
-process would, so the bits do not depend on W.
-With W = 1 the stripes run in the calling process and nothing forks.
+A pass's keys, n or p, are cut into stripes: segments of n, sieve segments
+(k 2^20, (k+1) 2^20] of p.  The stripes are dealt round-robin to W =
+min(stripes, CPUs this process may use, WORKER_CAP) workers, the w-th
+pinned to the w-th CPU.  A worker runs the stream's work over its stripes
+and sends, per stripe, each summer's ``parts`` (a few ints per checkpoint
+interval, however long the stripe) and the exact extras the work returns,
+pickled over a pipe; the calling process adds the parts, which are exact
+and so order-free, and gathers the extras in key order, as one process
+would, so the bits do not depend on W.  With W = 1 the stripes run in the
+calling process and nothing forks.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from array import array
 from contextlib import suppress
 from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -27,16 +25,14 @@ import numpy as np
 
 from . import errors, primes
 from .errors import CapacityError, MFLabError
-from .multfun import _SUM_BLOCK, KernelBase, StreamSummer, _value_segments
+from .multfun import KernelBase, StreamSummer, _value_segments
 
 WORKER_CAP = 4  # most workers of one stream, whatever the CPU count
 
 
 def stripes(limit: int, segment_size: int) -> list[tuple[int, int]]:
-    """1..limit in stripes of as many whole 4096-position blocks as a segment
-    holds, at least one; the last ends at limit."""
-    width = max(1, segment_size // _SUM_BLOCK) * _SUM_BLOCK
-    return [(lo, min(lo + width - 1, limit)) for lo in range(1, limit + 1, width)]
+    """1..limit in stripes of one segment each; the last ends at limit."""
+    return [(lo, min(lo + segment_size - 1, limit)) for lo in range(1, limit + 1, segment_size)]
 
 
 def series_pass(base: KernelBase, summers: Sequence[StreamSummer], segment_size: int,
@@ -44,7 +40,7 @@ def series_pass(base: KernelBase, summers: Sequence[StreamSummer], segment_size:
     """chunk(vals, lo) for each segment vals = f(lo), f(lo + 1), ... of the
     rule f of ``base`` over n = 1..base.limit, from the segment kernel, over
     stripes of n (see ``stripes``).  ``chunk`` feeds ``summers``, which take
-    the whole pass's blocks; the caller closes them."""
+    the whole pass's sums; the caller closes them."""
 
     def work(mine: Sequence[tuple[int, int]]) -> Iterator[list]:
         segs = _value_segments(base, mine, segment_size)
@@ -62,7 +58,7 @@ def prime_pass(limit: int, summers: Sequence[StreamSummer],
                chunk: Callable[[np.ndarray], object]) -> list:
     """chunk(ps) for each chunk ps of primes.prime_chunks(limit), whose
     stripes are its segments (a, b]; the base primes are sieved once, here.  ``chunk``
-    feeds ``summers``, which take the whole pass's blocks, and returns the
+    feeds ``summers``, which take the whole pass's sums, and returns the
     chunk's exact extras (picklable, and small); the list of them, in key
     order, is returned.  The caller checks ``limit`` first."""
     base = primes.base_primes(limit)
@@ -99,10 +95,9 @@ def _run(spans: Sequence, summers: Sequence[StreamSummer],
             os.close(fd)
             pids.append(pid)
         for k in range(len(spans)):
-            rows, more = _receive(pipes[k % len(cpus)])
-            for summer, blocks in zip(summers, rows):
-                for i in range(0, len(blocks), 3):
-                    summer._add(*blocks[i : i + 3])
+            parts, more = _receive(pipes[k % len(cpus)])
+            for summer, p in zip(summers, parts):
+                summer.add(p)
             extras += more
     except BaseException:
         for pid in pids:
@@ -119,22 +114,20 @@ def _run(spans: Sequence, summers: Sequence[StreamSummer],
 def _work(cpu: int, fd: int, summers: Sequence[StreamSummer],
           stripe_extras: Iterable[list]) -> NoReturn:
     """A forked worker: pinned to ``cpu``, it writes to ``fd`` per stripe the
-    summers' block rows and the extras (a byte count, then a pickle), or an
+    summers' parts and the extras (a byte count, then a pickle), or an
     error (a negative count, then "<class>:<message>"), and leaves by
     os._exit, running no exit handler."""
     try:
         with suppress(OSError):  # a CPU the kernel refuses leaves the worker unpinned
             os.sched_setaffinity(0, {cpu})
         for summer in summers:
-            summer.rows = array("d")
+            summer.parts = {}
         with open(fd, "wb") as pipe:
             try:
                 for extras in stripe_extras:
+                    body = pickle.dumps(([summer.parts for summer in summers], extras))
                     for summer in summers:
-                        summer.flush()  # a stripe edge is a block edge
-                    body = pickle.dumps(([summer.rows for summer in summers], extras))
-                    for summer in summers:
-                        del summer.rows[:]
+                        summer.parts = {}
                     pipe.write(len(body).to_bytes(8, "little") + body)
                     pipe.flush()
             except BaseException as e:  # reported to the parent, then os._exit
@@ -146,9 +139,9 @@ def _work(cpu: int, fd: int, summers: Sequence[StreamSummer],
         os._exit(0)
 
 
-def _receive(pipe: BinaryIO) -> tuple[list[array], list]:
-    """The block rows and extras of a worker's next stripe, or the error it
-    sent, raised."""
+def _receive(pipe: BinaryIO) -> tuple[list[dict], list]:
+    """The summers' parts and extras of a worker's next stripe, or the error
+    it sent, raised."""
     size = int.from_bytes(head := pipe.read(8), "little", signed=True)
     if len(head) < 8 or len(body := pipe.read(abs(size))) < abs(size):
         raise CapacityError("a segment worker ended before it sent its stripe")

@@ -117,7 +117,7 @@ ERR_ROUTES = {
     "truncated": (
         ["eval-f", "--function", "moebius", "--sigma", "1.01:1.01:1"],
         lambda f: dirichlet.F_truncated(f, [dirichlet.ComplexPoint(1.01)], 5000),
-        ("series-tail",)),
+        ("series-tail", "summation")),
     "euler": (
         ["eval-f", "--function", "moebius", "--method", "euler", "--sigma", "1.001:1.001:1"],
         lambda f: [r.exp(1.001) for r in dirichlet.log_F(
@@ -133,7 +133,7 @@ ERR_ROUTES = {
         ["lemma", "--function", "liouville", "--epsilon", "1", "--sigma", "1.001:1.001:1"],
         lambda f: halasz.lemma_defect(f, halasz.HalaszDirection(1),
                                       [dirichlet.ComplexPoint(1.001)], PLAN.prime_cutoff),
-        ("bracket", "residual-tail")),
+        ("bracket", "residual-tail", "summation")),
     "thm1": (
         ["thm1", "--function", "one", "--epsilon", "-1", "--t0", "0.5", "--sigma", "1.01:1.01:1"],
         lambda f: [p.F for p in halasz.theorem1_ratio(f, halasz.HalaszDirection(-1, 0.5),
@@ -1021,10 +1021,10 @@ def test_only_the_workers_run_the_segment_loop():
 
 
 def test_each_decision_keeps_one_home():
-    # multfun.fold alone reads a twist's (base, T), and the StreamSummer
-    # alone takes the prime block width from its keys
+    # multfun.fold alone reads a twist's (base, T), and multfun alone names
+    # the summation bound B of the StreamSummer
     src = Path(multfun.__file__).parent
-    for name in ("twisted", "PRIME_BLOCK"):
+    for name in ("twisted", "B"):
         found = {p.name for p in sorted(src.glob("*.py")) if name in _names(p.read_text())}
         assert found == {"multfun.py"}, (name, found)
 

@@ -50,8 +50,12 @@ EPSILON = (pick("1", "-1"), pick("0", "2", "x"))
 CUTOFF = (ints(2, 10_000), st.one_of(ints(-2, 1), pick("x", "1e3")))
 # PRIME_LIMIT_CEILING + 1 is refused before any sieving
 PRIME_CUTOFF = (CUTOFF[0], st.one_of(CUTOFF[1], st.just(str(2**32 + 1))))
-GRID = (pick(None, "geometric:2", "geometric:1.5", "explicit:10,20", "explicit:7"),
-        pick("geometric:1", "geometric:x", "explicit:", "explicit:5,a", "linear:5", "bogus"))
+# a subnormal start: log(limit / start) overflows, log(limit) - log(start)
+# does not; the second grid has too many steps and is refused
+GRID = (pick(None, "geometric:2", "geometric:1.5", "explicit:10,20", "explicit:7",
+             "geometric:1.5:1e-320"),
+        pick("geometric:1", "geometric:x", "explicit:", "explicit:5,a", "linear:5", "bogus",
+             "geometric:1.0000000000000002:5e-324"))
 
 
 def command(name, *positional, **flags):

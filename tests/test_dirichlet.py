@@ -1,14 +1,14 @@
 import cmath
 import math
-from array import array
 import os
+import pickle
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from mflab import dirichlet, primes, workers
+from mflab import dirichlet, halasz, primes, workers
 from mflab.cli import main
 from mflab.dirichlet import (
     ComplexPoint,
@@ -601,18 +601,26 @@ def test_the_truncated_route_has_the_same_bytes_at_any_number_of_workers(
         want = out.read_bytes()
 
 
-def test_a_worker_sends_each_summers_block_rows_as_one_float64_array(monkeypatch, with_cpus):
-    # three stripes of 2^18 numbers over two workers; a row holds (re, im,
-    # first key), and a key below 2^53 is exact in float64
+def test_a_worker_sends_a_few_ints_per_summer_however_long_its_stripe(monkeypatch, with_cpus):
+    # three stripes over two workers: 2^18 numbers (64 of the 4096-wide
+    # blocks a worker once sent a row for), 2^18 and 5 (one block).  Each
+    # summer sends its one checkpoint interval's exact (re, im) sum
     f, N = parse_function_spec("twist:0.7:liouville"), 2 * 2**18 + 5
     pts = [ComplexPoint(1.01, -0.0), ComplexPoint(1.5, 0.3), ComplexPoint(2.0, -0.7)]
     sent, receive = [], workers._receive
     monkeypatch.setattr(workers, "_receive", lambda pipe: sent.append(receive(pipe)) or sent[-1])
     with_cpus(2)
     split = F_truncated(f, pts, N)
-    for (rows, _), blocks in zip(sent, [64, 64, 1], strict=True):  # 4096 numbers a block
-        assert len(rows) == len(pts)
-        assert all(type(r) is array and r.typecode == "d" and len(r) == 3 * blocks for r in rows)
+    assert len(sent) == 3
+    for parts, extras in sent:
+        assert extras == [] and len(parts) == len(pts)
+        assert all(list(p) == [0] and all(type(v) is int for v in p[0]) and len(p[0]) == 2
+                   for p in parts)
+    # the same size at 64 blocks and at one, up to the byte lengths of the
+    # ints (a sum of larger terms takes more bits): about 100 bytes, where
+    # the 64 rows per summer took 1,536
+    sizes = [len(pickle.dumps(parts)) for parts, _ in sent]
+    assert max(sizes) <= 64 + 16 * 2 * len(pts), sizes
     with_cpus(1)
     whole = F_truncated(f, pts, N)
 
@@ -659,3 +667,48 @@ def test_F_truncated_grid_memory(with_cpus):
             tracemalloc.stop()
 
     assert peak(16) - peak(1) <= 16 * 2**20
+
+
+def test_each_routes_summation_part_covers_its_sums_against_fsum(monkeypatch, with_cpus):
+    # one CPU: every summer is fed here.  A route's "summation" part covers,
+    # for each summer whose total it takes (the last ones closed), the miss
+    # of the total against math.fsum of the terms that summer was fed
+    with_cpus(1)
+    fed, closed = {}, []
+    feed, close = StreamSummer.feed, StreamSummer.close
+
+    def recording_feed(self, vals, keys):
+        fed.setdefault(self, []).append(np.array(vals, dtype=np.complex128))
+        feed(self, vals, keys)
+
+    def recording_close(self):
+        closed.append((self, close(self)))
+        return closed[-1][1]
+
+    monkeypatch.setattr(StreamSummer, "feed", recording_feed)
+    monkeypatch.setattr(StreamSummer, "close", recording_close)
+    twisted, extremal = parse_function_spec("twist:0.7:liouville"), builtin("extremal-ref")
+    plan, pt = TruncationPlan(20000, 10000), ComplexPoint(1.01, 0.3)
+    routes = [  # (result, the number of summers it sums)
+        (lambda: zeta(ComplexPoint(1.5, 3.0)), 1),
+        (lambda: F_truncated(twisted, [pt], 5000)[0], 1),
+        (lambda: log_F(twisted, [pt], plan)[0], 2),  # the prime sum and its defect
+        (lambda: log_F(extremal, [pt], plan, HalaszDirection(1))[0], 2),
+        (lambda: halasz.lemma_defect(extremal, HalaszDirection(1), [pt], 20000)[0], 2),
+    ]
+    methods = set()
+    for route, count in routes:
+        closed.clear()
+        result = route()
+        methods.add(result.method)
+        miss = 0.0
+        for summer, total in closed[-count:]:
+            terms = np.concatenate(fed.get(summer, [np.zeros(0, np.complex128)]))
+            miss += (abs(total.real - math.fsum(terms.real.tolist()))
+                     + abs(total.imag - math.fsum(terms.imag.tolist())))
+            if count == 1:
+                assert total == result.value or result.method == "euler-maclaurin"
+        assert miss <= dict(result.parts)["summation"], (result.method, miss)
+    assert methods == {"euler-maclaurin", "truncated-series", "prime-sum", "euler-product",
+                       "lemma-defect"}
+

@@ -10,7 +10,9 @@ import pytest
 
 from mflab import primes
 from mflab.errors import CapacityError, CoverageError, DomainError, FunctionSpecError
+from mflab.cli import main
 from mflab.extremal import (
+    A_SQ_BUDGET,
     ALPHA_FLOOR,
     KAPPA_GRID_POINTS,
     LOGLOG_16,
@@ -448,6 +450,25 @@ def test_a_spec_with_blocks_out_of_order_is_refused(block, log_upper, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(FunctionSpecError, match="bad extremal spec .*: a block that is empty or overlaps"):
         load_spec(str(path))
+
+
+@pytest.mark.parametrize("a", [1e200, 8.000001])
+def test_a_spec_above_the_amplitude_budget_is_refused(a, tmp_path):
+    # choose_blocks refuses a sum of a_j^2 above A_SQ_BUDGET = 64, which
+    # bounds the theta_p^2/p that verify sums; one block of a = 1e200 used to
+    # load, and extremal-verify printed PASS for it.  a = 8 is on the budget
+    doc = json.loads(spec_json(reference_spec()))
+    doc["J"], doc["blocks"] = 1, doc["blocks"][:1]
+    path = tmp_path / "spec.json"
+    doc["blocks"][0]["a"] = 8.0
+    path.write_text(json.dumps(doc))
+    assert load_spec(str(path)).sum_a_sq() == A_SQ_BUDGET
+    doc["blocks"][0]["a"] = a
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FunctionSpecError, match="bad extremal spec .*: sum of a_j\\^2 = .* exceeds"):
+        load_spec(str(path))
+    assert main(["extremal-verify", str(path), "--cutoff", "1000",
+                 "--out", str(tmp_path / "v.txt")]) == 2
 
 
 def test_the_golden_specs_load():

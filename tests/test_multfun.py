@@ -1,17 +1,19 @@
 import os
 import time
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache, partial
 from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mflab import extremal, workers
-from mflab.errors import CapacityError, CoverageError, FunctionSpecError
+from mflab.errors import CapacityError, CoverageError, DomainError, FunctionSpecError
 from mflab.multfun import (
+    B,
     MultiplicativeFunction,
     StreamSummer,
     builtin,
@@ -20,6 +22,7 @@ from mflab.multfun import (
     parse_function_spec,
     resolve_checkpoints,
     segment_values,
+    summation_error,
     summatory_trace,
     twist,
     two_adic_failures,
@@ -140,6 +143,65 @@ def test_stream_summer_totals_do_not_depend_on_chunking():
     x = rng.standard_normal(3 * 4096 + 5)
     assert total(x, [0, 5, 5, 4096 + 9, 2 * 4096, x.size]) == total(x, [0, x.size])  # one empty
     assert StreamSummer().close() == 0
+
+
+def _summands(rng, n, kind):
+    """n values of one dtype, their components spread over 64 binades of
+    [-B, B], with zeros, B itself, and some subnormals."""
+    if kind == "int8":
+        return rng.integers(-1, 2, n).astype(np.int8)
+    x = rng.uniform(-1.0, 1.0, (n, 2)) * 2.0 ** rng.integers(-60, 4, (n, 2))
+    x[rng.random((n, 2)) < 0.05] = 0.0
+    x[rng.random((n, 2)) < 0.02] = B
+    x[rng.random((n, 2)) < 0.02] = -5e-324
+    return x[:, 0].copy() if kind == "float64" else x.view(np.complex128)[:, 0].copy()
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5000),
+       kind=st.sampled_from(["int8", "float64", "complex128"]), listed=st.booleans())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_stream_summer_is_exact_within_its_summation_part_at_any_split_and_W(
+        seed, n, kind, listed, with_cpus):
+    # keys 1.. (an int key) or ascending random primes-like keys (an array);
+    # random checkpoints, random splits and stripes over W = 1, 2, 3
+    rng = np.random.default_rng(seed)
+    vals = _summands(rng, n, kind)
+    keys = np.cumsum(rng.integers(1, 9, n)) if listed else np.arange(1, n + 1)
+    cps = sorted(set(rng.integers(0, int(keys[-1]) + 3, rng.integers(0, 6)).tolist()))
+
+    def work(mine):
+        for a, b in mine:
+            cuts = sorted(rng.integers(a, b + 1, rng.integers(0, 4)).tolist())
+            for lo, hi in zip([a, *cuts], [*cuts, b]):
+                summer.feed(vals[lo:hi], keys[lo:hi] if listed else lo + 1)
+            yield []
+
+    results = set()
+    for count in (1, 2, 3):
+        with_cpus(count)
+        edges = sorted({0, n, *rng.integers(0, n, count).tolist()})
+        summer = StreamSummer(cps)
+        workers._run(list(zip(edges, edges[1:])), [summer], work)
+        total = summer.close()
+        got = [*summer.checkpoint_values, total]
+        results.add(np.array(got, dtype=np.complex128).tobytes())
+    assert len(results) == 1
+    for cp, v in zip([*cps, None], got):
+        upto = vals if cp is None else vals[keys <= cp]
+        z = upto.astype(np.complex128)
+        exact = [sum(map(Fraction, part.tolist()), Fraction(0)) for part in (z.real, z.imag)]
+        miss = abs(Fraction(v.real) - exact[0]) + abs(Fraction(v.imag) - exact[1])
+        assert miss <= Fraction(summation_error(v, upto.size)), (cp, float(miss))
+
+
+def test_a_summand_above_the_bound_or_nan_is_refused():
+    for bad in (np.nextafter(B, np.inf), -np.inf, np.nan):
+        for vals in (np.array([0.5, bad]), np.array([0.5, complex(0.5, bad)])):
+            with pytest.raises(DomainError, match="exceeds the summation bound"):
+                StreamSummer().feed(vals, 1)
+    summer = StreamSummer()
+    summer.feed(np.array([B, -B, complex(B, -B)]), np.array([2, 3, 5]))
+    assert summer.close() == complex(B, -B)
 
 
 @given(st.floats(-5, 5), st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 4))

@@ -1,15 +1,16 @@
 """The prime pass in forked workers (mflab.workers.prime_pass).
 
-A prime sum's blocks are cut at multiples of 2^16 in p and at its
-checkpoints, and the workers take whole sieve segments (k 2^20, (k+1) 2^20],
-so every prime route prints the same bytes however its primes are chunked
-and however many workers share them.  The worker count follows the CPUs that
+A prime sum is exact and order-free between its checkpoints, and the
+workers take whole sieve segments (k 2^20, (k+1) 2^20], so every prime
+route prints the same bytes however its primes are chunked and however
+many workers share them.  The worker count follows the CPUs that
 os.sched_getaffinity reports, which the tests here set.
 """
 
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from mflab import multfun, primes, workers
 from mflab.cli import main
 from mflab.dirichlet import ComplexPoint, TruncationPlan, log_F
 from mflab.errors import DomainError, SingularFactorError
-from mflab.multfun import PRIME_BLOCK, MultiplicativeFunction, StreamSummer, builtin
+from mflab.multfun import MultiplicativeFunction, StreamSummer, builtin
 from mflab.primes import sieve_primes
 
 SEGMENT = 2**20
@@ -119,31 +120,24 @@ def test_checkpoints_on_stripe_edges_take_the_same_bits_in_workers(with_cpus):
         assert v.imag == 0.0 and abs(v.real - exact) <= 1e-15, cp
 
 
-def test_open_blocks_stay_within_the_primes_below_2_to_16(monkeypatch, with_cpus):
-    # the memory statement of cli.SIGMA_GRID_CEILING and the README: a prime
-    # sum's open block holds at most the primes of one 2^16 interval, the
-    # fullest of which below 2^32 is the first (6,542 primes; checked by a
-    # sieve to 2^32, outside tier-1).  A chunk of 6,541 primes ends the odd
-    # primes below 2^16 exactly, so one tail there holds the whole bound
-    bound = sieve_primes(PRIME_BLOCK).size
-    assert bound == 6542
+def test_a_prime_sum_grid_keeps_no_terms_per_point(with_cpus):
+    # the memory statement of cli.SIGMA_GRID_CEILING and the README: a
+    # point's summers keep a few ints between chunks, not an open block of
+    # terms (up to 6,542 complex values each before the sums were exact).
+    # One CPU: the pass runs here, where tracemalloc sees it
     with_cpus(1)
-    widest, feed = [0], StreamSummer.feed
+    f, plan = builtin("extremal-ref"), TruncationPlan(10**6, 10**4)
+    log_F(f, [1.5], TruncationPlan(10**4, 10**4))  # loads what the first call imports
 
-    def watched(self, vals, keys):
-        feed(self, vals, keys)
-        widest[0] = max(widest[0], self._tail.size)
+    def peak(count):
+        tracemalloc.start()
+        try:
+            log_F(f, [ComplexPoint(1.01 + 0.49 * i / 199, 0.3) for i in range(count)], plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-    monkeypatch.setattr(StreamSummer, "feed", watched)
-    points = [ComplexPoint(1.01, 0.3), ComplexPoint(1.5)]
-    tails = {}
-    for chunk in (primes._BLOCK, 1000, 6541):
-        monkeypatch.setattr(primes, "_BLOCK", chunk)
-        widest[0] = 0
-        log_F(builtin("extremal-ref"), points, TruncationPlan(10**6, 10**6))
-        tails[chunk] = widest[0]
-    assert all(0 < tail <= bound for tail in tails.values()), tails
-    assert tails[6541] == bound, tails
+    assert peak(200) - peak(1) <= 2**20, (peak(1), peak(200))
 
 
 def _too_large_in_later_stripes():
