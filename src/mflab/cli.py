@@ -6,8 +6,9 @@ error, 3 capacity/coverage/singular error.  All errors print one line to
 stderr with the machine-parsable prefix ``error:<kind>:``.
 
 Each handler imports the modules it runs, so a process loads only what its
-subcommand needs: ``sum`` never imports dirichlet, halasz or extremal, and
-``extremal-build`` never imports numpy.
+subcommand needs: ``sum`` never imports dirichlet, halasz or extremal,
+only ``extremal-build`` imports extremal_build, which loads no numpy, and
+only ``extremal-verify`` imports extremal_verify.
 """
 
 from __future__ import annotations
@@ -110,6 +111,8 @@ def _fmt(v: float) -> str:
 def _cmd_sum(args) -> None:
     from . import multfun
 
+    if args.segment_size is None:  # multfun's default, which the provenance records
+        args.segment_size = multfun.SEGMENT_SIZE
     f = multfun.parse_function_spec(args.function)
     trace = multfun.summatory_trace(
         f, args.limit, grid=args.grid, segment_size=args.segment_size)
@@ -193,17 +196,19 @@ def _cmd_thm2(args) -> None:
 
 
 def _cmd_extremal_build(args) -> None:
-    from . import extremal
+    from .extremal import spec_json
+    from .extremal_build import build_spec
 
-    spec = extremal.build_spec(args.kappa, x1=args.x1, J=args.J, C0=args.C0)
-    _write(args.out, None, extremal.spec_json(spec))  # JSON alone: load_spec reads it back
+    spec = build_spec(args.kappa, x1=args.x1, J=args.J, C0=args.C0)
+    _write(args.out, None, spec_json(spec))  # JSON alone: load_spec reads it back
 
 
 def _cmd_extremal_verify(args) -> None:
-    from . import extremal
+    from .extremal import load_spec
+    from .extremal_verify import verify
 
-    spec = extremal.load_spec(args.specfile)
-    psum, windows = extremal.verify(spec, args.cutoff, None if args.block is None else [args.block])
+    spec = load_spec(args.specfile)
+    psum, windows = verify(spec, args.cutoff, None if args.block is None else [args.block])
     _write(args.out, _provenance(args), "\n\n".join(r.text() for r in (psum, *windows)) + "\n")
 
 
@@ -212,7 +217,7 @@ _FLAGS = {
     "--function": {"required": True},
     "--limit": {"type": int, "required": True},
     "--grid": {},
-    "--segment-size": {"type": _positive_int, "default": 1 << 18},
+    "--segment-size": {"type": _positive_int},  # default multfun.SEGMENT_SIZE
     "--sigma": {"required": True, "help": "start:end:count"},
     "--t": {"type": _finite_float, "default": 0.0},
     "--method": {"choices": ["truncated", "euler", "prime-sum"], "default": "truncated"},

@@ -32,9 +32,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError, SingularFactorError
-from .multfun import (SUMMATORY_LIMIT_CEILING, ZETA_HEIGHT_CEILING, MultiplicativeFunction,
-                      StreamSummer, builtin, fold, kernel_base, segment_values,
-                      summation_error, unit_power)
+from .multfun import (SEGMENT_SIZE, SUMMATORY_LIMIT_CEILING, ZETA_HEIGHT_CEILING, _SUB_BLOCK,
+                      MultiplicativeFunction, StreamSummer, builtin, fold, kernel_base,
+                      segment_values, summation_error, unit_power)
 from .primes import check_limit
 from .workers import prime_pass, series_pass
 
@@ -49,10 +49,6 @@ _B6_6F = 1.0 / 30240.0
 _DEFECT_COEFF = 3.75
 # Local-factor series terms are summed while their tail may exceed this.
 _FACTOR_TAIL_TOL = 1e-14
-# zeta's head sum and F_truncated form their terms in blocks of this many.
-# A StreamSummer's sum is exact and order-free, so this only bounds the
-# size of their temporaries.
-_BLOCK = 1 << 14
 
 
 class ComplexPoint(NamedTuple("ComplexPoint", [("sigma", float), ("t", float)])):
@@ -211,8 +207,8 @@ def zeta(s, tol: float = 1e-10) -> EvalResult:
         N *= 2
     N = min(N, cap)
     summer = StreamSummer()
-    for lo in range(1, N, _BLOCK):
-        ns = np.arange(lo, min(lo + _BLOCK, N), dtype=np.float64)
+    for lo in range(1, N, _SUB_BLOCK):  # a StreamSummer's sum is exact: any blocks will do
+        ns = np.arange(lo, min(lo + _SUB_BLOCK, N), dtype=np.float64)
         summer.feed(np.exp(-sc * np.log(ns)), lo)
     head = summer.close()
     lnN = log(N)
@@ -293,8 +289,8 @@ def F_truncated(
 ) -> list[EvalResult]:
     """sum_{n<=N} f(n) n^{-s} at each point, with the integral-comparison
     tail bound N^{1-sigma}/(sigma-1).  f(n) is computed once per segment of
-    2^18 numbers, log n per block of 2^14; each point has its own StreamSummer, whose
-    rounding is the "summation" part.
+    multfun.SEGMENT_SIZE numbers, log n per block of multfun._SUB_BLOCK; each
+    point has its own StreamSummer, whose rounding is the "summation" part.
     The series is summatory_trace's pass over n (workers.series_pass), split
     across the CPUs, so N has the same ceiling, checked before any sieving,
     and N >= 2.  A twist's T is folded into each point: F_twist(s) =
@@ -309,12 +305,12 @@ def F_truncated(
     summers = [StreamSummer() for _ in pts]
 
     def chunk(vals: np.ndarray, lo: int) -> None:
-        for j in range(0, vals.size, _BLOCK):  # no temporary spans a segment
-            log_n = np.log(np.arange(lo + j, lo + min(j + _BLOCK, vals.size), dtype=np.float64))
-            for i, term in _power_terms(vals[j : j + _BLOCK], log_n, pts):
+        for j in range(0, vals.size, _SUB_BLOCK):  # no temporary spans a segment
+            log_n = np.log(np.arange(lo + j, lo + min(j + _SUB_BLOCK, vals.size), dtype=np.float64))
+            for i, term in _power_terms(vals[j : j + _SUB_BLOCK], log_n, pts):
                 summers[i].feed(term, lo + j)
 
-    series_pass(kernel_base(f, N), summers, 1 << 18, chunk)
+    series_pass(kernel_base(f, N), summers, SEGMENT_SIZE, chunk)
     return [EvalResult(total := summer.close(), (("series-tail", tail_bound(N, pt.sigma)),
                                                  ("summation", summation_error(total, N))),
                        "truncated-series") for pt, summer in zip(pts, summers)]

@@ -1,155 +1,40 @@
-"""Constructs the extremal counterexample function from a target growth
-profile kappa, and verifies the construction's mechanics at desk scale.
+"""The extremal counterexample function of a spec: the spec records, their
+JSON file, the desk-scale reference spec, and the rule f(p) = -e^{i theta_p}.
 
-All profile functions (kappa, its regularizations, alpha) are evaluated in
-loglog coordinates: ``ll = log log x``.  Block endpoints are kept in log
-form (log x_j, log x_j^2) because upper_j = x_j^{log x_j} overflows floats
-from j = 3 on even though the construction remains well-defined.
+A spec's blocks are kept in log form (log x_j, log x_j^2), because upper_j
+= x_j^{log x_j} overflows floats from j = 3 on.  extremal_build constructs
+a spec from a growth target kappa (``extremal-build``), and extremal_verify
+checks one on the primes (``extremal-verify``); no other command loads
+either, and reference_spec is their construction's result, written out.
+
+theta_p is nonzero only on the sine windows of the blocks, -sin(log p) >=
+1/2, so the rule takes sin, and e^{i theta_p}, only where it needs them.
 """
 
 from __future__ import annotations
 
 import json
 from _sha1 import sha1  # hashlib's own fallback; hashlib would load OpenSSL (+3.5 MB RSS)
-from bisect import bisect_right
-from itertools import accumulate
-from math import e, exp, floor, inf, isfinite, isnan, log, pi, sqrt
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from math import exp, floor, inf, isfinite, log, pi
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import CapacityError, CoverageError, DomainError, FunctionSpecError
+from .errors import FunctionSpecError
 
 if TYPE_CHECKING:  # annotations only
     import numpy as np
     from .multfun import MultiplicativeFunction
 
-LOGLOG_16 = log(log(16.0))      # smallest admissible loglog coordinate
-LOGLOG_MAX = 40.0               # sup truncation: x_max = e^(e^40)
-KAPPA_GRID_POINTS = 2000        # loglog grid of the kappa regularizations
-A_SQ_BUDGET = 64.0              # largest sum of a_j^2 that choose_blocks accepts
-MERTENS_SLACK = 0.05            # finite-range slack for analytic Mertens bounds
-ALPHA_FLOOR = 1e-6
+A_SQ_BUDGET = 64.0              # largest sum of a_j^2 that choose_blocks and load_spec accept
 REACH_SLACK = 1e-6              # in log p: the rounding of log p, sin and the window ends
+# -sin(x) >= 1/2 exactly on the windows [7 pi/6, 11 pi/6] + 2 pi k.  Where x
+# mod 2 pi lies further than _EDGE from both ends, |sin(x) + 1/2| > 8e-10,
+# far above the rounding of x mod 2 pi and of sin, so there the window is
+# read from x mod 2 pi; within _EDGE of an end, from sin.
+_EDGE = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# kappa regularization and alpha, on floats with numpy's bits: no numpy loads
-
-
-def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
-    """np.interp(x, xp, fp) with its bits where fp is finite or flat: fp[0] or fp[-1] beyond
-    the ends, fp[j] at a node xp[j] or on a flat stretch, else slope * (x - xp[j]) + fp[j]."""
-    j = max(bisect_right(xp, x) - 1, 0)
-    if not xp[j] < x < xp[-1] or fp[j] == fp[j + 1]:
-        return x if isnan(x) else fp[j]
-    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
-
-
-class KappaFunction(NamedTuple):
-    """A growth target with its monotone regularizations on a loglog grid.
-
-    kappa0 is the running max of raw (nondecreasing); kappa1 additionally
-    makes kappa/sqrt(ll) nonincreasing while staying nondecreasing itself.
-    The grid runs from LOGLOG_16 to LOGLOG_MAX, where the sup defining
-    kappa1 is truncated; beyond the grid both extend as constants.
-    """
-
-    grid: tuple[float, ...]
-    kappa0_vals: tuple[float, ...]
-    kappa1_vals: tuple[float, ...]
-    desc: str = "custom"
-
-    def kappa0(self, ll: float) -> float:
-        return self._at(ll, self.kappa0_vals)
-
-    def kappa1(self, ll: float) -> float:
-        return self._at(ll, self.kappa1_vals)
-
-    def _at(self, ll: float, vals: tuple[float, ...]) -> float:
-        if ll < self.grid[0] - 1e-12:
-            raise DomainError(f"loglog coordinate {ll} below domain start {self.grid[0]}")
-        return _interp(ll, self.grid, vals)
-
-
-def regularize_kappa(raw: Callable[[float], float], desc: str = "custom") -> KappaFunction:
-    """Running-max and sup regularizations of ``raw`` on the loglog grid."""
-    step = (LOGLOG_MAX - LOGLOG_16) / (KAPPA_GRID_POINTS - 1)  # np.linspace's grid
-    grid = tuple(i * step + LOGLOG_16 for i in range(KAPPA_GRID_POINTS - 1)) + (LOGLOG_MAX,)
-    vals = [float(raw(v)) for v in grid]
-    if not all(v > 0.0 for v in vals):
-        nans = [i for i, v in enumerate(vals) if isnan(v)]  # np.argmin picks the first NaN
-        bad = grid[nans[0] if nans else vals.index(min(vals))]
-        raise DomainError(f"raw kappa must be positive; fails near loglog={bad}")
-    kappa0 = tuple(accumulate(vals, max))
-    ratio_max = tuple(accumulate(reversed([k / sqrt(v) for k, v in zip(kappa0, grid)]), max))[::-1]
-    kappa1 = tuple(sqrt(v) * m for v, m in zip(grid, ratio_max))
-    return KappaFunction(grid, kappa0, kappa1, desc)
-
-
-class AlphaFunction(NamedTuple):
-    """Nonincreasing envelope dominating the F-growth exponent.
-
-    alpha(x) solves exp(kappa1(x)) (loglog x + 1/e) e^{C0} =
-    exp(alpha(x) sqrt(loglog x)); a right-running max on kappa's grid
-    enforces monotonicity when kappa1 + C0 is too small for the raw formula.
-    """
-
-    kappa: KappaFunction
-    C0: float
-    env_vals: tuple[float, ...]
-    desc: str = "custom"
-
-    def formula_at(self, ll: float) -> float:
-        return _alpha_formula(self.kappa.kappa1(ll), ll, self.C0)
-
-    def at_loglog(self, ll: float) -> float:
-        grid = self.kappa.grid
-        if ll < grid[0] - 1e-12:
-            raise DomainError(f"alpha undefined below loglog={grid[0]}")
-        return self.formula_at(ll) if ll >= grid[-1] else _interp(ll, grid, self.env_vals)
-
-
-def _alpha_formula(k1: float, ll: float, C0: float) -> float:
-    """alpha's raw formula at loglog coordinate ll, from kappa1(ll) = k1."""
-    return max((k1 + log(ll + 1.0 / e) + C0) / sqrt(ll), ALPHA_FLOOR)
-
-
-def alpha_from_kappa(kappa: KappaFunction, C0: float) -> AlphaFunction:
-    if C0 < 0:
-        raise DomainError(f"C0 must be >= 0, got {C0}")
-    raw = [_alpha_formula(k1, v, C0) for v, k1 in zip(kappa.grid, kappa.kappa1_vals)]
-    env = tuple(accumulate(reversed(raw), max))[::-1]
-    return AlphaFunction(kappa, float(C0), env,
-                         desc=f"envelope(kappa={kappa.desc}, C0={C0!r})")
-
-
-def parse_kappa_spec(spec: str) -> Callable[[float], float]:
-    """Vocabulary: const:<c> | power:<e> (meaning ll^e, e < 1/2) |
-    loglog-fraction:<c> (meaning c sqrt(ll)/log(ll))."""
-    parts = spec.split(":")
-    if len(parts) != 2:
-        raise FunctionSpecError(f"bad kappa spec {spec!r}")
-    kind, arg = parts
-    try:
-        v = float(arg)
-    except ValueError:
-        raise FunctionSpecError(f"bad kappa parameter {arg!r}") from None
-    if kind == "const":
-        if v <= 0:
-            raise FunctionSpecError("const kappa must be positive")
-        return lambda ll: v
-    if kind == "power":
-        if not 0 <= v < 0.5:
-            raise FunctionSpecError("power exponent must lie in [0, 1/2)")
-        return lambda ll: ll**v
-    if kind == "loglog-fraction":
-        if v <= 0:
-            raise FunctionSpecError("loglog-fraction coefficient must be positive")
-        return lambda ll: v * sqrt(ll) / log(ll)
-    raise FunctionSpecError(f"unknown kappa kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# block construction
+# the spec records
 
 
 class ExtremalBlock(NamedTuple):
@@ -191,48 +76,16 @@ class ExtremalSpec(NamedTuple):
         return sha1(blob).hexdigest()[:10]
 
 
-def choose_blocks(
-    alpha: AlphaFunction,
-    J: int,
-    x1: float,
-    kappa_desc: str = "custom",
-) -> ExtremalSpec:
-    """Blocks with log x_{j+1} = (log x_j)^2 + 1, so upper_j < x_{j+1}
-    exactly in log form; a_j = sqrt(alpha(upper_j))."""
-    if x1 < 16.0:
-        raise DomainError(f"x1 must be >= 16, got {x1}")
-    if J < 1:
-        raise DomainError(f"J must be >= 1, got {J}")
-    blocks = []
-    lx = log(x1)
-    total = 0.0
-    for j in range(1, J + 1):
-        lu = lx * lx
-        if not isfinite(lu) or lu >= 8.98e307:
-            raise CapacityError(
-                f"log-form overflow at block {j}; maximal feasible J = {j - 1}")
-        a = sqrt(alpha.at_loglog(log(lu)))
-        total += a * a
-        if total > A_SQ_BUDGET:
-            raise CapacityError(
-                f"sum of a_j^2 exceeds budget {A_SQ_BUDGET} at block {j}")
-        blocks.append(ExtremalBlock(lx, lu, a))
-        lx = lu + 1.0
-    return ExtremalSpec(
-        x1=float(x1), J=J, C0=alpha.C0, blocks=tuple(blocks),
-        kappa_desc=kappa_desc, alpha_desc=alpha.desc)
-
-
-def build_spec(kappa_spec: str, x1: float, J: int, C0: float = 1.0) -> ExtremalSpec:
-    raw = parse_kappa_spec(kappa_spec)
-    kappa = regularize_kappa(raw, desc=kappa_spec)
-    alpha = alpha_from_kappa(kappa, C0)
-    return choose_blocks(alpha, J, x1, kappa_desc=kappa_spec)
-
-
 def reference_spec() -> ExtremalSpec:
-    """The desk-scale reference construction used across the test corpus."""
-    return build_spec("power:0.25", x1=20.0, J=3, C0=1.0)
+    """The desk-scale reference construction used across the test corpus:
+    extremal_build.build_spec("power:0.25", x1=20.0, J=3, C0=1.0), written
+    out (a test checks that they are equal)."""
+    return ExtremalSpec(
+        x1=20.0, J=3, C0=1.0,
+        blocks=(ExtremalBlock(2.995732273553991, 8.974411854812963, 1.4600840630375762),
+                ExtremalBlock(9.974411854812963, 99.48889184943339, 1.3771258928005055),
+                ExtremalBlock(100.48889184943339, 10098.01738512712, 1.283612027112532)),
+        kappa_desc="power:0.25", alpha_desc="envelope(kappa=power:0.25, C0=1.0)")
 
 
 def spec_json(spec: ExtremalSpec) -> str:
@@ -294,12 +147,29 @@ def theta_values(spec: ExtremalSpec, ps: np.ndarray, lp: np.ndarray | None = Non
     if lp is None:
         lp = np.log(ps.astype(np.float64))
     th = np.zeros(lp.size, dtype=np.float64)
-    window = -np.sin(lp) >= 0.5
+    window = _sine_window(lp)
     for b in spec.blocks:
         m = (lp >= b.log_x) & (lp < b.log_upper) & window
         if m.any():
             th[m] = b.a / np.sqrt(np.log(lp[m]))
     return th
+
+
+def _sine_window(lp: np.ndarray) -> np.ndarray:
+    """-np.sin(lp) >= 0.5 at every float, but with sin taken only within
+    _EDGE of a window end (r = lp mod 2 pi at 7 pi/6 or 11 pi/6)."""
+    import numpy as np
+    r = np.floor(lp / (2 * pi))
+    r *= -2 * pi
+    r += lp
+    r -= 3 * pi / 2  # the window's centre; its ends lie at +- pi/3
+    np.abs(r, out=r)
+    window = r <= pi / 3 + _EDGE
+    r -= pi / 3
+    edge = np.abs(r, out=r) <= _EDGE
+    if edge.any():
+        window[edge] = -np.sin(lp[edge]) >= 0.5
+    return window
 
 
 def _theta_reach(spec: ExtremalSpec, P: int) -> int:
@@ -326,186 +196,11 @@ def extremal_function(spec: ExtremalSpec) -> MultiplicativeFunction:
 
 def _unit_values(th: np.ndarray) -> np.ndarray:
     """f(p) = -e^{i theta_p} from theta_p >= 0 in one complex array, with
-    the bits of -np.exp(1j * th)."""
+    the bits of -np.exp(1j * th): unit_power where theta_p > 0, and
+    -(1 + 0i) = -1 - 0i, its value at theta_p = +0, elsewhere."""
     import numpy as np
     from .multfun import unit_power
-    fp = unit_power(th, -1.0)
-    return np.negative(fp, out=fp)
-
-
-# ---------------------------------------------------------------------------
-# verification reports
-
-
-class BlockPsum(NamedTuple):
-    j: int
-    covered: bool            # block intersects [1, P]
-    majorant: float          # a_j^2 * (sum 1/p up to min(upper_j, P)) / loglog x_j
-    analytic_majorant: float  # same with the analytic Mertens estimate at upper_j
-
-
-class PsumReport(NamedTuple):
-    cutoff: int
-    observed: float
-    majorant: float
-    sum_a_sq: float
-    blocks: tuple[BlockPsum, ...]
-
-    @property
-    def budget_bound(self) -> float:
-        return 4.0 * self.sum_a_sq
-
-    @property
-    def ok(self) -> bool:
-        return (self.observed <= self.majorant + 1e-12
-                and self.majorant <= self.budget_bound + 1e-12)
-
-    def text(self) -> str:
-        lines = [
-            f"theta-sum check at cutoff {self.cutoff}",
-            f"observed sum theta_p^2/p: {self.observed!r}",
-            f"per-block Mertens majorant: {self.majorant!r}",
-            f"4 * sum a_j^2: {self.budget_bound!r}",
-        ]
-        for b in self.blocks:
-            tag = "covered" if b.covered else "beyond cutoff"
-            lines.append(
-                f"  block {b.j} ({tag}): majorant {b.majorant!r}, "
-                f"analytic {b.analytic_majorant!r}")
-        lines.append(f"verdict: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
-
-
-class WindowReport(NamedTuple):
-    j: int
-    sigma: float
-    selected_count: int
-    selected_min: int
-    selected_max: int
-    window_sum: float        # W_j = sum theta_p (-sin log p) p^{-sigma}
-    half_theta_sum: float    # (1/2) sum theta_p p^{-sigma}
-    re_log_F: float
-    target: float            # a_j sqrt(loglog x_j)
-
-    @property
-    def ok(self) -> bool:
-        return self.window_sum >= self.half_theta_sum - 1e-15
-
-    def text(self) -> str:
-        return "\n".join([
-            f"window check for block {self.j} at sigma = {self.sigma!r}, t = 1",
-            f"selected primes: {self.selected_count} in "
-            f"[{self.selected_min}, {self.selected_max}]",
-            f"window sum W_j: {self.window_sum!r}",
-            f"(1/2) sum theta_p p^-sigma: {self.half_theta_sum!r}",
-            f"Re prime-sum log F: {self.re_log_F!r}",
-            f"target a_j sqrt(loglog x_j): {self.target!r} (reported, not asserted)",
-            f"verdict: {'PASS' if self.ok else 'FAIL'}",
-        ])
-
-
-def verify(
-    spec: ExtremalSpec,
-    P: int,
-    blocks: Sequence[int] | None = None,
-) -> tuple[PsumReport, tuple[WindowReport, ...]]:
-    """Check the construction's mechanics on the primes <= P: the theta-sum
-    report, and a window report for each checked block.
-
-    The theta-sum check: sum_p theta_p^2/p <= per-block Mertens majorant
-    <= 4 sum a_j^2.  The majorant for block j is a_j^2 (sum_{p <= min(upper_j,
-    P)} 1/p) / loglog x_j; blocks entirely above P contribute nothing
-    observed and are reported with their analytic (log-form) majorant only.
-
-    The window check of each block j in ``blocks`` (default: every block
-    with upper_j <= P), at s = 1 + 1/(log x_j)^2 + i: the sine-window
-    selection guarantees W_j >= (1/2) sum_{selected} theta_p p^{-sigma}
-    (asserted); the prime sum's Re log F at s (sum_p f(p) p^{-s} plus the
-    Euler-factor defect below C = min(10^4, P), as dirichlet.log_F forms it)
-    and the a_j sqrt(loglog x_j) target are reported without asserting the
-    asymptotic lower bound.
-
-    P and the blocks are checked before any sieving.  Then one pass
-    (workers.prime_pass to P) takes log p and theta_p once per chunk for
-    every sum: the theta sum, the 1/p sums (one StreamSummer, cut at each
-    block's end), each window's two sums over its selected primes, and,
-    with f(p) = -e^{i theta_p}, each point's prime sum and defect
-    (dirichlet.point_summers).  Each window's count, first and last
-    selected prime come back per chunk and are combined in key order.
-    """
-    import numpy as np
-    from .dirichlet import ComplexPoint, inverse_power, point_summers
-    from .multfun import StreamSummer
-    from .primes import check_limit
-    from .workers import prime_pass
-    log_P = log(check_limit(P))
-    if blocks is None:
-        blocks = [j for j, b in enumerate(spec.blocks, start=1) if b.log_upper <= log_P]
-    for j in blocks:
-        if not 1 <= j <= spec.J:
-            raise DomainError(f"block index {j} outside 1..{spec.J}")
-        if spec.blocks[j - 1].log_upper > log_P:
-            raise CoverageError(f"block {j} extends to exp({spec.blocks[j - 1].log_upper!r}), "
-                                f"beyond prime cutoff {P}")
-    checked = [spec.blocks[j - 1] for j in blocks]
-    pts = [ComplexPoint(1.0 + 1.0 / (b.log_x * b.log_x), 1.0) for b in checked]
-    window_cuts = [int(min(exp(b.log_upper), float(P))) for b in checked]
-    points, feed = point_summers(extremal_function(spec), pts, pts, min(10_000, P))
-    # per window: W_j and sum theta_p p^{-sigma}
-    wins = [(StreamSummer(), StreamSummer()) for _ in checked]
-    # sum_{p <= min(upper_j, P)} 1/p for each block j, at its checkpoint
-    H = StreamSummer([min(float(P), exp(min(b.log_upper, log_P))) for b in spec.blocks])
-    obs = StreamSummer()
-
-    def chunk(ps: np.ndarray) -> list[tuple[int, int, int]]:
-        psf = ps.astype(np.float64)
-        lp = np.log(psf)
-        th = theta_values(spec, ps, lp)
-        obs.feed(th * th / psf, ps)
-        H.feed(1.0 / psf, ps)
-        selected = []  # per window: the count, first and last prime selected here
-        for b, cut, pt, (W, T) in zip(checked, window_cuts, pts, wins):
-            lpc = lp[: int(np.searchsorted(ps, cut, side="right"))]
-            nsin = -np.sin(lpc)
-            sel = np.flatnonzero((lpc >= b.log_x) & (lpc < b.log_upper) & (nsin >= 0.5))
-            selected.append((sel.size, int(ps[sel[0]]), int(ps[sel[-1]])) if sel.size
-                            else (0, 0, 0))
-            if sel.size:
-                pw = inverse_power(lpc[sel], pt.sigma)
-                W.feed(th[sel] * nsin[sel] * pw, ps[sel])
-                T.feed(th[sel] * pw, ps[sel])
-        if pts:  # with no point no term is formed
-            feed(ps, ps, _unit_values(th), lp)
-        return selected
-
-    counts = [(0, 0, 0) for _ in checked]
-    for selected in prime_pass(P, [*points, obs, H, *(s for win in wins for s in win)], chunk):
-        counts = [(n + m, first or a, b if m else last)
-                  for (n, first, last), (m, a, b) in zip(counts, selected)]
-    totals = [s.close() for s in points]
-    windows = tuple(
-        WindowReport(j, pt.sigma, count, first, last, W.close().real, 0.5 * T.close().real,
-                     (total + delta).real, b.a * sqrt(log(b.log_x)))
-        for j, b, pt, (W, T), (count, first, last), total, delta in zip(
-            blocks, checked, pts, wins, counts, totals, totals[len(pts) :]))
-    H.close()
-    return _psum_report(spec, P, obs.close().real, [h.real for h in H.checkpoint_values]), windows
-
-
-def _psum_report(spec: ExtremalSpec, P: int, observed: float, H: list[float]) -> PsumReport:
-    """The theta-sum check from the observed sum and each block's 1/p sum H."""
-    from .primes import mertens_estimate
-    log_P = log(P)
-    majorant = 0.0
-    rows = []
-    for j, (b, h) in enumerate(zip(spec.blocks, H), start=1):
-        llx = log(b.log_x)
-        analytic = b.a * b.a * (mertens_estimate(b.log_upper) + MERTENS_SLACK) / llx
-        if b.log_x > log_P:
-            rows.append(BlockPsum(j, False, 0.0, analytic))
-            continue
-        mj = b.a * b.a * h / llx
-        majorant += mj
-        rows.append(BlockPsum(j, True, mj, analytic))
-    return PsumReport(cutoff=P, observed=observed, majorant=majorant,
-                      sum_a_sq=spec.sum_a_sq(), blocks=tuple(rows))
+    fp = np.full(th.size, complex(-1.0, -0.0))
+    m = th != 0.0
+    fp[m] = -unit_power(th[m], -1.0)
+    return fp

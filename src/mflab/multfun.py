@@ -34,6 +34,7 @@ from .errors import CapacityError, CoverageError, DomainError, FunctionSpecError
 from .primes import sieve_primes
 
 SUMMATORY_LIMIT_CEILING = 2**34
+SEGMENT_SIZE = 1 << 18  # numbers per kernel segment: summatory_trace and sum by default, F_truncated
 SEGMENT_SIZE_CEILING = 2**22  # 64 MiB of complex values per segment buffer
 DEFAULT_GRID_RATIO = 2.0 ** 0.25
 DEFAULT_GRID_START = 10
@@ -43,7 +44,7 @@ GRID_STEP_CEILING = 10**5  # geometric steps, each one checkpoint before duplica
 ZETA_HEIGHT_CEILING = 1e8
 # The summation bound: every float64 component a StreamSummer takes lies
 # within [-B, B].  Class M gives |value| <= 1 for traces, series and prime-sum
-# terms; the largest value summed is theta_p^2/p <= 3.62 in extremal.verify,
+# terms; the largest value summed is theta_p^2/p <= 3.62 in extremal_verify,
 # and B = 8 leaves room for a standard normal sample, as in the tests.
 B = 8.0
 _C1 = 1.5 * 2.0**12 * B  # (x + _C1) - _C1 rounds x to a multiple of 2^-40 B
@@ -51,7 +52,7 @@ _C2 = 1.5 * 2.0**-28 * B  # and the rest to a multiple of 2^-80 B
 _HI, _LO = 2.0**40 / B, 2.0**80 / B  # those multiples to integers
 _ONE = int(_LO)  # units of 2^-80 B in 1
 _GROUP = 1 << 11  # multiples summed in float64 at a time, exactly
-_SUB_BLOCK = 1 << 13  # entries per elementwise step of segment_values and _fixed_sum
+_SUB_BLOCK = 1 << 13  # entries per elementwise step: no temporary spans a segment
 _GROUPS = np.arange(0, _SUB_BLOCK, _GROUP)  # the first value of each group of a step
 
 
@@ -349,28 +350,25 @@ def _times(a: np.ndarray, b) -> np.ndarray:
 
 
 def _value_segments(
-    base: KernelBase, spans: Sequence[tuple[int, int]], segment_size: int,
+    base: KernelBase, spans: Sequence[tuple[int, int]],
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, f(start..end)) of the rule f of ``base`` for consecutive
-    segments of each span [lo, hi] in turn.
+    """(lo, f(lo..hi)) of the rule f of ``base`` for each span [lo, hi].
 
-    One set of work buffers serves every segment, so each array is valid
-    only until the next one is yielded.  Once a segment of a rule that is no
-    twist has widened, it (or, if shorter, a buffer of its type) is the
-    value buffer of the segments after it.
+    One set of work buffers, as long as the longest span, serves every
+    span, so each array is valid only until the next one is yielded.  Once
+    a segment of a rule that is no twist has widened, it (or, if shorter, a
+    buffer of its type) is the value buffer of the segments after it.
     """
-    f, size = base.f, min(segment_size, max(hi - lo + 1 for lo, hi in spans))
+    f, size = base.f, max(hi - lo + 1 for lo, hi in spans)
     vals = np.empty(size, dtype=_rung(base.rows[0][1][0]))
     prod = np.empty(size, dtype=np.float64)
     out = np.empty(size, dtype=np.complex128) if f.twisted else None  # a twist's values
     for lo, hi in spans:
-        while lo <= hi:
-            n = min(size, hi - lo + 1)
-            seg = segment_values(f, lo, lo + n - 1, base, vals[:n], prod[:n], out if out is None else out[:n])
-            if seg.dtype != vals.dtype and not f.twisted:  # widened
-                vals = seg if n == size else np.empty(size, seg.dtype)
-            yield lo, seg
-            lo += n
+        n = hi - lo + 1
+        seg = segment_values(f, lo, hi, base, vals[:n], prod[:n], out if out is None else out[:n])
+        if seg.dtype != vals.dtype and not f.twisted:  # widened
+            vals = seg if n == size else np.empty(size, seg.dtype)
+        yield lo, seg
 
 
 def _fixed_sum(vals: np.ndarray) -> tuple[int, int]:
@@ -520,7 +518,7 @@ def summatory_trace(
     f: MultiplicativeFunction,
     limit: int,
     grid: str | None = None,
-    segment_size: int = 1 << 18,
+    segment_size: int = SEGMENT_SIZE,
 ) -> PartialSums:
     """Stream S_f(x) over n = 1..limit, snapshotting at grid checkpoints.
 

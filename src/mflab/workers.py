@@ -43,12 +43,8 @@ def series_pass(base: KernelBase, summers: Sequence[StreamSummer], segment_size:
     the whole pass's sums; the caller closes them."""
 
     def work(mine: Sequence[tuple[int, int]]) -> Iterator[list]:
-        segs = _value_segments(base, mine, segment_size)
-        for lo, hi in mine:
-            while lo <= hi:
-                start, vals = next(segs)
-                chunk(vals, start)
-                lo = start + vals.size
+        for lo, vals in _value_segments(base, mine):
+            chunk(vals, lo)
             yield []
 
     _run(stripes(base.limit, segment_size), summers, work)

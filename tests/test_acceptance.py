@@ -22,7 +22,8 @@ from mflab.dirichlet import (
     log_F,
     zeta,
 )
-from mflab.extremal import reference_spec, extremal_function, theta_values, verify
+from mflab.extremal import reference_spec, extremal_function, theta_values
+from mflab.extremal_verify import verify
 from mflab.halasz import lemma_defect, lemma_ratio, pole_sum, theorem2_ratio
 from mflab.multfun import (builtin, completely_multiplicative, kernel_base,
                            parse_function_spec, segment_values, summatory_trace)

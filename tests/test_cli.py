@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mflab import dirichlet, extremal, halasz, multfun, primes, workers
+from mflab import dirichlet, extremal, extremal_verify, halasz, multfun, primes, workers
 from mflab.cli import SIGMA_GRID_CEILING, build_parser, main
 from mflab.errors import DomainError, FunctionSpecError
 
@@ -629,7 +629,7 @@ def test_one_prime_pass_per_command(argv, tmp_path, monkeypatch):
     assert run(["extremal-build", "--kappa", "power:0.25", "--out", "spec.json"]) == 0
     monkeypatch.setattr(primes, "prime_chunks", counted("prime_chunks", primes.prime_chunks))
     prime_pass = counted("prime_pass", workers.prime_pass)
-    for mod in (workers, dirichlet, halasz):  # extremal.verify imports workers' as it runs
+    for mod in (workers, dirichlet, halasz, extremal_verify):
         monkeypatch.setattr(mod, "prime_pass", prime_pass)
     assert run([*argv, "--out", "x.out"]) == 0
     assert calls["prime_pass"] == [100_000], calls
@@ -1020,13 +1020,46 @@ def test_only_the_workers_run_the_segment_loop():
     assert not hasattr(workers, "checkpoint_sums")
 
 
+_INT_OPS = {ast.LShift: int.__lshift__, ast.Pow: int.__pow__, ast.Mult: int.__mul__}
+
+
+def _int_constants(source):
+    """Every int that ``source`` writes as a literal, or as a shift, power or
+    product of literals."""
+    def value(node):
+        if isinstance(node, ast.Constant):
+            return node.value if type(node.value) is int else None
+        if isinstance(node, ast.BinOp) and type(node.op) in _INT_OPS:
+            a, b = value(node.left), value(node.right)
+            return None if a is None or b is None else _INT_OPS[type(node.op)](a, b)
+        return None
+
+    return {v for node in ast.walk(ast.parse(source)) if (v := value(node)) is not None}
+
+
 def test_each_decision_keeps_one_home():
     # multfun.fold alone reads a twist's (base, T), and multfun alone names
     # the summation bound B of the StreamSummer
     src = Path(multfun.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
     for name in ("twisted", "B"):
-        found = {p.name for p in sorted(src.glob("*.py")) if name in _names(p.read_text())}
+        found = {file for file, text in sources.items() if name in _names(text)}
         assert found == {"multfun.py"}, (name, found)
+    # the default segment size (2^18) is multfun.SEGMENT_SIZE, which the sum
+    # flag's default and F_truncated read; the elementwise block is
+    # multfun._SUB_BLOCK (2^13), which zeta and F_truncated read
+    assert _int_constants("x = 1 << 18\ny = 2**14\n") >= {1 << 18, 1 << 14}
+    for value in (1 << 18, 1 << 14):
+        found = {file for file, text in sources.items() if value in _int_constants(text)}
+        assert found <= {"multfun.py"}, (value, found)
+    assert multfun.SEGMENT_SIZE == 1 << 18 and multfun._SUB_BLOCK == 1 << 13
+    for name, readers in (("SEGMENT_SIZE", {"cli.py", "dirichlet.py"}),
+                          ("_SUB_BLOCK", {"dirichlet.py"})):
+        found = {file for file, text in sources.items() if name in _names(text)}
+        assert found == {"multfun.py"} | readers, (name, found)
+    assert "_BLOCK" not in _names(sources["dirichlet.py"])
+    assert build_parser().parse_args(["sum", "--function", "one", "--limit", "9",
+                                      "--out", "x"]).segment_size is None  # sum reads multfun's
 
 
 def test_importing_the_package_loads_no_submodule_and_no_numpy(tmp_path):
@@ -1058,8 +1091,18 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
         ["extremal-verify", "spec.json", "--cutoff", "1000", "--out", "verify.txt"],
     ], tmp_path)
     # the construction runs on floats: no numpy, multfun or primes
-    assert after == [{"cli", "errors", "extremal"}, traced | {"extremal"},
-                     traced | {"extremal", "dirichlet"}]
+    built = {"cli", "errors", "extremal", "extremal_build"}
+    assert after == [built, built | traced, built | traced | {"dirichlet", "extremal_verify"}]
+    # extremal-ref is a written-out spec: neither the construction nor the
+    # verification loads with it
+    after = _modules_loaded_after_each([
+        ["sum", "--function", "extremal-ref", "--limit", "1000", "--out", "sum.csv"],
+        ["thm1", "--function", "extremal-ref", "--epsilon", "1", "--sigma", "1.1:1.5:2",
+         "--prime-cutoff", "1000", "--out", "thm1.csv"],
+        ["criterion", "--function", "extremal-ref", "--prime-cutoff", "1000", "--out", "c.txt"],
+    ], tmp_path)
+    assert after == [traced | {"extremal"}, traced | {"extremal", "dirichlet", "halasz"},
+                     traced | {"extremal", "dirichlet", "halasz"}]
 
 
 def test_extremal_build_loads_no_numpy_dataclasses_or_inspect(tmp_path):

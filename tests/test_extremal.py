@@ -13,24 +13,26 @@ from mflab.errors import CapacityError, CoverageError, DomainError, FunctionSpec
 from mflab.cli import main
 from mflab.extremal import (
     A_SQ_BUDGET,
+    ExtremalBlock,
+    ExtremalSpec,
+    extremal_function,
+    load_spec,
+    reference_spec,
+    spec_json,
+    theta_values,
+)
+from mflab.extremal_build import (
     ALPHA_FLOOR,
     KAPPA_GRID_POINTS,
     LOGLOG_16,
     LOGLOG_MAX,
-    ExtremalBlock,
-    ExtremalSpec,
     alpha_from_kappa,
     build_spec,
     choose_blocks,
-    extremal_function,
-    load_spec,
     parse_kappa_spec,
-    reference_spec,
     regularize_kappa,
-    spec_json,
-    theta_values,
-    verify,
 )
+from mflab.extremal_verify import verify
 from mflab.halasz import HalaszDirection, pole_sum
 from mflab.multfun import StreamSummer, parse_function_spec
 from mflab.primes import sieve_primes
@@ -284,6 +286,63 @@ def test_theta_values_take_the_callers_log_p():
     lp = np.log(ps.astype(np.float64))
     assert np.array_equal(theta_values(spec, ps, lp), theta_values(spec, ps))
     assert not theta_values(spec, ps, np.zeros(ps.size)).any()  # lp is used as given
+
+
+def _theta_by_sine(spec, lp):
+    """theta_p with sin taken at every prime: the formula theta_values keeps."""
+    th = np.zeros(lp.size)
+    window = -np.sin(lp) >= 0.5
+    for b in spec.blocks:
+        m = (lp >= b.log_x) & (lp < b.log_upper) & window
+        th[m] = b.a / np.sqrt(np.log(lp[m]))
+    return th
+
+
+def _window_ends(k_max=3, ulps=64):
+    """Every float within ``ulps`` ulps of 7 pi/6 + 2 pi k and 11 pi/6 + 2 pi k, k <= k_max."""
+    xs = []
+    for k in range(k_max + 1):
+        for end in (7 * math.pi / 6 + 2 * math.pi * k, 11 * math.pi / 6 + 2 * math.pi * k):
+            x = end
+            for _ in range(ulps):
+                x = math.nextafter(x, 0.0)
+            for _ in range(2 * ulps + 1):
+                xs.append(x)
+                x = math.nextafter(x, math.inf)
+    return np.array(xs)
+
+
+SPECS = [reference_spec(), build_spec("const:1.5", x1=20.0, J=2),
+         build_spec("loglog-fraction:0.8", x1=30.0, J=2, C0=0.5)]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["reference", "const", "loglog-fraction"])
+def test_theta_and_f_take_sin_only_near_a_window_end_with_the_same_bits(spec):
+    # theta_values reads the sine window from log p mod 2 pi and calls sin
+    # only within 1e-9 of a window end; f(p) forms e^{i theta} only where
+    # theta_p != 0.  Both keep the bits of sin and of unit_power at every p.
+    from mflab.extremal import _sine_window, _unit_values
+    from mflab.multfun import unit_power
+
+    ends = _window_ends()
+    window = -np.sin(ends) >= 0.5
+    assert window.any() and not window.all()  # each end is crossed within the 64 ulps
+    assert np.array_equal(_sine_window(ends), window)
+    ps = sieve_primes(2 * 10**7)
+    for lp in (np.log(ps.astype(np.float64)), ends):
+        th = theta_values(spec, np.zeros(lp.size, np.int64), lp)
+        assert np.array_equal(th.view(np.uint64), _theta_by_sine(spec, lp).view(np.uint64))
+        fp = unit_power(th, -1.0)
+        assert np.array_equal(_unit_values(th).view(np.uint64),
+                              np.negative(fp, out=fp).view(np.uint64))
+    lp = np.log(ps.astype(np.float64))
+    assert np.array_equal(extremal_function(spec).prime_values(ps).view(np.uint64),
+                          _unit_values(_theta_by_sine(spec, lp)).view(np.uint64))
+
+
+def test_the_reference_spec_is_the_written_out_construction():
+    built = build_spec("power:0.25", x1=20.0, J=3, C0=1.0)
+    assert reference_spec() == built and repr(reference_spec()) == repr(built)
 
 
 def test_taylor_remainder():

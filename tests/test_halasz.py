@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mflab import extremal
+from mflab import extremal, extremal_verify
 from mflab.dirichlet import ComplexPoint, TruncationPlan, log_F, zeta
 from mflab.errors import DomainError
 from mflab.halasz import (
@@ -253,7 +253,7 @@ _FOUR_POINTS = [1.001, 1.01, 1.1, 1.3]
                     HalaszDirection(-1, 0.7)),
     lambda P: lemma_defect(_TWIST, HalaszDirection(-1, 0.7), _FOUR_POINTS, P),
     lambda P: log_F(builtin("extremal-ref"), _FOUR_POINTS, TruncationPlan(prime_cutoff=P)),
-    lambda P: extremal.verify(extremal.reference_spec(), P),
+    lambda P: extremal_verify.verify(extremal.reference_spec(), P),
 ], ids=["criterion", "log_F_misaligned", "lemma_defect", "log_F_prime_sum", "extremal_verify"])
 def test_prime_routes_hold_one_chunk_of_primes_at_a_time(route, with_cpus):
     # a route runs in this process on one CPU, as in each worker otherwise.

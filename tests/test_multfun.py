@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mflab import extremal, workers
+from mflab import extremal, extremal_build, workers
 from mflab.errors import CapacityError, CoverageError, DomainError, FunctionSpecError
 from mflab.multfun import (
     B,
@@ -317,7 +317,7 @@ def test_segment_values_independent_of_segment_end():
 def test_kernel_base_gives_each_prime_the_bits_of_a_call_on_that_prime_alone(spec):
     # one powers call per j on all the base primes that have p^j <= limit
     if spec == "loglog-fraction":
-        f = extremal.extremal_function(extremal.build_spec("loglog-fraction:0.3", 20.0, 2))
+        f = extremal.extremal_function(extremal_build.build_spec("loglog-fraction:0.3", 20.0, 2))
     else:
         f = builtin(spec)
     bits = {}  # (p, j) -> (dtype, bytes) of f(p^j) from a call on p alone

@@ -17,7 +17,8 @@ from mflab.cli import main
 from mflab.dirichlet import (ComplexPoint, HalaszDirection, TruncationPlan, alignment_terms,
                              log_F, prime_sums, residual_reach, residual_terms)
 from mflab.errors import CapacityError
-from mflab.extremal import ExtremalBlock, ExtremalSpec, build_spec, extremal_function
+from mflab.extremal import ExtremalBlock, ExtremalSpec, extremal_function
+from mflab.extremal_build import build_spec
 from mflab.halasz import lemma_defect
 from mflab.multfun import builtin, fold, parse_function_spec, twist
 from mflab.primes import PRIME_LIMIT_CEILING, sieve_primes
